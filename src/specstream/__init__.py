@@ -19,6 +19,7 @@ from .errors import (
     FormatError,
     ImageMismatch,
     MissingScoreLog,
+    NonFiniteInput,
     NotPsd,
     NotSymmetric,
     PreconditionViolation,
@@ -51,13 +52,13 @@ from .online import (
     BarrierState,
     OnlineState,
     barrier_step,
-    online_finalize,
     online_step,
     run_barrier,
     run_online,
     sampling_constant,
 )
 from .random_order import (
+    BlockSampler,
     BlockSchedule,
     ImprovedSampler,
     PassThroughApprox,
@@ -78,17 +79,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroStream", "BarrierViolation", "CapacityCollapse", "ConstApproxFailure",
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
-    "FormatError", "ImageMismatch", "MissingScoreLog", "NotPsd", "NotSymmetric",
-    "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
+    "FormatError", "ImageMismatch", "MissingScoreLog", "NonFiniteInput", "NotPsd",
+    "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
     "PInv", "SymPsd", "approx_factor", "default_rank_tol", "kernel_orthogonal",
     "log_pseudo_det", "min_nonzero_eig", "pinv", "pinv_rank1_update", "pseudo_det",
     "ScoreVector", "leverage_scores", "relative_leverage", "uniform_overestimate",
     "Sketch",
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",
-    "BarrierState", "OnlineState", "barrier_step", "online_finalize", "online_step",
+    "BarrierState", "OnlineState", "barrier_step", "online_step",
     "run_barrier", "run_online", "sampling_constant",
-    "BlockSchedule", "ImprovedSampler", "PassThroughApprox", "ResparsifyApprox",
-    "ScaledSampler", "improved_scaled_sampling", "resparsify_const_approx",
+    "BlockSampler", "BlockSchedule", "ImprovedSampler", "PassThroughApprox",
+    "ResparsifyApprox", "ScaledSampler", "improved_scaled_sampling", "resparsify_const_approx",
     "scaled_sampling", "seed_block_size",
     "JlScorer", "jl_build", "jl_score", "projection_rows",
     "mu", "verify",

@@ -25,10 +25,10 @@ from .instances import (
 from .online import DEFAULT_ONLINE_C_MULT, run_barrier, run_online
 from .random_order import (
     DEFAULT_SCALED_C_MULT,
-    ImprovedSampler,
     PassThroughApprox,
     ResparsifyApprox,
     ScaledSampler,
+    improved_scaled_sampling,
     scaled_sampling,
 )
 from .randomness import derive_seed
@@ -227,14 +227,11 @@ def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
                 derive_seed(seed, 1),
                 dim=stream.d,
             )
-        sampler = ImprovedSampler(
-            stream.d, eps, seed, plug,
+        sketch, diag = improved_scaled_sampling(
+            stream, eps, seed, plug,
             c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-            use_jl=use_jl, jl_audit=jl_audit, n_hint=stream.n, **passthrough,
+            use_jl=use_jl, jl_audit=jl_audit, **passthrough,
         )
-        for i in range(stream.n):
-            sampler.step(i, stream.row(i))
-        sketch, diag = sampler.finalize()
         return sketch, {
             "scores": diag.scores, "score_total": diag.score_total,
             "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,

@@ -67,3 +67,7 @@ class UnknownSuite(SpecstreamError):
 
 class FormatError(SpecstreamError):
     """Stream or sketch file failed to parse."""
+
+
+class NonFiniteInput(SpecstreamError):
+    """Stream holds a NaN or infinite value."""

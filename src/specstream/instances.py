@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from . import rows as rowops
-from .errors import DimensionMismatch, EmptyStream
+from .errors import DimensionMismatch, EmptyStream, NonFiniteInput
 from .linalg import SymPsd
 
 
@@ -28,6 +28,7 @@ class RowStream:
             self._rows = [rowops.sparse_row(idx, val, d) for idx, val in payload]
             self._dense = None
             self.n = len(self._rows)
+            values = np.concatenate([val for _, val in self._rows]) if self._rows else np.empty(0)
         else:
             dense = np.asarray(payload, dtype=float)
             if dense.ndim != 2 or dense.shape[1] != d:
@@ -35,6 +36,10 @@ class RowStream:
             self._dense = dense
             self._rows = None
             self.n = dense.shape[0]
+            values = dense
+        # One vectorised check per stream keeps NaN/inf out of every sampler.
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteInput("stream holds a NaN or infinite value")
 
     def row(self, i: int):
         """Row payload at position i (dense view or sparse pair)."""

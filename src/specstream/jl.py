@@ -42,7 +42,7 @@ class JlScorer:
 
     def score(self, row) -> float:
         """Relative score: exact kernel test, then q_hat / (q_hat + 1)."""
-        if rowops.kernel_residual(self.projector, row) > self.ortho_tol * rowops.norm(row):
+        if not rowops.on_image(self.projector, row, self.ortho_tol):
             return 1.0
         q = self.quad(row)
         return q / (q + 1.0)

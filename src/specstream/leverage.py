@@ -38,10 +38,6 @@ class ScoreVector:
         return float(np.sum(self.scores))
 
 
-def _clamp01(values):
-    return np.clip(values, 0.0, 1.0)
-
-
 def leverage_scores(rows_in) -> ScoreVector:
     """Exact leverage scores tau_i = a_i' (A'A)+ a_i of a materialized matrix.
 
@@ -55,11 +51,7 @@ def leverage_scores(rows_in) -> ScoreVector:
         raise EmptyStream("no rows to score")
     p = pinv(SymPsd(a.T @ a))
     tau = np.einsum("ij,jk,ik->i", a, p.matrix, a)
-    return ScoreVector(_clamp01(tau), "exact", a.shape)
-
-
-def _kernel_orthogonal_row(p: PInv, row, ortho_tol: float) -> bool:
-    return rowops.kernel_residual(p.projector, row) <= ortho_tol * rowops.norm(row)
+    return ScoreVector(np.clip(tau, 0.0, 1.0), "exact", a.shape)
 
 
 def relative_leverage(b_pinv: PInv, row, ortho_tol: float = DEFAULT_ORTHO_TOL) -> float:
@@ -67,7 +59,7 @@ def relative_leverage(b_pinv: PInv, row, ortho_tol: float = DEFAULT_ORTHO_TOL) -
 
     q / (q + 1) on the image, exactly 1 off it. Rows may be dense or sparse.
     """
-    if _kernel_orthogonal_row(b_pinv, row, ortho_tol):
+    if rowops.on_image(b_pinv.projector, row, ortho_tol):
         q = max(rowops.quad_form(b_pinv.matrix, row), 0.0)
         return q / (q + 1.0)
     return 1.0
@@ -78,7 +70,7 @@ def uniform_overestimate(sample_pinv: PInv, row, ortho_tol: float = DEFAULT_ORTH
 
     min(a' (S'S)+ a, 1) when a is orthogonal to Ker(S), else 1.
     """
-    if _kernel_orthogonal_row(sample_pinv, row, ortho_tol):
+    if rowops.on_image(sample_pinv.projector, row, ortho_tol):
         q = max(rowops.quad_form(sample_pinv.matrix, row), 0.0)
         return min(q, 1.0)
     return 1.0

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from . import rows as rowops
 from .errors import (
     DegenerateUpdate,
     DimensionMismatch,
@@ -121,8 +122,7 @@ def kernel_orthogonal(p: PInv, a, ortho_tol: float = DEFAULT_ORTHO_TOL) -> bool:
     a = np.asarray(a, dtype=float)
     if a.shape != (p.dim,):
         raise DimensionMismatch(f"vector shape {a.shape} vs dim {p.dim}")
-    residual = a - p.projector @ a
-    return float(np.linalg.norm(residual)) <= ortho_tol * float(np.linalg.norm(a))
+    return rowops.on_image(p.projector, a, ortho_tol)
 
 
 def pinv_rank1_update(p: PInv, u, k: float, ortho_tol: float = DEFAULT_ORTHO_TOL) -> PInv:

@@ -61,11 +61,9 @@ class OnlineState:
         self.eps = float(eps)
         self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.sketch = Sketch(dim, rank_tol=rank_tol)
-        self.gram = np.zeros((dim, dim))
         self.pinv = PInv(0, np.zeros((dim, dim)), np.zeros((dim, dim)))
         self.rng = IndexedUniforms(seed)
         self.ortho_tol = float(ortho_tol)
-        self.rank_tol = rank_tol
         self.verify_every = int(verify_every)
         self.scores: list[float] = []
         self.score_total = 0.0
@@ -75,12 +73,12 @@ class OnlineState:
         self._updates_since_verify = 0
 
     def _recompute_pinv(self):
-        self.pinv = pinv(SymPsd(self.gram, rank_tol=self.rank_tol))
+        self.pinv = pinv(self.sketch.gram)
         self.pinv_recomputes += 1
         self._updates_since_verify = 0
 
     def _verify_pinv(self):
-        fresh = pinv(SymPsd(self.gram, rank_tol=self.rank_tol))
+        fresh = pinv(self.sketch.gram)
         scale = np.linalg.norm(fresh.matrix)
         drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
         if drift > PINV_DRIFT_TOL * scale:
@@ -101,10 +99,7 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     if index <= state.last_index:
         raise DimensionMismatch(f"row index {index} not increasing")
     state.last_index = index
-    on_image = (
-        rowops.kernel_residual(state.pinv.projector, row)
-        <= state.ortho_tol * rowops.norm(row)
-    )
+    on_image = rowops.on_image(state.pinv.projector, row, state.ortho_tol)
     if on_image:
         q = max(rowops.quad_form(state.pinv.matrix, row), 0.0)
         rel = q / (q + 1.0)
@@ -117,7 +112,6 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     sampled = state.rng.take(index) < p
     if sampled:
         state.sketch.append(index, 1.0 / math.sqrt(p), row)
-        rowops.add_outer(state.gram, row, 1.0 / p)
         if on_image:
             state.pinv = pinv_rank1_update(
                 state.pinv, rowops.densify(row, state.dim), 1.0 / p, state.ortho_tol
@@ -129,10 +123,6 @@ def online_step(state: OnlineState, row, index: int) -> bool:
             # New direction: the image grew, Sherman-Morrison does not apply.
             state._recompute_pinv()
     return sampled
-
-
-def online_finalize(state: OnlineState) -> tuple[Sketch, float]:
-    return state.sketch, state.score_total
 
 
 @dataclass
@@ -159,14 +149,13 @@ def run_online(
     )
     for i in range(stream.n):
         online_step(state, stream.row(i), i)
-    sketch, total = online_finalize(state)
     diag = OnlineDiagnostics(
         scores=np.asarray(state.scores),
-        score_total=total,
+        score_total=state.score_total,
         pinv_recomputes=state.pinv_recomputes,
         drift_events=state.drift_events,
     )
-    return sketch, diag
+    return state.sketch, diag
 
 
 class BarrierState:
@@ -189,7 +178,6 @@ class BarrierState:
         self.c_upper = 2.0 / eps + 1.0
         self.c_lower = 3.0 / eps - 1.0
         self.sketch = Sketch(dim, rank_tol=rank_tol)
-        self.gram = np.zeros((dim, dim))
         self.upper = np.zeros((dim, dim))
         self.lower = np.zeros((dim, dim))
         self.rng = IndexedUniforms(seed)
@@ -215,9 +203,10 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
     state.last_index = index
     a = rowops.densify(row, state.dim)
     outer = np.outer(a, a)
+    gram = state.sketch.gram_matrix()  # live array: appends update it in place
     try:
-        x_upper = SymPsd(state.upper - state.gram + outer, rank_tol=state.rank_tol)
-        x_lower = SymPsd(state.gram - state.lower + outer, rank_tol=state.rank_tol)
+        x_upper = SymPsd(state.upper - gram + outer, rank_tol=state.rank_tol)
+        x_lower = SymPsd(gram - state.lower + outer, rank_tol=state.rank_tol)
     except NotPsd as exc:
         raise BarrierViolation(f"gap matrix indefinite at row {index}") from exc
     state.pinv_recomputes += 2
@@ -230,11 +219,10 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
     sampled = state.rng.take(index) < p
     if sampled:
         state.sketch.append(index, 1.0 / math.sqrt(p), row)
-        state.gram += outer / p
     state.upper += (1.0 + state.eps) * outer
     state.lower += (1.0 - state.eps) * outer
-    upper_gap = float(np.min(np.linalg.eigvalsh(state.upper - state.gram)))
-    lower_gap = float(np.min(np.linalg.eigvalsh(state.gram - state.lower)))
+    upper_gap = float(np.min(np.linalg.eigvalsh(state.upper - gram)))
+    lower_gap = float(np.min(np.linalg.eigvalsh(gram - state.lower)))
     if state.audit:
         state.gap_history.append((upper_gap, lower_gap))
     slack = BARRIER_TOL * max(float(np.trace(state.upper)), 1e-300)

@@ -3,8 +3,9 @@
 The seed block (first K rows) passes through verbatim; afterwards the stream
 is cut into doubling blocks and every row in a block is scored against one
 matrix frozen at the block boundary, so the pseudo-inverse is recomputed
-only O(log n) times. The improved variant scores against a pluggable
-constant-factor approximation fed with every arriving row.
+only O(log n) times. One BlockSampler covers both variants: the scaled one
+freezes its own sketch, the improved one freezes a pluggable constant-factor
+approximation fed with every arriving row.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import (
 )
 from .instances import RowStream
 from .jl import DEFAULT_DISTORTION, DEFAULT_JL_C, JlScorer, jl_build
+from .leverage import relative_leverage
 from .linalg import DEFAULT_ORTHO_TOL, PInv, SymPsd, pinv
 from .randomness import MASK64, IndexedUniforms, derive_seed
 from .sketch import Sketch
@@ -61,10 +63,6 @@ class BlockSchedule:
             b = 2 * b + kk
         return cls(kk, tuple(bounds), len(bounds))
 
-    def block_end(self, i: int, n: int) -> int:
-        """End (exclusive) of scored block i, truncated at the stream length."""
-        return min(2 * self.boundaries[i] + self.k, n)
-
 
 @dataclass
 class BlockDiagnostics:
@@ -80,32 +78,25 @@ class BlockDiagnostics:
     capacity_rows: int | None = None
 
 
-class _FrozenScorer:
-    """Exact relative-leverage scorer against one frozen pseudo-inverse."""
+class BlockSampler:
+    """Random-order block sampler, with or without a constant-factor plug.
 
-    def __init__(self, p: PInv, ortho_tol: float):
-        self.pinv = p
-        self.ortho_tol = ortho_tol
-
-    def score(self, row) -> float:
-        if rowops.kernel_residual(self.pinv.projector, row) > self.ortho_tol * rowops.norm(row):
-            return 1.0
-        q = max(rowops.quad_form(self.pinv.matrix, row), 0.0)
-        return q / (q + 1.0)
-
-
-class ScaledSampler:
-    """Incremental random-order sampler scoring against its own frozen sketch.
-
-    Also usable as a constant-factor approximation plug: add() consumes a
-    row, query() exposes the current sketch, beta equals eps.
+    Without a plug, each block is scored against the sampler's own sketch
+    frozen at the block boundary, with multiplier 1 + eps. With a plug
+    (approx), every row is fed to it and each block is scored against the
+    plug's query() frozen at the boundary, with multiplier
+    DEFAULT_IMPROVED_MULTIPLIER. The sampler is itself a plug: add() consumes
+    a row, query() exposes the current sketch, beta equals eps.
     """
+
+    capacity_rows: int | None = None
 
     def __init__(
         self,
         dim: int,
         eps: float,
         seed: int,
+        approx=None,
         c_mult: float = DEFAULT_SCALED_C_MULT,
         multiplier: float | None = None,
         k: int | None = None,
@@ -119,41 +110,45 @@ class ScaledSampler:
     ):
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+        if use_jl and n_hint is None:
+            raise ValueError("JL scoring needs n_hint to size the projection")
+        if multiplier is None:
+            multiplier = (1.0 + eps) if approx is None else DEFAULT_IMPROVED_MULTIPLIER
         self.dim = int(dim)
         self.eps = float(eps)
         self.k = seed_block_size(dim) if k is None else int(k)
         self.c = c_mult * eps ** -2 * math.log(max(dim, 2))
-        self.multiplier = (1.0 + eps) if multiplier is None else float(multiplier)
+        self.multiplier = float(multiplier)
         self.seed = int(seed)
+        self.approx = approx
         self.ortho_tol = float(ortho_tol)
         self.rank_tol = rank_tol
         self.use_jl = bool(use_jl)
         self.jl_c = float(jl_c)
         self.jl_distortion = float(jl_distortion)
         self.jl_audit = bool(jl_audit)
-        if use_jl and n_hint is None:
-            raise ValueError("JL scoring needs n_hint to size the projection")
         self.n_hint = n_hint
         self.sketch = Sketch(dim, rank_tol=rank_tol)
         self.rng = IndexedUniforms(seed)
         self.count = 0
         self.next_boundary = self.k
-        self.block_no = 0
-        self.scorer = None
-        self.exact_scorer = None
+        self.frozen: PInv | None = None
+        self.jl: JlScorer | None = None
+        self.freeze_rows: list[int] = []
         self.scores: list[float] = []
         self.exact_scores: list[float] = []
         self.jl_scores: list[float] = []
         self.block_sums: list[float] = [0.0]
         self.frozen_pinvs: list[np.ndarray] = []
-        self.pinv_recomputes = 0
+        self.max_working_rows = 0
+        # Gram of every row fed to the plug; only its rank is read, to catch
+        # a plug that loses a direction.
+        self._fed_gram = None if approx is None else np.zeros((dim, dim))
 
     # -- ConstApprox contract -------------------------------------------------
     @property
     def beta(self) -> float:
         return self.eps
-
-    capacity_rows: int | None = None
 
     @property
     def n_rows(self) -> int:
@@ -168,33 +163,52 @@ class ScaledSampler:
 
     # -------------------------------------------------------------------------
 
-    def _freeze(self):
-        frozen = pinv(self.sketch.gram)
-        self.pinv_recomputes += 1
-        self.block_no += 1
+    def _feed(self, index: int, row) -> None:
+        self.approx.add(index, row)
+        rowops.add_outer(self._fed_gram, row, 1.0)
+        held = getattr(self.approx, "peak_rows", None)
+        if held is None:
+            held = self.approx.n_rows
+        self.max_working_rows = max(self.max_working_rows, int(held))
+
+    def _snapshot(self) -> Sketch:
+        """Sketch to freeze: the plug's, checked against the rank fed to it."""
+        if self.approx is None:
+            return self.sketch
+        snapshot = self.approx.query()
+        fed_rank = SymPsd(self._fed_gram, rank_tol=self.rank_tol).rank
+        got = snapshot.gram.rank
+        if got < fed_rank:
+            raise ConstApproxFailure(
+                f"plug rank {got} below fed rank {fed_rank} at row {self.count}"
+            )
+        return snapshot
+
+    def _freeze(self, j: int):
+        snapshot = self._snapshot()
+        self.frozen = pinv(snapshot.gram)
+        self.freeze_rows.append(j)
         self.block_sums.append(0.0)
-        self.frozen_pinvs.append(frozen.matrix)
-        exact = _FrozenScorer(frozen, self.ortho_tol)
+        self.frozen_pinvs.append(self.frozen.matrix)
         if self.use_jl:
-            self.scorer = jl_build(
-                self.sketch,
+            self.jl = jl_build(
+                snapshot,
                 self.n_hint,
-                derive_seed(self.seed, self.block_no),
+                derive_seed(self.seed, len(self.freeze_rows)),
                 c_jl=self.jl_c,
                 distortion=self.jl_distortion,
                 ortho_tol=self.ortho_tol,
             )
-            self.exact_scorer = exact if self.jl_audit else None
-        else:
-            self.scorer = exact
 
     def _level(self, row) -> float:
         """Capped sampling score of one in-block row."""
-        raw = self.scorer.score(row)
-        if self.use_jl:
-            if self.exact_scorer is not None:
+        if self.jl is None:
+            raw = relative_leverage(self.frozen, row, self.ortho_tol)
+        else:
+            raw = self.jl.score(row)
+            if self.jl_audit:
                 self.jl_scores.append(raw)
-                self.exact_scores.append(self.exact_scorer.score(row))
+                self.exact_scores.append(relative_leverage(self.frozen, row, self.ortho_tol))
             raw = raw / (1.0 - self.jl_distortion)
         return min(self.multiplier * raw, 1.0)
 
@@ -205,39 +219,51 @@ class ScaledSampler:
             self.sketch.append(index, 1.0, row)
             self.scores.append(1.0)
             self.block_sums[0] += 1.0
-            return True
-        if j == self.next_boundary:
-            self._freeze()
-            self.next_boundary = 2 * self.next_boundary + self.k
-        lev = self._level(row)
-        self.scores.append(lev)
-        self.block_sums[-1] += lev
-        p = min(self.c * lev, 1.0)
-        if self.rng.take(j) < p:
-            self.sketch.append(index, 1.0 / math.sqrt(p), row)
-            return True
-        return False
+            sampled = True
+        else:
+            if j == self.next_boundary:
+                self._freeze(j)
+                self.next_boundary = 2 * self.next_boundary + self.k
+            lev = self._level(row)
+            self.scores.append(lev)
+            self.block_sums[-1] += lev
+            p = min(self.c * lev, 1.0)
+            sampled = self.rng.take(j) < p
+            if sampled:
+                self.sketch.append(index, 1.0 / math.sqrt(p), row)
+        if self.approx is not None:
+            self._feed(index, row)
+        return sampled
 
     def finalize(self) -> tuple[Sketch, BlockDiagnostics]:
+        freezes = tuple(self.freeze_rows)
         diag = BlockDiagnostics(
             scores=np.asarray(self.scores),
             score_total=float(np.sum(self.scores)),
             block_sums=self.block_sums,
-            pinv_recomputes=self.pinv_recomputes,
-            schedule=BlockSchedule(self.k, tuple((2 ** (i + 1) - 1) * self.k for i in range(self.block_no)), self.block_no),
+            pinv_recomputes=len(freezes),
+            schedule=BlockSchedule(self.k, freezes, len(freezes)),
             frozen_pinvs=self.frozen_pinvs,
             exact_scores=np.asarray(self.exact_scores) if self.exact_scores else None,
             jl_scores=np.asarray(self.jl_scores) if self.jl_scores else None,
+            max_working_rows=None if self.approx is None else self.max_working_rows,
+            capacity_rows=getattr(self.approx, "capacity_rows", None),
         )
         return self.sketch, diag
 
 
-def scaled_sampling(stream: RowStream, eps: float, seed: int, **config) -> tuple[Sketch, BlockDiagnostics]:
-    """Run the block sampler over a whole stream."""
+# The scaled (no plug) and improved (plugged) names stay public: tests and
+# the benchmark's tracer reach the sampler through both.
+ScaledSampler = ImprovedSampler = BlockSampler
+
+
+def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
+                    **config) -> tuple[Sketch, BlockDiagnostics]:
+    """Run the block sampler over a whole stream, with an optional plug."""
     if stream.n == 0:
         raise EmptyStream("empty stream")
     config.setdefault("n_hint", stream.n)
-    sampler = ScaledSampler(stream.d, eps, seed, **config)
+    sampler = BlockSampler(stream.d, eps, seed, approx, **config)
     for i in range(stream.n):
         sampler.step(i, stream.row(i))
     return sampler.finalize()
@@ -360,146 +386,7 @@ def resparsify_const_approx(capacity_mult: float, beta: float, seed: int,
     return ResparsifyApprox(capacity_mult, beta, seed, dim=dim)
 
 
-class ImprovedSampler:
-    """Block sampler scoring against a pluggable constant-factor approximation."""
-
-    def __init__(
-        self,
-        dim: int,
-        eps: float,
-        seed: int,
-        approx,
-        c_mult: float = DEFAULT_SCALED_C_MULT,
-        multiplier: float = DEFAULT_IMPROVED_MULTIPLIER,
-        k: int | None = None,
-        ortho_tol: float = DEFAULT_ORTHO_TOL,
-        rank_tol: float | None = None,
-        use_jl: bool = False,
-        jl_c: float = DEFAULT_JL_C,
-        jl_distortion: float = DEFAULT_DISTORTION,
-        n_hint: int | None = None,
-        jl_audit: bool = False,
-    ):
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-        self.dim = int(dim)
-        self.eps = float(eps)
-        self.k = seed_block_size(dim) if k is None else int(k)
-        self.c = c_mult * eps ** -2 * math.log(max(dim, 2))
-        self.multiplier = float(multiplier)
-        self.seed = int(seed)
-        self.approx = approx
-        self.ortho_tol = float(ortho_tol)
-        self.rank_tol = rank_tol
-        self.use_jl = bool(use_jl)
-        self.jl_c = float(jl_c)
-        self.jl_distortion = float(jl_distortion)
-        self.jl_audit = bool(jl_audit)
-        if use_jl and n_hint is None:
-            raise ValueError("JL scoring needs n_hint to size the projection")
-        self.n_hint = n_hint
-        self.sketch = Sketch(dim, rank_tol=rank_tol)
-        self.rng = IndexedUniforms(seed)
-        self.count = 0
-        self.next_boundary = self.k
-        self.block_no = 0
-        self.scorer = None
-        self.exact_scorer = None
-        self.scores: list[float] = []
-        self.exact_scores: list[float] = []
-        self.jl_scores: list[float] = []
-        self.block_sums: list[float] = [0.0]
-        self.frozen_pinvs: list[np.ndarray] = []
-        self.pinv_recomputes = 0
-        self.max_working_rows = 0
-        self._fed_gram = np.zeros((dim, dim))
-
-    def _feed(self, index: int, row) -> None:
-        self.approx.add(index, row)
-        rowops.add_outer(self._fed_gram, row, 1.0)
-        held = getattr(self.approx, "peak_rows", None)
-        if held is None:
-            held = self.approx.n_rows
-        self.max_working_rows = max(self.max_working_rows, int(held))
-
-    def _freeze(self):
-        snapshot = self.approx.query()
-        fed_rank = SymPsd(self._fed_gram, rank_tol=self.rank_tol).rank
-        got = snapshot.gram
-        if got.rank < fed_rank:
-            raise ConstApproxFailure(
-                f"plug rank {got.rank} below fed rank {fed_rank} at row {self.count}"
-            )
-        frozen = pinv(got)
-        self.pinv_recomputes += 1
-        self.block_no += 1
-        self.block_sums.append(0.0)
-        self.frozen_pinvs.append(frozen.matrix)
-        exact = _FrozenScorer(frozen, self.ortho_tol)
-        if self.use_jl:
-            self.scorer = jl_build(
-                snapshot,
-                self.n_hint,
-                derive_seed(self.seed, self.block_no),
-                c_jl=self.jl_c,
-                distortion=self.jl_distortion,
-                ortho_tol=self.ortho_tol,
-            )
-            self.exact_scorer = exact if self.jl_audit else None
-        else:
-            self.scorer = exact
-
-    def step(self, index: int, row) -> bool:
-        j = self.count
-        self.count += 1
-        if j < self.k:
-            self.sketch.append(index, 1.0, row)
-            self.scores.append(1.0)
-            self.block_sums[0] += 1.0
-            self._feed(index, row)
-            return True
-        if j == self.next_boundary:
-            self._freeze()
-            self.next_boundary = 2 * self.next_boundary + self.k
-        raw = self.scorer.score(row)
-        if self.use_jl:
-            if self.exact_scorer is not None:
-                self.jl_scores.append(raw)
-                self.exact_scores.append(self.exact_scorer.score(row))
-            raw = raw / (1.0 - self.jl_distortion)
-        lev = min(self.multiplier * raw, 1.0)
-        self.scores.append(lev)
-        self.block_sums[-1] += lev
-        p = min(self.c * lev, 1.0)
-        sampled = self.rng.take(j) < p
-        if sampled:
-            self.sketch.append(index, 1.0 / math.sqrt(p), row)
-        self._feed(index, row)
-        return sampled
-
-    def finalize(self) -> tuple[Sketch, BlockDiagnostics]:
-        diag = BlockDiagnostics(
-            scores=np.asarray(self.scores),
-            score_total=float(np.sum(self.scores)),
-            block_sums=self.block_sums,
-            pinv_recomputes=self.pinv_recomputes,
-            schedule=BlockSchedule(self.k, tuple((2 ** (i + 1) - 1) * self.k for i in range(self.block_no)), self.block_no),
-            frozen_pinvs=self.frozen_pinvs,
-            exact_scores=np.asarray(self.exact_scores) if self.exact_scores else None,
-            jl_scores=np.asarray(self.jl_scores) if self.jl_scores else None,
-            max_working_rows=self.max_working_rows,
-            capacity_rows=getattr(self.approx, "capacity_rows", None),
-        )
-        return self.sketch, diag
-
-
 def improved_scaled_sampling(stream: RowStream, eps: float, seed: int, approx,
                              **config) -> tuple[Sketch, BlockDiagnostics]:
-    """Run the improved block sampler over a whole stream with a given plug."""
-    if stream.n == 0:
-        raise EmptyStream("empty stream")
-    config.setdefault("n_hint", stream.n)
-    sampler = ImprovedSampler(stream.d, eps, seed, approx, **config)
-    for i in range(stream.n):
-        sampler.step(i, stream.row(i))
-    return sampler.finalize()
+    """Run the block sampler over a whole stream with a given plug."""
+    return scaled_sampling(stream, eps, seed, approx, **config)

@@ -26,18 +26,23 @@ def _chunk_uniforms(seed: int, chunk: int):
 
 
 class IndexedUniforms:
-    """Lazy array of uniforms in [0, 1), one per nonnegative index."""
+    """Lazy array of uniforms in [0, 1), one per nonnegative index.
+
+    Only the last generated chunk is held: samplers take indices in
+    increasing order, and an earlier index regenerates its chunk with the
+    same values.
+    """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._chunks: dict[int, np.ndarray] = {}
+        self._chunk_no = -1
+        self._values: np.ndarray | None = None
 
     def _chunk(self, c: int):
-        got = self._chunks.get(c)
-        if got is None:
-            got = _chunk_uniforms(self.seed, c)
-            self._chunks[c] = got
-        return got
+        if c != self._chunk_no:
+            self._values = _chunk_uniforms(self.seed, c)
+            self._chunk_no = c
+        return self._values
 
     def take(self, index: int) -> float:
         c, off = divmod(int(index), CHUNK)

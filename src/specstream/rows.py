@@ -77,15 +77,27 @@ def matvec(matrix, row):
 
 
 def kernel_residual(projector, row) -> float:
-    """||row - projector row|| without densifying a sparse row."""
-    proj = matvec(projector, row)
+    """||row - projector row||, formed entrywise for both row kinds.
+
+    The residual vector is built before its norm is taken, so residuals
+    near rounding level stay resolvable; expanding ||v||^2 - 2 v'Pv + ||Pv||^2
+    instead cancels below about sqrt(machine eps) relative.
+    """
+    r = matvec(projector, row)  # a fresh array; its sign does not change the norm
     if is_sparse(row):
         idx, val = row
-        cross = float(val @ proj[idx]) if idx.size else 0.0
-        sq = float(val @ val) - 2.0 * cross + float(proj @ proj)
-        return float(np.sqrt(max(sq, 0.0)))
-    r = np.asarray(row, dtype=float)
-    return float(np.linalg.norm(r - proj))
+        r[idx] -= val
+    else:
+        r -= row
+    return float(np.linalg.norm(r))
+
+
+def on_image(projector, row, ortho_tol: float) -> bool:
+    """True when row has no kernel component: residual <= ortho_tol * ||row||.
+
+    The zero row lies on every image.
+    """
+    return kernel_residual(projector, row) <= ortho_tol * norm(row)
 
 
 def add_outer(gram, row, scale: float) -> None:

@@ -7,7 +7,9 @@ import pytest
 from specstream import (
     DimensionMismatch,
     EmptyStream,
+    NonFiniteInput,
     RowStream,
+    SpecstreamError,
     gen_gaussian,
     gen_kd_multigraph,
     gen_mu_controlled,
@@ -23,6 +25,20 @@ class TestRowStream:
             RowStream(3, np.zeros((4, 2)), {"kind": "test"})
         with pytest.raises(DimensionMismatch):
             RowStream(0, np.zeros((4, 0)), {"kind": "test"})
+
+    def test_dense_nan_row_rejected(self):
+        # Unchecked, this row made run_online raise numpy's LinAlgError and
+        # scaled_sampling log a NaN score.
+        rows = gen_gaussian(200, 6, seed=1).materialize()
+        rows[57, 2] = np.nan
+        with pytest.raises(NonFiniteInput):
+            RowStream(6, rows, {"kind": "test"})
+        assert issubclass(NonFiniteInput, SpecstreamError)
+
+    def test_sparse_inf_value_rejected(self):
+        payload = [([0, 2], [1.0, -1.0]), ([1], [np.inf])]
+        with pytest.raises(NonFiniteInput):
+            RowStream(3, payload, {"kind": "test"}, sparse=True)
 
     def test_sparse_materialize_matches_gram(self):
         payload = [([0, 2], [1.0, -1.0]), ([1], [2.0])]

@@ -8,6 +8,7 @@ import pytest
 
 from specstream import (
     FormatError,
+    NonFiniteInput,
     RowStream,
     Sketch,
     gen_gaussian,
@@ -55,6 +56,17 @@ class TestStreamFiles:
         path = str(tmp_path / "f.stream")
         write_stream(path, make_stream(vals))
         assert np.array_equal(read_stream(path).materialize(), vals)
+
+    def test_nan_token_rejected(self, tmp_path):
+        path = tmp_path / "nan.stream"
+        write_stream(str(path), gen_gaussian(200, 6, seed=1))
+        lines = path.read_text().splitlines()
+        tokens = lines[2 + 57].split()
+        tokens[2] = "nan"
+        lines[2 + 57] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteInput):
+            read_stream(str(path))
 
     def test_format_errors(self, tmp_path):
         cases = {

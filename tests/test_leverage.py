@@ -7,11 +7,14 @@ import pytest
 from specstream import (
     EmptyStream,
     SymPsd,
+    gen_kd_multigraph,
     leverage_scores,
+    permute,
     pinv,
     relative_leverage,
     uniform_overestimate,
 )
+from specstream import rows as rowops
 
 from conftest import make_psd, make_stream, identity_stream
 import oracles
@@ -129,6 +132,19 @@ class TestRelativeLeverage:
             p = pinv(SymPsd(make_psd(d, d, rng.integers(1 << 30), scale=1e-6)))
             val = relative_leverage(p, rng.standard_normal(d) * 1e3)
             assert 0.0 <= val <= 1.0
+
+
+    def test_on_image_sparse_rows_never_score_one(self):
+        # Every row of a kd stream lies on the image of the stream's Gram.
+        # The sparse residual must resolve that at rounding level, not at
+        # the ~1.5e-8 relative floor of an expanded-square residual, which
+        # sits above ortho_tol and turned on-image rows into new directions.
+        stream = permute(gen_kd_multigraph(8, 64), seed=3)
+        p = pinv(stream.gram())
+        rows = [stream.row(i) for i in range(stream.n)]
+        worst = max(rowops.kernel_residual(p.projector, r) / rowops.norm(r) for r in rows)
+        assert worst < 1e-12
+        assert sum(relative_leverage(p, r) == 1.0 for r in rows) == 0
 
 
 class TestUniformOverestimate:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specstream import (
+    BlockSampler,
     BlockSchedule,
     CapacityCollapse,
     ConstApproxFailure,
@@ -291,6 +292,17 @@ class TestImprovedSampler:
         assert diag.max_working_rows <= 2 * plug.capacity_rows
         eps_actual, _ = verify(stream, sketch)
         assert eps_actual <= 0.4
+
+    def test_one_sampler_records_its_freezes(self):
+        # scaled and improved are one BlockSampler; both record the rows they
+        # froze at, and those are the doubling boundaries
+        assert ScaledSampler is ImprovedSampler is BlockSampler
+        stream = permute(gen_gaussian(900, 5, seed=34), seed=35)
+        want = BlockSchedule.for_stream(900, 5)
+        for plug in (None, PassThroughApprox(5)):
+            _, diag = scaled_sampling(stream, 0.4, 36, plug)
+            assert diag.schedule == want
+            assert diag.pinv_recomputes == want.alpha
 
     def test_default_multiplier_is_two(self):
         sampler = ImprovedSampler(5, 0.4, 1, PassThroughApprox(5))

@@ -47,6 +47,18 @@ class TestRowOps:
         r = rowops.sparse_row([0, 5], [1.5, 2.0], 6)
         assert np.allclose(rowops.matvec(m, r), m @ rowops.densify(r, 6), atol=1e-13)
 
+    def test_kernel_residual_sparse_matches_dense(self):
+        rng = np.random.default_rng(6)
+        v = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        proj = v @ v.T
+        r = rowops.sparse_row([0, 2, 5], [1.0, -2.0, 0.5], 6)
+        dense = rowops.densify(r, 6)
+        want = float(np.linalg.norm(dense - proj @ dense))
+        assert rowops.kernel_residual(proj, r) == pytest.approx(want, rel=1e-12)
+        assert rowops.kernel_residual(proj, dense) == want
+        assert rowops.on_image(proj, rowops.sparse_row([], [], 6), 1e-8)
+        assert not rowops.on_image(proj, r, 1e-8)
+
     def test_add_outer_accumulates_weighted(self):
         g = np.zeros((3, 3))
         rowops.add_outer(g, np.array([1.0, 2.0, 0.0]), 4.0)
@@ -105,6 +117,12 @@ class TestRandomness:
         singles = np.array([u.take(i) for i in range(10_000)])
         block = IndexedUniforms(123).take_range(0, 10_000)
         assert np.array_equal(singles, block)
+        # Back and forth across a CHUNK boundary: only the last chunk is
+        # held, and a revisited chunk comes back with the same values.
+        for i in (CHUNK - 1, CHUNK, CHUNK - 2, 2 * CHUNK + 3, CHUNK + 5, 7, CHUNK):
+            assert u.take(i) == singles[i]
+        for lo, hi in ((CHUNK - 3, CHUNK + 3), (5, 9), (2 * CHUNK - 1, 2 * CHUNK + 1)):
+            assert np.array_equal(u.take_range(lo, hi), singles[lo:hi])
 
     def test_chunk_boundaries(self):
         u = IndexedUniforms(9)
