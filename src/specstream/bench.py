@@ -201,7 +201,7 @@ def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
         )
         return sketch, {
             "scores": None, "score_total": diag.score_total,
-            "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,
+            "pinv_recomputes": diag.pinv_recomputes, "drift_events": diag.drift_events,
             "max_working_rows": sketch.n_rows, "diag": diag,
         }
     if algo == "scaled":

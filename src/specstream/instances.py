@@ -21,25 +21,33 @@ class RowStream:
     def __init__(self, d: int, payload, meta: dict, sparse: bool = False):
         if d <= 0:
             raise DimensionMismatch("dimension must be positive")
-        self.d = int(d)
-        self.meta = dict(meta)
-        self.is_sparse = bool(sparse)
         if sparse:
-            self._rows = [rowops.sparse_row(idx, val, d) for idx, val in payload]
-            self._dense = None
-            self.n = len(self._rows)
-            values = np.concatenate([val for _, val in self._rows]) if self._rows else np.empty(0)
+            rows = [rowops.sparse_row(idx, val, d) for idx, val in payload]
+            values = np.concatenate([val for _, val in rows]) if rows else np.empty(0)
         else:
-            dense = np.asarray(payload, dtype=float)
-            if dense.ndim != 2 or dense.shape[1] != d:
-                raise DimensionMismatch(f"dense payload shape {dense.shape} vs d={d}")
-            self._dense = dense
-            self._rows = None
-            self.n = dense.shape[0]
-            values = dense
+            rows = np.asarray(payload, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != d:
+                raise DimensionMismatch(f"dense payload shape {rows.shape} vs d={d}")
+            values = rows
         # One vectorised check per stream keeps NaN/inf out of every sampler.
         if not np.all(np.isfinite(values)):
             raise NonFiniteInput("stream holds a NaN or infinite value")
+        self._fill(d, rows, meta, sparse)
+
+    @classmethod
+    def _of_checked(cls, d: int, rows, meta: dict, sparse: bool) -> "RowStream":
+        """Stream over rows that another stream has already validated."""
+        stream = cls.__new__(cls)
+        stream._fill(d, rows, meta, sparse)
+        return stream
+
+    def _fill(self, d: int, rows, meta: dict, sparse: bool) -> None:
+        self.d = int(d)
+        self.meta = dict(meta)
+        self.is_sparse = bool(sparse)
+        self._rows = rows if sparse else None
+        self._dense = None if sparse else rows
+        self.n = len(rows)
 
     def row(self, i: int):
         """Row payload at position i (dense view or sparse pair)."""
@@ -141,6 +149,8 @@ def permute(stream: RowStream, seed: int) -> RowStream:
     order = np.random.default_rng(seed).permutation(stream.n)
     meta = {"kind": "permuted", "perm_seed": int(seed), "base": stream.meta}
     if stream.is_sparse:
-        payload = [stream.row(int(i)) for i in order]
-        return RowStream(stream.d, payload, meta, sparse=True)
-    return RowStream(stream.d, stream.materialize()[order], meta)
+        rows = [stream._rows[i] for i in order.tolist()]
+    else:
+        rows = stream._dense[order]
+    # The rows were validated when the source stream was built.
+    return RowStream._of_checked(stream.d, rows, meta, stream.is_sparse)

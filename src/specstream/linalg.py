@@ -117,12 +117,13 @@ def pinv(s: SymPsd) -> PInv:
 def kernel_orthogonal(p: PInv, a, ortho_tol: float = DEFAULT_ORTHO_TOL) -> bool:
     """True when a has no kernel component: ||a - proj a|| <= tol * ||a||.
 
-    The zero vector is orthogonal to everything.
+    The zero vector is orthogonal to everything, and everything is
+    orthogonal to the kernel of a full-rank matrix.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (p.dim,):
         raise DimensionMismatch(f"vector shape {a.shape} vs dim {p.dim}")
-    return rowops.on_image(p.projector, a, ortho_tol)
+    return p.source_rank == p.dim or rowops.on_image(p.projector, a, ortho_tol)
 
 
 def pinv_rank1_update(p: PInv, u, k: float, ortho_tol: float = DEFAULT_ORTHO_TOL) -> PInv:

@@ -12,16 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rows as rowops
-from .errors import BarrierViolation, DimensionMismatch, NotPsd
+from .errors import BarrierViolation, DegenerateUpdate, DimensionMismatch, NotPsd
 from .instances import RowStream
-from .linalg import (
-    DEFAULT_ORTHO_TOL,
-    PInv,
-    SymPsd,
-    pinv,
-    pinv_quad_form,
-    pinv_rank1_update,
-)
+from .linalg import DEFAULT_ORTHO_TOL, PInv, SymPsd, pinv, pinv_rank1_update
 from .randomness import IndexedUniforms
 from .sketch import Sketch
 
@@ -38,6 +31,64 @@ BARRIER_TOL = 1e-7
 
 def sampling_constant(eps: float, d: int, c_mult: float) -> float:
     return c_mult * eps ** -2 * math.log(d)
+
+
+class KeptPinv:
+    """Pseudo-inverse of a PSD matrix X that changes by rank-one terms k a a'.
+
+    An update along a row on the image of X applies Sherman-Morrison in
+    O(d^2). A row off the image (the image grows) or a collapsing
+    denominator (the rank drops) rebuilds it from `source()`, which returns
+    the current X as a SymPsd. Every `verify_every` rank-one updates it is
+    compared with a fresh rebuild and replaced when it drifted.
+    """
+
+    def __init__(self, dim: int, source, ortho_tol: float, verify_every: int):
+        self.dim = int(dim)
+        self.pinv = PInv(0, np.zeros((dim, dim)), np.zeros((dim, dim)))
+        self.source = source
+        self.ortho_tol = float(ortho_tol)
+        self.verify_every = int(verify_every)
+        self.recomputes = 0
+        self.drift_events = 0
+        self._updates_since_verify = 0
+
+    def score(self, row) -> tuple[bool, float]:
+        """(row on the image, its relative score): q / (q + 1) with q = row' X+ row, or 1 off it.
+
+        This is row' (X + row row')+ row, computed without the rank-one update.
+        A full-rank X has the whole space as its image, so no residual is needed.
+        """
+        p = self.pinv
+        if p.source_rank == self.dim or rowops.on_image(p.projector, row, self.ortho_tol):
+            q = max(rowops.quad_form(p.matrix, row), 0.0)
+            return True, q / (q + 1.0)
+        return False, 1.0
+
+    def update(self, a, k: float, on_image: bool) -> None:
+        """Follow X += k a a' for a dense a; on_image is score's verdict on a."""
+        if not on_image:
+            self.recompute()
+            return
+        try:
+            self.pinv = pinv_rank1_update(self.pinv, a, k, self.ortho_tol)
+        except DegenerateUpdate:
+            self.recompute()
+            return
+        self._updates_since_verify += 1
+        if self._updates_since_verify >= self.verify_every:
+            fresh = pinv(self.source())
+            drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
+            if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
+                self.drift_events += 1
+                self.pinv = fresh
+                self.recomputes += 1
+            self._updates_since_verify = 0
+
+    def recompute(self) -> None:
+        self.pinv = pinv(self.source())
+        self.recomputes += 1
+        self._updates_since_verify = 0
 
 
 class OnlineState:
@@ -61,31 +112,11 @@ class OnlineState:
         self.eps = float(eps)
         self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.sketch = Sketch(dim, rank_tol=rank_tol)
-        self.pinv = PInv(0, np.zeros((dim, dim)), np.zeros((dim, dim)))
+        self.kept = KeptPinv(dim, lambda: self.sketch.gram, ortho_tol, verify_every)
         self.rng = IndexedUniforms(seed)
-        self.ortho_tol = float(ortho_tol)
-        self.verify_every = int(verify_every)
         self.scores: list[float] = []
         self.score_total = 0.0
         self.last_index = -1
-        self.pinv_recomputes = 0
-        self.drift_events = 0
-        self._updates_since_verify = 0
-
-    def _recompute_pinv(self):
-        self.pinv = pinv(self.sketch.gram)
-        self.pinv_recomputes += 1
-        self._updates_since_verify = 0
-
-    def _verify_pinv(self):
-        fresh = pinv(self.sketch.gram)
-        scale = np.linalg.norm(fresh.matrix)
-        drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
-        if drift > PINV_DRIFT_TOL * scale:
-            self.drift_events += 1
-            self.pinv = fresh
-            self.pinv_recomputes += 1
-        self._updates_since_verify = 0
 
 
 def online_step(state: OnlineState, row, index: int) -> bool:
@@ -99,12 +130,7 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     if index <= state.last_index:
         raise DimensionMismatch(f"row index {index} not increasing")
     state.last_index = index
-    on_image = rowops.on_image(state.pinv.projector, row, state.ortho_tol)
-    if on_image:
-        q = max(rowops.quad_form(state.pinv.matrix, row), 0.0)
-        rel = q / (q + 1.0)
-    else:
-        rel = 1.0
+    on_image, rel = state.kept.score(row)
     lev = min((1.0 + state.eps) * rel, 1.0)
     state.scores.append(lev)
     state.score_total += lev
@@ -112,16 +138,7 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     sampled = state.rng.take(index) < p
     if sampled:
         state.sketch.append(index, 1.0 / math.sqrt(p), row)
-        if on_image:
-            state.pinv = pinv_rank1_update(
-                state.pinv, rowops.densify(row, state.dim), 1.0 / p, state.ortho_tol
-            )
-            state._updates_since_verify += 1
-            if state._updates_since_verify >= state.verify_every:
-                state._verify_pinv()
-        else:
-            # New direction: the image grew, Sherman-Morrison does not apply.
-            state._recompute_pinv()
+        state.kept.update(rowops.densify(row, state.dim), 1.0 / p, on_image)
     return sampled
 
 
@@ -152,14 +169,19 @@ def run_online(
     diag = OnlineDiagnostics(
         scores=np.asarray(state.scores),
         score_total=state.score_total,
-        pinv_recomputes=state.pinv_recomputes,
-        drift_events=state.drift_events,
+        pinv_recomputes=state.kept.recomputes,
+        drift_events=state.kept.drift_events,
     )
     return state.sketch, diag
 
 
 class BarrierState:
-    """State of the barrier sampler: sketch Gram fenced between two barriers."""
+    """State of the barrier sampler: sketch Gram fenced between two barriers.
+
+    Each gap, upper - gram and gram - lower, keeps its pseudo-inverse in a
+    KeptPinv; a rebuild forms the gap afresh from the barriers and the
+    sketch Gram.
+    """
 
     def __init__(
         self,
@@ -180,21 +202,51 @@ class BarrierState:
         self.sketch = Sketch(dim, rank_tol=rank_tol)
         self.upper = np.zeros((dim, dim))
         self.lower = np.zeros((dim, dim))
+        self.upper_pinv = KeptPinv(
+            dim, lambda: self._gap_psd(self.upper - self.sketch.gram_matrix()),
+            DEFAULT_ORTHO_TOL, PINV_VERIFY_EVERY,
+        )
+        self.lower_pinv = KeptPinv(
+            dim, lambda: self._gap_psd(self.sketch.gram_matrix() - self.lower),
+            DEFAULT_ORTHO_TOL, PINV_VERIFY_EVERY,
+        )
         self.rng = IndexedUniforms(seed)
         self.rank_tol = rank_tol
         self.audit = bool(audit)
         self.probs: list[float] = []
         self.gap_history: list[tuple[float, float]] = []
         self.last_index = -1
-        self.pinv_recomputes = 0
+
+    def _gap_psd(self, gap) -> SymPsd:
+        try:
+            return SymPsd(gap, rank_tol=self.rank_tol)
+        except NotPsd as exc:
+            raise BarrierViolation(f"gap matrix indefinite at row {self.last_index}") from exc
+
+
+def sandwich_holds(gaps, slack: float) -> bool:
+    """True when every gap + slack I is positive definite: min eig(gap) > -slack.
+
+    gaps is one (d, d) matrix or a stack of them. One batched Cholesky
+    factorisation, O(d^3 / 3) per gap, stands in for an eigendecomposition.
+    """
+    try:
+        np.linalg.cholesky(gaps + slack * np.eye(gaps.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def barrier_step(state: BarrierState, row, index: int) -> bool:
-    """One step of the barrier sampler.
+    """One step of the barrier sampler, O(d^2) apart from one Cholesky per gap.
 
-    Probability combines pseudo-inverse quadratic forms of the two shifted
-    gaps, each recomputed from scratch; barriers advance by (1 +/- eps) a a'
-    whether or not the row is kept. Raises BarrierViolation if the sandwich
+    The probability is c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, capped at
+    1, for the gaps X_u = upper - gram and X_l = gram - lower; each term is
+    q / (q + 1) with q = a' X+ a from the gap's kept pseudo-inverse, or 1 off
+    its image. The barriers advance by (1 +/- eps) a a' whether or not the
+    row is kept, so the gaps change by k a a' with k_u = (1 + eps) - s/p and
+    k_l = s/p - (1 - eps) (s = 1 if kept), and the kept pseudo-inverses
+    follow by Sherman-Morrison. Raises BarrierViolation if the sandwich
     lower <= gram <= upper fails beyond relative tolerance after the update.
     """
     index = int(index)
@@ -202,34 +254,29 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
         raise DimensionMismatch(f"row index {index} not increasing")
     state.last_index = index
     a = rowops.densify(row, state.dim)
-    outer = np.outer(a, a)
-    gram = state.sketch.gram_matrix()  # live array: appends update it in place
-    try:
-        x_upper = SymPsd(state.upper - gram + outer, rank_tol=state.rank_tol)
-        x_lower = SymPsd(gram - state.lower + outer, rank_tol=state.rank_tol)
-    except NotPsd as exc:
-        raise BarrierViolation(f"gap matrix indefinite at row {index}") from exc
-    state.pinv_recomputes += 2
-    p = min(
-        state.c_upper * pinv_quad_form(x_upper, a)
-        + state.c_lower * pinv_quad_form(x_lower, a),
-        1.0,
-    )
+    on_upper, rel_upper = state.upper_pinv.score(a)
+    on_lower, rel_lower = state.lower_pinv.score(a)
+    p = min(state.c_upper * rel_upper + state.c_lower * rel_lower, 1.0)
     state.probs.append(p)
     sampled = state.rng.take(index) < p
     if sampled:
         state.sketch.append(index, 1.0 / math.sqrt(p), row)
+    outer = np.outer(a, a)
     state.upper += (1.0 + state.eps) * outer
     state.lower += (1.0 - state.eps) * outer
-    upper_gap = float(np.min(np.linalg.eigvalsh(state.upper - gram)))
-    lower_gap = float(np.min(np.linalg.eigvalsh(gram - state.lower)))
+    gram = state.sketch.gram_matrix()  # live array: appends update it in place
+    gaps = np.stack((state.upper - gram, gram - state.lower))
     if state.audit:
-        state.gap_history.append((upper_gap, lower_gap))
+        state.gap_history.append(tuple(np.linalg.eigvalsh(gaps)[:, 0].tolist()))
     slack = BARRIER_TOL * max(float(np.trace(state.upper)), 1e-300)
-    if upper_gap < -slack or lower_gap < -slack:
+    if not sandwich_holds(gaps, slack):
+        upper_gap, lower_gap = np.linalg.eigvalsh(gaps)[:, 0]
         raise BarrierViolation(
             f"sandwich failed at row {index}: gaps {upper_gap:.3e}, {lower_gap:.3e}"
         )
+    taken = 1.0 / p if sampled else 0.0
+    state.upper_pinv.update(a, (1.0 + state.eps) - taken, on_upper)
+    state.lower_pinv.update(a, taken - (1.0 - state.eps), on_lower)
     return sampled
 
 
@@ -238,6 +285,7 @@ class BarrierDiagnostics:
     probs: np.ndarray
     score_total: float
     pinv_recomputes: int
+    drift_events: int
     gap_history: list = field(default_factory=list)
 
 
@@ -252,10 +300,12 @@ def run_barrier(
     state = BarrierState(stream.d, eps, seed, rank_tol=rank_tol, audit=audit)
     for i in range(stream.n):
         barrier_step(state, stream.row(i), i)
+    kept = (state.upper_pinv, state.lower_pinv)
     diag = BarrierDiagnostics(
         probs=np.asarray(state.probs),
         score_total=float(np.sum(state.probs)),
-        pinv_recomputes=state.pinv_recomputes,
+        pinv_recomputes=sum(k.recomputes for k in kept),
+        drift_events=sum(k.drift_events for k in kept),
         gap_history=state.gap_history,
     )
     return state.sketch, diag

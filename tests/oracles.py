@@ -7,6 +7,8 @@ from this module.
 """
 import numpy as np
 
+from specstream.randomness import IndexedUniforms
+
 RANK_TOL_BITS = 2.0 ** -40
 
 
@@ -91,6 +93,37 @@ def online_size_bracket(tau, c, eps):
     lo = float(np.minimum(c * tau, 1.0).sum())
     hi = float(np.minimum(c * (1.0 + eps) / (1.0 - eps) * tau, 1.0).sum())
     return lo, hi
+
+
+def barrier_reference(stream, eps, seed):
+    """The barrier sampler with every pseudo-inverse formed afresh.
+
+    Row i is kept with p = min(c_u a'(U - G + aa')+ a + c_l a'(G - L + aa')+ a, 1)
+    against the barriers U, L and the sketch Gram G before it, on the coin
+    IndexedUniforms(seed).take(i) the sampler draws; then U and L advance by
+    (1 +/- eps) aa'. Returns (kept indices, weights 1/sqrt(p), every p).
+    """
+    rows = stream.materialize()
+    d = rows.shape[1]
+    c_upper, c_lower = 2.0 / eps + 1.0, 3.0 / eps - 1.0
+    upper, lower, gram = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    coins = IndexedUniforms(seed)
+    kept, weights, probs = [], [], []
+    for i, a in enumerate(rows):
+        outer = np.outer(a, a)
+        q_upper, q_lower = (
+            a @ np.linalg.pinv(gap + outer, rcond=d * RANK_TOL_BITS, hermitian=True) @ a
+            for gap in (upper - gram, gram - lower)
+        )
+        p = min(c_upper * q_upper + c_lower * q_lower, 1.0)
+        probs.append(p)
+        if coins.take(i) < p:
+            kept.append(i)
+            weights.append(1.0 / np.sqrt(p))
+            gram += outer / p
+        upper += (1.0 + eps) * outer
+        lower += (1.0 - eps) * outer
+    return kept, np.array(weights), np.array(probs)
 
 
 def spectral_eps(ref_rows, test_gram):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import specstream.online as online_module
 from specstream import UnknownSuite, gen_gaussian
 from specstream.online import DEFAULT_ONLINE_C_MULT
 from specstream.randomness import derive_seed
@@ -114,6 +115,15 @@ class TestDispatch:
             assert info["score_total"] > 0.0
         with pytest.raises(ValueError):
             run_sampler("greedy", stream, 0.5, seed=21)
+
+    def test_optimal_reports_barrier_drift(self, monkeypatch):
+        # a negative tolerance makes every periodic pinv check count as drift
+        monkeypatch.setattr(online_module, "PINV_DRIFT_TOL", -1.0)
+        stream = gen_gaussian(300, 5, seed=20)
+        _, info = run_sampler("optimal", stream, 0.5, seed=21)
+        diag = info["diag"]
+        assert info["drift_events"] == diag.drift_events > 0
+        assert info["pinv_recomputes"] == diag.pinv_recomputes == 2 * 5 + diag.drift_events
 
     def test_run_trial_assembles_record(self):
         stream = gen_gaussian(200, 4, seed=22)

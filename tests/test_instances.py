@@ -172,6 +172,13 @@ class TestPermute:
         assert np.allclose(permute(sparse, seed=3).gram_matrix(), sparse.gram_matrix(), atol=1e-12)
         assert permute(sparse, seed=3).is_sparse
 
+    def test_sparse_rows_reused_in_permuted_order(self):
+        s = gen_kd_multigraph(5, 3)
+        p = permute(s, seed=5)
+        order = np.random.default_rng(5).permutation(s.n)
+        assert p.n == s.n and p.is_sparse
+        assert all(p.row(j) is s.row(int(i)) for j, i in enumerate(order))
+
     def test_rows_form_same_multiset(self):
         s = gen_gaussian(25, 4, seed=14)
         p = permute(s, seed=4)

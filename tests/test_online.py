@@ -6,20 +6,49 @@ import pytest
 
 from specstream import (
     BarrierState,
+    BarrierViolation,
     DimensionMismatch,
     OnlineState,
     approx_factor,
     barrier_step,
     gen_gaussian,
+    gen_kd_multigraph,
     online_step,
+    permute,
     run_barrier,
     run_online,
     sampling_constant,
     verify,
 )
+from specstream.linalg import SymPsd
+from specstream.online import BARRIER_TOL, KeptPinv, sandwich_holds
 
 from conftest import identity_stream, make_stream
 import oracles
+
+
+def duplicate_and_zero_rows():
+    """Gaussian rows with zero rows, back-to-back repeats and later repeats."""
+    base = np.random.default_rng(81).standard_normal((60, 4))
+    rows = [np.zeros(4)]
+    for i, r in enumerate(base):
+        rows.append(r)
+        if i % 3 == 0:
+            rows.append(r)
+        if i % 5 == 0:
+            rows.append(base[i // 2])
+        if i % 7 == 0:
+            rows.append(np.zeros(4))
+    return make_stream(np.array(rows))
+
+
+# (stream factory, eps); the kd gaps never leave a 7-dimensional image in d = 8
+BARRIER_PARITY_CASES = {
+    "gaussian": (lambda: gen_gaussian(500, 8, seed=71), 0.5),
+    "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=72), 0.5),
+    "duplicate-zero": (duplicate_and_zero_rows, 0.3),
+    "d2": (lambda: gen_gaussian(300, 2, seed=73), 0.7),
+}
 
 
 class TestOnlineSampler:
@@ -102,6 +131,39 @@ class TestOnlineSampler:
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
 
 
+class TestKeptPinv:
+    def test_image_growth_and_rank_drop_rebuild(self):
+        x = np.zeros((3, 3))
+        kept = KeptPinv(3, lambda: SymPsd(x), 1e-8, 64)
+        a = np.array([1.0, 2.0, 0.0])
+        assert kept.score(a) == (False, 1.0)
+        x += 2.0 * np.outer(a, a)
+        kept.update(a, 2.0, False)
+        assert kept.recomputes == 1
+        on_image, rel = kept.score(a)
+        q = a @ np.linalg.pinv(x) @ a
+        assert on_image and rel == pytest.approx(q / (q + 1.0), rel=1e-12)
+        # subtracting the same term empties X: the denominator 1 - 2q is 0
+        x -= 2.0 * np.outer(a, a)
+        kept.update(a, -2.0, True)
+        assert kept.recomputes == 2 and kept.pinv.source_rank == 0
+        assert np.array_equal(kept.pinv.matrix, np.zeros((3, 3)))
+
+    def test_drift_check_replaces_a_drifted_pinv(self):
+        x = np.diag([1.0, 2.0, 4.0])
+        kept = KeptPinv(3, lambda: SymPsd(x), 1e-8, 2)
+        kept.recompute()
+        a = np.array([1.0, 1.0, 1.0])
+        x += np.outer(a, a)
+        kept.update(a, 1.0, True)
+        assert kept.drift_events == 0
+        kept.pinv.matrix[0, 0] *= 1.0 + 1e-3
+        x += np.outer(a, a)
+        kept.update(a, 1.0, True)
+        assert (kept.recomputes, kept.drift_events) == (2, 1)
+        assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
+
+
 class TestBarrierSampler:
     def test_first_row_always_sampled(self):
         for s in range(5):
@@ -144,8 +206,50 @@ class TestBarrierSampler:
         assert diag.probs.shape == (150,)
         assert np.all(diag.probs > 0.0) and np.all(diag.probs <= 1.0)
         assert diag.score_total == pytest.approx(float(np.sum(diag.probs)), rel=1e-12)
-        # two fresh pseudo-inverses per row
-        assert diag.pinv_recomputes == 300
+        # each gap rebuilds its pseudo-inverse once per new direction (d of
+        # them on a Gaussian stream) and once per drift event, none here
+        assert diag.pinv_recomputes == 2 * stream.d + diag.drift_events
+        assert diag.drift_events == 0
+
+    @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
+    def test_matches_fresh_pinv_reference(self, case):
+        build, eps = BARRIER_PARITY_CASES[case]
+        stream = build()
+        sketch, diag = run_barrier(stream, eps, seed=74)
+        kept, weights, probs = oracles.barrier_reference(stream, eps, seed=74)
+        flipped = set(sketch.indices) ^ set(kept)
+        assert not flipped, f"{len(flipped)} flipped decisions"
+        assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(diag.probs - probs)) <= 1e-9
+
+    @pytest.mark.parametrize("barrier", ["upper", "lower"])
+    def test_broken_sandwich_raises(self, barrier):
+        stream = gen_gaussian(40, 4, seed=75)
+        state = BarrierState(4, 0.5, seed=76)
+        for i in range(39):
+            barrier_step(state, stream.row(i), i)
+        big = float(np.trace(state.upper)) * np.eye(4)
+        if barrier == "upper":
+            state.upper -= big
+        else:
+            state.lower += big
+        with pytest.raises(BarrierViolation):
+            barrier_step(state, stream.row(39), 39)
+
+    def test_cholesky_check_agrees_with_audited_gaps(self):
+        stream = gen_gaussian(200, 6, seed=77)
+        state = BarrierState(6, 0.5, seed=78, audit=True)
+        eye = np.eye(6)
+        for i in range(stream.n):
+            barrier_step(state, stream.row(i), i)
+            gram = state.sketch.gram_matrix()
+            slack = BARRIER_TOL * float(np.trace(state.upper))
+            gaps = (state.upper - gram, gram - state.lower)
+            for gap, audited in zip(gaps, state.gap_history[-1]):
+                assert audited >= -slack and sandwich_holds(gap, slack)
+                # the check flips where the smallest eigenvalue crosses -slack
+                assert not sandwich_holds(gap - (audited + 2.0 * slack) * eye, slack)
+                assert sandwich_holds(gap - (audited + 0.5 * slack) * eye, slack)
 
     def test_eps_range_wider_than_online(self):
         BarrierState(3, 0.9, seed=1)
