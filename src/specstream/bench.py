@@ -10,7 +10,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .random_order import (
     PassThroughApprox,
     ResparsifyApprox,
     ScaledSampler,
-    improved_scaled_sampling,
     scaled_sampling,
 )
 from .randomness import derive_seed
@@ -36,13 +35,6 @@ from .verify import mu as measure_mu
 from .verify import online_leverage, verify
 
 ALGO_NAMES = ("online", "optimal", "scaled", "improved-self", "improved-resparsify")
-
-CSV_COLUMNS = (
-    "algo", "n", "d", "eps",
-    "seed_stream", "seed_perm", "seed_sample",
-    "sketch_rows", "eps_actual", "score_total", "mu",
-    "max_working_rows", "pinv_recomputes", "drift_events", "wall_ms",
-)
 
 SUITE_NAMES = ("eps-scaling", "n-scaling", "mu-scaling", "algo-compare", "lower-bound-probe")
 
@@ -100,34 +92,28 @@ class TrialRecord:
             raise ValueError(f"unknown algo {self.algo!r}")
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % float(x)
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+# Cell parsers by field annotation; an empty cell is a missing optional value.
+_PARSE = {"str": str, "int": int, "float": float,
+          "float | None": lambda cell: None if cell == "" else float(cell)}
+
+
+def _cell(value) -> str:
+    """CSV text of one field; floats carry 17 significant digits to round-trip."""
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def record_to_row(rec: TrialRecord) -> list[str]:
-    return [
-        rec.algo,
-        str(rec.n), str(rec.d), _fmt_float(rec.eps),
-        str(rec.seed_stream), str(rec.seed_perm), str(rec.seed_sample),
-        str(rec.sketch_rows), _fmt_float(rec.eps_actual), _fmt_float(rec.score_total),
-        "" if rec.mu is None else _fmt_float(rec.mu),
-        str(rec.max_working_rows), str(rec.pinv_recomputes), str(rec.drift_events),
-        _fmt_float(rec.wall_ms),
-    ]
+    return [_cell(getattr(rec, name)) for name in CSV_COLUMNS]
 
 
 def row_to_record(row: list[str]) -> TrialRecord:
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-    return TrialRecord(
-        algo=row[0],
-        n=int(row[1]), d=int(row[2]), eps=float(row[3]),
-        seed_stream=int(row[4]), seed_perm=int(row[5]), seed_sample=int(row[6]),
-        sketch_rows=int(row[7]), eps_actual=float(row[8]), score_total=float(row[9]),
-        mu=None if row[10] == "" else float(row[10]),
-        max_working_rows=int(row[11]), pinv_recomputes=int(row[12]),
-        drift_events=int(row[13]), wall_ms=float(row[14]),
-    )
+    return TrialRecord(**{f.name: _PARSE[f.type](cell) for f, cell in zip(fields(TrialRecord), row)})
 
 
 def write_csv(path, records) -> None:
@@ -164,28 +150,13 @@ def worker_count(threads: int | None = None) -> int:
 def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
     """Dispatch one sampler run; returns (sketch, info dict).
 
-    cfg accepts c_mult, k, ortho_tol, rank_tol, use_jl, jl_c, jl_audit,
-    plug_beta, plug_capacity_mult, audit. None values fall back to the
-    sampler defaults.
+    cfg accepts c_mult, use_jl, jl_audit, plug_beta, plug_capacity_mult and
+    audit. None values fall back to the sampler defaults.
     """
     c_mult = cfg.get("c_mult")
-    use_jl = bool(cfg.get("use_jl", False))
-    jl_audit = bool(cfg.get("jl_audit", False))
-    passthrough = {
-        key: cfg[key]
-        for key in ("k", "ortho_tol", "rank_tol", "jl_c", "jl_distortion")
-        if cfg.get(key) is not None
-    }
     if algo == "online":
-        online_kw = {
-            key: passthrough[key]
-            for key in ("ortho_tol", "rank_tol")
-            if key in passthrough
-        }
         sketch, diag = run_online(
-            stream, eps, seed,
-            c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult,
-            **online_kw,
+            stream, eps, seed, c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult,
         )
         return sketch, {
             "scores": diag.scores, "score_total": diag.score_total,
@@ -193,51 +164,38 @@ def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
             "max_working_rows": sketch.n_rows,
         }
     if algo == "optimal":
-        barrier_kw = {}
-        if "rank_tol" in passthrough:
-            barrier_kw["rank_tol"] = passthrough["rank_tol"]
-        sketch, diag = run_barrier(
-            stream, eps, seed, audit=bool(cfg.get("audit", False)), **barrier_kw,
-        )
+        sketch, diag = run_barrier(stream, eps, seed, audit=bool(cfg.get("audit", False)))
         return sketch, {
             "scores": None, "score_total": diag.score_total,
             "pinv_recomputes": diag.pinv_recomputes, "drift_events": diag.drift_events,
             "max_working_rows": sketch.n_rows, "diag": diag,
         }
     if algo == "scaled":
-        sketch, diag = scaled_sampling(
-            stream, eps, seed,
-            c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-            use_jl=use_jl, jl_audit=jl_audit, **passthrough,
+        plug = None
+    elif algo == "improved-self":
+        plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
+    elif algo == "improved-passthrough":
+        plug = PassThroughApprox(stream.d)
+    elif algo == "improved-resparsify":
+        plug = ResparsifyApprox(
+            cfg.get("plug_capacity_mult") or BENCH_PLUG_CAPACITY_MULT,
+            cfg.get("plug_beta") or BENCH_PLUG_BETA,
+            derive_seed(seed, 1),
+            dim=stream.d,
         )
-        return sketch, {
-            "scores": diag.scores, "score_total": diag.score_total,
-            "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,
-            "max_working_rows": sketch.n_rows, "diag": diag,
-        }
-    if algo in ("improved-self", "improved-resparsify", "improved-passthrough"):
-        if algo == "improved-self":
-            plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
-        elif algo == "improved-passthrough":
-            plug = PassThroughApprox(stream.d)
-        else:
-            plug = ResparsifyApprox(
-                cfg.get("plug_capacity_mult") or BENCH_PLUG_CAPACITY_MULT,
-                cfg.get("plug_beta") or BENCH_PLUG_BETA,
-                derive_seed(seed, 1),
-                dim=stream.d,
-            )
-        sketch, diag = improved_scaled_sampling(
-            stream, eps, seed, plug,
-            c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-            use_jl=use_jl, jl_audit=jl_audit, **passthrough,
-        )
-        return sketch, {
-            "scores": diag.scores, "score_total": diag.score_total,
-            "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,
-            "max_working_rows": diag.max_working_rows, "diag": diag,
-        }
-    raise ValueError(f"unknown algo {algo!r}")
+    else:
+        raise ValueError(f"unknown algo {algo!r}")
+    sketch, diag = scaled_sampling(
+        stream, eps, seed, plug,
+        c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
+        use_jl=bool(cfg.get("use_jl", False)), jl_audit=bool(cfg.get("jl_audit", False)),
+    )
+    return sketch, {
+        "scores": diag.scores, "score_total": diag.score_total,
+        "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,
+        "max_working_rows": sketch.n_rows if plug is None else diag.max_working_rows,
+        "diag": diag,
+    }
 
 
 def run_trial(

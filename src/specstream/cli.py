@@ -46,8 +46,21 @@ def _cmd_gen(args) -> int:
 
 def _algo_key(args) -> str:
     if args.algo == "improved":
-        return f"improved-{args.plug}"
+        return f"improved-{args.plug or 'self'}"
     return args.algo
+
+
+def _unread_run_flag(args) -> str | None:
+    """The first run flag given that the chosen algorithm would not read."""
+    resparsify = args.plug == "resparsify"
+    unread = (
+        ("--jl", args.jl and args.algo not in ("scaled", "improved")),
+        ("--c-mult", args.c_mult is not None and args.algo == "optimal"),
+        ("--plug", args.plug is not None and args.algo != "improved"),
+        ("--plug-beta", args.plug_beta is not None and not resparsify),
+        ("--plug-capacity-mult", args.plug_capacity_mult is not None and not resparsify),
+    )
+    return next((flag for flag, hit in unread if hit), None)
 
 
 def _cmd_run(args) -> int:
@@ -58,10 +71,8 @@ def _cmd_run(args) -> int:
     algo = _algo_key(args)
     sketch, info = run_sampler(
         algo, stream, args.eps, args.seed,
-        c_mult=args.c_mult, k=args.k,
-        use_jl=args.jl, jl_c=args.jl_c,
+        c_mult=args.c_mult, use_jl=args.jl,
         plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult,
-        ortho_tol=args.ortho_tol, rank_tol=args.rank_tol,
     )
     meta = {
         "algo": algo,
@@ -175,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run a sampler over a stream file")
     r.add_argument("--algo", choices=CLI_ALGOS, required=True)
-    r.add_argument("--plug", choices=CLI_PLUGS, default="self",
-                   help="constant-approximation plug for --algo improved")
+    r.add_argument("--plug", choices=CLI_PLUGS, default=None,
+                   help="constant-approximation plug for --algo improved (default: self)")
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--input", "-i", required=True)
     r.add_argument("--out", "-o", required=True)
@@ -185,14 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0, help="sampling seed")
     r.add_argument("--perm-seed", type=int, default=None,
                    help="permute the input stream before running")
-    r.add_argument("--c-mult", type=float, default=None)
-    r.add_argument("--k", type=int, default=None, help="seed block override")
-    r.add_argument("--jl", action="store_true", help="score through a JL projection")
-    r.add_argument("--jl-c", type=float, default=None)
-    r.add_argument("--plug-beta", type=float, default=None)
-    r.add_argument("--plug-capacity-mult", type=float, default=None)
-    r.add_argument("--ortho-tol", type=float, default=None)
-    r.add_argument("--rank-tol", type=float, default=None)
+    r.add_argument("--c-mult", type=float, default=None, help="not with --algo optimal")
+    r.add_argument("--jl", action="store_true",
+                   help="score through a JL projection (--algo scaled or improved)")
+    r.add_argument("--plug-beta", type=float, default=None, help="needs --plug resparsify")
+    r.add_argument("--plug-capacity-mult", type=float, default=None,
+                   help="needs --plug resparsify")
     r.set_defaults(func=_cmd_run)
 
     v = sub.add_parser("verify", help="verify a sketch against its stream")
@@ -216,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = _unread_run_flag(args) if args.command == "run" else None
+    if unread:
+        parser.error(f"run --algo {args.algo}: {unread} has no effect here")
     try:
         return args.func(args)
     except UnknownSuite as exc:

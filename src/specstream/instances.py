@@ -78,8 +78,8 @@ class RowStream:
             rowops.add_outer(g, row, 1.0)
         return g
 
-    def gram(self, rank_tol: float | None = None) -> SymPsd:
-        return SymPsd(self.gram_matrix(), rank_tol=rank_tol)
+    def gram(self) -> SymPsd:
+        return SymPsd(self.gram_matrix())
 
     def __len__(self):
         return self.n

@@ -22,7 +22,8 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from . import rows as rowops
+from .errors import FormatError, NonFiniteInput
 from .instances import RowStream
 from .sketch import Sketch
 
@@ -148,8 +149,6 @@ def read_stream(path: str) -> RowStream:
 
 
 def _sketch_mode(sketch: Sketch) -> bool:
-    from . import rows as rowops
-
     kinds = {rowops.is_sparse(row) for _, _, row in sketch}
     if len(kinds) > 1:
         raise FormatError("sketch mixes dense and sparse rows")
@@ -178,7 +177,7 @@ def read_sketch(path: str) -> tuple[Sketch, dict]:
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != m:
         raise FormatError(f"header announces {m} rows, file carries {len(body)}")
-    sketch = Sketch(d)
+    entries = []
     for ln in body:
         tokens = ln.split()
         if len(tokens) < 2:
@@ -189,8 +188,17 @@ def read_sketch(path: str) -> tuple[Sketch, dict]:
         except ValueError as exc:
             raise FormatError(f"bad src/weight in {ln!r}") from exc
         if sparse:
-            row = _parse_sparse_row(tokens[2:])
+            row = rowops.sparse_row(*_parse_sparse_row(tokens[2:]), d)
         else:
             row = _parse_dense_row(tokens[2:], d)
+        entries.append((src, weight, row))
+    weights = np.array([w for _, w, _ in entries])
+    values = [row[1] if sparse else row for _, _, row in entries]
+    if not np.all(np.isfinite(np.concatenate([weights, *values]))):
+        raise NonFiniteInput("sketch holds a NaN or infinite weight or value")
+    if np.any(weights <= 0.0):
+        raise FormatError("sketch weights must be positive")
+    sketch = Sketch(d)
+    for src, weight, row in entries:
         sketch.append(src, weight, row)
     return sketch, meta

@@ -3,7 +3,8 @@
 A frozen sketch M with Gram G gets a k x d score matrix N = Pi M G+ built
 once per block; then a' G+ a is approximated by ||N a||^2 at cost
 proportional to nnz(a) * k. Kernel membership cannot be read from ||N a||^2,
-so every score runs an exact projector residual test first.
+so every score takes its kernel verdict from the exact test on pinv(G),
+which forms no residual when G has full rank.
 """
 from __future__ import annotations
 
@@ -13,25 +14,28 @@ import numpy as np
 
 from . import rows as rowops
 from .errors import EmptySketch
-from .linalg import DEFAULT_ORTHO_TOL, pinv
+from .leverage import relative_score
+from .linalg import PInv, pinv
 from .randomness import MASK64
 from .sketch import Sketch
 
-DEFAULT_JL_C = 8.0
-DEFAULT_DISTORTION = 0.5
+# Projection rows: k = max(MIN_PROJECTION_ROWS, ceil(JL_C * ln n_hint)).
+JL_C = 8.0
 MIN_PROJECTION_ROWS = 4
+
+# Relative error the projected form is allowed; block samplers inflate a
+# projected score by 1 / (1 - JL_DISTORTION) to keep it an overestimate.
+JL_DISTORTION = 0.5
 
 
 class JlScorer:
     """Frozen score operator: relative scores q/(q+1) from projected forms."""
 
-    def __init__(self, n_matrix, projector, k: int, distortion: float, ortho_tol: float):
+    def __init__(self, n_matrix, p: PInv, k: int):
         self.n_matrix = n_matrix
-        self.projector = projector
+        self.pinv = p
         self.k = int(k)
-        self.distortion = float(distortion)
-        self.ortho_tol = float(ortho_tol)
-        self.dim = projector.shape[0]
+        self.dim = p.dim
         self.ops = 0
 
     def quad(self, row) -> float:
@@ -41,28 +45,15 @@ class JlScorer:
         return float(y @ y)
 
     def score(self, row) -> float:
-        """Relative score: exact kernel test, then q_hat / (q_hat + 1)."""
-        if not rowops.on_image(self.projector, row, self.ortho_tol):
-            return 1.0
-        q = self.quad(row)
-        return q / (q + 1.0)
+        """Relative score: the exact kernel test, then q_hat / (q_hat + 1)."""
+        return relative_score(self.pinv, row, self.quad)[1]
 
 
-def projection_rows(n_hint: int, c_jl: float = DEFAULT_JL_C) -> int:
-    if c_jl < DEFAULT_JL_C:
-        raise ValueError(f"c_jl must be >= {DEFAULT_JL_C}, got {c_jl}")
-    return max(MIN_PROJECTION_ROWS, math.ceil(c_jl * math.log(max(int(n_hint), 2))))
+def projection_rows(n_hint: int) -> int:
+    return max(MIN_PROJECTION_ROWS, math.ceil(JL_C * math.log(max(int(n_hint), 2))))
 
 
-def jl_build(
-    sketch: Sketch,
-    n_hint: int,
-    seed: int,
-    c_jl: float = DEFAULT_JL_C,
-    distortion: float = DEFAULT_DISTORTION,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
-    debug_identity: bool = False,
-) -> JlScorer:
+def jl_build(sketch: Sketch, n_hint: int, seed: int, debug_identity: bool = False) -> JlScorer:
     """Build the score operator for a frozen sketch.
 
     Pi has independent +/-1/sqrt(k) entries drawn from the seed; with
@@ -77,11 +68,11 @@ def jl_build(
         k = sketch.n_rows
         pi = np.eye(k)
     else:
-        k = projection_rows(n_hint, c_jl)
+        k = projection_rows(n_hint)
         gen = np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)))
         pi = (2.0 * gen.integers(0, 2, size=(k, sketch.n_rows)) - 1.0) / math.sqrt(k)
     n_matrix = pi @ m @ p.matrix
-    return JlScorer(n_matrix, p.projector, k, distortion, ortho_tol)
+    return JlScorer(n_matrix, p, k)
 
 
 def jl_score(scorer: JlScorer, row) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rows as rowops
 from .errors import DimensionMismatch, EmptyStream
-from .linalg import DEFAULT_ORTHO_TOL, PInv, SymPsd, pinv
+from .linalg import PInv, SymPsd, on_image, pinv
 
 SCORE_KINDS = ("exact", "relative", "overestimate")
 
@@ -54,23 +54,31 @@ def leverage_scores(rows_in) -> ScoreVector:
     return ScoreVector(np.clip(tau, 0.0, 1.0), "exact", a.shape)
 
 
-def relative_leverage(b_pinv: PInv, row, ortho_tol: float = DEFAULT_ORTHO_TOL) -> float:
-    """Relative leverage of row against the matrix behind b_pinv.
+def relative_score(p: PInv, row, quad=None) -> tuple[bool, float]:
+    """(row on the image of X, relative score of row against X), for p = pinv(X).
 
-    q / (q + 1) on the image, exactly 1 off it. Rows may be dense or sparse.
+    The score is row' (X + row row')+ row: q / (q + 1) with q = row' X+ row
+    on the image, exactly 1 off it. quad, when given, estimates q from the
+    row in place of the exact form. Rows may be dense or sparse.
     """
-    if rowops.on_image(b_pinv.projector, row, ortho_tol):
-        q = max(rowops.quad_form(b_pinv.matrix, row), 0.0)
-        return q / (q + 1.0)
-    return 1.0
+    if not on_image(p, row):
+        return False, 1.0
+    q = _quad(p, row) if quad is None else quad(row)
+    return True, q / (q + 1.0)
 
 
-def uniform_overestimate(sample_pinv: PInv, row, ortho_tol: float = DEFAULT_ORTHO_TOL) -> float:
+def relative_leverage(b_pinv: PInv, row) -> float:
+    """Relative leverage of row against the matrix behind b_pinv."""
+    return relative_score(b_pinv, row)[1]
+
+
+def uniform_overestimate(sample_pinv: PInv, row) -> float:
     """Leverage overestimate from a uniformly sampled submatrix.
 
     min(a' (S'S)+ a, 1) when a is orthogonal to Ker(S), else 1.
     """
-    if rowops.on_image(sample_pinv.projector, row, ortho_tol):
-        q = max(rowops.quad_form(sample_pinv.matrix, row), 0.0)
-        return min(q, 1.0)
-    return 1.0
+    return min(_quad(sample_pinv, row), 1.0) if on_image(sample_pinv, row) else 1.0
+
+
+def _quad(p: PInv, row) -> float:
+    return max(rowops.quad_form(p.matrix, row), 0.0)

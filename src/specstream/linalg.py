@@ -48,7 +48,7 @@ class SymPsd:
 
     __slots__ = ("dim", "entries", "rank_tol", "eigenvalues", "eigenvectors", "rank")
 
-    def __init__(self, entries, rank_tol: float | None = None):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
@@ -57,7 +57,7 @@ class SymPsd:
             raise NotSymmetric("matrix is not symmetric within relative tolerance")
         a = 0.5 * (a + a.T)
         self.dim = a.shape[0]
-        self.rank_tol = default_rank_tol(self.dim) if rank_tol is None else float(rank_tol)
+        self.rank_tol = default_rank_tol(self.dim)
         w, v = np.linalg.eigh(a)
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
@@ -86,16 +86,13 @@ class PInv:
     orthogonal projector onto its image. Treated as immutable.
     """
 
-    __slots__ = ("source_rank", "matrix", "projector")
+    __slots__ = ("source_rank", "matrix", "projector", "dim")
 
     def __init__(self, source_rank: int, matrix, projector):
         self.source_rank = int(source_rank)
         self.matrix = matrix
         self.projector = projector
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self.dim = matrix.shape[0]
 
     def __repr__(self):
         return f"PInv(dim={self.dim}, source_rank={self.source_rank})"
@@ -114,19 +111,26 @@ def pinv(s: SymPsd) -> PInv:
     return PInv(s.rank, inv, proj)
 
 
-def kernel_orthogonal(p: PInv, a, ortho_tol: float = DEFAULT_ORTHO_TOL) -> bool:
-    """True when a has no kernel component: ||a - proj a|| <= tol * ||a||.
+def on_image(p: PInv, row) -> bool:
+    """True when row (dense or sparse) has no component on the kernel of the
+    matrix behind p: ||row - proj row|| <= DEFAULT_ORTHO_TOL * ||row||.
 
-    The zero vector is orthogonal to everything, and everything is
-    orthogonal to the kernel of a full-rank matrix.
+    The zero row lies on every image. A full-rank matrix has the whole space
+    as its image, so no residual is formed for it.
     """
+    return (p.source_rank == p.dim
+            or rowops.kernel_residual(p.projector, row) <= DEFAULT_ORTHO_TOL * rowops.norm(row))
+
+
+def kernel_orthogonal(p: PInv, a) -> bool:
+    """on_image for a dense vector, with its shape checked against p."""
     a = np.asarray(a, dtype=float)
     if a.shape != (p.dim,):
         raise DimensionMismatch(f"vector shape {a.shape} vs dim {p.dim}")
-    return p.source_rank == p.dim or rowops.on_image(p.projector, a, ortho_tol)
+    return on_image(p, a)
 
 
-def pinv_rank1_update(p: PInv, u, k: float, ortho_tol: float = DEFAULT_ORTHO_TOL) -> PInv:
+def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
     """Pseudo-inverse of (s + k uu') given p = pinv(s), for u orthogonal to Ker(s).
 
     Applies the Sherman-Morrison form for the Moore-Penrose inverse. The
@@ -136,7 +140,7 @@ def pinv_rank1_update(p: PInv, u, k: float, ortho_tol: float = DEFAULT_ORTHO_TOL
     would change rank, e.g. an exact rank-one subtraction).
     """
     u = np.asarray(u, dtype=float)
-    if not kernel_orthogonal(p, u, ortho_tol):
+    if not kernel_orthogonal(p, u):
         raise PreconditionViolation("update vector has a kernel component")
     pu = p.matrix @ u
     denom = 1.0 + k * float(u @ pu)

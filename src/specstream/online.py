@@ -14,7 +14,8 @@ import numpy as np
 from . import rows as rowops
 from .errors import BarrierViolation, DegenerateUpdate, DimensionMismatch, NotPsd
 from .instances import RowStream
-from .linalg import DEFAULT_ORTHO_TOL, PInv, SymPsd, pinv, pinv_rank1_update
+from .leverage import relative_score
+from .linalg import PInv, SymPsd, pinv, pinv_rank1_update
 from .randomness import IndexedUniforms
 from .sketch import Sketch
 
@@ -39,16 +40,13 @@ class KeptPinv:
     An update along a row on the image of X applies Sherman-Morrison in
     O(d^2). A row off the image (the image grows) or a collapsing
     denominator (the rank drops) rebuilds it from `source()`, which returns
-    the current X as a SymPsd. Every `verify_every` rank-one updates it is
-    compared with a fresh rebuild and replaced when it drifted.
+    the current X as a SymPsd. Every PINV_VERIFY_EVERY rank-one updates it
+    is compared with a fresh rebuild and replaced when it drifted.
     """
 
-    def __init__(self, dim: int, source, ortho_tol: float, verify_every: int):
-        self.dim = int(dim)
+    def __init__(self, dim: int, source):
         self.pinv = PInv(0, np.zeros((dim, dim)), np.zeros((dim, dim)))
         self.source = source
-        self.ortho_tol = float(ortho_tol)
-        self.verify_every = int(verify_every)
         self.recomputes = 0
         self.drift_events = 0
         self._updates_since_verify = 0
@@ -57,13 +55,8 @@ class KeptPinv:
         """(row on the image, its relative score): q / (q + 1) with q = row' X+ row, or 1 off it.
 
         This is row' (X + row row')+ row, computed without the rank-one update.
-        A full-rank X has the whole space as its image, so no residual is needed.
         """
-        p = self.pinv
-        if p.source_rank == self.dim or rowops.on_image(p.projector, row, self.ortho_tol):
-            q = max(rowops.quad_form(p.matrix, row), 0.0)
-            return True, q / (q + 1.0)
-        return False, 1.0
+        return relative_score(self.pinv, row)
 
     def update(self, a, k: float, on_image: bool) -> None:
         """Follow X += k a a' for a dense a; on_image is score's verdict on a."""
@@ -71,12 +64,12 @@ class KeptPinv:
             self.recompute()
             return
         try:
-            self.pinv = pinv_rank1_update(self.pinv, a, k, self.ortho_tol)
+            self.pinv = pinv_rank1_update(self.pinv, a, k)
         except DegenerateUpdate:
             self.recompute()
             return
         self._updates_since_verify += 1
-        if self._updates_since_verify >= self.verify_every:
+        if self._updates_since_verify >= PINV_VERIFY_EVERY:
             fresh = pinv(self.source())
             drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
             if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
@@ -100,9 +93,6 @@ class OnlineState:
         eps: float,
         seed: int,
         c_mult: float = DEFAULT_ONLINE_C_MULT,
-        ortho_tol: float = DEFAULT_ORTHO_TOL,
-        rank_tol: float | None = None,
-        verify_every: int = PINV_VERIFY_EVERY,
     ):
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
@@ -111,8 +101,8 @@ class OnlineState:
         self.dim = int(dim)
         self.eps = float(eps)
         self.c = sampling_constant(eps, max(dim, 2), c_mult)
-        self.sketch = Sketch(dim, rank_tol=rank_tol)
-        self.kept = KeptPinv(dim, lambda: self.sketch.gram, ortho_tol, verify_every)
+        self.sketch = Sketch(dim)
+        self.kept = KeptPinv(dim, lambda: self.sketch.gram)
         self.rng = IndexedUniforms(seed)
         self.scores: list[float] = []
         self.score_total = 0.0
@@ -155,15 +145,9 @@ def run_online(
     eps: float,
     seed: int,
     c_mult: float = DEFAULT_ONLINE_C_MULT,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
-    rank_tol: float | None = None,
-    verify_every: int = PINV_VERIFY_EVERY,
 ) -> tuple[Sketch, OnlineDiagnostics]:
     """Run the online sampler over a whole stream."""
-    state = OnlineState(
-        stream.d, eps, seed,
-        c_mult=c_mult, ortho_tol=ortho_tol, rank_tol=rank_tol, verify_every=verify_every,
-    )
+    state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
     for i in range(stream.n):
         online_step(state, stream.row(i), i)
     diag = OnlineDiagnostics(
@@ -188,7 +172,6 @@ class BarrierState:
         dim: int,
         eps: float,
         seed: int,
-        rank_tol: float | None = None,
         audit: bool = False,
     ):
         if not 0.0 < eps < 1.0:
@@ -199,19 +182,13 @@ class BarrierState:
         self.eps = float(eps)
         self.c_upper = 2.0 / eps + 1.0
         self.c_lower = 3.0 / eps - 1.0
-        self.sketch = Sketch(dim, rank_tol=rank_tol)
+        self.sketch = Sketch(dim)
         self.upper = np.zeros((dim, dim))
         self.lower = np.zeros((dim, dim))
-        self.upper_pinv = KeptPinv(
-            dim, lambda: self._gap_psd(self.upper - self.sketch.gram_matrix()),
-            DEFAULT_ORTHO_TOL, PINV_VERIFY_EVERY,
-        )
-        self.lower_pinv = KeptPinv(
-            dim, lambda: self._gap_psd(self.sketch.gram_matrix() - self.lower),
-            DEFAULT_ORTHO_TOL, PINV_VERIFY_EVERY,
-        )
+        gram = self.sketch.gram_matrix()  # live array: appends update it in place
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(self.upper - gram))
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(gram - self.lower))
         self.rng = IndexedUniforms(seed)
-        self.rank_tol = rank_tol
         self.audit = bool(audit)
         self.probs: list[float] = []
         self.gap_history: list[tuple[float, float]] = []
@@ -219,7 +196,7 @@ class BarrierState:
 
     def _gap_psd(self, gap) -> SymPsd:
         try:
-            return SymPsd(gap, rank_tol=self.rank_tol)
+            return SymPsd(gap)
         except NotPsd as exc:
             raise BarrierViolation(f"gap matrix indefinite at row {self.last_index}") from exc
 
@@ -293,11 +270,10 @@ def run_barrier(
     stream: RowStream,
     eps: float,
     seed: int,
-    rank_tol: float | None = None,
     audit: bool = False,
 ) -> tuple[Sketch, BarrierDiagnostics]:
     """Run the barrier sampler over a whole stream."""
-    state = BarrierState(stream.d, eps, seed, rank_tol=rank_tol, audit=audit)
+    state = BarrierState(stream.d, eps, seed, audit=audit)
     for i in range(stream.n):
         barrier_step(state, stream.row(i), i)
     kept = (state.upper_pinv, state.lower_pinv)

@@ -22,9 +22,9 @@ from .errors import (
     EmptyStream,
 )
 from .instances import RowStream
-from .jl import DEFAULT_DISTORTION, DEFAULT_JL_C, JlScorer, jl_build
+from .jl import JL_DISTORTION, JlScorer, jl_build
 from .leverage import relative_leverage
-from .linalg import DEFAULT_ORTHO_TOL, PInv, SymPsd, pinv
+from .linalg import PInv, SymPsd, pinv
 from .randomness import MASK64, IndexedUniforms, derive_seed
 from .sketch import Sketch
 
@@ -33,7 +33,7 @@ DEFAULT_SCALED_C_MULT = 6.0
 
 # Score multiplier of the improved variant (the plug is a constant-factor
 # approximation, so the margin does not depend on eps).
-DEFAULT_IMPROVED_MULTIPLIER = 2.0
+PLUG_MULTIPLIER = 2.0
 
 
 def seed_block_size(d: int) -> int:
@@ -52,16 +52,14 @@ class BlockSchedule:
     alpha: int
 
     @classmethod
-    def for_stream(cls, n: int, d: int, k: int | None = None):
-        kk = seed_block_size(d) if k is None else int(k)
-        if kk < 1:
-            raise DimensionMismatch("seed block size must be positive")
+    def for_stream(cls, n: int, d: int):
+        k = seed_block_size(d)
         bounds = []
-        b = kk
+        b = k
         while b < n:
             bounds.append(b)
-            b = 2 * b + kk
-        return cls(kk, tuple(bounds), len(bounds))
+            b = 2 * b + k
+        return cls(k, tuple(bounds), len(bounds))
 
 
 @dataclass
@@ -84,9 +82,9 @@ class BlockSampler:
     Without a plug, each block is scored against the sampler's own sketch
     frozen at the block boundary, with multiplier 1 + eps. With a plug
     (approx), every row is fed to it and each block is scored against the
-    plug's query() frozen at the boundary, with multiplier
-    DEFAULT_IMPROVED_MULTIPLIER. The sampler is itself a plug: add() consumes
-    a row, query() exposes the current sketch, beta equals eps.
+    plug's query() frozen at the boundary, with multiplier PLUG_MULTIPLIER.
+    The sampler is itself a plug: add() consumes a row, query() exposes the
+    current sketch, beta equals eps.
     """
 
     capacity_rows: int | None = None
@@ -98,13 +96,7 @@ class BlockSampler:
         seed: int,
         approx=None,
         c_mult: float = DEFAULT_SCALED_C_MULT,
-        multiplier: float | None = None,
-        k: int | None = None,
-        ortho_tol: float = DEFAULT_ORTHO_TOL,
-        rank_tol: float | None = None,
         use_jl: bool = False,
-        jl_c: float = DEFAULT_JL_C,
-        jl_distortion: float = DEFAULT_DISTORTION,
         n_hint: int | None = None,
         jl_audit: bool = False,
     ):
@@ -112,23 +104,17 @@ class BlockSampler:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
-        if multiplier is None:
-            multiplier = (1.0 + eps) if approx is None else DEFAULT_IMPROVED_MULTIPLIER
         self.dim = int(dim)
         self.eps = float(eps)
-        self.k = seed_block_size(dim) if k is None else int(k)
+        self.k = seed_block_size(dim)
         self.c = c_mult * eps ** -2 * math.log(max(dim, 2))
-        self.multiplier = float(multiplier)
+        self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
         self.seed = int(seed)
         self.approx = approx
-        self.ortho_tol = float(ortho_tol)
-        self.rank_tol = rank_tol
         self.use_jl = bool(use_jl)
-        self.jl_c = float(jl_c)
-        self.jl_distortion = float(jl_distortion)
         self.jl_audit = bool(jl_audit)
         self.n_hint = n_hint
-        self.sketch = Sketch(dim, rank_tol=rank_tol)
+        self.sketch = Sketch(dim)
         self.rng = IndexedUniforms(seed)
         self.count = 0
         self.next_boundary = self.k
@@ -176,7 +162,7 @@ class BlockSampler:
         if self.approx is None:
             return self.sketch
         snapshot = self.approx.query()
-        fed_rank = SymPsd(self._fed_gram, rank_tol=self.rank_tol).rank
+        fed_rank = SymPsd(self._fed_gram).rank
         got = snapshot.gram.rank
         if got < fed_rank:
             raise ConstApproxFailure(
@@ -191,25 +177,18 @@ class BlockSampler:
         self.block_sums.append(0.0)
         self.frozen_pinvs.append(self.frozen.matrix)
         if self.use_jl:
-            self.jl = jl_build(
-                snapshot,
-                self.n_hint,
-                derive_seed(self.seed, len(self.freeze_rows)),
-                c_jl=self.jl_c,
-                distortion=self.jl_distortion,
-                ortho_tol=self.ortho_tol,
-            )
+            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.freeze_rows)))
 
     def _level(self, row) -> float:
         """Capped sampling score of one in-block row."""
         if self.jl is None:
-            raw = relative_leverage(self.frozen, row, self.ortho_tol)
+            raw = relative_leverage(self.frozen, row)
         else:
             raw = self.jl.score(row)
             if self.jl_audit:
                 self.jl_scores.append(raw)
-                self.exact_scores.append(relative_leverage(self.frozen, row, self.ortho_tol))
-            raw = raw / (1.0 - self.jl_distortion)
+                self.exact_scores.append(relative_leverage(self.frozen, row))
+            raw = raw / (1.0 - JL_DISTORTION)
         return min(self.multiplier * raw, 1.0)
 
     def step(self, index: int, row) -> bool:
@@ -275,8 +254,8 @@ class PassThroughApprox:
     beta = 0.0
     capacity_rows: int | None = None
 
-    def __init__(self, dim: int, rank_tol: float | None = None):
-        self.sketch = Sketch(dim, rank_tol=rank_tol)
+    def __init__(self, dim: int):
+        self.sketch = Sketch(dim)
         self.peak_rows = 0
 
     @property
@@ -301,8 +280,7 @@ class ResparsifyApprox:
     to shrink the buffer is retried once with doubled c_beta, then fails.
     """
 
-    def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int | None = None,
-                 rank_tol: float | None = None):
+    def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int | None = None):
         if not 0.0 < beta < 0.5:
             raise ValueError(f"beta must be in (0, 1/2), got {beta}")
         if capacity_mult < 4.0:
@@ -310,7 +288,6 @@ class ResparsifyApprox:
         self.capacity_mult = float(capacity_mult)
         self.beta = float(beta)
         self.seed = int(seed)
-        self.rank_tol = rank_tol
         self.dim: int | None = None
         self.capacity_rows: int | None = None
         self.c_beta: float | None = None
@@ -348,7 +325,7 @@ class ResparsifyApprox:
             self._resparsify()
 
     def _resparsify(self):
-        p_g = pinv(SymPsd(self._gram, rank_tol=self.rank_tol))
+        p_g = pinv(SymPsd(self._gram))
         tau = np.empty(len(self.buffer))
         for i, (_, w, row) in enumerate(self.buffer):
             tau[i] = min(w * w * max(rowops.quad_form(p_g.matrix, row), 0.0), 1.0)
@@ -374,7 +351,7 @@ class ResparsifyApprox:
         )
 
     def query(self) -> Sketch:
-        sk = Sketch(self.dim, rank_tol=self.rank_tol)
+        sk = Sketch(self.dim)
         for idx, w, row in self.buffer:
             sk.append(idx, w, row)
         return sk

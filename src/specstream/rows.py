@@ -92,14 +92,6 @@ def kernel_residual(projector, row) -> float:
     return float(np.linalg.norm(r))
 
 
-def on_image(projector, row, ortho_tol: float) -> bool:
-    """True when row has no kernel component: residual <= ortho_tol * ||row||.
-
-    The zero row lies on every image.
-    """
-    return kernel_residual(projector, row) <= ortho_tol * norm(row)
-
-
 def add_outer(gram, row, scale: float) -> None:
     """gram += scale * row row', in place."""
     if is_sparse(row):

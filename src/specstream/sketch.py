@@ -16,14 +16,13 @@ class Sketch:
     weighted rows is accumulated on append.
     """
 
-    def __init__(self, dim: int, rank_tol: float | None = None):
+    def __init__(self, dim: int):
         if dim <= 0:
             raise DimensionMismatch("sketch dimension must be positive")
         self.dim = int(dim)
         self.indices: list[int] = []
         self.weights: list[float] = []
         self.rows: list = []
-        self.rank_tol = rank_tol
         self._gram = np.zeros((dim, dim))
         self._gram_sym: SymPsd | None = None
 
@@ -52,7 +51,7 @@ class Sketch:
     def gram(self) -> SymPsd:
         """Gram of the weighted rows, rebuilt lazily after appends."""
         if self._gram_sym is None:
-            self._gram_sym = SymPsd(self._gram, rank_tol=self.rank_tol)
+            self._gram_sym = SymPsd(self._gram)
         return self._gram_sym
 
     def gram_matrix(self) -> np.ndarray:

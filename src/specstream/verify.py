@@ -170,8 +170,7 @@ def _mu_checkpoint(stream: RowStream, rank_tol: float, residual_tol: float) -> f
     return lam_max / denom
 
 
-def mu(stream: RowStream, mode: str = "auto", exact_limit: int = EXACT_SCAN_LIMIT,
-       rank_tol: float | None = None) -> float:
+def mu(stream: RowStream, mode: str = "auto", exact_limit: int = EXACT_SCAN_LIMIT) -> float:
     """Stream condition number: top eigenvalue over worst prefix floor.
 
     Scans prefix Grams A_i^T A_i and returns lambda_max(A^T A) divided by
@@ -183,7 +182,7 @@ def mu(stream: RowStream, mode: str = "auto", exact_limit: int = EXACT_SCAN_LIMI
         raise EmptyStream("empty stream")
     if mode not in ("auto", "exact", "checkpoint"):
         raise ValueError(f"unknown mu mode {mode!r}")
-    tol = default_rank_tol(stream.d) if rank_tol is None else float(rank_tol)
+    tol = default_rank_tol(stream.d)
     if mode == "auto":
         mode = "exact" if stream.n <= exact_limit else "checkpoint"
     if mode == "exact":

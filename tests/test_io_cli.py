@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specstream import (
+    DimensionMismatch,
     FormatError,
     NonFiniteInput,
     RowStream,
@@ -132,6 +133,36 @@ class TestSketchFiles:
             with pytest.raises(FormatError):
                 read_sketch(str(path))
 
+    def sketch_text(self, tmp_path, weight, value):
+        path = tmp_path / "w.sketch"
+        path.write_text(f"sketch v1 2 2 dense\n# meta {{}}\n0 1 1 0\n3 {weight} 0 {value}\n")
+        return str(path)
+
+    def test_non_finite_weight_or_value_rejected(self, tmp_path):
+        for weight, value in (("nan", "1"), ("inf", "1"), ("1", "inf"), ("1", "-nan")):
+            with pytest.raises(NonFiniteInput):
+                read_sketch(self.sketch_text(tmp_path, weight, value))
+        path = tmp_path / "sp.sketch"
+        path.write_text("sketch v1 2 3 sparse\n# meta {}\n0 1 1 0:1\n2 1.5 2 1:2 2:nan\n")
+        with pytest.raises(NonFiniteInput):
+            read_sketch(str(path))
+
+    def test_non_positive_weight_rejected(self, tmp_path):
+        for weight in ("-2.5", "0", "-0"):
+            with pytest.raises(FormatError):
+                read_sketch(self.sketch_text(tmp_path, weight, "1"))
+        sketch, _ = read_sketch(self.sketch_text(tmp_path, "2.5", "1"))
+        assert sketch.weights == [1.0, 2.5]
+
+    def test_bad_sparse_indices_rejected(self, tmp_path):
+        # unsorted, repeated and negative columns; a negative one would
+        # otherwise wrap around to the last column
+        for row in ("2 2:1 0:1", "2 1:1 1:1", "1 -1:2", "1 3:1"):
+            path = tmp_path / "idx.sketch"
+            path.write_text(f"sketch v1 1 3 sparse\n# meta {{}}\n0 1 {row}\n")
+            with pytest.raises(DimensionMismatch):
+                read_sketch(str(path))
+
 
 class TestCliGen:
     def test_kd_triangle(self, tmp_path, capsys):
@@ -164,13 +195,32 @@ class TestCliGen:
         assert "error" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_usage_errors_exit_two(self):
+    def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "greedy", "--eps", "0.3", "-i", "x", "-o", "y"])
         assert exc.value.code == 2
+        # a run flag the chosen sampler would not read is a usage error
+        unread = {
+            "--jl": (["--algo", "online", "--jl"], ["--algo", "optimal", "--jl"]),
+            "--c-mult": (["--algo", "optimal", "--c-mult", "0.01"],),
+            "--plug": (["--algo", "scaled", "--plug", "self"],
+                       ["--algo", "online", "--plug", "resparsify"]),
+            "--plug-beta": (["--algo", "improved", "--plug-beta", "0.2"],
+                            ["--algo", "improved", "--plug", "self", "--plug-beta", "0.2"]),
+            "--plug-capacity-mult": (
+                ["--algo", "improved", "--plug", "passthrough", "--plug-capacity-mult", "4"],
+            ),
+        }
+        for flag, cases in unread.items():
+            for argv in cases:
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as exc:
+                    main(["run", *argv, "--eps", "0.3", "-i", "x", "-o", "y"])
+                assert exc.value.code == 2, argv
+                assert flag in capsys.readouterr().err, argv
 
 
 class TestCliRunVerify:

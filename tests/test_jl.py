@@ -35,10 +35,6 @@ class TestProjectionRows:
         assert projection_rows(2) == 6
         assert projection_rows(1) == projection_rows(2)  # hint floor
 
-    def test_rejects_small_constant(self):
-        with pytest.raises(ValueError):
-            projection_rows(100, c_jl=7.9)
-
 
 class TestDebugIdentity:
     def test_quad_matches_pinv_form_exactly(self):

@@ -134,7 +134,7 @@ class TestOnlineSampler:
 class TestKeptPinv:
     def test_image_growth_and_rank_drop_rebuild(self):
         x = np.zeros((3, 3))
-        kept = KeptPinv(3, lambda: SymPsd(x), 1e-8, 64)
+        kept = KeptPinv(3, lambda: SymPsd(x))
         a = np.array([1.0, 2.0, 0.0])
         assert kept.score(a) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
@@ -149,9 +149,10 @@ class TestKeptPinv:
         assert kept.recomputes == 2 and kept.pinv.source_rank == 0
         assert np.array_equal(kept.pinv.matrix, np.zeros((3, 3)))
 
-    def test_drift_check_replaces_a_drifted_pinv(self):
+    def test_drift_check_replaces_a_drifted_pinv(self, monkeypatch):
+        monkeypatch.setattr("specstream.online.PINV_VERIFY_EVERY", 2)
         x = np.diag([1.0, 2.0, 4.0])
-        kept = KeptPinv(3, lambda: SymPsd(x), 1e-8, 2)
+        kept = KeptPinv(3, lambda: SymPsd(x))
         kept.recompute()
         a = np.array([1.0, 1.0, 1.0])
         x += np.outer(a, a)
@@ -162,6 +163,28 @@ class TestKeptPinv:
         kept.update(a, 1.0, True)
         assert (kept.recomputes, kept.drift_events) == (2, 1)
         assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
+
+
+    def test_score_is_the_shared_relative_leverage(self):
+        # dense and sparse rows against a full-rank and a rank-7 (d = 8) matrix,
+        # on and off the image; scores must agree bit for bit
+        from specstream import relative_leverage
+        from specstream import rows as rowops
+
+        gauss = gen_gaussian(40, 8, seed=31)
+        kd = permute(gen_kd_multigraph(8, 64), seed=32)
+        for stream in (gauss, kd):
+            kept = KeptPinv(8, stream.gram)
+            kept.recompute()
+            assert kept.pinv.source_rank == (8 if stream is gauss else 7)
+            rows = [stream.row(i) for i in range(0, stream.n, 7)] + [np.eye(8)[0]]
+            for row in rows:
+                dense = rowops.densify(row, 8)
+                sparse = rowops.sparse_row(np.flatnonzero(dense), dense[dense != 0], 8)
+                for r in (dense, sparse):
+                    assert kept.score(r)[1] == relative_leverage(kept.pinv, r)
+            on_image, rel = kept.score(np.eye(8)[0])  # off the Laplacian's image
+            assert on_image == (stream is gauss) and (on_image or rel == 1.0)
 
 
 class TestBarrierSampler:

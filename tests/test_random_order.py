@@ -76,6 +76,21 @@ class TestScaledSampler:
         assert diag.pinv_recomputes == len(sched.boundaries) == 7
         assert diag.schedule.boundaries == sched.boundaries
 
+    @pytest.mark.parametrize("use_jl", [False, True])
+    def test_full_rank_block_forms_no_kernel_residual(self, monkeypatch, use_jl):
+        # every block is frozen after K >= d Gaussian rows, so each frozen
+        # matrix has full rank and its image is the whole space
+        from specstream import rows as rowops
+
+        calls = []
+        residual = rowops.kernel_residual
+        monkeypatch.setattr(rowops, "kernel_residual",
+                            lambda proj, row: calls.append(1) or residual(proj, row))
+        stream = permute(gen_gaussian(1500, 6, seed=17), seed=18)
+        sketch, diag = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
+        assert diag.pinv_recomputes >= 5 and sketch.n_rows < stream.n
+        assert calls == []
+
     def test_scores_frozen_within_block(self):
         # the same row scores identically inside one block and generally
         # differently in the next; every score reproduces from the logged
@@ -134,7 +149,6 @@ class TestScaledSampler:
 
     def test_multiplier_defaults(self):
         assert ScaledSampler(5, 0.3, seed=1).multiplier == pytest.approx(1.3)
-        assert ScaledSampler(5, 0.3, seed=1, multiplier=2.0).multiplier == 2.0
 
     def test_eps_bounds(self):
         with pytest.raises(ValueError):

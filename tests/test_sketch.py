@@ -4,6 +4,7 @@ import pytest
 
 from specstream import DimensionMismatch, Sketch
 from specstream import rows as rowops
+from specstream.linalg import PInv, on_image
 from specstream.randomness import CHUNK, IndexedUniforms, derive_seed
 
 
@@ -56,8 +57,9 @@ class TestRowOps:
         want = float(np.linalg.norm(dense - proj @ dense))
         assert rowops.kernel_residual(proj, r) == pytest.approx(want, rel=1e-12)
         assert rowops.kernel_residual(proj, dense) == want
-        assert rowops.on_image(proj, rowops.sparse_row([], [], 6), 1e-8)
-        assert not rowops.on_image(proj, r, 1e-8)
+        p = PInv(3, proj, proj)
+        assert on_image(p, rowops.sparse_row([], [], 6))
+        assert not on_image(p, r)
 
     def test_add_outer_accumulates_weighted(self):
         g = np.zeros((3, 3))
