@@ -61,22 +61,27 @@ class RowStream:
         else:
             yield from self._dense
 
+    def block(self, lo: int, hi: int):
+        """Rows lo..hi-1 as a dense (hi - lo, d) array, and their payloads.
+
+        A dense stream returns one view of its array for both; a sparse
+        stream densifies this slice only and returns its (idx, val) pairs.
+        """
+        if not self.is_sparse:
+            view = self._dense[lo:hi]
+            return view, view
+        part = self._rows[lo:hi]
+        return rowops.dense_rows(part, self.d), part
+
     def materialize(self) -> np.ndarray:
         """Dense (n, d) copy of the stream."""
         if not self.is_sparse:
             return np.array(self._dense)
-        out = np.zeros((self.n, self.d))
-        for i, (idx, val) in enumerate(self._rows):
-            out[i, idx] = val
-        return out
+        return rowops.dense_rows(self._rows, self.d)
 
     def gram_matrix(self) -> np.ndarray:
-        if not self.is_sparse:
-            return self._dense.T @ self._dense
-        g = np.zeros((self.d, self.d))
-        for row in self._rows:
-            rowops.add_outer(g, row, 1.0)
-        return g
+        m = self._dense if not self.is_sparse else self.materialize()
+        return m.T @ m
 
     def gram(self) -> SymPsd:
         return SymPsd(self.gram_matrix())

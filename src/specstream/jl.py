@@ -1,10 +1,11 @@
 """Sign-projection acceleration for relative-leverage scoring.
 
 A frozen sketch M with Gram G gets a k x d score matrix N = Pi M G+ built
-once per block; then a' G+ a is approximated by ||N a||^2 at cost
-proportional to nnz(a) * k. Kernel membership cannot be read from ||N a||^2,
-so every score takes its kernel verdict from the exact test on pinv(G),
-which forms no residual when G has full rank.
+once per block; then a' G+ a is approximated by ||N a||^2, and a block of
+b rows costs one b x d by d x k product in place of a b x d by d x d one.
+Kernel membership cannot be read from ||N a||^2, so every score takes its
+kernel verdict from the exact test on pinv(G), which forms no residual when
+G has full rank.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import rows as rowops
 from .errors import EmptySketch
-from .leverage import relative_score
+from .leverage import relative_scores
 from .linalg import PInv, pinv
 from .randomness import MASK64
 from .sketch import Sketch
@@ -44,9 +45,15 @@ class JlScorer:
         y = rowops.matvec(self.n_matrix, row)
         return float(y @ y)
 
+    def scores(self, block) -> np.ndarray:
+        """Relative scores of a dense (b, d) block: the exact kernel test,
+        then q_hat / (q_hat + 1) with q_hat = ||N a||^2."""
+        y = block @ self.n_matrix.T
+        return relative_scores(self.pinv, block, np.einsum("ij,ij->i", y, y))
+
     def score(self, row) -> float:
-        """Relative score: the exact kernel test, then q_hat / (q_hat + 1)."""
-        return relative_score(self.pinv, row, self.quad)[1]
+        """scores() of one row, dense or sparse."""
+        return float(self.scores(rowops.densify(row, self.dim)[None, :])[0])
 
 
 def projection_rows(n_hint: int) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rows as rowops
 from .errors import DimensionMismatch, EmptyStream
-from .linalg import PInv, SymPsd, on_image, pinv
+from .linalg import PInv, SymPsd, on_image, on_image_rows, pinv
 
 SCORE_KINDS = ("exact", "relative", "overestimate")
 
@@ -54,17 +54,27 @@ def leverage_scores(rows_in) -> ScoreVector:
     return ScoreVector(np.clip(tau, 0.0, 1.0), "exact", a.shape)
 
 
-def relative_score(p: PInv, row, quad=None) -> tuple[bool, float]:
+def relative_score(p: PInv, row) -> tuple[bool, float]:
     """(row on the image of X, relative score of row against X), for p = pinv(X).
 
     The score is row' (X + row row')+ row: q / (q + 1) with q = row' X+ row
-    on the image, exactly 1 off it. quad, when given, estimates q from the
-    row in place of the exact form. Rows may be dense or sparse.
+    on the image, exactly 1 off it. Rows may be dense or sparse.
     """
     if not on_image(p, row):
         return False, 1.0
-    q = _quad(p, row) if quad is None else quad(row)
+    q = _quad(p, row)
     return True, q / (q + 1.0)
+
+
+def relative_scores(p: PInv, block, q=None) -> np.ndarray:
+    """relative_score of every row of a dense (b, d) block, with one product.
+
+    q, when given, estimates the rows' quadratic forms in place of the
+    exact ones; the kernel verdict is always exact.
+    """
+    if q is None:
+        q = np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
+    return np.where(on_image_rows(p, block), q / (q + 1.0), 1.0)
 
 
 def relative_leverage(b_pinv: PInv, row) -> float:

@@ -122,6 +122,15 @@ def on_image(p: PInv, row) -> bool:
             or rowops.kernel_residual(p.projector, row) <= DEFAULT_ORTHO_TOL * rowops.norm(row))
 
 
+def on_image_rows(p: PInv, block) -> np.ndarray:
+    """on_image for every row of a dense (b, d) block at once."""
+    if p.source_rank == p.dim:
+        return np.ones(len(block), dtype=bool)
+    residual = block @ p.projector - block
+    return (np.linalg.norm(residual, axis=1)
+            <= DEFAULT_ORTHO_TOL * np.linalg.norm(block, axis=1))
+
+
 def kernel_orthogonal(p: PInv, a) -> bool:
     """on_image for a dense vector, with its shape checked against p."""
     a = np.asarray(a, dtype=float)

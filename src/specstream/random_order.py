@@ -6,6 +6,15 @@ matrix frozen at the block boundary, so the pseudo-inverse is recomputed
 only O(log n) times. One BlockSampler covers both variants: the scaled one
 freezes its own sketch, the improved one freezes a pluggable constant-factor
 approximation fed with every arriving row.
+
+Rows arrive in runs (add_rows): a dense (b, d) array plus the rows'
+payloads. A run is split at the end of the seed block and at every freeze
+boundary, and each segment costs one product against the frozen
+pseudo-inverse (or the JL score matrix), one IndexedUniforms.take_range for
+its coins, one Gram product to fold its kept rows into the sketch, and one
+add_rows into the plug. The resparsify plug splits its runs again where its
+buffer reaches 2C, so every pass fires on the row it would fire on one row
+at a time. step and add are one-row runs.
 """
 from __future__ import annotations
 
@@ -23,9 +32,9 @@ from .errors import (
 )
 from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
-from .leverage import relative_leverage
+from .leverage import relative_scores
 from .linalg import PInv, SymPsd, pinv
-from .randomness import MASK64, IndexedUniforms, derive_seed
+from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
 from .sketch import Sketch
 
 # Leading constant of c = C * eps^-2 * ln d for the block samplers.
@@ -74,6 +83,8 @@ class BlockDiagnostics:
     jl_scores: np.ndarray | None = None
     max_working_rows: int | None = None
     capacity_rows: int | None = None
+    resparsify_passes: int | None = None
+    resparsify_retries: int | None = None
 
 
 class BlockSampler:
@@ -83,8 +94,11 @@ class BlockSampler:
     frozen at the block boundary, with multiplier 1 + eps. With a plug
     (approx), every row is fed to it and each block is scored against the
     plug's query() frozen at the boundary, with multiplier PLUG_MULTIPLIER.
-    The sampler is itself a plug: add() consumes a row, query() exposes the
-    current sketch, beta equals eps.
+    The sampler is itself a plug: add_rows() consumes a run of rows, query()
+    exposes the current sketch, beta equals eps.
+
+    A plug implements add_rows(lo, block, rows) and query(); peak_rows, when
+    present, is read as the rows it holds at most.
     """
 
     capacity_rows: int | None = None
@@ -121,9 +135,10 @@ class BlockSampler:
         self.frozen: PInv | None = None
         self.jl: JlScorer | None = None
         self.freeze_rows: list[int] = []
-        self.scores: list[float] = []
-        self.exact_scores: list[float] = []
-        self.jl_scores: list[float] = []
+        # one array per segment
+        self.scores: list[np.ndarray] = []
+        self.exact_scores: list[np.ndarray] = []
+        self.jl_scores: list[np.ndarray] = []
         self.block_sums: list[float] = [0.0]
         self.frozen_pinvs: list[np.ndarray] = []
         self.max_working_rows = 0
@@ -149,9 +164,67 @@ class BlockSampler:
 
     # -------------------------------------------------------------------------
 
-    def _feed(self, index: int, row) -> None:
-        self.approx.add(index, row)
-        rowops.add_outer(self._fed_gram, row, 1.0)
+    def step(self, index: int, row) -> bool:
+        """Take one row (dense or sparse); True when it was kept."""
+        return bool(self.add_rows(index, rowops.densify(row, self.dim)[None, :], [row])[0])
+
+    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+        """Take a run of rows with source indices lo, lo + 1, ...
+
+        block is the dense (b, d) array of the rows and rows their payloads,
+        which the sketch keeps as given. Returns the kept mask.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise DimensionMismatch(f"block of shape {block.shape} does not fit dimension {self.dim}")
+        kept = np.empty(len(block), dtype=bool)
+        start = 0
+        while start < len(block):
+            j = self.count
+            if j == self.next_boundary:
+                self._freeze(j)
+                self.next_boundary = 2 * self.next_boundary + self.k
+            # the seed block ends where the first boundary is
+            stop = start + min(len(block) - start, self.next_boundary - j)
+            kept[start:stop] = self._segment(lo + start, block[start:stop], rows[start:stop])
+            start = stop
+        return kept
+
+    def _segment(self, lo: int, seg, rows) -> np.ndarray:
+        """Score, flip and fold rows that share one frozen matrix, then feed them."""
+        j = self.count
+        if j < self.k:
+            lev = p = np.ones(len(seg))
+            keep = np.ones(len(seg), dtype=bool)
+        else:
+            lev = self._levels(seg)
+            p = np.minimum(self.c * lev, 1.0)
+            keep = self.rng.take_range(j, j + len(seg)) < p
+        self.scores.append(lev)
+        self.block_sums[-1] += float(np.sum(lev))
+        pos = np.flatnonzero(keep)
+        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos],
+                                [rows[i] for i in pos.tolist()])
+        self.count += len(seg)
+        if self.approx is not None:
+            self._feed(lo, seg, rows)
+        return keep
+
+    def _levels(self, seg) -> np.ndarray:
+        """Capped sampling scores of in-block rows."""
+        if self.jl is None:
+            raw = relative_scores(self.frozen, seg)
+        else:
+            raw = self.jl.scores(seg)
+            if self.jl_audit:
+                self.jl_scores.append(raw)
+                self.exact_scores.append(relative_scores(self.frozen, seg))
+            raw = raw / (1.0 - JL_DISTORTION)
+        return np.minimum(self.multiplier * raw, 1.0)
+
+    def _feed(self, lo: int, seg, rows) -> None:
+        self.approx.add_rows(lo, seg, rows)
+        self._fed_gram += seg.T @ seg
         held = getattr(self.approx, "peak_rows", None)
         if held is None:
             held = self.approx.n_rows
@@ -172,61 +245,32 @@ class BlockSampler:
 
     def _freeze(self, j: int):
         snapshot = self._snapshot()
-        self.frozen = pinv(snapshot.gram)
         self.freeze_rows.append(j)
         self.block_sums.append(0.0)
-        self.frozen_pinvs.append(self.frozen.matrix)
         if self.use_jl:
+            # the scorer holds the pseudo-inverse of the same Gram
             self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.freeze_rows)))
-
-    def _level(self, row) -> float:
-        """Capped sampling score of one in-block row."""
-        if self.jl is None:
-            raw = relative_leverage(self.frozen, row)
+            self.frozen = self.jl.pinv
         else:
-            raw = self.jl.score(row)
-            if self.jl_audit:
-                self.jl_scores.append(raw)
-                self.exact_scores.append(relative_leverage(self.frozen, row))
-            raw = raw / (1.0 - JL_DISTORTION)
-        return min(self.multiplier * raw, 1.0)
-
-    def step(self, index: int, row) -> bool:
-        j = self.count
-        self.count += 1
-        if j < self.k:
-            self.sketch.append(index, 1.0, row)
-            self.scores.append(1.0)
-            self.block_sums[0] += 1.0
-            sampled = True
-        else:
-            if j == self.next_boundary:
-                self._freeze(j)
-                self.next_boundary = 2 * self.next_boundary + self.k
-            lev = self._level(row)
-            self.scores.append(lev)
-            self.block_sums[-1] += lev
-            p = min(self.c * lev, 1.0)
-            sampled = self.rng.take(j) < p
-            if sampled:
-                self.sketch.append(index, 1.0 / math.sqrt(p), row)
-        if self.approx is not None:
-            self._feed(index, row)
-        return sampled
+            self.frozen = pinv(snapshot.gram)
+        self.frozen_pinvs.append(self.frozen.matrix)
 
     def finalize(self) -> tuple[Sketch, BlockDiagnostics]:
         freezes = tuple(self.freeze_rows)
+        scores = np.concatenate(self.scores) if self.scores else np.empty(0)
         diag = BlockDiagnostics(
-            scores=np.asarray(self.scores),
-            score_total=float(np.sum(self.scores)),
+            scores=scores,
+            score_total=float(np.sum(scores)),
             block_sums=self.block_sums,
             pinv_recomputes=len(freezes),
             schedule=BlockSchedule(self.k, freezes, len(freezes)),
             frozen_pinvs=self.frozen_pinvs,
-            exact_scores=np.asarray(self.exact_scores) if self.exact_scores else None,
-            jl_scores=np.asarray(self.jl_scores) if self.jl_scores else None,
+            exact_scores=np.concatenate(self.exact_scores) if self.exact_scores else None,
+            jl_scores=np.concatenate(self.jl_scores) if self.jl_scores else None,
             max_working_rows=None if self.approx is None else self.max_working_rows,
             capacity_rows=getattr(self.approx, "capacity_rows", None),
+            resparsify_passes=getattr(self.approx, "passes", None),
+            resparsify_retries=getattr(self.approx, "retries", None),
         )
         return self.sketch, diag
 
@@ -238,13 +282,18 @@ ScaledSampler = ImprovedSampler = BlockSampler
 
 def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
                     **config) -> tuple[Sketch, BlockDiagnostics]:
-    """Run the block sampler over a whole stream, with an optional plug."""
+    """Run the block sampler over a whole stream, with an optional plug.
+
+    The stream is fed in runs of CHUNK rows; a sparse stream is densified
+    one run at a time, so working memory stays O(CHUNK * d).
+    """
     if stream.n == 0:
         raise EmptyStream("empty stream")
     config.setdefault("n_hint", stream.n)
     sampler = BlockSampler(stream.d, eps, seed, approx, **config)
-    for i in range(stream.n):
-        sampler.step(i, stream.row(i))
+    for lo in range(0, stream.n, CHUNK):
+        block, rows = stream.block(lo, min(lo + CHUNK, stream.n))
+        sampler.add_rows(lo, block, rows)
     return sampler.finalize()
 
 
@@ -263,7 +312,10 @@ class PassThroughApprox:
         return self.sketch.n_rows
 
     def add(self, index: int, row) -> None:
-        self.sketch.append(index, 1.0, row)
+        self.add_rows(index, rowops.densify(row, self.sketch.dim)[None, :], [row])
+
+    def add_rows(self, lo: int, block, rows) -> None:
+        self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block, list(rows))
         self.peak_rows = self.sketch.n_rows
 
     def query(self) -> Sketch:
@@ -278,6 +330,9 @@ class ResparsifyApprox:
     scored by the buffer Gram's pseudo-inverse, kept with p = min(c_beta *
     tau, 1), and surviving weights compound by 1/sqrt(p). A pass that fails
     to shrink the buffer is retried once with doubled c_beta, then fails.
+    The buffer is held columnar: indices, weights, payloads and a dense
+    copy of the rows, so a pass scores and refolds it with one product each.
+    passes and retries count the passes made and the retries among them.
     """
 
     def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int | None = None):
@@ -291,9 +346,9 @@ class ResparsifyApprox:
         self.dim: int | None = None
         self.capacity_rows: int | None = None
         self.c_beta: float | None = None
-        self.buffer: list[tuple[int, float, object]] = []
-        self._gram = None
-        self._passes = 0
+        self._rows: list = []
+        self.passes = 0
+        self.retries = 0
         self.peak_rows = 0
         if dim is not None:
             self._init_dim(int(dim))
@@ -305,55 +360,81 @@ class ResparsifyApprox:
         logd = math.log(dim)
         self.capacity_rows = math.ceil(self.capacity_mult * self.beta ** -2 * dim * logd)
         self.c_beta = self.capacity_mult * self.beta ** -2 * logd
+        full = 2 * self.capacity_rows
         self._gram = np.zeros((dim, dim))
+        self._dense = np.empty((full, dim))
+        self._weights = np.empty(full)
+        self._indices = np.empty(full, dtype=np.int64)
 
     @property
     def n_rows(self) -> int:
-        return len(self.buffer)
+        return len(self._rows)
+
+    @property
+    def buffer(self) -> list[tuple[int, float, object]]:
+        """Held (index, weight, row) entries."""
+        n = self.n_rows
+        return list(zip(self._indices[:n].tolist(), self._weights[:n].tolist(), self._rows))
 
     def add(self, index: int, row) -> None:
+        if self.dim is None and rowops.is_sparse(row):
+            raise DimensionMismatch("dimension cannot be inferred from a sparse row; pass dim")
+        self.add_rows(index, rowops.densify(row, self.dim)[None, :], [row])
+
+    def add_rows(self, lo: int, block, rows) -> None:
+        """Append a run of rows at weight 1, split where the buffer reaches 2C."""
         if self.dim is None:
-            if rowops.is_sparse(row):
-                raise DimensionMismatch(
-                    "dimension cannot be inferred from a sparse row; pass dim"
-                )
-            self._init_dim(int(np.asarray(row).shape[0]))
-        self.buffer.append((int(index), 1.0, row))
-        rowops.add_outer(self._gram, row, 1.0)
-        self.peak_rows = max(self.peak_rows, len(self.buffer))
-        if len(self.buffer) >= 2 * self.capacity_rows:
-            self._resparsify()
+            self._init_dim(int(np.shape(block)[1]))
+        full = 2 * self.capacity_rows
+        start = 0
+        while start < len(block):
+            held = self.n_rows
+            stop = start + min(len(block) - start, full - held)
+            seg = block[start:stop]
+            end = held + len(seg)
+            self._dense[held:end] = seg
+            self._weights[held:end] = 1.0
+            self._indices[held:end] = np.arange(lo + start, lo + stop)
+            self._rows.extend(rows[start:stop])
+            self._gram += seg.T @ seg
+            self.peak_rows = max(self.peak_rows, end)
+            if end >= full:
+                self._resparsify()
+            start = stop
 
     def _resparsify(self):
+        n = self.n_rows
+        held, w = self._dense[:n], self._weights[:n]
         p_g = pinv(SymPsd(self._gram))
-        tau = np.empty(len(self.buffer))
-        for i, (_, w, row) in enumerate(self.buffer):
-            tau[i] = min(w * w * max(rowops.quad_form(p_g.matrix, row), 0.0), 1.0)
+        q = np.maximum(np.einsum("ij,ij->i", held @ p_g.matrix, held), 0.0)
+        tau = np.minimum(w * w * q, 1.0)
         for attempt in range(2):
+            if attempt:
+                self.retries += 1
             c_eff = self.c_beta * (2.0 ** attempt)
             probs = np.minimum(c_eff * tau, 1.0)
-            key = np.array([self.seed & MASK64, 2 * self._passes + attempt], dtype=np.uint64)
-            draws = np.random.Generator(np.random.Philox(key=key)).random(len(self.buffer))
-            keep = draws < probs
-            if int(np.count_nonzero(keep)) < 2 * self.capacity_rows:
-                new_buffer = []
-                self._gram = np.zeros((self.dim, self.dim))
-                for i, (idx, w, row) in enumerate(self.buffer):
-                    if keep[i]:
-                        w_new = w / math.sqrt(probs[i])
-                        new_buffer.append((idx, w_new, row))
-                        rowops.add_outer(self._gram, row, w_new * w_new)
-                self.buffer = new_buffer
-                self._passes += 1
+            key = np.array([self.seed & MASK64, 2 * self.passes + attempt], dtype=np.uint64)
+            draws = np.random.Generator(np.random.Philox(key=key)).random(n)
+            pos = np.flatnonzero(draws < probs)
+            if pos.size < 2 * self.capacity_rows:
+                m = pos.size
+                w_new = w[pos] / np.sqrt(probs[pos])
+                self._dense[:m] = held[pos]
+                self._weights[:m] = w_new
+                self._indices[:m] = self._indices[pos]
+                self._rows = [self._rows[i] for i in pos.tolist()]
+                scaled = self._dense[:m] * w_new[:, None]
+                self._gram = scaled.T @ scaled
+                self.passes += 1
                 return
         raise CapacityCollapse(
-            f"buffer stuck at {len(self.buffer)} rows with capacity {self.capacity_rows}"
+            f"buffer stuck at {n} rows with capacity {self.capacity_rows}"
         )
 
     def query(self) -> Sketch:
+        n = self.n_rows
         sk = Sketch(self.dim)
-        for idx, w, row in self.buffer:
-            sk.append(idx, w, row)
+        sk.append_rows(self._indices[:n], self._weights[:n], self._dense[:n], list(self._rows))
         return sk
 
 

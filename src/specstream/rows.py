@@ -38,6 +38,16 @@ def densify(row, dim: int):
     return np.asarray(row, dtype=float)
 
 
+def dense_rows(rows, dim: int):
+    """(len(rows), dim) array of sparse payloads, scattered in one index gather."""
+    out = np.zeros((len(rows), dim))
+    if rows:
+        counts = [idx.size for idx, _ in rows]
+        at = np.repeat(np.arange(len(rows)), counts)
+        out[at, np.concatenate([idx for idx, _ in rows])] = np.concatenate([val for _, val in rows])
+    return out
+
+
 def nnz(row) -> int:
     if is_sparse(row):
         return int(row[0].size)

@@ -47,6 +47,24 @@ class Sketch:
         rowops.add_outer(self._gram, row, weight * weight)
         self._gram_sym = None
 
+    def append_rows(self, indices, weights, block, rows) -> None:
+        """append for many rows at once: block holds them as a dense (m, d)
+        array, rows their payloads; the Gram takes one product."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size == 0:
+            return
+        if np.any(np.diff(indices) <= 0) or (self.indices and indices[0] <= self.indices[-1]):
+            raise DimensionMismatch("source indices must increase")
+        if np.shape(block) != (indices.size, self.dim) or len(rows) != indices.size:
+            raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
+        weights = np.asarray(weights, dtype=float)
+        scaled = block * weights[:, None]
+        self._gram += scaled.T @ scaled
+        self.indices.extend(indices.tolist())
+        self.weights.extend(weights.tolist())
+        self.rows.extend(rows)
+        self._gram_sym = None
+
     @property
     def gram(self) -> SymPsd:
         """Gram of the weighted rows, rebuilt lazily after appends."""
@@ -60,11 +78,8 @@ class Sketch:
 
     def weighted_matrix(self) -> np.ndarray:
         """Dense m x d matrix of rows scaled by their weights."""
-        m = np.zeros((self.n_rows, self.dim))
-        for i, row in enumerate(self.rows):
-            m[i] = rowops.densify(row, self.dim)
-            m[i] *= self.weights[i]
-        return m
+        m = np.array([rowops.densify(row, self.dim) for row in self.rows]).reshape(-1, self.dim)
+        return m * np.asarray(self.weights)[:, None]
 
     def __iter__(self):
         return iter(zip(self.indices, self.weights, self.rows))

@@ -5,6 +5,8 @@ the library's own linear algebra, so library results are checked against
 a second code path. The unit tests and the acceptance suite both pull
 from this module.
 """
+import math
+
 import numpy as np
 
 from specstream.randomness import IndexedUniforms
@@ -124,6 +126,109 @@ def barrier_reference(stream, eps, seed):
         upper += (1.0 + eps) * outer
         lower += (1.0 - eps) * outer
     return kept, np.array(weights), np.array(probs)
+
+
+def dense_row(row, d):
+    """A stream or sketch row as a dense vector; sparse rows are (indices, values)."""
+    if isinstance(row, tuple):
+        out = np.zeros(d)
+        out[row[0]] = row[1]
+        return out
+    return np.array(row, dtype=float)
+
+
+def block_reference(stream, eps, seed, plug=None):
+    """The block sampler row by row, with a fresh pseudo-inverse per block.
+
+    The seed block of K = max(d, ceil(d ln d)) rows is kept at weight 1.
+    At each boundary j = K, 3K, 7K, ... the Gram G of the kept weighted
+    rows is frozen; with a plug, G is the Gram of plug.query(), the plug
+    having been fed every earlier row through plug.add. Row j of a block
+    scores s = q / (q + 1), q = a' G+ a, when ||a - P a|| <= 1e-8 ||a|| for
+    the projector P onto the image of G, and s = 1 otherwise. It is kept
+    on the coin IndexedUniforms(seed).take(j) < p with p = min(c min(m s, 1), 1),
+    c = 6 eps^-2 ln d and m = 1 + eps (2 with a plug), at weight 1/sqrt(p).
+    Returns (kept indices, weights, every capped score min(m s, 1)).
+    """
+    n, d = stream.n, stream.d
+    k = max(d, math.ceil(d * math.log(d)))
+    c = 6.0 * eps ** -2 * math.log(d)
+    mult = 1.0 + eps if plug is None else 2.0
+    coins = IndexedUniforms(seed)
+    gram = np.zeros((d, d))
+    boundary = k
+    kept, weights, levels = [], [], []
+    for j in range(n):
+        a = dense_row(stream.row(j), d)
+        if j < k:
+            lev = p = 1.0
+        else:
+            if j == boundary:
+                if plug is None:
+                    frozen = gram.copy()
+                else:
+                    sk = plug.query()
+                    m = np.array([w * dense_row(r, d) for w, r in zip(sk.weights, sk.rows)])
+                    frozen = m.reshape(-1, d).T @ m.reshape(-1, d)
+                g_pinv = np.linalg.pinv(frozen, rcond=d * RANK_TOL_BITS, hermitian=True)
+                proj = image_projector(frozen)
+                boundary = 2 * boundary + k
+            if np.linalg.norm(a - proj @ a) <= 1e-8 * np.linalg.norm(a):
+                q = max(float(a @ g_pinv @ a), 0.0)
+                score = q / (q + 1.0)
+            else:
+                score = 1.0
+            lev = min(mult * score, 1.0)
+            p = min(c * lev, 1.0)
+        levels.append(lev)
+        if j < k or coins.take(j) < p:
+            kept.append(j)
+            weights.append(1.0 / math.sqrt(p))
+            gram += np.outer(a, a) / p
+        if plug is not None:
+            plug.add(j, stream.row(j))
+    return kept, np.array(weights), np.array(levels)
+
+
+def resparsify_reference(rows, capacity_mult, beta, seed):
+    """The resparsify plug row by row, with a fresh pseudo-inverse per pass.
+
+    Rows enter a buffer at weight 1. When it holds 2C rows, C =
+    ceil(capacity_mult beta^-2 d ln d), row j of it is kept with
+    p = min(2^t c tau_j, 1), c = capacity_mult beta^-2 ln d and
+    tau_j = min(w_j^2 a_j' G+ a_j, 1) against the buffer's weighted Gram G,
+    on Philox draws keyed (seed, 2 passes + t) for attempt t = 0, 1; the
+    first attempt that keeps fewer than 2C rows divides their weights by
+    sqrt(p). Returns (held indices, weights, passes, peak held rows).
+    """
+    rows = np.asarray(rows, dtype=float)
+    d = rows.shape[1]
+    full = 2 * math.ceil(capacity_mult * beta ** -2 * d * math.log(d))
+    c = capacity_mult * beta ** -2 * math.log(d)
+    held, weights = [], []
+    passes = peak = 0
+    for i in range(rows.shape[0]):
+        held.append(i)
+        weights.append(1.0)
+        peak = max(peak, len(held))
+        if len(held) < full:
+            continue
+        m = rows[held] * np.array(weights)[:, None]
+        g_pinv = np.linalg.pinv(m.T @ m, rcond=d * RANK_TOL_BITS, hermitian=True)
+        tau = np.array([min(w * w * max(float(rows[j] @ g_pinv @ rows[j]), 0.0), 1.0)
+                        for j, w in zip(held, weights)])
+        for attempt in range(2):
+            probs = np.minimum(c * 2.0 ** attempt * tau, 1.0)
+            key = np.array([seed & ((1 << 64) - 1), 2 * passes + attempt], dtype=np.uint64)
+            keep = np.random.Generator(np.random.Philox(key=key)).random(full) < probs
+            if np.count_nonzero(keep) < full:
+                weights = [w / math.sqrt(p) for w, p, k in zip(weights, probs, keep) if k]
+                held = [j for j, k in zip(held, keep) if k]
+                passes += 1
+                break
+        else:
+            raise RuntimeError("buffer did not shrink after one retry")
+    return held, np.array(weights), passes, peak
 
 
 def spectral_eps(ref_rows, test_gram):

@@ -49,6 +49,29 @@ class TestRowStream:
         assert np.allclose(s.gram_matrix(), dense.T @ dense)
         assert len(s) == 2
 
+    @pytest.mark.parametrize("build", [
+        lambda: gen_mu_controlled(6, 4, 10.0),
+        lambda: permute(gen_kd_multigraph(6, 5), seed=3),
+        lambda: RowStream(4, [([0, 3], [0.0, -0.0]), ([], []), ([1, 2], [2.5, 0.0])],
+                          {"kind": "test"}, sparse=True),
+    ])
+    def test_sparse_materialize_and_gram_match_row_loops(self, build):
+        from specstream import rows as rowops
+
+        s = build()
+        want = np.zeros((s.n, s.d))
+        gram = np.zeros((s.d, s.d))
+        for i, (idx, val) in enumerate(s.iter_rows()):
+            want[i, idx] = val
+            rowops.add_outer(gram, (idx, val), 1.0)
+        assert s.materialize().tobytes() == want.tobytes()
+        assert np.linalg.norm(s.gram_matrix() - gram) <= 1e-12 * np.linalg.norm(gram)
+        if s.meta["kind"] == "permuted":  # integer entries: the sums are exact
+            assert np.array_equal(s.gram_matrix(), gram)
+        block, payloads = s.block(1, s.n - 1)
+        assert block.tobytes() == want[1:-1].tobytes()
+        assert all(got is s.row(i + 1) for i, got in enumerate(payloads))
+
 
 class TestKdMultigraph:
     def test_triangle_laplacian(self):

@@ -14,11 +14,13 @@ from specstream import (
     ImprovedSampler,
     PassThroughApprox,
     ResparsifyApprox,
+    RowStream,
     ScaledSampler,
     Sketch,
     SymPsd,
     approx_factor,
     gen_gaussian,
+    gen_kd_multigraph,
     improved_scaled_sampling,
     permute,
     resparsify_const_approx,
@@ -28,6 +30,7 @@ from specstream import (
 )
 
 from conftest import make_stream
+import oracles
 
 
 class TestBlockSchedule:
@@ -279,7 +282,7 @@ class TestResparsifyApprox:
             row = rng.standard_normal(d)
             plug.add(i, row)
             fed += np.outer(row, row)
-        assert plug._passes >= 1
+        assert plug.passes >= 1
         weights = [w for _, w, _ in plug.buffer]
         assert all(w >= 1.0 for w in weights)
         assert any(w > 1.0 for w in weights)
@@ -335,10 +338,11 @@ class TestImprovedSampler:
             def n_rows(self):
                 return len(self.rows)
 
-            def add(self, index, row):
-                squashed = np.array(row, dtype=float)
-                squashed[0] = 0.0  # loses every component along axis 0
-                self.rows.append((index, squashed))
+            def add_rows(self, lo, block, rows):
+                for i, row in enumerate(block):
+                    squashed = np.array(row, dtype=float)
+                    squashed[0] = 0.0  # loses every component along axis 0
+                    self.rows.append((lo + i, squashed))
 
             def query(self):
                 sk = Sketch(self.dim)
@@ -361,3 +365,129 @@ class TestImprovedSampler:
             eps_actual, _ = verify(stream, sketch)
             assert eps_actual <= 0.4
             assert diag.pinv_recomputes == len(BlockSchedule.for_stream(1200, 6).boundaries)
+
+
+def _zero_and_duplicate_rows():
+    rows = np.random.default_rng(80).standard_normal((1500, 5))
+    rows[::7] = 0.0
+    rows[11::11] = rows[10::11][: len(rows[11::11])]
+    return permute(make_stream(rows), seed=81)
+
+
+def _sparse_with_explicit_zeros():
+    d = 6
+    rng = np.random.default_rng(82)
+    payload = []
+    for _ in range(2000):
+        idx = np.sort(rng.choice(d, size=3, replace=False))
+        val = rng.standard_normal(3)
+        val[rng.integers(3)] = 0.0
+        payload.append((idx, val))
+    return RowStream(d, payload, {"kind": "test"}, sparse=True)
+
+
+BLOCK_PARITY_STREAMS = {
+    "gaussian": lambda: permute(gen_gaussian(3000, 6, seed=83), seed=84),
+    "kd": lambda: permute(gen_kd_multigraph(8, 64), seed=85),
+    "zero-duplicate": _zero_and_duplicate_rows,
+    "sparse-zeros": _sparse_with_explicit_zeros,
+    "d2": lambda: permute(gen_gaussian(600, 2, seed=86), seed=87),
+}
+
+BLOCK_PARITY_PLUGS = {
+    "none": lambda d: None,
+    "self": lambda d: ScaledSampler(d, 0.5, seed=88),
+    # beta 0.45 keeps the buffer small enough that passes fire on every stream
+    "resparsify": lambda d: ResparsifyApprox(4.0, 0.45, seed=89, dim=d),
+}
+
+
+class TestBlockReference:
+    @pytest.mark.parametrize("plug_name", sorted(BLOCK_PARITY_PLUGS))
+    @pytest.mark.parametrize("stream_name", sorted(BLOCK_PARITY_STREAMS))
+    def test_matches_fresh_pinv_reference(self, stream_name, plug_name):
+        stream = BLOCK_PARITY_STREAMS[stream_name]()
+        make_plug = BLOCK_PARITY_PLUGS[plug_name]
+        plug, twin = make_plug(stream.d), make_plug(stream.d)
+        eps = 0.4
+        sketch, diag = scaled_sampling(stream, eps, 90, plug)
+        kept, weights, levels = oracles.block_reference(stream, eps, 90, twin)
+        flipped = set(sketch.indices) ^ set(kept)
+        assert not flipped, f"{len(flipped)} flipped decisions"
+        assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
+        c = 6.0 * eps ** -2 * math.log(stream.d)
+        probs = np.minimum(c * diag.scores, 1.0)
+        assert np.max(np.abs(probs - np.minimum(c * levels, 1.0))) <= 1e-9
+        if plug_name == "resparsify":
+            assert plug.passes == twin.passes >= 1
+            assert diag.max_working_rows == plug.peak_rows == twin.peak_rows
+        if plug_name == "self":
+            assert plug.query().indices == twin.query().indices
+
+    @pytest.mark.parametrize("plug_name", ["none", "resparsify"])
+    def test_step_loop_matches_whole_stream_run(self, plug_name):
+        stream = permute(gen_gaussian(3000, 6, seed=91), seed=92)
+        make_plug = BLOCK_PARITY_PLUGS[plug_name]
+        sampler = BlockSampler(6, 0.4, 93, make_plug(6), n_hint=stream.n)
+        for i in range(stream.n):
+            sampler.step(i, stream.row(i))
+        stepped, _ = sampler.finalize()
+        whole, _ = scaled_sampling(stream, 0.4, 93, make_plug(6))
+        assert stepped.indices == whole.indices
+        assert np.allclose(stepped.weights, whole.weights, rtol=1e-12, atol=0.0)
+
+    def test_jl_freeze_computes_one_pinv(self, monkeypatch):
+        from specstream import jl, linalg, random_order
+
+        calls = []
+
+        def counted(s):
+            calls.append(1)
+            return linalg.pinv(s)
+
+        monkeypatch.setattr(random_order, "pinv", counted)
+        monkeypatch.setattr(jl, "pinv", counted)
+        stream = permute(gen_gaussian(3000, 6, seed=94), seed=95)
+        _, diag = scaled_sampling(stream, 0.4, 96, use_jl=True)
+        assert diag.pinv_recomputes >= 5
+        assert len(calls) == diag.pinv_recomputes
+
+
+class TestResparsifyCounters:
+    def test_pass_count_is_recorded(self):
+        # a pass shows from outside as the buffer shrinking; a twin fed one
+        # row at a time counts those shrinks
+        d, n = 3, 3000
+        stream = permute(gen_gaussian(n, d, seed=97), seed=98)
+        plug = ResparsifyApprox(4.0, 0.45, seed=99, dim=d)
+        _, diag = improved_scaled_sampling(stream, 0.4, 100, plug)
+        twin = ResparsifyApprox(4.0, 0.45, seed=99, dim=d)
+        shrinks = 0
+        for i in range(n):
+            before = twin.n_rows
+            twin.add(i, stream.row(i))
+            shrinks += twin.n_rows <= before
+        assert diag.resparsify_passes == plug.passes == shrinks == 43
+        assert diag.resparsify_retries == plug.retries == 0
+
+    @pytest.mark.parametrize("stream_name", ["gaussian", "kd", "d2"])
+    def test_matches_fresh_pinv_reference(self, stream_name):
+        stream = BLOCK_PARITY_STREAMS[stream_name]()
+        plug = ResparsifyApprox(4.0, 0.45, seed=101, dim=stream.d)
+        for lo in range(0, stream.n, 500):
+            block, rows = stream.block(lo, min(lo + 500, stream.n))
+            plug.add_rows(lo, block, rows)
+        held, weights, passes, peak = oracles.resparsify_reference(
+            stream.materialize(), 4.0, 0.45, seed=101)
+        assert (plug.passes, plug.peak_rows) == (passes, peak)
+        assert [i for i, _, _ in plug.buffer] == held
+        assert np.allclose([w for _, w, _ in plug.buffer], weights, rtol=1e-9, atol=0.0)
+
+    def test_collapse_counts_its_retry(self):
+        # an absurd keep rate fails the pass and its one retry
+        plug = ResparsifyApprox(4.0, 0.45, seed=4, dim=3)
+        plug.c_beta = 1e12
+        with pytest.raises(CapacityCollapse):
+            rows = np.eye(3)[np.arange(2 * plug.capacity_rows) % 3]
+            plug.add_rows(0, rows, list(rows))
+        assert (plug.passes, plug.retries) == (0, 1)
