@@ -8,10 +8,10 @@ so peak memory depends on d and the constants, never on n.
 import math
 
 from specstream import (
+    ResparsifyApprox,
     gen_gaussian,
     improved_scaled_sampling,
     permute,
-    resparsify_const_approx,
     verify,
 )
 
@@ -20,7 +20,7 @@ D, EPS, BETA, CAP = 8, 0.35, 1 / 3, 4.0
 
 def run(n):
     stream = permute(gen_gaussian(n, D, seed=21), seed=n)
-    plug = resparsify_const_approx(CAP, BETA, seed=1, dim=D)
+    plug = ResparsifyApprox(CAP, BETA, seed=1, dim=D)
     sketch, diag = improved_scaled_sampling(stream, eps=EPS, seed=2, approx=plug)
     eps_actual, _ = verify(stream, sketch)
     return sketch.n_rows, diag.max_working_rows, eps_actual

@@ -32,14 +32,12 @@ from .linalg import (
     SymPsd,
     approx_factor,
     default_rank_tol,
-    kernel_orthogonal,
-    log_pseudo_det,
     min_nonzero_eig,
     pinv,
     pinv_rank1_update,
     pseudo_det,
 )
-from .leverage import ScoreVector, leverage_scores, relative_leverage, uniform_overestimate
+from .leverage import leverage_scores, relative_leverage
 from .sketch import Sketch
 from .instances import (
     RowStream,
@@ -61,15 +59,13 @@ from .random_order import (
     BlockSampler,
     BlockSchedule,
     ImprovedSampler,
-    PassThroughApprox,
     ResparsifyApprox,
     ScaledSampler,
     improved_scaled_sampling,
-    resparsify_const_approx,
     scaled_sampling,
     seed_block_size,
 )
-from .jl import JlScorer, jl_build, jl_score, projection_rows
+from .jl import JlScorer, jl_build, projection_rows
 from .verify import mu, verify
 from .bench import TrialRecord, bench_suite, read_csv, run_sampler, run_trial, write_csv
 from .io import read_sketch, read_stream, write_sketch, write_stream
@@ -81,17 +77,16 @@ __all__ = [
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
     "FormatError", "ImageMismatch", "MissingScoreLog", "NonFiniteInput", "NotPsd",
     "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
-    "PInv", "SymPsd", "approx_factor", "default_rank_tol", "kernel_orthogonal",
-    "log_pseudo_det", "min_nonzero_eig", "pinv", "pinv_rank1_update", "pseudo_det",
-    "ScoreVector", "leverage_scores", "relative_leverage", "uniform_overestimate",
+    "PInv", "SymPsd", "approx_factor", "default_rank_tol", "min_nonzero_eig",
+    "pinv", "pinv_rank1_update", "pseudo_det",
+    "leverage_scores", "relative_leverage",
     "Sketch",
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",
     "BarrierState", "OnlineState", "barrier_step", "online_step",
     "run_barrier", "run_online", "sampling_constant",
-    "BlockSampler", "BlockSchedule", "ImprovedSampler", "PassThroughApprox",
-    "ResparsifyApprox", "ScaledSampler", "improved_scaled_sampling", "resparsify_const_approx",
-    "scaled_sampling", "seed_block_size",
-    "JlScorer", "jl_build", "jl_score", "projection_rows",
+    "BlockSampler", "BlockSchedule", "ImprovedSampler", "ResparsifyApprox",
+    "ScaledSampler", "improved_scaled_sampling", "scaled_sampling", "seed_block_size",
+    "JlScorer", "jl_build", "projection_rows",
     "mu", "verify",
     "TrialRecord", "bench_suite", "read_csv", "run_sampler", "run_trial", "write_csv",
     "read_sketch", "read_stream", "write_sketch", "write_stream",

@@ -25,7 +25,6 @@ from .instances import (
 from .online import DEFAULT_ONLINE_C_MULT, run_barrier, run_online
 from .random_order import (
     DEFAULT_SCALED_C_MULT,
-    PassThroughApprox,
     ResparsifyApprox,
     ScaledSampler,
     scaled_sampling,
@@ -174,12 +173,11 @@ def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
         plug = None
     elif algo == "improved-self":
         plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
-    elif algo == "improved-passthrough":
-        plug = PassThroughApprox(stream.d)
     elif algo == "improved-resparsify":
+        cap, beta = cfg.get("plug_capacity_mult"), cfg.get("plug_beta")
         plug = ResparsifyApprox(
-            cfg.get("plug_capacity_mult") or BENCH_PLUG_CAPACITY_MULT,
-            cfg.get("plug_beta") or BENCH_PLUG_BETA,
+            BENCH_PLUG_CAPACITY_MULT if cap is None else cap,
+            BENCH_PLUG_BETA if beta is None else beta,
             derive_seed(seed, 1),
             dim=stream.d,
         )

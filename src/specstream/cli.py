@@ -20,7 +20,7 @@ from .verify import mu as measure_mu
 from .verify import verify
 
 CLI_ALGOS = ("online", "optimal", "scaled", "improved")
-CLI_PLUGS = ("self", "resparsify", "passthrough")
+CLI_PLUGS = ("self", "resparsify")
 
 
 def _cmd_gen(args) -> int:

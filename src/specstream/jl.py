@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from . import rows as rowops
 from .errors import EmptySketch
 from .leverage import relative_scores
 from .linalg import PInv, pinv
@@ -36,14 +35,6 @@ class JlScorer:
         self.n_matrix = n_matrix
         self.pinv = p
         self.k = int(k)
-        self.dim = p.dim
-        self.ops = 0
-
-    def quad(self, row) -> float:
-        """Projected estimate of a' G+ a (no kernel handling)."""
-        self.ops += rowops.nnz(row) * (self.k + self.dim)
-        y = rowops.matvec(self.n_matrix, row)
-        return float(y @ y)
 
     def scores(self, block) -> np.ndarray:
         """Relative scores of a dense (b, d) block: the exact kernel test,
@@ -52,36 +43,26 @@ class JlScorer:
         return relative_scores(self.pinv, block, np.einsum("ij,ij->i", y, y))
 
     def score(self, row) -> float:
-        """scores() of one row, dense or sparse."""
-        return float(self.scores(rowops.densify(row, self.dim)[None, :])[0])
+        """scores() of one dense row."""
+        return float(self.scores(np.asarray(row, dtype=float)[None, :])[0])
 
 
 def projection_rows(n_hint: int) -> int:
     return max(MIN_PROJECTION_ROWS, math.ceil(JL_C * math.log(max(int(n_hint), 2))))
 
 
-def jl_build(sketch: Sketch, n_hint: int, seed: int, debug_identity: bool = False) -> JlScorer:
+def jl_build(sketch: Sketch, n_hint: int, seed: int) -> JlScorer:
     """Build the score operator for a frozen sketch.
 
-    Pi has independent +/-1/sqrt(k) entries drawn from the seed; with
-    debug_identity=True, Pi is the identity and the estimate collapses to
-    the exact quadratic form for rows on the image.
+    Pi has independent +/-1/sqrt(k) entries drawn from the seed.
     """
     if sketch.n_rows == 0:
         raise EmptySketch("cannot build a score operator from an empty sketch")
     p = pinv(sketch.gram)
     m = sketch.weighted_matrix()
-    if debug_identity:
-        k = sketch.n_rows
-        pi = np.eye(k)
-    else:
-        k = projection_rows(n_hint)
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)))
-        pi = (2.0 * gen.integers(0, 2, size=(k, sketch.n_rows)) - 1.0) / math.sqrt(k)
+    k = projection_rows(n_hint)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)))
+    pi = (2.0 * gen.integers(0, 2, size=(k, sketch.n_rows)) - 1.0) / math.sqrt(k)
     n_matrix = pi @ m @ p.matrix
     return JlScorer(n_matrix, p, k)
 
-
-def jl_score(scorer: JlScorer, row) -> float:
-    """Module-level convenience wrapper around JlScorer.score."""
-    return scorer.score(row)

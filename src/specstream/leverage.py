@@ -1,4 +1,4 @@
-"""Leverage scores: exact, relative-to-a-sketch, and uniform overestimates.
+"""Leverage scores: exact and relative to a sketch.
 
 The relative score of a row against a matrix B uses the closed form
 q / (q + 1) with q = a' (B'B)+ a when a is orthogonal to Ker(B), and is
@@ -7,42 +7,18 @@ test oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rows as rowops
 from .errors import DimensionMismatch, EmptyStream
 from .linalg import PInv, SymPsd, on_image, on_image_rows, pinv
 
-SCORE_KINDS = ("exact", "relative", "overestimate")
 
-# Producers may overshoot [0, 1] by floating-point noise only.
-CLAMP_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Scores in [0, 1] with their kind and the source matrix shape."""
-
-    scores: np.ndarray
-    kind: str
-    source_dims: tuple[int, int]
-
-    def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
-            raise ValueError(f"unknown score kind {self.kind!r}")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.scores))
-
-
-def leverage_scores(rows_in) -> ScoreVector:
+def leverage_scores(rows_in) -> np.ndarray:
     """Exact leverage scores tau_i = a_i' (A'A)+ a_i of a materialized matrix.
 
     Accepts an (n, d) array or anything with materialize() returning one.
-    The scores sum to rank(A).
+    The scores, clipped to [0, 1], sum to rank(A).
     """
     a = rows_in.materialize() if hasattr(rows_in, "materialize") else np.asarray(rows_in, dtype=float)
     if a.ndim != 2:
@@ -51,18 +27,18 @@ def leverage_scores(rows_in) -> ScoreVector:
         raise EmptyStream("no rows to score")
     p = pinv(SymPsd(a.T @ a))
     tau = np.einsum("ij,jk,ik->i", a, p.matrix, a)
-    return ScoreVector(np.clip(tau, 0.0, 1.0), "exact", a.shape)
+    return np.clip(tau, 0.0, 1.0)
 
 
 def relative_score(p: PInv, row) -> tuple[bool, float]:
     """(row on the image of X, relative score of row against X), for p = pinv(X).
 
     The score is row' (X + row row')+ row: q / (q + 1) with q = row' X+ row
-    on the image, exactly 1 off it. Rows may be dense or sparse.
+    on the image, exactly 1 off it, for a dense row.
     """
     if not on_image(p, row):
         return False, 1.0
-    q = _quad(p, row)
+    q = max(rowops.quad_form(p.matrix, row), 0.0)
     return True, q / (q + 1.0)
 
 
@@ -80,15 +56,3 @@ def relative_scores(p: PInv, block, q=None) -> np.ndarray:
 def relative_leverage(b_pinv: PInv, row) -> float:
     """Relative leverage of row against the matrix behind b_pinv."""
     return relative_score(b_pinv, row)[1]
-
-
-def uniform_overestimate(sample_pinv: PInv, row) -> float:
-    """Leverage overestimate from a uniformly sampled submatrix.
-
-    min(a' (S'S)+ a, 1) when a is orthogonal to Ker(S), else 1.
-    """
-    return min(_quad(sample_pinv, row), 1.0) if on_image(sample_pinv, row) else 1.0
-
-
-def _quad(p: PInv, row) -> float:
-    return max(rowops.quad_form(p.matrix, row), 0.0)

@@ -3,7 +3,7 @@
 Every rank decision in the package flows through SymPsd's cached
 eigendecomposition, so "zero eigenvalue" means the same thing in the
 pseudo-inverse, the pseudo-determinant and the approximation-factor check.
-Matrices here are small and dense; sparsity is exploited by callers.
+Matrices and rows here are small and dense.
 """
 from __future__ import annotations
 
@@ -112,14 +112,14 @@ def pinv(s: SymPsd) -> PInv:
 
 
 def on_image(p: PInv, row) -> bool:
-    """True when row (dense or sparse) has no component on the kernel of the
-    matrix behind p: ||row - proj row|| <= DEFAULT_ORTHO_TOL * ||row||.
+    """True when the dense row has no component on the kernel of the matrix
+    behind p: ||row - proj row|| <= DEFAULT_ORTHO_TOL * ||row||.
 
     The zero row lies on every image. A full-rank matrix has the whole space
     as its image, so no residual is formed for it.
     """
     return (p.source_rank == p.dim
-            or rowops.kernel_residual(p.projector, row) <= DEFAULT_ORTHO_TOL * rowops.norm(row))
+            or rowops.kernel_residual(p.projector, row) <= DEFAULT_ORTHO_TOL * np.linalg.norm(row))
 
 
 def on_image_rows(p: PInv, block) -> np.ndarray:
@@ -129,14 +129,6 @@ def on_image_rows(p: PInv, block) -> np.ndarray:
     residual = block @ p.projector - block
     return (np.linalg.norm(residual, axis=1)
             <= DEFAULT_ORTHO_TOL * np.linalg.norm(block, axis=1))
-
-
-def kernel_orthogonal(p: PInv, a) -> bool:
-    """on_image for a dense vector, with its shape checked against p."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (p.dim,):
-        raise DimensionMismatch(f"vector shape {a.shape} vs dim {p.dim}")
-    return on_image(p, a)
 
 
 def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
@@ -149,7 +141,9 @@ def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
     would change rank, e.g. an exact rank-one subtraction).
     """
     u = np.asarray(u, dtype=float)
-    if not kernel_orthogonal(p, u):
+    if u.shape != (p.dim,):
+        raise DimensionMismatch(f"vector shape {u.shape} vs dim {p.dim}")
+    if not on_image(p, u):
         raise PreconditionViolation("update vector has a kernel component")
     pu = p.matrix @ u
     denom = 1.0 + k * float(u @ pu)
@@ -163,20 +157,14 @@ def pseudo_det(s: SymPsd) -> float:
     """Product of the nonzero eigenvalues; 1 for the zero matrix.
 
     Raises OverflowError when the linear-scale product leaves the finite
-    float range (use log_pseudo_det for size experiments).
+    float range.
     """
     nonzero = s.eigenvalues[s.support()]
     with np.errstate(over="ignore", under="ignore"):
         value = float(np.prod(nonzero)) if nonzero.size else 1.0
     if not math.isfinite(value) or (nonzero.size and value == 0.0):
-        raise OverflowError("pseudo-determinant out of float range; use log_pseudo_det")
+        raise OverflowError("pseudo-determinant out of float range")
     return value
-
-
-def log_pseudo_det(s: SymPsd) -> float:
-    """Natural log of the pseudo-determinant; 0 for the zero matrix."""
-    nonzero = s.eigenvalues[s.support()]
-    return float(np.sum(np.log(nonzero))) if nonzero.size else 0.0
 
 
 def pinv_quad_form(s: SymPsd, a) -> float:

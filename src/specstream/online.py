@@ -52,7 +52,7 @@ class KeptPinv:
         self._updates_since_verify = 0
 
     def score(self, row) -> tuple[bool, float]:
-        """(row on the image, its relative score): q / (q + 1) with q = row' X+ row, or 1 off it.
+        """(dense row on the image, its relative score): q / (q + 1) with q = row' X+ row, or 1 off it.
 
         This is row' (X + row row')+ row, computed without the rank-one update.
         """
@@ -96,6 +96,8 @@ class OnlineState:
     ):
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+        if not 0.0 < c_mult < math.inf:
+            raise ValueError(f"c_mult must be finite and > 0, got {c_mult}")
         if dim < 1:
             raise DimensionMismatch("dimension must be positive")
         self.dim = int(dim)
@@ -113,14 +115,15 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     """Score one row, flip its coin, and fold it into the sketch if kept.
 
     The score is min((1 + eps) * q / (q + 1), 1) against the current sketch
-    Gram; the kept row enters with weight 1/sqrt(p). Exactly-zero rows score
-    zero and are never sampled.
+    Gram; the kept row enters with weight 1/sqrt(p), stored as given.
+    Exactly-zero rows score zero and are never sampled.
     """
     index = int(index)
     if index <= state.last_index:
         raise DimensionMismatch(f"row index {index} not increasing")
     state.last_index = index
-    on_image, rel = state.kept.score(row)
+    a = rowops.densify(row, state.dim)
+    on_image, rel = state.kept.score(a)
     lev = min((1.0 + state.eps) * rel, 1.0)
     state.scores.append(lev)
     state.score_total += lev
@@ -128,7 +131,7 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     sampled = state.rng.take(index) < p
     if sampled:
         state.sketch.append(index, 1.0 / math.sqrt(p), row)
-        state.kept.update(rowops.densify(row, state.dim), 1.0 / p, on_image)
+        state.kept.update(a, 1.0 / p, on_image)
     return sampled
 
 

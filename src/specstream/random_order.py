@@ -116,6 +116,8 @@ class BlockSampler:
     ):
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+        if not 0.0 < c_mult < math.inf:
+            raise ValueError(f"c_mult must be finite and > 0, got {c_mult}")
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
         self.dim = int(dim)
@@ -297,31 +299,6 @@ def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
     return sampler.finalize()
 
 
-class PassThroughApprox:
-    """Trivial plug keeping every row at weight 1 (beta = 0)."""
-
-    beta = 0.0
-    capacity_rows: int | None = None
-
-    def __init__(self, dim: int):
-        self.sketch = Sketch(dim)
-        self.peak_rows = 0
-
-    @property
-    def n_rows(self) -> int:
-        return self.sketch.n_rows
-
-    def add(self, index: int, row) -> None:
-        self.add_rows(index, rowops.densify(row, self.sketch.dim)[None, :], [row])
-
-    def add_rows(self, lo: int, block, rows) -> None:
-        self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block, list(rows))
-        self.peak_rows = self.sketch.n_rows
-
-    def query(self) -> Sketch:
-        return self.sketch
-
-
 class ResparsifyApprox:
     """Bounded-memory plug: resample the buffer by its own leverage scores.
 
@@ -335,31 +312,24 @@ class ResparsifyApprox:
     passes and retries count the passes made and the retries among them.
     """
 
-    def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int | None = None):
+    def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int):
         if not 0.0 < beta < 0.5:
             raise ValueError(f"beta must be in (0, 1/2), got {beta}")
         if capacity_mult < 4.0:
             raise ValueError(f"capacity_mult must be >= 4, got {capacity_mult}")
+        if dim < 2:
+            raise DimensionMismatch("resparsify plug needs d >= 2")
         self.capacity_mult = float(capacity_mult)
         self.beta = float(beta)
         self.seed = int(seed)
-        self.dim: int | None = None
-        self.capacity_rows: int | None = None
-        self.c_beta: float | None = None
+        self.dim = int(dim)
+        logd = math.log(dim)
+        self.capacity_rows = math.ceil(capacity_mult * beta ** -2 * dim * logd)
+        self.c_beta = capacity_mult * beta ** -2 * logd
         self._rows: list = []
         self.passes = 0
         self.retries = 0
         self.peak_rows = 0
-        if dim is not None:
-            self._init_dim(int(dim))
-
-    def _init_dim(self, dim: int):
-        if dim < 2:
-            raise DimensionMismatch("resparsify plug needs d >= 2")
-        self.dim = dim
-        logd = math.log(dim)
-        self.capacity_rows = math.ceil(self.capacity_mult * self.beta ** -2 * dim * logd)
-        self.c_beta = self.capacity_mult * self.beta ** -2 * logd
         full = 2 * self.capacity_rows
         self._gram = np.zeros((dim, dim))
         self._dense = np.empty((full, dim))
@@ -377,14 +347,10 @@ class ResparsifyApprox:
         return list(zip(self._indices[:n].tolist(), self._weights[:n].tolist(), self._rows))
 
     def add(self, index: int, row) -> None:
-        if self.dim is None and rowops.is_sparse(row):
-            raise DimensionMismatch("dimension cannot be inferred from a sparse row; pass dim")
         self.add_rows(index, rowops.densify(row, self.dim)[None, :], [row])
 
     def add_rows(self, lo: int, block, rows) -> None:
         """Append a run of rows at weight 1, split where the buffer reaches 2C."""
-        if self.dim is None:
-            self._init_dim(int(np.shape(block)[1]))
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):
@@ -436,12 +402,6 @@ class ResparsifyApprox:
         sk = Sketch(self.dim)
         sk.append_rows(self._indices[:n], self._weights[:n], self._dense[:n], list(self._rows))
         return sk
-
-
-def resparsify_const_approx(capacity_mult: float, beta: float, seed: int,
-                            dim: int | None = None) -> ResparsifyApprox:
-    """Factory for the bounded-memory plug (dimension may be inferred lazily)."""
-    return ResparsifyApprox(capacity_mult, beta, seed, dim=dim)
 
 
 def improved_scaled_sampling(stream: RowStream, eps: float, seed: int, approx,

@@ -1,8 +1,9 @@
 """Row payload helpers: a row is a dense 1-d array or a sparse (idx, val) pair.
 
 Sparse payloads carry strictly increasing int64 column indices and float64
-values. All helpers accept either form so samplers and scorers can stay
-sparse-aware where the cost model depends on nnz.
+values. They are a storage format only: streams, sketches and files keep
+them, and everything that scores a row or tests it against a kernel takes
+it dense (densify, dense_rows).
 """
 from __future__ import annotations
 
@@ -48,58 +49,19 @@ def dense_rows(rows, dim: int):
     return out
 
 
-def nnz(row) -> int:
-    if is_sparse(row):
-        return int(row[0].size)
-    return int(np.count_nonzero(row))
-
-
-def norm(row) -> float:
-    vals = row[1] if is_sparse(row) else row
-    return float(np.linalg.norm(vals))
-
-
-def is_zero(row) -> bool:
-    if is_sparse(row):
-        return row[1].size == 0 or not np.any(row[1])
-    return not np.any(row)
-
-
 def quad_form(matrix, row) -> float:
-    """row' matrix row, touching only the nonzero block for sparse rows."""
-    if is_sparse(row):
-        idx, val = row
-        if idx.size == 0:
-            return 0.0
-        return float(val @ (matrix[np.ix_(idx, idx)] @ val))
-    r = np.asarray(row, dtype=float)
-    return float(r @ (matrix @ r))
-
-
-def matvec(matrix, row):
-    """matrix @ row as a dense vector; O(rows(matrix) * nnz) for sparse rows."""
-    if is_sparse(row):
-        idx, val = row
-        if idx.size == 0:
-            return np.zeros(matrix.shape[0])
-        return matrix[:, idx] @ val
-    return matrix @ np.asarray(row, dtype=float)
+    """row' matrix row for a dense row."""
+    return float(row @ (matrix @ row))
 
 
 def kernel_residual(projector, row) -> float:
-    """||row - projector row||, formed entrywise for both row kinds.
+    """||row - projector row|| for a dense row, formed entrywise.
 
     The residual vector is built before its norm is taken, so residuals
     near rounding level stay resolvable; expanding ||v||^2 - 2 v'Pv + ||Pv||^2
     instead cancels below about sqrt(machine eps) relative.
     """
-    r = matvec(projector, row)  # a fresh array; its sign does not change the norm
-    if is_sparse(row):
-        idx, val = row
-        r[idx] -= val
-    else:
-        r -= row
-    return float(np.linalg.norm(r))
+    return float(np.linalg.norm(projector @ row - row))
 
 
 def add_outer(gram, row, scale: float) -> None:

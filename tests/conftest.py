@@ -1,7 +1,7 @@
 """Shared builders for the test suite."""
 import numpy as np
 
-from specstream import RowStream
+from specstream import RowStream, Sketch
 
 
 def make_psd(d, rank, seed, scale=1.0):
@@ -17,3 +17,24 @@ def make_stream(arr, meta=None):
 
 def identity_stream(d, copies=1):
     return make_stream(np.tile(np.eye(d), (copies, 1)))
+
+
+class PassThroughPlug:
+    """Trivial block-sampler plug (beta = 0): keeps every fed row at weight 1."""
+
+    beta = 0.0
+
+    def __init__(self, dim):
+        self.sketch = Sketch(dim)
+        self.peak_rows = 0
+
+    @property
+    def n_rows(self):
+        return self.sketch.n_rows
+
+    def add_rows(self, lo, block, rows):
+        self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block, list(rows))
+        self.peak_rows = self.sketch.n_rows
+
+    def query(self):
+        return self.sketch

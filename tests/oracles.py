@@ -128,6 +128,39 @@ def barrier_reference(stream, eps, seed):
     return kept, np.array(weights), np.array(probs)
 
 
+def online_reference(stream, eps, seed, c_mult):
+    """The online sampler with the sketch Gram's pseudo-inverse formed afresh per row.
+
+    Row i scores s = q / (q + 1), q = a' G+ a, against the Gram G of the
+    rows kept before it when ||a - P a|| <= 1e-8 ||a|| for the projector P
+    onto the image of G, and s = 1 otherwise. It is kept on the coin
+    IndexedUniforms(seed).take(i) < p with p = min(c min((1 + eps) s, 1), 1),
+    c = c_mult eps^-2 ln max(d, 2), at weight 1/sqrt(p). Returns (kept
+    indices, weights, every capped score min((1 + eps) s, 1)).
+    """
+    d = stream.d
+    c = c_mult * eps ** -2 * math.log(max(d, 2))
+    coins = IndexedUniforms(seed)
+    gram = np.zeros((d, d))
+    kept, weights, levels = [], [], []
+    for i in range(stream.n):
+        a = dense_row(stream.row(i), d)
+        if np.linalg.norm(a - image_projector(gram) @ a) <= 1e-8 * np.linalg.norm(a):
+            g_pinv = np.linalg.pinv(gram, rcond=d * RANK_TOL_BITS, hermitian=True)
+            q = max(float(a @ g_pinv @ a), 0.0)
+            score = q / (q + 1.0)
+        else:
+            score = 1.0
+        lev = min((1.0 + eps) * score, 1.0)
+        p = min(c * lev, 1.0)
+        levels.append(lev)
+        if coins.take(i) < p:
+            kept.append(i)
+            weights.append(1.0 / math.sqrt(p))
+            gram += np.outer(a, a) / p
+    return kept, np.array(weights), np.array(levels)
+
+
 def dense_row(row, d):
     """A stream or sketch row as a dense vector; sparse rows are (indices, values)."""
     if isinstance(row, tuple):

@@ -194,7 +194,7 @@ def test_criterion_02_leverage_axioms():
         coeffs = rng.standard_normal((n, r))
         basis = rng.standard_normal((r, d))
         arr = coeffs @ basis
-        scores = leverage_scores(make_stream(arr)).scores
+        scores = leverage_scores(make_stream(arr))
         worst_low = max(worst_low, float(-scores.min()))
         worst_high = max(worst_high, float(scores.max() - 1.0))
         rank = int(np.linalg.matrix_rank(arr, tol=1e-6))

@@ -46,8 +46,6 @@ class TestTrialRecord:
             assert make_record(algo=algo).algo == algo
 
     def test_unknown_algos_rejected(self):
-        # improved-passthrough is a diagnostic dispatch target, not a
-        # recordable benchmark algorithm
         for algo in ("improved-passthrough", "greedy", ""):
             with pytest.raises(ValueError):
                 make_record(algo=algo)
@@ -108,13 +106,14 @@ class TestWorkers:
 class TestDispatch:
     def test_all_algos_run(self):
         stream = gen_gaussian(300, 5, seed=20)
-        for algo in ALGO_NAMES + ("improved-passthrough",):
+        for algo in ALGO_NAMES:
             sketch, info = run_sampler(algo, stream, 0.5, seed=21)
             assert sketch.dim == 5
             assert 0 < sketch.n_rows <= stream.n
             assert info["score_total"] > 0.0
-        with pytest.raises(ValueError):
-            run_sampler("greedy", stream, 0.5, seed=21)
+        for algo in ("greedy", "improved-passthrough"):
+            with pytest.raises(ValueError):
+                run_sampler(algo, stream, 0.5, seed=21)
 
     def test_optimal_reports_barrier_drift(self, monkeypatch):
         # a negative tolerance makes every periodic pinv check count as drift

@@ -136,7 +136,7 @@ class TestGaussian:
             assert g.rank == 6
 
     def test_leverage_mass_is_dimension(self):
-        total = leverage_scores(gen_gaussian(1000, 10, seed=11)).scores.sum()
+        total = leverage_scores(gen_gaussian(1000, 10, seed=11)).sum()
         assert total == pytest.approx(10.0, abs=1e-6)
 
     def test_validation(self):

@@ -211,7 +211,7 @@ class TestCliGen:
             "--plug-beta": (["--algo", "improved", "--plug-beta", "0.2"],
                             ["--algo", "improved", "--plug", "self", "--plug-beta", "0.2"]),
             "--plug-capacity-mult": (
-                ["--algo", "improved", "--plug", "passthrough", "--plug-capacity-mult", "4"],
+                ["--algo", "improved", "--plug", "self", "--plug-capacity-mult", "4"],
             ),
         }
         for flag, cases in unread.items():
@@ -260,6 +260,30 @@ class TestCliRunVerify:
         stream = read_stream(src)
         assert sk.n_rows == stream.n
         assert np.array_equal(sk.weighted_matrix(), stream.materialize())
+
+    def test_bad_sampler_parameters_exit_one(self, tmp_path, capsys):
+        # a zero plug setting reaches the plug instead of its default, and a
+        # sampling rate that is not finite and positive is refused
+        src = self.identity_file(tmp_path, copies=50)
+        out = str(tmp_path / "bad.sketch")
+        bad = (
+            ["--algo", "improved", "--plug", "resparsify", "--plug-beta", "0"],
+            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "0"],
+            ["--algo", "online", "--c-mult", "0"],
+            ["--algo", "scaled", "--c-mult", "0"],
+            ["--algo", "scaled", "--c-mult", "-1"],
+            ["--algo", "scaled", "--c-mult", "nan"],
+            ["--algo", "improved", "--c-mult", "0"],
+        )
+        for argv in bad:
+            capsys.readouterr()
+            assert main(["run", *argv, "--eps", "0.4", "-i", src, "-o", out]) == 1, argv
+            assert "error" in capsys.readouterr().err, argv
+            assert not os.path.exists(out), argv
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "improved", "--plug", "passthrough", "--eps", "0.4",
+                  "-i", src, "-o", out])
+        assert exc.value.code == 2
 
     def test_verify_pass_and_audit(self, tmp_path, capsys):
         src = str(tmp_path / "g.stream")

@@ -1,4 +1,4 @@
-"""Sign-projected leverage scoring: exactness in debug mode, concentration otherwise."""
+"""Sign-projected leverage scoring: exact with an identity projection, concentrated otherwise."""
 import math
 
 import numpy as np
@@ -15,7 +15,7 @@ from specstream import (
     seed_block_size,
     verify,
 )
-from specstream.jl import jl_build, jl_score, projection_rows
+from specstream.jl import JlScorer, jl_build, projection_rows
 from specstream.linalg import pinv
 
 from conftest import identity_stream
@@ -36,30 +36,40 @@ class TestProjectionRows:
         assert projection_rows(1) == projection_rows(2)  # hint floor
 
 
+def identity_scorer(sk):
+    """Score operator with Pi = I: N = M G+, whose Gram collapses to G+."""
+    p = pinv(sk.gram)
+    return JlScorer(sk.weighted_matrix() @ p.matrix, p, sk.n_rows)
+
+
+def projected_quad(scorer, a):
+    """The projected estimate ||N a||^2 of a' G+ a."""
+    y = scorer.n_matrix @ a
+    return float(y @ y)
+
+
 class TestDebugIdentity:
     def test_quad_matches_pinv_form_exactly(self):
-        # with Pi = I the estimator is M G+ and its Gram collapses to G+,
-        # so the estimate equals the exact quadratic form
+        # with Pi = I the estimate equals the exact quadratic form, so the
+        # score is the exact relative score
         rng = np.random.default_rng(40)
         rows = rng.standard_normal((12, 5))
         sk = build_sketch(rows)
-        scorer = jl_build(sk, 12, seed=1, debug_identity=True)
+        scorer = identity_scorer(sk)
         p = pinv(sk.gram).matrix
         for _ in range(20):
             a = rng.standard_normal(5)
             exact = float(a @ p @ a)
-            assert scorer.quad(a) == pytest.approx(exact, rel=1e-12)
+            assert projected_quad(scorer, a) == pytest.approx(exact, rel=1e-12)
+            assert scorer.score(a) == pytest.approx(exact / (exact + 1.0), rel=1e-12)
 
     def test_identity_sketch_scores_half(self):
-        sk = build_sketch(np.eye(4))
-        scorer = jl_build(sk, 4, seed=1, debug_identity=True)
-        assert jl_score(scorer, np.eye(4)[0]) == 0.5
+        scorer = identity_scorer(build_sketch(np.eye(4)))
+        assert scorer.score(np.eye(4)[0]) == 0.5
 
     def test_zero_row_scores_zero(self):
-        sk = build_sketch(np.eye(4))
-        scorer = jl_build(sk, 4, seed=1, debug_identity=True)
-        assert scorer.quad(np.zeros(4)) == 0.0
-        assert jl_score(scorer, np.zeros(4)) == 0.0
+        scorer = identity_scorer(build_sketch(np.eye(4)))
+        assert scorer.score(np.zeros(4)) == 0.0
 
 
 class TestProjectedEstimates:
@@ -67,7 +77,7 @@ class TestProjectedEstimates:
         # exact value 1; the sign projection keeps it in [0.5, 1.5]
         sk = build_sketch(np.eye(6))
         e1 = np.eye(6)[0]
-        hits = sum(0.5 <= jl_build(sk, 1000, seed=s).quad(e1) <= 1.5 for s in range(1000))
+        hits = sum(0.5 <= projected_quad(jl_build(sk, 1000, seed=s), e1) <= 1.5 for s in range(1000))
         assert hits >= 990
 
     def test_median_ratio_near_one(self):
@@ -75,7 +85,7 @@ class TestProjectedEstimates:
         sk = build_sketch(rng.standard_normal((30, 6)))
         a = rng.standard_normal(6)
         q = float(a @ pinv(sk.gram).matrix @ a)
-        ratios = [jl_build(sk, 1000, seed=s).quad(a) / q for s in range(1000)]
+        ratios = [projected_quad(jl_build(sk, 1000, seed=s), a) / q for s in range(1000)]
         assert 0.9 <= float(np.median(ratios)) <= 1.1
 
     def test_kernel_branch_exact(self):
@@ -84,26 +94,13 @@ class TestProjectedEstimates:
         rows = np.zeros((3, 4))
         rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
         scorer = jl_build(build_sketch(rows), 100, seed=3)
-        assert jl_score(scorer, np.eye(4)[3]) == 1.0
-        on_image = jl_score(scorer, np.eye(4)[0])
+        assert scorer.score(np.eye(4)[3]) == 1.0
+        on_image = scorer.score(np.eye(4)[0])
         assert on_image < 1.0
 
     def test_empty_sketch_rejected(self):
         with pytest.raises(EmptySketch):
             jl_build(Sketch(4), 10, seed=1)
-
-    def test_ops_counter_tracks_nnz(self):
-        from specstream import rows as rowops
-
-        sk = build_sketch(np.random.default_rng(41).standard_normal((20, 8)))
-        scorer = jl_build(sk, 500, seed=2)
-        k = scorer.k
-        before = scorer.ops
-        scorer.quad(np.ones(8))
-        assert scorer.ops - before == 8 * (k + 8)
-        before = scorer.ops
-        scorer.quad(rowops.sparse_row([3], [2.0], 8))
-        assert scorer.ops - before == 1 * (k + 8)
 
 
 class TestSamplerIntegration:
@@ -138,7 +135,7 @@ class TestSamplerIntegration:
         # true leverage at the same empirical rate as the exact path
         for s in (60, 61):
             stream = permute(gen_gaussian(2000, 8, seed=s), seed=s + 1)
-            tau = leverage_scores(stream).scores
+            tau = leverage_scores(stream)
             exact = ScaledSampler(8, 0.4, seed=s + 2)
             projected = ScaledSampler(8, 0.4, seed=s + 2, use_jl=True, n_hint=2000)
             for i in range(stream.n):

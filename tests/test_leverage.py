@@ -1,4 +1,4 @@
-"""Leverage scores, relative scores and the uniform-sampling overestimate."""
+"""Leverage scores, relative scores, and relative scores as uniform-sampling overestimates."""
 import math
 
 import numpy as np
@@ -12,7 +12,6 @@ from specstream import (
     permute,
     pinv,
     relative_leverage,
-    uniform_overestimate,
 )
 from specstream import rows as rowops
 
@@ -23,19 +22,17 @@ import oracles
 class TestLeverageScores:
     def test_identity_rows(self):
         sv = leverage_scores(identity_stream(4))
-        assert np.allclose(sv.scores, 1.0, atol=1e-12)
-        assert sv.kind == "exact"
-        assert sv.source_dims == (4, 4)
+        assert np.allclose(sv, 1.0, atol=1e-12)
 
     def test_two_stacked_identities(self):
         sv = leverage_scores(identity_stream(4, copies=2))
-        assert np.allclose(sv.scores, 0.5, atol=1e-12)
+        assert np.allclose(sv, 0.5, atol=1e-12)
 
     def test_path_graph_rank_equals_row_count(self):
         # two incidence rows, rank 2, so both scores are exactly 1
         rows = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
         sv = leverage_scores(make_stream(rows))
-        assert np.allclose(sv.scores, 1.0, atol=1e-12)
+        assert np.allclose(sv, 1.0, atol=1e-12)
 
     def test_axioms_on_random_matrices(self):
         # bounds and the rank sum, full-rank and rank-deficient alike
@@ -48,22 +45,22 @@ class TestLeverageScores:
             coeffs = rng.standard_normal((n, r))
             rows = coeffs @ basis
             sv = leverage_scores(make_stream(rows))
-            assert np.all(sv.scores >= 0.0)
-            assert np.all(sv.scores <= 1.0)
+            assert np.all(sv >= 0.0)
+            assert np.all(sv <= 1.0)
             rank = np.linalg.matrix_rank(rows)
-            assert abs(sv.total - rank) <= 1e-6
+            assert abs(sv.sum() - rank) <= 1e-6
 
     def test_matches_definitional_oracle(self):
         rng = np.random.default_rng(67)
         for trial in range(40):
             d = int(rng.integers(2, 9))
             rows = rng.standard_normal((3 * d, d))
-            got = leverage_scores(make_stream(rows)).scores
+            got = leverage_scores(make_stream(rows))
             assert np.allclose(got, oracles.exact_leverage(rows), atol=1e-10)
 
     def test_accepts_plain_arrays(self):
         rows = np.random.default_rng(1).standard_normal((6, 3))
-        got = leverage_scores(rows).scores
+        got = leverage_scores(rows)
         assert np.allclose(got, oracles.exact_leverage(rows), atol=1e-10)
 
     def test_empty_rejected(self):
@@ -141,31 +138,36 @@ class TestRelativeLeverage:
         # sits above ortho_tol and turned on-image rows into new directions.
         stream = permute(gen_kd_multigraph(8, 64), seed=3)
         p = pinv(stream.gram())
-        rows = [stream.row(i) for i in range(stream.n)]
-        worst = max(rowops.kernel_residual(p.projector, r) / rowops.norm(r) for r in rows)
+        rows = [oracles.dense_row(stream.row(i), stream.d) for i in range(stream.n)]
+        worst = max(rowops.kernel_residual(p.projector, r) / np.linalg.norm(r) for r in rows)
         assert worst < 1e-12
         assert sum(relative_leverage(p, r) == 1.0 for r in rows) == 0
 
 
 class TestUniformOverestimate:
+    """Relative scores against a uniformly sampled submatrix overestimate leverage."""
+
     def test_full_sample_equals_exact(self):
+        # against every other row, a row's relative score is its exact leverage
         rng = np.random.default_rng(89)
         rows = rng.standard_normal((20, 5))
         tau = oracles.exact_leverage(rows)
-        p = pinv(SymPsd(rows.T @ rows))
         for i in range(20):
-            assert uniform_overestimate(p, rows[i]) == pytest.approx(min(tau[i], 1.0), abs=1e-10)
+            rest = np.delete(rows, i, axis=0)
+            p = pinv(SymPsd(rest.T @ rest))
+            assert relative_leverage(p, rows[i]) == pytest.approx(tau[i], abs=1e-10)
 
     def test_zero_sample_gives_one(self):
         p = pinv(SymPsd(np.zeros((4, 4))))
-        assert uniform_overestimate(p, np.ones(4)) == 1.0
+        assert relative_leverage(p, np.ones(4)) == 1.0
 
     def test_capped_at_one(self):
         p = pinv(SymPsd(np.eye(2) * 1e-8))
-        assert uniform_overestimate(p, np.array([1.0, 1.0])) == 1.0
+        score = relative_leverage(p, np.array([1.0, 1.0]))
+        assert score <= 1.0 and score == pytest.approx(1.0, abs=1e-7)
 
     def test_sum_bound_under_uniform_subsampling(self):
-        # sum of overestimates stays within C n d / m for C = 8
+        # sum of relative scores against m uniform rows stays within C n d / m for C = 8
         n, d = 512, 8
         for m in (32, 64):
             violations = 0
@@ -174,7 +176,7 @@ class TestUniformOverestimate:
                 rows = rng.standard_normal((n, d))
                 sub = rows[rng.choice(n, size=m, replace=False)]
                 p = pinv(SymPsd(sub.T @ sub))
-                total = sum(uniform_overestimate(p, rows[i]) for i in range(n))
+                total = sum(relative_leverage(p, rows[i]) for i in range(n))
                 if total > 8.0 * n * d / m:
                     violations += 1
             assert violations == 0

@@ -9,10 +9,12 @@ from specstream import (
     BarrierViolation,
     DimensionMismatch,
     OnlineState,
+    RowStream,
     approx_factor,
     barrier_step,
     gen_gaussian,
     gen_kd_multigraph,
+    gen_mu_controlled,
     online_step,
     permute,
     run_barrier,
@@ -48,6 +50,29 @@ BARRIER_PARITY_CASES = {
     "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=72), 0.5),
     "duplicate-zero": (duplicate_and_zero_rows, 0.3),
     "d2": (lambda: gen_gaussian(300, 2, seed=73), 0.7),
+}
+
+
+def sparse_rows_with_explicit_zeros():
+    """Sparse rows over d = 6, some of whose stored values are exactly 0."""
+    rng = np.random.default_rng(82)
+    payload = []
+    for _ in range(300):
+        idx = np.sort(rng.choice(6, size=int(rng.integers(1, 5)), replace=False))
+        val = rng.standard_normal(idx.size)
+        val[rng.random(idx.size) < 0.3] = 0.0
+        payload.append((idx, val))
+    return RowStream(6, payload, {"kind": "test"}, sparse=True)
+
+
+# (stream factory, eps, c_mult); rates low enough that most rows flip a coin
+ONLINE_PARITY_CASES = {
+    "gaussian": (lambda: gen_gaussian(500, 8, seed=91), 0.5, 0.5),
+    "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=92), 0.5, 1.0),
+    "duplicate-zero": (duplicate_and_zero_rows, 0.3, 0.2),
+    "mu-controlled": (lambda: permute(gen_mu_controlled(6, 4, 10.0), seed=95), 0.5, 0.5),
+    "sparse-explicit-zeros": (sparse_rows_with_explicit_zeros, 0.5, 0.5),
+    "d2": (lambda: gen_gaussian(300, 2, seed=93), 0.5, 0.5),
 }
 
 
@@ -121,11 +146,38 @@ class TestOnlineSampler:
         with pytest.raises(ValueError):
             OnlineState(4, 0.51, seed=1)
 
+    @pytest.mark.parametrize("c_mult", [0.0, -1.0, math.nan, math.inf])
+    def test_sampling_rate_must_be_finite_and_positive(self, c_mult):
+        with pytest.raises(ValueError):
+            OnlineState(4, 0.3, seed=1, c_mult=c_mult)
+
+    def test_sparse_and_dense_copies_sample_alike(self):
+        # sparse rows are a storage format: the sampler scores them dense
+        sparse = permute(gen_kd_multigraph(8, 64), seed=33)
+        dense = make_stream(sparse.materialize())
+        a, da = run_online(sparse, 0.5, seed=34)
+        b, db = run_online(dense, 0.5, seed=34)
+        assert 0 < a.n_rows < sparse.n
+        assert a.indices == b.indices and a.weights == b.weights
+        assert np.array_equal(da.scores, db.scores)
+        assert isinstance(a.rows[0], tuple) and not isinstance(b.rows[0], tuple)
+
     def test_indices_must_increase(self):
         state = OnlineState(3, 0.3, seed=1)
         online_step(state, np.array([1.0, 0.0, 0.0]), 0)
         with pytest.raises(DimensionMismatch):
             online_step(state, np.array([0.0, 1.0, 0.0]), 0)
+
+    @pytest.mark.parametrize("case", sorted(ONLINE_PARITY_CASES))
+    def test_matches_fresh_pinv_reference(self, case):
+        build, eps, c_mult = ONLINE_PARITY_CASES[case]
+        stream = build()
+        sketch, diag = run_online(stream, eps, seed=94, c_mult=c_mult)
+        kept, weights, levels = oracles.online_reference(stream, eps, seed=94, c_mult=c_mult)
+        flipped = set(sketch.indices) ^ set(kept)
+        assert not flipped, f"{len(flipped)} flipped decisions, first at row {min(flipped)}"
+        assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(diag.scores - levels)) <= 1e-9
 
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
@@ -166,10 +218,9 @@ class TestKeptPinv:
 
 
     def test_score_is_the_shared_relative_leverage(self):
-        # dense and sparse rows against a full-rank and a rank-7 (d = 8) matrix,
-        # on and off the image; scores must agree bit for bit
+        # dense and densified sparse rows against a full-rank and a rank-7
+        # (d = 8) matrix, on and off the image; scores must agree bit for bit
         from specstream import relative_leverage
-        from specstream import rows as rowops
 
         gauss = gen_gaussian(40, 8, seed=31)
         kd = permute(gen_kd_multigraph(8, 64), seed=32)
@@ -179,10 +230,8 @@ class TestKeptPinv:
             assert kept.pinv.source_rank == (8 if stream is gauss else 7)
             rows = [stream.row(i) for i in range(0, stream.n, 7)] + [np.eye(8)[0]]
             for row in rows:
-                dense = rowops.densify(row, 8)
-                sparse = rowops.sparse_row(np.flatnonzero(dense), dense[dense != 0], 8)
-                for r in (dense, sparse):
-                    assert kept.score(r)[1] == relative_leverage(kept.pinv, r)
+                r = oracles.dense_row(row, 8)
+                assert kept.score(r)[1] == relative_leverage(kept.pinv, r)
             on_image, rel = kept.score(np.eye(8)[0])  # off the Laplacian's image
             assert on_image == (stream is gauss) and (on_image or rel == 1.0)
 

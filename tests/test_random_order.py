@@ -12,7 +12,6 @@ from specstream import (
     DimensionMismatch,
     EmptyStream,
     ImprovedSampler,
-    PassThroughApprox,
     ResparsifyApprox,
     RowStream,
     ScaledSampler,
@@ -23,13 +22,12 @@ from specstream import (
     gen_kd_multigraph,
     improved_scaled_sampling,
     permute,
-    resparsify_const_approx,
     scaled_sampling,
     seed_block_size,
     verify,
 )
 
-from conftest import make_stream
+from conftest import PassThroughPlug, make_stream
 import oracles
 
 
@@ -159,6 +157,14 @@ class TestScaledSampler:
         with pytest.raises(EmptyStream):
             scaled_sampling(make_stream(np.zeros((0, 5))), 0.3, seed=1)
 
+    @pytest.mark.parametrize("c_mult", [0.0, -1.0, math.nan, math.inf])
+    def test_sampling_rate_must_be_finite_and_positive(self, c_mult):
+        with pytest.raises(ValueError):
+            BlockSampler(5, 0.3, seed=1, c_mult=c_mult)
+        with pytest.raises(ValueError):
+            scaled_sampling(permute(gen_gaussian(50, 5, seed=12), seed=13), 0.3, 1,
+                            ScaledSampler(5, 0.3, seed=2), c_mult=c_mult)
+
     def test_deterministic_given_seed(self):
         stream = permute(gen_gaussian(900, 7, seed=13), seed=14)
         a, _ = scaled_sampling(stream, 0.4, seed=15)
@@ -167,20 +173,23 @@ class TestScaledSampler:
 
 
 class TestPassThroughApprox:
+    """A plug that keeps what it is fed shows what the block sampler feeds it."""
+
     def test_keeps_everything_at_weight_one(self):
-        plug = PassThroughApprox(3)
-        rows = np.random.default_rng(16).standard_normal((7, 3))
-        for i in range(7):
-            plug.add(i, rows[i])
+        # every row reaches the plug once, in order, with its payload as given
+        stream = permute(gen_kd_multigraph(5, 20), seed=16)
+        plug = PassThroughPlug(5)
+        _, diag = improved_scaled_sampling(stream, 0.4, 15, plug)
         q = plug.query()
-        assert q.n_rows == 7
-        assert q.weights == [1.0] * 7
-        assert plug.beta == 0.0
-        assert plug.peak_rows == 7
+        assert q.indices == list(range(stream.n))
+        assert q.weights == [1.0] * stream.n
+        assert all(row is stream.row(i) for i, row in enumerate(q.rows))
+        assert np.array_equal(q.gram_matrix(), stream.gram_matrix())
+        assert diag.max_working_rows == plug.peak_rows == stream.n
 
     def test_improved_with_passthrough_tracks_whole_stream(self):
         stream = permute(gen_gaussian(800, 6, seed=17), seed=18)
-        sketch, diag = improved_scaled_sampling(stream, 0.4, 19, PassThroughApprox(6))
+        sketch, diag = improved_scaled_sampling(stream, 0.4, 19, PassThroughPlug(6))
         assert diag.max_working_rows == 800
         eps_actual, _ = verify(stream, sketch)
         assert eps_actual <= 0.4
@@ -203,7 +212,7 @@ class TestResparsifyApprox:
             ResparsifyApprox(4.0, 0.3, seed=1, dim=1)
 
     def test_below_trigger_returns_rows_verbatim(self):
-        plug = resparsify_const_approx(4.0, 0.4, seed=2, dim=3)
+        plug = ResparsifyApprox(4.0, 0.4, seed=2, dim=3)
         rows = np.random.default_rng(20).standard_normal((50, 3))
         for i in range(50):
             plug.add(i, rows[i])
@@ -211,14 +220,14 @@ class TestResparsifyApprox:
         assert q.n_rows == 50
         assert q.weights == [1.0] * 50
 
-    def test_dim_inference(self):
-        plug = resparsify_const_approx(4.0, 0.4, seed=3)
-        plug.add(0, np.ones(5))
-        assert plug.dim == 5
-        lazy = resparsify_const_approx(4.0, 0.4, seed=3)
-        from specstream import rows as rowops
-        with pytest.raises(DimensionMismatch):
-            lazy.add(0, rowops.sparse_row([1], [1.0], 5))
+    def test_dim_is_required(self):
+        with pytest.raises(TypeError):
+            ResparsifyApprox(4.0, 0.4, seed=3)
+        plug = ResparsifyApprox(4.0, 0.4, seed=3, dim=5)
+        row = (np.array([1]), np.array([1.0]))  # a sparse row fits the given dim
+        plug.add(0, row)
+        assert plug.buffer == [(0, 1.0, row)]
+        assert np.array_equal(plug.query().gram_matrix(), np.diag([0.0, 1.0, 0.0, 0.0, 0.0]))
 
     def test_identity_cycle_stays_bounded_and_accurate(self):
         # 8C rows cycling the axes: buffer capped at 2C, Gram a (1 +/- beta)
@@ -303,7 +312,7 @@ class TestImprovedSampler:
 
     def test_resparsify_plug_bounds_working_set(self):
         stream = permute(gen_gaussian(3000, 6, seed=23), seed=24)
-        plug = resparsify_const_approx(4.0, 1.0 / 3.0, seed=25, dim=6)
+        plug = ResparsifyApprox(4.0, 1.0 / 3.0, seed=25, dim=6)
         sketch, diag = improved_scaled_sampling(stream, 0.4, 26, plug)
         assert diag.capacity_rows == plug.capacity_rows
         assert diag.max_working_rows <= 2 * plug.capacity_rows
@@ -316,13 +325,13 @@ class TestImprovedSampler:
         assert ScaledSampler is ImprovedSampler is BlockSampler
         stream = permute(gen_gaussian(900, 5, seed=34), seed=35)
         want = BlockSchedule.for_stream(900, 5)
-        for plug in (None, PassThroughApprox(5)):
+        for plug in (None, PassThroughPlug(5)):
             _, diag = scaled_sampling(stream, 0.4, 36, plug)
             assert diag.schedule == want
             assert diag.pinv_recomputes == want.alpha
 
     def test_default_multiplier_is_two(self):
-        sampler = ImprovedSampler(5, 0.4, 1, PassThroughApprox(5))
+        sampler = ImprovedSampler(5, 0.4, 1, PassThroughPlug(5))
         assert sampler.multiplier == 2.0
 
     def test_broken_plug_detected(self):
@@ -357,9 +366,9 @@ class TestImprovedSampler:
     def test_plugs_are_interchangeable(self):
         stream = permute(gen_gaussian(1200, 6, seed=29), seed=30)
         for plug in (
-            PassThroughApprox(6),
+            PassThroughPlug(6),
             ScaledSampler(6, 0.5, seed=31),
-            resparsify_const_approx(4.0, 1.0 / 3.0, seed=32, dim=6),
+            ResparsifyApprox(4.0, 1.0 / 3.0, seed=32, dim=6),
         ):
             sketch, diag = improved_scaled_sampling(stream, 0.4, 33, plug)
             eps_actual, _ = verify(stream, sketch)

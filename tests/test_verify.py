@@ -67,7 +67,7 @@ class TestVerify:
 
     def test_overestimate_audit(self):
         stream = gen_gaussian(80, 4, seed=4)
-        tau = leverage_scores(stream).scores
+        tau = leverage_scores(stream)
         sk = sketch_of(stream)
         _, ok = verify(stream, sk, scores=tau)  # sits exactly on the bound
         assert ok is True
@@ -139,9 +139,9 @@ class TestMu:
     def test_exact_mode_matches_brute_force(self):
         stream = gen_gaussian(200, 6, seed=8)
         want = oracles.brute_mu(stream.materialize())
-        assert mu(stream, mode="exact") == pytest.approx(want, rel=1e-8)
+        assert mu(stream) == pytest.approx(want, rel=1e-8)
 
-    def test_checkpoint_mode_agrees_with_exact(self):
+    def test_structured_streams_match_brute_force(self):
         streams = [
             gen_gaussian(400, 6, seed=9),
             gen_mu_controlled(4, 3, 10.0),
@@ -152,16 +152,17 @@ class TestMu:
         zero_prefix = np.vstack([np.zeros((3, 4)), np.eye(4), np.eye(4)])
         streams.append(make_stream(zero_prefix))
         for s in streams:
-            a = mu(s, mode="exact")
-            b = mu(s, mode="checkpoint")
-            assert b == pytest.approx(a, rel=1e-8)
+            assert mu(s) == pytest.approx(oracles.brute_mu(s.materialize()), rel=1e-8)
 
-    def test_auto_switches_on_exact_limit(self):
-        s = gen_gaussian(50, 4, seed=12)
-        assert mu(s, mode="auto") == mu(s, mode="exact")
-        assert mu(s, mode="auto", exact_limit=10) == pytest.approx(
-            mu(s, mode="checkpoint"), rel=1e-12
-        )
+    def test_long_stream_matches_brute_force(self, monkeypatch):
+        # past 5000 rows, and cut into many batches of prefix Grams
+        s = permute(gen_gaussian(6000, 4, seed=12), seed=16)
+        want = oracles.brute_mu(s.materialize())
+        whole = mu(s)
+        assert whole == pytest.approx(want, rel=1e-8)
+        verify_module = importlib.import_module("specstream.verify")
+        monkeypatch.setattr(verify_module, "PREFIX_BATCH_ENTRIES", 16 * 700)
+        assert mu(s) == pytest.approx(whole, rel=1e-12)
 
     def test_rank_growth_prefix_minimum(self):
         # the minimum lives at an early low-rank prefix: a tiny first row
@@ -177,5 +178,3 @@ class TestMu:
             mu(make_stream(np.zeros((4, 3))))
         with pytest.raises(EmptyStream):
             mu(make_stream(np.zeros((0, 3))))
-        with pytest.raises(ValueError):
-            mu(gen_gaussian(5, 2, seed=1), mode="fast")
