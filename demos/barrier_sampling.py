@@ -29,10 +29,10 @@ def main():
           f"spread {max(sizes_barrier) - min(sizes_barrier)}")
 
     # audit mode logs the minimum eigenvalue of both barrier gaps per row
-    sketch, diag = run_barrier(stream, eps=EPS, seed=0, audit=True)
+    sketch, stats = run_barrier(stream, eps=EPS, seed=0, audit=True)
     eps_actual, _ = verify(stream, sketch)
-    worst_upper = min(g[0] for g in diag.gap_history)
-    worst_lower = min(g[1] for g in diag.gap_history)
+    worst_upper = min(g[0] for g in stats.gap_history)
+    worst_lower = min(g[1] for g in stats.gap_history)
     print(f"\naudited run: {sketch.n_rows} rows, eps_actual {eps_actual:.4f}")
     print(f"  worst upper-gap eigenvalue {worst_upper:.3e} (must stay >= 0)")
     print(f"  worst lower-gap eigenvalue {worst_lower:.3e}")

@@ -21,9 +21,9 @@ D, EPS, BETA, CAP = 8, 0.35, 1 / 3, 4.0
 def run(n):
     stream = permute(gen_gaussian(n, D, seed=21), seed=n)
     plug = ResparsifyApprox(CAP, BETA, seed=1, dim=D)
-    sketch, diag = improved_scaled_sampling(stream, eps=EPS, seed=2, approx=plug)
+    sketch, stats = improved_scaled_sampling(stream, eps=EPS, seed=2, approx=plug)
     eps_actual, _ = verify(stream, sketch)
-    return sketch.n_rows, diag.max_working_rows, eps_actual
+    return sketch.n_rows, stats.max_working_rows, eps_actual
 
 
 def main():

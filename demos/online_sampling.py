@@ -19,17 +19,17 @@ def main():
     # uses a demonstration rate that leaves the size behavior visible
     print(f"{'eps':>6}  {'rows kept':>9}  {'eps_actual':>11}  {'scores ok':>9}")
     for eps in (0.1, 0.25, 0.5):
-        sketch, diag = run_online(stream, eps=eps, seed=42, c_mult=0.7)
-        eps_actual, ok = verify(stream, sketch, scores=diag.scores)
+        sketch, stats = run_online(stream, eps=eps, seed=42, c_mult=0.7)
+        eps_actual, ok = verify(stream, sketch, scores=stats.scores)
         print(f"{eps:6.2f}  {sketch.n_rows:9d}  {eps_actual:11.4f}  {str(ok):>9}")
         assert eps_actual <= eps
 
     # the score log is an online overestimate of the true leverage profile;
     # its total controls the expected sketch size
-    sketch, diag = run_online(stream, eps=0.25, seed=42, c_mult=0.7)
-    print(f"\nscore_total = {diag.score_total:.2f} "
+    sketch, stats = run_online(stream, eps=0.25, seed=42, c_mult=0.7)
+    print(f"\nscore_total = {stats.score_total:.2f} "
           f"(rank d = {D}, so the sum of true scores is {D})")
-    print(f"pinv recomputes while streaming: {diag.pinv_recomputes}")
+    print(f"pinv recomputes while streaming: {stats.pinv_recomputes}")
 
 
 if __name__ == "__main__":

@@ -18,19 +18,19 @@ def main():
 
     stream = permute(gen_gaussian(N, D, seed=17), seed=4)
 
-    exact, diag_e = scaled_sampling(stream, eps=EPS, seed=9)
-    eps_e, _ = verify(stream, exact, scores=diag_e.scores)
+    exact, stats_e = scaled_sampling(stream, eps=EPS, seed=9)
+    eps_e, _ = verify(stream, exact, scores=stats_e.scores)
 
     # jl_audit also logs exact scores beside projected ones for comparison
-    proj, diag_p = scaled_sampling(
+    proj, stats_p = scaled_sampling(
         stream, eps=EPS, seed=9, use_jl=True, n_hint=N, jl_audit=True
     )
-    eps_p, _ = verify(stream, proj, scores=diag_p.scores)
+    eps_p, _ = verify(stream, proj, scores=stats_p.scores)
 
     print(f"exact scoring:     {exact.n_rows:4d} rows kept, eps_actual {eps_e:.4f}")
     print(f"projected scoring: {proj.n_rows:4d} rows kept, eps_actual {eps_p:.4f}")
 
-    within = np.abs(diag_p.jl_scores - diag_p.exact_scores) <= 0.5 * diag_p.exact_scores
+    within = np.abs(stats_p.jl_scores - stats_p.exact_scores) <= 0.5 * stats_p.exact_scores
     print(f"audit: {int(within.sum())}/{within.size} projected scores within the "
           f"design distortion (50%) of their exact values")
     assert eps_p <= EPS

@@ -14,19 +14,19 @@ def main():
     base = gen_gaussian(N, D, seed=3)
     stream = permute(base, seed=99)  # random arrival order is the contract here
 
-    sketch, diag = scaled_sampling(stream, eps=EPS, seed=5)
+    sketch, stats = scaled_sampling(stream, eps=EPS, seed=5)
     k = seed_block_size(D)
     print(f"n={N}, d={D}: seed block of {k} rows, then blocks ending at "
-          f"{list(diag.schedule.boundaries)}")
+          f"{list(stats.schedule.boundaries)}")
 
-    eps_actual, ok = verify(stream, sketch, scores=diag.scores)
+    eps_actual, ok = verify(stream, sketch, scores=stats.scores)
     print(f"kept {sketch.n_rows} of {N} rows, eps_actual {eps_actual:.4f} "
           f"(target {EPS}), overestimate audit {ok}")
-    print(f"pinv recomputes: {diag.pinv_recomputes} "
+    print(f"pinv recomputes: {stats.pinv_recomputes} "
           f"(= number of block boundaries, not number of rows)")
 
     # per-block score mass: each block contributes O(d) in expectation
-    sums = [f"{s:.1f}" for s in diag.block_sums]
+    sums = [f"{s:.1f}" for s in stats.block_sums]
     print(f"score mass per block: {sums}")
     assert eps_actual <= EPS
 

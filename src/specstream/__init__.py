@@ -38,7 +38,7 @@ from .linalg import (
     pseudo_det,
 )
 from .leverage import leverage_scores, relative_leverage
-from .sketch import Sketch
+from .sketch import RunStats, Sketch
 from .instances import (
     RowStream,
     gen_gaussian,
@@ -80,7 +80,7 @@ __all__ = [
     "PInv", "SymPsd", "approx_factor", "default_rank_tol", "min_nonzero_eig",
     "pinv", "pinv_rank1_update", "pseudo_det",
     "leverage_scores", "relative_leverage",
-    "Sketch",
+    "RunStats", "Sketch",
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",
     "BarrierState", "OnlineState", "barrier_step", "online_step",
     "run_barrier", "run_online", "sampling_constant",

@@ -2,14 +2,15 @@
 
 Each suite runs a deterministic seed grid, verifies every sketch against
 the exact stream Gram, and emits TrialRecord rows plus a pass/fail summary.
-Trials fan out to a thread pool capped by SPECSTREAM_THREADS.
+run_sampler returns the runner's own (sketch, RunStats), and run_trial fills
+one record from it. Trials run one after another in one thread: the per-row
+sampler loops hold the interpreter lock, so a pool would not run two at once.
 """
 from __future__ import annotations
 
+import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,12 +31,20 @@ from .random_order import (
     scaled_sampling,
 )
 from .randomness import derive_seed
+from .sketch import RunStats, Sketch
 from .verify import mu as measure_mu
 from .verify import online_leverage, verify
 
-ALGO_NAMES = ("online", "optimal", "scaled", "improved-self", "improved-resparsify")
-
-SUITE_NAMES = ("eps-scaling", "n-scaling", "mu-scaling", "algo-compare", "lower-bound-probe")
+# The settings each sampler reads; run_sampler refuses any other it is given.
+_BLOCK_READS = ("c_mult", "use_jl", "jl_audit")
+_READS = {
+    "online": ("c_mult",),
+    "optimal": ("audit",),
+    "scaled": _BLOCK_READS,
+    "improved-self": _BLOCK_READS,
+    "improved-resparsify": _BLOCK_READS + ("plug_beta", "plug_capacity_mult"),
+}
+ALGO_NAMES = tuple(_READS)
 
 # Sampling-rate multiplier pinned for guarantee-style bench and acceptance
 # runs of the fully-online sampler. The library default saturates p = 1 on
@@ -116,8 +125,6 @@ def row_to_record(row: list[str]) -> TrialRecord:
 
 
 def write_csv(path, records) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
@@ -126,8 +133,6 @@ def write_csv(path, records) -> None:
 
 
 def read_csv(path) -> list[TrialRecord]:
-    import csv
-
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -136,64 +141,55 @@ def read_csv(path) -> list[TrialRecord]:
         return [row_to_record(row) for row in r]
 
 
-def worker_count(threads: int | None = None) -> int:
-    """Pool size: explicit arg, then SPECSTREAM_THREADS, then CPU count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SPECSTREAM_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+def unread_settings(algo: str, **settings) -> list[str]:
+    """Names of the settings given (neither None nor False) that algo does not read."""
+    return [name for name, value in settings.items()
+            if value is not None and value is not False and name not in _READS[algo]]
 
 
-def run_sampler(algo: str, stream: RowStream, eps: float, seed: int, **cfg):
-    """Dispatch one sampler run; returns (sketch, info dict).
+def run_sampler(
+    algo: str,
+    stream: RowStream,
+    eps: float,
+    seed: int,
+    *,
+    c_mult: float | None = None,
+    use_jl: bool = False,
+    jl_audit: bool = False,
+    plug_beta: float | None = None,
+    plug_capacity_mult: float | None = None,
+    audit: bool = False,
+) -> tuple[Sketch, RunStats]:
+    """Dispatch one sampler run; returns the runner's (sketch, RunStats).
 
-    cfg accepts c_mult, use_jl, jl_audit, plug_beta, plug_capacity_mult and
-    audit. None values fall back to the sampler defaults.
+    None settings fall back to the sampler defaults. A setting the chosen
+    sampler would not read raises ValueError.
     """
-    c_mult = cfg.get("c_mult")
+    if algo not in ALGO_NAMES:
+        raise ValueError(f"unknown algo {algo!r}")
+    unread = unread_settings(algo, c_mult=c_mult, use_jl=use_jl, jl_audit=jl_audit, audit=audit,
+                             plug_beta=plug_beta, plug_capacity_mult=plug_capacity_mult)
+    if unread:
+        raise ValueError(f"{algo} does not read {', '.join(unread)}")
     if algo == "online":
-        sketch, diag = run_online(
-            stream, eps, seed, c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult,
-        )
-        return sketch, {
-            "scores": diag.scores, "score_total": diag.score_total,
-            "pinv_recomputes": diag.pinv_recomputes, "drift_events": diag.drift_events,
-            "max_working_rows": sketch.n_rows,
-        }
+        return run_online(stream, eps, seed, c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult)
     if algo == "optimal":
-        sketch, diag = run_barrier(stream, eps, seed, audit=bool(cfg.get("audit", False)))
-        return sketch, {
-            "scores": None, "score_total": diag.score_total,
-            "pinv_recomputes": diag.pinv_recomputes, "drift_events": diag.drift_events,
-            "max_working_rows": sketch.n_rows, "diag": diag,
-        }
-    if algo == "scaled":
-        plug = None
-    elif algo == "improved-self":
+        return run_barrier(stream, eps, seed, audit=audit)
+    plug = None
+    if algo == "improved-self":
         plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
     elif algo == "improved-resparsify":
-        cap, beta = cfg.get("plug_capacity_mult"), cfg.get("plug_beta")
         plug = ResparsifyApprox(
-            BENCH_PLUG_CAPACITY_MULT if cap is None else cap,
-            BENCH_PLUG_BETA if beta is None else beta,
+            BENCH_PLUG_CAPACITY_MULT if plug_capacity_mult is None else plug_capacity_mult,
+            BENCH_PLUG_BETA if plug_beta is None else plug_beta,
             derive_seed(seed, 1),
             dim=stream.d,
         )
-    else:
-        raise ValueError(f"unknown algo {algo!r}")
-    sketch, diag = scaled_sampling(
+    return scaled_sampling(
         stream, eps, seed, plug,
         c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-        use_jl=bool(cfg.get("use_jl", False)), jl_audit=bool(cfg.get("jl_audit", False)),
+        use_jl=use_jl, jl_audit=jl_audit,
     )
-    return sketch, {
-        "scores": diag.scores, "score_total": diag.score_total,
-        "pinv_recomputes": diag.pinv_recomputes, "drift_events": 0,
-        "max_working_rows": sketch.n_rows if plug is None else diag.max_working_rows,
-        "diag": diag,
-    }
 
 
 def run_trial(
@@ -205,10 +201,10 @@ def run_trial(
     seed_sample: int,
     measure_mu_flag: bool = False,
     **cfg,
-) -> tuple[TrialRecord, dict]:
+) -> tuple[TrialRecord, Sketch]:
     """Run one sampler, verify the sketch, and assemble the record."""
     t0 = time.perf_counter()
-    sketch, info = run_sampler(algo, stream, eps, seed_sample, **cfg)
+    sketch, stats = run_sampler(algo, stream, eps, seed_sample, **cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     eps_actual, _ = verify(stream, sketch)
     mu_val = measure_mu(stream) if measure_mu_flag else None
@@ -216,24 +212,13 @@ def run_trial(
         algo=algo, n=stream.n, d=stream.d, eps=eps,
         seed_stream=seed_stream, seed_perm=seed_perm, seed_sample=seed_sample,
         sketch_rows=sketch.n_rows, eps_actual=eps_actual,
-        score_total=float(info["score_total"]), mu=mu_val,
-        max_working_rows=int(info["max_working_rows"]),
-        pinv_recomputes=int(info["pinv_recomputes"]),
-        drift_events=int(info["drift_events"]),
+        score_total=float(stats.score_total), mu=mu_val,
+        max_working_rows=stats.max_working_rows,
+        pinv_recomputes=stats.pinv_recomputes,
+        drift_events=stats.drift_events,
         wall_ms=wall_ms,
     )
-    info["sketch"] = sketch
-    return rec, info
-
-
-def _pool_map(jobs, threads):
-    """Run thunks on a pool, preserving submission order."""
-    workers = worker_count(threads)
-    if workers == 1 or len(jobs) == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+    return rec, sketch
 
 
 def _linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -259,7 +244,7 @@ def predicted_online_rows(tau, eps: float, d: int, c_mult: float = DEFAULT_ONLIN
     return float(np.minimum(c * (1.0 + eps) * np.asarray(tau), 1.0).sum())
 
 
-def suite_eps_scaling(threads: int | None = None, seeds: int = 50) -> tuple[list[TrialRecord], dict]:
+def suite_eps_scaling(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
     """Halving eps and watching the online sketch size multiply.
 
     The ratio is checked against the one the sampling law predicts from the
@@ -269,29 +254,18 @@ def suite_eps_scaling(threads: int | None = None, seeds: int = 50) -> tuple[list
     """
     n, d = 4000, 10
     eps_grid = (0.5, 0.25)
-    jobs = []
+    by_eps = {eps: [] for eps in eps_grid}
+    predicted = {eps: [] for eps in eps_grid}
     for s in range(seeds):
-        def job(s=s):
-            seed_stream = derive_seed(61, s)
-            stream = gen_gaussian(n, d, seed_stream)
-            recs = [
-                run_trial("online", stream, eps, seed_stream, 0, derive_seed(62, s))[0]
-                for eps in eps_grid
-            ]
-            tau = online_leverage(stream)
-            return recs, [predicted_online_rows(tau, eps, d) for eps in eps_grid]
-
-        jobs.append(job)
-    results = _pool_map(jobs, threads)
-    records = [recs[k] for k in range(len(eps_grid)) for recs, _ in results]
-    medians = {
-        eps: float(np.median([r.sketch_rows for r in records if r.eps == eps]))
-        for eps in eps_grid
-    }
-    predicted = {
-        eps: float(np.median([pred[k] for _, pred in results]))
-        for k, eps in enumerate(eps_grid)
-    }
+        seed_stream = derive_seed(61, s)
+        stream = gen_gaussian(n, d, seed_stream)
+        tau = online_leverage(stream)
+        for eps in eps_grid:
+            by_eps[eps].append(run_trial("online", stream, eps, seed_stream, 0, derive_seed(62, s))[0])
+            predicted[eps].append(predicted_online_rows(tau, eps, d))
+    records = [rec for eps in eps_grid for rec in by_eps[eps]]
+    medians = {eps: float(np.median([r.sketch_rows for r in by_eps[eps]])) for eps in eps_grid}
+    predicted = {eps: float(np.median(rows)) for eps, rows in predicted.items()}
     ratio = medians[0.25] / medians[0.5]
     predicted_ratio = predicted[0.25] / predicted[0.5]
     half = EPS_RATIO_REL_BAND * predicted_ratio
@@ -308,29 +282,22 @@ def suite_eps_scaling(threads: int | None = None, seeds: int = 50) -> tuple[list
     return records, summary
 
 
-def suite_n_scaling(threads: int | None = None, seeds: int = 20) -> tuple[list[TrialRecord], dict]:
+def suite_n_scaling(seeds: int = 20) -> tuple[list[TrialRecord], dict]:
     """Block-sampler size vs log n, plus the bounded-memory working set."""
     d, eps = 8, 0.4
     sizes = [2 ** k for k in range(10, 16)]
-    jobs = []
+    records = []
     for n in sizes:
         for s in range(seeds):
             seed_stream = derive_seed(71, n, s)
             seed_sample = derive_seed(72, n, s)
-
-            def job(n=n, seed_stream=seed_stream, seed_sample=seed_sample):
-                stream = gen_gaussian(n, d, seed_stream)
-                rec_a, _ = run_trial("scaled", stream, eps, seed_stream, 0, seed_sample)
-                rec_b, _ = run_trial(
-                    "improved-resparsify", stream, eps, seed_stream, 0,
-                    derive_seed(seed_sample, 3),
-                    plug_beta=0.45, plug_capacity_mult=4.0,
-                )
-                return [rec_a, rec_b]
-
-            jobs.append(job)
-    nested = _pool_map(jobs, threads)
-    records = [rec for pair in nested for rec in pair]
+            stream = gen_gaussian(n, d, seed_stream)
+            records.append(run_trial("scaled", stream, eps, seed_stream, 0, seed_sample)[0])
+            records.append(run_trial(
+                "improved-resparsify", stream, eps, seed_stream, 0,
+                derive_seed(seed_sample, 3),
+                plug_beta=0.45, plug_capacity_mult=4.0,
+            )[0])
     med_rows = np.array([
         float(np.median([r.sketch_rows for r in records if r.algo == "scaled" and r.n == n]))
         for n in sizes
@@ -355,23 +322,16 @@ def suite_n_scaling(threads: int | None = None, seeds: int = 20) -> tuple[list[T
     return records, summary
 
 
-def suite_mu_scaling(threads: int | None = None) -> tuple[list[TrialRecord], dict]:
+def suite_mu_scaling() -> tuple[list[TrialRecord], dict]:
     """Online score mass against the stream condition number."""
     d, gamma, eps = 6, 10.0, 0.3
-    levels_grid = (2, 3, 4)
-    jobs = []
-    for levels in levels_grid:
-        def job(levels=levels):
-            stream = gen_mu_controlled(d, levels, gamma)
-            seed_sample = derive_seed(81, levels)
-            rec, _ = run_trial(
-                "online", stream, eps, 0, 0, seed_sample,
-                measure_mu_flag=True, c_mult=BENCH_ONLINE_C_MULT,
-            )
-            return rec
-
-        jobs.append(job)
-    records = _pool_map(jobs, threads)
+    records = [
+        run_trial(
+            "online", gen_mu_controlled(d, levels, gamma), eps, 0, 0, derive_seed(81, levels),
+            measure_mu_flag=True, c_mult=BENCH_ONLINE_C_MULT,
+        )[0]
+        for levels in (2, 3, 4)
+    ]
     logmu = np.array([math.log(r.mu) for r in records])
     totals = np.array([r.score_total for r in records])
     a, b, r2 = _linear_fit_r2(logmu, totals)
@@ -385,27 +345,19 @@ def suite_mu_scaling(threads: int | None = None) -> tuple[list[TrialRecord], dic
     return records, summary
 
 
-def suite_algo_compare(threads: int | None = None, seeds: int = 50) -> tuple[list[TrialRecord], dict]:
+def suite_algo_compare(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
     """Paired sizes of the two fully-online samplers at shared seeds."""
     n, d, eps = 2000, 12, 0.5
-    jobs = []
+    records = []
+    wins = 0
     for s in range(seeds):
         seed_stream = derive_seed(91, s)
         seed_sample = derive_seed(92, s)
-
-        def job(seed_stream=seed_stream, seed_sample=seed_sample):
-            stream = gen_gaussian(n, d, seed_stream)
-            rec_on, _ = run_trial("online", stream, eps, seed_stream, 0, seed_sample)
-            rec_op, _ = run_trial("optimal", stream, eps, seed_stream, 0, seed_sample)
-            return [rec_on, rec_op]
-
-        jobs.append(job)
-    nested = _pool_map(jobs, threads)
-    records = [rec for pair in nested for rec in pair]
-    wins = 0
-    for pair in nested:
-        if pair[1].sketch_rows < pair[0].sketch_rows:
-            wins += 1
+        stream = gen_gaussian(n, d, seed_stream)
+        rec_on, _ = run_trial("online", stream, eps, seed_stream, 0, seed_sample)
+        rec_op, _ = run_trial("optimal", stream, eps, seed_stream, 0, seed_sample)
+        records += [rec_on, rec_op]
+        wins += rec_op.sketch_rows < rec_on.sketch_rows
     win_rate = wins / seeds
     summary = {
         "suite": "algo-compare",
@@ -428,51 +380,41 @@ def probe_checkpoints(n: int, first: int = PROBE_FIRST_CHECKPOINT) -> list[int]:
     return marks
 
 
-def _edge_key(row) -> tuple:
-    idx, _ = row
-    return tuple(int(v) for v in idx)
-
-
-def suite_lower_bound_probe(threads: int | None = None, seeds: int = 100) -> tuple[list[TrialRecord], dict]:
+def suite_lower_bound_probe(seeds: int = 100) -> tuple[list[TrialRecord], dict]:
     """Random-order structure: prefix uniformity and sample growth per doubling."""
     d, copies, eps = 8, 512, 0.5
     base = gen_kd_multigraph(d, copies)
     n = base.n
     marks = probe_checkpoints(n)
     expected = {mark: mark * copies / n for mark in marks}
-    jobs = []
+    records = []
+    uniform_runs = growth_runs = 0
     for s in range(seeds):
-        def job(s=s):
-            stream = permute(base, s)
-            # Per-edge counts of uniform prefixes at each checkpoint.
-            counts: dict[tuple, int] = {}
-            uniform_ok = True
-            pos = 0
-            for mark in marks:
-                while pos < mark:
-                    key = _edge_key(stream.row(pos))
-                    counts[key] = counts.get(key, 0) + 1
-                    pos += 1
-                exp = expected[mark]
-                if len(counts) < d * (d - 1) // 2:
-                    uniform_ok = False
-                for c in counts.values():
-                    if not 0.5 * exp <= c <= 1.5 * exp:
-                        uniform_ok = False
-            rec, info = run_trial(
-                "online", stream, eps, 0, s, derive_seed(9, s),
-                c_mult=BENCH_ONLINE_C_MULT,
-            )
-            sampled_idx = np.asarray(info["sketch"].indices)
-            cum = [int(np.count_nonzero(sampled_idx < mark)) for mark in marks]
-            increments = [cum[i + 1] - cum[i] for i in range(len(cum) - 1)]
-            return rec, uniform_ok, min(increments) if increments else 0
-
-        jobs.append(job)
-    results = _pool_map(jobs, threads)
-    records = [r[0] for r in results]
-    uniform_rate = sum(1 for r in results if r[1]) / seeds
-    growth_rate = sum(1 for r in results if r[2] >= 1) / seeds
+        stream = permute(base, s)
+        # Per-edge counts of uniform prefixes at each checkpoint.
+        counts: dict[tuple, int] = {}
+        uniform_ok = True
+        pos = 0
+        for mark in marks:
+            while pos < mark:
+                key = tuple(stream.row(pos)[0].tolist())  # the row's edge
+                counts[key] = counts.get(key, 0) + 1
+                pos += 1
+            exp = expected[mark]
+            uniform_ok &= len(counts) >= d * (d - 1) // 2 and all(
+                0.5 * exp <= c <= 1.5 * exp for c in counts.values())
+        rec, sketch = run_trial(
+            "online", stream, eps, 0, s, derive_seed(9, s),
+            c_mult=BENCH_ONLINE_C_MULT,
+        )
+        records.append(rec)
+        sampled_idx = np.asarray(sketch.indices)
+        cum = [int(np.count_nonzero(sampled_idx < mark)) for mark in marks]
+        increments = [cum[i + 1] - cum[i] for i in range(len(cum) - 1)]
+        uniform_runs += uniform_ok
+        growth_runs += (min(increments) if increments else 0) >= 1
+    uniform_rate = uniform_runs / seeds
+    growth_rate = growth_runs / seeds
     summary = {
         "suite": "lower-bound-probe",
         "checkpoints": marks,
@@ -492,8 +434,11 @@ _SUITES = {
 }
 
 
-def bench_suite(name: str, threads: int | None = None, **kwargs) -> tuple[list[TrialRecord], dict]:
+SUITE_NAMES = tuple(_SUITES)
+
+
+def bench_suite(name: str, **kwargs) -> tuple[list[TrialRecord], dict]:
     """Run a registered suite by name."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](threads=threads, **kwargs)
+    return _SUITES[name](**kwargs)

@@ -10,10 +10,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as sio
-from .bench import bench_suite, run_sampler, write_csv
+from .bench import SUITE_NAMES, bench_suite, run_sampler, unread_settings, write_csv
 from .errors import SpecstreamError, UnknownSuite
 from .instances import gen_gaussian, gen_kd_multigraph, gen_mu_controlled, permute
 from .verify import mu as measure_mu
@@ -52,15 +50,12 @@ def _algo_key(args) -> str:
 
 def _unread_run_flag(args) -> str | None:
     """The first run flag given that the chosen algorithm would not read."""
-    resparsify = args.plug == "resparsify"
-    unread = (
-        ("--jl", args.jl and args.algo not in ("scaled", "improved")),
-        ("--c-mult", args.c_mult is not None and args.algo == "optimal"),
-        ("--plug", args.plug is not None and args.algo != "improved"),
-        ("--plug-beta", args.plug_beta is not None and not resparsify),
-        ("--plug-capacity-mult", args.plug_capacity_mult is not None and not resparsify),
-    )
-    return next((flag for flag, hit in unread if hit), None)
+    if args.plug is not None and args.algo != "improved":
+        return "--plug"
+    unread = unread_settings(_algo_key(args), use_jl=args.jl, c_mult=args.c_mult,
+                             plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult)
+    # a flag is its setting's name, but --jl sets use_jl
+    return "--" + unread[0].replace("use_", "").replace("_", "-") if unread else None
 
 
 def _cmd_run(args) -> int:
@@ -69,7 +64,7 @@ def _cmd_run(args) -> int:
     if args.perm_seed is not None:
         stream = permute(stream, args.perm_seed)
     algo = _algo_key(args)
-    sketch, info = run_sampler(
+    sketch, stats = run_sampler(
         algo, stream, args.eps, args.seed,
         c_mult=args.c_mult, use_jl=args.jl,
         plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult,
@@ -83,13 +78,13 @@ def _cmd_run(args) -> int:
     }
     sio.write_sketch(args.out, sketch, meta)
     diag_path = args.diag if args.diag else args.out + ".diag"
-    _write_diag(diag_path, algo, args, stream, sketch, info)
+    _write_diag(diag_path, algo, args, stream, sketch, stats)
     print(f"wrote {args.out}: {sketch.n_rows} of {stream.n} rows "
-          f"(score_total={info['score_total']:.6g})")
+          f"(score_total={stats.score_total:.6g})")
     return 0
 
 
-def _write_diag(path, algo, args, stream, sketch, info) -> None:
+def _write_diag(path, algo, args, stream, sketch, stats) -> None:
     lines = [
         json.dumps({
             "kind": "run", "algo": algo, "eps": args.eps,
@@ -98,19 +93,18 @@ def _write_diag(path, algo, args, stream, sketch, info) -> None:
             "n": stream.n, "d": stream.d,
         }, sort_keys=True),
     ]
-    scores = info.get("scores")
-    if scores is not None:
+    if stats.scores is not None:
         lines.append(json.dumps({
             "kind": "scores",
-            "values": [float(s) for s in np.asarray(scores)],
+            "values": [float(s) for s in stats.scores],
         }, sort_keys=True))
     lines.append(json.dumps({
         "kind": "summary",
         "sketch_rows": sketch.n_rows,
-        "score_total": float(info["score_total"]),
-        "pinv_recomputes": int(info["pinv_recomputes"]),
-        "drift_events": int(info["drift_events"]),
-        "max_working_rows": int(info["max_working_rows"]),
+        "score_total": float(stats.score_total),
+        "pinv_recomputes": stats.pinv_recomputes,
+        "drift_events": stats.drift_events,
+        "max_working_rows": stats.max_working_rows,
     }, sort_keys=True))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -152,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records, summary = bench_suite(args.suite, threads=args.threads)
+    records, summary = bench_suite(args.suite)
     if args.out:
         write_csv(args.out, records)
         print(f"wrote {args.out}: {len(records)} records")
@@ -213,11 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     b = sub.add_parser("bench", help="run a benchmark suite")
-    b.add_argument("--suite", required=True,
-                   choices=("eps-scaling", "n-scaling", "mu-scaling",
-                            "algo-compare", "lower-bound-probe"))
+    b.add_argument("--suite", required=True, choices=SUITE_NAMES)
     b.add_argument("--out", default=None, help="CSV output path")
-    b.add_argument("--threads", type=int, default=None)
     b.set_defaults(func=_cmd_bench)
     return p
 

@@ -7,7 +7,6 @@ decisions come from counter-based uniforms keyed by (seed, row index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .instances import RowStream
 from .leverage import relative_score
 from .linalg import PInv, SymPsd, pinv, pinv_rank1_update
 from .randomness import IndexedUniforms
-from .sketch import Sketch
+from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
 DEFAULT_ONLINE_C_MULT = 3.0
@@ -135,31 +134,23 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     return sampled
 
 
-@dataclass
-class OnlineDiagnostics:
-    scores: np.ndarray
-    score_total: float
-    pinv_recomputes: int
-    drift_events: int
-
-
 def run_online(
     stream: RowStream,
     eps: float,
     seed: int,
     c_mult: float = DEFAULT_ONLINE_C_MULT,
-) -> tuple[Sketch, OnlineDiagnostics]:
+) -> tuple[Sketch, RunStats]:
     """Run the online sampler over a whole stream."""
     state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
     for i in range(stream.n):
         online_step(state, stream.row(i), i)
-    diag = OnlineDiagnostics(
+    return state.sketch, RunStats(
         scores=np.asarray(state.scores),
         score_total=state.score_total,
         pinv_recomputes=state.kept.recomputes,
+        max_working_rows=state.sketch.n_rows,
         drift_events=state.kept.drift_events,
     )
-    return state.sketch, diag
 
 
 class BarrierState:
@@ -260,31 +251,23 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
     return sampled
 
 
-@dataclass
-class BarrierDiagnostics:
-    probs: np.ndarray
-    score_total: float
-    pinv_recomputes: int
-    drift_events: int
-    gap_history: list = field(default_factory=list)
-
-
 def run_barrier(
     stream: RowStream,
     eps: float,
     seed: int,
     audit: bool = False,
-) -> tuple[Sketch, BarrierDiagnostics]:
+) -> tuple[Sketch, RunStats]:
     """Run the barrier sampler over a whole stream."""
     state = BarrierState(stream.d, eps, seed, audit=audit)
     for i in range(stream.n):
         barrier_step(state, stream.row(i), i)
     kept = (state.upper_pinv, state.lower_pinv)
-    diag = BarrierDiagnostics(
-        probs=np.asarray(state.probs),
+    return state.sketch, RunStats(
+        scores=None,
         score_total=float(np.sum(state.probs)),
         pinv_recomputes=sum(k.recomputes for k in kept),
+        max_working_rows=state.sketch.n_rows,
         drift_events=sum(k.drift_events for k in kept),
+        probs=np.asarray(state.probs),
         gap_history=state.gap_history,
     )
-    return state.sketch, diag

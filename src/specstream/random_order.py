@@ -19,7 +19,7 @@ at a time. step and add are one-row runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .jl import JL_DISTORTION, JlScorer, jl_build
 from .leverage import relative_scores
 from .linalg import PInv, SymPsd, pinv
 from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
-from .sketch import Sketch
+from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d for the block samplers.
 DEFAULT_SCALED_C_MULT = 6.0
@@ -71,22 +71,6 @@ class BlockSchedule:
         return cls(k, tuple(bounds), len(bounds))
 
 
-@dataclass
-class BlockDiagnostics:
-    scores: np.ndarray
-    score_total: float
-    block_sums: list[float]
-    pinv_recomputes: int
-    schedule: BlockSchedule
-    frozen_pinvs: list = field(default_factory=list)
-    exact_scores: np.ndarray | None = None
-    jl_scores: np.ndarray | None = None
-    max_working_rows: int | None = None
-    capacity_rows: int | None = None
-    resparsify_passes: int | None = None
-    resparsify_retries: int | None = None
-
-
 class BlockSampler:
     """Random-order block sampler, with or without a constant-factor plug.
 
@@ -100,8 +84,6 @@ class BlockSampler:
     A plug implements add_rows(lo, block, rows) and query(); peak_rows, when
     present, is read as the rows it holds at most.
     """
-
-    capacity_rows: int | None = None
 
     def __init__(
         self,
@@ -257,24 +239,23 @@ class BlockSampler:
             self.frozen = pinv(snapshot.gram)
         self.frozen_pinvs.append(self.frozen.matrix)
 
-    def finalize(self) -> tuple[Sketch, BlockDiagnostics]:
+    def finalize(self) -> tuple[Sketch, RunStats]:
         freezes = tuple(self.freeze_rows)
         scores = np.concatenate(self.scores) if self.scores else np.empty(0)
-        diag = BlockDiagnostics(
+        return self.sketch, RunStats(
             scores=scores,
             score_total=float(np.sum(scores)),
-            block_sums=self.block_sums,
             pinv_recomputes=len(freezes),
+            max_working_rows=self.sketch.n_rows if self.approx is None else self.max_working_rows,
             schedule=BlockSchedule(self.k, freezes, len(freezes)),
+            block_sums=self.block_sums,
             frozen_pinvs=self.frozen_pinvs,
             exact_scores=np.concatenate(self.exact_scores) if self.exact_scores else None,
             jl_scores=np.concatenate(self.jl_scores) if self.jl_scores else None,
-            max_working_rows=None if self.approx is None else self.max_working_rows,
             capacity_rows=getattr(self.approx, "capacity_rows", None),
             resparsify_passes=getattr(self.approx, "passes", None),
             resparsify_retries=getattr(self.approx, "retries", None),
         )
-        return self.sketch, diag
 
 
 # The scaled (no plug) and improved (plugged) names stay public: tests and
@@ -283,7 +264,7 @@ ScaledSampler = ImprovedSampler = BlockSampler
 
 
 def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
-                    **config) -> tuple[Sketch, BlockDiagnostics]:
+                    **config) -> tuple[Sketch, RunStats]:
     """Run the block sampler over a whole stream, with an optional plug.
 
     The stream is fed in runs of CHUNK rows; a sparse stream is densified
@@ -315,8 +296,8 @@ class ResparsifyApprox:
     def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int):
         if not 0.0 < beta < 0.5:
             raise ValueError(f"beta must be in (0, 1/2), got {beta}")
-        if capacity_mult < 4.0:
-            raise ValueError(f"capacity_mult must be >= 4, got {capacity_mult}")
+        if not 4.0 <= capacity_mult < math.inf:
+            raise ValueError(f"capacity_mult must be finite and >= 4, got {capacity_mult}")
         if dim < 2:
             raise DimensionMismatch("resparsify plug needs d >= 2")
         self.capacity_mult = float(capacity_mult)
@@ -351,6 +332,8 @@ class ResparsifyApprox:
 
     def add_rows(self, lo: int, block, rows) -> None:
         """Append a run of rows at weight 1, split where the buffer reaches 2C."""
+        if np.shape(block)[1:] != (self.dim,):
+            raise DimensionMismatch(f"block of shape {np.shape(block)} does not fit dimension {self.dim}")
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):
@@ -405,6 +388,6 @@ class ResparsifyApprox:
 
 
 def improved_scaled_sampling(stream: RowStream, eps: float, seed: int, approx,
-                             **config) -> tuple[Sketch, BlockDiagnostics]:
+                             **config) -> tuple[Sketch, RunStats]:
     """Run the block sampler over a whole stream with a given plug."""
     return scaled_sampling(stream, eps, seed, approx, **config)

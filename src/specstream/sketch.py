@@ -1,5 +1,8 @@
-"""Weighted row sketches with provenance and an accumulated Gram."""
+"""Weighted row sketches with provenance and an accumulated Gram, and the
+record a sampler run reports beside its sketch."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,3 +89,30 @@ class Sketch:
 
     def __repr__(self):
         return f"Sketch(dim={self.dim}, n_rows={self.n_rows})"
+
+
+@dataclass
+class RunStats:
+    """What one sampler run reports beside its sketch.
+
+    Every runner fills the first five fields: scores is the audit's score
+    log (None for the barrier) and max_working_rows the sketch's row count,
+    or the plug's peak. probs and gap_history come from the barrier
+    sampler, the rest from the block samplers.
+    """
+
+    scores: np.ndarray | None
+    score_total: float
+    pinv_recomputes: int
+    max_working_rows: int
+    drift_events: int = 0
+    probs: np.ndarray | None = None
+    gap_history: list | None = None
+    schedule: object = None
+    block_sums: list[float] | None = None
+    frozen_pinvs: list | None = None
+    exact_scores: np.ndarray | None = None
+    jl_scores: np.ndarray | None = None
+    capacity_rows: int | None = None
+    resparsify_passes: int | None = None
+    resparsify_retries: int | None = None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specstream.online as online_module
-from specstream import UnknownSuite, gen_gaussian
+from specstream import RunStats, UnknownSuite, gen_gaussian
 from specstream.online import DEFAULT_ONLINE_C_MULT
 from specstream.randomness import derive_seed
 from specstream.verify import online_leverage
@@ -23,9 +23,7 @@ from specstream.bench import (
     run_sampler,
     run_trial,
     suite_mu_scaling,
-    worker_count,
     write_csv,
-    _pool_map,
 )
 
 
@@ -85,52 +83,59 @@ class TestCsv:
             read_csv(path)
 
 
-class TestWorkers:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("SPECSTREAM_THREADS", "3")
-        assert worker_count(5) == 5
-        assert worker_count(0) == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SPECSTREAM_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.delenv("SPECSTREAM_THREADS")
-        assert worker_count() >= 1
-
-    def test_pool_preserves_submission_order(self):
-        jobs = [lambda i=i: i * i for i in range(20)]
-        assert _pool_map(jobs, threads=4) == [i * i for i in range(20)]
-        assert _pool_map(jobs, threads=1) == [i * i for i in range(20)]
-
-
 class TestDispatch:
     def test_all_algos_run(self):
         stream = gen_gaussian(300, 5, seed=20)
         for algo in ALGO_NAMES:
-            sketch, info = run_sampler(algo, stream, 0.5, seed=21)
+            sketch, stats = run_sampler(algo, stream, 0.5, seed=21)
+            assert isinstance(stats, RunStats)
             assert sketch.dim == 5
             assert 0 < sketch.n_rows <= stream.n
-            assert info["score_total"] > 0.0
+            assert stats.score_total > 0.0
+            assert type(stats.max_working_rows) is int
+            if algo.startswith("improved"):
+                assert stats.max_working_rows > 0
+            else:
+                assert stats.max_working_rows == sketch.n_rows
+            assert (stats.scores is None) == (algo == "optimal")
+            if algo not in ("online", "optimal"):
+                assert stats.drift_events == 0
         for algo in ("greedy", "improved-passthrough"):
             with pytest.raises(ValueError):
                 run_sampler(algo, stream, 0.5, seed=21)
+
+    def test_misspelled_or_unread_setting_refused(self):
+        stream = gen_gaussian(100, 4, seed=20)
+        with pytest.raises(TypeError):
+            run_sampler("online", stream, 0.5, 2, c_mul=100.0)
+        unread = (
+            ("online", dict(use_jl=True, plug_beta=0.1)),
+            ("online", dict(audit=True)),
+            ("optimal", dict(c_mult=0.0)),
+            ("scaled", dict(plug_capacity_mult=8.0)),
+            ("improved-self", dict(plug_beta=0.1)),
+        )
+        for algo, cfg in unread:
+            with pytest.raises(ValueError, match="does not read"):
+                run_sampler(algo, stream, 0.5, 2, **cfg)
+        with pytest.raises(TypeError):
+            run_trial("online", stream, 0.5, 0, 0, 2, c_mul=100.0)
 
     def test_optimal_reports_barrier_drift(self, monkeypatch):
         # a negative tolerance makes every periodic pinv check count as drift
         monkeypatch.setattr(online_module, "PINV_DRIFT_TOL", -1.0)
         stream = gen_gaussian(300, 5, seed=20)
-        _, info = run_sampler("optimal", stream, 0.5, seed=21)
-        diag = info["diag"]
-        assert info["drift_events"] == diag.drift_events > 0
-        assert info["pinv_recomputes"] == diag.pinv_recomputes == 2 * 5 + diag.drift_events
+        _, stats = run_sampler("optimal", stream, 0.5, seed=21)
+        assert stats.drift_events > 0
+        assert stats.pinv_recomputes == 2 * 5 + stats.drift_events
 
     def test_run_trial_assembles_record(self):
         stream = gen_gaussian(200, 4, seed=22)
-        rec, info = run_trial("online", stream, 0.4, 22, 0, 23)
+        rec, sketch = run_trial("online", stream, 0.4, 22, 0, 23)
         assert rec.algo == "online" and rec.n == 200 and rec.d == 4
         assert rec.mu is None and rec.wall_ms >= 0.0
         assert rec.eps_actual >= 0.0 and rec.sketch_rows <= rec.n
-        assert rec.sketch_rows == info["sketch"].n_rows
+        assert rec.sketch_rows == sketch.n_rows
 
         rec, _ = run_trial("online", stream, 0.4, 22, 0, 23, measure_mu_flag=True)
         assert rec.mu is not None and rec.mu >= 1.0

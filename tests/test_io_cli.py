@@ -221,6 +221,10 @@ class TestCliGen:
                     main(["run", *argv, "--eps", "0.3", "-i", "x", "-o", "y"])
                 assert exc.value.code == 2, argv
                 assert flag in capsys.readouterr().err, argv
+        # the bench harness runs its trials in one thread and takes no pool size
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", "mu-scaling", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestCliRunVerify:
@@ -269,6 +273,8 @@ class TestCliRunVerify:
         bad = (
             ["--algo", "improved", "--plug", "resparsify", "--plug-beta", "0"],
             ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "0"],
+            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "nan"],
+            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "inf"],
             ["--algo", "online", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "-1"],
@@ -278,7 +284,8 @@ class TestCliRunVerify:
         for argv in bad:
             capsys.readouterr()
             assert main(["run", *argv, "--eps", "0.4", "-i", src, "-o", out]) == 1, argv
-            assert "error" in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert "error" in err and "Traceback" not in err, argv
             assert not os.path.exists(out), argv
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "improved", "--plug", "passthrough", "--eps", "0.4",

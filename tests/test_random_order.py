@@ -210,6 +210,16 @@ class TestResparsifyApprox:
             ResparsifyApprox(3.0, 0.3, seed=1, dim=4)
         with pytest.raises(DimensionMismatch):
             ResparsifyApprox(4.0, 0.3, seed=1, dim=1)
+        for capacity_mult in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="capacity_mult"):
+                ResparsifyApprox(capacity_mult, 0.4, seed=3, dim=5)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 6), (5,)])
+    def test_block_width_checked(self, shape):
+        plug = ResparsifyApprox(4.0, 0.4, seed=3, dim=5)
+        with pytest.raises(DimensionMismatch):
+            plug.add_rows(0, np.ones(shape), [None] * shape[0])
+        assert plug.n_rows == 0
 
     def test_below_trigger_returns_rows_verbatim(self):
         plug = ResparsifyApprox(4.0, 0.4, seed=2, dim=3)
