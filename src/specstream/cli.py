@@ -105,6 +105,7 @@ def _write_diag(path, algo, args, stream, sketch, stats) -> None:
         "pinv_recomputes": stats.pinv_recomputes,
         "drift_events": stats.drift_events,
         "max_working_rows": stats.max_working_rows,
+        "saturated": stats.saturated,
     }, sort_keys=True))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

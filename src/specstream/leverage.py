@@ -42,6 +42,16 @@ def relative_score(p: PInv, row) -> tuple[bool, float]:
     return True, q / (q + 1.0)
 
 
+def quad_forms(p: PInv, block) -> np.ndarray:
+    """row' X+ row, clamped at 0, for every row of a dense (b, d) block."""
+    return np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
+
+
+def relative_of(on, q) -> np.ndarray:
+    """Relative scores from kernel verdicts on and quadratic forms q >= 0."""
+    return np.where(on, q / (q + 1.0), 1.0)
+
+
 def relative_scores(p: PInv, block, q=None) -> np.ndarray:
     """relative_score of every row of a dense (b, d) block, with one product.
 
@@ -49,8 +59,8 @@ def relative_scores(p: PInv, block, q=None) -> np.ndarray:
     exact ones; the kernel verdict is always exact.
     """
     if q is None:
-        q = np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
-    return np.where(on_image_rows(p, block), q / (q + 1.0), 1.0)
+        q = quad_forms(p, block)
+    return relative_of(on_image_rows(p, block), q)
 
 
 def relative_leverage(b_pinv: PInv, row) -> float:

@@ -1,8 +1,18 @@
 """Online row samplers: the relative-leverage sampler and the barrier variant.
 
-Both consume rows one at a time and keep a weighted sketch whose Gram stays
-a (1 +/- eps) spectral approximation of the prefix seen so far. Sampling
-decisions come from counter-based uniforms keyed by (seed, row index).
+Both consume rows in stream order and keep a weighted sketch whose Gram
+stays a (1 +/- eps) spectral approximation of the prefix seen so far.
+Sampling decisions come from counter-based uniforms keyed by (seed, row
+index).
+
+The relative-leverage sampler takes rows in runs (OnlineState.add_rows;
+run_online feeds ONLINE_RUN rows at a time, online_step one). A run is
+scored against the current pseudo-inverse with one product and its coins
+come from one take_range; only rows whose coin beats that score can be
+kept, since a kept row only lowers later rows' forms. Each kept row takes
+one Sherman-Morrison step and lowers the rest of the run's forms with one
+O(d b) product; a rebuild rescores the rest. The decisions are those of the
+row-at-a-time rule.
 """
 from __future__ import annotations
 
@@ -13,13 +23,17 @@ import numpy as np
 from . import rows as rowops
 from .errors import BarrierViolation, DegenerateUpdate, DimensionMismatch, NotPsd
 from .instances import RowStream
-from .leverage import relative_score
-from .linalg import PInv, SymPsd, pinv, pinv_rank1_update
+from .leverage import quad_forms, relative_of, relative_score
+from .linalg import PInv, SymPsd, on_image_rows, pinv, sherman_morrison
 from .randomness import IndexedUniforms
 from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
 DEFAULT_ONLINE_C_MULT = 3.0
+
+# Rows run_online scores with one product. A kept row costs O(d * run) to
+# correct the rest of its run, and a rebuild rescores that rest.
+ONLINE_RUN = 128
 
 # Maintained pseudo-inverse is checked against a fresh recompute this often.
 PINV_VERIFY_EVERY = 64
@@ -57,25 +71,31 @@ class KeptPinv:
         """
         return relative_score(self.pinv, row)
 
-    def update(self, a, k: float, on_image: bool) -> None:
-        """Follow X += k a a' for a dense a; on_image is score's verdict on a."""
+    def update(self, a, k: float, on_image: bool):
+        """Follow X += k a a' for a dense a; on_image is score's verdict on a.
+
+        Returns (Pa, coef) when X+ took the Sherman-Morrison step
+        X+ - coef Pa Pa' with Pa = X+ a, and None when it was rebuilt.
+        """
         if not on_image:
             self.recompute()
-            return
+            return None
         try:
-            self.pinv = pinv_rank1_update(self.pinv, a, k)
+            self.pinv, pa, coef = sherman_morrison(self.pinv, a, k)
         except DegenerateUpdate:
             self.recompute()
-            return
+            return None
         self._updates_since_verify += 1
         if self._updates_since_verify >= PINV_VERIFY_EVERY:
             fresh = pinv(self.source())
             drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
+            self._updates_since_verify = 0
             if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
                 self.drift_events += 1
                 self.pinv = fresh
                 self.recomputes += 1
-            self._updates_since_verify = 0
+                return None
+        return pa, coef
 
     def recompute(self) -> None:
         self.pinv = pinv(self.source())
@@ -103,35 +123,111 @@ class OnlineState:
         self.eps = float(eps)
         self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.sketch = Sketch(dim)
-        self.kept = KeptPinv(dim, lambda: self.sketch.gram)
+        self.kept = KeptPinv(dim, self._gram)
         self.rng = IndexedUniforms(seed)
-        self.scores: list[float] = []
-        self.score_total = 0.0
+        self.scores: list[np.ndarray] = []  # one array per run
+        self.saturated = 0
         self.last_index = -1
+        # the run being walked, and its kept rows not yet in the sketch
+        self._run = None
+        self._pending: list[int] = []
+        self._pending_p: list[float] = []
+
+    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+        """Take a run of rows with source indices lo, lo + 1, ...
+
+        block is the dense (b, d) array of the rows and rows their payloads,
+        which the sketch keeps as given. Each row scores
+        min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
+        off its image) and is kept on its coin with p = min(c * score, 1), at
+        weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
+        Returns the kept mask.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.dim:
+            raise DimensionMismatch(f"block of shape {block.shape} does not fit dimension {self.dim}")
+        lo, b = int(lo), len(block)
+        if b == 0:
+            return np.zeros(0, dtype=bool)
+        if lo <= self.last_index:
+            raise DimensionMismatch(f"row index {lo} not increasing")
+        self.last_index = lo + b - 1
+        coins = self.rng.take_range(lo, lo + b)
+        on, q = np.empty(b, dtype=bool), np.empty(b)
+        kept = np.zeros(b, dtype=bool)
+        self._run = (lo, block, rows)
+        start = 0
+        while start < b:
+            start = self._walk(block, coins, start, on, q, kept)
+        self._flush()
+        self._run = None
+        lev, p = self._levels(on, q)
+        self.scores.append(lev)
+        self.saturated += int(np.count_nonzero(p == 1.0))
+        return kept
+
+    def _walk(self, block, coins, start: int, on, q, kept) -> int:
+        """Score rows start.. of the run against the current pseudo-inverse
+        into on and q, and decide them in order; returns where to rescore
+        from after a rebuild, or the run's length."""
+        pinv_now = self.kept.pinv
+        seg = block[start:]
+        on[start:] = on_image_rows(pinv_now, seg)
+        q[start:] = quad_forms(pinv_now, seg)
+        # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
+        candidates = np.flatnonzero(coins[start:] < self._levels(on[start:], q[start:])[1])
+        for i in (start + candidates).tolist():
+            p = self._probability(bool(on[i]), float(q[i]))
+            if not coins[i] < p:
+                continue
+            kept[i] = True
+            self._pending.append(i)
+            self._pending_p.append(p)
+            step = self.kept.update(block[i], 1.0 / p, bool(on[i]))
+            if step is None:
+                return i + 1
+            pa, coef = step
+            rest = q[i + 1:]
+            rest -= coef * (block[i + 1:] @ pa) ** 2
+            np.maximum(rest, 0.0, out=rest)
+        return len(block)
+
+    def _levels(self, on, q):
+        """Capped scores and sampling probabilities of rows with kernel
+        verdicts on and quadratic forms q."""
+        lev = np.minimum((1.0 + self.eps) * relative_of(on, q), 1.0)
+        return lev, np.minimum(self.c * lev, 1.0)
+
+    def _probability(self, on: bool, q: float) -> float:
+        """_levels' probability for one row. Float arithmetic gives the same
+        value; the walk calls it once per candidate, where numpy's per-call
+        cost on one element is most of the work."""
+        lev = min((1.0 + self.eps) * (q / (q + 1.0) if on else 1.0), 1.0)
+        return min(self.c * lev, 1.0)
+
+    def _flush(self) -> None:
+        """Fold the run's pending kept rows into the sketch with one product."""
+        if not self._pending:
+            return
+        lo, block, rows = self._run
+        pos = np.array(self._pending)
+        weights = 1.0 / np.sqrt(np.array(self._pending_p))
+        self.sketch.append_rows(lo + pos, weights, block[pos], [rows[i] for i in self._pending])
+        self._pending, self._pending_p = [], []
+
+    def _gram(self) -> SymPsd:
+        """The kept pseudo-inverse's source: the sketch Gram with every kept row in."""
+        self._flush()
+        return self.sketch.gram
 
 
 def online_step(state: OnlineState, row, index: int) -> bool:
-    """Score one row, flip its coin, and fold it into the sketch if kept.
+    """Take one row (dense or sparse) as a one-row run; True when it was kept.
 
-    The score is min((1 + eps) * q / (q + 1), 1) against the current sketch
-    Gram; the kept row enters with weight 1/sqrt(p), stored as given.
-    Exactly-zero rows score zero and are never sampled.
+    The row's width and values are checked before any state changes.
     """
-    index = int(index)
-    if index <= state.last_index:
-        raise DimensionMismatch(f"row index {index} not increasing")
-    state.last_index = index
-    a = rowops.densify(row, state.dim)
-    on_image, rel = state.kept.score(a)
-    lev = min((1.0 + state.eps) * rel, 1.0)
-    state.scores.append(lev)
-    state.score_total += lev
-    p = min(state.c * lev, 1.0)
-    sampled = state.rng.take(index) < p
-    if sampled:
-        state.sketch.append(index, 1.0 / math.sqrt(p), row)
-        state.kept.update(a, 1.0 / p, on_image)
-    return sampled
+    a = rowops.checked_dense(row, state.dim)
+    return bool(state.add_rows(index, a[None, :], [row])[0])
 
 
 def run_online(
@@ -140,16 +236,19 @@ def run_online(
     seed: int,
     c_mult: float = DEFAULT_ONLINE_C_MULT,
 ) -> tuple[Sketch, RunStats]:
-    """Run the online sampler over a whole stream."""
+    """Run the online sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
-    for i in range(stream.n):
-        online_step(state, stream.row(i), i)
+    for lo in range(0, stream.n, ONLINE_RUN):
+        block, rows = stream.block(lo, min(lo + ONLINE_RUN, stream.n))
+        state.add_rows(lo, block, rows)
+    scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
-        scores=np.asarray(state.scores),
-        score_total=state.score_total,
+        scores=scores,
+        score_total=float(np.sum(scores)),
         pinv_recomputes=state.kept.recomputes,
         max_working_rows=state.sketch.n_rows,
         drift_events=state.kept.drift_events,
+        saturated=state.saturated,
     )
 
 
@@ -220,11 +319,11 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
     follow by Sherman-Morrison. Raises BarrierViolation if the sandwich
     lower <= gram <= upper fails beyond relative tolerance after the update.
     """
+    a = rowops.checked_dense(row, state.dim)
     index = int(index)
     if index <= state.last_index:
         raise DimensionMismatch(f"row index {index} not increasing")
     state.last_index = index
-    a = rowops.densify(row, state.dim)
     on_upper, rel_upper = state.upper_pinv.score(a)
     on_lower, rel_lower = state.lower_pinv.score(a)
     p = min(state.c_upper * rel_upper + state.c_lower * rel_lower, 1.0)
@@ -262,12 +361,14 @@ def run_barrier(
     for i in range(stream.n):
         barrier_step(state, stream.row(i), i)
     kept = (state.upper_pinv, state.lower_pinv)
+    probs = np.asarray(state.probs)
     return state.sketch, RunStats(
         scores=None,
-        score_total=float(np.sum(state.probs)),
+        score_total=float(np.sum(probs)),
         pinv_recomputes=sum(k.recomputes for k in kept),
         max_working_rows=state.sketch.n_rows,
         drift_events=sum(k.drift_events for k in kept),
-        probs=np.asarray(state.probs),
+        saturated=int(np.count_nonzero(probs == 1.0)),
+        probs=probs,
         gap_history=state.gap_history,
     )

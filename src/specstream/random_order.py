@@ -126,6 +126,7 @@ class BlockSampler:
         self.block_sums: list[float] = [0.0]
         self.frozen_pinvs: list[np.ndarray] = []
         self.max_working_rows = 0
+        self.saturated = 0
         # Gram of every row fed to the plug; only its rank is read, to catch
         # a plug that loses a direction.
         self._fed_gram = None if approx is None else np.zeros((dim, dim))
@@ -150,7 +151,7 @@ class BlockSampler:
 
     def step(self, index: int, row) -> bool:
         """Take one row (dense or sparse); True when it was kept."""
-        return bool(self.add_rows(index, rowops.densify(row, self.dim)[None, :], [row])[0])
+        return bool(self.add_rows(index, rowops.checked_dense(row, self.dim)[None, :], [row])[0])
 
     def add_rows(self, lo: int, block, rows) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
@@ -185,6 +186,7 @@ class BlockSampler:
             p = np.minimum(self.c * lev, 1.0)
             keep = self.rng.take_range(j, j + len(seg)) < p
         self.scores.append(lev)
+        self.saturated += int(np.count_nonzero(p == 1.0))
         self.block_sums[-1] += float(np.sum(lev))
         pos = np.flatnonzero(keep)
         self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos],
@@ -247,6 +249,7 @@ class BlockSampler:
             score_total=float(np.sum(scores)),
             pinv_recomputes=len(freezes),
             max_working_rows=self.sketch.n_rows if self.approx is None else self.max_working_rows,
+            saturated=self.saturated,
             schedule=BlockSchedule(self.k, freezes, len(freezes)),
             block_sums=self.block_sums,
             frozen_pinvs=self.frozen_pinvs,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 
 
 def is_sparse(row) -> bool:
@@ -37,6 +37,24 @@ def densify(row, dim: int):
         out[idx] = val
         return out
     return np.asarray(row, dtype=float)
+
+
+def checked_dense(row, dim: int):
+    """densify for one row handed to a sampler's per-row entry.
+
+    A stream validates its rows once; a row arriving on its own is checked
+    here, before it reaches any sampler state: a dense row must have width
+    dim, a sparse one valid column indices, and every value must be finite.
+    """
+    if is_sparse(row):
+        out = densify(sparse_row(row[0], row[1], dim), dim)
+    else:
+        out = np.asarray(row, dtype=float)
+        if out.shape != (dim,):
+            raise DimensionMismatch(f"row of shape {out.shape} does not fit dimension {dim}")
+    if not np.isfinite(out).all():
+        raise NonFiniteInput("row holds a NaN or infinite value")
+    return out
 
 
 def dense_rows(rows, dim: int):

@@ -16,7 +16,8 @@ class Sketch:
 
     Entries are (source_index, weight, row) with strictly increasing source
     indices; a sampled row enters with weight 1/sqrt(p). The Gram of the
-    weighted rows is accumulated on append.
+    weighted rows is accumulated on append, and a dense copy of the rows is
+    kept beside their payloads for weighted_matrix.
     """
 
     def __init__(self, dim: int):
@@ -28,6 +29,16 @@ class Sketch:
         self.rows: list = []
         self._gram = np.zeros((dim, dim))
         self._gram_sym: SymPsd | None = None
+        self._dense = np.empty((0, dim))  # rows 0..n_rows-1 in use
+
+    def _store(self, block) -> None:
+        """Copy dense rows after the held ones, doubling the store when full."""
+        n, m = self.n_rows, len(block)
+        if n + m > len(self._dense):
+            grown = np.empty((max(n + m, 2 * len(self._dense)), self.dim))
+            grown[:n] = self._dense[:n]
+            self._dense = grown
+        self._dense[n:n + m] = block
 
     @property
     def n_rows(self) -> int:
@@ -44,6 +55,7 @@ class Sketch:
                 raise DimensionMismatch(f"row does not fit dimension {self.dim}")
         elif np.shape(row) != (self.dim,):
             raise DimensionMismatch(f"row does not fit dimension {self.dim}")
+        self._store(rowops.densify(row, self.dim)[None, :])
         self.indices.append(index)
         self.weights.append(float(weight))
         self.rows.append(row)
@@ -63,6 +75,7 @@ class Sketch:
         weights = np.asarray(weights, dtype=float)
         scaled = block * weights[:, None]
         self._gram += scaled.T @ scaled
+        self._store(block)
         self.indices.extend(indices.tolist())
         self.weights.extend(weights.tolist())
         self.rows.extend(rows)
@@ -81,8 +94,7 @@ class Sketch:
 
     def weighted_matrix(self) -> np.ndarray:
         """Dense m x d matrix of rows scaled by their weights."""
-        m = np.array([rowops.densify(row, self.dim) for row in self.rows]).reshape(-1, self.dim)
-        return m * np.asarray(self.weights)[:, None]
+        return self._dense[:self.n_rows] * np.asarray(self.weights)[:, None]
 
     def __iter__(self):
         return iter(zip(self.indices, self.weights, self.rows))
@@ -95,10 +107,12 @@ class Sketch:
 class RunStats:
     """What one sampler run reports beside its sketch.
 
-    Every runner fills the first five fields: scores is the audit's score
-    log (None for the barrier) and max_working_rows the sketch's row count,
-    or the plug's peak. probs and gap_history come from the barrier
-    sampler, the rest from the block samplers.
+    Every runner fills the first six fields: scores is the audit's score
+    log (None for the barrier), max_working_rows the sketch's row count, or
+    the plug's peak, and saturated counts the rows whose sampling
+    probability was capped at 1 (for the block samplers, the seed block
+    too). probs and gap_history come from the barrier sampler, the rest from
+    the block samplers.
     """
 
     scores: np.ndarray | None
@@ -106,6 +120,7 @@ class RunStats:
     pinv_recomputes: int
     max_working_rows: int
     drift_events: int = 0
+    saturated: int = 0
     probs: np.ndarray | None = None
     gap_history: list | None = None
     schedule: object = None

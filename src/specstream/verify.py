@@ -46,7 +46,11 @@ def verify(
         )
     if stream.n == 0:
         raise EmptyStream("empty stream")
-    eps_actual = approx_factor(stream.gram(), sketch.gram)
+    # The sketch's Gram is formed afresh from its weights and rows: the Gram
+    # a sampler accumulated while sampling is sampler state, and the referee
+    # judges only what the sketch holds.
+    weighted = sketch.weighted_matrix()
+    eps_actual = approx_factor(stream.gram(), SymPsd(weighted.T @ weighted))
 
     if scores is None:
         if require_scores:

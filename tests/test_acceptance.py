@@ -23,10 +23,10 @@ import pytest
 
 from specstream import (
     ResparsifyApprox,
-    ImprovedSampler,
     ScaledSampler,
     SymPsd,
     gen_gaussian,
+    improved_scaled_sampling,
     leverage_scores,
     min_nonzero_eig,
     permute,
@@ -331,11 +331,8 @@ def test_criterion_08_projected_scoring_fidelity(sampling_grid):
         seed = derive_seed(316, s)
         audit = s < 3  # three fully audited runs carry the fidelity clause
         plug = ScaledSampler(GRID_D, GRID_EPS, derive_seed(seed, 1), n_hint=GRID_N)
-        sampler = ImprovedSampler(GRID_D, GRID_EPS, seed, plug,
-                                  use_jl=True, jl_audit=audit, n_hint=GRID_N)
-        for i in range(stream.n):
-            sampler.step(i, stream.row(i))
-        sketch, diag = sampler.finalize()
+        sketch, diag = improved_scaled_sampling(stream, GRID_EPS, seed, plug, use_jl=True,
+                                                jl_audit=audit, n_hint=GRID_N)
         eps_actual, _ = verify(stream, sketch)
         jl_passes += eps_actual <= GRID_EPS
         if audit:

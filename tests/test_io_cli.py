@@ -242,7 +242,10 @@ class TestCliRunVerify:
         sk, meta = read_sketch(out)
         assert sk.n_rows == 6 and sk.weights == [1.0] * 6
         assert meta["algo"] == "online"
-        assert os.path.exists(out + ".diag")
+        with open(out + ".diag") as fh:
+            summary = [obj for obj in map(json.loads, fh) if obj["kind"] == "summary"][0]
+        # every row arrives off the image, so its probability is capped at 1
+        assert summary["saturated"] == 6
 
     def test_rerun_is_byte_identical(self, tmp_path):
         src = self.identity_file(tmp_path, copies=30)

@@ -20,10 +20,14 @@ from specstream import (
     run_barrier,
     run_online,
     sampling_constant,
+    scaled_sampling,
     verify,
 )
+from specstream import online
+from specstream.errors import NonFiniteInput
 from specstream.linalg import SymPsd
-from specstream.online import BARRIER_TOL, KeptPinv, sandwich_holds
+from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
+from specstream.random_order import BlockSampler
 
 from conftest import identity_stream, make_stream
 import oracles
@@ -65,7 +69,30 @@ def sparse_rows_with_explicit_zeros():
     return RowStream(6, payload, {"kind": "test"}, sparse=True)
 
 
-# (stream factory, eps, c_mult); rates low enough that most rows flip a coin
+def spiked_rows():
+    """Gaussian rows over d = 6 whose last row in each of two runs is 1e3
+    times longer: on the image, it scores 1 and is kept with p = 1."""
+    rows = np.random.default_rng(83).standard_normal((3 * ONLINE_RUN, 6))
+    rows[[ONLINE_RUN - 1, 2 * ONLINE_RUN - 1]] *= 1e3
+    return make_stream(rows)
+
+
+# rows where a coordinate of d = 6 first appears, each in the middle of a run
+GROWTH_ROWS = (ONLINE_RUN + ONLINE_RUN // 2, 2 * ONLINE_RUN + 9)
+
+
+def image_grows_mid_run():
+    """Gaussian rows over d = 6 whose last two coordinates stay zero until
+    the rows GROWTH_ROWS, so the image grows after many kept rows."""
+    rows = np.random.default_rng(84).standard_normal((3 * ONLINE_RUN, 6))
+    for k, at in enumerate(GROWTH_ROWS):
+        rows[:at, 4 + k] = 0.0
+    return make_stream(rows)
+
+
+# (stream factory, eps, c_mult[, online module constants to patch]); rates
+# low enough that most rows flip a coin. The cases after d2 sit on the
+# boundaries of the runs run_online cuts the stream into.
 ONLINE_PARITY_CASES = {
     "gaussian": (lambda: gen_gaussian(500, 8, seed=91), 0.5, 0.5),
     "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=92), 0.5, 1.0),
@@ -73,6 +100,14 @@ ONLINE_PARITY_CASES = {
     "mu-controlled": (lambda: permute(gen_mu_controlled(6, 4, 10.0), seed=95), 0.5, 0.5),
     "sparse-explicit-zeros": (sparse_rows_with_explicit_zeros, 0.5, 0.5),
     "d2": (lambda: gen_gaussian(300, 2, seed=93), 0.5, 0.5),
+    "n-not-a-run-multiple": (lambda: gen_gaussian(2 * ONLINE_RUN + 37, 6, seed=96), 0.5, 0.5),
+    "shorter-than-a-run": (lambda: gen_gaussian(ONLINE_RUN // 2, 4, seed=97), 0.5, 0.3),
+    "kept-last-row-of-run": (spiked_rows, 0.5, 0.5),
+    "image-grows-mid-run": (image_grows_mid_run, 0.5, 0.5),
+    # at a zero tolerance every second kept row replaces the maintained pinv
+    "drift-replaced-mid-run": (lambda: gen_gaussian(3 * ONLINE_RUN, 5, seed=98), 0.5, 0.5,
+                               {"PINV_VERIFY_EVERY": 2, "PINV_DRIFT_TOL": 0.0}),
+    "d1": (lambda: gen_gaussian(300, 1, seed=99), 0.5, 0.5),
 }
 
 
@@ -169,8 +204,10 @@ class TestOnlineSampler:
             online_step(state, np.array([0.0, 1.0, 0.0]), 0)
 
     @pytest.mark.parametrize("case", sorted(ONLINE_PARITY_CASES))
-    def test_matches_fresh_pinv_reference(self, case):
-        build, eps, c_mult = ONLINE_PARITY_CASES[case]
+    def test_matches_fresh_pinv_reference(self, case, monkeypatch):
+        build, eps, c_mult, *patches = ONLINE_PARITY_CASES[case]
+        for name, value in (patches[0] if patches else {}).items():
+            monkeypatch.setattr(online, name, value)
         stream = build()
         sketch, diag = run_online(stream, eps, seed=94, c_mult=c_mult)
         kept, weights, levels = oracles.online_reference(stream, eps, seed=94, c_mult=c_mult)
@@ -178,9 +215,92 @@ class TestOnlineSampler:
         assert not flipped, f"{len(flipped)} flipped decisions, first at row {min(flipped)}"
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.scores - levels)) <= 1e-9
+        if patches:
+            assert diag.drift_events >= 10
+
+    def test_boundary_cases_reach_their_boundaries(self):
+        kept = oracles.online_reference(spiked_rows(), 0.5, seed=94, c_mult=0.5)[0]
+        assert {ONLINE_RUN - 1, 2 * ONLINE_RUN - 1} <= set(kept)
+        stream = image_grows_mid_run()
+        _, diag = run_online(stream, 0.5, seed=94, c_mult=0.5)
+        # four directions at the start, then one at each growth row
+        assert diag.pinv_recomputes == 6
+        kept = oracles.online_reference(stream, 0.5, seed=94, c_mult=0.5)[0]
+        assert set(GROWTH_ROWS) <= set(kept) and len(kept) > 40
+
+    def test_step_loop_matches_whole_stream_run(self):
+        stream = permute(gen_kd_multigraph(8, 64), seed=35)
+        state = OnlineState(8, 0.5, seed=36, c_mult=1.0)
+        for i in range(stream.n):
+            online_step(state, stream.row(i), i)
+        whole, diag = run_online(stream, 0.5, seed=36, c_mult=1.0)
+        assert state.sketch.indices == whole.indices
+        assert np.allclose(state.sketch.weights, whole.weights, rtol=1e-9, atol=0.0)
+        assert np.allclose(np.concatenate(state.scores), diag.scores, rtol=0.0, atol=1e-12)
+        assert state.kept.recomputes == diag.pinv_recomputes
 
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
+
+
+# runner, and the sampling probabilities its RunStats implies
+SATURATING_RUNNERS = {
+    "online": (lambda st: run_online(st, 0.5, seed=24, c_mult=0.5),
+               lambda st, diag: np.minimum(sampling_constant(0.5, st.d, 0.5) * diag.scores, 1.0)),
+    "barrier": (lambda st: run_barrier(st, 0.5, seed=24), lambda st, diag: diag.probs),
+    "block": (lambda st: scaled_sampling(st, 0.5, seed=24),
+              lambda st, diag: np.minimum(6.0 * 0.5 ** -2 * math.log(st.d) * diag.scores, 1.0)),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(SATURATING_RUNNERS))
+def test_saturated_counts_rows_capped_at_one(runner):
+    run, probs = SATURATING_RUNNERS[runner]
+    _, diag = run(identity_stream(5))
+    assert diag.saturated == 5
+    stream = gen_gaussian(400, 6, seed=23)
+    _, diag = run(stream)
+    assert diag.saturated == np.count_nonzero(probs(stream, diag) == 1.0) >= 6
+
+
+def bad_row_entries():
+    """(fresh state, its per-row entry) for the three samplers, d = 3."""
+    return {
+        "online_step": (OnlineState(3, 0.3, seed=1), online_step),
+        "barrier_step": (BarrierState(3, 0.5, seed=1), barrier_step),
+        "BlockSampler.step": (BlockSampler(3, 0.3, seed=1), lambda s, row, i: s.step(i, row)),
+    }
+
+
+BAD_ROWS = {
+    "width-4": (np.ones(4), DimensionMismatch),
+    "sparse-column-5": ((np.array([0, 5]), np.array([1.0, 1.0])), DimensionMismatch),
+    "nan": (np.array([np.nan, 1.0, 1.0]), NonFiniteInput),
+}
+
+
+def sampler_state(state):
+    """What a row may change: the sketch, the score logs and the counters."""
+    sk = state.sketch
+    logs = [len(getattr(state, name, ())) for name in ("scores", "probs")]
+    return (list(sk.indices), list(sk.weights), sk.gram_matrix().copy(), logs,
+            getattr(state, "last_index", None), getattr(state, "count", None))
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("entry", ["online_step", "barrier_step", "BlockSampler.step"])
+def test_per_row_entry_rejects_a_malformed_row_untouched(entry, bad):
+    state, step = bad_row_entries()[entry]
+    step(state, np.array([1.0, 2.0, 0.0]), 0)
+    before = sampler_state(state)
+    row, error = BAD_ROWS[bad]
+    with pytest.raises(error):
+        step(state, row, 1)
+    after = sampler_state(state)
+    assert after[:2] == before[:2] and after[3:] == before[3:]
+    assert np.array_equal(after[2], before[2])
+    # the rejected row left no mark, so row 1 may still arrive
+    step(state, np.array([0.0, 1.0, 1.0]), 1)
 
 
 class TestKeptPinv:
@@ -190,14 +310,14 @@ class TestKeptPinv:
         a = np.array([1.0, 2.0, 0.0])
         assert kept.score(a) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
-        kept.update(a, 2.0, False)
+        assert kept.update(a, 2.0, False) is None
         assert kept.recomputes == 1
         on_image, rel = kept.score(a)
         q = a @ np.linalg.pinv(x) @ a
         assert on_image and rel == pytest.approx(q / (q + 1.0), rel=1e-12)
         # subtracting the same term empties X: the denominator 1 - 2q is 0
         x -= 2.0 * np.outer(a, a)
-        kept.update(a, -2.0, True)
+        assert kept.update(a, -2.0, True) is None
         assert kept.recomputes == 2 and kept.pinv.source_rank == 0
         assert np.array_equal(kept.pinv.matrix, np.zeros((3, 3)))
 
@@ -208,11 +328,15 @@ class TestKeptPinv:
         kept.recompute()
         a = np.array([1.0, 1.0, 1.0])
         x += np.outer(a, a)
-        kept.update(a, 1.0, True)
+        before = kept.pinv.matrix
+        pa, coef = kept.update(a, 1.0, True)
+        # the step it reports is the one it took
+        assert np.allclose(kept.pinv.matrix, before - coef * np.outer(pa, pa), rtol=1e-15)
         assert kept.drift_events == 0
         kept.pinv.matrix[0, 0] *= 1.0 + 1e-3
         x += np.outer(a, a)
-        kept.update(a, 1.0, True)
+        # a replaced pinv reports no step: scores taken before it are stale
+        assert kept.update(a, 1.0, True) is None
         assert (kept.recomputes, kept.drift_events) == (2, 1)
         assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
 

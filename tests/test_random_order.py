@@ -443,17 +443,25 @@ class TestBlockReference:
         if plug_name == "self":
             assert plug.query().indices == twin.query().indices
 
-    @pytest.mark.parametrize("plug_name", ["none", "resparsify"])
+    @pytest.mark.parametrize("plug_name", ["none", "resparsify", "jl-self"])
     def test_step_loop_matches_whole_stream_run(self, plug_name):
         stream = permute(gen_gaussian(3000, 6, seed=91), seed=92)
-        make_plug = BLOCK_PARITY_PLUGS[plug_name]
-        sampler = BlockSampler(6, 0.4, 93, make_plug(6), n_hint=stream.n)
+        # jl-self: JL scoring with a self plug, the configuration of criterion 8
+        use_jl = plug_name == "jl-self"
+        make_plug = BLOCK_PARITY_PLUGS["self" if use_jl else plug_name]
+        config = dict(use_jl=use_jl, jl_audit=use_jl, n_hint=stream.n)
+        sampler = BlockSampler(6, 0.4, 93, make_plug(6), **config)
         for i in range(stream.n):
             sampler.step(i, stream.row(i))
-        stepped, _ = sampler.finalize()
-        whole, _ = scaled_sampling(stream, 0.4, 93, make_plug(6))
+        stepped, step_diag = sampler.finalize()
+        whole, whole_diag = scaled_sampling(stream, 0.4, 93, make_plug(6), **config)
         assert stepped.indices == whole.indices
         assert np.allclose(stepped.weights, whole.weights, rtol=1e-12, atol=0.0)
+        if use_jl:
+            # criterion 8 reads the audited scores of whole-stream runs
+            for name in ("jl_scores", "exact_scores"):
+                assert np.allclose(getattr(step_diag, name), getattr(whole_diag, name),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_jl_freeze_computes_one_pinv(self, monkeypatch):
         from specstream import jl, linalg, random_order

@@ -18,6 +18,7 @@ from specstream import (
     mu,
     permute,
     run_online,
+    scaled_sampling,
     verify,
 )
 from specstream.verify import online_leverage
@@ -93,6 +94,17 @@ class TestVerify:
         sk, diag = run_online(stream, 0.4, seed=7)
         copy = Sketch(stream.d)
         for idx, w, row in zip(sk.indices, sk.weights, sk.rows):
+            copy.append(idx, w, row)
+        assert verify(stream, sk)[0] == verify(stream, copy)[0]
+
+    def test_judges_rows_not_the_accumulated_gram(self):
+        # a block sampler folds kept rows a segment at a time, so its sketch's
+        # running Gram differs in the last bits from one built row by row;
+        # verify reads the weights and rows, which are the same
+        stream = permute(gen_gaussian(3000, 6, seed=8), seed=9)
+        sk, _ = scaled_sampling(stream, 0.4, seed=10)
+        copy = Sketch(stream.d)
+        for idx, w, row in sk:
             copy.append(idx, w, row)
         assert verify(stream, sk)[0] == verify(stream, copy)[0]
 
