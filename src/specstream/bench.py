@@ -391,18 +391,15 @@ def suite_lower_bound_probe(seeds: int = 100) -> tuple[list[TrialRecord], dict]:
     uniform_runs = growth_runs = 0
     for s in range(seeds):
         stream = permute(base, s)
-        # Per-edge counts of uniform prefixes at each checkpoint.
-        counts: dict[tuple, int] = {}
+        # Per-edge counts of uniform prefixes at each checkpoint; a row's
+        # edge is the bit mask of its two columns.
+        edges = (stream.materialize() != 0) @ (1 << np.arange(d))
         uniform_ok = True
-        pos = 0
         for mark in marks:
-            while pos < mark:
-                key = tuple(stream.row(pos)[0].tolist())  # the row's edge
-                counts[key] = counts.get(key, 0) + 1
-                pos += 1
+            counts = np.unique(edges[:mark], return_counts=True)[1]
             exp = expected[mark]
-            uniform_ok &= len(counts) >= d * (d - 1) // 2 and all(
-                0.5 * exp <= c <= 1.5 * exp for c in counts.values())
+            uniform_ok &= len(counts) >= d * (d - 1) // 2 and bool(
+                np.all((0.5 * exp <= counts) & (counts <= 1.5 * exp)))
         rec, sketch = run_trial(
             "online", stream, eps, 0, s, derive_seed(9, s),
             c_mult=BENCH_ONLINE_C_MULT,

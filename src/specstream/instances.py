@@ -13,8 +13,10 @@ from .linalg import SymPsd
 class RowStream:
     """Finite stream of d-dimensional rows, dense or sparse, with metadata.
 
-    Dense payload is an (n, d) array; sparse payload is a list of
-    (idx, val) pairs with strictly increasing column indices per row.
+    A dense payload is an (n, d) array. A sparse payload is a sequence of
+    (idx, val) pairs with strictly increasing column indices per row, or
+    the rows.SparseRows (CSR arrays) the stream holds it as; its rows are
+    read as (idx, val) views. The payload is checked once, vectorised.
     meta records how the stream was generated.
     """
 
@@ -22,65 +24,44 @@ class RowStream:
         if d <= 0:
             raise DimensionMismatch("dimension must be positive")
         if sparse:
-            rows = [rowops.sparse_row(idx, val, d) for idx, val in payload]
-            values = np.concatenate([val for _, val in rows]) if rows else np.empty(0)
+            rows = payload if isinstance(payload, rowops.SparseRows) else rowops.SparseRows.of_pairs(payload)
+            rows.check(d)
         else:
             rows = np.asarray(payload, dtype=float)
             if rows.ndim != 2 or rows.shape[1] != d:
                 raise DimensionMismatch(f"dense payload shape {rows.shape} vs d={d}")
-            values = rows
         # One vectorised check per stream keeps NaN/inf out of every sampler.
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(rows.data if sparse else rows)):
             raise NonFiniteInput("stream holds a NaN or infinite value")
-        self._fill(d, rows, meta, sparse)
-
-    @classmethod
-    def _of_checked(cls, d: int, rows, meta: dict, sparse: bool) -> "RowStream":
-        """Stream over rows that another stream has already validated."""
-        stream = cls.__new__(cls)
-        stream._fill(d, rows, meta, sparse)
-        return stream
-
-    def _fill(self, d: int, rows, meta: dict, sparse: bool) -> None:
         self.d = int(d)
         self.meta = dict(meta)
         self.is_sparse = bool(sparse)
-        self._rows = rows if sparse else None
-        self._dense = None if sparse else rows
+        self._rows = rows
         self.n = len(rows)
 
     def row(self, i: int):
-        """Row payload at position i (dense view or sparse pair)."""
-        if self.is_sparse:
-            return self._rows[i]
-        return self._dense[i]
+        """Row payload at position i (dense view or sparse (idx, val) views)."""
+        return self._rows[i]
 
     def iter_rows(self):
-        if self.is_sparse:
-            yield from self._rows
-        else:
-            yield from self._dense
+        return iter(self._rows)
 
     def block(self, lo: int, hi: int):
         """Rows lo..hi-1 as a dense (hi - lo, d) array, and their payloads.
 
-        A dense stream returns one view of its array for both; a sparse
-        stream densifies this slice only and returns its (idx, val) pairs.
+        A dense stream returns one view of its array for both; a sparse one
+        scatters the slice and returns it as a SparseRows, whose rows get
+        their (idx, val) views only when read.
         """
-        if not self.is_sparse:
-            view = self._dense[lo:hi]
-            return view, view
         part = self._rows[lo:hi]
-        return rowops.dense_rows(part, self.d), part
+        return (part.dense(self.d) if self.is_sparse else part), part
 
     def materialize(self) -> np.ndarray:
         """Dense (n, d) copy of the stream."""
-        if not self.is_sparse:
-            return np.array(self._dense)
-        return rowops.dense_rows(self._rows, self.d)
+        return self._rows.dense(self.d) if self.is_sparse else np.array(self._rows)
 
     def gram_matrix(self) -> np.ndarray:
-        m = self._dense if not self.is_sparse else self.materialize()
+        m = self.materialize() if self.is_sparse else self._rows
         return m.T @ m
 
     def gram(self) -> SymPsd:
@@ -103,11 +84,10 @@ def gen_kd_multigraph(d: int, copies: int) -> RowStream:
     """
     if d < 2 or copies < 1:
         raise DimensionMismatch("need d >= 2 and copies >= 1")
-    payload = []
-    for u in range(d):
-        for v in range(u + 1, d):
-            pair = (np.array([u, v], dtype=np.int64), np.array([1.0, -1.0]))
-            payload.extend([pair] * copies)
+    u, v = np.triu_indices(d, 1)  # lexicographic
+    n = len(u) * copies
+    cols = np.repeat(np.stack((u, v), axis=1), copies, axis=0).astype(np.int64)
+    payload = rowops.SparseRows(np.arange(0, 2 * n + 1, 2), cols.ravel(), np.tile([1.0, -1.0], n))
     meta = {"kind": "kd", "d": d, "copies": copies}
     return RowStream(d, payload, meta, sparse=True)
 
@@ -131,14 +111,9 @@ def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
     """
     if d < 1 or levels < 1 or gamma <= 1.0:
         raise DimensionMismatch("need d >= 1, levels >= 1, gamma > 1")
-    payload = []
-    for level in range(levels):
-        if level == 0:
-            scale = 1.0
-        else:
-            scale = math.sqrt(gamma ** (2 * level) - gamma ** (2 * (level - 1)))
-        for i in range(d):
-            payload.append((np.array([i], dtype=np.int64), np.array([scale])))
+    scales = [1.0] + [math.sqrt(gamma ** (2 * lv) - gamma ** (2 * (lv - 1))) for lv in range(1, levels)]
+    payload = rowops.SparseRows(np.arange(levels * d + 1), np.tile(np.arange(d), levels),
+                                np.repeat(scales, d))
     meta = {
         "kind": "mu",
         "d": d,
@@ -153,9 +128,5 @@ def permute(stream: RowStream, seed: int) -> RowStream:
     """Uniformly random row order (Fisher-Yates) from a seeded generator."""
     order = np.random.default_rng(seed).permutation(stream.n)
     meta = {"kind": "permuted", "perm_seed": int(seed), "base": stream.meta}
-    if stream.is_sparse:
-        rows = [stream._rows[i] for i in order.tolist()]
-    else:
-        rows = stream._dense[order]
-    # The rows were validated when the source stream was built.
-    return RowStream._of_checked(stream.d, rows, meta, stream.is_sparse)
+    # one index gather, dense or sparse; the new stream checks it as any other
+    return RowStream(stream.d, stream._rows[order], meta, stream.is_sparse)

@@ -187,10 +187,8 @@ def read_sketch(path: str) -> tuple[Sketch, dict]:
             weight = float(tokens[1])
         except ValueError as exc:
             raise FormatError(f"bad src/weight in {ln!r}") from exc
-        if sparse:
-            row = rowops.sparse_row(*_parse_sparse_row(tokens[2:]), d)
-        else:
-            row = _parse_dense_row(tokens[2:], d)
+        # Sketch.append checks a sparse row's columns
+        row = _parse_sparse_row(tokens[2:]) if sparse else _parse_dense_row(tokens[2:], d)
         entries.append((src, weight, row))
     weights = np.array([w for _, w, _ in entries])
     values = [row[1] if sparse else row for _, _, row in entries]

@@ -137,21 +137,17 @@ class OnlineState:
         """Take a run of rows with source indices lo, lo + 1, ...
 
         block is the dense (b, d) array of the rows and rows their payloads,
-        which the sketch keeps as given. Each row scores
+        which the sketch keeps as given; the run is checked
+        (rows.checked_run) before any state changes. Each row scores
         min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
         off its image) and is kept on its coin with p = min(c * score, 1), at
         weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
         Returns the kept mask.
         """
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != self.dim:
-            raise DimensionMismatch(f"block of shape {block.shape} does not fit dimension {self.dim}")
+        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
         lo, b = int(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
-        if lo <= self.last_index:
-            raise DimensionMismatch(f"row index {lo} not increasing")
-        self.last_index = lo + b - 1
         coins = self.rng.take_range(lo, lo + b)
         on, q = np.empty(b, dtype=bool), np.empty(b)
         kept = np.zeros(b, dtype=bool)
@@ -224,10 +220,9 @@ class OnlineState:
 def online_step(state: OnlineState, row, index: int) -> bool:
     """Take one row (dense or sparse) as a one-row run; True when it was kept.
 
-    The row's width and values are checked before any state changes.
+    The row is checked before any state changes.
     """
-    a = rowops.checked_dense(row, state.dim)
-    return bool(state.add_rows(index, a[None, :], [row])[0])
+    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None], [row])[0])
 
 
 def run_online(
@@ -319,11 +314,9 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
     follow by Sherman-Morrison. Raises BarrierViolation if the sandwich
     lower <= gram <= upper fails beyond relative tolerance after the update.
     """
-    a = rowops.checked_dense(row, state.dim)
-    index = int(index)
-    if index <= state.last_index:
-        raise DimensionMismatch(f"row index {index} not increasing")
-    state.last_index = index
+    block, state.last_index = rowops.checked_run(rowops.densify(row, state.dim)[None], [row],
+                                                 state.dim, index, state.last_index)
+    a, index = block[0], state.last_index
     on_upper, rel_upper = state.upper_pinv.score(a)
     on_lower, rel_lower = state.lower_pinv.score(a)
     p = min(state.c_upper * rel_upper + state.c_lower * rel_lower, 1.0)

@@ -127,6 +127,7 @@ class BlockSampler:
         self.frozen_pinvs: list[np.ndarray] = []
         self.max_working_rows = 0
         self.saturated = 0
+        self.last_index = -1
         # Gram of every row fed to the plug; only its rank is read, to catch
         # a plug that loses a direction.
         self._fed_gram = None if approx is None else np.zeros((dim, dim))
@@ -151,17 +152,16 @@ class BlockSampler:
 
     def step(self, index: int, row) -> bool:
         """Take one row (dense or sparse); True when it was kept."""
-        return bool(self.add_rows(index, rowops.checked_dense(row, self.dim)[None, :], [row])[0])
+        return bool(self.add_rows(index, rowops.densify(row, self.dim)[None], [row])[0])
 
     def add_rows(self, lo: int, block, rows) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
 
         block is the dense (b, d) array of the rows and rows their payloads,
-        which the sketch keeps as given. Returns the kept mask.
+        which the sketch keeps as given; the run is checked
+        (rows.checked_run) before any state changes. Returns the kept mask.
         """
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != self.dim:
-            raise DimensionMismatch(f"block of shape {block.shape} does not fit dimension {self.dim}")
+        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
         kept = np.empty(len(block), dtype=bool)
         start = 0
         while start < len(block):
@@ -270,8 +270,8 @@ def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
                     **config) -> tuple[Sketch, RunStats]:
     """Run the block sampler over a whole stream, with an optional plug.
 
-    The stream is fed in runs of CHUNK rows; a sparse stream is densified
-    one run at a time, so working memory stays O(CHUNK * d).
+    The stream is fed in runs of CHUNK rows, each densified on its own
+    (RowStream.block), so working memory stays O(CHUNK * d).
     """
     if stream.n == 0:
         raise EmptyStream("empty stream")
@@ -314,6 +314,7 @@ class ResparsifyApprox:
         self.passes = 0
         self.retries = 0
         self.peak_rows = 0
+        self.last_index = -1
         full = 2 * self.capacity_rows
         self._gram = np.zeros((dim, dim))
         self._dense = np.empty((full, dim))
@@ -331,12 +332,11 @@ class ResparsifyApprox:
         return list(zip(self._indices[:n].tolist(), self._weights[:n].tolist(), self._rows))
 
     def add(self, index: int, row) -> None:
-        self.add_rows(index, rowops.densify(row, self.dim)[None, :], [row])
+        self.add_rows(index, rowops.densify(row, self.dim)[None], [row])
 
     def add_rows(self, lo: int, block, rows) -> None:
-        """Append a run of rows at weight 1, split where the buffer reaches 2C."""
-        if np.shape(block)[1:] != (self.dim,):
-            raise DimensionMismatch(f"block of shape {np.shape(block)} does not fit dimension {self.dim}")
+        """Append a checked run of rows at weight 1, split where the buffer reaches 2C."""
+        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):

@@ -1,9 +1,8 @@
 """Row payload helpers: a row is a dense 1-d array or a sparse (idx, val) pair.
 
 Sparse payloads carry strictly increasing int64 column indices and float64
-values. They are a storage format only: streams, sketches and files keep
-them, and everything that scores a row or tests it against a kernel takes
-it dense (densify, dense_rows).
+values, and a sparse stream holds them as CSR arrays (SparseRows). They are
+a storage format only: everything that scores a row takes it dense.
 """
 from __future__ import annotations
 
@@ -12,59 +11,107 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 
 
+class SparseRows:
+    """Sparse rows as CSR arrays: row i holds columns indices[indptr[i]:indptr[i + 1]]
+    with values data[indptr[i]:indptr[i + 1]].
+
+    A row's (idx, val) views are built when it is read; a slice shares the
+    arrays and an index array gathers its rows in one step.
+    """
+
+    def __init__(self, indptr, indices, data):
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+    @classmethod
+    def of_pairs(cls, pairs) -> "SparseRows":
+        """Rows from a sequence of (idx, val) pairs."""
+        pairs = [(np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float)) for i, v in pairs]
+        if any(i.ndim != 1 or i.shape != v.shape for i, v in pairs):
+            raise DimensionMismatch("index/value arrays must be 1-d and equal length")
+        return cls(np.cumsum([0] + [i.size for i, _ in pairs]),
+                   np.concatenate([np.empty(0, np.int64)] + [i for i, _ in pairs]),
+                   np.concatenate([np.empty(0)] + [v for _, v in pairs]))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(len(self))
+            if step == 1:
+                s, e = self.indptr[lo], self.indptr[max(hi, lo)]
+                return SparseRows(self.indptr[lo:max(hi, lo) + 1] - s, self.indices[s:e], self.data[s:e])
+            key = np.arange(lo, hi, step)
+        if isinstance(key, np.ndarray):
+            counts = np.diff(self.indptr)[key]
+            indptr = np.cumsum(np.concatenate(([0], counts)))
+            at = np.repeat(self.indptr[key] - indptr[:-1], counts) + np.arange(indptr[-1])
+            return SparseRows(indptr, self.indices[at], self.data[at])
+        i = range(len(self))[key]  # IndexError past the end ends iteration
+        s, e = self.indptr[i], self.indptr[i + 1]
+        return self.indices[s:e], self.data[s:e]
+
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def dense(self, dim: int) -> np.ndarray:
+        """(len(self), dim) array of the rows, scattered in one index assignment."""
+        out = np.zeros((len(self), dim))
+        out[self._entry_rows(), self.indices] = self.data
+        return out
+
+    def check(self, dim: int) -> None:
+        """Raise DimensionMismatch unless these are rows of width dim: every
+        column in [0, dim) and strictly increasing within its row (a row may
+        start below the column the previous row ended on)."""
+        indptr, indices = self.indptr, self.indices
+        if indices.ndim != 1 or indices.shape != self.data.shape:
+            raise DimensionMismatch("index/value arrays must be 1-d and equal length")
+        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise DimensionMismatch("row pointers must rise from 0 to the entry count")
+        if indices.size and (indices.min() < 0 or indices.max() >= dim):
+            raise DimensionMismatch(f"column index out of range for dim {dim}")
+        # offset by row * dim, the columns rise overall exactly when they rise in every row
+        if np.any(np.diff(indices + self._entry_rows() * dim) <= 0):
+            raise DimensionMismatch("column indices must be strictly increasing")
+
+
 def is_sparse(row) -> bool:
     return isinstance(row, tuple)
 
 
 def sparse_row(idx, val, dim: int):
     """Validated sparse payload."""
-    idx = np.asarray(idx, dtype=np.int64)
-    val = np.asarray(val, dtype=float)
-    if idx.shape != val.shape or idx.ndim != 1:
-        raise DimensionMismatch("index/value arrays must be 1-d and equal length")
-    if idx.size:
-        if idx[0] < 0 or idx[-1] >= dim:
-            raise DimensionMismatch(f"column index out of range for dim {dim}")
-        if np.any(np.diff(idx) <= 0):
-            raise DimensionMismatch("column indices must be strictly increasing")
+    idx, val = np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=float)
+    SparseRows(np.array([0, idx.size]), idx, val).check(dim)
     return (idx, val)
 
 
 def densify(row, dim: int):
+    """Dense float copy of a row; a sparse row's columns are checked first."""
     if is_sparse(row):
+        idx, val = sparse_row(row[0], row[1], dim)
         out = np.zeros(dim)
-        idx, val = row
         out[idx] = val
         return out
     return np.asarray(row, dtype=float)
 
 
-def checked_dense(row, dim: int):
-    """densify for one row handed to a sampler's per-row entry.
+def checked_run(block, rows, dim: int, lo: int, last_index: int):
+    """(dense float block, last index taken) for a run that an add_rows entry
+    takes at source index lo after last_index, with one payload per row.
 
-    A stream validates its rows once; a row arriving on its own is checked
-    here, before it reaches any sampler state: a dense row must have width
-    dim, a sparse one valid column indices, and every value must be finite.
+    Every entry checks its run here before any state changes, and a per-row
+    entry's row is a one-row run (densify(row)[None], [row]).
     """
-    if is_sparse(row):
-        out = densify(sparse_row(row[0], row[1], dim), dim)
-    else:
-        out = np.asarray(row, dtype=float)
-        if out.shape != (dim,):
-            raise DimensionMismatch(f"row of shape {out.shape} does not fit dimension {dim}")
-    if not np.isfinite(out).all():
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[1] != dim or len(rows) != len(block):
+        raise DimensionMismatch(f"block {block.shape} with {len(rows)} payloads does not fit dim {dim}")
+    if len(block) and int(lo) <= last_index:
+        raise DimensionMismatch(f"row index {lo} not increasing")
+    if not np.isfinite(block).all():
         raise NonFiniteInput("row holds a NaN or infinite value")
-    return out
-
-
-def dense_rows(rows, dim: int):
-    """(len(rows), dim) array of sparse payloads, scattered in one index gather."""
-    out = np.zeros((len(rows), dim))
-    if rows:
-        counts = [idx.size for idx, _ in rows]
-        at = np.repeat(np.arange(len(rows)), counts)
-        out[at, np.concatenate([idx for idx, _ in rows])] = np.concatenate([val for _, val in rows])
-    return out
+    return block, max(last_index, int(lo) + len(block) - 1)
 
 
 def quad_form(matrix, row) -> float:
@@ -83,11 +130,6 @@ def kernel_residual(projector, row) -> float:
 
 
 def add_outer(gram, row, scale: float) -> None:
-    """gram += scale * row row', in place."""
-    if is_sparse(row):
-        idx, val = row
-        if idx.size:
-            gram[np.ix_(idx, idx)] += scale * np.outer(val, val)
-        return
-    r = np.asarray(row, dtype=float)
+    """gram += scale * row row', in place, for a dense or sparse row."""
+    r = densify(row, len(gram))
     gram += scale * np.outer(r, r)

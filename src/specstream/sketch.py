@@ -50,16 +50,14 @@ class Sketch:
             raise DimensionMismatch(
                 f"source indices must increase: {index} after {self.indices[-1]}"
             )
-        if rowops.is_sparse(row):
-            if row[0].size and int(row[0][-1]) >= self.dim:
-                raise DimensionMismatch(f"row does not fit dimension {self.dim}")
-        elif np.shape(row) != (self.dim,):
+        dense = rowops.densify(row, self.dim)
+        if dense.shape != (self.dim,):
             raise DimensionMismatch(f"row does not fit dimension {self.dim}")
-        self._store(rowops.densify(row, self.dim)[None, :])
+        self._store(dense[None, :])
         self.indices.append(index)
         self.weights.append(float(weight))
         self.rows.append(row)
-        rowops.add_outer(self._gram, row, weight * weight)
+        rowops.add_outer(self._gram, dense, weight * weight)
         self._gram_sym = None
 
     def append_rows(self, indices, weights, block, rows) -> None:

@@ -17,6 +17,7 @@ from specstream import (
     mu,
     permute,
 )
+from specstream.rows import SparseRows
 
 
 class TestRowStream:
@@ -40,6 +41,23 @@ class TestRowStream:
         with pytest.raises(NonFiniteInput):
             RowStream(3, payload, {"kind": "test"}, sparse=True)
 
+    @pytest.mark.parametrize("payload, error", [
+        ([([0, 2], [1.0, 1.0]), ([2, 1], [1.0, 1.0])], DimensionMismatch),  # unsorted
+        ([([1, 1], [1.0, 1.0])], DimensionMismatch),  # duplicate
+        ([([-1, 2], [1.0, 1.0])], DimensionMismatch),  # negative
+        ([([0], [1.0]), ([3], [1.0])], DimensionMismatch),  # out of range
+        ([([0, 1], [1.0])], DimensionMismatch),  # index/value lengths differ
+        ([([0], [1.0]), ([1, 2], [1.0, np.nan])], NonFiniteInput),
+        ([([0], [-np.inf]), ([], [])], NonFiniteInput),
+        # CSR arrays whose row pointers fall, or stop short of the entries
+        (SparseRows(np.array([0, 2, 1, 2]), np.array([0, 1]), np.array([1.0, 1.0])), DimensionMismatch),
+        (SparseRows(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 1.0])), DimensionMismatch),
+        (SparseRows(np.array([], dtype=np.int64), np.array([0]), np.array([1.0])), DimensionMismatch),
+    ])
+    def test_malformed_sparse_payload_rejected(self, payload, error):
+        with pytest.raises(error):
+            RowStream(3, payload, {"kind": "test"}, sparse=True)
+
     def test_sparse_materialize_matches_gram(self):
         payload = [([0, 2], [1.0, -1.0]), ([1], [2.0])]
         s = RowStream(3, payload, {"kind": "test"}, sparse=True)
@@ -54,6 +72,14 @@ class TestRowStream:
         lambda: permute(gen_kd_multigraph(6, 5), seed=3),
         lambda: RowStream(4, [([0, 3], [0.0, -0.0]), ([], []), ([1, 2], [2.5, 0.0])],
                           {"kind": "test"}, sparse=True),
+        # a row ending on column d - 1 followed by one starting at 0, and
+        # empty rows first, inside and last
+        lambda: RowStream(4, [([], []), ([1, 3], [1.0, 2.0]), ([0, 1], [3.0, 0.0]), ([], []),
+                              ([3], [-0.0]), ([0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0]), ([], [])],
+                          {"kind": "test"}, sparse=True),
+        lambda: permute(RowStream(4, [([], []), ([1, 3], [1.0, 0.0]), ([0], [-0.0]), ([], [])],
+                                  {"kind": "test"}, sparse=True), seed=2),
+        lambda: RowStream(3, [], {"kind": "test"}, sparse=True),
     ])
     def test_sparse_materialize_and_gram_match_row_loops(self, build):
         from specstream import rows as rowops
@@ -68,9 +94,15 @@ class TestRowStream:
         assert np.linalg.norm(s.gram_matrix() - gram) <= 1e-12 * np.linalg.norm(gram)
         if s.meta["kind"] == "permuted":  # integer entries: the sums are exact
             assert np.array_equal(s.gram_matrix(), gram)
-        block, payloads = s.block(1, s.n - 1)
-        assert block.tobytes() == want[1:-1].tobytes()
-        assert all(got is s.row(i + 1) for i, got in enumerate(payloads))
+        # every split, empty ranges included, gives the rows and their payloads
+        rows = list(s.iter_rows())
+        for lo in range(s.n + 1):
+            for hi in range(lo, s.n + 1):
+                block, payloads = s.block(lo, hi)
+                assert block.tobytes() == want[lo:hi].tobytes()
+                assert len(payloads) == hi - lo
+                for (idx, val), (row_idx, row_val) in zip(payloads, rows[lo:hi]):
+                    assert idx.tobytes() == row_idx.tobytes() and val.tobytes() == row_val.tobytes()
 
 
 class TestKdMultigraph:
@@ -196,11 +228,16 @@ class TestPermute:
         assert permute(sparse, seed=3).is_sparse
 
     def test_sparse_rows_reused_in_permuted_order(self):
-        s = gen_kd_multigraph(5, 3)
-        p = permute(s, seed=5)
-        order = np.random.default_rng(5).permutation(s.n)
-        assert p.n == s.n and p.is_sparse
-        assert all(p.row(j) is s.row(int(i)) for j, i in enumerate(order))
+        # the second stream has explicit zeros and empty rows, kept in place
+        zeros = [([], []), ([0, 4], [0.0, -0.0]), ([2], [1.5]), ([], []), ([1, 2, 3], [1.0, 0.0, -2.0])]
+        for s in (gen_kd_multigraph(5, 3), RowStream(5, zeros * 4, {"kind": "test"}, sparse=True)):
+            p = permute(s, seed=5)
+            order = np.random.default_rng(5).permutation(s.n)
+            assert p.n == s.n and p.is_sparse
+            for j, i in enumerate(order):
+                (idx, val), (want_idx, want_val) = p.row(j), s.row(int(i))
+                assert idx.tobytes() == want_idx.tobytes() and val.tobytes() == want_val.tobytes()
+                assert idx.dtype == np.int64 and val.dtype == np.float64
 
     def test_rows_form_same_multiset(self):
         s = gen_gaussian(25, 4, seed=14)

@@ -1,4 +1,5 @@
 """File formats and the command-line surface."""
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from specstream import (
     Sketch,
     gen_gaussian,
     gen_kd_multigraph,
+    permute,
     read_sketch,
     read_stream,
     write_sketch,
@@ -370,3 +372,56 @@ class TestCliBench:
         rows_a = [ln.rsplit(",", 1)[0] for ln in open(a).read().splitlines()]
         rows_b = [ln.rsplit(",", 1)[0] for ln in open(b).read().splitlines()]
         assert rows_a == rows_b
+
+
+def sha_prefix(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def zeros_stream():
+    """Sparse stream with empty rows and explicit zeros (0.0 and -0.0)."""
+    rng = np.random.default_rng(31)
+    payload = []
+    for _ in range(600):
+        idx = np.sort(rng.choice(5, size=rng.integers(0, 4), replace=False))
+        val = rng.standard_normal(idx.size)
+        if idx.size:
+            val[rng.integers(idx.size)] = (0.0, -0.0)[int(rng.integers(2))]
+        payload.append((idx, val))
+    return RowStream(5, payload, {"kind": "test"}, sparse=True)
+
+
+class TestPinnedBytes:
+    """Files stay byte-identical across changes: sha256 prefixes taken before
+    the sparse store became CSR arrays (the same at 1 and 2 BLAS threads)."""
+
+    KD_STREAM = "71a9f4c6b2fb38eb"
+    RUNS = {  # run flags: (sketch, diag)
+        ("--algo", "online", "--eps", "0.5", "--seed", "3"): ("7c8a15128affa468", "d9959c1a182acd79"),
+        ("--algo", "scaled", "--eps", "0.5", "--seed", "3"): ("e1b03da7f6b83930", "7b63adbaf10e4a96"),
+        ("--algo", "improved", "--plug", "resparsify", "--eps", "0.4", "--seed", "4"):
+            ("afb1394f971fdcf5", "8c1c32225894c5d2"),
+    }
+
+    def test_kd_stream_sketches_and_diags(self, tmp_path):
+        src = str(tmp_path / "kd.stream")
+        assert main(["gen", "--kind", "kd", "--d", "6", "--copies", "200",
+                     "--perm-seed", "2", "--out", src]) == 0
+        assert sha_prefix(src) == self.KD_STREAM
+        for argv, (sketch, diag) in self.RUNS.items():
+            out = str(tmp_path / "kd.sketch")
+            assert main(["run", *argv, "-i", src, "-o", out]) == 0
+            assert (sha_prefix(out), sha_prefix(out + ".diag")) == (sketch, diag), argv
+
+    def test_sparse_zeros_stream_round_trip_permute_and_sketch(self, tmp_path):
+        first, again, shuffled = (str(tmp_path / f"{n}.stream") for n in ("a", "b", "p"))
+        write_stream(first, zeros_stream())
+        write_stream(again, read_stream(first))
+        write_stream(shuffled, permute(read_stream(first), 4))
+        out = str(tmp_path / "z.sketch")
+        assert main(["run", "--algo", "online", "--eps", "0.5", "--seed", "3",
+                     "-i", first, "-o", out]) == 0
+        got = [sha_prefix(p) for p in (first, again, shuffled, out, out + ".diag")]
+        assert got == ["5f0b5b5fdecfba31", "5f0b5b5fdecfba31", "5e01d9b195f763f7",
+                       "5d64b1d635b97da6", "9e59c9a82d117ad9"]

@@ -27,7 +27,8 @@ from specstream import online
 from specstream.errors import NonFiniteInput
 from specstream.linalg import SymPsd
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
-from specstream.random_order import BlockSampler
+from specstream.random_order import BlockSampler, ResparsifyApprox
+from specstream.rows import SparseRows
 
 from conftest import identity_stream, make_stream
 import oracles
@@ -264,31 +265,43 @@ def test_saturated_counts_rows_capped_at_one(runner):
 
 
 def bad_row_entries():
-    """(fresh state, its per-row entry) for the three samplers, d = 3."""
+    """(fresh state, its per-row entry) for the three samplers and the
+    resparsify plug, d = 3."""
     return {
         "online_step": (OnlineState(3, 0.3, seed=1), online_step),
         "barrier_step": (BarrierState(3, 0.5, seed=1), barrier_step),
         "BlockSampler.step": (BlockSampler(3, 0.3, seed=1), lambda s, row, i: s.step(i, row)),
+        "ResparsifyApprox.add": (ResparsifyApprox(4.0, 0.45, seed=1, dim=3),
+                                 lambda s, row, i: s.add(i, row)),
     }
 
 
 BAD_ROWS = {
     "width-4": (np.ones(4), DimensionMismatch),
     "sparse-column-5": ((np.array([0, 5]), np.array([1.0, 1.0])), DimensionMismatch),
+    "sparse-unsorted": ((np.array([2, 0]), np.array([1.0, 1.0])), DimensionMismatch),
     "nan": (np.array([np.nan, 1.0, 1.0]), NonFiniteInput),
 }
 
 
 def sampler_state(state):
-    """What a row may change: the sketch, the score logs and the counters."""
-    sk = state.sketch
-    logs = [len(getattr(state, name, ())) for name in ("scores", "probs")]
-    return (list(sk.indices), list(sk.weights), sk.gram_matrix().copy(), logs,
-            getattr(state, "last_index", None), getattr(state, "count", None))
+    """What a row may change: the sketch (the plug's held rows), the score
+    logs and the counters."""
+    sk = state.query() if isinstance(state, ResparsifyApprox) else state.sketch
+    logs = [len(getattr(state, name, ())) for name in ("scores", "probs", "block_sums")]
+    counters = [getattr(state, name, None)
+                for name in ("last_index", "count", "saturated", "peak_rows", "passes")]
+    return (list(sk.indices), list(sk.weights), sk.gram_matrix().copy(), logs, counters)
+
+
+def assert_unchanged(before, after):
+    assert after[:2] == before[:2] and after[3:] == before[3:]
+    assert np.array_equal(after[2], before[2])
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
-@pytest.mark.parametrize("entry", ["online_step", "barrier_step", "BlockSampler.step"])
+@pytest.mark.parametrize("entry", ["online_step", "barrier_step", "BlockSampler.step",
+                                   "ResparsifyApprox.add"])
 def test_per_row_entry_rejects_a_malformed_row_untouched(entry, bad):
     state, step = bad_row_entries()[entry]
     step(state, np.array([1.0, 2.0, 0.0]), 0)
@@ -296,11 +309,73 @@ def test_per_row_entry_rejects_a_malformed_row_untouched(entry, bad):
     row, error = BAD_ROWS[bad]
     with pytest.raises(error):
         step(state, row, 1)
-    after = sampler_state(state)
-    assert after[:2] == before[:2] and after[3:] == before[3:]
-    assert np.array_equal(after[2], before[2])
+    assert_unchanged(before, sampler_state(state))
     # the rejected row left no mark, so row 1 may still arrive
     step(state, np.array([0.0, 1.0, 1.0]), 1)
+    with pytest.raises(DimensionMismatch):
+        step(state, np.array([1.0, 0.0, 1.0]), 1)  # an index not above the last
+
+
+@pytest.mark.parametrize("run", [run_online, scaled_sampling])
+def test_only_kept_rows_get_a_payload(run, monkeypatch):
+    # a sparse run's payloads are views built when read; a sampler reads the
+    # payloads of the rows it keeps and of no other
+    reads = []
+    get = SparseRows.__getitem__
+
+    def counting_get(self, key):
+        got = get(self, key)
+        if isinstance(got, tuple):  # a row, not a slice
+            reads.append(key)
+        return got
+
+    monkeypatch.setattr(SparseRows, "__getitem__", counting_get)
+    assert not hasattr(SparseRows, "__iter__")  # iteration reads rows through __getitem__
+    stream = permute(gen_kd_multigraph(8, 64), seed=3)
+    sketch, _ = run(stream, 0.5, 7)
+    assert 0 < sketch.n_rows < stream.n
+    assert len(reads) == sketch.n_rows
+
+
+def run_entries():
+    """(fresh state, its add_rows entry) for the run-taking samplers, d = 3."""
+    return {
+        "OnlineState.add_rows": OnlineState(3, 0.3, seed=1),
+        "BlockSampler.add_rows": BlockSampler(3, 0.3, seed=1),
+        "BlockSampler.add_rows-plugged": BlockSampler(
+            3, 0.3, seed=1, approx=ResparsifyApprox(4.0, 0.45, seed=2, dim=3)),
+        "ResparsifyApprox.add_rows": ResparsifyApprox(4.0, 0.45, seed=1, dim=3),
+    }
+
+
+# (lo, block, payloads, error) after rows 0 and 1 were taken
+BAD_RUNS = {
+    "nan": (2, [[np.nan, 1.0, 1.0]], [None], NonFiniteInput),
+    "inf-second-row": (2, [[1.0, 1.0, 1.0], [0.0, np.inf, 1.0]], [None, None], NonFiniteInput),
+    "width-4": (2, np.ones((1, 4)), [None], DimensionMismatch),
+    "flat-block": (2, np.ones(3), [None], DimensionMismatch),
+    "fewer-payloads": (2, np.ones((2, 3)), [None], DimensionMismatch),
+    "more-payloads": (2, np.ones((1, 3)), [None, None], DimensionMismatch),
+    "lo-not-above-last": (1, np.ones((1, 3)), [None], DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_RUNS))
+@pytest.mark.parametrize("entry", sorted(run_entries()))
+def test_run_entry_rejects_a_malformed_run_untouched(entry, bad):
+    state = run_entries()[entry]
+    good = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    state.add_rows(0, good, list(good))
+    before = sampler_state(state)
+    plug_before = sampler_state(state.approx) if getattr(state, "approx", None) else None
+    lo, block, payloads, error = BAD_RUNS[bad]
+    with pytest.raises(error):
+        state.add_rows(lo, block, payloads)
+    assert_unchanged(before, sampler_state(state))
+    if plug_before is not None:
+        assert_unchanged(plug_before, sampler_state(state.approx))
+    # the rejected run left no mark, so rows from 2 on may still arrive
+    state.add_rows(2, good, list(good))
 
 
 class TestKeptPinv:

@@ -183,7 +183,9 @@ class TestPassThroughApprox:
         q = plug.query()
         assert q.indices == list(range(stream.n))
         assert q.weights == [1.0] * stream.n
-        assert all(row is stream.row(i) for i, row in enumerate(q.rows))
+        for i, (idx, val) in enumerate(q.rows):
+            want_idx, want_val = stream.row(i)
+            assert np.array_equal(idx, want_idx) and np.array_equal(val, want_val)
         assert np.array_equal(q.gram_matrix(), stream.gram_matrix())
         assert diag.max_working_rows == plug.peak_rows == stream.n
 
