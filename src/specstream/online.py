@@ -13,6 +13,11 @@ kept, since a kept row only lowers later rows' forms. Each kept row takes
 one Sherman-Morrison step and lowers the rest of the run's forms with one
 O(d b) product; a rebuild rescores the rest. The decisions are those of the
 row-at-a-time rule.
+
+The barrier sampler takes runs too (BarrierState.add_rows, fed alike).
+Every row moves both gaps, so rows are scored and followed by
+Sherman-Morrison one by one; a run's coins, barriers (one cumsum) and
+sandwich checks (one stacked Cholesky) are batched.
 """
 from __future__ import annotations
 
@@ -31,8 +36,8 @@ from .sketch import RunStats, Sketch
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
 DEFAULT_ONLINE_C_MULT = 3.0
 
-# Rows run_online scores with one product. A kept row costs O(d * run) to
-# correct the rest of its run, and a rebuild rescores that rest.
+# Rows run_online and run_barrier take as one run. A kept online row costs
+# O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
 ONLINE_RUN = 128
 
 # Maintained pseudo-inverse is checked against a fresh recompute this often.
@@ -250,9 +255,11 @@ def run_online(
 class BarrierState:
     """State of the barrier sampler: sketch Gram fenced between two barriers.
 
-    Each gap, upper - gram and gram - lower, keeps its pseudo-inverse in a
-    KeptPinv; a rebuild forms the gap afresh from the barriers and the
-    sketch Gram.
+    The barriers upper and lower are (1 + eps) and (1 - eps) times the Gram
+    of the rows seen, advanced once per run. Each gap, upper - gram and
+    gram - lower, keeps its pseudo-inverse in a KeptPinv; a rebuild forms
+    the gap afresh from the barriers and the sketch Gram at the row being
+    walked. A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
     def __init__(
@@ -273,74 +280,130 @@ class BarrierState:
         self.sketch = Sketch(dim)
         self.upper = np.zeros((dim, dim))
         self.lower = np.zeros((dim, dim))
-        gram = self.sketch.gram_matrix()  # live array: appends update it in place
-        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(self.upper - gram))
-        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(gram - self.lower))
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=True))
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=False))
         self.rng = IndexedUniforms(seed)
         self.audit = bool(audit)
-        self.probs: list[float] = []
+        self.probs: list[np.ndarray] = []  # one array per run
         self.gap_history: list[tuple[float, float]] = []
         self.last_index = -1
+        self._run = None  # (lo, barriers and sketch Gram after each row) of the run walked
+        self._at = 0  # the row of it being walked
 
-    def _gap_psd(self, gap) -> SymPsd:
+    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+        """Take a run of rows with source indices lo, lo + 1, ...
+
+        block and rows are as for OnlineState.add_rows, and the run is
+        checked before any state changes. Row a is kept on its coin with p =
+        min(c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, 1) for the gaps X_u =
+        upper - gram and X_l = gram - lower before it, at weight 1/sqrt(p);
+        each term is q / (q + 1) with q = a' X+ a from the gap's kept
+        pseudo-inverse, or 1 off its image. The barriers advance by (1 +/-
+        eps) aa', kept or not, so the gaps change by k aa' with k_u = (1 +
+        eps) - s/p and k_l = s/p - (1 - eps) (s = 1 if kept), and the kept
+        pseudo-inverses follow by Sherman-Morrison. Raises BarrierViolation
+        for the first row after which lower <= gram <= upper fails beyond
+        BARRIER_TOL * trace(upper). Returns the kept mask.
+        """
+        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
+        lo, b = int(lo), len(block)
+        if b == 0:
+            return np.zeros(0, dtype=bool)
+        coins = self.rng.take_range(lo, lo + b)
+        outers = block[:, :, None] * block[:, None, :]
+        # both barriers after every row; the cumsum adds (1 +/- eps) aa' in
+        # row order, as a run of one row at a time would
+        barriers = np.empty((b + 1, 2, self.dim, self.dim))
+        barriers[0] = self.upper, self.lower
+        barriers[1:] = outers[:, None] * np.array([1.0 + self.eps, 1.0 - self.eps])[:, None, None]
+        self._run = (lo, np.cumsum(barriers, axis=0)[1:], np.empty_like(outers))
+        probs, kept = np.empty(b), np.zeros(b, dtype=bool)
+        try:
+            self._walk(block, coins.tolist(), probs, kept)
+        except BarrierViolation:
+            self._checked_gaps(self._at + 1)  # an earlier row's sandwich failure comes first
+            raise
+        gaps = self._checked_gaps(b)
+        if self.audit:
+            self.gap_history.extend(map(tuple, np.linalg.eigvalsh(gaps)[..., 0].tolist()))
+        pos = np.flatnonzero(kept)
+        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos],
+                                [rows[i] for i in pos.tolist()])
+        self.upper, self.lower = self._run[1][-1].copy()
+        self.probs.append(probs)
+        self._run = None
+        return kept
+
+    def _walk(self, block, coins, probs, kept) -> None:
+        """Decide the run's rows in order into probs and kept, with both gap
+        pseudo-inverses following each row; the sketch Gram after each row
+        goes into the run's Grams."""
+        grams = self._run[2]
+        gram = self.sketch.gram_matrix().copy()
+        for j, a in enumerate(block):
+            on_upper, rel_upper = self.upper_pinv.score(a)
+            on_lower, rel_lower = self.lower_pinv.score(a)
+            p = min(self.c_upper * rel_upper + self.c_lower * rel_lower, 1.0)
+            probs[j] = p
+            taken = 0.0
+            if coins[j] < p:
+                kept[j] = True
+                taken = 1.0 / p
+                wa = a / math.sqrt(p)
+                gram += wa[:, None] * wa
+            grams[j] = gram
+            self._at = j
+            self.upper_pinv.update(a, (1.0 + self.eps) - taken, on_upper)
+            self.lower_pinv.update(a, taken - (1.0 - self.eps), on_lower)
+
+    def _checked_gaps(self, n: int) -> np.ndarray:
+        """The (n, 2, d, d) upper and lower gaps after the run's first n rows;
+        raises BarrierViolation for the first row whose sandwich fails."""
+        lo, barriers, grams = self._run
+        upper, lower, gram = barriers[:n, 0], barriers[:n, 1], grams[:n]
+        gaps = np.stack((upper - gram, gram - lower), axis=1)
+        slack = BARRIER_TOL * np.maximum(np.trace(upper, axis1=1, axis2=2), 1e-300)
+        if not sandwich_holds(gaps, slack[:, None]):
+            for j in range(n):
+                if not sandwich_holds(gaps[j], slack[j]):
+                    upper_gap, lower_gap = np.linalg.eigvalsh(gaps[j])[:, 0]
+                    raise BarrierViolation(
+                        f"sandwich failed at row {lo + j}: gaps {upper_gap:.3e}, {lower_gap:.3e}"
+                    )
+        return gaps
+
+    def _gap_psd(self, upper: bool) -> SymPsd:
+        """The upper or lower gap at the row being walked."""
+        lo, barriers, grams = self._run
+        j = self._at
+        gap = barriers[j, 0] - grams[j] if upper else grams[j] - barriers[j, 1]
         try:
             return SymPsd(gap)
         except NotPsd as exc:
-            raise BarrierViolation(f"gap matrix indefinite at row {self.last_index}") from exc
+            raise BarrierViolation(f"gap matrix indefinite at row {lo + j}") from exc
 
 
-def sandwich_holds(gaps, slack: float) -> bool:
+def sandwich_holds(gaps, slack) -> bool:
     """True when every gap + slack I is positive definite: min eig(gap) > -slack.
 
-    gaps is one (d, d) matrix or a stack of them. One batched Cholesky
+    gaps is one (d, d) matrix or a stack of them, and slack one number or
+    one per gap (shaped like the stack's leading axes). One batched Cholesky
     factorisation, O(d^3 / 3) per gap, stands in for an eigendecomposition.
     """
+    shift = np.asarray(slack, dtype=float)[..., None, None] * np.eye(gaps.shape[-1])
     try:
-        np.linalg.cholesky(gaps + slack * np.eye(gaps.shape[-1]))
+        np.linalg.cholesky(gaps + shift)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def barrier_step(state: BarrierState, row, index: int) -> bool:
-    """One step of the barrier sampler, O(d^2) apart from one Cholesky per gap.
+    """Take one row (dense or sparse) as a one-row run; True when it was kept.
 
-    The probability is c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, capped at
-    1, for the gaps X_u = upper - gram and X_l = gram - lower; each term is
-    q / (q + 1) with q = a' X+ a from the gap's kept pseudo-inverse, or 1 off
-    its image. The barriers advance by (1 +/- eps) a a' whether or not the
-    row is kept, so the gaps change by k a a' with k_u = (1 + eps) - s/p and
-    k_l = s/p - (1 - eps) (s = 1 if kept), and the kept pseudo-inverses
-    follow by Sherman-Morrison. Raises BarrierViolation if the sandwich
-    lower <= gram <= upper fails beyond relative tolerance after the update.
+    The row is checked before any state changes.
     """
-    block, state.last_index = rowops.checked_run(rowops.densify(row, state.dim)[None], [row],
-                                                 state.dim, index, state.last_index)
-    a, index = block[0], state.last_index
-    on_upper, rel_upper = state.upper_pinv.score(a)
-    on_lower, rel_lower = state.lower_pinv.score(a)
-    p = min(state.c_upper * rel_upper + state.c_lower * rel_lower, 1.0)
-    state.probs.append(p)
-    sampled = state.rng.take(index) < p
-    if sampled:
-        state.sketch.append(index, 1.0 / math.sqrt(p), row)
-    outer = np.outer(a, a)
-    state.upper += (1.0 + state.eps) * outer
-    state.lower += (1.0 - state.eps) * outer
-    gram = state.sketch.gram_matrix()  # live array: appends update it in place
-    gaps = np.stack((state.upper - gram, gram - state.lower))
-    if state.audit:
-        state.gap_history.append(tuple(np.linalg.eigvalsh(gaps)[:, 0].tolist()))
-    slack = BARRIER_TOL * max(float(np.trace(state.upper)), 1e-300)
-    if not sandwich_holds(gaps, slack):
-        upper_gap, lower_gap = np.linalg.eigvalsh(gaps)[:, 0]
-        raise BarrierViolation(
-            f"sandwich failed at row {index}: gaps {upper_gap:.3e}, {lower_gap:.3e}"
-        )
-    taken = 1.0 / p if sampled else 0.0
-    state.upper_pinv.update(a, (1.0 + state.eps) - taken, on_upper)
-    state.lower_pinv.update(a, taken - (1.0 - state.eps), on_lower)
-    return sampled
+    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None], [row])[0])
 
 
 def run_barrier(
@@ -349,12 +412,13 @@ def run_barrier(
     seed: int,
     audit: bool = False,
 ) -> tuple[Sketch, RunStats]:
-    """Run the barrier sampler over a whole stream."""
+    """Run the barrier sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = BarrierState(stream.d, eps, seed, audit=audit)
-    for i in range(stream.n):
-        barrier_step(state, stream.row(i), i)
+    for lo in range(0, stream.n, ONLINE_RUN):
+        block, rows = stream.block(lo, min(lo + ONLINE_RUN, stream.n))
+        state.add_rows(lo, block, rows)
     kept = (state.upper_pinv, state.lower_pinv)
-    probs = np.asarray(state.probs)
+    probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(
         scores=None,
         score_total=float(np.sum(probs)),

@@ -1,5 +1,6 @@
 """Fully-online samplers: leverage-driven and barrier-driven."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,13 +50,29 @@ def duplicate_and_zero_rows():
     return make_stream(np.array(rows))
 
 
-# (stream factory, eps); the kd gaps never leave a 7-dimensional image in d = 8
+# (stream factory, eps, online-module settings); the kd gaps never leave a
+# 7-dimensional image in d = 8. run_barrier takes ONLINE_RUN = 128 rows a
+# run: the n-row Gaussians end a run one row short of, on and past a
+# boundary, the K_5 stream completes its rank inside the first run, and a
+# drift tolerance of 0 replaces each gap's pseudo-inverse at every check.
 BARRIER_PARITY_CASES = {
-    "gaussian": (lambda: gen_gaussian(500, 8, seed=71), 0.5),
-    "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=72), 0.5),
-    "duplicate-zero": (duplicate_and_zero_rows, 0.3),
-    "d2": (lambda: gen_gaussian(300, 2, seed=73), 0.7),
+    "gaussian": (lambda: gen_gaussian(500, 8, seed=71), 0.5, {}),
+    "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=72), 0.5, {}),
+    "duplicate-zero": (duplicate_and_zero_rows, 0.3, {}),
+    "d2": (lambda: gen_gaussian(300, 2, seed=73), 0.7, {}),
+    **{f"gaussian-{n}": (lambda n=n: gen_gaussian(n, 6, seed=n), 0.5, {})
+       for n in (127, 128, 129, 257)},
+    "kd5-rank-in-run": (lambda: permute(gen_kd_multigraph(5, 40), seed=79), 0.5, {}),
+    "drift-in-runs": (lambda: gen_gaussian(400, 5, seed=80), 0.5, {"PINV_DRIFT_TOL": 0.0}),
 }
+
+
+def barrier_parity_case(case, monkeypatch):
+    """(stream, eps) of a BARRIER_PARITY_CASES entry, its settings applied."""
+    build, eps, settings = BARRIER_PARITY_CASES[case]
+    for name, value in settings.items():
+        monkeypatch.setattr(online, name, value)
+    return build(), eps
 
 
 def sparse_rows_with_explicit_zeros():
@@ -345,6 +362,7 @@ def run_entries():
         "BlockSampler.add_rows-plugged": BlockSampler(
             3, 0.3, seed=1, approx=ResparsifyApprox(4.0, 0.45, seed=2, dim=3)),
         "ResparsifyApprox.add_rows": ResparsifyApprox(4.0, 0.45, seed=1, dim=3),
+        "BarrierState.add_rows": BarrierState(3, 0.5, seed=1),
     }
 
 
@@ -483,15 +501,30 @@ class TestBarrierSampler:
         assert diag.drift_events == 0
 
     @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
-    def test_matches_fresh_pinv_reference(self, case):
-        build, eps = BARRIER_PARITY_CASES[case]
-        stream = build()
+    def test_matches_fresh_pinv_reference(self, case, monkeypatch):
+        stream, eps = barrier_parity_case(case, monkeypatch)
         sketch, diag = run_barrier(stream, eps, seed=74)
         kept, weights, probs = oracles.barrier_reference(stream, eps, seed=74)
         flipped = set(sketch.indices) ^ set(kept)
         assert not flipped, f"{len(flipped)} flipped decisions"
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.probs - probs)) <= 1e-9
+        assert (diag.drift_events > 0) == (case == "drift-in-runs")
+
+    @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
+    def test_runs_match_one_row_steps(self, case, monkeypatch):
+        stream, eps = barrier_parity_case(case, monkeypatch)
+        sketch, diag = run_barrier(stream, eps, seed=75, audit=True)
+        state = BarrierState(stream.d, eps, seed=75, audit=True)
+        for i in range(stream.n):
+            barrier_step(state, stream.row(i), i)
+        assert sketch.indices == state.sketch.indices
+        assert np.allclose(sketch.weights, state.sketch.weights, rtol=0.0, atol=1e-12)
+        assert np.allclose(diag.probs, np.concatenate(state.probs), rtol=0.0, atol=1e-12)
+        kept = (state.upper_pinv, state.lower_pinv)
+        assert diag.pinv_recomputes == sum(k.recomputes for k in kept)
+        assert diag.drift_events == sum(k.drift_events for k in kept)
+        assert np.allclose(diag.gap_history, state.gap_history, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("barrier", ["upper", "lower"])
     def test_broken_sandwich_raises(self, barrier):
@@ -506,6 +539,33 @@ class TestBarrierSampler:
             state.lower += big
         with pytest.raises(BarrierViolation):
             barrier_step(state, stream.row(39), 39)
+
+    @pytest.mark.parametrize("lo", [160, 172])
+    def test_sandwich_broken_inside_a_run_names_the_row_steps_name(self, lo):
+        # lower is shifted up to the lower gap's smallest eigenvalue after row
+        # lo - 1: kept rows lift the gap, and the first dropped row that pulls
+        # it below the slack fails, later in the run. From lo = 172 a drift
+        # check rebuilds the lower gap's pseudo-inverse from an indefinite gap
+        # further on, and the run still names the first failing row.
+        stream = gen_gaussian(300, 4, seed=75)
+        unbroken, _ = run_barrier(stream, 0.5, seed=76)
+        block, rows = stream.block(0, stream.n)
+        twins = [BarrierState(4, 0.5, seed=76) for _ in range(2)]
+        for state in twins:
+            state.add_rows(0, block[:lo], rows[:lo])
+            state.lower += np.linalg.eigvalsh(state.sketch.gram_matrix() - state.lower)[0] * np.eye(4)
+        with pytest.raises(BarrierViolation) as as_run:
+            twins[0].add_rows(lo, block[lo:lo + ONLINE_RUN], rows[lo:lo + ONLINE_RUN])
+        with pytest.raises(BarrierViolation) as by_rows:
+            for i in range(lo, lo + ONLINE_RUN):
+                barrier_step(twins[1], stream.row(i), i)
+        assert str(as_run.value) == str(by_rows.value)
+        failed = int(re.search(r"row (\d+):", str(as_run.value)).group(1))
+        assert lo < failed < lo + ONLINE_RUN and failed not in unbroken.indices
+        rebuilt = as_run.value.__context__
+        assert (rebuilt is not None) == (lo == 172)
+        if rebuilt is not None:
+            assert isinstance(rebuilt, BarrierViolation) and "indefinite" in str(rebuilt)
 
     def test_cholesky_check_agrees_with_audited_gaps(self):
         stream = gen_gaussian(200, 6, seed=77)
