@@ -82,8 +82,8 @@ class SymPsd:
 class PInv:
     """Moore-Penrose pseudo-inverse of a SymPsd, with its image projector.
 
-    source_rank is the rank of the matrix this inverts; projector is the
-    orthogonal projector onto its image. Treated as immutable.
+    source_rank is the rank of the inverted matrix, projector the orthogonal
+    projector onto its image. Only a KeptPinv changes one: its own, in place.
     """
 
     __slots__ = ("source_rank", "matrix", "projector", "dim")

@@ -15,9 +15,11 @@ O(d b) product; a rebuild rescores the rest. The decisions are those of the
 row-at-a-time rule.
 
 The barrier sampler takes runs too (BarrierState.add_rows, fed alike).
-Every row moves both gaps, so rows are scored and followed by
-Sherman-Morrison one by one; a run's coins, barriers (one cumsum) and
-sandwich checks (one stacked Cholesky) are batched.
+Every row moves both gaps, so rows are walked in order: one product with
+the stacked gap pseudo-inverses gives both gaps' forms, which serve as the
+score and as the Sherman-Morrison step, taken by both gaps at once and in
+place. A run's coins, barriers and per-row sketch Grams (one cumsum each)
+and sandwich checks (one stacked Cholesky) are batched.
 """
 from __future__ import annotations
 
@@ -26,10 +28,10 @@ import math
 import numpy as np
 
 from . import rows as rowops
-from .errors import BarrierViolation, DegenerateUpdate, DimensionMismatch, NotPsd
+from .errors import BarrierViolation, DimensionMismatch, NotPsd
 from .instances import RowStream
 from .leverage import quad_forms, relative_of, relative_score
-from .linalg import PInv, SymPsd, on_image_rows, pinv, sherman_morrison
+from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image, on_image_rows, pinv
 from .randomness import IndexedUniforms
 from .sketch import RunStats, Sketch
 
@@ -55,15 +57,16 @@ def sampling_constant(eps: float, d: int, c_mult: float) -> float:
 class KeptPinv:
     """Pseudo-inverse of a PSD matrix X that changes by rank-one terms k a a'.
 
-    An update along a row on the image of X applies Sherman-Morrison in
-    O(d^2). A row off the image (the image grows) or a collapsing
-    denominator (the rank drops) rebuilds it from `source()`, which returns
-    the current X as a SymPsd. Every PINV_VERIFY_EVERY rank-one updates it
-    is compared with a fresh rebuild and replaced when it drifted.
+    It owns pinv.matrix (its own array or the view passed as matrix), which
+    a Sherman-Morrison step, O(d^2), and a rebuild change in place. A row
+    off the image (the image grows) or a collapsing denominator (the rank
+    drops) rebuilds it from `source()`, the current X as a SymPsd; every
+    PINV_VERIFY_EVERY steps a rebuild replaces it if it has drifted.
     """
 
-    def __init__(self, dim: int, source):
-        self.pinv = PInv(0, np.zeros((dim, dim)), np.zeros((dim, dim)))
+    def __init__(self, dim: int, source, matrix=None):
+        matrix = np.zeros((dim, dim)) if matrix is None else matrix
+        self.pinv = PInv(0, matrix, np.zeros((dim, dim)))
         self.source = source
         self.recomputes = 0
         self.drift_events = 0
@@ -76,34 +79,52 @@ class KeptPinv:
         """
         return relative_score(self.pinv, row)
 
+    def relative(self, a, q: float) -> tuple[bool, float]:
+        """score for a dense a whose form q = a' X+ a the caller took."""
+        q = max(q, 0.0)
+        return (True, q / (q + 1.0)) if on_image(self.pinv, a) else (False, 1.0)
+
     def update(self, a, k: float, on_image: bool):
         """Follow X += k a a' for a dense a; on_image is score's verdict on a.
+        Returns (Pa, coef) when X+ took the Sherman-Morrison step to X+ -
+        coef Pa Pa' (Pa = X+ a), and None when it was rebuilt."""
+        pa = self.pinv.matrix @ a
+        coef = self.step_coef(k, float(a @ pa), on_image)
+        if coef is None:
+            return None
+        self.pinv.matrix -= (pa[:, None] * pa) * coef
+        return (pa, coef) if self.stepped() else None
 
-        Returns (Pa, coef) when X+ took the Sherman-Morrison step
-        X+ - coef Pa Pa' with Pa = X+ a, and None when it was rebuilt.
-        """
-        if not on_image:
-            self.recompute()
-            return None
-        try:
-            self.pinv, pa, coef = sherman_morrison(self.pinv, a, k)
-        except DegenerateUpdate:
-            self.recompute()
-            return None
+    def step_coef(self, k: float, q: float, on_image: bool):
+        """coef of the step X+ -= coef Pa Pa' that follows X += k a a' (q = a'
+        X+ a), which the caller takes and then reports by stepped(); None
+        after a rebuild, for a off the image or |1 + k q| < UPDATE_DENOM_FLOOR."""
+        denom = 1.0 + k * q
+        if on_image and abs(denom) >= UPDATE_DENOM_FLOOR:
+            return k / denom
+        self.recompute()
+        return None
+
+    def stepped(self) -> bool:
+        """Count a step taken; every PINV_VERIFY_EVERY steps check it against
+        a rebuild. False when the rebuild replaced a drifted pseudo-inverse."""
         self._updates_since_verify += 1
-        if self._updates_since_verify >= PINV_VERIFY_EVERY:
-            fresh = pinv(self.source())
-            drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
-            self._updates_since_verify = 0
-            if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
-                self.drift_events += 1
-                self.pinv = fresh
-                self.recomputes += 1
-                return None
-        return pa, coef
+        if self._updates_since_verify < PINV_VERIFY_EVERY:
+            return True
+        fresh = pinv(self.source())
+        drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
+        self._updates_since_verify = 0
+        if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
+            self.drift_events += 1
+            self.recompute(fresh)
+            return False
+        return True
 
-    def recompute(self) -> None:
-        self.pinv = pinv(self.source())
+    def recompute(self, fresh: PInv | None = None) -> None:
+        """Rebuild into the owned matrix, from fresh = pinv(source()) if given."""
+        fresh = pinv(self.source()) if fresh is None else fresh
+        self.pinv.matrix[...] = fresh.matrix
+        self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
         self.recomputes += 1
         self._updates_since_verify = 0
 
@@ -257,9 +278,11 @@ class BarrierState:
 
     The barriers upper and lower are (1 + eps) and (1 - eps) times the Gram
     of the rows seen, advanced once per run. Each gap, upper - gram and
-    gram - lower, keeps its pseudo-inverse in a KeptPinv; a rebuild forms
-    the gap afresh from the barriers and the sketch Gram at the row being
-    walked. A BarrierViolation leaves the state mid-run: do not reuse it.
+    gram - lower, keeps its pseudo-inverse in a KeptPinv that owns one half
+    of a (2, d, d) stack, so one product scores a row against both and one
+    in-place update steps both. A rebuild forms the gap afresh from the
+    barriers and the running sketch Gram at the row being walked. A
+    BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
     def __init__(
@@ -280,14 +303,15 @@ class BarrierState:
         self.sketch = Sketch(dim)
         self.upper = np.zeros((dim, dim))
         self.lower = np.zeros((dim, dim))
-        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=True))
-        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=False))
+        self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=True), self._pinvs[0])
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=False), self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.audit = bool(audit)
         self.probs: list[np.ndarray] = []  # one array per run
         self.gap_history: list[tuple[float, float]] = []
         self.last_index = -1
-        self._run = None  # (lo, barriers and sketch Gram after each row) of the run walked
+        self._run = None  # (lo, barriers after each row, running sketch Gram) of the run walked
         self._at = 0  # the row of it being walked
 
     def add_rows(self, lo: int, block, rows) -> np.ndarray:
@@ -316,14 +340,14 @@ class BarrierState:
         barriers = np.empty((b + 1, 2, self.dim, self.dim))
         barriers[0] = self.upper, self.lower
         barriers[1:] = outers[:, None] * np.array([1.0 + self.eps, 1.0 - self.eps])[:, None, None]
-        self._run = (lo, np.cumsum(barriers, axis=0)[1:], np.empty_like(outers))
+        self._run = (lo, np.cumsum(barriers, axis=0)[1:], self.sketch.gram_matrix().copy())
         probs, kept = np.empty(b), np.zeros(b, dtype=bool)
         try:
             self._walk(block, coins.tolist(), probs, kept)
         except BarrierViolation:
-            self._checked_gaps(self._at + 1)  # an earlier row's sandwich failure comes first
+            self._checked_gaps(block, probs, kept[:self._at + 1])  # an earlier row fails first
             raise
-        gaps = self._checked_gaps(b)
+        gaps = self._checked_gaps(block, probs, kept)
         if self.audit:
             self.gap_history.extend(map(tuple, np.linalg.eigvalsh(gaps)[..., 0].tolist()))
         pos = np.flatnonzero(kept)
@@ -336,13 +360,17 @@ class BarrierState:
 
     def _walk(self, block, coins, probs, kept) -> None:
         """Decide the run's rows in order into probs and kept, with both gap
-        pseudo-inverses following each row; the sketch Gram after each row
-        goes into the run's Grams."""
-        grams = self._run[2]
-        gram = self.sketch.gram_matrix().copy()
+        pseudo-inverses following each row. One product gives both gaps' forms
+        q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
+        kept rows fold into the running Gram that rebuilds read."""
+        ys, gram = self._pinvs, self._run[2]
+        upper, lower = self.upper_pinv, self.lower_pinv
         for j, a in enumerate(block):
-            on_upper, rel_upper = self.upper_pinv.score(a)
-            on_lower, rel_lower = self.lower_pinv.score(a)
+            self._at = j
+            pu = ys @ a
+            q_upper, q_lower = np.vecdot(pu, a).tolist()  # a BLAS dot each, as a 1-D a @ pu
+            on_upper, rel_upper = upper.relative(a, q_upper)
+            on_lower, rel_lower = lower.relative(a, q_lower)
             p = min(self.c_upper * rel_upper + self.c_lower * rel_lower, 1.0)
             probs[j] = p
             taken = 0.0
@@ -351,18 +379,30 @@ class BarrierState:
                 taken = 1.0 / p
                 wa = a / math.sqrt(p)
                 gram += wa[:, None] * wa
-            grams[j] = gram
-            self._at = j
-            self.upper_pinv.update(a, (1.0 + self.eps) - taken, on_upper)
-            self.lower_pinv.update(a, taken - (1.0 - self.eps), on_lower)
+            coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper)
+            coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower)
+            if coef_upper is not None and coef_lower is not None:
+                coefs = np.array((coef_upper, coef_lower))[:, None, None]
+                ys -= (pu[:, :, None] * pu[:, None, :]) * coefs
+                upper.stepped()
+                lower.stepped()
+            elif coef_upper is not None or coef_lower is not None:  # the other gap rebuilt
+                i = 0 if coef_lower is None else 1
+                ys[i] -= (pu[i, :, None] * pu[i]) * (coef_upper, coef_lower)[i]
+                (upper, lower)[i].stepped()
 
-    def _checked_gaps(self, n: int) -> np.ndarray:
-        """The (n, 2, d, d) upper and lower gaps after the run's first n rows;
-        raises BarrierViolation for the first row whose sandwich fails."""
-        lo, barriers, grams = self._run
-        upper, lower, gram = barriers[:n, 0], barriers[:n, 1], grams[:n]
-        gaps = np.stack((upper - gram, gram - lower), axis=1)
-        slack = BARRIER_TOL * np.maximum(np.trace(upper, axis1=1, axis2=2), 1e-300)
+    def _checked_gaps(self, block, probs, kept) -> np.ndarray:
+        """The (n, 2, d, d) gaps after the run's first n = len(kept) rows, the
+        Grams one cumsum of kept rows' weighted outers in walk order; raises
+        BarrierViolation for the first row whose sandwich fails."""
+        lo, barriers, _ = self._run
+        n, pos = len(kept), np.flatnonzero(kept)
+        wa = block[pos] / np.sqrt(probs[pos])[:, None]
+        terms = np.concatenate((self.sketch.gram_matrix()[None], wa[:, :, None] * wa[:, None, :]))
+        grams = np.cumsum(terms, axis=0)[np.cumsum(kept)]
+        gaps = barriers[:n] - grams[:, None]
+        np.subtract(grams, barriers[:n, 1], out=gaps[:, 1])  # gram - lower
+        slack = BARRIER_TOL * np.maximum(np.trace(barriers[:n, 0], axis1=1, axis2=2), 1e-300)
         if not sandwich_holds(gaps, slack[:, None]):
             for j in range(n):
                 if not sandwich_holds(gaps[j], slack[j]):
@@ -374,9 +414,9 @@ class BarrierState:
 
     def _gap_psd(self, upper: bool) -> SymPsd:
         """The upper or lower gap at the row being walked."""
-        lo, barriers, grams = self._run
+        lo, barriers, gram = self._run
         j = self._at
-        gap = barriers[j, 0] - grams[j] if upper else grams[j] - barriers[j, 1]
+        gap = barriers[j, 0] - gram if upper else gram - barriers[j, 1]
         try:
             return SymPsd(gap)
         except NotPsd as exc:

@@ -64,6 +64,21 @@ BARRIER_PARITY_CASES = {
        for n in (127, 128, 129, 257)},
     "kd5-rank-in-run": (lambda: permute(gen_kd_multigraph(5, 40), seed=79), 0.5, {}),
     "drift-in-runs": (lambda: gen_gaussian(400, 5, seed=80), 0.5, {"PINV_DRIFT_TOL": 0.0}),
+    # a denominator floor of 1 rebuilds the lower gap on every dropped row
+    # (1 - (1 - eps) q < 1) while the upper gap steps, and the upper gap on
+    # a kept row with k_u < 0; drift checks every 37 steps then fall at
+    # offsets that differ between the gaps
+    "one-gap-rebuilds": (lambda: gen_gaussian(300, 6, seed=71), 0.5,
+                         {"UPDATE_DENOM_FLOOR": 1.0}),
+    "uneven-drift-checks": (lambda: gen_gaussian(300, 6, seed=71), 0.5,
+                            {"UPDATE_DENOM_FLOOR": 1.0, "PINV_VERIFY_EVERY": 37,
+                             "PINV_DRIFT_TOL": 0.0}),
+}
+
+# per-gap (recomputes, drift events) of the upper and lower gap at seed 74
+BARRIER_GAP_COUNTS = {
+    "one-gap-rebuilds": ((41, 0), (98, 0)),
+    "uneven-drift-checks": ((43, 2), (99, 1)),
 }
 
 
@@ -421,7 +436,7 @@ class TestKeptPinv:
         kept.recompute()
         a = np.array([1.0, 1.0, 1.0])
         x += np.outer(a, a)
-        before = kept.pinv.matrix
+        before = kept.pinv.matrix.copy()
         pa, coef = kept.update(a, 1.0, True)
         # the step it reports is the one it took
         assert np.allclose(kept.pinv.matrix, before - coef * np.outer(pa, pa), rtol=1e-15)
@@ -509,7 +524,18 @@ class TestBarrierSampler:
         assert not flipped, f"{len(flipped)} flipped decisions"
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.probs - probs)) <= 1e-9
-        assert (diag.drift_events > 0) == (case == "drift-in-runs")
+        assert (diag.drift_events > 0) == (case in ("drift-in-runs", "uneven-drift-checks"))
+
+    @pytest.mark.parametrize("case", sorted(BARRIER_GAP_COUNTS))
+    def test_one_gap_steps_while_the_other_rebuilds(self, case, monkeypatch):
+        stream, eps = barrier_parity_case(case, monkeypatch)
+        state = BarrierState(stream.d, eps, seed=74)
+        for lo in range(0, stream.n, ONLINE_RUN):
+            state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+        kept = (state.upper_pinv, state.lower_pinv)
+        assert tuple((k.recomputes, k.drift_events) for k in kept) == BARRIER_GAP_COUNTS[case]
+        sketch, _ = run_barrier(stream, eps, seed=74)
+        assert state.sketch.indices == sketch.indices
 
     @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
     def test_runs_match_one_row_steps(self, case, monkeypatch):
