@@ -18,6 +18,7 @@ from .errors import (
     EmptyStream,
     FormatError,
     ImageMismatch,
+    InvalidWeight,
     MissingScoreLog,
     NonFiniteInput,
     NotPsd,
@@ -75,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroStream", "BarrierViolation", "CapacityCollapse", "ConstApproxFailure",
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
-    "FormatError", "ImageMismatch", "MissingScoreLog", "NonFiniteInput", "NotPsd",
+    "FormatError", "ImageMismatch", "InvalidWeight", "MissingScoreLog", "NonFiniteInput", "NotPsd",
     "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
     "PInv", "SymPsd", "approx_factor", "default_rank_tol", "min_nonzero_eig",
     "pinv", "pinv_rank1_update", "pseudo_det",

@@ -71,3 +71,7 @@ class FormatError(SpecstreamError):
 
 class NonFiniteInput(SpecstreamError):
     """Stream holds a NaN or infinite value."""
+
+
+class InvalidWeight(SpecstreamError):
+    """Sketch weight is not finite and > 0."""

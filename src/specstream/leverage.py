@@ -1,17 +1,18 @@
 """Leverage scores: exact and relative to a sketch.
 
-The relative score of a row against a matrix B uses the closed form
-q / (q + 1) with q = a' (B'B)+ a when a is orthogonal to Ker(B), and is
-exactly 1 otherwise. The definitional stacked-matrix form appears only as a
+The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
+the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
+X, and is exactly 1 otherwise. relative_of applies it to kernel verdicts
+and forms a caller took; relative_scores takes both for a block of rows
+with one product. The definitional stacked-matrix form appears only as a
 test oracle.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import rows as rowops
 from .errors import DimensionMismatch, EmptyStream
-from .linalg import PInv, SymPsd, on_image, on_image_rows, pinv
+from .linalg import PInv, SymPsd, on_image_rows, pinv
 
 
 def leverage_scores(rows_in) -> np.ndarray:
@@ -30,18 +31,6 @@ def leverage_scores(rows_in) -> np.ndarray:
     return np.clip(tau, 0.0, 1.0)
 
 
-def relative_score(p: PInv, row) -> tuple[bool, float]:
-    """(row on the image of X, relative score of row against X), for p = pinv(X).
-
-    The score is row' (X + row row')+ row: q / (q + 1) with q = row' X+ row
-    on the image, exactly 1 off it, for a dense row.
-    """
-    if not on_image(p, row):
-        return False, 1.0
-    q = max(rowops.quad_form(p.matrix, row), 0.0)
-    return True, q / (q + 1.0)
-
-
 def quad_forms(p: PInv, block) -> np.ndarray:
     """row' X+ row, clamped at 0, for every row of a dense (b, d) block."""
     return np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
@@ -53,7 +42,8 @@ def relative_of(on, q) -> np.ndarray:
 
 
 def relative_scores(p: PInv, block, q=None) -> np.ndarray:
-    """relative_score of every row of a dense (b, d) block, with one product.
+    """Relative score of every row of a dense (b, d) block against the
+    matrix X behind p = pinv(X), with one product.
 
     q, when given, estimates the rows' quadratic forms in place of the
     exact ones; the kernel verdict is always exact.
@@ -64,5 +54,5 @@ def relative_scores(p: PInv, block, q=None) -> np.ndarray:
 
 
 def relative_leverage(b_pinv: PInv, row) -> float:
-    """Relative leverage of row against the matrix behind b_pinv."""
-    return relative_score(b_pinv, row)[1]
+    """relative_scores of one dense row."""
+    return float(relative_scores(b_pinv, np.asarray(row, dtype=float)[None])[0])

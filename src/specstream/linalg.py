@@ -145,23 +145,11 @@ def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
         raise DimensionMismatch(f"vector shape {u.shape} vs dim {p.dim}")
     if not on_image(p, u):
         raise PreconditionViolation("update vector has a kernel component")
-    return sherman_morrison(p, u, k)[0]
-
-
-def sherman_morrison(p: PInv, u, k: float) -> tuple[PInv, np.ndarray, float]:
-    """pinv_rank1_update for a dense u already known to lie on the image.
-
-    Returns (the updated PInv, p.matrix u, coef): the new matrix is
-    p.matrix - coef (p.matrix u)(p.matrix u)', so a caller holding other
-    rows' quadratic forms can lower each by coef (row . p.matrix u)^2.
-    Raises DegenerateUpdate when the denominator vanishes.
-    """
     pu = p.matrix @ u
     denom = 1.0 + k * float(u @ pu)
     if abs(denom) < UPDATE_DENOM_FLOOR:
         raise DegenerateUpdate(f"denominator {denom:.3e} below floor")
-    coef = k / denom
-    return PInv(p.source_rank, p.matrix - (pu[:, None] * pu) * coef, p.projector), pu, coef
+    return PInv(p.source_rank, p.matrix - (pu[:, None] * pu) * (k / denom), p.projector)
 
 
 def pseudo_det(s: SymPsd) -> float:

@@ -1,25 +1,21 @@
 """Online row samplers: the relative-leverage sampler and the barrier variant.
 
-Both consume rows in stream order and keep a weighted sketch whose Gram
-stays a (1 +/- eps) spectral approximation of the prefix seen so far.
-Sampling decisions come from counter-based uniforms keyed by (seed, row
-index).
+Both consume rows in stream order, in runs (add_rows; run_online and
+run_barrier feed ONLINE_RUN rows at a time, online_step and barrier_step
+one), and keep a weighted sketch whose Gram stays a (1 +/- eps) spectral
+approximation of the prefix seen so far. Sampling decisions come from
+counter-based uniforms keyed by (seed, row index), one take_range per run.
 
-The relative-leverage sampler takes rows in runs (OnlineState.add_rows;
-run_online feeds ONLINE_RUN rows at a time, online_step one). A run is
-scored against the current pseudo-inverse with one product and its coins
-come from one take_range; only rows whose coin beats that score can be
-kept, since a kept row only lowers later rows' forms. Each kept row takes
-one Sherman-Morrison step and lowers the rest of the run's forms with one
-O(d b) product; a rebuild rescores the rest. The decisions are those of the
-row-at-a-time rule.
-
-The barrier sampler takes runs too (BarrierState.add_rows, fed alike).
-Every row moves both gaps, so rows are walked in order: one product with
-the stacked gap pseudo-inverses gives both gaps' forms, which serve as the
-score and as the Sherman-Morrison step, taken by both gaps at once and in
-place. A run's coins, barriers and per-row sketch Grams (one cumsum each)
-and sandwich checks (one stacked Cholesky) are batched.
+The relative-leverage sampler scores a run against the current
+pseudo-inverse with one product. Only rows whose coin beats that score can
+be kept, since a kept row only lowers later rows' forms; each kept row
+takes one Sherman-Morrison step and lowers the rest of the run's forms with
+one O(d b) product, and a rebuild rescores the rest. The barrier sampler
+walks every row, since each moves both gaps: one product with the stacked
+gap pseudo-inverses gives both gaps' forms, which serve as the score and as
+the step both gaps take in place. Its barriers and per-row sketch Grams
+(one cumsum each) and sandwich checks (one stacked Cholesky) are batched
+per run. Both make the decisions of the row-at-a-time rule.
 """
 from __future__ import annotations
 
@@ -30,7 +26,7 @@ import numpy as np
 from . import rows as rowops
 from .errors import BarrierViolation, DimensionMismatch, NotPsd
 from .instances import RowStream
-from .leverage import quad_forms, relative_of, relative_score
+from .leverage import quad_forms, relative_of
 from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image, on_image_rows, pinv
 from .randomness import IndexedUniforms
 from .sketch import RunStats, Sketch
@@ -57,11 +53,13 @@ def sampling_constant(eps: float, d: int, c_mult: float) -> float:
 class KeptPinv:
     """Pseudo-inverse of a PSD matrix X that changes by rank-one terms k a a'.
 
-    It owns pinv.matrix (its own array or the view passed as matrix), which
-    a Sherman-Morrison step, O(d^2), and a rebuild change in place. A row
-    off the image (the image grows) or a collapsing denominator (the rank
-    drops) rebuilds it from `source()`, the current X as a SymPsd; every
-    PINV_VERIFY_EVERY steps a rebuild replaces it if it has drifted.
+    It owns pinv.matrix (its own array or the view passed as matrix). To
+    follow X += k a a', the caller takes pa = X+ a and q = a' pa, gets coef
+    from step_coef, steps X+ -= coef pa pa' in place, O(d^2), and reports
+    the step by stepped(). A row off the image (the image grows) or a
+    collapsing denominator (the rank drops) rebuilds X+ from `source()`, the
+    current X as a SymPsd; every PINV_VERIFY_EVERY steps a rebuild replaces
+    it if it has drifted.
     """
 
     def __init__(self, dim: int, source, matrix=None):
@@ -72,31 +70,14 @@ class KeptPinv:
         self.drift_events = 0
         self._updates_since_verify = 0
 
-    def score(self, row) -> tuple[bool, float]:
-        """(dense row on the image, its relative score): q / (q + 1) with q = row' X+ row, or 1 off it.
-
-        This is row' (X + row row')+ row, computed without the rank-one update.
-        """
-        return relative_score(self.pinv, row)
-
     def relative(self, a, q: float) -> tuple[bool, float]:
-        """score for a dense a whose form q = a' X+ a the caller took."""
+        """(dense a on the image, its relative score a' (X + aa')+ a): q / (q +
+        1) from the form q = a' X+ a the caller took, or 1 off the image."""
         q = max(q, 0.0)
         return (True, q / (q + 1.0)) if on_image(self.pinv, a) else (False, 1.0)
 
-    def update(self, a, k: float, on_image: bool):
-        """Follow X += k a a' for a dense a; on_image is score's verdict on a.
-        Returns (Pa, coef) when X+ took the Sherman-Morrison step to X+ -
-        coef Pa Pa' (Pa = X+ a), and None when it was rebuilt."""
-        pa = self.pinv.matrix @ a
-        coef = self.step_coef(k, float(a @ pa), on_image)
-        if coef is None:
-            return None
-        self.pinv.matrix -= (pa[:, None] * pa) * coef
-        return (pa, coef) if self.stepped() else None
-
     def step_coef(self, k: float, q: float, on_image: bool):
-        """coef of the step X+ -= coef Pa Pa' that follows X += k a a' (q = a'
+        """coef of the step X+ -= coef pa pa' that follows X += k a a' (q = a'
         X+ a), which the caller takes and then reports by stepped(); None
         after a rebuild, for a off the image or |1 + k q| < UPDATE_DENOM_FLOOR."""
         denom = 1.0 + k * q
@@ -205,10 +186,14 @@ class OnlineState:
             kept[i] = True
             self._pending.append(i)
             self._pending_p.append(p)
-            step = self.kept.update(block[i], 1.0 / p, bool(on[i]))
-            if step is None:
+            a, y = block[i], self.kept.pinv.matrix
+            pa = y @ a
+            coef = self.kept.step_coef(1.0 / p, float(a @ pa), bool(on[i]))
+            if coef is None:
                 return i + 1
-            pa, coef = step
+            y -= (pa[:, None] * pa) * coef
+            if not self.kept.stepped():
+                return i + 1
             rest = q[i + 1:]
             rest -= coef * (block[i + 1:] @ pa) ** 2
             np.maximum(rest, 0.0, out=rest)
@@ -285,13 +270,7 @@ class BarrierState:
     BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        eps: float,
-        seed: int,
-        audit: bool = False,
-    ):
+    def __init__(self, dim: int, eps: float, seed: int, audit: bool = False):
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         if dim < 1:

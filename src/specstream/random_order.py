@@ -291,9 +291,9 @@ class ResparsifyApprox:
     scored by the buffer Gram's pseudo-inverse, kept with p = min(c_beta *
     tau, 1), and surviving weights compound by 1/sqrt(p). A pass that fails
     to shrink the buffer is retried once with doubled c_beta, then fails.
-    The buffer is held columnar: indices, weights, payloads and a dense
-    copy of the rows, so a pass scores and refolds it with one product each.
-    passes and retries count the passes made and the retries among them.
+    The buffer is a Sketch, so a pass scores it with one product and keeps
+    its survivors in place with another. passes and retries count the
+    passes made and the retries among them.
     """
 
     def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int):
@@ -310,26 +310,15 @@ class ResparsifyApprox:
         logd = math.log(dim)
         self.capacity_rows = math.ceil(capacity_mult * beta ** -2 * dim * logd)
         self.c_beta = capacity_mult * beta ** -2 * logd
-        self._rows: list = []
+        self.buffer = Sketch(dim)
         self.passes = 0
         self.retries = 0
         self.peak_rows = 0
         self.last_index = -1
-        full = 2 * self.capacity_rows
-        self._gram = np.zeros((dim, dim))
-        self._dense = np.empty((full, dim))
-        self._weights = np.empty(full)
-        self._indices = np.empty(full, dtype=np.int64)
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def buffer(self) -> list[tuple[int, float, object]]:
-        """Held (index, weight, row) entries."""
-        n = self.n_rows
-        return list(zip(self._indices[:n].tolist(), self._weights[:n].tolist(), self._rows))
+        return self.buffer.n_rows
 
     def add(self, index: int, row) -> None:
         self.add_rows(index, rowops.densify(row, self.dim)[None], [row])
@@ -340,24 +329,18 @@ class ResparsifyApprox:
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):
-            held = self.n_rows
-            stop = start + min(len(block) - start, full - held)
-            seg = block[start:stop]
-            end = held + len(seg)
-            self._dense[held:end] = seg
-            self._weights[held:end] = 1.0
-            self._indices[held:end] = np.arange(lo + start, lo + stop)
-            self._rows.extend(rows[start:stop])
-            self._gram += seg.T @ seg
-            self.peak_rows = max(self.peak_rows, end)
-            if end >= full:
+            stop = start + min(len(block) - start, full - self.n_rows)
+            self.buffer.append_rows(np.arange(lo + start, lo + stop), np.ones(stop - start),
+                                    block[start:stop], rows[start:stop])
+            self.peak_rows = max(self.peak_rows, self.n_rows)
+            if self.n_rows >= full:
                 self._resparsify()
             start = stop
 
     def _resparsify(self):
-        n = self.n_rows
-        held, w = self._dense[:n], self._weights[:n]
-        p_g = pinv(SymPsd(self._gram))
+        _, w, held = self.buffer.columns()
+        n = len(held)
+        p_g = pinv(self.buffer.gram)
         q = np.maximum(np.einsum("ij,ij->i", held @ p_g.matrix, held), 0.0)
         tau = np.minimum(w * w * q, 1.0)
         for attempt in range(2):
@@ -369,14 +352,7 @@ class ResparsifyApprox:
             draws = np.random.Generator(np.random.Philox(key=key)).random(n)
             pos = np.flatnonzero(draws < probs)
             if pos.size < 2 * self.capacity_rows:
-                m = pos.size
-                w_new = w[pos] / np.sqrt(probs[pos])
-                self._dense[:m] = held[pos]
-                self._weights[:m] = w_new
-                self._indices[:m] = self._indices[pos]
-                self._rows = [self._rows[i] for i in pos.tolist()]
-                scaled = self._dense[:m] * w_new[:, None]
-                self._gram = scaled.T @ scaled
+                self.buffer.keep(pos, w[pos] / np.sqrt(probs[pos]))
                 self.passes += 1
                 return
         raise CapacityCollapse(
@@ -384,9 +360,9 @@ class ResparsifyApprox:
         )
 
     def query(self) -> Sketch:
-        n = self.n_rows
+        """The held rows folded afresh with one product, for a block sampler to freeze."""
         sk = Sketch(self.dim)
-        sk.append_rows(self._indices[:n], self._weights[:n], self._dense[:n], list(self._rows))
+        sk.append_rows(*self.buffer.columns(), list(self.buffer.rows))
         return sk
 
 

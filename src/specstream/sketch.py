@@ -7,81 +7,96 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows as rowops
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidWeight
 from .linalg import SymPsd
 
 
 class Sketch:
-    """Ordered weighted subset of stream rows.
+    """Ordered weighted subset of stream rows: the one store of weighted rows.
 
     Entries are (source_index, weight, row) with strictly increasing source
-    indices; a sampled row enters with weight 1/sqrt(p). The Gram of the
-    weighted rows is accumulated on append, and a dense copy of the rows is
-    kept beside their payloads for weighted_matrix.
+    indices and finite weights > 0; a sampled row enters with weight
+    1/sqrt(p). Indices, weights and dense rows are numpy columns in a store
+    that doubles when full, beside the payloads as given; the Gram of the
+    weighted rows takes one product per append_rows or keep.
     """
 
     def __init__(self, dim: int):
         if dim <= 0:
             raise DimensionMismatch("sketch dimension must be positive")
         self.dim = int(dim)
-        self.indices: list[int] = []
-        self.weights: list[float] = []
         self.rows: list = []
         self._gram = np.zeros((dim, dim))
         self._gram_sym: SymPsd | None = None
-        self._dense = np.empty((0, dim))  # rows 0..n_rows-1 in use
-
-    def _store(self, block) -> None:
-        """Copy dense rows after the held ones, doubling the store when full."""
-        n, m = self.n_rows, len(block)
-        if n + m > len(self._dense):
-            grown = np.empty((max(n + m, 2 * len(self._dense)), self.dim))
-            grown[:n] = self._dense[:n]
-            self._dense = grown
-        self._dense[n:n + m] = block
+        self._indices = np.empty(0, dtype=np.int64)  # entries 0..n_rows-1 in use
+        self._weights = np.empty(0)
+        self._dense = np.empty((0, dim))
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
+    @property
+    def indices(self) -> list[int]:
+        return self._indices[:self.n_rows].tolist()
+
+    @property
+    def weights(self) -> list[float]:
+        return self._weights[:self.n_rows].tolist()
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, weights, dense rows) as views, valid until the next change."""
+        n = self.n_rows
+        return self._indices[:n], self._weights[:n], self._dense[:n]
+
     def append(self, index: int, weight: float, row) -> None:
-        index = int(index)
-        if self.indices and index <= self.indices[-1]:
-            raise DimensionMismatch(
-                f"source indices must increase: {index} after {self.indices[-1]}"
-            )
-        dense = rowops.densify(row, self.dim)
-        if dense.shape != (self.dim,):
-            raise DimensionMismatch(f"row does not fit dimension {self.dim}")
-        self._store(dense[None, :])
-        self.indices.append(index)
-        self.weights.append(float(weight))
-        self.rows.append(row)
-        rowops.add_outer(self._gram, dense, weight * weight)
-        self._gram_sym = None
+        """append_rows for one row, dense or sparse."""
+        self.append_rows([index], [weight], rowops.densify(row, self.dim)[None], [row])
 
     def append_rows(self, indices, weights, block, rows) -> None:
-        """append for many rows at once: block holds them as a dense (m, d)
-        array, rows their payloads; the Gram takes one product."""
+        """Append rows at once: block holds them as a dense (m, d) array, rows
+        their payloads; the Gram takes one product. Raises before any state
+        changes unless the indices increase past the held ones and every
+        weight is finite and > 0."""
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
+        n, m = self.n_rows, indices.size
+        if m == 0:
             return
-        if np.any(np.diff(indices) <= 0) or (self.indices and indices[0] <= self.indices[-1]):
+        if np.any(np.diff(indices) <= 0) or (n and indices[0] <= self._indices[n - 1]):
             raise DimensionMismatch("source indices must increase")
-        if np.shape(block) != (indices.size, self.dim) or len(rows) != indices.size:
-            raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
         weights = np.asarray(weights, dtype=float)
+        if np.shape(block) != (m, self.dim) or len(rows) != m or weights.shape != (m,):
+            raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
+        if not np.all((weights > 0.0) & (weights < np.inf)):
+            raise InvalidWeight("sketch weights must be finite and > 0")
+        if n + m > len(self._dense):
+            size = max(n + m, 2 * len(self._dense))
+            self._indices, self._weights, self._dense = (
+                np.concatenate((a[:n], np.empty((size - n,) + a.shape[1:], a.dtype)))
+                for a in (self._indices, self._weights, self._dense))
+        self._indices[n:n + m] = indices
+        self._weights[n:n + m] = weights
+        self._dense[n:n + m] = block
+        self.rows.extend(rows)
         scaled = block * weights[:, None]
         self._gram += scaled.T @ scaled
-        self._store(block)
-        self.indices.extend(indices.tolist())
-        self.weights.extend(weights.tolist())
-        self.rows.extend(rows)
+        self._gram_sym = None
+
+    def keep(self, pos, weights) -> None:
+        """Keep only the entries at increasing positions pos, in order, at new
+        finite weights > 0; the Gram is formed again with one product."""
+        m = len(pos)
+        self._indices[:m] = self._indices[pos]
+        self._weights[:m] = weights
+        self._dense[:m] = self._dense[pos]
+        self.rows = [self.rows[i] for i in pos.tolist()]
+        scaled = self._dense[:m] * self._weights[:m, None]
+        self._gram = scaled.T @ scaled
         self._gram_sym = None
 
     @property
     def gram(self) -> SymPsd:
-        """Gram of the weighted rows, rebuilt lazily after appends."""
+        """Gram of the weighted rows, rebuilt lazily after a change."""
         if self._gram_sym is None:
             self._gram_sym = SymPsd(self._gram)
         return self._gram_sym
@@ -92,7 +107,8 @@ class Sketch:
 
     def weighted_matrix(self) -> np.ndarray:
         """Dense m x d matrix of rows scaled by their weights."""
-        return self._dense[:self.n_rows] * np.asarray(self.weights)[:, None]
+        _, weights, dense = self.columns()
+        return dense * weights[:, None]
 
     def __iter__(self):
         return iter(zip(self.indices, self.weights, self.rows))

@@ -411,21 +411,49 @@ def test_run_entry_rejects_a_malformed_run_untouched(entry, bad):
     state.add_rows(2, good, list(good))
 
 
+@pytest.mark.parametrize("entry", sorted(run_entries()))
+def test_run_entry_takes_an_empty_run_untouched(entry):
+    state = run_entries()[entry]
+    before = sampler_state(state)
+    plug_before = sampler_state(state.approx) if getattr(state, "approx", None) else None
+    state.add_rows(1000, np.zeros((0, 3)), [])
+    assert_unchanged(before, sampler_state(state))
+    if plug_before is not None:
+        assert_unchanged(plug_before, sampler_state(state.approx))
+    # the empty run took no index, so row 0 may still arrive
+    good = np.array([[1.0, 2.0, 0.0]])
+    state.add_rows(0, good, list(good))
+
+
+def kept_step(kept, a, k):
+    """Follow X += k aa' (a on the image) as the samplers do: take pa and
+    q = a' pa, ask for coef, step in place and report the step. (pa, coef)
+    when the step stands, None after a rebuild."""
+    y = kept.pinv.matrix
+    pa = y @ a
+    coef = kept.step_coef(k, float(a @ pa), True)
+    if coef is None:
+        return None
+    y -= (pa[:, None] * pa) * coef
+    return (pa, coef) if kept.stepped() else None
+
+
 class TestKeptPinv:
     def test_image_growth_and_rank_drop_rebuild(self):
         x = np.zeros((3, 3))
         kept = KeptPinv(3, lambda: SymPsd(x))
         a = np.array([1.0, 2.0, 0.0])
-        assert kept.score(a) == (False, 1.0)
+        assert kept.relative(a, 0.0) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
-        assert kept.update(a, 2.0, False) is None
+        assert kept.step_coef(2.0, 0.0, False) is None
         assert kept.recomputes == 1
-        on_image, rel = kept.score(a)
-        q = a @ np.linalg.pinv(x) @ a
-        assert on_image and rel == pytest.approx(q / (q + 1.0), rel=1e-12)
+        q = float(a @ kept.pinv.matrix @ a)
+        on_image, rel = kept.relative(a, q)
+        want = a @ np.linalg.pinv(x) @ a
+        assert on_image and rel == pytest.approx(want / (want + 1.0), rel=1e-12)
         # subtracting the same term empties X: the denominator 1 - 2q is 0
         x -= 2.0 * np.outer(a, a)
-        assert kept.update(a, -2.0, True) is None
+        assert kept_step(kept, a, -2.0) is None
         assert kept.recomputes == 2 and kept.pinv.source_rank == 0
         assert np.array_equal(kept.pinv.matrix, np.zeros((3, 3)))
 
@@ -437,22 +465,25 @@ class TestKeptPinv:
         a = np.array([1.0, 1.0, 1.0])
         x += np.outer(a, a)
         before = kept.pinv.matrix.copy()
-        pa, coef = kept.update(a, 1.0, True)
-        # the step it reports is the one it took
-        assert np.allclose(kept.pinv.matrix, before - coef * np.outer(pa, pa), rtol=1e-15)
+        pa, coef = kept_step(kept, a, 1.0)
+        # the step taken is the Sherman-Morrison one, and stepped() kept it
+        assert coef == 1.0 / (1.0 + float(a @ pa))
+        assert np.array_equal(kept.pinv.matrix, before - (pa[:, None] * pa) * coef)
+        assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
         assert kept.drift_events == 0
         kept.pinv.matrix[0, 0] *= 1.0 + 1e-3
         x += np.outer(a, a)
         # a replaced pinv reports no step: scores taken before it are stale
-        assert kept.update(a, 1.0, True) is None
+        assert kept_step(kept, a, 1.0) is None
         assert (kept.recomputes, kept.drift_events) == (2, 1)
         assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
 
-
     def test_score_is_the_shared_relative_leverage(self):
         # dense and densified sparse rows against a full-rank and a rank-7
-        # (d = 8) matrix, on and off the image; scores must agree bit for bit
+        # (d = 8) matrix, on and off the image; from the same form, the
+        # per-row and the block kernel test and formula agree bit for bit
         from specstream import relative_leverage
+        from specstream.leverage import quad_forms
 
         gauss = gen_gaussian(40, 8, seed=31)
         kd = permute(gen_kd_multigraph(8, 64), seed=32)
@@ -460,11 +491,12 @@ class TestKeptPinv:
             kept = KeptPinv(8, stream.gram)
             kept.recompute()
             assert kept.pinv.source_rank == (8 if stream is gauss else 7)
-            rows = [stream.row(i) for i in range(0, stream.n, 7)] + [np.eye(8)[0]]
-            for row in rows:
-                r = oracles.dense_row(row, 8)
-                assert kept.score(r)[1] == relative_leverage(kept.pinv, r)
-            on_image, rel = kept.score(np.eye(8)[0])  # off the Laplacian's image
+            rows = np.array([oracles.dense_row(stream.row(i), 8) for i in range(0, stream.n, 7)]
+                            + [np.eye(8)[0]])
+            for r in rows:
+                q = float(quad_forms(kept.pinv, r[None])[0])
+                assert kept.relative(r, q)[1] == relative_leverage(kept.pinv, r)
+            on_image, rel = kept.relative(rows[-1], 0.0)  # e_0, off the Laplacian's image
             assert on_image == (stream is gauss) and (on_image or rel == 1.0)
 
 

@@ -238,7 +238,7 @@ class TestResparsifyApprox:
         plug = ResparsifyApprox(4.0, 0.4, seed=3, dim=5)
         row = (np.array([1]), np.array([1.0]))  # a sparse row fits the given dim
         plug.add(0, row)
-        assert plug.buffer == [(0, 1.0, row)]
+        assert list(plug.buffer) == [(0, 1.0, row)]
         assert np.array_equal(plug.query().gram_matrix(), np.diag([0.0, 1.0, 0.0, 0.0, 0.0]))
 
     def test_identity_cycle_stays_bounded_and_accurate(self):
@@ -289,7 +289,7 @@ class TestResparsifyApprox:
         with pytest.raises(CapacityCollapse):
             for i in range(n):
                 plug.add(i, np.eye(3)[i % 3])
-        assert len(plug.buffer) == n
+        assert plug.buffer.n_rows == n
 
     def test_weights_compound_across_passes(self):
         # after passes, each surviving weight is a product of 1/sqrt(p)
@@ -304,10 +304,15 @@ class TestResparsifyApprox:
             plug.add(i, row)
             fed += np.outer(row, row)
         assert plug.passes >= 1
-        weights = [w for _, w, _ in plug.buffer]
+        weights = plug.buffer.weights
         assert all(w >= 1.0 for w in weights)
         assert any(w > 1.0 for w in weights)
         assert approx_factor(SymPsd(fed), plug.query().gram) < 3 * 0.45
+        # query() folds the held rows afresh, as one append_rows of them would
+        held = plug.buffer
+        fresh = Sketch(d)
+        fresh.append_rows(held.indices, held.weights, np.array(held.rows), held.rows)
+        assert np.array_equal(plug.query().gram_matrix(), fresh.gram_matrix())
 
 
 class TestImprovedSampler:
