@@ -17,9 +17,7 @@ from .errors import (
     EmptySketch,
     EmptyStream,
     FormatError,
-    ImageMismatch,
     InvalidWeight,
-    MissingScoreLog,
     NonFiniteInput,
     NotPsd,
     NotSymmetric,
@@ -76,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroStream", "BarrierViolation", "CapacityCollapse", "ConstApproxFailure",
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
-    "FormatError", "ImageMismatch", "InvalidWeight", "MissingScoreLog", "NonFiniteInput", "NotPsd",
+    "FormatError", "InvalidWeight", "NonFiniteInput", "NotPsd",
     "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
     "PInv", "SymPsd", "approx_factor", "default_rank_tol", "min_nonzero_eig",
     "pinv", "pinv_rank1_update", "pseudo_det",

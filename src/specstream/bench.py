@@ -36,10 +36,10 @@ from .verify import mu as measure_mu
 from .verify import online_leverage, verify
 
 # The settings each sampler reads; run_sampler refuses any other it is given.
-_BLOCK_READS = ("c_mult", "use_jl", "jl_audit")
+_BLOCK_READS = ("c_mult", "use_jl")
 _READS = {
     "online": ("c_mult",),
-    "optimal": ("audit",),
+    "optimal": (),
     "scaled": _BLOCK_READS,
     "improved-self": _BLOCK_READS,
     "improved-resparsify": _BLOCK_READS + ("plug_beta", "plug_capacity_mult"),
@@ -155,10 +155,8 @@ def run_sampler(
     *,
     c_mult: float | None = None,
     use_jl: bool = False,
-    jl_audit: bool = False,
     plug_beta: float | None = None,
     plug_capacity_mult: float | None = None,
-    audit: bool = False,
 ) -> tuple[Sketch, RunStats]:
     """Dispatch one sampler run; returns the runner's (sketch, RunStats).
 
@@ -167,14 +165,14 @@ def run_sampler(
     """
     if algo not in ALGO_NAMES:
         raise ValueError(f"unknown algo {algo!r}")
-    unread = unread_settings(algo, c_mult=c_mult, use_jl=use_jl, jl_audit=jl_audit, audit=audit,
+    unread = unread_settings(algo, c_mult=c_mult, use_jl=use_jl,
                              plug_beta=plug_beta, plug_capacity_mult=plug_capacity_mult)
     if unread:
         raise ValueError(f"{algo} does not read {', '.join(unread)}")
     if algo == "online":
         return run_online(stream, eps, seed, c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult)
     if algo == "optimal":
-        return run_barrier(stream, eps, seed, audit=audit)
+        return run_barrier(stream, eps, seed)
     plug = None
     if algo == "improved-self":
         plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
@@ -188,7 +186,7 @@ def run_sampler(
     return scaled_sampling(
         stream, eps, seed, plug,
         c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-        use_jl=use_jl, jl_audit=jl_audit,
+        use_jl=use_jl,
     )
 
 

@@ -12,7 +12,7 @@ import sys
 
 from . import io as sio
 from .bench import SUITE_NAMES, bench_suite, run_sampler, unread_settings, write_csv
-from .errors import SpecstreamError, UnknownSuite
+from .errors import SpecstreamError
 from .instances import gen_gaussian, gen_kd_multigraph, gen_mu_controlled, permute
 from .verify import mu as measure_mu
 from .verify import verify
@@ -222,9 +222,6 @@ def main(argv=None) -> int:
         parser.error(f"run --algo {args.algo}: {unread} has no effect here")
     try:
         return args.func(args)
-    except UnknownSuite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SpecstreamError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

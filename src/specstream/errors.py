@@ -29,10 +29,6 @@ class DegenerateUpdate(SpecstreamError):
     """Rank-one update denominator is numerically zero."""
 
 
-class ImageMismatch(SpecstreamError):
-    """Test matrix has mass outside the reference image."""
-
-
 class EmptyStream(SpecstreamError):
     """Stream holds no rows."""
 
@@ -51,10 +47,6 @@ class ConstApproxFailure(SpecstreamError):
 
 class CapacityCollapse(SpecstreamError):
     """Resparsify pass could not bring the buffer back under capacity."""
-
-
-class MissingScoreLog(SpecstreamError):
-    """Overestimate audit requested but no score log supplied."""
 
 
 class AllZeroStream(SpecstreamError):

@@ -13,9 +13,10 @@ takes one Sherman-Morrison step and lowers the rest of the run's forms with
 one O(d b) product, and a rebuild rescores the rest. The barrier sampler
 walks every row, since each moves both gaps: one product with the stacked
 gap pseudo-inverses gives both gaps' forms, which serve as the score and as
-the step both gaps take in place. Its barriers and per-row sketch Grams
-(one cumsum each) and sandwich checks (one stacked Cholesky) are batched
-per run. Both make the decisions of the row-at-a-time rule.
+the step both gaps take in place. The Gram of the rows seen and the sketch
+Grams after every row (one cumsum each) and the sandwich checks (one
+stacked Cholesky) are batched per run. Both make the decisions of the
+row-at-a-time rule.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ BARRIER_TOL = 1e-7
 
 
 def sampling_constant(eps: float, d: int, c_mult: float) -> float:
+    """c = c_mult eps^-2 ln d: the rate law of the online, block and resparsify samplers."""
     return c_mult * eps ** -2 * math.log(d)
 
 
@@ -245,8 +247,7 @@ def run_online(
     """Run the online sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
     for lo in range(0, stream.n, ONLINE_RUN):
-        block, rows = stream.block(lo, min(lo + ONLINE_RUN, stream.n))
-        state.add_rows(lo, block, rows)
+        state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
     scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
         scores=scores,
@@ -261,13 +262,13 @@ def run_online(
 class BarrierState:
     """State of the barrier sampler: sketch Gram fenced between two barriers.
 
-    The barriers upper and lower are (1 + eps) and (1 - eps) times the Gram
-    of the rows seen, advanced once per run. Each gap, upper - gram and
-    gram - lower, keeps its pseudo-inverse in a KeptPinv that owns one half
-    of a (2, d, d) stack, so one product scores a row against both and one
-    in-place update steps both. A rebuild forms the gap afresh from the
-    barriers and the running sketch Gram at the row being walked. A
-    BarrierViolation leaves the state mid-run: do not reuse it.
+    The barriers are (1 + eps) and (1 - eps) times seen, the Gram of the
+    rows seen, which a run advances with one cumsum. Each gap, (1 + eps)
+    seen - gram and gram - (1 - eps) seen, keeps its pseudo-inverse in a
+    KeptPinv that owns one half of a (2, d, d) stack, so one product scores
+    a row against both and one in-place update steps both. _gaps forms the
+    gaps both for a rebuild, at the row being walked, and for the sandwich
+    check. A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
     def __init__(self, dim: int, eps: float, seed: int, audit: bool = False):
@@ -277,20 +278,18 @@ class BarrierState:
             raise DimensionMismatch("dimension must be positive")
         self.dim = int(dim)
         self.eps = float(eps)
-        self.c_upper = 2.0 / eps + 1.0
-        self.c_lower = 3.0 / eps - 1.0
+        self.c_upper, self.c_lower = 2.0 / eps + 1.0, 3.0 / eps - 1.0
         self.sketch = Sketch(dim)
-        self.upper = np.zeros((dim, dim))
-        self.lower = np.zeros((dim, dim))
+        self.seen = np.zeros((dim, dim))
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
-        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=True), self._pinvs[0])
-        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(upper=False), self._pinvs[1])
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(0), self._pinvs[0])
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(1), self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.audit = bool(audit)
         self.probs: list[np.ndarray] = []  # one array per run
         self.gap_history: list[tuple[float, float]] = []
         self.last_index = -1
-        self._run = None  # (lo, barriers after each row, running sketch Gram) of the run walked
+        self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
         self._at = 0  # the row of it being walked
 
     def add_rows(self, lo: int, block, rows) -> np.ndarray:
@@ -299,40 +298,38 @@ class BarrierState:
         block and rows are as for OnlineState.add_rows, and the run is
         checked before any state changes. Row a is kept on its coin with p =
         min(c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, 1) for the gaps X_u =
-        upper - gram and X_l = gram - lower before it, at weight 1/sqrt(p);
-        each term is q / (q + 1) with q = a' X+ a from the gap's kept
-        pseudo-inverse, or 1 off its image. The barriers advance by (1 +/-
-        eps) aa', kept or not, so the gaps change by k aa' with k_u = (1 +
-        eps) - s/p and k_l = s/p - (1 - eps) (s = 1 if kept), and the kept
+        (1 + eps) seen - gram and X_l = gram - (1 - eps) seen before it, at
+        weight 1/sqrt(p); each term is q / (q + 1) with q = a' X+ a from the
+        gap's kept pseudo-inverse, or 1 off its image. seen advances by aa',
+        kept or not, so the gaps change by k aa' with k_u = (1 + eps) - s/p
+        and k_l = s/p - (1 - eps) (s = 1 if kept), and the kept
         pseudo-inverses follow by Sherman-Morrison. Raises BarrierViolation
-        for the first row after which lower <= gram <= upper fails beyond
-        BARRIER_TOL * trace(upper). Returns the kept mask.
+        for the first row after which either gap has an eigenvalue below
+        -BARRIER_TOL * (1 + eps) trace(seen), and also when a rebuild finds
+        its gap indefinite beyond the SymPsd floor. Returns the kept mask.
         """
         block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
         lo, b = int(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
         coins = self.rng.take_range(lo, lo + b)
-        outers = block[:, :, None] * block[:, None, :]
-        # both barriers after every row; the cumsum adds (1 +/- eps) aa' in
-        # row order, as a run of one row at a time would
-        barriers = np.empty((b + 1, 2, self.dim, self.dim))
-        barriers[0] = self.upper, self.lower
-        barriers[1:] = outers[:, None] * np.array([1.0 + self.eps, 1.0 - self.eps])[:, None, None]
-        self._run = (lo, np.cumsum(barriers, axis=0)[1:], self.sketch.gram_matrix().copy())
+        # seen after every row, summed in row order as one row at a time would
+        seen = np.cumsum(np.concatenate((self.seen[None], block[:, :, None] * block[:, None, :])),
+                         axis=0)[1:]
         probs, kept = np.empty(b), np.zeros(b, dtype=bool)
+        self._run = (lo, block, seen, probs, kept)
         try:
             self._walk(block, coins.tolist(), probs, kept)
         except BarrierViolation:
-            self._checked_gaps(block, probs, kept[:self._at + 1])  # an earlier row fails first
+            self._checked_gaps(self._at + 1)  # an earlier row fails first
             raise
-        gaps = self._checked_gaps(block, probs, kept)
+        gaps = self._checked_gaps(b)
         if self.audit:
             self.gap_history.extend(map(tuple, np.linalg.eigvalsh(gaps)[..., 0].tolist()))
         pos = np.flatnonzero(kept)
         self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos],
                                 [rows[i] for i in pos.tolist()])
-        self.upper, self.lower = self._run[1][-1].copy()
+        self.seen = seen[-1].copy()
         self.probs.append(probs)
         self._run = None
         return kept
@@ -341,63 +338,57 @@ class BarrierState:
         """Decide the run's rows in order into probs and kept, with both gap
         pseudo-inverses following each row. One product gives both gaps' forms
         q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
-        kept rows fold into the running Gram that rebuilds read."""
-        ys, gram = self._pinvs, self._run[2]
-        upper, lower = self.upper_pinv, self.lower_pinv
+        one stacked step follows, by 0 for a gap that just rebuilt."""
+        ys, upper, lower = self._pinvs, self.upper_pinv, self.lower_pinv
         for j, a in enumerate(block):
             self._at = j
             pu = ys @ a
             q_upper, q_lower = np.vecdot(pu, a).tolist()  # a BLAS dot each, as a 1-D a @ pu
             on_upper, rel_upper = upper.relative(a, q_upper)
             on_lower, rel_lower = lower.relative(a, q_lower)
-            p = min(self.c_upper * rel_upper + self.c_lower * rel_lower, 1.0)
-            probs[j] = p
-            taken = 0.0
-            if coins[j] < p:
-                kept[j] = True
-                taken = 1.0 / p
-                wa = a / math.sqrt(p)
-                gram += wa[:, None] * wa
+            p = probs[j] = min(self.c_upper * rel_upper + self.c_lower * rel_lower, 1.0)
+            kept[j] = keep = coins[j] < p
+            taken = 1.0 / p if keep else 0.0
             coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper)
             coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower)
-            if coef_upper is not None and coef_lower is not None:
-                coefs = np.array((coef_upper, coef_lower))[:, None, None]
-                ys -= (pu[:, :, None] * pu[:, None, :]) * coefs
+            coefs = np.array((coef_upper or 0.0, coef_lower or 0.0))  # 0 for a gap just rebuilt
+            ys -= (pu[:, :, None] * pu[:, None, :]) * coefs[:, None, None]
+            if coef_upper is not None:
                 upper.stepped()
+            if coef_lower is not None:
                 lower.stepped()
-            elif coef_upper is not None or coef_lower is not None:  # the other gap rebuilt
-                i = 0 if coef_lower is None else 1
-                ys[i] -= (pu[i, :, None] * pu[i]) * (coef_upper, coef_lower)[i]
-                (upper, lower)[i].stepped()
 
-    def _checked_gaps(self, block, probs, kept) -> np.ndarray:
-        """The (n, 2, d, d) gaps after the run's first n = len(kept) rows, the
-        Grams one cumsum of kept rows' weighted outers in walk order; raises
-        BarrierViolation for the first row whose sandwich fails."""
-        lo, barriers, _ = self._run
-        n, pos = len(kept), np.flatnonzero(kept)
+    def _gaps(self, stop: int, start: int = 0) -> np.ndarray:
+        """The (stop - start, 2, d, d) gaps (1 + eps) seen - gram and gram - (1 - eps) seen after
+        the run's rows start..stop - 1, the grams one cumsum of the kept rows' weighted outers."""
+        _, block, seen, probs, kept = self._run
+        pos = np.flatnonzero(kept[:stop])
         wa = block[pos] / np.sqrt(probs[pos])[:, None]
         terms = np.concatenate((self.sketch.gram_matrix()[None], wa[:, :, None] * wa[:, None, :]))
-        grams = np.cumsum(terms, axis=0)[np.cumsum(kept)]
-        gaps = barriers[:n] - grams[:, None]
-        np.subtract(grams, barriers[:n, 1], out=gaps[:, 1])  # gram - lower
-        slack = BARRIER_TOL * np.maximum(np.trace(barriers[:n, 0], axis1=1, axis2=2), 1e-300)
+        grams, seen = np.cumsum(terms, axis=0)[np.cumsum(kept[:stop])[start:]], seen[start:stop]
+        gaps = np.empty((stop - start, 2, self.dim, self.dim))
+        np.subtract((1.0 + self.eps) * seen, grams, out=gaps[:, 0])
+        np.subtract(grams, (1.0 - self.eps) * seen, out=gaps[:, 1])
+        return gaps
+
+    def _checked_gaps(self, n: int) -> np.ndarray:
+        """The (n, 2, d, d) gaps after the run's first n rows; raises
+        BarrierViolation for the first row whose sandwich fails."""
+        lo, seen, gaps = self._run[0], self._run[2][:n], self._gaps(n)
+        slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2), 1e-300)
         if not sandwich_holds(gaps, slack[:, None]):
             for j in range(n):
                 if not sandwich_holds(gaps[j], slack[j]):
                     upper_gap, lower_gap = np.linalg.eigvalsh(gaps[j])[:, 0]
-                    raise BarrierViolation(
-                        f"sandwich failed at row {lo + j}: gaps {upper_gap:.3e}, {lower_gap:.3e}"
-                    )
+                    raise BarrierViolation(f"sandwich failed at row {lo + j}: "
+                                           f"gaps {upper_gap:.3e}, {lower_gap:.3e}")
         return gaps
 
-    def _gap_psd(self, upper: bool) -> SymPsd:
-        """The upper or lower gap at the row being walked."""
-        lo, barriers, gram = self._run
-        j = self._at
-        gap = barriers[j, 0] - gram if upper else gram - barriers[j, 1]
+    def _gap_psd(self, i: int) -> SymPsd:
+        """Gap i (0 upper, 1 lower) at the row being walked."""
+        lo, j = self._run[0], self._at
         try:
-            return SymPsd(gap)
+            return SymPsd(self._gaps(j + 1, j)[0, i])
         except NotPsd as exc:
             raise BarrierViolation(f"gap matrix indefinite at row {lo + j}") from exc
 
@@ -434,8 +425,7 @@ def run_barrier(
     """Run the barrier sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = BarrierState(stream.d, eps, seed, audit=audit)
     for lo in range(0, stream.n, ONLINE_RUN):
-        block, rows = stream.block(lo, min(lo + ONLINE_RUN, stream.n))
-        state.add_rows(lo, block, rows)
+        state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
     kept = (state.upper_pinv, state.lower_pinv)
     probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(

@@ -34,6 +34,7 @@ from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
 from .leverage import relative_scores
 from .linalg import PInv, SymPsd, pinv
+from .online import sampling_constant
 from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
 from .sketch import RunStats, Sketch
 
@@ -79,7 +80,7 @@ class BlockSampler:
     (approx), every row is fed to it and each block is scored against the
     plug's query() frozen at the boundary, with multiplier PLUG_MULTIPLIER.
     The sampler is itself a plug: add_rows() consumes a run of rows, query()
-    exposes the current sketch, beta equals eps.
+    exposes the current sketch.
 
     A plug implements add_rows(lo, block, rows) and query(); peak_rows, when
     present, is read as the rows it holds at most.
@@ -105,7 +106,7 @@ class BlockSampler:
         self.dim = int(dim)
         self.eps = float(eps)
         self.k = seed_block_size(dim)
-        self.c = c_mult * eps ** -2 * math.log(max(dim, 2))
+        self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
         self.seed = int(seed)
         self.approx = approx
@@ -133,10 +134,6 @@ class BlockSampler:
         self._fed_gram = None if approx is None else np.zeros((dim, dim))
 
     # -- ConstApprox contract -------------------------------------------------
-    @property
-    def beta(self) -> float:
-        return self.eps
-
     @property
     def n_rows(self) -> int:
         return self.sketch.n_rows
@@ -307,9 +304,8 @@ class ResparsifyApprox:
         self.beta = float(beta)
         self.seed = int(seed)
         self.dim = int(dim)
-        logd = math.log(dim)
-        self.capacity_rows = math.ceil(capacity_mult * beta ** -2 * dim * logd)
-        self.c_beta = capacity_mult * beta ** -2 * logd
+        self.c_beta = sampling_constant(beta, dim, capacity_mult)
+        self.capacity_rows = math.ceil(self.c_beta * dim)
         self.buffer = Sketch(dim)
         self.passes = 0
         self.retries = 0

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import AllZeroStream, DimensionMismatch, EmptyStream, MissingScoreLog
+from .errors import AllZeroStream, DimensionMismatch, EmptyStream
 from .instances import RowStream
 from .leverage import leverage_scores
 from .linalg import SymPsd, approx_factor, default_rank_tol
@@ -25,12 +25,7 @@ AUDIT_SLACK = 1e-9
 PREFIX_BATCH_ENTRIES = 1 << 20
 
 
-def verify(
-    stream: RowStream,
-    sketch: Sketch,
-    scores=None,
-    require_scores: bool = False,
-) -> tuple[float, bool | None]:
+def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool | None]:
     """Measure the spectral approximation factor and audit a score log.
 
     Returns (eps_actual, overestimate_ok). eps_actual is the largest
@@ -38,7 +33,7 @@ def verify(
     Gram on the stream's row space; rank loss shows up as 1.0 and mass
     outside the row space as inf. overestimate_ok reports whether every
     logged score dominates the true leverage score of its row (None when
-    no log was supplied and none was required).
+    no log was supplied).
     """
     if stream.d != sketch.dim:
         raise DimensionMismatch(
@@ -53,8 +48,6 @@ def verify(
     eps_actual = approx_factor(stream.gram(), SymPsd(weighted.T @ weighted))
 
     if scores is None:
-        if require_scores:
-            raise MissingScoreLog("overestimate audit requires a score log")
         return eps_actual, None
 
     logged = np.asarray(scores, dtype=float)

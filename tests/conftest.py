@@ -20,9 +20,7 @@ def identity_stream(d, copies=1):
 
 
 class PassThroughPlug:
-    """Trivial block-sampler plug (beta = 0): keeps every fed row at weight 1."""
-
-    beta = 0.0
+    """Trivial block-sampler plug: keeps every fed row at weight 1."""
 
     def __init__(self, dim):
         self.sketch = Sketch(dim)

@@ -110,7 +110,6 @@ class TestDispatch:
             run_sampler("online", stream, 0.5, 2, c_mul=100.0)
         unread = (
             ("online", dict(use_jl=True, plug_beta=0.1)),
-            ("online", dict(audit=True)),
             ("optimal", dict(c_mult=0.0)),
             ("scaled", dict(plug_capacity_mult=8.0)),
             ("improved-self", dict(plug_beta=0.1)),

@@ -83,12 +83,25 @@ class TestStreamFiles:
             "float": "rowstream v1 1 2 dense\n# meta {}\n0 xyz\n",
             "width": "rowstream v1 1 3 dense\n# meta {}\n0 0\n",
             "sparse-count": "rowstream v1 1 2 sparse\n# meta {}\n2 0:1\n",
+            "sparse-no-count": "rowstream v1 1 2 sparse\n# meta {}\n0:1 1:1\n",
+            "sparse-entry": "rowstream v1 1 2 sparse\n# meta {}\n2 0:1 1=1\n",
+            "header-tokens": "rowstream v1 1 2\n# meta {}\n0 0\n",
+            "header-counts": "rowstream v1 one 2 dense\n# meta {}\n0 0\n",
+            "meta-bad-json": "rowstream v1 1 2 dense\n# meta {oops\n0 0\n",
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.stream"
             path.write_text(text)
             with pytest.raises(FormatError):
                 read_stream(str(path))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_stream(str(target), make_stream(np.eye(2)))
+        assert os.listdir(tmp_path) == ["taken"]
 
 
 class TestSketchFiles:
@@ -128,6 +141,8 @@ class TestSketchFiles:
             "short-row": "sketch v1 1 2 dense\n# meta {}\n0\n",
             "bad-weight": "sketch v1 1 2 dense\n# meta {}\n0 w 0 0\n",
             "count": "sketch v1 2 2 dense\n# meta {}\n0 1 0 0\n",
+            "truncated": "sketch v1 1 2 dense\n",
+            "sparse-no-count": "sketch v1 1 2 sparse\n# meta {}\n0 1\n",
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.sketch"
@@ -223,6 +238,10 @@ class TestCliGen:
                     main(["run", *argv, "--eps", "0.3", "-i", "x", "-o", "y"])
                 assert exc.value.code == 2, argv
                 assert flag in capsys.readouterr().err, argv
+        # an unregistered suite name is refused by the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", "nope"])
+        assert exc.value.code == 2
         # the bench harness runs its trials in one thread and takes no pool size
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--suite", "mu-scaling", "--threads", "2"])
@@ -269,6 +288,18 @@ class TestCliRunVerify:
         stream = read_stream(src)
         assert sk.n_rows == stream.n
         assert np.array_equal(sk.weighted_matrix(), stream.materialize())
+
+    def test_perm_seed_permutes_the_input(self, tmp_path):
+        src, permuted = str(tmp_path / "g.stream"), str(tmp_path / "p.stream")
+        write_stream(src, gen_gaussian(300, 4, seed=3))
+        write_stream(permuted, permute(read_stream(src), 7))
+        outs = str(tmp_path / "a.sketch"), str(tmp_path / "b.sketch")
+        argv = ["run", "--algo", "online", "--eps", "0.5", "--seed", "2"]
+        assert main(argv + ["--perm-seed", "7", "-i", src, "-o", outs[0]]) == 0
+        assert main(argv + ["-i", permuted, "-o", outs[1]]) == 0
+        (a, meta), (b, _) = read_sketch(outs[0]), read_sketch(outs[1])
+        assert meta["seed_perm"] == 7 and a.n_rows < 300
+        assert a.indices == b.indices and np.array_equal(a.weighted_matrix(), b.weighted_matrix())
 
     def test_bad_sampler_parameters_exit_one(self, tmp_path, capsys):
         # a zero plug setting reaches the plug instead of its default, and a

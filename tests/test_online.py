@@ -25,7 +25,7 @@ from specstream import (
     verify,
 )
 from specstream import online
-from specstream.errors import NonFiniteInput
+from specstream.errors import NonFiniteInput, NotPsd
 from specstream.linalg import SymPsd
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
@@ -514,8 +514,9 @@ class TestBarrierSampler:
         for i in range(4):
             assert barrier_step(state, np.eye(4)[i], i)
         assert state.sketch.weights == [1.0] * 4
-        assert np.allclose(state.upper, (1 + eps) * np.eye(4), atol=1e-14)
-        assert np.allclose(state.lower, (1 - eps) * np.eye(4), atol=1e-14)
+        upper, lower = (1 + eps) * state.seen, (1 - eps) * state.seen
+        assert np.allclose(upper, (1 + eps) * np.eye(4), atol=1e-14)
+        assert np.allclose(lower, (1 - eps) * np.eye(4), atol=1e-14)
 
     def test_audited_run_keeps_sandwich(self):
         # every step must hold lower <= gram <= upper to 1e-7
@@ -590,28 +591,32 @@ class TestBarrierSampler:
         state = BarrierState(4, 0.5, seed=76)
         for i in range(39):
             barrier_step(state, stream.row(i), i)
-        big = float(np.trace(state.upper)) * np.eye(4)
+        # the gaps are (1 + eps) seen - gram and gram - (1 - eps) seen, so
+        # each shift of seen lowers one gap by the upper barrier's trace
+        big = float(np.trace((1 + 0.5) * state.seen)) * np.eye(4)
         if barrier == "upper":
-            state.upper -= big
+            state.seen -= big / (1 + 0.5)
         else:
-            state.lower += big
+            state.seen += big / (1 - 0.5)
         with pytest.raises(BarrierViolation):
             barrier_step(state, stream.row(39), 39)
 
     @pytest.mark.parametrize("lo", [160, 172])
     def test_sandwich_broken_inside_a_run_names_the_row_steps_name(self, lo):
-        # lower is shifted up to the lower gap's smallest eigenvalue after row
-        # lo - 1: kept rows lift the gap, and the first dropped row that pulls
-        # it below the slack fails, later in the run. From lo = 172 a drift
-        # check rebuilds the lower gap's pseudo-inverse from an indefinite gap
-        # further on, and the run still names the first failing row.
+        # seen is raised so the lower gap, gram - (1 - eps) seen, drops by its
+        # smallest eigenvalue after row lo - 1: kept rows lift the gap, and
+        # the first dropped row that pulls it below the slack fails, later in
+        # the run. From lo = 172 a drift check rebuilds the lower gap's
+        # pseudo-inverse from an indefinite gap further on, and the run still
+        # names the first failing row.
         stream = gen_gaussian(300, 4, seed=75)
         unbroken, _ = run_barrier(stream, 0.5, seed=76)
         block, rows = stream.block(0, stream.n)
         twins = [BarrierState(4, 0.5, seed=76) for _ in range(2)]
         for state in twins:
             state.add_rows(0, block[:lo], rows[:lo])
-            state.lower += np.linalg.eigvalsh(state.sketch.gram_matrix() - state.lower)[0] * np.eye(4)
+            least = np.linalg.eigvalsh(state.sketch.gram_matrix() - (1 - 0.5) * state.seen)[0]
+            state.seen += least / (1 - 0.5) * np.eye(4)
         with pytest.raises(BarrierViolation) as as_run:
             twins[0].add_rows(lo, block[lo:lo + ONLINE_RUN], rows[lo:lo + ONLINE_RUN])
         with pytest.raises(BarrierViolation) as by_rows:
@@ -625,6 +630,29 @@ class TestBarrierSampler:
         if rebuilt is not None:
             assert isinstance(rebuilt, BarrierViolation) and "indefinite" in str(rebuilt)
 
+    @pytest.mark.parametrize("lo", [175, 251])
+    def test_rebuild_from_an_indefinite_gap_raises(self, lo, monkeypatch):
+        # seen is raised so the lower gap's smallest eigenvalue is -1e-9
+        # trace(upper) after row lo - 1: the sandwich holds within
+        # BARRIER_TOL, but the gap is indefinite beyond the SymPsd floor, so
+        # a drift check at every step rebuilds from it at row lo and raises
+        stream = gen_gaussian(600, 4, seed=75)
+        block, rows = stream.block(0, stream.n)
+        state = BarrierState(4, 0.5, seed=76)
+        state.add_rows(0, block[:lo], rows[:lo])
+        gram, eye = state.sketch.gram_matrix(), np.eye(4)
+        least = np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0]
+        state.seen += (least + 1e-9 * float(np.trace((1 + 0.5) * state.seen))) / (1 - 0.5) * eye
+        lower_gap = gram - (1 - 0.5) * state.seen
+        assert sandwich_holds(lower_gap, BARRIER_TOL * float(np.trace((1 + 0.5) * state.seen)))
+        with pytest.raises(NotPsd):
+            SymPsd(lower_gap)
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        with pytest.raises(BarrierViolation) as raised:
+            state.add_rows(lo, block[lo:lo + ONLINE_RUN], rows[lo:lo + ONLINE_RUN])
+        assert str(raised.value) == f"gap matrix indefinite at row {lo}"
+        assert isinstance(raised.value.__cause__, NotPsd)
+
     def test_cholesky_check_agrees_with_audited_gaps(self):
         stream = gen_gaussian(200, 6, seed=77)
         state = BarrierState(6, 0.5, seed=78, audit=True)
@@ -632,8 +660,9 @@ class TestBarrierSampler:
         for i in range(stream.n):
             barrier_step(state, stream.row(i), i)
             gram = state.sketch.gram_matrix()
-            slack = BARRIER_TOL * float(np.trace(state.upper))
-            gaps = (state.upper - gram, gram - state.lower)
+            upper, lower = (1 + 0.5) * state.seen, (1 - 0.5) * state.seen
+            slack = BARRIER_TOL * float(np.trace(upper))
+            gaps = (upper - gram, gram - lower)
             for gap, audited in zip(gaps, state.gap_history[-1]):
                 assert audited >= -slack and sandwich_holds(gap, slack)
                 # the check flips where the smallest eigenvalue crosses -slack

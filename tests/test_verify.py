@@ -8,7 +8,6 @@ from specstream import (
     AllZeroStream,
     DimensionMismatch,
     EmptyStream,
-    MissingScoreLog,
     RowStream,
     Sketch,
     gen_gaussian,
@@ -82,8 +81,6 @@ class TestVerify:
     def test_audit_log_validation(self):
         stream = gen_gaussian(10, 3, seed=5)
         sk = sketch_of(stream)
-        with pytest.raises(MissingScoreLog):
-            verify(stream, sk, require_scores=True)
         with pytest.raises(DimensionMismatch):
             verify(stream, sk, scores=np.ones(9))
 
