@@ -27,7 +27,7 @@ def main():
 
         run(["gen", "--kind", "gaussian", "--n", "3000", "--d", "8",
              "--seed", "12", "--perm-seed", "5", "--out", stream])
-        run(["run", "--algo", "improved", "--plug", "resparsify", "--eps", "0.35",
+        run(["run", "--algo", "improved-resparsify", "--eps", "0.35",
              "--seed", "3", "--input", stream, "--out", sketch])
         run(["verify", "--stream", stream, "--sketch", sketch,
              "--diag", sketch + ".diag", "--mu"])

@@ -11,14 +11,11 @@ import json
 import sys
 
 from . import io as sio
-from .bench import SUITE_NAMES, bench_suite, run_sampler, unread_settings, write_csv
+from .bench import ALGO_NAMES, SUITE_NAMES, bench_suite, run_sampler, unread_settings, write_csv
 from .errors import SpecstreamError
 from .instances import gen_gaussian, gen_kd_multigraph, gen_mu_controlled, permute
 from .verify import mu as measure_mu
 from .verify import verify
-
-CLI_ALGOS = ("online", "optimal", "scaled", "improved")
-CLI_PLUGS = ("self", "resparsify")
 
 
 def _cmd_gen(args) -> int:
@@ -42,17 +39,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _algo_key(args) -> str:
-    if args.algo == "improved":
-        return f"improved-{args.plug or 'self'}"
-    return args.algo
-
-
 def _unread_run_flag(args) -> str | None:
     """The first run flag given that the chosen algorithm would not read."""
-    if args.plug is not None and args.algo != "improved":
-        return "--plug"
-    unread = unread_settings(_algo_key(args), use_jl=args.jl, c_mult=args.c_mult,
+    unread = unread_settings(args.algo, use_jl=args.jl, c_mult=args.c_mult,
                              plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult)
     # a flag is its setting's name, but --jl sets use_jl
     return "--" + unread[0].replace("use_", "").replace("_", "-") if unread else None
@@ -63,14 +52,13 @@ def _cmd_run(args) -> int:
     seed_perm = args.perm_seed if args.perm_seed is not None else 0
     if args.perm_seed is not None:
         stream = permute(stream, args.perm_seed)
-    algo = _algo_key(args)
     sketch, stats = run_sampler(
-        algo, stream, args.eps, args.seed,
+        args.algo, stream, args.eps, args.seed,
         c_mult=args.c_mult, use_jl=args.jl,
         plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult,
     )
     meta = {
-        "algo": algo,
+        "algo": args.algo,
         "eps": args.eps,
         "seed_sample": args.seed,
         "seed_perm": seed_perm,
@@ -78,16 +66,16 @@ def _cmd_run(args) -> int:
     }
     sio.write_sketch(args.out, sketch, meta)
     diag_path = args.diag if args.diag else args.out + ".diag"
-    _write_diag(diag_path, algo, args, stream, sketch, stats)
+    _write_diag(diag_path, args, stream, sketch, stats)
     print(f"wrote {args.out}: {sketch.n_rows} of {stream.n} rows "
           f"(score_total={stats.score_total:.6g})")
     return 0
 
 
-def _write_diag(path, algo, args, stream, sketch, stats) -> None:
+def _write_diag(path, args, stream, sketch, stats) -> None:
     lines = [
         json.dumps({
-            "kind": "run", "algo": algo, "eps": args.eps,
+            "kind": "run", "algo": args.algo, "eps": args.eps,
             "seed_sample": args.seed,
             "seed_perm": args.perm_seed if args.perm_seed is not None else 0,
             "n": stream.n, "d": stream.d,
@@ -180,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("run", help="run a sampler over a stream file")
-    r.add_argument("--algo", choices=CLI_ALGOS, required=True)
-    r.add_argument("--plug", choices=CLI_PLUGS, default=None,
-                   help="constant-approximation plug for --algo improved (default: self)")
+    r.add_argument("--algo", choices=ALGO_NAMES, required=True)
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--input", "-i", required=True)
     r.add_argument("--out", "-o", required=True)
@@ -193,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permute the input stream before running")
     r.add_argument("--c-mult", type=float, default=None, help="not with --algo optimal")
     r.add_argument("--jl", action="store_true",
-                   help="score through a JL projection (--algo scaled or improved)")
-    r.add_argument("--plug-beta", type=float, default=None, help="needs --plug resparsify")
+                   help="score through a JL projection (not with --algo online or optimal)")
+    r.add_argument("--plug-beta", type=float, default=None, help="needs --algo improved-resparsify")
     r.add_argument("--plug-capacity-mult", type=float, default=None,
-                   help="needs --plug resparsify")
+                   help="needs --algo improved-resparsify")
     r.set_defaults(func=_cmd_run)
 
     v = sub.add_parser("verify", help="verify a sketch against its stream")

@@ -12,8 +12,9 @@ Both formats are line-oriented and diff-able:
 
 A dense row is d whitespace-separated floats; a sparse row is `k idx:val
 ... idx:val` with k entries. Floats carry 17 significant digits so values
-round-trip exactly. Writers go through a temp file and rename, so a failed
-write never leaves a partial file behind.
+round-trip exactly. Both readers share one preamble and one row parser,
+and a RowStream checks the rows of either kind of file. Writers go through
+a temp file and rename, so a failed write never leaves a partial file behind.
 """
 from __future__ import annotations
 
@@ -118,34 +119,41 @@ def _parse_meta(line: str) -> dict:
     return meta
 
 
+def _read(path: str, magic: str, lead: int = 0) -> tuple[dict, list[list[str]], RowStream]:
+    """(meta, the first lead tokens of each row line, the rows after them) of
+    a stream or sketch file. The header, meta line and row count are checked
+    here, and the RowStream checks the rows: dense widths, sparse columns and
+    finite values."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < 2:
+        raise FormatError(f"truncated {magic} file")
+    n, d, sparse = _parse_header(lines[0], magic)
+    meta = _parse_meta(lines[1])
+    body = [ln.split() for ln in lines[2:] if ln.strip()]
+    if len(body) != n:
+        raise FormatError(f"header announces {n} rows, file carries {len(body)}")
+    if any(len(tokens) < lead for tokens in body):
+        raise FormatError(f"{magic} row too short: each starts with {lead} fields")
+    if sparse:
+        payload = [_parse_sparse_row(tokens[lead:]) for tokens in body]
+    else:
+        payload = np.array([_parse_dense_row(tokens[lead:], d) for tokens in body]).reshape(n, d)
+    return meta, [tokens[:lead] for tokens in body], RowStream(d, payload, meta, sparse=sparse)
+
+
+def _header(magic: str, n: int, d: int, sparse: bool, meta: dict) -> list[str]:
+    return [f"{magic} {FORMAT_VERSION} {n} {d} {'sparse' if sparse else 'dense'}", _meta_line(meta)]
+
+
 def write_stream(path: str, stream: RowStream) -> None:
-    lines = [
-        f"{STREAM_MAGIC} {FORMAT_VERSION} {stream.n} {stream.d} "
-        f"{'sparse' if stream.is_sparse else 'dense'}",
-        _meta_line(stream.meta),
-    ]
-    for row in stream.iter_rows():
-        lines.append(_row_text(row, stream.is_sparse))
+    lines = _header(STREAM_MAGIC, stream.n, stream.d, stream.is_sparse, stream.meta)
+    lines.extend(_row_text(row, stream.is_sparse) for row in stream.iter_rows())
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_stream(path: str) -> RowStream:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise FormatError("truncated stream file")
-    n, d, sparse = _parse_header(lines[0], STREAM_MAGIC)
-    meta = _parse_meta(lines[1])
-    body = [ln for ln in lines[2:] if ln.strip()]
-    if len(body) != n:
-        raise FormatError(f"header announces {n} rows, file carries {len(body)}")
-    if sparse:
-        payload = [_parse_sparse_row(ln.split()) for ln in body]
-    elif n == 0:
-        payload = np.zeros((0, d))
-    else:
-        payload = np.stack([_parse_dense_row(ln.split(), d) for ln in body])
-    return RowStream(d, payload, meta, sparse=sparse)
+    return _read(path, STREAM_MAGIC)[2]
 
 
 def _sketch_mode(sketch: Sketch) -> bool:
@@ -157,46 +165,26 @@ def _sketch_mode(sketch: Sketch) -> bool:
 
 def write_sketch(path: str, sketch: Sketch, meta: dict | None = None) -> None:
     sparse = _sketch_mode(sketch)
-    lines = [
-        f"{SKETCH_MAGIC} {FORMAT_VERSION} {sketch.n_rows} {sketch.dim} "
-        f"{'sparse' if sparse else 'dense'}",
-        _meta_line(meta or {}),
-    ]
-    for src, weight, row in sketch:
-        lines.append(f"{src} {_fmt(weight)} {_row_text(row, sparse)}")
+    lines = _header(SKETCH_MAGIC, sketch.n_rows, sketch.dim, sparse, meta or {})
+    lines.extend(f"{src} {_fmt(weight)} {_row_text(row, sparse)}" for src, weight, row in sketch)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_sketch(path: str) -> tuple[Sketch, dict]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise FormatError("truncated sketch file")
-    m, d, sparse = _parse_header(lines[0], SKETCH_MAGIC)
-    meta = _parse_meta(lines[1])
-    body = [ln for ln in lines[2:] if ln.strip()]
-    if len(body) != m:
-        raise FormatError(f"header announces {m} rows, file carries {len(body)}")
-    entries = []
-    for ln in body:
-        tokens = ln.split()
-        if len(tokens) < 2:
-            raise FormatError(f"sketch row too short: {ln!r}")
-        try:
-            src = int(tokens[0])
-            weight = float(tokens[1])
-        except ValueError as exc:
-            raise FormatError(f"bad src/weight in {ln!r}") from exc
-        # Sketch.append checks a sparse row's columns
-        row = _parse_sparse_row(tokens[2:]) if sparse else _parse_dense_row(tokens[2:], d)
-        entries.append((src, weight, row))
-    weights = np.array([w for _, w, _ in entries])
-    values = [row[1] if sparse else row for _, _, row in entries]
-    if not np.all(np.isfinite(np.concatenate([weights, *values]))):
-        raise NonFiniteInput("sketch holds a NaN or infinite weight or value")
+    """The sketch and meta of a sketch file. Its rows parse and check as a
+    stream's do; a weight must be finite (NonFiniteInput) and > 0
+    (FormatError), and source indices must increase (DimensionMismatch)."""
+    meta, lead, rows = _read(path, SKETCH_MAGIC, lead=2)
+    try:
+        src = np.array([int(s) for s, _ in lead], dtype=np.int64)
+        weights = np.array([float(w) for _, w in lead])
+    except ValueError as exc:
+        raise FormatError(f"bad src/weight in sketch row: {exc}") from exc
+    if not np.all(np.isfinite(weights)):
+        raise NonFiniteInput("sketch holds a NaN or infinite weight")
     if np.any(weights <= 0.0):
         raise FormatError("sketch weights must be positive")
-    sketch = Sketch(d)
-    for src, weight, row in entries:
-        sketch.append(src, weight, row)
+    sketch = Sketch(rows.d)
+    block, payload = rows.block(0, rows.n)
+    sketch.append_rows(src, weights, block, list(payload))
     return sketch, meta

@@ -291,6 +291,7 @@ class BarrierState:
         self.last_index = -1
         self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
         self._at = 0  # the row of it being walked
+        self._row_gaps = (-1, None)  # (row, its (2, d, d) gaps) as _gap_psd last formed them
 
     def add_rows(self, lo: int, block, rows) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
@@ -317,7 +318,7 @@ class BarrierState:
         seen = np.cumsum(np.concatenate((self.seen[None], block[:, :, None] * block[:, None, :])),
                          axis=0)[1:]
         probs, kept = np.empty(b), np.zeros(b, dtype=bool)
-        self._run = (lo, block, seen, probs, kept)
+        self._run, self._row_gaps = (lo, block, seen, probs, kept), (-1, None)
         try:
             self._walk(block, coins.tolist(), probs, kept)
         except BarrierViolation:
@@ -385,10 +386,13 @@ class BarrierState:
         return gaps
 
     def _gap_psd(self, i: int) -> SymPsd:
-        """Gap i (0 upper, 1 lower) at the row being walked."""
+        """Gap i (0 upper, 1 lower) at the row being walked; both gaps of a row
+        are formed once, for every rebuild and drift check it takes."""
         lo, j = self._run[0], self._at
+        if self._row_gaps[0] != j:
+            self._row_gaps = (j, self._gaps(j + 1, j)[0])
         try:
-            return SymPsd(self._gaps(j + 1, j)[0, i])
+            return SymPsd(self._row_gaps[1][i])
         except NotPsd as exc:
             raise BarrierViolation(f"gap matrix indefinite at row {lo + j}") from exc
 

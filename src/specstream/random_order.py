@@ -32,7 +32,7 @@ from .errors import (
 )
 from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
-from .leverage import relative_scores
+from .leverage import quad_forms, relative_scores
 from .linalg import PInv, SymPsd, pinv
 from .online import sampling_constant
 from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
@@ -336,9 +336,7 @@ class ResparsifyApprox:
     def _resparsify(self):
         _, w, held = self.buffer.columns()
         n = len(held)
-        p_g = pinv(self.buffer.gram)
-        q = np.maximum(np.einsum("ij,ij->i", held @ p_g.matrix, held), 0.0)
-        tau = np.minimum(w * w * q, 1.0)
+        tau = np.minimum(w * w * quad_forms(pinv(self.buffer.gram), held), 1.0)
         for attempt in range(2):
             if attempt:
                 self.retries += 1

@@ -401,7 +401,7 @@ def test_criterion_11_reproducibility(tmp_path):
     all_same = True
     for algo_argv in (
         ["--algo", "online", "--eps", "0.3"],
-        ["--algo", "improved", "--plug", "resparsify", "--eps", "0.4"],
+        ["--algo", "improved-resparsify", "--eps", "0.4"],
     ):
         a, b = str(tmp_path / "run-a.sketch"), str(tmp_path / "run-b.sketch")
         assert cli_main(["run", *algo_argv, "--seed", "9", "-i", src, "-o", a]) == 0

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from specstream import (
 )
 from specstream import rows as rowops
 from specstream.bench import read_csv
-from specstream.cli import main
+from specstream.cli import _unread_run_flag, build_parser, main
 
 from conftest import make_stream
 
@@ -194,7 +196,7 @@ class TestCliGen:
         argv = ["gen", "--kind", "gaussian", "--n", "100", "--d", "5", "--seed", "7"]
         assert main(argv + ["--out", a]) == 0
         assert main(argv + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_perm_seed_applies(self, tmp_path):
         plain, shuffled = str(tmp_path / "p.stream"), str(tmp_path / "q.stream")
@@ -207,10 +209,13 @@ class TestCliGen:
 
     def test_missing_parameter_fails(self, tmp_path, capsys):
         out = str(tmp_path / "x.stream")
-        rc = main(["gen", "--kind", "kd", "--d", "3", "--out", out])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        for argv, named in ((["--kind", "kd", "--d", "3"], "--copies"),
+                            (["--kind", "gaussian", "--d", "3"], "--n"),
+                            (["--kind", "mu", "--d", "3", "--gamma", "10"], "--levels")):
+            assert main(["gen", *argv, "--out", out]) == 1, argv
+            err = capsys.readouterr().err
+            assert "error" in err and named in err, argv
+            assert not os.path.exists(out)
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -223,12 +228,10 @@ class TestCliGen:
         unread = {
             "--jl": (["--algo", "online", "--jl"], ["--algo", "optimal", "--jl"]),
             "--c-mult": (["--algo", "optimal", "--c-mult", "0.01"],),
-            "--plug": (["--algo", "scaled", "--plug", "self"],
-                       ["--algo", "online", "--plug", "resparsify"]),
-            "--plug-beta": (["--algo", "improved", "--plug-beta", "0.2"],
-                            ["--algo", "improved", "--plug", "self", "--plug-beta", "0.2"]),
+            "--plug-beta": (["--algo", "improved-self", "--plug-beta", "0.2"],
+                            ["--algo", "scaled", "--plug-beta", "0.2"]),
             "--plug-capacity-mult": (
-                ["--algo", "improved", "--plug", "self", "--plug-capacity-mult", "4"],
+                ["--algo", "improved-self", "--plug-capacity-mult", "4"],
             ),
         }
         for flag, cases in unread.items():
@@ -246,6 +249,19 @@ class TestCliGen:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--suite", "mu-scaling", "--threads", "2"])
         assert exc.value.code == 2
+
+
+class TestReadmeCommandLine:
+    def test_every_readme_command_parses(self):
+        # the `specstream ...` lines of the README's "Command line" block, with
+        # backslash continuations joined, parse and name no unread run flag
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1].replace("\\\n", " ")
+        commands = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("specstream ")]
+        assert {argv[0] for argv in commands} == {"gen", "run", "verify", "bench"}
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            assert args.command != "run" or _unread_run_flag(args) is None, argv
 
 
 class TestCliRunVerify:
@@ -274,8 +290,8 @@ class TestCliRunVerify:
         out1, out2 = str(tmp_path / "r1.sketch"), str(tmp_path / "r2.sketch")
         assert main(argv + ["-o", out1]) == 0
         assert main(argv + ["-o", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert open(out1 + ".diag", "rb").read() == open(out2 + ".diag", "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert Path(out1 + ".diag").read_bytes() == Path(out2 + ".diag").read_bytes()
 
     def test_scaled_short_stream_passthrough(self, tmp_path):
         # n = 10 <= K(6) = 11: the whole stream fits in the seed block
@@ -307,15 +323,15 @@ class TestCliRunVerify:
         src = self.identity_file(tmp_path, copies=50)
         out = str(tmp_path / "bad.sketch")
         bad = (
-            ["--algo", "improved", "--plug", "resparsify", "--plug-beta", "0"],
-            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "0"],
-            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "nan"],
-            ["--algo", "improved", "--plug", "resparsify", "--plug-capacity-mult", "inf"],
+            ["--algo", "improved-resparsify", "--plug-beta", "0"],
+            ["--algo", "improved-resparsify", "--plug-capacity-mult", "0"],
+            ["--algo", "improved-resparsify", "--plug-capacity-mult", "nan"],
+            ["--algo", "improved-resparsify", "--plug-capacity-mult", "inf"],
             ["--algo", "online", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "-1"],
             ["--algo", "scaled", "--c-mult", "nan"],
-            ["--algo", "improved", "--c-mult", "0"],
+            ["--algo", "improved-self", "--c-mult", "0"],
         )
         for argv in bad:
             capsys.readouterr()
@@ -324,7 +340,7 @@ class TestCliRunVerify:
             assert "error" in err and "Traceback" not in err, argv
             assert not os.path.exists(out), argv
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--algo", "improved", "--plug", "passthrough", "--eps", "0.4",
+            main(["run", "--algo", "improved-passthrough", "--eps", "0.4",
                   "-i", src, "-o", out])
         assert exc.value.code == 2
 
@@ -343,6 +359,27 @@ class TestCliRunVerify:
         assert "eps_actual = " in text
         assert "overestimate audit: ok" in text
         assert "PASS" in text
+        # scores logged below the leverage fail the audit, and the run exits 1
+        # although eps_actual passes
+        with open(out + ".diag") as fh:
+            records = [json.loads(line) for line in fh]
+        for obj in records:
+            if obj["kind"] == "scores":
+                obj["values"] = [0.0] * len(obj["values"])
+        low = str(tmp_path / "low.diag")
+        with open(low, "w") as fh:
+            fh.write("".join(json.dumps(obj) + "\n" for obj in records))
+        rc = main(["verify", "--stream", src, "--sketch", out, "--eps", "0.4", "--diag", low])
+        text = capsys.readouterr().out
+        assert rc == 1
+        assert "overestimate audit: VIOLATED" in text and "PASS" in text
+        # the barrier logs probabilities, not scores: its sidecar has no score log
+        bar = str(tmp_path / "bar.sketch")
+        assert main(["run", "--algo", "optimal", "--eps", "0.5", "--seed", "4",
+                     "-i", src, "-o", bar]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--stream", src, "--sketch", bar, "--diag", bar + ".diag"]) == 0
+        assert "overestimate audit: skipped (no score log)" in capsys.readouterr().out
 
     def test_verify_dimension_mismatch_fails(self, tmp_path, capsys):
         src = str(tmp_path / "g.stream")
@@ -362,13 +399,16 @@ class TestCliRunVerify:
         assert main(["verify", "--stream", src, "--mu"]) == 0
         line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("mu = ")][0]
         assert float(line.split("=")[1]) == pytest.approx(1e4, rel=1e-6)
+        # with neither --sketch nor --mu there is nothing to do
+        assert main(["verify", "--stream", src]) == 1
+        assert "verify needs --sketch" in capsys.readouterr().err
 
     def test_improved_resparsify_respects_capacity(self, tmp_path):
         src = str(tmp_path / "big.stream")
         out = str(tmp_path / "big.sketch")
         main(["gen", "--kind", "gaussian", "--n", "3000", "--d", "8",
               "--seed", "6", "--perm-seed", "7", "--out", src])
-        assert main(["run", "--algo", "improved", "--plug", "resparsify",
+        assert main(["run", "--algo", "improved-resparsify",
                      "--eps", "0.4", "--seed", "8", "-i", src, "-o", out]) == 0
         capacity = math.ceil(4.0 * 9.0 * 8 * math.log(8))
         summary = None
@@ -400,8 +440,8 @@ class TestCliBench:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["bench", "--suite", "mu-scaling", "--out", a])
         main(["bench", "--suite", "mu-scaling", "--out", b])
-        rows_a = [ln.rsplit(",", 1)[0] for ln in open(a).read().splitlines()]
-        rows_b = [ln.rsplit(",", 1)[0] for ln in open(b).read().splitlines()]
+        rows_a = [ln.rsplit(",", 1)[0] for ln in Path(a).read_text().splitlines()]
+        rows_b = [ln.rsplit(",", 1)[0] for ln in Path(b).read_text().splitlines()]
         assert rows_a == rows_b
 
 
@@ -431,7 +471,7 @@ class TestPinnedBytes:
     RUNS = {  # run flags: (sketch, diag)
         ("--algo", "online", "--eps", "0.5", "--seed", "3"): ("7c8a15128affa468", "d9959c1a182acd79"),
         ("--algo", "scaled", "--eps", "0.5", "--seed", "3"): ("e1b03da7f6b83930", "7b63adbaf10e4a96"),
-        ("--algo", "improved", "--plug", "resparsify", "--eps", "0.4", "--seed", "4"):
+        ("--algo", "improved-resparsify", "--eps", "0.4", "--seed", "4"):
             ("afb1394f971fdcf5", "8c1c32225894c5d2"),
     }
 

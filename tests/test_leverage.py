@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specstream import (
+    DimensionMismatch,
     EmptyStream,
     SymPsd,
     gen_kd_multigraph,
@@ -66,6 +67,8 @@ class TestLeverageScores:
     def test_empty_rejected(self):
         with pytest.raises(EmptyStream):
             leverage_scores(np.zeros((0, 3)))
+        with pytest.raises(DimensionMismatch):
+            leverage_scores(np.ones(3))
 
 
 class TestRelativeLeverage:

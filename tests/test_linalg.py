@@ -125,6 +125,8 @@ class TestPinv:
             assert math.isclose(pinv_quad_form(s, a), float(a @ p.matrix @ a),
                                 rel_tol=1e-10, abs_tol=1e-12)
         assert pinv_quad_form(SymPsd(np.zeros((2, 2))), np.ones(2)) == 0.0
+        with pytest.raises(DimensionMismatch):
+            pinv_quad_form(SymPsd(np.eye(2)), np.ones(3))
 
 
 class TestRank1Update:
@@ -296,6 +298,8 @@ class TestApproxFactor:
     def test_self_is_zero(self):
         s = SymPsd(make_psd(5, 5, 3))
         assert approx_factor(s, s) < 1e-12
+        zero = SymPsd(np.zeros((3, 3)))
+        assert approx_factor(zero, zero) == 0.0
 
     def test_uniform_scaling(self):
         s = SymPsd(make_psd(5, 5, 3))

@@ -213,6 +213,8 @@ class TestOnlineSampler:
             OnlineState(4, 0.0, seed=1)
         with pytest.raises(ValueError):
             OnlineState(4, 0.51, seed=1)
+        with pytest.raises(DimensionMismatch):
+            OnlineState(0, 0.3, seed=1)
 
     @pytest.mark.parametrize("c_mult", [0.0, -1.0, math.nan, math.inf])
     def test_sampling_rate_must_be_finite_and_positive(self, c_mult):
@@ -675,6 +677,8 @@ class TestBarrierSampler:
             BarrierState(3, 1.0, seed=1)
         with pytest.raises(ValueError):
             BarrierState(3, 0.0, seed=1)
+        with pytest.raises(DimensionMismatch):
+            BarrierState(0, 0.5, seed=1)
 
     def test_deterministic_given_seed(self):
         stream = gen_gaussian(300, 5, seed=61)

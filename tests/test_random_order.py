@@ -242,16 +242,17 @@ class TestResparsifyApprox:
 
     def test_identity_cycle_stays_bounded_and_accurate(self):
         # 8C rows cycling the axes: buffer capped at 2C, Gram a (1 +/- beta)
-        # approximation of (n/d) I on almost every seed
+        # approximation of (n/d) I on almost every seed. The rows go in as
+        # one run, which the plug splits where its buffer reaches 2C, so the
+        # passes are those of a row-at-a-time feed
         d, beta, cap = 4, 1.0 / 3.0, 4.0
         C = math.ceil(cap * beta ** -2 * d * math.log(d))
         n = 8 * C
-        eye = np.eye(d)
+        rows = np.eye(d)[np.arange(n) % d]
         ok = 0
         for s in range(50):
             plug = ResparsifyApprox(cap, beta, seed=1000 + s, dim=d)
-            for i in range(n):
-                plug.add(i, eye[i % d])
+            plug.add_rows(0, rows, list(rows))
             assert plug.peak_rows <= 2 * C
             target = SymPsd(n / d * np.eye(d))
             if approx_factor(target, plug.query().gram) <= beta:

@@ -86,6 +86,8 @@ class TestSketch:
             sk.append(3, 1.0, np.array([0.0, 1.0]))
 
     def test_row_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Sketch(0)
         sk = Sketch(3)
         with pytest.raises(DimensionMismatch):
             sk.append(0, 1.0, np.ones(4))
