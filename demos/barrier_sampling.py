@@ -28,11 +28,17 @@ def main():
     print(f"  barrier sizes: min {min(sizes_barrier)}, max {max(sizes_barrier)}, "
           f"spread {max(sizes_barrier) - min(sizes_barrier)}")
 
-    # audit mode logs the minimum eigenvalue of both barrier gaps per row
-    sketch, stats = run_barrier(stream, eps=EPS, seed=0, audit=True)
+    # the sandwich after every row, checked from the stream and the sketch:
+    # one cumsum of the rows' outer products, one of the kept rows' weighted ones
+    sketch, _ = run_barrier(stream, eps=EPS, seed=0)
     eps_actual, _ = verify(stream, sketch)
-    worst_upper = min(g[0] for g in stats.gap_history)
-    worst_lower = min(g[1] for g in stats.gap_history)
+    rows = stream.materialize()
+    seen = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    kept = np.zeros_like(rows)
+    kept[sketch.indices] = np.asarray(sketch.weights)[:, None] * rows[sketch.indices]
+    grams = np.cumsum(kept[:, :, None] * kept[:, None, :], axis=0)
+    worst_upper = np.linalg.eigvalsh((1 + EPS) * seen - grams)[:, 0].min()
+    worst_lower = np.linalg.eigvalsh(grams - (1 - EPS) * seen)[:, 0].min()
     print(f"\naudited run: {sketch.n_rows} rows, eps_actual {eps_actual:.4f}")
     print(f"  worst upper-gap eigenvalue {worst_upper:.3e} (must stay >= 0)")
     print(f"  worst lower-gap eigenvalue {worst_lower:.3e}")

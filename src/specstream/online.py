@@ -271,7 +271,7 @@ class BarrierState:
     check. A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
-    def __init__(self, dim: int, eps: float, seed: int, audit: bool = False):
+    def __init__(self, dim: int, eps: float, seed: int):
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
         if dim < 1:
@@ -285,9 +285,7 @@ class BarrierState:
         self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(0), self._pinvs[0])
         self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(1), self._pinvs[1])
         self.rng = IndexedUniforms(seed)
-        self.audit = bool(audit)
         self.probs: list[np.ndarray] = []  # one array per run
-        self.gap_history: list[tuple[float, float]] = []
         self.last_index = -1
         self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
         self._at = 0  # the row of it being walked
@@ -324,9 +322,7 @@ class BarrierState:
         except BarrierViolation:
             self._checked_gaps(self._at + 1)  # an earlier row fails first
             raise
-        gaps = self._checked_gaps(b)
-        if self.audit:
-            self.gap_history.extend(map(tuple, np.linalg.eigvalsh(gaps)[..., 0].tolist()))
+        self._checked_gaps(b)
         pos = np.flatnonzero(kept)
         self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos],
                                 [rows[i] for i in pos.tolist()])
@@ -372,9 +368,9 @@ class BarrierState:
         np.subtract(grams, (1.0 - self.eps) * seen, out=gaps[:, 1])
         return gaps
 
-    def _checked_gaps(self, n: int) -> np.ndarray:
-        """The (n, 2, d, d) gaps after the run's first n rows; raises
-        BarrierViolation for the first row whose sandwich fails."""
+    def _checked_gaps(self, n: int) -> None:
+        """Raise BarrierViolation for the first of the run's first n rows
+        after which the sandwich fails."""
         lo, seen, gaps = self._run[0], self._run[2][:n], self._gaps(n)
         slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2), 1e-300)
         if not sandwich_holds(gaps, slack[:, None]):
@@ -383,7 +379,6 @@ class BarrierState:
                     upper_gap, lower_gap = np.linalg.eigvalsh(gaps[j])[:, 0]
                     raise BarrierViolation(f"sandwich failed at row {lo + j}: "
                                            f"gaps {upper_gap:.3e}, {lower_gap:.3e}")
-        return gaps
 
     def _gap_psd(self, i: int) -> SymPsd:
         """Gap i (0 upper, 1 lower) at the row being walked; both gaps of a row
@@ -424,10 +419,9 @@ def run_barrier(
     stream: RowStream,
     eps: float,
     seed: int,
-    audit: bool = False,
 ) -> tuple[Sketch, RunStats]:
     """Run the barrier sampler over a whole stream, ONLINE_RUN rows at a time."""
-    state = BarrierState(stream.d, eps, seed, audit=audit)
+    state = BarrierState(stream.d, eps, seed)
     for lo in range(0, stream.n, ONLINE_RUN):
         state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
     kept = (state.upper_pinv, state.lower_pinv)
@@ -440,5 +434,4 @@ def run_barrier(
         drift_events=sum(k.drift_events for k in kept),
         saturated=int(np.count_nonzero(probs == 1.0)),
         probs=probs,
-        gap_history=state.gap_history,
     )

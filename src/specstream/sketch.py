@@ -121,12 +121,12 @@ class Sketch:
 class RunStats:
     """What one sampler run reports beside its sketch.
 
-    Every runner fills the first six fields: scores is the audit's score
-    log (None for the barrier), max_working_rows the sketch's row count, or
-    the plug's peak, and saturated counts the rows whose sampling
-    probability was capped at 1 (for the block samplers, the seed block
-    too). probs and gap_history come from the barrier sampler, the rest from
-    the block samplers.
+    Every runner fills the first six fields: scores is the score log that
+    verify checks (None for the barrier), max_working_rows the sketch's
+    row count, or the plug's peak, and saturated counts the rows whose
+    sampling probability was capped at 1 (for the block samplers, the seed
+    block too). probs comes from the barrier sampler, the rest from the
+    block samplers.
     """
 
     scores: np.ndarray | None
@@ -136,7 +136,6 @@ class RunStats:
     drift_events: int = 0
     saturated: int = 0
     probs: np.ndarray | None = None
-    gap_history: list | None = None
     schedule: object = None
     block_sums: list[float] | None = None
     frozen_pinvs: list | None = None

@@ -128,6 +128,26 @@ def barrier_reference(stream, eps, seed):
     return kept, np.array(weights), np.array(probs)
 
 
+def barrier_gaps(stream, sketch, eps):
+    """(n, 2) least eigenvalues of the barrier gaps after every row.
+
+    After row i the gaps are (1 + eps) S_i - G_i and G_i - (1 - eps) S_i,
+    with S_i the Gram of rows 0..i and G_i that of the sketch rows kept at
+    or before i. Both are one cumsum, from the stream and the finished
+    sketch alone: the stream's outer products, and the kept rows' weighted
+    outer products placed at their source indices.
+    """
+    rows = stream.materialize()
+    indices = np.asarray(sketch.indices, dtype=int)
+    seen = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)
+    wa = np.asarray(sketch.weights, dtype=float)[:, None] * rows[indices]
+    kept = np.zeros_like(seen)
+    kept[indices] = wa[:, :, None] * wa[:, None, :]
+    grams = np.cumsum(kept, axis=0)
+    gaps = np.stack(((1.0 + eps) * seen - grams, grams - (1.0 - eps) * seen), axis=1)
+    return np.linalg.eigvalsh(gaps)[..., 0]
+
+
 def online_reference(stream, eps, seed, c_mult):
     """The online sampler with the sketch Gram's pseudo-inverse formed afresh per row.
 

@@ -1,8 +1,10 @@
 """File formats and the command-line surface."""
+import ast
 import hashlib
 import json
 import math
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from specstream import (
     write_stream,
 )
 from specstream import rows as rowops
-from specstream.bench import read_csv
+from specstream.bench import SUITE_NAMES, read_csv
 from specstream.cli import _unread_run_flag, build_parser, main
 
 from conftest import make_stream
@@ -262,6 +264,56 @@ class TestReadmeCommandLine:
         for argv in commands:
             args = build_parser().parse_args(argv)
             assert args.command != "run" or _unread_run_flag(args) is None, argv
+
+
+def _defined_tests(path):
+    """The functions and methods a test file defines, as 'name' and
+    'Class::name', read with ast: nothing is imported or run."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}::{m.name}" for m in node.body
+                         if isinstance(m, ast.FunctionDef))
+    return names
+
+
+def _is_witness(witness):
+    """True for a bench suite name, or for 'tests/file.py::name' naming a
+    function or method that file defines (a [param] suffix aside)."""
+    if "::" not in witness:
+        return witness in SUITE_NAMES
+    file, name = witness.split("::", 1)
+    path = Path(__file__).resolve().parents[1] / file
+    return (file.startswith("tests/") and path.is_file()
+            and name.split("[", 1)[0] in _defined_tests(path))
+
+
+class TestReadmeClaims:
+    def test_every_claim_names_a_defined_witness(self):
+        # the README's "Claims" table: claims 1-5 each have a row, and every
+        # backquoted name in a Witness cell is a defined test or a suite
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+        table = [[cell.strip() for cell in ln.strip("|").split("|")]
+                 for ln in section.splitlines() if ln.startswith("|")]
+        assert table[0] == ["Claim", "Witness", "Bar", "Measured"]
+        rows = table[2:]
+        assert {int(re.match(r"\d+", claim).group()) for claim, *_ in rows} == {1, 2, 3, 4, 5}
+        for claim, witness, *_ in rows:
+            named = re.findall(r"`([^`]+)`", witness)
+            assert named or witness.startswith("no witness"), claim
+            assert all(_is_witness(w) for w in named), (claim, named)
+
+    def test_a_misspelled_witness_fails(self):
+        good = "tests/test_acceptance.py::test_criterion_03_online_guarantee_and_size"
+        assert _is_witness(good) and _is_witness("n-scaling")
+        assert _is_witness("tests/test_online.py::TestBarrierSampler::test_audited_run_keeps_sandwich")
+        for bad in (good + "s", good.replace("test_acceptance", "test_acceptanse"),
+                    "tests/test_online.py::test_audited_run_keeps_sandwich",
+                    "n_scaling", "../README.md::Claims"):
+            assert not _is_witness(bad), bad
 
 
 class TestCliRunVerify:
