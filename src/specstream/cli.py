@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
         "seed_perm": seed_perm,
         "source": stream.meta,
     }
-    sio.write_sketch(args.out, sketch, meta)
+    sio.write_sketch(args.out, sketch, stream, meta)
     diag_path = args.diag if args.diag else args.out + ".diag"
     _write_diag(diag_path, args, stream, sketch, stats)
     print(f"wrote {args.out}: {sketch.n_rows} of {stream.n} rows "

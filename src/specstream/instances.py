@@ -15,9 +15,10 @@ class RowStream:
 
     A dense payload is an (n, d) array. A sparse payload is a sequence of
     (idx, val) pairs with strictly increasing column indices per row, or
-    the rows.SparseRows (CSR arrays) the stream holds it as; its rows are
-    read as (idx, val) views. The payload is checked once, vectorised.
-    meta records how the stream was generated.
+    the rows.SparseRows (CSR arrays) the stream holds it as; row(i) reads
+    a row as (idx, val) views, and block() reads a run dense, as the
+    samplers take it. The payload is checked once, vectorised. meta
+    records how the stream was generated.
     """
 
     def __init__(self, d: int, payload, meta: dict, sparse: bool = False):
@@ -46,15 +47,11 @@ class RowStream:
     def iter_rows(self):
         return iter(self._rows)
 
-    def block(self, lo: int, hi: int):
-        """Rows lo..hi-1 as a dense (hi - lo, d) array, and their payloads.
-
-        A dense stream returns one view of its array for both; a sparse one
-        scatters the slice and returns it as a SparseRows, whose rows get
-        their (idx, val) views only when read.
-        """
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 as a dense (hi - lo, d) array: a view of a dense
+        stream's array, or one scatter of a sparse stream's slice."""
         part = self._rows[lo:hi]
-        return (part.dense(self.d) if self.is_sparse else part), part
+        return part.dense(self.d) if self.is_sparse else part
 
     def materialize(self) -> np.ndarray:
         """Dense (n, d) copy of the stream."""

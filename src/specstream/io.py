@@ -12,9 +12,11 @@ Both formats are line-oriented and diff-able:
 
 A dense row is d whitespace-separated floats; a sparse row is `k idx:val
 ... idx:val` with k entries. Floats carry 17 significant digits so values
-round-trip exactly. Both readers share one preamble and one row parser,
-and a RowStream checks the rows of either kind of file. Writers go through
-a temp file and rename, so a failed write never leaves a partial file behind.
+round-trip exactly. A sketch file's rows are copied from the stream the
+sketch was drawn from, in that stream's mode. Both readers share one
+preamble and one row parser, and a RowStream checks the rows of either kind
+of file. Writers go through a temp file and rename, so a failed write never
+leaves a partial file behind.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import os
 import numpy as np
 
 from . import rows as rowops
-from .errors import FormatError, NonFiniteInput
+from .errors import DimensionMismatch, FormatError, NonFiniteInput
 from .instances import RowStream
 from .sketch import Sketch
 
@@ -156,17 +158,22 @@ def read_stream(path: str) -> RowStream:
     return _read(path, STREAM_MAGIC)[2]
 
 
-def _sketch_mode(sketch: Sketch) -> bool:
-    kinds = {rowops.is_sparse(row) for _, _, row in sketch}
-    if len(kinds) > 1:
-        raise FormatError("sketch mixes dense and sparse rows")
-    return kinds.pop() if kinds else False
-
-
-def write_sketch(path: str, sketch: Sketch, meta: dict | None = None) -> None:
-    sparse = _sketch_mode(sketch)
-    lines = _header(SKETCH_MAGIC, sketch.n_rows, sketch.dim, sparse, meta or {})
-    lines.extend(f"{src} {_fmt(weight)} {_row_text(row, sparse)}" for src, weight, row in sketch)
+def write_sketch(path: str, sketch: Sketch, stream: RowStream, meta: dict | None = None) -> None:
+    """Write a sketch drawn from stream: each kept row is written as the
+    stream holds it, dense or sparse, so a sparse row keeps its explicit
+    zeros. Raises DimensionMismatch, and writes nothing, unless every source
+    index is a row of the stream whose dense form is the sketch's row."""
+    src, weights, dense = sketch.columns()
+    src = src.tolist()
+    if sketch.dim != stream.d or (src and (src[0] < 0 or src[-1] >= stream.n)):
+        raise DimensionMismatch(f"sketch rows do not index a stream of {stream.n} rows, d={stream.d}")
+    rows = [stream.row(i) for i in src]
+    for i, row, kept in zip(src, rows, dense):
+        if not np.array_equal(rowops.densify(row, stream.d), kept):
+            raise DimensionMismatch(f"sketch row {i} differs from the stream's row {i}")
+    lines = _header(SKETCH_MAGIC, sketch.n_rows, sketch.dim, stream.is_sparse, meta or {})
+    lines.extend(f"{i} {_fmt(w)} {_row_text(row, stream.is_sparse)}"
+                 for i, w, row in zip(src, weights, rows))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -185,6 +192,5 @@ def read_sketch(path: str) -> tuple[Sketch, dict]:
     if np.any(weights <= 0.0):
         raise FormatError("sketch weights must be positive")
     sketch = Sketch(rows.d)
-    block, payload = rows.block(0, rows.n)
-    sketch.append_rows(src, weights, block, list(payload))
+    sketch.append_rows(src, weights, rows.block(0, rows.n))
     return sketch, meta

@@ -1,6 +1,6 @@
 """Online row samplers: the relative-leverage sampler and the barrier variant.
 
-Both consume rows in stream order, in runs (add_rows; run_online and
+Both consume dense rows in stream order, in runs (add_rows; run_online and
 run_barrier feed ONLINE_RUN rows at a time, online_step and barrier_step
 one), and keep a weighted sketch whose Gram stays a (1 +/- eps) spectral
 approximation of the prefix seen so far. Sampling decisions come from
@@ -142,25 +142,24 @@ class OnlineState:
         self._pending: list[int] = []
         self._pending_p: list[float] = []
 
-    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+    def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
 
-        block is the dense (b, d) array of the rows and rows their payloads,
-        which the sketch keeps as given; the run is checked
+        block is the dense (b, d) array of the rows; the run is checked
         (rows.checked_run) before any state changes. Each row scores
         min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
         off its image) and is kept on its coin with p = min(c * score, 1), at
         weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
         Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
+        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         lo, b = int(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
         coins = self.rng.take_range(lo, lo + b)
         on, q = np.empty(b, dtype=bool), np.empty(b)
         kept = np.zeros(b, dtype=bool)
-        self._run = (lo, block, rows)
+        self._run = (lo, block)
         start = 0
         while start < b:
             start = self._walk(block, coins, start, on, q, kept)
@@ -218,10 +217,10 @@ class OnlineState:
         """Fold the run's pending kept rows into the sketch with one product."""
         if not self._pending:
             return
-        lo, block, rows = self._run
+        lo, block = self._run
         pos = np.array(self._pending)
         weights = 1.0 / np.sqrt(np.array(self._pending_p))
-        self.sketch.append_rows(lo + pos, weights, block[pos], [rows[i] for i in self._pending])
+        self.sketch.append_rows(lo + pos, weights, block[pos])
         self._pending, self._pending_p = [], []
 
     def _gram(self) -> SymPsd:
@@ -235,7 +234,7 @@ def online_step(state: OnlineState, row, index: int) -> bool:
 
     The row is checked before any state changes.
     """
-    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None], [row])[0])
+    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None])[0])
 
 
 def run_online(
@@ -247,7 +246,7 @@ def run_online(
     """Run the online sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
     for lo in range(0, stream.n, ONLINE_RUN):
-        state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+        state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
     scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
         scores=scores,
@@ -291,11 +290,11 @@ class BarrierState:
         self._at = 0  # the row of it being walked
         self._row_gaps = (-1, None)  # (row, its (2, d, d) gaps) as _gap_psd last formed them
 
-    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+    def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
 
-        block and rows are as for OnlineState.add_rows, and the run is
-        checked before any state changes. Row a is kept on its coin with p =
+        block is as for OnlineState.add_rows, and the run is checked before
+        any state changes. Row a is kept on its coin with p =
         min(c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, 1) for the gaps X_u =
         (1 + eps) seen - gram and X_l = gram - (1 - eps) seen before it, at
         weight 1/sqrt(p); each term is q / (q + 1) with q = a' X+ a from the
@@ -307,7 +306,7 @@ class BarrierState:
         -BARRIER_TOL * (1 + eps) trace(seen), and also when a rebuild finds
         its gap indefinite beyond the SymPsd floor. Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
+        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         lo, b = int(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
@@ -324,8 +323,7 @@ class BarrierState:
             raise
         self._checked_gaps(b)
         pos = np.flatnonzero(kept)
-        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos],
-                                [rows[i] for i in pos.tolist()])
+        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos])
         self.seen = seen[-1].copy()
         self.probs.append(probs)
         self._run = None
@@ -412,7 +410,7 @@ def barrier_step(state: BarrierState, row, index: int) -> bool:
 
     The row is checked before any state changes.
     """
-    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None], [row])[0])
+    return bool(state.add_rows(index, rowops.densify(row, state.dim)[None])[0])
 
 
 def run_barrier(
@@ -423,7 +421,7 @@ def run_barrier(
     """Run the barrier sampler over a whole stream, ONLINE_RUN rows at a time."""
     state = BarrierState(stream.d, eps, seed)
     for lo in range(0, stream.n, ONLINE_RUN):
-        state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+        state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
     kept = (state.upper_pinv, state.lower_pinv)
     probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(

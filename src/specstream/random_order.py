@@ -7,14 +7,14 @@ only O(log n) times. One BlockSampler covers both variants: the scaled one
 freezes its own sketch, the improved one freezes a pluggable constant-factor
 approximation fed with every arriving row.
 
-Rows arrive in runs (add_rows): a dense (b, d) array plus the rows'
-payloads. A run is split at the end of the seed block and at every freeze
-boundary, and each segment costs one product against the frozen
-pseudo-inverse (or the JL score matrix), one IndexedUniforms.take_range for
-its coins, one Gram product to fold its kept rows into the sketch, and one
-add_rows into the plug. The resparsify plug splits its runs again where its
-buffer reaches 2C, so every pass fires on the row it would fire on one row
-at a time. step and add are one-row runs.
+Rows arrive in runs (add_rows), each a dense (b, d) array. A run is split
+at the end of the seed block and at every freeze boundary, and each segment
+costs one product against the frozen pseudo-inverse (or the JL score
+matrix), one IndexedUniforms.take_range for its coins, one Gram product to
+fold its kept rows into the sketch, and one add_rows into the plug. The
+resparsify plug splits its runs again where its buffer reaches 2C, so every
+pass fires on the row it would fire on one row at a time. step and add are
+one-row runs.
 """
 from __future__ import annotations
 
@@ -82,7 +82,7 @@ class BlockSampler:
     The sampler is itself a plug: add_rows() consumes a run of rows, query()
     exposes the current sketch.
 
-    A plug implements add_rows(lo, block, rows) and query(); peak_rows, when
+    A plug implements add_rows(lo, block) and query(); peak_rows, when
     present, is read as the rows it holds at most.
     """
 
@@ -149,16 +149,15 @@ class BlockSampler:
 
     def step(self, index: int, row) -> bool:
         """Take one row (dense or sparse); True when it was kept."""
-        return bool(self.add_rows(index, rowops.densify(row, self.dim)[None], [row])[0])
+        return bool(self.add_rows(index, rowops.densify(row, self.dim)[None])[0])
 
-    def add_rows(self, lo: int, block, rows) -> np.ndarray:
+    def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
 
-        block is the dense (b, d) array of the rows and rows their payloads,
-        which the sketch keeps as given; the run is checked
+        block is the dense (b, d) array of the rows; the run is checked
         (rows.checked_run) before any state changes. Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
+        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         kept = np.empty(len(block), dtype=bool)
         start = 0
         while start < len(block):
@@ -168,11 +167,11 @@ class BlockSampler:
                 self.next_boundary = 2 * self.next_boundary + self.k
             # the seed block ends where the first boundary is
             stop = start + min(len(block) - start, self.next_boundary - j)
-            kept[start:stop] = self._segment(lo + start, block[start:stop], rows[start:stop])
+            kept[start:stop] = self._segment(lo + start, block[start:stop])
             start = stop
         return kept
 
-    def _segment(self, lo: int, seg, rows) -> np.ndarray:
+    def _segment(self, lo: int, seg) -> np.ndarray:
         """Score, flip and fold rows that share one frozen matrix, then feed them."""
         j = self.count
         if j < self.k:
@@ -186,11 +185,10 @@ class BlockSampler:
         self.saturated += int(np.count_nonzero(p == 1.0))
         self.block_sums[-1] += float(np.sum(lev))
         pos = np.flatnonzero(keep)
-        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos],
-                                [rows[i] for i in pos.tolist()])
+        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
         self.count += len(seg)
         if self.approx is not None:
-            self._feed(lo, seg, rows)
+            self._feed(lo, seg)
         return keep
 
     def _levels(self, seg) -> np.ndarray:
@@ -205,8 +203,8 @@ class BlockSampler:
             raw = raw / (1.0 - JL_DISTORTION)
         return np.minimum(self.multiplier * raw, 1.0)
 
-    def _feed(self, lo: int, seg, rows) -> None:
-        self.approx.add_rows(lo, seg, rows)
+    def _feed(self, lo: int, seg) -> None:
+        self.approx.add_rows(lo, seg)
         self._fed_gram += seg.T @ seg
         held = getattr(self.approx, "peak_rows", None)
         if held is None:
@@ -275,8 +273,7 @@ def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
     config.setdefault("n_hint", stream.n)
     sampler = BlockSampler(stream.d, eps, seed, approx, **config)
     for lo in range(0, stream.n, CHUNK):
-        block, rows = stream.block(lo, min(lo + CHUNK, stream.n))
-        sampler.add_rows(lo, block, rows)
+        sampler.add_rows(lo, stream.block(lo, min(lo + CHUNK, stream.n)))
     return sampler.finalize()
 
 
@@ -317,17 +314,17 @@ class ResparsifyApprox:
         return self.buffer.n_rows
 
     def add(self, index: int, row) -> None:
-        self.add_rows(index, rowops.densify(row, self.dim)[None], [row])
+        self.add_rows(index, rowops.densify(row, self.dim)[None])
 
-    def add_rows(self, lo: int, block, rows) -> None:
+    def add_rows(self, lo: int, block) -> None:
         """Append a checked run of rows at weight 1, split where the buffer reaches 2C."""
-        block, self.last_index = rowops.checked_run(block, rows, self.dim, lo, self.last_index)
+        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):
             stop = start + min(len(block) - start, full - self.n_rows)
             self.buffer.append_rows(np.arange(lo + start, lo + stop), np.ones(stop - start),
-                                    block[start:stop], rows[start:stop])
+                                    block[start:stop])
             self.peak_rows = max(self.peak_rows, self.n_rows)
             if self.n_rows >= full:
                 self._resparsify()
@@ -356,7 +353,7 @@ class ResparsifyApprox:
     def query(self) -> Sketch:
         """The held rows folded afresh with one product, for a block sampler to freeze."""
         sk = Sketch(self.dim)
-        sk.append_rows(*self.buffer.columns(), list(self.buffer.rows))
+        sk.append_rows(*self.buffer.columns())
         return sk
 
 

@@ -1,8 +1,8 @@
-"""Row payload helpers: a row is a dense 1-d array or a sparse (idx, val) pair.
+"""Row helpers: a row is a dense 1-d array or a sparse (idx, val) pair.
 
-Sparse payloads carry strictly increasing int64 column indices and float64
+Sparse rows carry strictly increasing int64 column indices and float64
 values, and a sparse stream holds them as CSR arrays (SparseRows). They are
-a storage format only: everything that scores a row takes it dense.
+a storage and file format only: samplers and sketches take rows dense.
 """
 from __future__ import annotations
 
@@ -97,17 +97,16 @@ def densify(row, dim: int):
     return np.asarray(row, dtype=float)
 
 
-def checked_run(block, rows, dim: int, lo: int, last_index: int):
+def checked_run(block, dim: int, lo: int, last_index: int):
     """(dense float block, last index taken) for a run that an add_rows entry
-    takes at source index lo after last_index, with one payload per row; an
-    empty run takes no index.
+    takes at source index lo after last_index; an empty run takes no index.
 
     Every entry checks its run here before any state changes, and a per-row
-    entry's row is a one-row run (densify(row)[None], [row]).
+    entry's row is a one-row run, densify(row)[None].
     """
     block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[1] != dim or len(rows) != len(block):
-        raise DimensionMismatch(f"block {block.shape} with {len(rows)} payloads does not fit dim {dim}")
+    if block.ndim != 2 or block.shape[1] != dim:
+        raise DimensionMismatch(f"block {block.shape} does not fit dim {dim}")
     if len(block) and int(lo) <= last_index:
         raise DimensionMismatch(f"row index {lo} not increasing")
     if not np.isfinite(block).all():

@@ -14,27 +14,24 @@ from .linalg import SymPsd
 class Sketch:
     """Ordered weighted subset of stream rows: the one store of weighted rows.
 
-    Entries are (source_index, weight, row) with strictly increasing source
-    indices and finite weights > 0; a sampled row enters with weight
-    1/sqrt(p). Indices, weights and dense rows are numpy columns in a store
-    that doubles when full, beside the payloads as given; the Gram of the
-    weighted rows takes one product per append_rows or keep.
+    Entries are (source_index, weight, dense row) with strictly increasing
+    source indices and finite weights > 0; a sampled row enters with weight
+    1/sqrt(p). Indices, weights and rows are numpy columns in a store that
+    doubles when full; the Gram of the weighted rows takes one product per
+    append_rows or keep. A sketch file takes a sparse row's entries from the
+    stream the sketch was drawn from (io.write_sketch).
     """
 
     def __init__(self, dim: int):
         if dim <= 0:
             raise DimensionMismatch("sketch dimension must be positive")
         self.dim = int(dim)
-        self.rows: list = []
+        self.n_rows = 0  # entries 0..n_rows-1 of the columns are in use
         self._gram = np.zeros((dim, dim))
         self._gram_sym: SymPsd | None = None
-        self._indices = np.empty(0, dtype=np.int64)  # entries 0..n_rows-1 in use
+        self._indices = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0)
         self._dense = np.empty((0, dim))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     @property
     def indices(self) -> list[int]:
@@ -44,6 +41,11 @@ class Sketch:
     def weights(self) -> list[float]:
         return self._weights[:self.n_rows].tolist()
 
+    @property
+    def rows(self) -> np.ndarray:
+        """(n_rows, d) view of the dense rows, valid until the next change."""
+        return self._dense[:self.n_rows]
+
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indices, weights, dense rows) as views, valid until the next change."""
         n = self.n_rows
@@ -51,13 +53,13 @@ class Sketch:
 
     def append(self, index: int, weight: float, row) -> None:
         """append_rows for one row, dense or sparse."""
-        self.append_rows([index], [weight], rowops.densify(row, self.dim)[None], [row])
+        self.append_rows([index], [weight], rowops.densify(row, self.dim)[None])
 
-    def append_rows(self, indices, weights, block, rows) -> None:
-        """Append rows at once: block holds them as a dense (m, d) array, rows
-        their payloads; the Gram takes one product. Raises before any state
-        changes unless the indices increase past the held ones and every
-        weight is finite and > 0."""
+    def append_rows(self, indices, weights, block) -> None:
+        """Append rows at once, held in block as a dense (m, d) array; the
+        Gram takes one product. Raises before any state changes unless the
+        indices increase past the held ones and every weight is finite and
+        > 0."""
         indices = np.asarray(indices, dtype=np.int64)
         n, m = self.n_rows, indices.size
         if m == 0:
@@ -65,7 +67,7 @@ class Sketch:
         if np.any(np.diff(indices) <= 0) or (n and indices[0] <= self._indices[n - 1]):
             raise DimensionMismatch("source indices must increase")
         weights = np.asarray(weights, dtype=float)
-        if np.shape(block) != (m, self.dim) or len(rows) != m or weights.shape != (m,):
+        if np.shape(block) != (m, self.dim) or weights.shape != (m,):
             raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
         if not np.all((weights > 0.0) & (weights < np.inf)):
             raise InvalidWeight("sketch weights must be finite and > 0")
@@ -77,7 +79,7 @@ class Sketch:
         self._indices[n:n + m] = indices
         self._weights[n:n + m] = weights
         self._dense[n:n + m] = block
-        self.rows.extend(rows)
+        self.n_rows = n + m
         scaled = block * weights[:, None]
         self._gram += scaled.T @ scaled
         self._gram_sym = None
@@ -85,11 +87,10 @@ class Sketch:
     def keep(self, pos, weights) -> None:
         """Keep only the entries at increasing positions pos, in order, at new
         finite weights > 0; the Gram is formed again with one product."""
-        m = len(pos)
+        m = self.n_rows = len(pos)
         self._indices[:m] = self._indices[pos]
         self._weights[:m] = weights
         self._dense[:m] = self._dense[pos]
-        self.rows = [self.rows[i] for i in pos.tolist()]
         scaled = self._dense[:m] * self._weights[:m, None]
         self._gram = scaled.T @ scaled
         self._gram_sym = None

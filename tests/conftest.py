@@ -30,8 +30,8 @@ class PassThroughPlug:
     def n_rows(self):
         return self.sketch.n_rows
 
-    def add_rows(self, lo, block, rows):
-        self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block, list(rows))
+    def add_rows(self, lo, block):
+        self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block)
         self.peak_rows = self.sketch.n_rows
 
     def query(self):

@@ -22,10 +22,10 @@ from specstream import (
     permute,
     read_sketch,
     read_stream,
+    run_online,
     write_sketch,
     write_stream,
 )
-from specstream import rows as rowops
 from specstream.bench import SUITE_NAMES, read_csv
 from specstream.cli import _unread_run_flag, build_parser, main
 
@@ -112,10 +112,11 @@ class TestSketchFiles:
     def test_round_trip_with_weights(self, tmp_path):
         sk = Sketch(3)
         rng = np.random.default_rng(2)
+        stream = make_stream(rng.standard_normal((13, 3)))
         for i in range(7):
-            sk.append(i * 2, float(rng.uniform(0.5, 3.0)), rng.standard_normal(3))
+            sk.append(i * 2, float(rng.uniform(0.5, 3.0)), stream.row(i * 2))
         path = str(tmp_path / "s.sketch")
-        write_sketch(path, sk, {"algo": "test"})
+        write_sketch(path, sk, stream, {"algo": "test"})
         back, meta = read_sketch(path)
         assert meta == {"algo": "test"}
         assert back.indices == sk.indices
@@ -123,21 +124,40 @@ class TestSketchFiles:
         assert np.array_equal(back.weighted_matrix(), sk.weighted_matrix())
 
     def test_sparse_sketch_round_trip(self, tmp_path):
+        stream = RowStream(4, [([0, 2], [1.0, -1.0]), ([3], [1.0]), ([], []), ([1], [0.25])],
+                           {"kind": "test"}, sparse=True)
         sk = Sketch(4)
-        sk.append(0, 1.5, rowops.sparse_row([0, 2], [1.0, -1.0], 4))
-        sk.append(3, 2.0, rowops.sparse_row([1], [0.25], 4))
+        sk.append(0, 1.5, stream.row(0))
+        sk.append(3, 2.0, stream.row(3))
         path = str(tmp_path / "sp.sketch")
-        write_sketch(path, sk)
+        write_sketch(path, sk, stream)
         back, _ = read_sketch(path)
         assert np.allclose(back.gram.entries, sk.gram.entries, atol=0)
 
-    def test_mixed_rows_rejected(self, tmp_path):
-        sk = Sketch(3)
-        sk.append(0, 1.0, np.ones(3))
-        sk.append(1, 1.0, rowops.sparse_row([0], [1.0], 3))
-        with pytest.raises(FormatError):
-            write_sketch(str(tmp_path / "m.sketch"), sk)
-        assert not os.path.exists(str(tmp_path / "m.sketch"))
+    def test_row_not_in_the_stream_rejected_before_writing(self, tmp_path):
+        # the writer copies rows from the stream, so each sketch row must be
+        # the stream's row at its index, and the index a row of the stream
+        stream = make_stream(np.eye(3))
+        path = str(tmp_path / "m.sketch")
+        other = Sketch(3)
+        other.append(1, 2.0, np.array([0.0, 1.0, 1e-300]))
+        past_end = Sketch(3)
+        past_end.append(3, 1.0, np.ones(3))
+        for sk in (other, past_end):
+            with pytest.raises(DimensionMismatch):
+                write_sketch(path, sk, stream)
+            assert os.listdir(tmp_path) == []
+
+    def test_sparse_explicit_zeros_written(self, tmp_path):
+        # a sparse row's stored zeros, 0.0 and -0.0, reach the file as stored
+        stream = RowStream(3, [([0, 1], [1.0, 0.0]), ([1, 2], [-0.0, 2.0])],
+                           {"kind": "test"}, sparse=True)
+        sketch, _ = run_online(stream, 0.5, 1)
+        assert sketch.indices == [0, 1]
+        path = tmp_path / "z.sketch"
+        write_sketch(str(path), sketch, stream)
+        rows = [line.split()[2:] for line in path.read_text().splitlines()[2:]]
+        assert rows == [["2", "0:1", "1:0"], ["2", "1:-0", "2:2"]]
 
     def test_format_errors(self, tmp_path):
         cases = {

@@ -239,7 +239,7 @@ class TestOnlineSampler:
         assert 0 < a.n_rows < sparse.n
         assert a.indices == b.indices and a.weights == b.weights
         assert np.array_equal(da.scores, db.scores)
-        assert isinstance(a.rows[0], tuple) and not isinstance(b.rows[0], tuple)
+        assert np.array_equal(a.rows, b.rows)
 
     def test_indices_must_increase(self):
         state = OnlineState(3, 0.3, seed=1)
@@ -359,10 +359,22 @@ def test_per_row_entry_rejects_a_malformed_row_untouched(entry, bad):
         step(state, np.array([1.0, 0.0, 1.0]), 1)  # an index not above the last
 
 
-@pytest.mark.parametrize("run", [run_online, scaled_sampling])
-def test_only_kept_rows_get_a_payload(run, monkeypatch):
-    # a sparse run's payloads are views built when read; a sampler reads the
-    # payloads of the rows it keeps and of no other
+# the run entries a sparse stream reaches, each over (stream, eps, seed)
+PAYLOAD_RUNS = {
+    "run_online": run_online,
+    "run_barrier": run_barrier,
+    "scaled_sampling": scaled_sampling,
+    "scaled_sampling-scaled-plug": lambda st, eps, seed: scaled_sampling(
+        st, eps, seed, BlockSampler(st.d, eps, seed=seed + 1)),
+    "scaled_sampling-resparsify-plug": lambda st, eps, seed: scaled_sampling(
+        st, eps, seed, ResparsifyApprox(4.0, 0.45, seed=seed + 1, dim=st.d)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PAYLOAD_RUNS))
+def test_samplers_read_no_payload(run, monkeypatch):
+    # a sparse stream reaches the samplers as dense runs: no row's (idx,
+    # val) views are built, kept rows' included
     reads = []
     get = SparseRows.__getitem__
 
@@ -375,9 +387,9 @@ def test_only_kept_rows_get_a_payload(run, monkeypatch):
     monkeypatch.setattr(SparseRows, "__getitem__", counting_get)
     assert not hasattr(SparseRows, "__iter__")  # iteration reads rows through __getitem__
     stream = permute(gen_kd_multigraph(8, 64), seed=3)
-    sketch, _ = run(stream, 0.5, 7)
+    sketch, _ = PAYLOAD_RUNS[run](stream, 0.5, 7)
     assert 0 < sketch.n_rows < stream.n
-    assert len(reads) == sketch.n_rows
+    assert reads == []
 
 
 def run_entries():
@@ -392,15 +404,13 @@ def run_entries():
     }
 
 
-# (lo, block, payloads, error) after rows 0 and 1 were taken
+# (lo, block, error) after rows 0 and 1 were taken
 BAD_RUNS = {
-    "nan": (2, [[np.nan, 1.0, 1.0]], [None], NonFiniteInput),
-    "inf-second-row": (2, [[1.0, 1.0, 1.0], [0.0, np.inf, 1.0]], [None, None], NonFiniteInput),
-    "width-4": (2, np.ones((1, 4)), [None], DimensionMismatch),
-    "flat-block": (2, np.ones(3), [None], DimensionMismatch),
-    "fewer-payloads": (2, np.ones((2, 3)), [None], DimensionMismatch),
-    "more-payloads": (2, np.ones((1, 3)), [None, None], DimensionMismatch),
-    "lo-not-above-last": (1, np.ones((1, 3)), [None], DimensionMismatch),
+    "nan": (2, [[np.nan, 1.0, 1.0]], NonFiniteInput),
+    "inf-second-row": (2, [[1.0, 1.0, 1.0], [0.0, np.inf, 1.0]], NonFiniteInput),
+    "width-4": (2, np.ones((1, 4)), DimensionMismatch),
+    "flat-block": (2, np.ones(3), DimensionMismatch),
+    "lo-not-above-last": (1, np.ones((1, 3)), DimensionMismatch),
 }
 
 
@@ -409,17 +419,17 @@ BAD_RUNS = {
 def test_run_entry_rejects_a_malformed_run_untouched(entry, bad):
     state = run_entries()[entry]
     good = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-    state.add_rows(0, good, list(good))
+    state.add_rows(0, good)
     before = sampler_state(state)
     plug_before = sampler_state(state.approx) if getattr(state, "approx", None) else None
-    lo, block, payloads, error = BAD_RUNS[bad]
+    lo, block, error = BAD_RUNS[bad]
     with pytest.raises(error):
-        state.add_rows(lo, block, payloads)
+        state.add_rows(lo, block)
     assert_unchanged(before, sampler_state(state))
     if plug_before is not None:
         assert_unchanged(plug_before, sampler_state(state.approx))
     # the rejected run left no mark, so rows from 2 on may still arrive
-    state.add_rows(2, good, list(good))
+    state.add_rows(2, good)
 
 
 @pytest.mark.parametrize("entry", sorted(run_entries()))
@@ -427,13 +437,13 @@ def test_run_entry_takes_an_empty_run_untouched(entry):
     state = run_entries()[entry]
     before = sampler_state(state)
     plug_before = sampler_state(state.approx) if getattr(state, "approx", None) else None
-    state.add_rows(1000, np.zeros((0, 3)), [])
+    state.add_rows(1000, np.zeros((0, 3)))
     assert_unchanged(before, sampler_state(state))
     if plug_before is not None:
         assert_unchanged(plug_before, sampler_state(state.approx))
     # the empty run took no index, so row 0 may still arrive
     good = np.array([[1.0, 2.0, 0.0]])
-    state.add_rows(0, good, list(good))
+    state.add_rows(0, good)
 
 
 def kept_step(kept, a, k):
@@ -576,7 +586,7 @@ class TestBarrierSampler:
         stream, eps = barrier_parity_case(case, monkeypatch)
         state = BarrierState(stream.d, eps, seed=74)
         for lo in range(0, stream.n, ONLINE_RUN):
-            state.add_rows(lo, *stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+            state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
         kept = (state.upper_pinv, state.lower_pinv)
         assert tuple((k.recomputes, k.drift_events) for k in kept) == BARRIER_GAP_COUNTS[case]
         sketch, _ = run_barrier(stream, eps, seed=74)
@@ -622,14 +632,14 @@ class TestBarrierSampler:
         # names the first failing row.
         stream = gen_gaussian(300, 4, seed=75)
         unbroken, _ = run_barrier(stream, 0.5, seed=76)
-        block, rows = stream.block(0, stream.n)
+        block = stream.block(0, stream.n)
         twins = [BarrierState(4, 0.5, seed=76) for _ in range(2)]
         for state in twins:
-            state.add_rows(0, block[:lo], rows[:lo])
+            state.add_rows(0, block[:lo])
             least = np.linalg.eigvalsh(state.sketch.gram_matrix() - (1 - 0.5) * state.seen)[0]
             state.seen += least / (1 - 0.5) * np.eye(4)
         with pytest.raises(BarrierViolation) as as_run:
-            twins[0].add_rows(lo, block[lo:lo + ONLINE_RUN], rows[lo:lo + ONLINE_RUN])
+            twins[0].add_rows(lo, block[lo:lo + ONLINE_RUN])
         with pytest.raises(BarrierViolation) as by_rows:
             for i in range(lo, lo + ONLINE_RUN):
                 barrier_step(twins[1], stream.row(i), i)
@@ -648,9 +658,9 @@ class TestBarrierSampler:
         # BARRIER_TOL, but the gap is indefinite beyond the SymPsd floor, so
         # a drift check at every step rebuilds from it at row lo and raises
         stream = gen_gaussian(600, 4, seed=75)
-        block, rows = stream.block(0, stream.n)
+        block = stream.block(0, stream.n)
         state = BarrierState(4, 0.5, seed=76)
-        state.add_rows(0, block[:lo], rows[:lo])
+        state.add_rows(0, block[:lo])
         gram, eye = state.sketch.gram_matrix(), np.eye(4)
         least = np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0]
         state.seen += (least + 1e-9 * float(np.trace((1 + 0.5) * state.seen))) / (1 - 0.5) * eye
@@ -660,7 +670,7 @@ class TestBarrierSampler:
             SymPsd(lower_gap)
         monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
         with pytest.raises(BarrierViolation) as raised:
-            state.add_rows(lo, block[lo:lo + ONLINE_RUN], rows[lo:lo + ONLINE_RUN])
+            state.add_rows(lo, block[lo:lo + ONLINE_RUN])
         assert str(raised.value) == f"gap matrix indefinite at row {lo}"
         assert isinstance(raised.value.__cause__, NotPsd)
 

@@ -175,16 +175,14 @@ class TestPassThroughApprox:
     """A plug that keeps what it is fed shows what the block sampler feeds it."""
 
     def test_keeps_everything_at_weight_one(self):
-        # every row reaches the plug once, in order, with its payload as given
+        # every row reaches the plug once, in order, dense
         stream = permute(gen_kd_multigraph(5, 20), seed=16)
         plug = PassThroughPlug(5)
         _, diag = improved_scaled_sampling(stream, 0.4, 15, plug)
         q = plug.query()
         assert q.indices == list(range(stream.n))
         assert q.weights == [1.0] * stream.n
-        for i, (idx, val) in enumerate(q.rows):
-            want_idx, want_val = stream.row(i)
-            assert np.array_equal(idx, want_idx) and np.array_equal(val, want_val)
+        assert np.array_equal(q.rows, stream.materialize())
         assert np.array_equal(q.gram_matrix(), stream.gram_matrix())
         assert diag.max_working_rows == plug.peak_rows == stream.n
 
@@ -219,7 +217,7 @@ class TestResparsifyApprox:
     def test_block_width_checked(self, shape):
         plug = ResparsifyApprox(4.0, 0.4, seed=3, dim=5)
         with pytest.raises(DimensionMismatch):
-            plug.add_rows(0, np.ones(shape), [None] * shape[0])
+            plug.add_rows(0, np.ones(shape))
         assert plug.n_rows == 0
 
     def test_below_trigger_returns_rows_verbatim(self):
@@ -237,7 +235,8 @@ class TestResparsifyApprox:
         plug = ResparsifyApprox(4.0, 0.4, seed=3, dim=5)
         row = (np.array([1]), np.array([1.0]))  # a sparse row fits the given dim
         plug.add(0, row)
-        assert list(plug.buffer) == [(0, 1.0, row)]
+        assert (plug.buffer.indices, plug.buffer.weights) == ([0], [1.0])
+        assert np.array_equal(plug.buffer.rows, [[0.0, 1.0, 0.0, 0.0, 0.0]])
         assert np.array_equal(plug.query().gram_matrix(), np.diag([0.0, 1.0, 0.0, 0.0, 0.0]))
 
     def test_identity_cycle_stays_bounded_and_accurate(self):
@@ -252,7 +251,7 @@ class TestResparsifyApprox:
         ok = 0
         for s in range(50):
             plug = ResparsifyApprox(cap, beta, seed=1000 + s, dim=d)
-            plug.add_rows(0, rows, list(rows))
+            plug.add_rows(0, rows)
             assert plug.peak_rows <= 2 * C
             target = SymPsd(n / d * np.eye(d))
             if approx_factor(target, plug.query().gram) <= beta:
@@ -274,7 +273,7 @@ class TestResparsifyApprox:
             plug = ResparsifyApprox(4.0, beta, seed=2000 + s, dim=d)
             good = True
             for lo, hi in zip((0, *boundaries), (*boundaries, stream.n)):
-                plug.add_rows(lo, *stream.block(lo, hi))
+                plug.add_rows(lo, stream.block(lo, hi))
                 fed = a[:hi].T @ a[:hi]
                 if hi in boundaries and approx_factor(SymPsd(fed), plug.query().gram) > beta:
                     good = False
@@ -311,7 +310,7 @@ class TestResparsifyApprox:
         # query() folds the held rows afresh, as one append_rows of them would
         held = plug.buffer
         fresh = Sketch(d)
-        fresh.append_rows(held.indices, held.weights, np.array(held.rows), held.rows)
+        fresh.append_rows(held.indices, held.weights, held.rows)
         assert np.array_equal(plug.query().gram_matrix(), fresh.gram_matrix())
 
 
@@ -364,7 +363,7 @@ class TestImprovedSampler:
             def n_rows(self):
                 return len(self.rows)
 
-            def add_rows(self, lo, block, rows):
+            def add_rows(self, lo, block):
                 for i, row in enumerate(block):
                     squashed = np.array(row, dtype=float)
                     squashed[0] = 0.0  # loses every component along axis 0
@@ -509,8 +508,7 @@ class TestResparsifyCounters:
         stream = BLOCK_PARITY_STREAMS[stream_name]()
         plug = ResparsifyApprox(4.0, 0.45, seed=101, dim=stream.d)
         for lo in range(0, stream.n, 500):
-            block, rows = stream.block(lo, min(lo + 500, stream.n))
-            plug.add_rows(lo, block, rows)
+            plug.add_rows(lo, stream.block(lo, min(lo + 500, stream.n)))
         held, weights, passes, peak = oracles.resparsify_reference(
             stream.materialize(), 4.0, 0.45, seed=101)
         assert (plug.passes, plug.peak_rows) == (passes, peak)
@@ -523,5 +521,5 @@ class TestResparsifyCounters:
         plug.c_beta = 1e12
         with pytest.raises(CapacityCollapse):
             rows = np.eye(3)[np.arange(2 * plug.capacity_rows) % 3]
-            plug.add_rows(0, rows, list(rows))
+            plug.add_rows(0, rows)
         assert (plug.passes, plug.retries) == (0, 1)

@@ -114,7 +114,7 @@ class TestSketch:
         with pytest.raises(InvalidWeight):
             sk.append(1, weight, np.array([1.0, 0.0]))
         with pytest.raises(InvalidWeight):
-            sk.append_rows([1, 2], [1.0, weight], np.eye(2), [None, None])
+            sk.append_rows([1, 2], [1.0, weight], np.eye(2))
         assert (sk.indices, sk.weights, sk.n_rows) == ([0], [2.0], 1)
         assert np.array_equal(sk.gram_matrix(), gram)
         sk.append(1, 1.0, np.array([1.0, 0.0]))  # index 1 was never taken
@@ -122,24 +122,23 @@ class TestSketch:
     def test_keep_compacts_in_place(self):
         rng = np.random.default_rng(7)
         block = rng.standard_normal((9, 3))
-        payloads = [("payload", i) for i in range(9)]
         sk = Sketch(3)
-        sk.append_rows(np.arange(9) * 2, np.full(9, 1.5), block, payloads)
+        sk.append_rows(np.arange(9) * 2, np.full(9, 1.5), block)
         pos = np.array([1, 4, 5, 7])  # drops the last held row, index 16
         weights = rng.uniform(1.0, 3.0, size=4)
         sk.keep(pos, weights)
         assert sk.indices == (2 * pos).tolist()
         assert sk.weights == weights.tolist()
-        assert sk.rows == [payloads[i] for i in pos]
+        assert np.array_equal(sk.rows, block[pos])
         assert np.array_equal(sk.weighted_matrix(), block[pos] * weights[:, None])
         fresh = Sketch(3)
-        fresh.append_rows(2 * pos, weights, block[pos], [payloads[i] for i in pos])
+        fresh.append_rows(2 * pos, weights, block[pos])
         assert np.array_equal(sk.gram_matrix(), fresh.gram_matrix())
         # appends check indices against the last row kept, 14
         with pytest.raises(DimensionMismatch):
-            sk.append_rows([14], [1.0], np.ones((1, 3)), [None])
-        sk.append_rows([15], [1.0], np.ones((1, 3)), [None])
-        fresh.append_rows([15], [1.0], np.ones((1, 3)), [None])
+            sk.append_rows([14], [1.0], np.ones((1, 3)))
+        sk.append_rows([15], [1.0], np.ones((1, 3)))
+        fresh.append_rows([15], [1.0], np.ones((1, 3)))
         assert sk.indices == [2, 8, 10, 14, 15]
         assert np.array_equal(sk.gram_matrix(), fresh.gram_matrix())
 
