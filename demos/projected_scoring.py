@@ -7,7 +7,16 @@ bounded score distortion (absorbed by the sampling rate) for speed.
 """
 import numpy as np
 
-from specstream import gen_gaussian, permute, projection_rows, scaled_sampling, verify
+from specstream import (
+    gen_gaussian,
+    jl_build,
+    permute,
+    pinv,
+    projection_rows,
+    relative_leverage,
+    scaled_sampling,
+    verify,
+)
 
 N, D, EPS = 5000, 10, 0.3
 
@@ -21,17 +30,19 @@ def main():
     exact, stats_e = scaled_sampling(stream, eps=EPS, seed=9)
     eps_e, _ = verify(stream, exact, scores=stats_e.scores)
 
-    # jl_audit also logs exact scores beside projected ones for comparison
-    proj, stats_p = scaled_sampling(
-        stream, eps=EPS, seed=9, use_jl=True, n_hint=N, jl_audit=True
-    )
+    proj, stats_p = scaled_sampling(stream, eps=EPS, seed=9, use_jl=True, n_hint=N)
     eps_p, _ = verify(stream, proj, scores=stats_p.scores)
 
     print(f"exact scoring:     {exact.n_rows:4d} rows kept, eps_actual {eps_e:.4f}")
     print(f"projected scoring: {proj.n_rows:4d} rows kept, eps_actual {eps_p:.4f}")
 
-    within = np.abs(stats_p.jl_scores - stats_p.exact_scores) <= 0.5 * stats_p.exact_scores
-    print(f"audit: {int(within.sum())}/{within.size} projected scores within the "
+    # every row scored both ways against one frozen sketch: the exact run's
+    rows = stream.materialize()
+    projected = jl_build(exact, N, seed=9).scores(rows)
+    frozen = pinv(exact.gram)
+    direct = np.array([relative_leverage(frozen, a) for a in rows])
+    within = np.abs(projected - direct) <= 0.5 * direct
+    print(f"{int(within.sum())}/{within.size} projected scores within the "
           f"design distortion (50%) of their exact values")
     assert eps_p <= EPS
 

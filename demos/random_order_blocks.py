@@ -5,6 +5,8 @@ refreshed per row: the stream splits into geometrically growing blocks
 and the scoring state is frozen once per block. The pseudo-inverse is
 recomputed O(log n) times total no matter how long the stream is.
 """
+import numpy as np
+
 from specstream import gen_gaussian, permute, scaled_sampling, seed_block_size, verify
 
 N, D, EPS = 6000, 10, 0.3
@@ -26,7 +28,8 @@ def main():
           f"(= number of block boundaries, not number of rows)")
 
     # per-block score mass: each block contributes O(d) in expectation
-    sums = [f"{s:.1f}" for s in stats.block_sums]
+    mass = np.add.reduceat(stats.scores, [0, *stats.schedule.boundaries])
+    sums = [f"{s:.1f}" for s in mass]
     print(f"score mass per block: {sums}")
     assert eps_actual <= EPS
 

@@ -180,7 +180,8 @@ def write_sketch(path: str, sketch: Sketch, stream: RowStream, meta: dict | None
 def read_sketch(path: str) -> tuple[Sketch, dict]:
     """The sketch and meta of a sketch file. Its rows parse and check as a
     stream's do; a weight must be finite (NonFiniteInput) and > 0
-    (FormatError), and source indices must increase (DimensionMismatch)."""
+    (FormatError), and source indices must be >= 0 and increase
+    (DimensionMismatch)."""
     meta, lead, rows = _read(path, SKETCH_MAGIC, lead=2)
     try:
         src = np.array([int(s) for s, _ in lead], dtype=np.int64)

@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import EmptySketch
-from .leverage import relative_scores
-from .linalg import PInv, pinv
+from .leverage import relative_of
+from .linalg import PInv, on_image_rows, pinv
 from .randomness import MASK64
 from .sketch import Sketch
 
@@ -40,7 +40,7 @@ class JlScorer:
         """Relative scores of a dense (b, d) block: the exact kernel test,
         then q_hat / (q_hat + 1) with q_hat = ||N a||^2."""
         y = block @ self.n_matrix.T
-        return relative_scores(self.pinv, block, np.einsum("ij,ij->i", y, y))
+        return relative_of(on_image_rows(self.pinv, block), np.einsum("ij,ij->i", y, y))
 
     def score(self, row) -> float:
         """scores() of one dense row."""

@@ -41,16 +41,10 @@ def relative_of(on, q) -> np.ndarray:
     return np.where(on, q / (q + 1.0), 1.0)
 
 
-def relative_scores(p: PInv, block, q=None) -> np.ndarray:
+def relative_scores(p: PInv, block) -> np.ndarray:
     """Relative score of every row of a dense (b, d) block against the
-    matrix X behind p = pinv(X), with one product.
-
-    q, when given, estimates the rows' quadratic forms in place of the
-    exact ones; the kernel verdict is always exact.
-    """
-    if q is None:
-        q = quad_forms(p, block)
-    return relative_of(on_image_rows(p, block), q)
+    matrix X behind p = pinv(X), with one product."""
+    return relative_of(on_image_rows(p, block), quad_forms(p, block))
 
 
 def relative_leverage(b_pinv: PInv, row) -> float:

@@ -55,11 +55,10 @@ def seed_block_size(d: int) -> int:
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Seed block size, scored-block boundaries (2^i - 1)K, and their count."""
+    """Seed block size and scored-block boundaries (2^i - 1)K."""
 
     k: int
     boundaries: tuple[int, ...]
-    alpha: int
 
     @classmethod
     def for_stream(cls, n: int, d: int):
@@ -69,7 +68,7 @@ class BlockSchedule:
         while b < n:
             bounds.append(b)
             b = 2 * b + k
-        return cls(k, tuple(bounds), len(bounds))
+        return cls(k, tuple(bounds))
 
 
 class BlockSampler:
@@ -95,7 +94,6 @@ class BlockSampler:
         c_mult: float = DEFAULT_SCALED_C_MULT,
         use_jl: bool = False,
         n_hint: int | None = None,
-        jl_audit: bool = False,
     ):
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"eps must be in (0, 1/2], got {eps}")
@@ -111,7 +109,6 @@ class BlockSampler:
         self.seed = int(seed)
         self.approx = approx
         self.use_jl = bool(use_jl)
-        self.jl_audit = bool(jl_audit)
         self.n_hint = n_hint
         self.sketch = Sketch(dim)
         self.rng = IndexedUniforms(seed)
@@ -122,9 +119,6 @@ class BlockSampler:
         self.freeze_rows: list[int] = []
         # one array per segment
         self.scores: list[np.ndarray] = []
-        self.exact_scores: list[np.ndarray] = []
-        self.jl_scores: list[np.ndarray] = []
-        self.block_sums: list[float] = [0.0]
         self.frozen_pinvs: list[np.ndarray] = []
         self.max_working_rows = 0
         self.saturated = 0
@@ -183,7 +177,6 @@ class BlockSampler:
             keep = self.rng.take_range(j, j + len(seg)) < p
         self.scores.append(lev)
         self.saturated += int(np.count_nonzero(p == 1.0))
-        self.block_sums[-1] += float(np.sum(lev))
         pos = np.flatnonzero(keep)
         self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
         self.count += len(seg)
@@ -196,11 +189,7 @@ class BlockSampler:
         if self.jl is None:
             raw = relative_scores(self.frozen, seg)
         else:
-            raw = self.jl.scores(seg)
-            if self.jl_audit:
-                self.jl_scores.append(raw)
-                self.exact_scores.append(relative_scores(self.frozen, seg))
-            raw = raw / (1.0 - JL_DISTORTION)
+            raw = self.jl.scores(seg) / (1.0 - JL_DISTORTION)
         return np.minimum(self.multiplier * raw, 1.0)
 
     def _feed(self, lo: int, seg) -> None:
@@ -227,7 +216,6 @@ class BlockSampler:
     def _freeze(self, j: int):
         snapshot = self._snapshot()
         self.freeze_rows.append(j)
-        self.block_sums.append(0.0)
         if self.use_jl:
             # the scorer holds the pseudo-inverse of the same Gram
             self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.freeze_rows)))
@@ -245,12 +233,8 @@ class BlockSampler:
             pinv_recomputes=len(freezes),
             max_working_rows=self.sketch.n_rows if self.approx is None else self.max_working_rows,
             saturated=self.saturated,
-            schedule=BlockSchedule(self.k, freezes, len(freezes)),
-            block_sums=self.block_sums,
+            schedule=BlockSchedule(self.k, freezes),
             frozen_pinvs=self.frozen_pinvs,
-            exact_scores=np.concatenate(self.exact_scores) if self.exact_scores else None,
-            jl_scores=np.concatenate(self.jl_scores) if self.jl_scores else None,
-            capacity_rows=getattr(self.approx, "capacity_rows", None),
             resparsify_passes=getattr(self.approx, "passes", None),
             resparsify_retries=getattr(self.approx, "retries", None),
         )

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rows as rowops
-from .errors import DimensionMismatch, InvalidWeight
+from .errors import DimensionMismatch, InvalidWeight, NonFiniteInput
 from .linalg import SymPsd
 
 
@@ -58,17 +58,20 @@ class Sketch:
     def append_rows(self, indices, weights, block) -> None:
         """Append rows at once, held in block as a dense (m, d) array; the
         Gram takes one product. Raises before any state changes unless the
-        indices increase past the held ones and every weight is finite and
-        > 0."""
+        indices are >= 0 and increase past the held ones, every row is
+        finite and every weight is finite and > 0."""
         indices = np.asarray(indices, dtype=np.int64)
         n, m = self.n_rows, indices.size
         if m == 0:
             return
-        if np.any(np.diff(indices) <= 0) or (n and indices[0] <= self._indices[n - 1]):
-            raise DimensionMismatch("source indices must increase")
+        if indices[0] < 0 or np.any(np.diff(indices) <= 0) or (
+                n and indices[0] <= self._indices[n - 1]):
+            raise DimensionMismatch("source indices must be >= 0 and increase")
         weights = np.asarray(weights, dtype=float)
         if np.shape(block) != (m, self.dim) or weights.shape != (m,):
             raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
+        if not np.isfinite(block).all():
+            raise NonFiniteInput("sketch row holds a NaN or infinite value")
         if not np.all((weights > 0.0) & (weights < np.inf)):
             raise InvalidWeight("sketch weights must be finite and > 0")
         if n + m > len(self._dense):
@@ -127,7 +130,8 @@ class RunStats:
     row count, or the plug's peak, and saturated counts the rows whose
     sampling probability was capped at 1 (for the block samplers, the seed
     block too). probs comes from the barrier sampler, the rest from the
-    block samplers.
+    block samplers. A block run's per-block score mass is
+    np.add.reduceat(scores, [0, *schedule.boundaries]).
     """
 
     scores: np.ndarray | None
@@ -138,10 +142,6 @@ class RunStats:
     saturated: int = 0
     probs: np.ndarray | None = None
     schedule: object = None
-    block_sums: list[float] | None = None
     frozen_pinvs: list | None = None
-    exact_scores: np.ndarray | None = None
-    jl_scores: np.ndarray | None = None
-    capacity_rows: int | None = None
     resparsify_passes: int | None = None
     resparsify_retries: int | None = None

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from specstream.randomness import IndexedUniforms
+from specstream.randomness import IndexedUniforms, derive_seed
 
 RANK_TOL_BITS = 2.0 ** -40
 
@@ -190,57 +190,84 @@ def dense_row(row, d):
     return np.array(row, dtype=float)
 
 
-def block_reference(stream, eps, seed, plug=None):
+def block_reference(stream, eps, seed, plug=None, n_hint=None):
     """The block sampler row by row, with a fresh pseudo-inverse per block.
 
     The seed block of K = max(d, ceil(d ln d)) rows is kept at weight 1.
-    At each boundary j = K, 3K, 7K, ... the Gram G of the kept weighted
-    rows is frozen; with a plug, G is the Gram of plug.query(), the plug
-    having been fed every earlier row through plug.add. Row j of a block
-    scores s = q / (q + 1), q = a' G+ a, when ||a - P a|| <= 1e-8 ||a|| for
-    the projector P onto the image of G, and s = 1 otherwise. It is kept
-    on the coin IndexedUniforms(seed).take(j) < p with p = min(c min(m s, 1), 1),
+    At each boundary j = K, 3K, 7K, ... the kept rows times their weights,
+    M, are frozen with their Gram G = M'M; with a plug, M holds the rows of
+    plug.query(), the plug having been fed every earlier row, one
+    plug.add_rows per block. Row j of a block scores s = q / (q + 1),
+    q = a' G+ a, when ||a - P a|| <= 1e-8 ||a|| for the projector P onto
+    the image of G, and s = 1 otherwise. It is kept on the coin
+    IndexedUniforms(seed).take(j) < p with p = min(c min(m s, 1), 1),
     c = 6 eps^-2 ln d and m = 1 + eps (2 with a plug), at weight 1/sqrt(p).
-    Returns (kept indices, weights, every capped score min(m s, 1)).
+
+    With n_hint, q is projected: freeze f = 1, 2, ... draws a k x r sign
+    matrix Pi, entries +/-1/sqrt(k) with k = max(4, ceil(8 ln n_hint)),
+    from Philox(key=[derive_seed(seed, f), 0]) over the r rows of M, forms
+    N = Pi M G+, and scores q_hat = ||N a||^2 in place of q.
+    The kernel verdict stays exact, and s is inflated by 1 / (1 - 0.5).
+
+    Returns (kept indices, weights, every capped score min(m s, 1), and
+    with n_hint an (r, 2) array of each scored row's relative score
+    from q_hat and from q, before inflation; None without).
     """
     n, d = stream.n, stream.d
     k = max(d, math.ceil(d * math.log(d)))
     c = 6.0 * eps ** -2 * math.log(d)
     mult = 1.0 + eps if plug is None else 2.0
+    if n_hint is not None:
+        k_rows = max(4, math.ceil(8.0 * math.log(max(n_hint, 2))))
     coins = IndexedUniforms(seed)
-    gram = np.zeros((d, d))
     boundary = k
-    kept, weights, levels = [], [], []
+    freezes = fed = 0
+    kept, weights, levels, pairs = [], [], [], []
     for j in range(n):
         a = dense_row(stream.row(j), d)
         if j < k:
             lev = p = 1.0
         else:
             if j == boundary:
+                freezes += 1
                 if plug is None:
-                    frozen = gram.copy()
+                    held = zip(weights, [stream.row(i) for i in kept])
                 else:
+                    plug.add_rows(fed, stream.block(fed, j))
+                    fed = j
                     sk = plug.query()
-                    m = np.array([w * dense_row(r, d) for w, r in zip(sk.weights, sk.rows)])
-                    frozen = m.reshape(-1, d).T @ m.reshape(-1, d)
+                    held = zip(sk.weights, sk.rows)
+                m = np.array([w * dense_row(r, d) for w, r in held]).reshape(-1, d)
+                frozen = m.T @ m
                 g_pinv = np.linalg.pinv(frozen, rcond=d * RANK_TOL_BITS, hermitian=True)
                 proj = image_projector(frozen)
+                if n_hint is not None:
+                    key = np.array([derive_seed(seed, freezes), 0], dtype=np.uint64)
+                    signs = np.random.Generator(np.random.Philox(key=key)).integers(
+                        0, 2, size=(k_rows, len(m)))
+                    n_matrix = (2.0 * signs - 1.0) / math.sqrt(k_rows) @ m @ g_pinv
                 boundary = 2 * boundary + k
-            if np.linalg.norm(a - proj @ a) <= 1e-8 * np.linalg.norm(a):
+            on_image = np.linalg.norm(a - proj @ a) <= 1e-8 * np.linalg.norm(a)
+            if on_image:
                 q = max(float(a @ g_pinv @ a), 0.0)
                 score = q / (q + 1.0)
             else:
                 score = 1.0
+            if n_hint is not None:
+                q_hat = float(np.sum((n_matrix @ a) ** 2))
+                projected = q_hat / (q_hat + 1.0) if on_image else 1.0
+                pairs.append((projected, score))
+                score = projected / (1.0 - 0.5)
             lev = min(mult * score, 1.0)
             p = min(c * lev, 1.0)
         levels.append(lev)
         if j < k or coins.take(j) < p:
             kept.append(j)
             weights.append(1.0 / math.sqrt(p))
-            gram += np.outer(a, a) / p
-        if plug is not None:
-            plug.add(j, stream.row(j))
-    return kept, np.array(weights), np.array(levels)
+    if plug is not None:
+        plug.add_rows(fed, stream.block(fed, n))
+    pairs = np.array(pairs).reshape(-1, 2) if n_hint is not None else None
+    return kept, np.array(weights), np.array(levels), pairs
 
 
 def resparsify_reference(rows, capacity_mult, beta, seed):

@@ -1,5 +1,6 @@
 """File formats and the command-line surface."""
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from specstream import (
     FormatError,
     NonFiniteInput,
     RowStream,
+    RunStats,
     Sketch,
     gen_gaussian,
     gen_kd_multigraph,
@@ -195,6 +197,13 @@ class TestSketchFiles:
         sketch, _ = read_sketch(self.sketch_text(tmp_path, "2.5", "1"))
         assert sketch.weights == [1.0, 2.5]
 
+    def test_negative_source_index_rejected(self, tmp_path):
+        # write_sketch refuses a source index below 0, and so does the reader
+        path = tmp_path / "neg.sketch"
+        path.write_text("sketch v1 2 2 dense\n# meta {}\n-4 1 1 0\n-2 1 0 1\n")
+        with pytest.raises(DimensionMismatch):
+            read_sketch(str(path))
+
     def test_bad_sparse_indices_rejected(self, tmp_path):
         # unsorted, repeated and negative columns; a negative one would
         # otherwise wrap around to the last column
@@ -334,6 +343,27 @@ class TestReadmeClaims:
                     "tests/test_online.py::test_audited_run_keeps_sandwich",
                     "n_scaling", "../README.md::Claims"):
             assert not _is_witness(bad), bad
+
+
+def _readme_runstats_fields(readme):
+    """The backquoted names, in order, of the README paragraph that lists
+    the RunStats fields (the one that starts "`RunStats` holds")."""
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("`RunStats` holds"))
+    return re.findall(r"`([a-z_]+)`", paragraph)
+
+
+class TestReadmeRunStats:
+    FIELDS = [f.name for f in dataclasses.fields(RunStats)]
+
+    def test_field_list_matches_the_dataclass(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert _readme_runstats_fields(readme) == self.FIELDS
+
+    def test_a_retired_field_fails(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        stale = readme.replace("`frozen_pinvs`,", "`frozen_pinvs`, `jl_scores`,", 1)
+        assert stale != readme
+        assert _readme_runstats_fields(stale) != self.FIELDS
 
 
 class TestCliRunVerify:

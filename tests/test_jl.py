@@ -19,6 +19,7 @@ from specstream.jl import JlScorer, jl_build, projection_rows
 from specstream.linalg import pinv
 
 from conftest import identity_stream
+import oracles
 
 
 def build_sketch(rows):
@@ -114,20 +115,23 @@ class TestSamplerIntegration:
             sketch, diag = scaled_sampling(stream, 0.4, seed=90 + s, use_jl=True)
             eps_actual, _ = verify(stream, sketch)
             assert eps_actual <= 0.4
-            assert diag.jl_scores is None  # audit off by default
 
     def test_audit_pairs_track_exact_path(self):
-        # every scored row logs (projected, exact); the projected score
-        # lands within half the exact one for ~99% of rows
+        # the oracle restates the sampler's JL run and pairs every scored
+        # row's (projected, exact) score; the projected score lands within
+        # half the exact one for ~99% of rows
         fracs = []
         for s in range(5):
             stream = permute(gen_gaussian(2000, 8, seed=50 + s), seed=51 + s)
-            sampler = ScaledSampler(8, 0.4, seed=52 + s, use_jl=True, jl_audit=True, n_hint=2000)
+            sampler = ScaledSampler(8, 0.4, seed=52 + s, use_jl=True, n_hint=2000)
             for i in range(stream.n):
                 sampler.step(i, stream.row(i))
-            _, diag = sampler.finalize()
-            assert len(diag.jl_scores) == len(diag.exact_scores) == 2000 - seed_block_size(8)
-            fracs.append(np.mean(np.abs(diag.jl_scores - diag.exact_scores) <= 0.5 * diag.exact_scores))
+            sketch, _ = sampler.finalize()
+            kept, _, _, pairs = oracles.block_reference(stream, 0.4, 52 + s, n_hint=2000)
+            assert sketch.indices == kept
+            assert pairs.shape == (2000 - seed_block_size(8), 2)
+            projected, exact = pairs.T
+            fracs.append(np.mean(np.abs(projected - exact) <= 0.5 * exact))
         assert float(np.median(fracs)) >= 0.99
 
     def test_inflation_preserves_overestimate_rate(self):

@@ -331,7 +331,7 @@ def sampler_state(state):
     """What a row may change: the sketch (the plug's held rows), the score
     logs and the counters."""
     sk = state.query() if isinstance(state, ResparsifyApprox) else state.sketch
-    logs = [len(getattr(state, name, ())) for name in ("scores", "probs", "block_sums")]
+    logs = [len(getattr(state, name, ())) for name in ("scores", "probs")]
     counters = [getattr(state, name, None)
                 for name in ("last_index", "count", "saturated", "peak_rows", "passes")]
     return (list(sk.indices), list(sk.weights), sk.gram_matrix().copy(), logs, counters)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from specstream import DimensionMismatch, InvalidWeight, Sketch
+from specstream import DimensionMismatch, InvalidWeight, NonFiniteInput, Sketch
 from specstream import rows as rowops
 from specstream.linalg import PInv, on_image
 from specstream.randomness import CHUNK, IndexedUniforms, derive_seed
@@ -84,6 +84,30 @@ class TestSketch:
         sk.append(3, 1.0, np.array([1.0, 0.0]))
         with pytest.raises(DimensionMismatch):
             sk.append(3, 1.0, np.array([0.0, 1.0]))
+        # write_sketch refuses a source index below 0, so the sketch does too
+        fresh = Sketch(2)
+        with pytest.raises(DimensionMismatch):
+            fresh.append(-1, 1.0, np.array([1.0, 0.0]))
+        with pytest.raises(DimensionMismatch):
+            fresh.append_rows([-4, -2], [1.0, 1.0], np.eye(2))
+        assert fresh.n_rows == 0 and not fresh.gram_matrix().any()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_refused_untouched(self, value):
+        # such a row would reach the Gram, whose eigensolver then fails to converge
+        sk = Sketch(3)
+        sk.append(0, 1.0, np.array([1.0, 0.0, 0.0]))
+        gram = sk.gram_matrix().copy()
+        sparse = rowops.sparse_row([2], [value], 3)
+        with pytest.raises(NonFiniteInput):
+            sk.append(1, 1.0, np.array([value, 0.0, 0.0]))
+        with pytest.raises(NonFiniteInput):
+            sk.append_rows([1, 2], [1.0, 1.0], np.array([[0.0, 1.0, 0.0], [0.0, 0.0, value]]))
+        with pytest.raises(NonFiniteInput):
+            sk.append(1, 1.0, sparse)
+        assert (sk.indices, sk.n_rows) == ([0], 1)
+        assert np.array_equal(sk.gram_matrix(), gram)
+        assert sk.gram.rank == 1
 
     def test_row_shape_checked(self):
         with pytest.raises(DimensionMismatch):
