@@ -1,10 +1,12 @@
 """Online row samplers: the relative-leverage sampler and the barrier variant.
 
-Both consume dense rows in stream order, in runs (add_rows; run_online and
-run_barrier feed ONLINE_RUN rows at a time, online_step and barrier_step
-one), and keep a weighted sketch whose Gram stays a (1 +/- eps) spectral
-approximation of the prefix seen so far. Sampling decisions come from
-counter-based uniforms keyed by (seed, row index), one take_range per run.
+Both consume dense rows in stream order through add_rows (online_step and
+barrier_step take one row) and keep a weighted sketch whose Gram stays a
+(1 +/- eps) spectral approximation of the prefix seen so far. Sampling
+decisions come from counter-based uniforms keyed by (seed, row index), one
+take_range per add_rows. run_barrier feeds runs of ONLINE_RUN rows;
+run_online feeds CHUNK rows per call, which OnlineState.add_rows walks in
+runs of ONLINE_RUN rows from the block's first row.
 
 The relative-leverage sampler scores a run against the current
 pseudo-inverse with one product. Only rows whose coin beats that score can
@@ -29,7 +31,7 @@ from .errors import BarrierViolation, DimensionMismatch, NotPsd
 from .instances import RowStream
 from .leverage import quad_forms, relative_of
 from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image, on_image_rows, pinv
-from .randomness import IndexedUniforms
+from .randomness import CHUNK, IndexedUniforms
 from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
@@ -134,19 +136,22 @@ class OnlineState:
         self.sketch = Sketch(dim)
         self.kept = KeptPinv(dim, self._gram)
         self.rng = IndexedUniforms(seed)
-        self.scores: list[np.ndarray] = []  # one array per run
+        self.scores: list[np.ndarray] = []  # one array per add_rows
         self.saturated = 0
         self.last_index = -1
-        # the run being walked, and its kept rows not yet in the sketch
+        # the block being walked, and its kept rows not yet in the sketch
         self._run = None
         self._pending: list[int] = []
         self._pending_p: list[float] = []
 
     def add_rows(self, lo: int, block) -> np.ndarray:
-        """Take a run of rows with source indices lo, lo + 1, ...
+        """Take a block of rows with source indices lo, lo + 1, ...
 
-        block is the dense (b, d) array of the rows; the run is checked
-        (rows.checked_run) before any state changes. Each row scores
+        block is the dense (b, d) array of the rows, of any length; it is
+        checked (rows.checked_run) before any state changes, and then walked
+        in runs of ONLINE_RUN rows from lo, each folded into the sketch at
+        its end, so a feed of any multiple of ONLINE_RUN rows per call
+        decides and scores alike. Each row scores
         min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
         off its image) and is kept on its coin with p = min(c * score, 1), at
         weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
@@ -160,26 +165,27 @@ class OnlineState:
         on, q = np.empty(b, dtype=bool), np.empty(b)
         kept = np.zeros(b, dtype=bool)
         self._run = (lo, block)
-        start = 0
-        while start < b:
-            start = self._walk(block, coins, start, on, q, kept)
-        self._flush()
+        for run in range(0, b, ONLINE_RUN):
+            start, stop = run, min(run + ONLINE_RUN, b)
+            while start < stop:
+                start = self._walk(block, coins, start, stop, on, q, kept)
+            self._flush()
         self._run = None
         lev, p = self._levels(on, q)
         self.scores.append(lev)
         self.saturated += int(np.count_nonzero(p == 1.0))
         return kept
 
-    def _walk(self, block, coins, start: int, on, q, kept) -> int:
-        """Score rows start.. of the run against the current pseudo-inverse
-        into on and q, and decide them in order; returns where to rescore
-        from after a rebuild, or the run's length."""
+    def _walk(self, block, coins, start: int, stop: int, on, q, kept) -> int:
+        """Score rows start..stop - 1 of the block against the current
+        pseudo-inverse into on and q, and decide them in order; returns where
+        to rescore from after a rebuild, or stop."""
         pinv_now = self.kept.pinv
-        seg = block[start:]
-        on[start:] = on_image_rows(pinv_now, seg)
-        q[start:] = quad_forms(pinv_now, seg)
+        seg = block[start:stop]
+        on[start:stop] = on_image_rows(pinv_now, seg)
+        q[start:stop] = quad_forms(pinv_now, seg)
         # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
-        candidates = np.flatnonzero(coins[start:] < self._levels(on[start:], q[start:])[1])
+        candidates = np.flatnonzero(coins[start:stop] < self._levels(on[start:stop], q[start:stop])[1])
         for i in (start + candidates).tolist():
             p = self._probability(bool(on[i]), float(q[i]))
             if not coins[i] < p:
@@ -195,10 +201,10 @@ class OnlineState:
             y -= (pa[:, None] * pa) * coef
             if not self.kept.stepped():
                 return i + 1
-            rest = q[i + 1:]
-            rest -= coef * (block[i + 1:] @ pa) ** 2
+            rest = q[i + 1:stop]
+            rest -= coef * (block[i + 1:stop] @ pa) ** 2
             np.maximum(rest, 0.0, out=rest)
-        return len(block)
+        return stop
 
     def _levels(self, on, q):
         """Capped scores and sampling probabilities of rows with kernel
@@ -214,7 +220,7 @@ class OnlineState:
         return min(self.c * lev, 1.0)
 
     def _flush(self) -> None:
-        """Fold the run's pending kept rows into the sketch with one product."""
+        """Fold the pending kept rows into the sketch with one product."""
         if not self._pending:
             return
         lo, block = self._run
@@ -243,10 +249,11 @@ def run_online(
     seed: int,
     c_mult: float = DEFAULT_ONLINE_C_MULT,
 ) -> tuple[Sketch, RunStats]:
-    """Run the online sampler over a whole stream, ONLINE_RUN rows at a time."""
+    """Run the online sampler over a whole stream, one add_rows (ONLINE_RUN-row
+    runs inside) per CHUNK rows, each densified on its own (RowStream.block)."""
     state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
-    for lo in range(0, stream.n, ONLINE_RUN):
-        state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+    for lo in range(0, stream.n, CHUNK):
+        state.add_rows(lo, stream.block(lo, min(lo + CHUNK, stream.n)))
     scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
         scores=scores,

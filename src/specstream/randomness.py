@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 CHUNK = 4096
 
 MASK64 = (1 << 64) - 1
@@ -35,7 +37,7 @@ class IndexedUniforms:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._chunk_no = -1
+        self._chunk_no: int | None = None
         self._values: np.ndarray | None = None
 
     def _chunk(self, c: int):
@@ -45,11 +47,14 @@ class IndexedUniforms:
         return self._values
 
     def take(self, index: int) -> float:
-        c, off = divmod(int(index), CHUNK)
-        return float(self._chunk(c)[off])
+        return float(self.take_range(index, int(index) + 1)[0])
 
     def take_range(self, lo: int, hi: int) -> np.ndarray:
-        """Uniforms for indices lo..hi-1, identical to scalar takes."""
+        """Uniforms for indices lo..hi-1, identical to scalar takes; raises
+        DimensionMismatch for lo < 0 or hi < lo before any draw."""
+        lo, hi = int(lo), int(hi)
+        if lo < 0 or hi < lo:
+            raise DimensionMismatch(f"uniforms lo={lo}, hi={hi} need 0 <= lo <= hi")
         out = np.empty(hi - lo)
         pos = lo
         while pos < hi:

@@ -58,13 +58,15 @@ class Sketch:
     def append_rows(self, indices, weights, block) -> None:
         """Append rows at once, held in block as a dense (m, d) array; the
         Gram takes one product. Raises before any state changes unless the
-        indices are >= 0 and increase past the held ones, every row is
-        finite and every weight is finite and > 0."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices are a 1-d integer array, >= 0 and increasing past the held
+        ones, every row is finite and every weight is finite and > 0."""
+        indices = np.asarray(indices)
         n, m = self.n_rows, indices.size
+        if indices.ndim != 1 or m and indices.dtype.kind not in "iu":
+            raise DimensionMismatch("source indices must be a 1-d integer array")
         if m == 0:
             return
-        if indices[0] < 0 or np.any(np.diff(indices) <= 0) or (
+        if int(indices[0]) < 0 or (indices[1:] <= indices[:-1]).any() or (
                 n and indices[0] <= self._indices[n - 1]):
             raise DimensionMismatch("source indices must be >= 0 and increase")
         weights = np.asarray(weights, dtype=float)
@@ -72,7 +74,7 @@ class Sketch:
             raise DimensionMismatch(f"rows do not fit dimension {self.dim}")
         if not np.isfinite(block).all():
             raise NonFiniteInput("sketch row holds a NaN or infinite value")
-        if not np.all((weights > 0.0) & (weights < np.inf)):
+        if not ((weights > 0.0) & (weights < np.inf)).all():
             raise InvalidWeight("sketch weights must be finite and > 0")
         if n + m > len(self._dense):
             size = max(n + m, 2 * len(self._dense))

@@ -29,6 +29,7 @@ from specstream.errors import NonFiniteInput, NotPsd
 from specstream.linalg import SymPsd
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
+from specstream.randomness import CHUNK
 from specstream.rows import SparseRows
 
 from conftest import identity_stream, make_stream
@@ -153,6 +154,15 @@ ONLINE_PARITY_CASES = {
 }
 
 
+def online_parity_case(case, monkeypatch):
+    """(stream, eps, c_mult, patched) of an ONLINE_PARITY_CASES entry, its
+    constants patched."""
+    build, eps, c_mult, *patches = ONLINE_PARITY_CASES[case]
+    for name, value in (patches[0] if patches else {}).items():
+        monkeypatch.setattr(online, name, value)
+    return build(), eps, c_mult, bool(patches)
+
+
 class TestOnlineSampler:
     def test_identity_rows_all_kept_unweighted(self):
         stream = identity_stream(5)
@@ -249,18 +259,31 @@ class TestOnlineSampler:
 
     @pytest.mark.parametrize("case", sorted(ONLINE_PARITY_CASES))
     def test_matches_fresh_pinv_reference(self, case, monkeypatch):
-        build, eps, c_mult, *patches = ONLINE_PARITY_CASES[case]
-        for name, value in (patches[0] if patches else {}).items():
-            monkeypatch.setattr(online, name, value)
-        stream = build()
+        stream, eps, c_mult, patched = online_parity_case(case, monkeypatch)
         sketch, diag = run_online(stream, eps, seed=94, c_mult=c_mult)
         kept, weights, levels = oracles.online_reference(stream, eps, seed=94, c_mult=c_mult)
         flipped = set(sketch.indices) ^ set(kept)
         assert not flipped, f"{len(flipped)} flipped decisions, first at row {min(flipped)}"
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.scores - levels)) <= 1e-9
-        if patches:
+        if patched:
             assert diag.drift_events >= 10
+
+    @pytest.mark.parametrize("case", ["kd-permuted", "kept-last-row-of-run", "image-grows-mid-run",
+                                      "n-not-a-run-multiple", "drift-replaced-mid-run"])
+    def test_feed_size_moves_no_bit(self, case, monkeypatch):
+        # add_rows cuts any block into ONLINE_RUN-row runs from its first row,
+        # so blocks of any multiple of ONLINE_RUN decide and score alike
+        stream, eps, c_mult, _ = online_parity_case(case, monkeypatch)
+        whole, diag = run_online(stream, eps, seed=94, c_mult=c_mult)
+        for feed in (ONLINE_RUN, 3 * ONLINE_RUN, CHUNK, stream.n):
+            state = OnlineState(stream.d, eps, seed=94, c_mult=c_mult)
+            for lo in range(0, stream.n, feed):
+                state.add_rows(lo, stream.block(lo, min(lo + feed, stream.n)))
+            assert np.array_equal(np.concatenate(state.scores), diag.scores), feed
+            assert (state.sketch.indices, state.sketch.weights) == (whole.indices, whole.weights)
+            assert (state.kept.recomputes, state.kept.drift_events) == (
+                diag.pinv_recomputes, diag.drift_events)
 
     def test_boundary_cases_reach_their_boundaries(self):
         kept = oracles.online_reference(spiked_rows(), 0.5, seed=94, c_mult=0.5)[0]

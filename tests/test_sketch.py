@@ -143,6 +143,38 @@ class TestSketch:
         assert np.array_equal(sk.gram_matrix(), gram)
         sk.append(1, 1.0, np.array([1.0, 0.0]))  # index 1 was never taken
 
+    # (indices, weights, block) that append_rows refuses after the held row
+    # 0, and the error it raises; the 2-row block fits the sketch unless noted
+    APPEND_REFUSALS = {
+        "negative-index": ([-4, -2], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "index-not-past-held": ([0, 1], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "repeated-index": ([1, 1], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "decreasing-index": ([2, 1], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "non-integer-index": ([1.7, 2.2], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "2-d-indices": ([[1, 2]], [1.0, 1.0], np.eye(2), DimensionMismatch),
+        "weights-too-short": ([1, 2], [1.0], np.eye(2), DimensionMismatch),
+        "weights-too-long": ([1, 2], [1.0, 1.0, 1.0], np.eye(2), DimensionMismatch),
+        "block-too-wide": ([1, 2], [1.0, 1.0], np.ones((2, 3)), DimensionMismatch),
+        "block-too-short": ([1, 2], [1.0, 1.0], np.ones((1, 2)), DimensionMismatch),
+        "non-finite-row": ([1, 2], [1.0, 1.0], np.array([[1.0, 0.0], [0.0, np.nan]]),
+                           NonFiniteInput),
+        "zero-weight": ([1, 2], [1.0, 0.0], np.eye(2), InvalidWeight),
+        "infinite-weight": ([1, 2], [np.inf, 1.0], np.eye(2), InvalidWeight),
+    }
+
+    @pytest.mark.parametrize("case", sorted(APPEND_REFUSALS))
+    def test_append_rows_refusal_leaves_the_sketch_untouched(self, case):
+        indices, weights, block, error = self.APPEND_REFUSALS[case]
+        sk = Sketch(2)
+        sk.append_rows([0], [2.0], np.array([[1.0, 1.0]]))
+        gram = sk.gram_matrix().copy()
+        with pytest.raises(error):
+            sk.append_rows(indices, weights, block)
+        assert (sk.indices, sk.weights, sk.n_rows) == ([0], [2.0], 1)
+        assert np.array_equal(sk.gram_matrix(), gram)
+        sk.append_rows([1, 2], [1.0, 1.0], np.eye(2))  # indices 1 and 2 were never taken
+        assert sk.indices == [0, 1, 2]
+
     def test_keep_compacts_in_place(self):
         rng = np.random.default_rng(7)
         block = rng.standard_normal((9, 3))
@@ -192,6 +224,17 @@ class TestRandomness:
         a = [u1.take(i) for i in idxs]
         b = [u2.take(i) for i in reversed(idxs)]
         assert a == list(reversed(b))
+
+    @pytest.mark.parametrize("draw", [lambda u: u.take(-1), lambda u: u.take(-5000),
+                                      lambda u: u.take_range(5, 2), lambda u: u.take_range(-1, 3)],
+                             ids=["take-1", "take-5000", "range-5-2", "range-from-1"])
+    def test_negative_index_or_reversed_range_refused(self, draw):
+        u = IndexedUniforms(4)
+        with pytest.raises(DimensionMismatch):
+            draw(u)
+        assert u._chunk_no is None  # refused before any draw
+        assert u.take_range(5, 5).size == 0
+        assert u.take(0) == IndexedUniforms(4).take_range(0, 1)[0]
 
     def test_values_in_unit_interval(self):
         vals = IndexedUniforms(1).take_range(0, 5000)
