@@ -31,10 +31,8 @@ JL_DISTORTION = 0.5
 class JlScorer:
     """Frozen score operator: relative scores q/(q+1) from projected forms."""
 
-    def __init__(self, n_matrix, p: PInv, k: int):
-        self.n_matrix = n_matrix
-        self.pinv = p
-        self.k = int(k)
+    def __init__(self, n_matrix, p: PInv):
+        self.n_matrix, self.pinv = n_matrix, p
 
     def scores(self, block) -> np.ndarray:
         """Relative scores of a dense (b, d) block: the exact kernel test,
@@ -51,18 +49,23 @@ def projection_rows(n_hint: int) -> int:
     return max(MIN_PROJECTION_ROWS, math.ceil(JL_C * math.log(max(int(n_hint), 2))))
 
 
-def jl_build(sketch: Sketch, n_hint: int, seed: int) -> JlScorer:
-    """Build the score operator for a frozen sketch.
+def signs(seed: int, k: int, m: int) -> np.ndarray:
+    """(k, m) +/-1/sqrt(k) entries equal to (2x - 1)/sqrt(k) for x = Generator(Philox(
+    key=[seed, 0])).integers(0, 2, (k, m)): x_t is the top bit of 32-bit output t, the
+    low, then high half of raw word t // 2, read by shifts to stay byte-order free."""
+    words = np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)).random_raw(-(-k * m // 2))
+    bits = np.repeat(words, 2)
+    bits[0::2] <<= np.uint64(32)
+    bits &= np.uint64(1 << 63)
+    bits ^= np.array(-1.0 / math.sqrt(k)).view(np.uint64)
+    return bits[:k * m].view(np.float64).reshape(k, m)
 
-    Pi has independent +/-1/sqrt(k) entries drawn from the seed.
-    """
+
+def jl_build(sketch: Sketch, n_hint: int, seed: int) -> JlScorer:
+    """Build the score operator for a frozen sketch; Pi is signs(seed, k, m)."""
     if sketch.n_rows == 0:
         raise EmptySketch("cannot build a score operator from an empty sketch")
     p = pinv(sketch.gram)
     m = sketch.weighted_matrix()
-    k = projection_rows(n_hint)
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)))
-    pi = (2.0 * gen.integers(0, 2, size=(k, sketch.n_rows)) - 1.0) / math.sqrt(k)
-    n_matrix = pi @ m @ p.matrix
-    return JlScorer(n_matrix, p, k)
+    return JlScorer(signs(seed, projection_rows(n_hint), sketch.n_rows) @ m @ p.matrix, p)
 

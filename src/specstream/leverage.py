@@ -12,23 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyStream
-from .linalg import PInv, SymPsd, on_image_rows, pinv
+from .linalg import PInv, SymPsd, on_image_rows
 
 
 def leverage_scores(rows_in) -> np.ndarray:
     """Exact leverage scores tau_i = a_i' (A'A)+ a_i of a materialized matrix.
 
     Accepts an (n, d) array or anything with materialize() returning one.
-    The scores, clipped to [0, 1], sum to rank(A).
+    tau_i = ||c_i||^2 for whitened coordinates c = A V_r / sqrt(lambda_r) on
+    the Gram's support, with no pseudo-inverse formed. The scores, clipped
+    to [0, 1], sum to rank(A).
     """
     a = rows_in.materialize() if hasattr(rows_in, "materialize") else np.asarray(rows_in, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d row matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise EmptyStream("no rows to score")
-    p = pinv(SymPsd(a.T @ a))
-    tau = np.einsum("ij,jk,ik->i", a, p.matrix, a)
-    return np.clip(tau, 0.0, 1.0)
+    s = SymPsd(a.T @ a)
+    c = a @ (s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank]))
+    return np.clip(np.einsum("ij,ij->i", c, c), 0.0, 1.0)
 
 
 def quad_forms(p: PInv, block) -> np.ndarray:

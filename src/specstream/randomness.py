@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
+from .rows import source_index
 
 CHUNK = 4096
 
@@ -42,17 +43,16 @@ class IndexedUniforms:
 
     def _chunk(self, c: int):
         if c != self._chunk_no:
-            self._values = _chunk_uniforms(self.seed, c)
-            self._chunk_no = c
+            self._values, self._chunk_no = _chunk_uniforms(self.seed, c), c
         return self._values
 
     def take(self, index: int) -> float:
-        return float(self.take_range(index, int(index) + 1)[0])
+        return float(self.take_range(index, source_index(index) + 1)[0])
 
     def take_range(self, lo: int, hi: int) -> np.ndarray:
         """Uniforms for indices lo..hi-1, identical to scalar takes; raises
-        DimensionMismatch for lo < 0 or hi < lo before any draw."""
-        lo, hi = int(lo), int(hi)
+        DimensionMismatch for non-integers, lo < 0 or hi < lo before any draw."""
+        lo, hi = source_index(lo), source_index(hi)
         if lo < 0 or hi < lo:
             raise DimensionMismatch(f"uniforms lo={lo}, hi={hi} need 0 <= lo <= hi")
         out = np.empty(hi - lo)

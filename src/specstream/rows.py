@@ -6,6 +6,8 @@ a storage and file format only: samplers and sketches take rows dense.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
@@ -97,6 +99,14 @@ def densify(row, dim: int):
     return np.asarray(row, dtype=float)
 
 
+def source_index(i) -> int:
+    """i as an int; DimensionMismatch unless it is one (operator.index)."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise DimensionMismatch(f"source index {i!r} is not an integer") from None
+
+
 def checked_run(block, dim: int, lo: int, last_index: int):
     """(dense float block, last index taken) for a run that an add_rows entry
     takes at source index lo after last_index; an empty run takes no index.
@@ -104,14 +114,14 @@ def checked_run(block, dim: int, lo: int, last_index: int):
     Every entry checks its run here before any state changes, and a per-row
     entry's row is a one-row run, densify(row)[None].
     """
-    block = np.asarray(block, dtype=float)
+    lo, block = source_index(lo), np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[1] != dim:
         raise DimensionMismatch(f"block {block.shape} does not fit dim {dim}")
-    if len(block) and int(lo) <= last_index:
+    if len(block) and lo <= last_index:
         raise DimensionMismatch(f"row index {lo} not increasing")
     if not np.isfinite(block).all():
         raise NonFiniteInput("row holds a NaN or infinite value")
-    return block, int(lo) + len(block) - 1 if len(block) else last_index
+    return block, lo + len(block) - 1 if len(block) else last_index
 
 
 # No package code calls quad_form or add_outer; the benchmark's tracer patches both.

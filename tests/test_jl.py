@@ -15,7 +15,7 @@ from specstream import (
     seed_block_size,
     verify,
 )
-from specstream.jl import JlScorer, jl_build, projection_rows
+from specstream.jl import MIN_PROJECTION_ROWS, JlScorer, jl_build, projection_rows, signs
 from specstream.linalg import pinv
 
 from conftest import identity_stream
@@ -37,10 +37,24 @@ class TestProjectionRows:
         assert projection_rows(1) == projection_rows(2)  # hint floor
 
 
+class TestSigns:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
+    @pytest.mark.parametrize("k, m", [(MIN_PROJECTION_ROWS, 1), (MIN_PROJECTION_ROWS, 10_000),
+                                      (84, 1), (84, 10_000), (9, 7)])  # 9 x 7 is odd
+    def test_bit_equal_to_generator_integers(self, seed, k, m):
+        # signs reads raw Philox words; the sampler's decisions rest on it
+        # drawing exactly what Generator.integers(0, 2) draws
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        want = (2 * gen.integers(0, 2, (k, m)) - 1) / math.sqrt(k)
+        got = signs(seed, k, m)
+        assert got.shape == (k, m) and got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def identity_scorer(sk):
     """Score operator with Pi = I: N = M G+, whose Gram collapses to G+."""
     p = pinv(sk.gram)
-    return JlScorer(sk.weighted_matrix() @ p.matrix, p, sk.n_rows)
+    return JlScorer(sk.weighted_matrix() @ p.matrix, p)
 
 
 def projected_quad(scorer, a):

@@ -64,6 +64,22 @@ class TestLeverageScores:
         got = leverage_scores(rows)
         assert np.allclose(got, oracles.exact_leverage(rows), atol=1e-10)
 
+    def test_zero_stream_and_zero_rows_score_exactly_zero(self):
+        assert np.array_equal(leverage_scores(np.zeros((5, 3))), np.zeros(5))
+        rows = np.random.default_rng(3).standard_normal((8, 4))
+        rows[[0, 5]] = 0.0
+        sv = leverage_scores(rows)
+        assert sv[0] == 0.0 and sv[5] == 0.0
+        assert np.allclose(sv, oracles.exact_leverage(rows), atol=1e-10)
+
+    def test_rank_deficient_kd_stream(self):
+        # a K_8 multigraph's incidence rows have rank 7; the whitened
+        # product drops the kernel direction
+        stream = permute(gen_kd_multigraph(8, 64), seed=5)
+        sv = leverage_scores(stream)
+        assert abs(sv.sum() - 7.0) <= 1e-9
+        assert np.allclose(sv, oracles.exact_leverage(stream.materialize()), rtol=0.0, atol=1e-10)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyStream):
             leverage_scores(np.zeros((0, 3)))

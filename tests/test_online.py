@@ -434,6 +434,10 @@ BAD_RUNS = {
     "width-4": (2, np.ones((1, 4)), DimensionMismatch),
     "flat-block": (2, np.ones(3), DimensionMismatch),
     "lo-not-above-last": (1, np.ones((1, 3)), DimensionMismatch),
+    # int() would truncate these to 2
+    "lo-non-integer": (2.9, np.ones((1, 3)), DimensionMismatch),
+    "lo-numpy-float": (np.float64(2.0), np.ones((1, 3)), DimensionMismatch),
+    "lo-non-integer-empty-run": (2.5, np.zeros((0, 3)), DimensionMismatch),
 }
 
 
@@ -453,6 +457,18 @@ def test_run_entry_rejects_a_malformed_run_untouched(entry, bad):
         assert_unchanged(plug_before, sampler_state(state.approx))
     # the rejected run left no mark, so rows from 2 on may still arrive
     state.add_rows(2, good)
+
+
+@pytest.mark.parametrize("entry", sorted(run_entries()))
+def test_run_entry_takes_numpy_integer_indices(entry):
+    state, twin = run_entries()[entry], run_entries()[entry]
+    good = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    state.add_rows(np.int64(0), good)
+    state.add_rows(np.uint32(2), good)
+    twin.add_rows(0, good)
+    twin.add_rows(2, good)
+    assert_unchanged(sampler_state(twin), sampler_state(state))
+    assert state.last_index == 3 and type(state.last_index) is int
 
 
 @pytest.mark.parametrize("entry", sorted(run_entries()))

@@ -236,6 +236,24 @@ class TestRandomness:
         assert u.take_range(5, 5).size == 0
         assert u.take(0) == IndexedUniforms(4).take_range(0, 1)[0]
 
+    @pytest.mark.parametrize("draw", [lambda u: u.take(1.5), lambda u: u.take(np.float64(1.0)),
+                                      lambda u: u.take_range(0.5, 2.7), lambda u: u.take_range(0, 2.5),
+                                      lambda u: u.take_range(np.float64(0.0), 2)],
+                             ids=["take-1.5", "take-np-float", "range-0.5-2.7", "range-0-2.5",
+                                  "range-np-float"])
+    def test_non_integer_index_refused(self, draw):
+        # int() would truncate: take(1.5) was take(1), take_range(0.5, 2.7) indices 0 and 1
+        u = IndexedUniforms(4)
+        u.take(CHUNK)
+        with pytest.raises(DimensionMismatch):
+            draw(u)
+        assert u._chunk_no == 1  # refused before any draw
+
+    def test_numpy_integer_index_accepted(self):
+        u = IndexedUniforms(4)
+        assert u.take(np.int64(3)) == u.take(3)
+        assert np.array_equal(u.take_range(np.int32(1), np.uint64(5)), u.take_range(1, 5))
+
     def test_values_in_unit_interval(self):
         vals = IndexedUniforms(1).take_range(0, 5000)
         assert np.all(vals >= 0.0) and np.all(vals < 1.0)

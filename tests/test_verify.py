@@ -24,6 +24,7 @@ from specstream.verify import online_leverage
 
 import oracles
 from conftest import make_stream
+from test_online import ONLINE_PARITY_CASES, online_parity_case
 
 
 def sketch_of(stream, weight=1.0):
@@ -77,6 +78,21 @@ class TestVerify:
         bad[17] *= 0.5
         _, ok = verify(stream, sk, scores=bad)
         assert ok is False
+
+    @pytest.mark.parametrize("case", sorted(ONLINE_PARITY_CASES))
+    def test_audit_verdict_matches_fresh_pinv_leverage(self, case, monkeypatch):
+        stream, eps, c_mult, _ = online_parity_case(case, monkeypatch)
+        sketch, diag = run_online(stream, eps, seed=94, c_mult=c_mult)
+        exact = oracles.exact_leverage(stream.materialize())
+        slack = importlib.import_module("specstream.verify").AUDIT_SLACK
+        # the run's own log, then one that undercuts the top row by 1e-6
+        low = diag.scores.copy()
+        top = int(np.argmax(exact))
+        low[top] = exact[top] - 1e-6
+        for logged in (diag.scores, low):
+            want = bool(np.all(logged + slack >= exact))
+            assert verify(stream, sketch, scores=logged)[1] is want
+        assert verify(stream, sketch, scores=diag.scores)[1] is True
 
     def test_audit_log_validation(self):
         stream = gen_gaussian(10, 3, seed=5)
