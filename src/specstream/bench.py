@@ -1,17 +1,19 @@
 """Benchmark suites: size laws, algorithm comparisons, and structural probes.
 
-Each suite runs a deterministic seed grid, verifies every sketch against
-the exact stream Gram, and emits TrialRecord rows plus a pass/fail summary.
-run_sampler returns the runner's own (sketch, RunStats), and run_trial fills
-one record from it. Trials run one after another in one thread: the per-row
-sampler loops hold the interpreter lock, so a pool would not run two at once.
+Each suite is a grid spec on run_grid (seeded cases times sampler runs) plus
+its law fit. Every sketch is verified against the exact stream Gram, and a
+suite emits TrialRecord rows and a summary whose guarantee count (runs that
+met eps) `cli bench` prints. Trials run one after another in one thread: the
+per-row sampler loops hold the interpreter lock, so a pool would not run two
+at once.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -135,8 +137,8 @@ def write_csv(path, records) -> None:
 def read_csv(path) -> list[TrialRecord]:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != CSV_COLUMNS:
+        header = next(r, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         return [row_to_record(row) for row in r]
 
@@ -197,20 +199,18 @@ def run_trial(
     seed_stream: int,
     seed_perm: int,
     seed_sample: int,
-    measure_mu_flag: bool = False,
     **cfg,
 ) -> tuple[TrialRecord, Sketch]:
-    """Run one sampler, verify the sketch, and assemble the record."""
+    """Run one sampler, verify the sketch, and assemble the record (mu unset)."""
     t0 = time.perf_counter()
     sketch, stats = run_sampler(algo, stream, eps, seed_sample, **cfg)
     wall_ms = (time.perf_counter() - t0) * 1e3
     eps_actual, _ = verify(stream, sketch)
-    mu_val = measure_mu(stream) if measure_mu_flag else None
     rec = TrialRecord(
         algo=algo, n=stream.n, d=stream.d, eps=eps,
         seed_stream=seed_stream, seed_perm=seed_perm, seed_sample=seed_sample,
         sketch_rows=sketch.n_rows, eps_actual=eps_actual,
-        score_total=float(stats.score_total), mu=mu_val,
+        score_total=float(stats.score_total), mu=None,
         max_working_rows=stats.max_working_rows,
         pinv_recomputes=stats.pinv_recomputes,
         drift_events=stats.drift_events,
@@ -233,13 +233,48 @@ def predicted_online_rows(tau, eps: float, d: int, c_mult: float = DEFAULT_ONLIN
     """Expected kept rows of the online sampler on a stream with online leverage tau.
 
     The sampler keeps row i with p_i = min(c * l_i, 1), c = c_mult *
-    eps^-2 * ln d, and its score l_i = (1 + eps) * (relative leverage
+    eps^-2 * ln max(d, 2), and its score l_i = (1 + eps) * (relative leverage
     against the sketch) equals (1 + eps) * tau_i when the sketch matches
     the prefix exactly. The rate law is restated here, not taken from the
     sampler, so a sampler whose rate drifts from it misses the prediction.
     """
-    c = c_mult * eps ** -2 * math.log(d)
+    c = c_mult * eps ** -2 * math.log(max(d, 2))
     return float(np.minimum(c * (1.0 + eps) * np.asarray(tau), 1.0).sum())
+
+
+def median_of(records, field: str, **match) -> float:
+    """Median of one record field over the records whose fields equal match."""
+    return float(np.median([getattr(r, field) for r in records
+                            if all(getattr(r, k) == v for k, v in match.items())]))
+
+
+def guarantee(records) -> dict:
+    """How many runs met their eps: {"met": k, "runs": n}."""
+    return {"met": sum(r.eps_actual <= r.eps for r in records), "runs": len(records)}
+
+
+def run_grid(cases, runs):
+    """Run each sampler setting on each case; yields (stream, [(record, sketch), ...]).
+
+    cases is a lazy iterable of (stream, seed_stream, seed_perm, seed_sample),
+    so one case's stream is held at a time; runs are (algo, eps, sample_key,
+    settings), seeded at seed_sample, or at derive_seed(seed_sample, key) for
+    a key that is not None. An empty grid raises ValueError before any run.
+    """
+    cases = iter(cases)
+    first = next(cases, None) if runs else None
+    if first is None:
+        raise ValueError("a grid needs at least one case and one run")
+    for stream, seed_stream, seed_perm, seed_sample in itertools.chain([first], cases):
+        yield stream, [
+            run_trial(algo, stream, eps, seed_stream, seed_perm,
+                      seed_sample if key is None else derive_seed(seed_sample, key), **settings)
+            for algo, eps, key, settings in runs
+        ]
+
+
+def _gaussian_case(n: int, d: int, seed_stream: int, seed_sample: int):
+    return gen_gaussian(n, d, seed_stream), seed_stream, 0, seed_sample
 
 
 def suite_eps_scaling(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
@@ -252,24 +287,21 @@ def suite_eps_scaling(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
     """
     n, d = 4000, 10
     eps_grid = (0.5, 0.25)
-    by_eps = {eps: [] for eps in eps_grid}
-    predicted = {eps: [] for eps in eps_grid}
-    for s in range(seeds):
-        seed_stream = derive_seed(61, s)
-        stream = gen_gaussian(n, d, seed_stream)
+    cases = (_gaussian_case(n, d, derive_seed(61, s), derive_seed(62, s)) for s in range(seeds))
+    records, predicted = [], {eps: [] for eps in eps_grid}
+    for stream, trials in run_grid(cases, [("online", eps, None, {}) for eps in eps_grid]):
+        records += [rec for rec, _ in trials]
         tau = online_leverage(stream)
         for eps in eps_grid:
-            by_eps[eps].append(run_trial("online", stream, eps, seed_stream, 0, derive_seed(62, s))[0])
             predicted[eps].append(predicted_online_rows(tau, eps, d))
-    records = [rec for eps in eps_grid for rec in by_eps[eps]]
-    medians = {eps: float(np.median([r.sketch_rows for r in by_eps[eps]])) for eps in eps_grid}
+    records.sort(key=lambda r: eps_grid.index(r.eps))  # the CSV runs eps outer, seed inner
+    medians = {eps: median_of(records, "sketch_rows", eps=eps) for eps in eps_grid}
     predicted = {eps: float(np.median(rows)) for eps, rows in predicted.items()}
     ratio = medians[0.25] / medians[0.5]
     predicted_ratio = predicted[0.25] / predicted[0.5]
     half = EPS_RATIO_REL_BAND * predicted_ratio
     band = (predicted_ratio - half, predicted_ratio + half)
-    summary = {
-        "suite": "eps-scaling",
+    return records, {
         "median_rows": medians,
         "predicted_rows": predicted,
         "ratio": ratio,
@@ -277,96 +309,64 @@ def suite_eps_scaling(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
         "band": band,
         "pass": band[0] <= ratio <= band[1],
     }
-    return records, summary
 
 
 def suite_n_scaling(seeds: int = 20) -> tuple[list[TrialRecord], dict]:
     """Block-sampler size vs log n, plus the bounded-memory working set."""
     d, eps = 8, 0.4
     sizes = [2 ** k for k in range(10, 16)]
-    records = []
-    for n in sizes:
-        for s in range(seeds):
-            seed_stream = derive_seed(71, n, s)
-            seed_sample = derive_seed(72, n, s)
-            stream = gen_gaussian(n, d, seed_stream)
-            records.append(run_trial("scaled", stream, eps, seed_stream, 0, seed_sample)[0])
-            records.append(run_trial(
-                "improved-resparsify", stream, eps, seed_stream, 0,
-                derive_seed(seed_sample, 3),
-                plug_beta=0.45, plug_capacity_mult=4.0,
-            )[0])
-    med_rows = np.array([
-        float(np.median([r.sketch_rows for r in records if r.algo == "scaled" and r.n == n]))
-        for n in sizes
-    ])
+    cases = (_gaussian_case(n, d, derive_seed(71, n, s), derive_seed(72, n, s))
+             for n in sizes for s in range(seeds))
+    runs = [("scaled", eps, None, {}),
+            ("improved-resparsify", eps, 3, {"plug_beta": 0.45, "plug_capacity_mult": 4.0})]
+    records = [rec for _, trials in run_grid(cases, runs) for rec, _ in trials]
+    med_rows = np.array([median_of(records, "sketch_rows", algo="scaled", n=n) for n in sizes])
     a, b, r2 = _linear_fit_r2(np.log2(np.array(sizes, dtype=float)), med_rows)
-    med_work = {
-        n: float(np.median([
-            r.max_working_rows for r in records
-            if r.algo == "improved-resparsify" and r.n == n
-        ]))
-        for n in sizes
-    }
+    med_work = {n: median_of(records, "max_working_rows", algo="improved-resparsify", n=n)
+                for n in sizes}
     growth = med_work[sizes[-1]] / med_work[sizes[0]]
-    summary = {
-        "suite": "n-scaling",
+    return records, {
         "median_rows": dict(zip(sizes, med_rows.tolist())),
         "fit": {"intercept": a, "slope_per_doubling": b, "r2": r2},
         "working_rows": med_work,
         "working_growth": growth,
         "pass": r2 >= 0.85 and growth <= 1.05,
     }
-    return records, summary
 
 
 def suite_mu_scaling() -> tuple[list[TrialRecord], dict]:
     """Online score mass against the stream condition number."""
     d, gamma, eps = 6, 10.0, 0.3
-    records = [
-        run_trial(
-            "online", gen_mu_controlled(d, levels, gamma), eps, 0, 0, derive_seed(81, levels),
-            measure_mu_flag=True, c_mult=BENCH_ONLINE_C_MULT,
-        )[0]
-        for levels in (2, 3, 4)
-    ]
+    cases = ((gen_mu_controlled(d, levels, gamma), 0, 0, derive_seed(81, levels))
+             for levels in (2, 3, 4))
+    runs = [("online", eps, None, {"c_mult": BENCH_ONLINE_C_MULT})]
+    records = [replace(rec, mu=measure_mu(stream))
+               for stream, trials in run_grid(cases, runs) for rec, _ in trials]
     logmu = np.array([math.log(r.mu) for r in records])
     totals = np.array([r.score_total for r in records])
     a, b, r2 = _linear_fit_r2(logmu, totals)
-    summary = {
-        "suite": "mu-scaling",
+    return records, {
         "mu": [r.mu for r in records],
         "score_total": totals.tolist(),
         "fit": {"intercept": a, "slope": b, "r2": r2},
         "pass": r2 >= 0.9,
     }
-    return records, summary
 
 
 def suite_algo_compare(seeds: int = 50) -> tuple[list[TrialRecord], dict]:
     """Paired sizes of the two fully-online samplers at shared seeds."""
     n, d, eps = 2000, 12, 0.5
-    records = []
-    wins = 0
-    for s in range(seeds):
-        seed_stream = derive_seed(91, s)
-        seed_sample = derive_seed(92, s)
-        stream = gen_gaussian(n, d, seed_stream)
-        rec_on, _ = run_trial("online", stream, eps, seed_stream, 0, seed_sample)
-        rec_op, _ = run_trial("optimal", stream, eps, seed_stream, 0, seed_sample)
-        records += [rec_on, rec_op]
-        wins += rec_op.sketch_rows < rec_on.sketch_rows
+    cases = (_gaussian_case(n, d, derive_seed(91, s), derive_seed(92, s)) for s in range(seeds))
+    runs = [("online", eps, None, {}), ("optimal", eps, None, {})]
+    records = [rec for _, trials in run_grid(cases, runs) for rec, _ in trials]
+    wins = sum(op.sketch_rows < on.sketch_rows for on, op in zip(records[0::2], records[1::2]))
     win_rate = wins / seeds
-    summary = {
-        "suite": "algo-compare",
-        "median_rows": {
-            "online": float(np.median([r.sketch_rows for r in records if r.algo == "online"])),
-            "optimal": float(np.median([r.sketch_rows for r in records if r.algo == "optimal"])),
-        },
+    return records, {
+        "median_rows": {algo: median_of(records, "sketch_rows", algo=algo)
+                        for algo in ("online", "optimal")},
         "optimal_win_rate": win_rate,
         "pass": win_rate >= 0.8,
     }
-    return records, summary
 
 
 def probe_checkpoints(n: int, first: int = PROBE_FIRST_CHECKPOINT) -> list[int]:
@@ -384,40 +384,34 @@ def suite_lower_bound_probe(seeds: int = 100) -> tuple[list[TrialRecord], dict]:
     base = gen_kd_multigraph(d, copies)
     n = base.n
     marks = probe_checkpoints(n)
-    expected = {mark: mark * copies / n for mark in marks}
+    cases = ((permute(base, s), 0, s, derive_seed(9, s)) for s in range(seeds))
+    runs = [("online", eps, None, {"c_mult": BENCH_ONLINE_C_MULT})]
     records = []
     uniform_runs = growth_runs = 0
-    for s in range(seeds):
-        stream = permute(base, s)
+    for stream, [(rec, sketch)] in run_grid(cases, runs):
+        records.append(rec)
         # Per-edge counts of uniform prefixes at each checkpoint; a row's
         # edge is the bit mask of its two columns.
         edges = (stream.materialize() != 0) @ (1 << np.arange(d))
         uniform_ok = True
         for mark in marks:
             counts = np.unique(edges[:mark], return_counts=True)[1]
-            exp = expected[mark]
+            exp = mark * copies / n
             uniform_ok &= len(counts) >= d * (d - 1) // 2 and bool(
                 np.all((0.5 * exp <= counts) & (counts <= 1.5 * exp)))
-        rec, sketch = run_trial(
-            "online", stream, eps, 0, s, derive_seed(9, s),
-            c_mult=BENCH_ONLINE_C_MULT,
-        )
-        records.append(rec)
-        sampled_idx = np.asarray(sketch.indices)
-        cum = [int(np.count_nonzero(sampled_idx < mark)) for mark in marks]
-        increments = [cum[i + 1] - cum[i] for i in range(len(cum) - 1)]
         uniform_runs += uniform_ok
-        growth_runs += (min(increments) if increments else 0) >= 1
+        # new samples between checkpoints; a run with fewer than two
+        # checkpoints shows no growth
+        steps = np.diff(np.searchsorted(sketch.indices, marks))
+        growth_runs += bool(steps.size and steps.min() >= 1)
     uniform_rate = uniform_runs / seeds
     growth_rate = growth_runs / seeds
-    summary = {
-        "suite": "lower-bound-probe",
+    return records, {
         "checkpoints": marks,
         "uniform_prefix_rate": uniform_rate,
         "monotone_increment_rate": growth_rate,
         "pass": uniform_rate >= 0.95 and growth_rate >= 0.90,
     }
-    return records, summary
 
 
 _SUITES = {
@@ -433,7 +427,8 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def bench_suite(name: str, **kwargs) -> tuple[list[TrialRecord], dict]:
-    """Run a registered suite by name."""
+    """Run a registered suite by name; its summary gains the suite name and guarantee count."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](**kwargs)
+    records, summary = _SUITES[name](**kwargs)
+    return records, {"suite": name, **summary, "guarantee": guarantee(records)}

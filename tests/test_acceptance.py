@@ -45,7 +45,7 @@ from specstream.bench import (
     BENCH_PLUG_CAPACITY_MULT,
     bench_suite,
     read_csv,
-    run_trial,
+    run_grid,
 )
 from specstream.cli import main as cli_main
 from specstream.randomness import derive_seed
@@ -83,14 +83,12 @@ def sampling_grid():
     """Shared random-order grid: 3 algorithms x 100 (perm, sample) pairs."""
     t0 = time.perf_counter()
     base = gen_gaussian(GRID_N, GRID_D, seed=GRID_STREAM_SEED)
+    cases = ((permute(base, seed=derive_seed(315, s)), GRID_STREAM_SEED, s, derive_seed(316, s))
+             for s in range(100))
     records = {algo: [] for algo in GRID_ALGOS}
-    for s in range(100):
-        stream = permute(base, seed=derive_seed(315, s))
-        for algo in GRID_ALGOS:
-            rec, _ = run_trial(
-                algo, stream, GRID_EPS, GRID_STREAM_SEED, s, derive_seed(316, s),
-            )
-            records[algo].append(rec)
+    for _, trials in run_grid(cases, [(algo, GRID_EPS, None, {}) for algo in GRID_ALGOS]):
+        for rec, _ in trials:
+            records[rec.algo].append(rec)
     return {"records": records, "elapsed": time.perf_counter() - t0}
 
 

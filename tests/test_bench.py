@@ -1,5 +1,7 @@
 """Benchmark harness: records, CSV, dispatch, and suite summaries."""
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from specstream.bench import (
     SUITE_NAMES,
     TrialRecord,
     bench_suite,
+    guarantee,
     predicted_online_rows,
     probe_checkpoints,
     read_csv,
     record_to_row,
     row_to_record,
+    run_grid,
     run_sampler,
     run_trial,
     suite_mu_scaling,
@@ -78,9 +82,10 @@ class TestCsv:
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            read_csv(path)
+        for text in ("a,b,c\n1,2,3\n", ""):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                read_csv(path)
 
 
 class TestDispatch:
@@ -136,11 +141,62 @@ class TestDispatch:
         assert rec.eps_actual >= 0.0 and rec.sketch_rows <= rec.n
         assert rec.sketch_rows == sketch.n_rows
 
-        rec, _ = run_trial("online", stream, 0.4, 22, 0, 23, measure_mu_flag=True)
-        assert rec.mu is not None and rec.mu >= 1.0
-
 
 class TestSuites:
+    # sha256 prefixes of each suite's CSV with wall_ms set to 0.0, taken before
+    # the suites moved onto run_grid (the same at 1 and 2 BLAS threads)
+    PINNED_CSV = {
+        "eps-scaling": ({"seeds": 3}, "45eea91728b91958"),
+        "n-scaling": ({"seeds": 1}, "c54ac4a6d34b8a52"),
+        "mu-scaling": ({}, "4d855c6a0b1ca9c2"),
+        "algo-compare": ({"seeds": 3}, "4fc07b5c5e0ed2cb"),
+        "lower-bound-probe": ({"seeds": 3}, "2d1d2f242e9ace42"),
+    }
+
+    def test_pinned_records_and_guarantee_counts(self, tmp_path):
+        for name, (kwargs, digest) in self.PINNED_CSV.items():
+            records, summary = bench_suite(name, **kwargs)
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, [replace(r, wall_ms=0.0) for r in records])
+            assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, name
+            # every run at these seeds meets its eps
+            assert summary["guarantee"] == {"met": len(records), "runs": len(records)}, name
+
+    def test_guarantee_counts_runs_within_eps(self):
+        records = [make_record(eps=0.3, eps_actual=e) for e in (0.21, 0.3, 0.30000001, 0.9)]
+        assert guarantee(records) == {"met": 2, "runs": 4}
+
+    def test_empty_grid_refused_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("specstream.bench.run_trial", no_run)
+        for name in ("eps-scaling", "n-scaling", "algo-compare", "lower-bound-probe"):
+            with pytest.raises(ValueError, match="at least one case"):
+                bench_suite(name, seeds=0)
+        case = (gen_gaussian(50, 3, seed=1), 1, 0, 2)
+        with pytest.raises(ValueError, match="at least one case"):
+            next(run_grid([case], []))
+
+    def test_run_grid_builds_one_case_at_a_time(self):
+        built = []
+
+        def cases():
+            for s in range(3):
+                built.append(s)
+                yield gen_gaussian(100, 3, seed=s), s, 0, s
+
+        grid = run_grid(cases(), [("online", 0.5, None, {})])
+        for s in range(3):
+            next(grid)
+            assert built == list(range(s + 1))
+
+    def test_predicted_rows_clamp_d_as_the_sampler_does(self):
+        # the online sampler's rate uses ln max(d, 2), so d = 1 predicts as d = 2
+        tau = online_leverage(gen_gaussian(400, 1, 3))
+        one, two = (predicted_online_rows(tau, 0.5, d, 0.7) for d in (1, 2))
+        assert one == two > 0.0
+
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
             bench_suite("speed-run")
