@@ -26,12 +26,7 @@ from .instances import (
     permute,
 )
 from .online import DEFAULT_ONLINE_C_MULT, run_barrier, run_online
-from .random_order import (
-    DEFAULT_SCALED_C_MULT,
-    ResparsifyApprox,
-    ScaledSampler,
-    scaled_sampling,
-)
+from .random_order import ResparsifyApprox, ScaledSampler, scaled_sampling
 from .randomness import derive_seed
 from .sketch import RunStats, Sketch
 from .verify import mu as measure_mu
@@ -44,7 +39,7 @@ _READS = {
     "optimal": (),
     "scaled": _BLOCK_READS,
     "improved-self": _BLOCK_READS,
-    "improved-resparsify": _BLOCK_READS + ("plug_beta", "plug_capacity_mult"),
+    "improved-resparsify": _BLOCK_READS + ("plug_beta",),
 }
 ALGO_NAMES = tuple(_READS)
 
@@ -57,7 +52,7 @@ ALGO_NAMES = tuple(_READS)
 BENCH_ONLINE_C_MULT = 0.7
 
 # Plug parameters for the bounded-memory runs: quality of the constant
-# approximation and its capacity multiplier.
+# approximation (the plug_beta default) and its capacity multiplier.
 BENCH_PLUG_BETA = 1.0 / 3.0
 BENCH_PLUG_CAPACITY_MULT = 4.0
 
@@ -143,10 +138,14 @@ def read_csv(path) -> list[TrialRecord]:
         return [row_to_record(row) for row in r]
 
 
+def _given(**settings) -> dict:
+    """The settings given: those neither None nor False."""
+    return {name: value for name, value in settings.items() if value is not None and value is not False}
+
+
 def unread_settings(algo: str, **settings) -> list[str]:
-    """Names of the settings given (neither None nor False) that algo does not read."""
-    return [name for name, value in settings.items()
-            if value is not None and value is not False and name not in _READS[algo]]
+    """Names of the settings given that algo does not read."""
+    return [name for name in _given(**settings) if name not in _READS[algo]]
 
 
 def run_sampler(
@@ -158,38 +157,30 @@ def run_sampler(
     c_mult: float | None = None,
     use_jl: bool = False,
     plug_beta: float | None = None,
-    plug_capacity_mult: float | None = None,
 ) -> tuple[Sketch, RunStats]:
     """Dispatch one sampler run; returns the runner's (sketch, RunStats).
 
-    None settings fall back to the sampler defaults. A setting the chosen
+    Only the settings given reach the runner, so a setting left out takes
+    the runner's default (plug_beta: BENCH_PLUG_BETA). A setting the chosen
     sampler would not read raises ValueError.
     """
     if algo not in ALGO_NAMES:
         raise ValueError(f"unknown algo {algo!r}")
-    unread = unread_settings(algo, c_mult=c_mult, use_jl=use_jl,
-                             plug_beta=plug_beta, plug_capacity_mult=plug_capacity_mult)
+    given = _given(c_mult=c_mult, use_jl=use_jl, plug_beta=plug_beta)
+    unread = unread_settings(algo, **given)
     if unread:
         raise ValueError(f"{algo} does not read {', '.join(unread)}")
     if algo == "online":
-        return run_online(stream, eps, seed, c_mult=DEFAULT_ONLINE_C_MULT if c_mult is None else c_mult)
+        return run_online(stream, eps, seed, **given)
     if algo == "optimal":
         return run_barrier(stream, eps, seed)
     plug = None
     if algo == "improved-self":
-        plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1), n_hint=stream.n)
+        plug = ScaledSampler(stream.d, eps, derive_seed(seed, 1))
     elif algo == "improved-resparsify":
-        plug = ResparsifyApprox(
-            BENCH_PLUG_CAPACITY_MULT if plug_capacity_mult is None else plug_capacity_mult,
-            BENCH_PLUG_BETA if plug_beta is None else plug_beta,
-            derive_seed(seed, 1),
-            dim=stream.d,
-        )
-    return scaled_sampling(
-        stream, eps, seed, plug,
-        c_mult=DEFAULT_SCALED_C_MULT if c_mult is None else c_mult,
-        use_jl=use_jl,
-    )
+        plug = ResparsifyApprox(BENCH_PLUG_CAPACITY_MULT, given.pop("plug_beta", BENCH_PLUG_BETA),
+                                derive_seed(seed, 1), dim=stream.d)
+    return scaled_sampling(stream, eps, seed, plug, **given)
 
 
 def run_trial(
@@ -318,7 +309,7 @@ def suite_n_scaling(seeds: int = 20) -> tuple[list[TrialRecord], dict]:
     cases = (_gaussian_case(n, d, derive_seed(71, n, s), derive_seed(72, n, s))
              for n in sizes for s in range(seeds))
     runs = [("scaled", eps, None, {}),
-            ("improved-resparsify", eps, 3, {"plug_beta": 0.45, "plug_capacity_mult": 4.0})]
+            ("improved-resparsify", eps, 3, {"plug_beta": 0.45})]
     records = [rec for _, trials in run_grid(cases, runs) for rec, _ in trials]
     med_rows = np.array([median_of(records, "sketch_rows", algo="scaled", n=n) for n in sizes])
     a, b, r2 = _linear_fit_r2(np.log2(np.array(sizes, dtype=float)), med_rows)

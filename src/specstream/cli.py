@@ -41,8 +41,7 @@ def _cmd_gen(args) -> int:
 
 def _unread_run_flag(args) -> str | None:
     """The first run flag given that the chosen algorithm would not read."""
-    unread = unread_settings(args.algo, use_jl=args.jl, c_mult=args.c_mult,
-                             plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult)
+    unread = unread_settings(args.algo, use_jl=args.jl, c_mult=args.c_mult, plug_beta=args.plug_beta)
     # a flag is its setting's name, but --jl sets use_jl
     return "--" + unread[0].replace("use_", "").replace("_", "-") if unread else None
 
@@ -52,11 +51,8 @@ def _cmd_run(args) -> int:
     seed_perm = args.perm_seed if args.perm_seed is not None else 0
     if args.perm_seed is not None:
         stream = permute(stream, args.perm_seed)
-    sketch, stats = run_sampler(
-        args.algo, stream, args.eps, args.seed,
-        c_mult=args.c_mult, use_jl=args.jl,
-        plug_beta=args.plug_beta, plug_capacity_mult=args.plug_capacity_mult,
-    )
+    sketch, stats = run_sampler(args.algo, stream, args.eps, args.seed,
+                                c_mult=args.c_mult, use_jl=args.jl, plug_beta=args.plug_beta)
     meta = {
         "algo": args.algo,
         "eps": args.eps,
@@ -181,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--jl", action="store_true",
                    help="score through a JL projection (not with --algo online or optimal)")
     r.add_argument("--plug-beta", type=float, default=None, help="needs --algo improved-resparsify")
-    r.add_argument("--plug-capacity-mult", type=float, default=None,
-                   help="needs --algo improved-resparsify")
     r.set_defaults(func=_cmd_run)
 
     v = sub.add_parser("verify", help="verify a sketch against its stream")

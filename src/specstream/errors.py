@@ -62,7 +62,7 @@ class FormatError(SpecstreamError):
 
 
 class NonFiniteInput(SpecstreamError):
-    """Stream holds a NaN or infinite value."""
+    """A stream, sketch or score log holds a NaN or infinite value."""
 
 
 class InvalidWeight(SpecstreamError):

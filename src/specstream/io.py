@@ -104,6 +104,8 @@ def _parse_header(line: str, magic: str) -> tuple[int, int, bool]:
         n, d = int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise FormatError(f"bad counts in header: {line!r}") from exc
+    if n < 0 or d < 1:
+        raise FormatError(f"header needs n >= 0 and d >= 1: {line!r}")
     if tokens[4] not in ("dense", "sparse"):
         raise FormatError(f"unknown row mode {tokens[4]!r}")
     return n, d, tokens[4] == "sparse"

@@ -50,8 +50,14 @@ BARRIER_TOL = 1e-7
 
 
 def sampling_constant(eps: float, d: int, c_mult: float) -> float:
-    """c = c_mult eps^-2 ln d: the rate law of the online, block and resparsify samplers."""
-    return c_mult * eps ** -2 * math.log(d)
+    """c = c_mult eps^-2 ln max(d, 2): the rate law of the online, block and
+    resparsify samplers. Raises ValueError for eps outside (0, 1/2] or a
+    c_mult that is not finite and > 0."""
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
+    if not 0.0 < c_mult < math.inf:
+        raise ValueError(f"c_mult must be finite and > 0, got {c_mult}")
+    return c_mult * eps ** -2 * math.log(max(d, 2))
 
 
 class KeptPinv:
@@ -124,15 +130,11 @@ class OnlineState:
         seed: int,
         c_mult: float = DEFAULT_ONLINE_C_MULT,
     ):
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-        if not 0.0 < c_mult < math.inf:
-            raise ValueError(f"c_mult must be finite and > 0, got {c_mult}")
+        self.c = sampling_constant(eps, dim, c_mult)
         if dim < 1:
             raise DimensionMismatch("dimension must be positive")
         self.dim = int(dim)
         self.eps = float(eps)
-        self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.sketch = Sketch(dim)
         self.kept = KeptPinv(dim, self._gram)
         self.rng = IndexedUniforms(seed)

@@ -79,10 +79,11 @@ class BlockSampler:
     (approx), every row is fed to it and each block is scored against the
     plug's query() frozen at the boundary, with multiplier PLUG_MULTIPLIER.
     The sampler is itself a plug: add_rows() consumes a run of rows, query()
-    exposes the current sketch.
+    exposes the current sketch, and peak_rows is its row count.
 
-    A plug implements add_rows(lo, block) and query(); peak_rows, when
-    present, is read as the rows it holds at most.
+    A plug implements add_rows(lo, block), query() and peak_rows (the most
+    rows it has held), the run's working set. The run's schedule and pinv
+    count follow from the rows taken: a block freezes on its first row.
     """
 
     def __init__(
@@ -95,16 +96,12 @@ class BlockSampler:
         use_jl: bool = False,
         n_hint: int | None = None,
     ):
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-        if not 0.0 < c_mult < math.inf:
-            raise ValueError(f"c_mult must be finite and > 0, got {c_mult}")
+        self.c = sampling_constant(eps, dim, c_mult)
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
         self.dim = int(dim)
         self.eps = float(eps)
         self.k = seed_block_size(dim)
-        self.c = sampling_constant(eps, max(dim, 2), c_mult)
         self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
         self.seed = int(seed)
         self.approx = approx
@@ -116,11 +113,9 @@ class BlockSampler:
         self.next_boundary = self.k
         self.frozen: PInv | None = None
         self.jl: JlScorer | None = None
-        self.freeze_rows: list[int] = []
         # one array per segment
         self.scores: list[np.ndarray] = []
         self.frozen_pinvs: list[np.ndarray] = []
-        self.max_working_rows = 0
         self.saturated = 0
         self.last_index = -1
         # Gram of every row fed to the plug; only its rank is read, to catch
@@ -129,7 +124,8 @@ class BlockSampler:
 
     # -- ConstApprox contract -------------------------------------------------
     @property
-    def n_rows(self) -> int:
+    def peak_rows(self) -> int:
+        """The sketch only grows, so the rows it holds are its peak."""
         return self.sketch.n_rows
 
     def add(self, index: int, row) -> None:
@@ -157,7 +153,7 @@ class BlockSampler:
         while start < len(block):
             j = self.count
             if j == self.next_boundary:
-                self._freeze(j)
+                self._freeze()
                 self.next_boundary = 2 * self.next_boundary + self.k
             # the seed block ends where the first boundary is
             stop = start + min(len(block) - start, self.next_boundary - j)
@@ -195,10 +191,6 @@ class BlockSampler:
     def _feed(self, lo: int, seg) -> None:
         self.approx.add_rows(lo, seg)
         self._fed_gram += seg.T @ seg
-        held = getattr(self.approx, "peak_rows", None)
-        if held is None:
-            held = self.approx.n_rows
-        self.max_working_rows = max(self.max_working_rows, int(held))
 
     def _snapshot(self) -> Sketch:
         """Sketch to freeze: the plug's, checked against the rank fed to it."""
@@ -213,27 +205,25 @@ class BlockSampler:
             )
         return snapshot
 
-    def _freeze(self, j: int):
+    def _freeze(self):
         snapshot = self._snapshot()
-        self.freeze_rows.append(j)
         if self.use_jl:
             # the scorer holds the pseudo-inverse of the same Gram
-            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.freeze_rows)))
+            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.frozen_pinvs) + 1))
             self.frozen = self.jl.pinv
         else:
             self.frozen = pinv(snapshot.gram)
         self.frozen_pinvs.append(self.frozen.matrix)
 
     def finalize(self) -> tuple[Sketch, RunStats]:
-        freezes = tuple(self.freeze_rows)
         scores = np.concatenate(self.scores) if self.scores else np.empty(0)
         return self.sketch, RunStats(
             scores=scores,
             score_total=float(np.sum(scores)),
-            pinv_recomputes=len(freezes),
-            max_working_rows=self.sketch.n_rows if self.approx is None else self.max_working_rows,
+            pinv_recomputes=len(self.frozen_pinvs),
+            max_working_rows=self.peak_rows if self.approx is None else int(self.approx.peak_rows),
             saturated=self.saturated,
-            schedule=BlockSchedule(self.k, freezes),
+            schedule=BlockSchedule.for_stream(self.count, self.dim),
             frozen_pinvs=self.frozen_pinvs,
             resparsify_passes=getattr(self.approx, "passes", None),
             resparsify_retries=getattr(self.approx, "retries", None),

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import AllZeroStream, DimensionMismatch, EmptyStream
+from .errors import AllZeroStream, DimensionMismatch, EmptyStream, NonFiniteInput
 from .instances import RowStream
 from .leverage import leverage_scores
 from .linalg import SymPsd, approx_factor, default_rank_tol
@@ -33,7 +33,8 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
     Gram on the stream's row space; rank loss shows up as 1.0 and mass
     outside the row space as inf. overestimate_ok reports whether every
     logged score dominates the true leverage score of its row (None when
-    no log was supplied).
+    no log was supplied); a log with a non-finite score raises
+    NonFiniteInput.
     """
     if stream.d != sketch.dim:
         raise DimensionMismatch(
@@ -55,6 +56,8 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
         raise DimensionMismatch(
             f"score log length {logged.shape} does not match stream length {stream.n}"
         )
+    if not np.isfinite(logged).all():
+        raise NonFiniteInput("score log holds a non-finite score")
     tau = leverage_scores(stream)
     overestimate_ok = bool(np.all(logged + AUDIT_SLACK >= tau))
     return eps_actual, overestimate_ok

@@ -26,10 +26,6 @@ class PassThroughPlug:
         self.sketch = Sketch(dim)
         self.peak_rows = 0
 
-    @property
-    def n_rows(self):
-        return self.sketch.n_rows
-
     def add_rows(self, lo, block):
         self.sketch.append_rows(np.arange(lo, lo + len(block)), np.ones(len(block)), block)
         self.peak_rows = self.sketch.n_rows

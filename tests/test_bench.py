@@ -7,12 +7,24 @@ import numpy as np
 import pytest
 
 import specstream.online as online_module
-from specstream import RunStats, UnknownSuite, gen_gaussian
+from specstream import (
+    ResparsifyApprox,
+    RunStats,
+    ScaledSampler,
+    UnknownSuite,
+    gen_gaussian,
+    permute,
+    run_barrier,
+    run_online,
+    scaled_sampling,
+)
 from specstream.online import DEFAULT_ONLINE_C_MULT
 from specstream.randomness import derive_seed
 from specstream.verify import online_leverage
 from specstream.bench import (
     ALGO_NAMES,
+    BENCH_PLUG_BETA,
+    BENCH_PLUG_CAPACITY_MULT,
     CSV_COLUMNS,
     SUITE_NAMES,
     TrialRecord,
@@ -109,14 +121,39 @@ class TestDispatch:
             with pytest.raises(ValueError):
                 run_sampler(algo, stream, 0.5, seed=21)
 
+    def test_settings_left_out_take_the_runner_defaults(self):
+        # None and False are not given, so they reach no runner; the plug's
+        # beta and capacity multiplier are the bench's
+        stream = permute(gen_gaussian(1500, 5, seed=24), seed=25)
+        plug_seed = derive_seed(26, 1)
+        runs = {
+            "online": lambda: run_online(stream, 0.4, 26),
+            "optimal": lambda: run_barrier(stream, 0.4, 26),
+            "scaled": lambda: scaled_sampling(stream, 0.4, 26),
+            "improved-self": lambda: scaled_sampling(
+                stream, 0.4, 26, ScaledSampler(5, 0.4, plug_seed)),
+            "improved-resparsify": lambda: scaled_sampling(stream, 0.4, 26, ResparsifyApprox(
+                BENCH_PLUG_CAPACITY_MULT, BENCH_PLUG_BETA, plug_seed, dim=5)),
+        }
+        assert sorted(runs) == sorted(ALGO_NAMES)
+        for algo, run in runs.items():
+            sketch, stats = run_sampler(algo, stream, 0.4, 26, c_mult=None, use_jl=False, plug_beta=None)
+            want, want_stats = run()
+            assert (sketch.indices, sketch.weights) == (want.indices, want.weights), algo
+            assert stats.max_working_rows == want_stats.max_working_rows, algo
+            assert stats.resparsify_passes == want_stats.resparsify_passes, algo
+        assert stats.resparsify_passes >= 1  # the resparsify run, last, made passes
+
     def test_misspelled_or_unread_setting_refused(self):
         stream = gen_gaussian(100, 4, seed=20)
         with pytest.raises(TypeError):
             run_sampler("online", stream, 0.5, 2, c_mul=100.0)
+        # the plug's capacity multiplier is not a setting
+        with pytest.raises(TypeError):
+            run_sampler("scaled", stream, 0.5, 2, plug_capacity_mult=8.0)
         unread = (
             ("online", dict(use_jl=True, plug_beta=0.1)),
             ("optimal", dict(c_mult=0.0)),
-            ("scaled", dict(plug_capacity_mult=8.0)),
             ("improved-self", dict(plug_beta=0.1)),
         )
         for algo, cfg in unread:

@@ -94,6 +94,7 @@ class TestStreamFiles:
             "header-tokens": "rowstream v1 1 2\n# meta {}\n0 0\n",
             "header-counts": "rowstream v1 one 2 dense\n# meta {}\n0 0\n",
             "meta-bad-json": "rowstream v1 1 2 dense\n# meta {oops\n0 0\n",
+            "negative-width": "rowstream v1 0 -1 dense\n# meta {}\n",
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.stream"
@@ -169,6 +170,7 @@ class TestSketchFiles:
             "count": "sketch v1 2 2 dense\n# meta {}\n0 1 0 0\n",
             "truncated": "sketch v1 1 2 dense\n",
             "sparse-no-count": "sketch v1 1 2 sparse\n# meta {}\n0 1\n",
+            "negative-width": "sketch v1 0 -1 dense\n# meta {}\n",
         }
         for name, text in cases.items():
             path = tmp_path / f"{name}.sketch"
@@ -261,9 +263,6 @@ class TestCliGen:
             "--c-mult": (["--algo", "optimal", "--c-mult", "0.01"],),
             "--plug-beta": (["--algo", "improved-self", "--plug-beta", "0.2"],
                             ["--algo", "scaled", "--plug-beta", "0.2"]),
-            "--plug-capacity-mult": (
-                ["--algo", "improved-self", "--plug-capacity-mult", "4"],
-            ),
         }
         for flag, cases in unread.items():
             for argv in cases:
@@ -426,9 +425,6 @@ class TestCliRunVerify:
         out = str(tmp_path / "bad.sketch")
         bad = (
             ["--algo", "improved-resparsify", "--plug-beta", "0"],
-            ["--algo", "improved-resparsify", "--plug-capacity-mult", "0"],
-            ["--algo", "improved-resparsify", "--plug-capacity-mult", "nan"],
-            ["--algo", "improved-resparsify", "--plug-capacity-mult", "inf"],
             ["--algo", "online", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "0"],
             ["--algo", "scaled", "--c-mult", "-1"],
@@ -475,6 +471,17 @@ class TestCliRunVerify:
         text = capsys.readouterr().out
         assert rc == 1
         assert "overestimate audit: VIOLATED" in text and "PASS" in text
+        # json writes and reads NaN and Infinity tokens, so a sidecar can carry
+        # a non-finite score to verify, which refuses it
+        for bad in (math.nan, math.inf, -math.inf):
+            for obj in records:
+                if obj["kind"] == "scores":
+                    obj["values"][7] = bad
+            with open(low, "w") as fh:
+                fh.write("".join(json.dumps(obj) + "\n" for obj in records))
+            assert main(["verify", "--stream", src, "--sketch", out, "--diag", low]) == 1, bad
+            err = capsys.readouterr().err
+            assert "error" in err and "Traceback" not in err, bad
         # the barrier logs probabilities, not scores: its sidecar has no score log
         bar = str(tmp_path / "bar.sketch")
         assert main(["run", "--algo", "optimal", "--eps", "0.5", "--seed", "4",

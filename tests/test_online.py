@@ -228,10 +228,11 @@ class TestOnlineSampler:
         assert 0 <= diag.drift_events <= diag.pinv_recomputes
 
     def test_eps_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            OnlineState(4, 0.0, seed=1)
-        with pytest.raises(ValueError):
-            OnlineState(4, 0.51, seed=1)
+        for eps in (0.0, 0.51, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                OnlineState(4, eps, seed=1)
+            with pytest.raises(ValueError, match="eps"):
+                sampling_constant(eps, 4, 1.0)
         with pytest.raises(DimensionMismatch):
             OnlineState(0, 0.3, seed=1)
 
@@ -239,6 +240,8 @@ class TestOnlineSampler:
     def test_sampling_rate_must_be_finite_and_positive(self, c_mult):
         with pytest.raises(ValueError):
             OnlineState(4, 0.3, seed=1, c_mult=c_mult)
+        with pytest.raises(ValueError, match="c_mult"):
+            sampling_constant(0.3, 4, c_mult)
 
     def test_sparse_and_dense_copies_sample_alike(self):
         # sparse rows are a storage format: the sampler scores them dense
@@ -308,6 +311,9 @@ class TestOnlineSampler:
 
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
+        # the law clamps ln d at d = 2, so a one-column stream still samples
+        assert sampling_constant(0.4, 1, 0.7) == sampling_constant(0.4, 2, 0.7) > 0.0
+        assert OnlineState(1, 0.4, seed=1, c_mult=0.7).c == sampling_constant(0.4, 2, 0.7)
 
 
 # runner, and the sampling probabilities its RunStats implies

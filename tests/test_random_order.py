@@ -144,7 +144,7 @@ class TestScaledSampler:
         for i in range(30):
             plug.add(i, np.eye(6)[i % 6])
         assert isinstance(plug.query(), Sketch)
-        assert plug.n_rows == plug.query().n_rows
+        assert plug.peak_rows == plug.query().n_rows
 
     def test_multiplier_defaults(self):
         assert ScaledSampler(5, 0.3, seed=1).multiplier == pytest.approx(1.3)
@@ -358,7 +358,7 @@ class TestImprovedSampler:
                 self.rows = []
 
             @property
-            def n_rows(self):
+            def peak_rows(self):
                 return len(self.rows)
 
             def add_rows(self, lo, block):
@@ -423,6 +423,30 @@ BLOCK_PARITY_PLUGS = {
     # beta 0.45 keeps the buffer small enough that passes fire on every stream
     "resparsify": lambda d: ResparsifyApprox(4.0, 0.45, seed=89, dim=d),
 }
+
+
+DERIVED_FIGURE_PLUGS = {**BLOCK_PARITY_PLUGS, "pass-through": PassThroughPlug}
+
+
+class TestDerivedFigures:
+    """A block run's schedule and pinv count follow from the rows it took,
+    and its working set from the plug's peak."""
+
+    @pytest.mark.parametrize("plug_name", sorted(DERIVED_FIGURE_PLUGS))
+    @pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (3, 0), (3, 1)])
+    def test_figures_at_and_past_boundaries(self, plug_name, blocks, extra):
+        d = 6
+        n = blocks * seed_block_size(d) + extra
+        stream = permute(gen_gaussian(n, d, seed=102), seed=103)
+        plug = DERIVED_FIGURE_PLUGS[plug_name](d)
+        sampler = BlockSampler(d, 0.4, 104, plug)
+        for i in range(n):
+            sampler.step(i, stream.row(i))
+        sketch, diag = sampler.finalize()
+        want = BlockSchedule.for_stream(n, d)
+        assert diag.schedule == want
+        assert diag.pinv_recomputes == len(sampler.frozen_pinvs) == len(want.boundaries)
+        assert diag.max_working_rows == (sketch.n_rows if plug is None else plug.peak_rows)
 
 
 class TestBlockReference:

@@ -8,6 +8,7 @@ from specstream import (
     AllZeroStream,
     DimensionMismatch,
     EmptyStream,
+    NonFiniteInput,
     RowStream,
     Sketch,
     gen_gaussian,
@@ -99,6 +100,16 @@ class TestVerify:
         sk = sketch_of(stream)
         with pytest.raises(DimensionMismatch):
             verify(stream, sk, scores=np.ones(9))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_score_refused(self, bad):
+        # an inf score once passed the audit, and nan or -inf read as a violation
+        stream = gen_gaussian(200, 4, seed=1)
+        sketch, diag = run_online(stream, 0.5, seed=1)
+        logged = diag.scores.copy()
+        logged[7] = bad
+        with pytest.raises(NonFiniteInput):
+            verify(stream, sketch, scores=logged)
 
     def test_sampler_agnostic(self):
         # identical (stream, sketch) pairs verify identically no matter how
