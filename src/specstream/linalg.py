@@ -124,12 +124,12 @@ def on_image(p: PInv, row) -> bool:
 
 
 def on_image_rows(p: PInv, block) -> np.ndarray:
-    """on_image for every row of a dense (b, d) block at once."""
+    """on_image for every row of a dense (b, d) block at once, by squared norms."""
     if p.source_rank == p.dim:
         return np.ones(len(block), dtype=bool)
     residual = block @ p.projector - block
-    return (np.linalg.norm(residual, axis=1)
-            <= DEFAULT_ORTHO_TOL * np.linalg.norm(block, axis=1))
+    return (np.einsum("ij,ij->i", residual, residual)
+            <= DEFAULT_ORTHO_TOL ** 2 * np.einsum("ij,ij->i", block, block))
 
 
 def pinv_rank1_update(p: PInv, u, k: float) -> PInv:

@@ -10,15 +10,18 @@ runs of ONLINE_RUN rows from the block's first row.
 
 The relative-leverage sampler scores a run against the current
 pseudo-inverse with one product. Only rows whose coin beats that score can
-be kept, since a kept row only lowers later rows' forms; each kept row
-takes one Sherman-Morrison step and lowers the rest of the run's forms with
-one O(d b) product, and a rebuild rescores the rest. The barrier sampler
+be kept, since a kept row only lowers later rows' forms. A kept row takes
+one gemv (X+ a), one dot, a Sherman-Morrison step in place and one gemv
+that lowers the rest of the run's forms; a rebuild rescores the rest. The
+forms are clamped at 0 once per block and where a candidate's is read:
+each correction subtracts a term >= 0, so a form that goes negative stays
+so and clamps to the 0 that a clamp after every step gives. The barrier
 walks every row, since each moves both gaps: one product with the stacked
-gap pseudo-inverses gives both gaps' forms, which serve as the score and as
-the step both gaps take in place. The Gram of the rows seen and the sketch
-Grams after every row (one cumsum each) and the sandwich checks (one
-stacked Cholesky) are batched per run. Both make the decisions of the
-row-at-a-time rule.
+gap pseudo-inverses gives both gaps' forms, the score and the step both
+take in place. Per run, one cumsum gives the Gram of the rows seen after
+every row, and one of the kept rows' outers, extended in place, the sketch
+Grams that rebuilds, drift checks and the sandwich check (one stacked
+Cholesky) read. Both make the decisions of the row-at-a-time rule.
 """
 from __future__ import annotations
 
@@ -145,6 +148,7 @@ class OnlineState:
         self._run = None
         self._pending: list[int] = []
         self._pending_p: list[float] = []
+        self._pa, self._outer = np.empty(dim), np.empty((dim, dim))  # a kept row's X+ a and step
 
     def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a block of rows with source indices lo, lo + 1, ...
@@ -157,6 +161,8 @@ class OnlineState:
         min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
         off its image) and is kept on its coin with p = min(c * score, 1), at
         weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
+        A kept row costs one gemv, one dot, an in-place step and one gemv
+        over the rest of its run; q is clamped once per block (module docstring says why).
         Returns the kept mask.
         """
         block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
@@ -173,7 +179,7 @@ class OnlineState:
                 start = self._walk(block, coins, start, stop, on, q, kept)
             self._flush()
         self._run = None
-        lev, p = self._levels(on, q)
+        lev, p = self._levels(on, np.maximum(q, 0.0, out=q))
         self.scores.append(lev)
         self.saturated += int(np.count_nonzero(p == 1.0))
         return kept
@@ -181,31 +187,37 @@ class OnlineState:
     def _walk(self, block, coins, start: int, stop: int, on, q, kept) -> int:
         """Score rows start..stop - 1 of the block against the current
         pseudo-inverse into on and q, and decide them in order; returns where
-        to rescore from after a rebuild, or stop."""
-        pinv_now = self.kept.pinv
+        to rescore from after a rebuild, or stop; q is left unclamped."""
+        pinv_now, pa, outer = self.kept.pinv, self._pa, self._outer
+        y, pa_col = pinv_now.matrix, pa[:, None]
         seg = block[start:stop]
         on[start:stop] = on_image_rows(pinv_now, seg)
         q[start:stop] = quad_forms(pinv_now, seg)
         # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
         candidates = np.flatnonzero(coins[start:stop] < self._levels(on[start:stop], q[start:stop])[1])
+        verdicts, c, lift = on[start:stop].tolist(), self.c, 1.0 + self.eps
         for i in (start + candidates).tolist():
-            p = self._probability(bool(on[i]), float(q[i]))
-            if not coins[i] < p:
+            qi, on_i = max(q.item(i), 0.0), verdicts[i - start]  # p as _levels gives it, in floats
+            p = min(c * min(lift * (qi / (qi + 1.0) if on_i else 1.0), 1.0), 1.0)
+            if not coins.item(i) < p:
                 continue
             kept[i] = True
             self._pending.append(i)
             self._pending_p.append(p)
-            a, y = block[i], self.kept.pinv.matrix
-            pa = y @ a
-            coef = self.kept.step_coef(1.0 / p, float(a @ pa), bool(on[i]))
+            a = block[i]
+            np.matmul(y, a, out=pa)
+            coef = self.kept.step_coef(1.0 / p, float(a @ pa), on_i)
             if coef is None:
                 return i + 1
-            y -= (pa[:, None] * pa) * coef
+            np.multiply(pa_col, pa, out=outer)
+            outer *= coef
+            y -= outer
             if not self.kept.stepped():
                 return i + 1
-            rest = q[i + 1:stop]
-            rest -= coef * (block[i + 1:stop] @ pa) ** 2
-            np.maximum(rest, 0.0, out=rest)
+            g = block[i + 1:stop] @ pa
+            np.square(g, out=g)
+            g *= coef
+            q[i + 1:stop] -= g
         return stop
 
     def _levels(self, on, q):
@@ -214,21 +226,14 @@ class OnlineState:
         lev = np.minimum((1.0 + self.eps) * relative_of(on, q), 1.0)
         return lev, np.minimum(self.c * lev, 1.0)
 
-    def _probability(self, on: bool, q: float) -> float:
-        """_levels' probability for one row. Float arithmetic gives the same
-        value; the walk calls it once per candidate, where numpy's per-call
-        cost on one element is most of the work."""
-        lev = min((1.0 + self.eps) * (q / (q + 1.0) if on else 1.0), 1.0)
-        return min(self.c * lev, 1.0)
-
     def _flush(self) -> None:
-        """Fold the pending kept rows into the sketch with one product."""
+        """Fold the pending kept rows (checked at entry; each p > 0) into the sketch with one product."""
         if not self._pending:
             return
         lo, block = self._run
         pos = np.array(self._pending)
         weights = 1.0 / np.sqrt(np.array(self._pending_p))
-        self.sketch.append_rows(lo + pos, weights, block[pos])
+        self.sketch._fold(lo + pos, weights, block[pos])
         self._pending, self._pending_p = [], []
 
     def _gram(self) -> SymPsd:
@@ -290,14 +295,15 @@ class BarrierState:
         self.sketch = Sketch(dim)
         self.seen = np.zeros((dim, dim))
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
+        self._pu, self._coefs, self._steps = np.empty((2, dim)), np.empty(2), np.empty((2, dim, dim))
         self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(0), self._pinvs[0])
         self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(1), self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.probs: list[np.ndarray] = []  # one array per run
         self.last_index = -1
-        self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
+        self._run = None  # (lo, block, seen after each row, probs, kept, grams) of the run walked
         self._at = 0  # the row of it being walked
-        self._row_gaps = (-1, None)  # (row, its (2, d, d) gaps) as _gap_psd last formed them
+        self._summed = (0, 0)  # (rows, kept rows among them) that grams has summed
 
     def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a run of rows with source indices lo, lo + 1, ...
@@ -324,7 +330,9 @@ class BarrierState:
         seen = np.cumsum(np.concatenate((self.seen[None], block[:, :, None] * block[:, None, :])),
                          axis=0)[1:]
         probs, kept = np.empty(b), np.zeros(b, dtype=bool)
-        self._run, self._row_gaps = (lo, block, seen, probs, kept), (-1, None)
+        grams = np.empty((b + 1, self.dim, self.dim))
+        grams[0] = self.sketch.gram_matrix()
+        self._run, self._summed = (lo, block, seen, probs, kept, grams), (0, 0)
         try:
             self._walk(block, coins.tolist(), probs, kept)
         except BarrierViolation:
@@ -332,7 +340,8 @@ class BarrierState:
             raise
         self._checked_gaps(b)
         pos = np.flatnonzero(kept)
-        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos])
+        if pos.size:  # checked at entry, and each p beat its coin, so p > 0
+            self.sketch._fold(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos])
         self.seen = seen[-1].copy()
         self.probs.append(probs)
         self._run = None
@@ -342,11 +351,13 @@ class BarrierState:
         """Decide the run's rows in order into probs and kept, with both gap
         pseudo-inverses following each row. One product gives both gaps' forms
         q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
-        one stacked step follows, by 0 for a gap that just rebuilt."""
-        ys, upper, lower = self._pinvs, self.upper_pinv, self.lower_pinv
+        one stacked step follows in place, by 0 for a gap that just rebuilt."""
+        ys, pu, coefs, steps = self._pinvs, self._pu, self._coefs, self._steps
+        pu_col, pu_row, scale = pu[:, :, None], pu[:, None, :], coefs[:, None, None]
+        upper, lower = self.upper_pinv, self.lower_pinv
         for j, a in enumerate(block):
             self._at = j
-            pu = ys @ a
+            np.matmul(ys, a, out=pu)
             q_upper, q_lower = np.vecdot(pu, a).tolist()  # a BLAS dot each, as a 1-D a @ pu
             on_upper, rel_upper = upper.relative(a, q_upper)
             on_lower, rel_lower = lower.relative(a, q_lower)
@@ -355,8 +366,10 @@ class BarrierState:
             taken = 1.0 / p if keep else 0.0
             coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper)
             coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower)
-            coefs = np.array((coef_upper or 0.0, coef_lower or 0.0))  # 0 for a gap just rebuilt
-            ys -= (pu[:, :, None] * pu[:, None, :]) * coefs[:, None, None]
+            coefs[0], coefs[1] = coef_upper or 0.0, coef_lower or 0.0  # 0 for a gap just rebuilt
+            np.multiply(pu_col, pu_row, out=steps)
+            steps *= scale
+            ys -= steps
             if coef_upper is not None:
                 upper.stepped()
             if coef_lower is not None:
@@ -364,12 +377,18 @@ class BarrierState:
 
     def _gaps(self, stop: int, start: int = 0) -> np.ndarray:
         """The (stop - start, 2, d, d) gaps (1 + eps) seen - gram and gram - (1 - eps) seen after
-        the run's rows start..stop - 1, the grams one cumsum of the kept rows' weighted outers."""
-        _, block, seen, probs, kept = self._run
-        pos = np.flatnonzero(kept[:stop])
-        wa = block[pos] / np.sqrt(probs[pos])[:, None]
-        terms = np.concatenate((self.sketch.gram_matrix()[None], wa[:, :, None] * wa[:, None, :]))
-        grams, seen = np.cumsum(terms, axis=0)[np.cumsum(kept[:stop])[start:]], seen[start:stop]
+        the run's rows start..stop - 1. grams[k] (the sketch Gram plus the run's first k kept rows'
+        weighted outers) is one cumsum, extended in place in row order as a cumsum of them all adds."""
+        _, block, seen, probs, kept, grams = self._run
+        rows, m = self._summed
+        if stop > rows:
+            pos = rows + np.flatnonzero(kept[rows:stop])
+            wa = block[pos] / np.sqrt(probs[pos])[:, None]
+            new = grams[m:m + 1 + len(pos)]
+            np.multiply(wa[:, :, None], wa[:, None, :], out=new[1:])
+            np.cumsum(new, axis=0, out=new)
+            self._summed = (stop, m + len(pos))
+        grams, seen = grams[np.cumsum(kept[:stop])[start:]], seen[start:stop]
         gaps = np.empty((stop - start, 2, self.dim, self.dim))
         np.subtract((1.0 + self.eps) * seen, grams, out=gaps[:, 0])
         np.subtract(grams, (1.0 - self.eps) * seen, out=gaps[:, 1])
@@ -388,13 +407,10 @@ class BarrierState:
                                            f"gaps {upper_gap:.3e}, {lower_gap:.3e}")
 
     def _gap_psd(self, i: int) -> SymPsd:
-        """Gap i (0 upper, 1 lower) at the row being walked; both gaps of a row
-        are formed once, for every rebuild and drift check it takes."""
+        """Gap i (0 upper, 1 lower) at the row being walked."""
         lo, j = self._run[0], self._at
-        if self._row_gaps[0] != j:
-            self._row_gaps = (j, self._gaps(j + 1, j)[0])
         try:
-            return SymPsd(self._row_gaps[1][i])
+            return SymPsd(self._gaps(j + 1, j)[0, i])
         except NotPsd as exc:
             raise BarrierViolation(f"gap matrix indefinite at row {lo + j}") from exc
 

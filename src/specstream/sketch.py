@@ -18,8 +18,9 @@ class Sketch:
     source indices and finite weights > 0; a sampled row enters with weight
     1/sqrt(p). Indices, weights and rows are numpy columns in a store that
     doubles when full; the Gram of the weighted rows takes one product per
-    append_rows or keep. A sketch file takes a sparse row's entries from the
-    stream the sketch was drawn from (io.write_sketch).
+    append_rows or keep; append_rows checks its rows, and samplers _fold the
+    rows they checked at entry. A sketch file takes a sparse row's entries
+    from the stream the sketch was drawn from (io.write_sketch).
     """
 
     def __init__(self, dim: int):
@@ -76,6 +77,11 @@ class Sketch:
             raise NonFiniteInput("sketch row holds a NaN or infinite value")
         if not ((weights > 0.0) & (weights < np.inf)).all():
             raise InvalidWeight("sketch weights must be finite and > 0")
+        self._fold(indices, weights, block)
+
+    def _fold(self, indices, weights, block) -> None:
+        """append_rows' store write and Gram product, for m >= 1 rows that pass its checks."""
+        n, m = self.n_rows, len(indices)
         if n + m > len(self._dense):
             size = max(n + m, 2 * len(self._dense))
             self._indices, self._weights, self._dense = (
@@ -91,7 +97,15 @@ class Sketch:
 
     def keep(self, pos, weights) -> None:
         """Keep only the entries at increasing positions pos, in order, at new
-        finite weights > 0; the Gram is formed again with one product."""
+        finite weights > 0; the Gram is formed again with one product. Raises
+        before any state changes unless pos is 1-d, integer and strictly
+        increasing in [0, n_rows), with one weight each."""
+        pos, weights = np.asarray(pos), np.asarray(weights, dtype=float)
+        if pos.ndim != 1 or weights.shape != pos.shape or pos.size and (pos.dtype.kind not in "iu"
+                or pos[0] < 0 or pos[-1] >= self.n_rows or (pos[1:] <= pos[:-1]).any()):
+            raise DimensionMismatch("positions must increase within the held rows, one weight each")
+        if not ((weights > 0.0) & (weights < np.inf)).all():
+            raise InvalidWeight("sketch weights must be finite and > 0")
         m = self.n_rows = len(pos)
         self._indices[:m] = self._indices[pos]
         self._weights[:m] = weights

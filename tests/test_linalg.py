@@ -20,7 +20,7 @@ from specstream import (
     pinv_rank1_update,
     pseudo_det,
 )
-from specstream.linalg import on_image, pinv_quad_form
+from specstream.linalg import on_image, on_image_rows, pinv_quad_form
 
 from conftest import make_psd
 import oracles
@@ -273,6 +273,20 @@ class TestKernelOrthogonal:
         a = p.projector @ rng.standard_normal(6)
         noisy = a + 1e-12 * rng.standard_normal(6)
         assert on_image(p, noisy)
+
+    def test_block_verdicts_match_row_verdicts_at_the_tolerance(self):
+        # rows whose kernel component is t times their image part, on both
+        # sides of DEFAULT_ORTHO_TOL = 1e-8, and the zero row
+        rng = np.random.default_rng(54)
+        p = pinv(SymPsd(make_psd(6, 3, 99)))
+        a = p.projector @ rng.standard_normal(6)
+        k = rng.standard_normal(6)
+        k -= p.projector @ k
+        k *= np.linalg.norm(a) / np.linalg.norm(k)
+        sizes = (0.0, 0.5e-8, 0.9e-8, 1.1e-8, 2e-8, 1e-6, 1e-4)
+        block = np.array([a + t * k for t in sizes] + [np.zeros(6)])
+        want = [True, True, True, False, False, False, False, True]
+        assert on_image_rows(p, block).tolist() == [on_image(p, row) for row in block] == want
 
     def test_shape_checked(self):
         p = pinv(SymPsd(np.eye(3)))

@@ -309,6 +309,38 @@ class TestOnlineSampler:
         assert np.allclose(np.concatenate(state.scores), diag.scores, rtol=0.0, atol=1e-12)
         assert state.kept.recomputes == diag.pinv_recomputes
 
+    def test_forms_corrected_below_zero_log_zero(self):
+        # rows 1e9 times longer than the rest: a kept long row's correction of
+        # a later row in its run cancels two forms near 1e16 and can round
+        # below 0; the block's one clamp logs such a form as 0, as a clamp
+        # after every step would
+        rows = np.random.default_rng(1).standard_normal((600, 3))
+        rows[[130, 140, 150, 170, 200, 300, 310, 520]] *= 1e9
+        _, diag = run_online(make_stream(rows), 0.5, seed=1, c_mult=0.5)
+        assert 0.0 <= diag.scores.min() and diag.scores.max() <= 1.0
+
+    # (stream at n rows, the sweep of n): ROADMAP item 12's 16x sweeps of
+    # n at d = 8; a kd(8, copies) stream has 28 edges per copy and rank 7
+    COUNT_SWEEPS = {
+        "gaussian": (lambda n: gen_gaussian(n, 8, seed=n), (2000, 8000, 32000)),
+        "kd-permuted": (lambda n: permute(gen_kd_multigraph(8, n // 28), seed=n), (3584, 14336, 57344)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(COUNT_SWEEPS))
+    def test_pinv_rebuilds_do_not_grow_with_n(self, family):
+        # Cohen et al.'s ridge inverse never rebuilds; the pseudo-inverse
+        # rebuilds once per new direction and once per drift event, whatever n
+        build, sizes = self.COUNT_SWEEPS[family]
+        recomputes = set()
+        for n in sizes:
+            stream = build(n)
+            sketch, diag = run_online(stream, 0.5, seed=1)
+            rank = np.linalg.matrix_rank(stream.block(0, stream.n))
+            assert diag.pinv_recomputes <= rank + diag.drift_events, n
+            assert diag.drift_events <= sketch.n_rows / online.PINV_VERIFY_EVERY, n
+            recomputes.add(diag.pinv_recomputes)
+        assert len(recomputes) == 1, recomputes
+
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
         # the law clamps ln d at d = 2, so a one-column stream still samples

@@ -198,6 +198,37 @@ class TestSketch:
         assert sk.indices == [2, 8, 10, 14, 15]
         assert np.array_equal(sk.gram_matrix(), fresh.gram_matrix())
 
+    # (positions, weights) that keep refuses on a 4-row sketch whose store
+    # holds 6 rows, and the error it raises
+    KEEP_REFUSALS = {
+        "past-held-rows": ([0, 5], [1.0, 1.0], DimensionMismatch),
+        "negative-position": ([-1, 2], [1.0, 1.0], DimensionMismatch),
+        "not-increasing": ([2, 0], [np.nan, -1.0], DimensionMismatch),
+        "repeated-position": ([1, 1], [1.0, 1.0], DimensionMismatch),
+        "non-integer-position": ([0.0, 2.0], [1.0, 1.0], DimensionMismatch),
+        "one-weight-for-two-rows": ([0, 1], [1.0], DimensionMismatch),
+        "weights-too-long": ([0, 1], [1.0, 1.0, 1.0], DimensionMismatch),
+        "nan-weight": ([0, 2], [np.nan, 1.0], InvalidWeight),
+        "negative-weight": ([0, 2], [1.0, -1.0], InvalidWeight),
+        "zero-weight": ([1], [0.0], InvalidWeight),
+        "infinite-weight": ([3], [np.inf], InvalidWeight),
+    }
+
+    @pytest.mark.parametrize("case", sorted(KEEP_REFUSALS))
+    def test_keep_refusal_leaves_the_sketch_untouched(self, case):
+        pos, weights, error = self.KEEP_REFUSALS[case]
+        sk = Sketch(2)
+        sk.append_rows([0, 1, 2], np.ones(3), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        sk.append_rows([3], [2.0], np.array([[1.0, -1.0]]))  # the store doubles to 6 rows
+        assert (sk.n_rows, len(sk._dense)) == (4, 6)
+        held, gram = (sk.indices, sk.weights, sk.rows.copy()), sk.gram_matrix().copy()
+        with pytest.raises(error):
+            sk.keep(pos, weights)
+        assert (sk.indices, sk.weights) == held[:2] and np.array_equal(sk.rows, held[2])
+        assert np.array_equal(sk.gram_matrix(), gram)
+        sk.keep(np.array([0, 3]), [1.0, 0.5])
+        assert (sk.indices, sk.weights) == ([0, 3], [1.0, 0.5])
+
 
 class TestRandomness:
     def test_take_matches_range(self):
