@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from . import rows as rowops
 from .errors import (
     DegenerateUpdate,
     DimensionMismatch,
@@ -112,19 +111,12 @@ def pinv(s: SymPsd) -> PInv:
     return PInv(s.rank, inv, proj)
 
 
-def on_image(p: PInv, row) -> bool:
-    """True when the dense row has no component on the kernel of the matrix
-    behind p: ||row - proj row|| <= DEFAULT_ORTHO_TOL * ||row||.
-
-    The zero row lies on every image. A full-rank matrix has the whole space
-    as its image, so no residual is formed for it.
-    """
-    return (p.source_rank == p.dim
-            or rowops.kernel_residual(p.projector, row) <= DEFAULT_ORTHO_TOL * np.linalg.norm(row))
-
-
 def on_image_rows(p: PInv, block) -> np.ndarray:
-    """on_image for every row of a dense (b, d) block at once, by squared norms."""
+    """The image test: True for each row of a dense (b, d) block with no
+    component on the kernel of the matrix behind p, ||row - proj row||^2 <=
+    DEFAULT_ORTHO_TOL^2 ||row||^2, the residual formed entrywise so that it
+    stays resolvable near rounding level. The zero row lies on every image;
+    a full-rank matrix has the whole space as its image and forms none."""
     if p.source_rank == p.dim:
         return np.ones(len(block), dtype=bool)
     residual = block @ p.projector - block
@@ -144,7 +136,7 @@ def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
     u = np.asarray(u, dtype=float)
     if u.shape != (p.dim,):
         raise DimensionMismatch(f"vector shape {u.shape} vs dim {p.dim}")
-    if not on_image(p, u):
+    if not on_image_rows(p, u[None])[0]:
         raise PreconditionViolation("update vector has a kernel component")
     pu = p.matrix @ u
     denom = 1.0 + k * float(u @ pu)

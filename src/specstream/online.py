@@ -18,10 +18,12 @@ each correction subtracts a term >= 0, so a form that goes negative stays
 so and clamps to the 0 that a clamp after every step gives. The barrier
 walks every row, since each moves both gaps: one product with the stacked
 gap pseudo-inverses gives both gaps' forms, the score and the step both
-take in place. Per run, one cumsum gives the Gram of the rows seen after
-every row, and one of the kept rows' outers, extended in place, the sketch
-Grams that rebuilds, drift checks and the sandwich check (one stacked
-Cholesky) read. Both make the decisions of the row-at-a-time rule.
+take in place. Each gap's kernel verdicts come from one on_image_rows per
+run, taken again for the rest of it after a rebuild. Per run, one cumsum
+gives the Gram of the rows seen after every row, and one of the kept rows'
+outers, extended in place, the sketch Grams that rebuilds, drift checks and
+the sandwich check (one stacked Cholesky) read. Both make the decisions of
+the row-at-a-time rule.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from . import rows as rowops
 from .errors import BarrierViolation, DimensionMismatch, NotPsd
 from .instances import RowStream
 from .leverage import quad_forms, relative_of
-from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image, on_image_rows, pinv
+from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image_rows, pinv
 from .randomness import CHUNK, IndexedUniforms
 from .sketch import RunStats, Sketch
 
@@ -82,12 +84,6 @@ class KeptPinv:
         self.recomputes = 0
         self.drift_events = 0
         self._updates_since_verify = 0
-
-    def relative(self, a, q: float) -> tuple[bool, float]:
-        """(dense a on the image, its relative score a' (X + aa')+ a): q / (q +
-        1) from the form q = a' X+ a the caller took, or 1 off the image."""
-        q = max(q, 0.0)
-        return (True, q / (q + 1.0)) if on_image(self.pinv, a) else (False, 1.0)
 
     def step_coef(self, k: float, q: float, on_image: bool):
         """coef of the step X+ -= coef pa pa' that follows X += k a a' (q = a'
@@ -351,29 +347,32 @@ class BarrierState:
         """Decide the run's rows in order into probs and kept, with both gap
         pseudo-inverses following each row. One product gives both gaps' forms
         q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
-        one stacked step follows in place, by 0 for a gap that just rebuilt."""
+        one stacked step follows in place, by 0 for a gap that just rebuilt.
+        A gap's kernel verdicts come from on_image_rows, again for the rest of
+        the run after a rebuild: a step leaves the projector as it is."""
         ys, pu, coefs, steps = self._pinvs, self._pu, self._coefs, self._steps
         pu_col, pu_row, scale = pu[:, :, None], pu[:, None, :], coefs[:, None, None]
         upper, lower = self.upper_pinv, self.lower_pinv
+        on_upper, on_lower = (on_image_rows(gap.pinv, block).tolist() for gap in (upper, lower))
         for j, a in enumerate(block):
             self._at = j
             np.matmul(ys, a, out=pu)
             q_upper, q_lower = np.vecdot(pu, a).tolist()  # a BLAS dot each, as a 1-D a @ pu
-            on_upper, rel_upper = upper.relative(a, q_upper)
-            on_lower, rel_lower = lower.relative(a, q_lower)
-            p = probs[j] = min(self.c_upper * rel_upper + self.c_lower * rel_lower, 1.0)
+            qu, ql = max(q_upper, 0.0), max(q_lower, 0.0)  # scores q / (q + 1), or 1 off the image
+            p = probs[j] = min(self.c_upper * (qu / (qu + 1.0) if on_upper[j] else 1.0)
+                               + self.c_lower * (ql / (ql + 1.0) if on_lower[j] else 1.0), 1.0)
             kept[j] = keep = coins[j] < p
             taken = 1.0 / p if keep else 0.0
-            coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper)
-            coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower)
+            coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper[j])
+            coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower[j])
             coefs[0], coefs[1] = coef_upper or 0.0, coef_lower or 0.0  # 0 for a gap just rebuilt
             np.multiply(pu_col, pu_row, out=steps)
             steps *= scale
             ys -= steps
-            if coef_upper is not None:
-                upper.stepped()
-            if coef_lower is not None:
-                lower.stepped()
+            if coef_upper is None or not upper.stepped():
+                on_upper[j + 1:] = on_image_rows(upper.pinv, block[j + 1:]).tolist()
+            if coef_lower is None or not lower.stepped():
+                on_lower[j + 1:] = on_image_rows(lower.pinv, block[j + 1:]).tolist()
 
     def _gaps(self, stop: int, start: int = 0) -> np.ndarray:
         """The (stop - start, 2, d, d) gaps (1 + eps) seen - gram and gram - (1 - eps) seen after

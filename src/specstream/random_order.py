@@ -82,7 +82,8 @@ class BlockSampler:
     exposes the current sketch, and peak_rows is its row count.
 
     A plug implements add_rows(lo, block), query() and peak_rows (the most
-    rows it has held), the run's working set. The run's schedule and pinv
+    rows it has held), the run's working set; a plug whose query() has
+    another dim is refused at construction. The run's schedule and pinv
     count follow from the rows taken: a block freezes on its first row.
     """
 
@@ -99,6 +100,8 @@ class BlockSampler:
         self.c = sampling_constant(eps, dim, c_mult)
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
+        if approx is not None and (plug_dim := approx.query().dim) != dim:
+            raise DimensionMismatch(f"plug of dimension {plug_dim} for dim {dim}")
         self.dim = int(dim)
         self.eps = float(eps)
         self.k = seed_block_size(dim)
@@ -174,7 +177,8 @@ class BlockSampler:
         self.scores.append(lev)
         self.saturated += int(np.count_nonzero(p == 1.0))
         pos = np.flatnonzero(keep)
-        self.sketch.append_rows(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
+        if pos.size:  # checked at entry, and each p beat its coin, so p > 0
+            self.sketch._fold(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
         self.count += len(seg)
         if self.approx is not None:
             self._feed(lo, seg)
@@ -297,8 +301,7 @@ class ResparsifyApprox:
         start = 0
         while start < len(block):
             stop = start + min(len(block) - start, full - self.n_rows)
-            self.buffer.append_rows(np.arange(lo + start, lo + stop), np.ones(stop - start),
-                                    block[start:stop])
+            self.buffer._fold(np.arange(lo + start, lo + stop), np.ones(stop - start), block[start:stop])
             self.peak_rows = max(self.peak_rows, self.n_rows)
             if self.n_rows >= full:
                 self._resparsify()

@@ -20,7 +20,7 @@ from specstream import (
     pinv_rank1_update,
     pseudo_det,
 )
-from specstream.linalg import on_image, on_image_rows, pinv_quad_form
+from specstream.linalg import DEFAULT_ORTHO_TOL, on_image_rows, pinv_quad_form
 
 from conftest import make_psd
 import oracles
@@ -251,8 +251,13 @@ class TestOrderingLemmas:
             assert np.all(wb >= wa - 1e-9 * max(wb[-1], 1.0))
 
 
+def on_image(p, row) -> bool:
+    """on_image_rows of one dense row."""
+    return bool(on_image_rows(p, np.asarray(row, dtype=float)[None])[0])
+
+
 class TestKernelOrthogonal:
-    """on_image: the kernel test behind every score and rank-one update."""
+    """on_image_rows: the kernel test behind every score and rank-one update."""
 
     def test_full_rank_accepts_everything(self):
         p = pinv(SymPsd(np.eye(3)))
@@ -276,7 +281,8 @@ class TestKernelOrthogonal:
 
     def test_block_verdicts_match_row_verdicts_at_the_tolerance(self):
         # rows whose kernel component is t times their image part, on both
-        # sides of DEFAULT_ORTHO_TOL = 1e-8, and the zero row
+        # sides of DEFAULT_ORTHO_TOL = 1e-8, and the zero row; the block's
+        # squared norms agree with one-row calls and with the plain norms
         rng = np.random.default_rng(54)
         p = pinv(SymPsd(make_psd(6, 3, 99)))
         a = p.projector @ rng.standard_normal(6)
@@ -286,7 +292,9 @@ class TestKernelOrthogonal:
         sizes = (0.0, 0.5e-8, 0.9e-8, 1.1e-8, 2e-8, 1e-6, 1e-4)
         block = np.array([a + t * k for t in sizes] + [np.zeros(6)])
         want = [True, True, True, False, False, False, False, True]
-        assert on_image_rows(p, block).tolist() == [on_image(p, row) for row in block] == want
+        by_norms = [bool(np.linalg.norm(row - p.projector @ row) <= DEFAULT_ORTHO_TOL * np.linalg.norm(row))
+                    for row in block]
+        assert on_image_rows(p, block).tolist() == [on_image(p, row) for row in block] == by_norms == want
 
     def test_shape_checked(self):
         p = pinv(SymPsd(np.eye(3)))

@@ -26,7 +26,8 @@ from specstream import (
 )
 from specstream import online
 from specstream.errors import NonFiniteInput, NotPsd
-from specstream.linalg import SymPsd
+from specstream.leverage import relative_of
+from specstream.linalg import SymPsd, on_image_rows
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
 from specstream.randomness import CHUNK
@@ -536,17 +537,24 @@ def kept_step(kept, a, k):
     return (pa, coef) if kept.stepped() else None
 
 
+def kept_relative(kept, a, q):
+    """(dense a on the image of kept's matrix, its relative score from the
+    form q = a' X+ a), from the package's image test and score formula."""
+    on = on_image_rows(kept.pinv, a[None])
+    return bool(on[0]), float(relative_of(on, np.array([max(q, 0.0)]))[0])
+
+
 class TestKeptPinv:
     def test_image_growth_and_rank_drop_rebuild(self):
         x = np.zeros((3, 3))
         kept = KeptPinv(3, lambda: SymPsd(x))
         a = np.array([1.0, 2.0, 0.0])
-        assert kept.relative(a, 0.0) == (False, 1.0)
+        assert kept_relative(kept, a, 0.0) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
         assert kept.step_coef(2.0, 0.0, False) is None
         assert kept.recomputes == 1
         q = float(a @ kept.pinv.matrix @ a)
-        on_image, rel = kept.relative(a, q)
+        on_image, rel = kept_relative(kept, a, q)
         want = a @ np.linalg.pinv(x) @ a
         assert on_image and rel == pytest.approx(want / (want + 1.0), rel=1e-12)
         # subtracting the same term empties X: the denominator 1 - 2q is 0
@@ -593,8 +601,8 @@ class TestKeptPinv:
                             + [np.eye(8)[0]])
             for r in rows:
                 q = float(quad_forms(kept.pinv, r[None])[0])
-                assert kept.relative(r, q)[1] == relative_leverage(kept.pinv, r)
-            on_image, rel = kept.relative(rows[-1], 0.0)  # e_0, off the Laplacian's image
+                assert kept_relative(kept, r, q)[1] == relative_leverage(kept.pinv, r)
+            on_image, rel = kept_relative(kept, rows[-1], 0.0)  # e_0, off the Laplacian's image
             assert on_image == (stream is gauss) and (on_image or rel == 1.0)
 
 

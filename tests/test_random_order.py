@@ -78,17 +78,25 @@ class TestScaledSampler:
     @pytest.mark.parametrize("use_jl", [False, True])
     def test_full_rank_block_forms_no_kernel_residual(self, monkeypatch, use_jl):
         # every block is frozen after K >= d Gaussian rows, so each frozen
-        # matrix has full rank and its image is the whole space
-        from specstream import rows as rowops
+        # matrix has full rank and its image is the whole space: the image
+        # test reads no projector, so an all-NaN one moves no decision
+        from specstream import jl, leverage
+        from specstream.linalg import PInv, on_image_rows
 
-        calls = []
-        residual = rowops.kernel_residual
-        monkeypatch.setattr(rowops, "kernel_residual",
-                            lambda proj, row: calls.append(1) or residual(proj, row))
         stream = permute(gen_gaussian(1500, 6, seed=17), seed=18)
+        want, _ = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
+        ranks = []
+
+        def nan_projector(p, block):
+            ranks.append(p.source_rank)
+            return on_image_rows(PInv(p.source_rank, p.matrix, np.full_like(p.projector, np.nan)), block)
+
+        monkeypatch.setattr(leverage, "on_image_rows", nan_projector)
+        monkeypatch.setattr(jl, "on_image_rows", nan_projector)
         sketch, diag = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
         assert diag.pinv_recomputes >= 5 and sketch.n_rows < stream.n
-        assert calls == []
+        assert ranks and set(ranks) == {6}
+        assert (sketch.indices, sketch.weights) == (want.indices, want.weights)
 
     def test_scores_frozen_within_block(self):
         # the same row scores identically inside one block and generally
@@ -343,6 +351,16 @@ class TestImprovedSampler:
             _, diag = scaled_sampling(stream, 0.4, 36, plug)
             assert diag.schedule == want
             assert diag.pinv_recomputes == len(want.boundaries)
+
+    @pytest.mark.parametrize("plug", ["resparsify", "block", "pass-through"])
+    def test_plug_of_another_width_refused_at_construction(self, plug):
+        # a plug of width 4 behind a d = 3 sampler fails before any row is taken
+        approx = {"resparsify": lambda: ResparsifyApprox(4.0, 0.45, seed=2, dim=4),
+                  "block": lambda: BlockSampler(4, 0.5, seed=2),
+                  "pass-through": lambda: PassThroughPlug(4)}[plug]()
+        with pytest.raises(DimensionMismatch, match="plug of dimension 4 for dim 3"):
+            BlockSampler(3, 0.5, seed=1, approx=approx)
+        assert approx.query().n_rows == 0
 
     def test_default_multiplier_is_two(self):
         sampler = ImprovedSampler(5, 0.4, 1, PassThroughPlug(5))

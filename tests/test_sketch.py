@@ -4,7 +4,7 @@ import pytest
 
 from specstream import DimensionMismatch, InvalidWeight, NonFiniteInput, Sketch
 from specstream import rows as rowops
-from specstream.linalg import PInv, on_image
+from specstream.linalg import PInv, on_image_rows
 from specstream.randomness import CHUNK, IndexedUniforms, derive_seed
 
 import oracles
@@ -48,8 +48,8 @@ class TestRowOps:
         want = float(np.linalg.norm(dense - proj @ dense))
         assert rowops.kernel_residual(proj, dense) == pytest.approx(want, rel=1e-12)
         p = PInv(3, proj, proj)
-        assert on_image(p, oracles.dense_row(rowops.sparse_row([], [], 6), 6))
-        assert not on_image(p, dense)
+        zero = oracles.dense_row(rowops.sparse_row([], [], 6), 6)
+        assert on_image_rows(p, np.array([zero, dense])).tolist() == [True, False]
 
     def test_add_outer_accumulates_weighted(self):
         g = np.zeros((3, 3))
