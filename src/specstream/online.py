@@ -19,11 +19,13 @@ so and clamps to the 0 that a clamp after every step gives. The barrier
 walks every row, since each moves both gaps: one product with the stacked
 gap pseudo-inverses gives both gaps' forms, the score and the step both
 take in place. Each gap's kernel verdicts come from one on_image_rows per
-run, taken again for the rest of it after a rebuild. Per run, one cumsum
-gives the Gram of the rows seen after every row, and one of the kept rows'
-outers, extended in place, the sketch Grams that rebuilds, drift checks and
-the sandwich check (one stacked Cholesky) read. Both make the decisions of
-the row-at-a-time rule.
+run, taken again for the rest of it after a rebuild or a drift replacement.
+Per run, one cumsum gives the Gram of the rows seen after every row, and
+one of the kept rows' outers, extended in place, the sketch Grams that
+rebuilds, drift checks and the sandwich check (one stacked Cholesky) read.
+Both make the decisions of the row-at-a-time rule. A drift check of a kept
+Y of G skips its O(d^3) rebuild when ||G Y - P||_F + 4 d u ||G||_F ||Y||_F
+<= PINV_DRIFT_TOL / 2 and G + floor/2 I has a Cholesky (KeptPinv.certified).
 """
 from __future__ import annotations
 
@@ -32,10 +34,10 @@ import math
 import numpy as np
 
 from . import rows as rowops
-from .errors import BarrierViolation, DimensionMismatch, NotPsd
+from .errors import BarrierViolation, NotPsd
 from .instances import RowStream
 from .leverage import quad_forms, relative_of
-from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, on_image_rows, pinv
+from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, default_rank_tol, on_image_rows, pinv
 from .randomness import CHUNK, IndexedUniforms
 from .sketch import RunStats, Sketch
 
@@ -46,7 +48,7 @@ DEFAULT_ONLINE_C_MULT = 3.0
 # O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
 ONLINE_RUN = 128
 
-# Maintained pseudo-inverse is checked against a fresh recompute this often.
+# Maintained pseudo-inverse is certified, or checked against a rebuild, this often.
 PINV_VERIFY_EVERY = 64
 PINV_DRIFT_TOL = 1e-6
 
@@ -72,9 +74,10 @@ class KeptPinv:
     follow X += k a a', the caller takes pa = X+ a and q = a' pa, gets coef
     from step_coef, steps X+ -= coef pa pa' in place, O(d^2), and reports
     the step by stepped(). A row off the image (the image grows) or a
-    collapsing denominator (the rank drops) rebuilds X+ from `source()`, the
-    current X as a SymPsd; every PINV_VERIFY_EVERY steps a rebuild replaces
-    it if it has drifted.
+    collapsing denominator (the rank drops) rebuilds X+ as pinv(SymPsd(G)),
+    G = `source()` the current X as a (d, d) array; every PINV_VERIFY_EVERY
+    steps Y = X+ is certified against G, or else a rebuild replaces it if it
+    has drifted.
     """
 
     def __init__(self, dim: int, source, matrix=None):
@@ -96,23 +99,51 @@ class KeptPinv:
         return None
 
     def stepped(self) -> bool:
-        """Count a step taken; every PINV_VERIFY_EVERY steps check it against
-        a rebuild. False when the rebuild replaced a drifted pseudo-inverse."""
+        """Count a step taken; every PINV_VERIFY_EVERY steps certify it, or else
+        check it against a rebuild. False when that replaced a drifted one."""
         self._updates_since_verify += 1
         if self._updates_since_verify < PINV_VERIFY_EVERY:
             return True
-        fresh = pinv(self.source())
-        drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
+        g = self.source()
         self._updates_since_verify = 0
+        if self.certified(g):
+            return True
+        fresh = pinv(SymPsd(g))
+        drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
         if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
             self.drift_events += 1
             self.recompute(fresh)
             return False
         return True
 
+    def certified(self, g) -> bool:
+        """True when the drift check may skip its rebuild: Y is within
+        PINV_DRIFT_TOL of pinv(SymPsd(g)), and SymPsd(g) raises no NotPsd.
+
+        With R = g Y - P (P the kept projector), Y - g+ = g+ R while steps
+        pa pa' (pa = Y a) keep range Y in Im g, so the relative drift is at
+        most ||R||_F, plus rounding 4 d u ||g||_F ||Y||_F (u = 2^-53): 1 for
+        the product, sqrt(2) (Wedin) for eigh's backward error d u ||g||, 1
+        for forming the rebuild. Half the tolerance covers the rebuild's norm
+        in the check's denominator. That term caps g's condition on Im P far
+        below 1 / default_rank_tol(d), and a kernel mass tr g - <P, g> <=
+        floor / 10 (floor = default_rank_tol(d) tr g / d <= the rank cutoff)
+        keeps P's rank in the rebuild. A Cholesky of g + floor / 2 I puts g's
+        least eigenvalue above SymPsd's -floor. Never True at PINV_DRIFT_TOL <= 0."""
+        y, p, d = self.pinv.matrix, self.pinv.projector, len(g)
+        trace = float(g.trace())
+        floor = default_rank_tol(d) * trace / d
+        if not (trace > 0.0 and trace - float(np.vdot(p, g)) <= 0.1 * floor):
+            return False
+        r = g @ y
+        r -= p
+        rounding = 4.0 * d * 2.0 ** -53 * math.sqrt(float(np.vdot(g, g) * np.vdot(y, y)))
+        return (math.sqrt(float(np.vdot(r, r))) + rounding <= 0.5 * PINV_DRIFT_TOL
+                and sandwich_holds(g, 0.5 * floor))
+
     def recompute(self, fresh: PInv | None = None) -> None:
-        """Rebuild into the owned matrix, from fresh = pinv(source()) if given."""
-        fresh = pinv(self.source()) if fresh is None else fresh
+        """Rebuild into the owned matrix, from fresh = pinv(SymPsd(source())) if given."""
+        fresh = pinv(SymPsd(self.source())) if fresh is None else fresh
         self.pinv.matrix[...] = fresh.matrix
         self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
         self.recomputes += 1
@@ -129,10 +160,8 @@ class OnlineState:
         seed: int,
         c_mult: float = DEFAULT_ONLINE_C_MULT,
     ):
+        self.dim = dim = rowops.dimension(dim)
         self.c = sampling_constant(eps, dim, c_mult)
-        if dim < 1:
-            raise DimensionMismatch("dimension must be positive")
-        self.dim = int(dim)
         self.eps = float(eps)
         self.sketch = Sketch(dim)
         self.kept = KeptPinv(dim, self._gram)
@@ -232,10 +261,10 @@ class OnlineState:
         self.sketch._fold(lo + pos, weights, block[pos])
         self._pending, self._pending_p = [], []
 
-    def _gram(self) -> SymPsd:
+    def _gram(self) -> np.ndarray:
         """The kept pseudo-inverse's source: the sketch Gram with every kept row in."""
         self._flush()
-        return self.sketch.gram
+        return self.sketch.gram_matrix()
 
 
 def online_step(state: OnlineState, row, index: int) -> bool:
@@ -283,17 +312,15 @@ class BarrierState:
     def __init__(self, dim: int, eps: float, seed: int):
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {eps}")
-        if dim < 1:
-            raise DimensionMismatch("dimension must be positive")
-        self.dim = int(dim)
+        self.dim = dim = rowops.dimension(dim)
         self.eps = float(eps)
         self.c_upper, self.c_lower = 2.0 / eps + 1.0, 3.0 / eps - 1.0
         self.sketch = Sketch(dim)
         self.seen = np.zeros((dim, dim))
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
         self._pu, self._coefs, self._steps = np.empty((2, dim)), np.empty(2), np.empty((2, dim, dim))
-        self.upper_pinv = KeptPinv(dim, lambda: self._gap_psd(0), self._pinvs[0])
-        self.lower_pinv = KeptPinv(dim, lambda: self._gap_psd(1), self._pinvs[1])
+        self.upper_pinv = KeptPinv(dim, lambda: self._gaps(self._at + 1, self._at)[0, 0], self._pinvs[0])
+        self.lower_pinv = KeptPinv(dim, lambda: self._gaps(self._at + 1, self._at)[0, 1], self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.probs: list[np.ndarray] = []  # one array per run
         self.last_index = -1
@@ -330,7 +357,10 @@ class BarrierState:
         grams[0] = self.sketch.gram_matrix()
         self._run, self._summed = (lo, block, seen, probs, kept, grams), (0, 0)
         try:
-            self._walk(block, coins.tolist(), probs, kept)
+            try:
+                self._walk(block, coins.tolist(), probs, kept)
+            except NotPsd as exc:  # a rebuild's gap is indefinite beyond the SymPsd floor
+                raise BarrierViolation(f"gap matrix indefinite at row {lo + self._at}") from exc
         except BarrierViolation:
             self._checked_gaps(self._at + 1)  # an earlier row fails first
             raise
@@ -349,7 +379,7 @@ class BarrierState:
         q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
         one stacked step follows in place, by 0 for a gap that just rebuilt.
         A gap's kernel verdicts come from on_image_rows, again for the rest of
-        the run after a rebuild: a step leaves the projector as it is."""
+        the run after a rebuild or drift replacement: a step keeps the projector."""
         ys, pu, coefs, steps = self._pinvs, self._pu, self._coefs, self._steps
         pu_col, pu_row, scale = pu[:, :, None], pu[:, None, :], coefs[:, None, None]
         upper, lower = self.upper_pinv, self.lower_pinv
@@ -404,14 +434,6 @@ class BarrierState:
                     upper_gap, lower_gap = np.linalg.eigvalsh(gaps[j])[:, 0]
                     raise BarrierViolation(f"sandwich failed at row {lo + j}: "
                                            f"gaps {upper_gap:.3e}, {lower_gap:.3e}")
-
-    def _gap_psd(self, i: int) -> SymPsd:
-        """Gap i (0 upper, 1 lower) at the row being walked."""
-        lo, j = self._run[0], self._at
-        try:
-            return SymPsd(self._gaps(j + 1, j)[0, i])
-        except NotPsd as exc:
-            raise BarrierViolation(f"gap matrix indefinite at row {lo + j}") from exc
 
 
 def sandwich_holds(gaps, slack) -> bool:

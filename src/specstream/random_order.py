@@ -97,12 +97,12 @@ class BlockSampler:
         use_jl: bool = False,
         n_hint: int | None = None,
     ):
+        self.dim = dim = rowops.dimension(dim)
         self.c = sampling_constant(eps, dim, c_mult)
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
         if approx is not None and (plug_dim := approx.query().dim) != dim:
             raise DimensionMismatch(f"plug of dimension {plug_dim} for dim {dim}")
-        self.dim = int(dim)
         self.eps = float(eps)
         self.k = seed_block_size(dim)
         self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
@@ -273,12 +273,10 @@ class ResparsifyApprox:
             raise ValueError(f"beta must be in (0, 1/2), got {beta}")
         if not 4.0 <= capacity_mult < math.inf:
             raise ValueError(f"capacity_mult must be finite and >= 4, got {capacity_mult}")
-        if dim < 2:
-            raise DimensionMismatch("resparsify plug needs d >= 2")
+        self.dim = dim = rowops.dimension(dim, least=2)  # the resparsify plug needs d >= 2
         self.capacity_mult = float(capacity_mult)
         self.beta = float(beta)
         self.seed = int(seed)
-        self.dim = int(dim)
         self.c_beta = sampling_constant(beta, dim, capacity_mult)
         self.capacity_rows = math.ceil(self.c_beta * dim)
         self.buffer = Sketch(dim)

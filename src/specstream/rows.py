@@ -99,12 +99,19 @@ def densify(row, dim: int):
     return np.asarray(row, dtype=float)
 
 
-def source_index(i) -> int:
+def source_index(i, name: str = "source index") -> int:
     """i as an int; DimensionMismatch unless it is one (operator.index)."""
     try:
         return operator.index(i)
     except TypeError:
-        raise DimensionMismatch(f"source index {i!r} is not an integer") from None
+        raise DimensionMismatch(f"{name} {i!r} is not an integer") from None
+
+
+def dimension(dim, least: int = 1) -> int:
+    """dim as an int >= least; DimensionMismatch otherwise (source_index's check)."""
+    if (d := source_index(dim, "dimension")) < least:
+        raise DimensionMismatch(f"dimension {d} is below {least}")
+    return d
 
 
 def checked_run(block, dim: int, lo: int, last_index: int):

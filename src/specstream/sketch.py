@@ -24,9 +24,7 @@ class Sketch:
     """
 
     def __init__(self, dim: int):
-        if dim <= 0:
-            raise DimensionMismatch("sketch dimension must be positive")
-        self.dim = int(dim)
+        self.dim = dim = rowops.dimension(dim)
         self.n_rows = 0  # entries 0..n_rows-1 of the columns are in use
         self._gram = np.zeros((dim, dim))
         self._gram_sym: SymPsd | None = None

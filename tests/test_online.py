@@ -27,7 +27,7 @@ from specstream import (
 from specstream import online
 from specstream.errors import NonFiniteInput, NotPsd
 from specstream.leverage import relative_of
-from specstream.linalg import SymPsd, on_image_rows
+from specstream.linalg import SymPsd, on_image_rows, pinv as linalg_pinv
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
 from specstream.randomness import CHUNK
@@ -342,6 +342,24 @@ class TestOnlineSampler:
             recomputes.add(diag.pinv_recomputes)
         assert len(recomputes) == 1, recomputes
 
+    # clean runs whose kept pseudo-inverses step far past PINV_VERIFY_EVERY
+    EIGH_COUNT_RUNS = {
+        "online-gaussian": lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1),
+        "online-kd-permuted": lambda: run_online(permute(gen_kd_multigraph(8, 256), seed=2), 0.5, seed=2),
+        "barrier-gaussian": lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EIGH_COUNT_RUNS))
+    def test_drift_checks_form_no_pseudo_inverse(self, case, monkeypatch):
+        # a drift check certifies the kept pseudo-inverse with a product and
+        # a Cholesky; on a clean run each one passes, so the only
+        # eigendecompositions are the rebuilds the run counts
+        formed = []
+        monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
+        sketch, diag = self.EIGH_COUNT_RUNS[case]()
+        assert sketch.n_rows > online.PINV_VERIFY_EVERY and diag.drift_events == 0
+        assert len(formed) == diag.pinv_recomputes
+
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
         # the law clamps ln d at d = 2, so a one-column stream still samples
@@ -547,7 +565,7 @@ def kept_relative(kept, a, q):
 class TestKeptPinv:
     def test_image_growth_and_rank_drop_rebuild(self):
         x = np.zeros((3, 3))
-        kept = KeptPinv(3, lambda: SymPsd(x))
+        kept = KeptPinv(3, lambda: x)
         a = np.array([1.0, 2.0, 0.0])
         assert kept_relative(kept, a, 0.0) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
@@ -566,7 +584,7 @@ class TestKeptPinv:
     def test_drift_check_replaces_a_drifted_pinv(self, monkeypatch):
         monkeypatch.setattr("specstream.online.PINV_VERIFY_EVERY", 2)
         x = np.diag([1.0, 2.0, 4.0])
-        kept = KeptPinv(3, lambda: SymPsd(x))
+        kept = KeptPinv(3, lambda: x)
         kept.recompute()
         a = np.array([1.0, 1.0, 1.0])
         x += np.outer(a, a)
@@ -584,6 +602,38 @@ class TestKeptPinv:
         assert (kept.recomputes, kept.drift_events) == (2, 1)
         assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
 
+    @pytest.mark.parametrize("off", [2.0, 0.1])
+    def test_drift_check_errs_toward_a_rebuild(self, off, monkeypatch):
+        # Y off by `off` times PINV_DRIFT_TOL, relative: twice the tolerance
+        # fails the certificate, and the full check replaces Y; a tenth of
+        # it passes, and no pseudo-inverse is formed
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        formed = []
+        monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
+        x = np.diag([1.0, 2.0, 4.0])
+        kept = KeptPinv(3, lambda: x)
+        kept.recompute()
+        fresh = kept.pinv.matrix.copy()
+        kept.pinv.matrix *= 1.0 + off * online.PINV_DRIFT_TOL
+        drifted = kept.pinv.matrix.copy()
+        replaced = off > 1.0
+        assert kept.stepped() is not replaced
+        assert (kept.recomputes, kept.drift_events, len(formed)) == ((2, 1, 2) if replaced else (1, 0, 1))
+        assert np.array_equal(kept.pinv.matrix, fresh if replaced else drifted)
+
+    def test_mass_off_the_projector_rebuilds_at_rank_plus_one(self, monkeypatch):
+        # the kept Y still inverts X on its old image (G Y - P = 0), but X
+        # gained mass off it above the rank cutoff: the drift check rebuilds
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        x = np.diag([1.0, 2.0, 0.0])
+        kept = KeptPinv(3, lambda: x)
+        kept.recompute()
+        assert kept.pinv.source_rank == 2
+        x[2, 2] = 1e-9
+        assert not kept.stepped()
+        assert (kept.pinv.source_rank, kept.recomputes, kept.drift_events) == (3, 2, 1)
+        assert np.allclose(kept.pinv.matrix, np.diag([1.0, 0.5, 1e9]), rtol=1e-12, atol=0.0)
+
     def test_score_is_the_shared_relative_leverage(self):
         # dense and densified sparse rows against a full-rank and a rank-7
         # (d = 8) matrix, on and off the image; from the same form, the
@@ -594,7 +644,7 @@ class TestKeptPinv:
         gauss = gen_gaussian(40, 8, seed=31)
         kd = permute(gen_kd_multigraph(8, 64), seed=32)
         for stream in (gauss, kd):
-            kept = KeptPinv(8, stream.gram)
+            kept = KeptPinv(8, stream.gram_matrix)
             kept.recompute()
             assert kept.pinv.source_rank == (8 if stream is gauss else 7)
             rows = np.array([oracles.dense_row(stream.row(i), 8) for i in range(0, stream.n, 7)]
@@ -758,6 +808,58 @@ class TestBarrierSampler:
             state.add_rows(lo, block[lo:lo + ONLINE_RUN])
         assert str(raised.value) == f"gap matrix indefinite at row {lo}"
         assert isinstance(raised.value.__cause__, NotPsd)
+
+    def test_gap_indefinite_off_its_image_raises_at_the_drift_check(self, monkeypatch):
+        # rows in the first three of d = 4 coordinates, and seen raised along
+        # the fourth: the lower gap goes 1e-9 trace(upper) negative off its
+        # image, where its kept pseudo-inverse still fits it (G Y - P stays
+        # small), within BARRIER_TOL but beyond the SymPsd floor. Only the
+        # certificate's Cholesky sees it, and the drift check at row lo raises
+        rows = np.random.default_rng(85).standard_normal((300, 4))
+        rows[:, 3] = 0.0
+        lo, e4 = 175, np.outer(np.eye(4)[3], np.eye(4)[3])
+        state = BarrierState(4, 0.5, seed=86)
+        state.add_rows(0, rows[:lo])
+        state.seen += 1e-9 * float(np.trace((1 + 0.5) * state.seen)) / (1 - 0.5) * e4
+        lower_gap = state.sketch.gram_matrix() - (1 - 0.5) * state.seen
+        assert sandwich_holds(lower_gap, BARRIER_TOL * float(np.trace((1 + 0.5) * state.seen)))
+        with pytest.raises(NotPsd):
+            SymPsd(lower_gap)
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        with pytest.raises(BarrierViolation) as raised:
+            state.add_rows(lo, rows[lo:lo + ONLINE_RUN])
+        assert str(raised.value) == f"gap matrix indefinite at row {lo}"
+        assert isinstance(raised.value.__cause__, NotPsd)
+
+    def test_drift_replacement_that_grows_a_gap_retakes_its_verdicts(self, monkeypatch):
+        # a row the gaps' kept pseudo-inverses never saw enters seen and the
+        # sketch as if kept at p = 1, along the fourth of d = 4 coordinates
+        # that the rows before it left out: both gaps gain eps times its
+        # squared length there, off their images. Row lo, still in three coordinates, steps, and its
+        # drift check replaces both at rank 4; the rows after it are on the
+        # new images, so a run must take their verdicts again to score them
+        # as one row at a time does
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        rows = np.random.default_rng(87).standard_normal((300, 4))
+        lo = 170
+        rows[:lo + 1, 3] = 0.0
+        twins = [BarrierState(4, 0.5, seed=88) for _ in range(2)]
+        for state in twins:
+            state.add_rows(0, rows[:lo - 1])
+            unseen = np.sqrt(np.trace(state.seen) / 4) * np.eye(4)[3]
+            state.sketch.append_rows([lo - 1], [1.0], unseen[None])
+            state.seen += np.outer(unseen, unseen)
+        as_run, by_rows = twins
+        as_run.add_rows(lo, rows[lo:lo + ONLINE_RUN])
+        for i in range(lo, lo + ONLINE_RUN):
+            barrier_step(by_rows, rows[i], i)
+        for gap in (as_run.upper_pinv, as_run.lower_pinv):
+            assert gap.pinv.source_rank == 4 and gap.drift_events == 1
+        assert as_run.sketch.indices == by_rows.sketch.indices
+        probs = np.concatenate(by_rows.probs[-ONLINE_RUN:])
+        assert np.allclose(as_run.probs[-1], probs, rtol=0.0, atol=1e-12)
+        counts = [[(k.recomputes, k.drift_events) for k in (s.upper_pinv, s.lower_pinv)] for s in twins]
+        assert counts[0] == counts[1]
 
     def test_cholesky_check_agrees_with_audited_gaps(self):
         stream = gen_gaussian(200, 6, seed=77)

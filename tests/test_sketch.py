@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from specstream import DimensionMismatch, InvalidWeight, NonFiniteInput, Sketch
+from specstream import BarrierState, DimensionMismatch, InvalidWeight, NonFiniteInput, OnlineState, Sketch
 from specstream import rows as rowops
 from specstream.linalg import PInv, on_image_rows
+from specstream.random_order import BlockSampler, ResparsifyApprox
 from specstream.randomness import CHUNK, IndexedUniforms, derive_seed
 
 import oracles
@@ -117,6 +118,21 @@ class TestSketch:
             sk.append(0, 1.0, np.ones(4))
         with pytest.raises(DimensionMismatch):
             sk.append(0, 1.0, rowops.sparse_row([3], [1.0], 4))
+
+    @pytest.mark.parametrize("make", [
+        Sketch,
+        lambda d: OnlineState(d, 0.5, seed=1),
+        lambda d: BarrierState(d, 0.5, seed=1),
+        lambda d: BlockSampler(d, 0.5, seed=1),
+        lambda d: ResparsifyApprox(4.0, 0.45, seed=2, dim=d),
+    ], ids=["sketch", "online", "barrier", "block", "resparsify"])
+    def test_non_integer_dimension_refused(self, make):
+        # numpy's own TypeError came from np.zeros((2.5, 2.5)), after int() had truncated dim
+        for dim in (2.5, np.float64(3.9)):
+            with pytest.raises(DimensionMismatch, match="not an integer"):
+                make(dim)
+        made = make(np.int64(3))
+        assert made.dim == 3 and type(made.dim) is int
 
     def test_sparse_rows_accumulate(self):
         sk = Sketch(4)
