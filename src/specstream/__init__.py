@@ -24,19 +24,8 @@ from .errors import (
     PreconditionViolation,
     SpecstreamError,
     UnknownSuite,
-    ZeroMatrix,
 )
-from .linalg import (
-    PInv,
-    SymPsd,
-    approx_factor,
-    default_rank_tol,
-    min_nonzero_eig,
-    pinv,
-    pinv_rank1_update,
-    pseudo_det,
-)
-from .leverage import leverage_scores, relative_leverage
+from .linalg import PInv, SymPsd, default_rank_tol, pinv, pinv_rank1_update, relative_leverage
 from .sketch import RunStats, Sketch
 from .instances import (
     RowStream,
@@ -65,7 +54,7 @@ from .random_order import (
     seed_block_size,
 )
 from .jl import JlScorer, jl_build, projection_rows
-from .verify import mu, verify
+from .verify import approx_factor, leverage_scores, mu, verify
 from .bench import TrialRecord, bench_suite, read_csv, run_sampler, run_trial, write_csv
 from .io import read_sketch, read_stream, write_sketch, write_stream
 
@@ -75,10 +64,8 @@ __all__ = [
     "AllZeroStream", "BarrierViolation", "CapacityCollapse", "ConstApproxFailure",
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
     "FormatError", "InvalidWeight", "NonFiniteInput", "NotPsd",
-    "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite", "ZeroMatrix",
-    "PInv", "SymPsd", "approx_factor", "default_rank_tol", "min_nonzero_eig",
-    "pinv", "pinv_rank1_update", "pseudo_det",
-    "leverage_scores", "relative_leverage",
+    "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite",
+    "PInv", "SymPsd", "default_rank_tol", "pinv", "pinv_rank1_update", "relative_leverage",
     "RunStats", "Sketch",
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",
     "BarrierState", "OnlineState", "barrier_step", "online_step",
@@ -86,7 +73,7 @@ __all__ = [
     "BlockSampler", "BlockSchedule", "ImprovedSampler", "ResparsifyApprox",
     "ScaledSampler", "improved_scaled_sampling", "scaled_sampling", "seed_block_size",
     "JlScorer", "jl_build", "projection_rows",
-    "mu", "verify",
+    "approx_factor", "leverage_scores", "mu", "verify",
     "TrialRecord", "bench_suite", "read_csv", "run_sampler", "run_trial", "write_csv",
     "read_sketch", "read_stream", "write_sketch", "write_stream",
     "__version__",

@@ -17,10 +17,6 @@ class NotPsd(SpecstreamError):
     """Matrix has an eigenvalue below the PSD tolerance floor."""
 
 
-class ZeroMatrix(SpecstreamError):
-    """Operation undefined on an all-zero matrix."""
-
-
 class PreconditionViolation(SpecstreamError):
     """Rank-one update vector is not orthogonal to the kernel."""
 

@@ -7,7 +7,6 @@ import numpy as np
 
 from . import rows as rowops
 from .errors import DimensionMismatch, EmptyStream, NonFiniteInput
-from .linalg import SymPsd
 
 
 class RowStream:
@@ -22,8 +21,7 @@ class RowStream:
     """
 
     def __init__(self, d: int, payload, meta: dict, sparse: bool = False):
-        if d <= 0:
-            raise DimensionMismatch("dimension must be positive")
+        d = rowops.dimension(d)
         if sparse:
             rows = payload if isinstance(payload, rowops.SparseRows) else rowops.SparseRows.of_pairs(payload)
             rows.check(d)
@@ -34,7 +32,7 @@ class RowStream:
         # One vectorised check per stream keeps NaN/inf out of every sampler.
         if not np.all(np.isfinite(rows.data if sparse else rows)):
             raise NonFiniteInput("stream holds a NaN or infinite value")
-        self.d = int(d)
+        self.d = d
         self.meta = dict(meta)
         self.is_sparse = bool(sparse)
         self._rows = rows
@@ -60,9 +58,6 @@ class RowStream:
     def gram_matrix(self) -> np.ndarray:
         m = self.materialize() if self.is_sparse else self._rows
         return m.T @ m
-
-    def gram(self) -> SymPsd:
-        return SymPsd(self.gram_matrix())
 
     def __len__(self):
         return self.n

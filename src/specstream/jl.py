@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from .errors import EmptySketch
-from .leverage import relative_of
-from .linalg import PInv, on_image_rows, pinv
+from .linalg import PInv, on_image_rows, pinv, relative_of
 from .randomness import MASK64
 from .sketch import Sketch
 

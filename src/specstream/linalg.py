@@ -1,13 +1,20 @@
-"""Dense symmetric PSD kernel: pseudo-inverses, rank-one updates, pseudo-determinants.
+"""Dense symmetric PSD kernel for the samplers: pseudo-inverses, rank-one
+updates, the image test and relative leverage scores.
 
-Every rank decision in the package flows through SymPsd's cached
-eigendecomposition, so "zero eigenvalue" means the same thing in the
-pseudo-inverse, the pseudo-determinant and the approximation-factor check.
-Matrices and rows here are small and dense.
+Two rules decide whether a direction belongs to a matrix, and they are not
+the same rule (ROADMAP item 14). A pseudo-inverse keeps the eigenvalues of
+SymPsd's cached eigendecomposition above default_rank_tol(d) * lambda_max.
+The image test, on_image_rows, calls a row on the image when its residual
+off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
+
+The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
+the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
+X, and is exactly 1 otherwise. relative_of applies it to kernel verdicts
+and forms a caller took; relative_scores takes both for a block of rows
+with one product. The definitional stacked-matrix form appears only as a
+test oracle. Matrices and rows here are small and dense.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -17,7 +24,6 @@ from .errors import (
     NotPsd,
     NotSymmetric,
     PreconditionViolation,
-    ZeroMatrix,
 )
 
 # Relative Frobenius tolerance for accepting input as symmetric.
@@ -124,6 +130,27 @@ def on_image_rows(p: PInv, block) -> np.ndarray:
             <= DEFAULT_ORTHO_TOL ** 2 * np.einsum("ij,ij->i", block, block))
 
 
+def quad_forms(p: PInv, block) -> np.ndarray:
+    """row' X+ row, clamped at 0, for every row of a dense (b, d) block."""
+    return np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
+
+
+def relative_of(on, q) -> np.ndarray:
+    """Relative scores from kernel verdicts on and quadratic forms q >= 0."""
+    return np.where(on, q / (q + 1.0), 1.0)
+
+
+def relative_scores(p: PInv, block) -> np.ndarray:
+    """Relative score of every row of a dense (b, d) block against the
+    matrix X behind p = pinv(X), with one product."""
+    return relative_of(on_image_rows(p, block), quad_forms(p, block))
+
+
+def relative_leverage(b_pinv: PInv, row) -> float:
+    """relative_scores of one dense row."""
+    return float(relative_scores(b_pinv, np.asarray(row, dtype=float)[None])[0])
+
+
 def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
     """Pseudo-inverse of (s + k uu') given p = pinv(s), for u orthogonal to Ker(s).
 
@@ -145,20 +172,6 @@ def pinv_rank1_update(p: PInv, u, k: float) -> PInv:
     return PInv(p.source_rank, p.matrix - (pu[:, None] * pu) * (k / denom), p.projector)
 
 
-def pseudo_det(s: SymPsd) -> float:
-    """Product of the nonzero eigenvalues; 1 for the zero matrix.
-
-    Raises OverflowError when the linear-scale product leaves the finite
-    float range.
-    """
-    nonzero = s.eigenvalues[s.support()]
-    with np.errstate(over="ignore", under="ignore"):
-        value = float(np.prod(nonzero)) if nonzero.size else 1.0
-    if not math.isfinite(value) or (nonzero.size and value == 0.0):
-        raise OverflowError("pseudo-determinant out of float range")
-    return value
-
-
 def pinv_quad_form(s: SymPsd, a) -> float:
     """a' s+ a straight from the eigendecomposition, skipping the d^2 inverse."""
     a = np.asarray(a, dtype=float)
@@ -169,39 +182,3 @@ def pinv_quad_form(s: SymPsd, a) -> float:
         return 0.0
     y = s.eigenvectors[:, mask].T @ a
     return float(np.sum(y * y / s.eigenvalues[mask]))
-
-
-def min_nonzero_eig(s: SymPsd) -> float:
-    """Smallest eigenvalue above the rank threshold."""
-    if s.rank == 0:
-        raise ZeroMatrix("all eigenvalues are zero")
-    return float(s.eigenvalues[s.rank - 1])
-
-
-def approx_factor(gram_ref: SymPsd, gram_test: SymPsd) -> float:
-    """Tightest eps with (1-eps) ref <= test <= (1+eps) ref on Im(ref).
-
-    Computed as max |lambda - 1| over the eigenvalues of
-    ref^{+/2} test ref^{+/2} restricted to the reference image. Returns
-    math.inf when the test matrix has mass on Ker(ref) (no finite eps
-    exists).
-    """
-    if gram_ref.dim != gram_test.dim:
-        raise DimensionMismatch(f"dims {gram_ref.dim} vs {gram_test.dim}")
-    mask = gram_ref.support()
-    t = gram_test.entries
-    lam_t = gram_test.eigenvalues[0]
-    if gram_ref.rank < gram_ref.dim:
-        kern = gram_ref.eigenvectors[:, ~mask]
-        # Largest eigenvalue of the test restricted to Ker(ref); PSD cross
-        # terms are bounded by the diagonal blocks, so this check suffices.
-        kern_mass = float(np.max(np.linalg.eigvalsh(kern.T @ t @ kern)))
-        if kern_mass > gram_test.rank_tol * lam_t:
-            return math.inf
-    if gram_ref.rank == 0:
-        return 0.0
-    vs = gram_ref.eigenvectors[:, mask]
-    half = vs / np.sqrt(gram_ref.eigenvalues[mask])
-    w = half.T @ t @ half
-    mu = np.linalg.eigvalsh(w)
-    return float(np.max(np.abs(mu - 1.0)))

@@ -36,8 +36,9 @@ import numpy as np
 from . import rows as rowops
 from .errors import BarrierViolation, NotPsd
 from .instances import RowStream
-from .leverage import quad_forms, relative_of
-from .linalg import UPDATE_DENOM_FLOOR, PInv, SymPsd, default_rank_tol, on_image_rows, pinv
+from .linalg import (
+    UPDATE_DENOM_FLOOR, PInv, SymPsd, default_rank_tol, on_image_rows, pinv, quad_forms, relative_of,
+)
 from .randomness import CHUNK, IndexedUniforms
 from .sketch import RunStats, Sketch
 

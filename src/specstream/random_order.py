@@ -32,8 +32,7 @@ from .errors import (
 )
 from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
-from .leverage import quad_forms, relative_scores
-from .linalg import PInv, SymPsd, pinv
+from .linalg import PInv, SymPsd, pinv, quad_forms, relative_scores
 from .online import sampling_constant
 from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
 from .sketch import RunStats, Sketch

@@ -1,8 +1,10 @@
-"""Ground-truth checks: approximation factor, score-log audit, stream condition number.
+"""The referee: approximation factor, exact and online leverage, the
+score-log audit and the stream condition number.
 
-Everything here recomputes from exact Grams and eigenvalues. It is the
-referee for the samplers, so it shares no code path with them beyond the
-base linear algebra.
+Everything here recomputes from exact Grams and eigenvalues: approx_factor
+and leverage_scores are the two measures verify applies to a sketch and its
+score log, online_leverage and mu read a stream's prefixes. It shares no
+code path with the samplers beyond SymPsd and its rank cutoff.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ import numpy as np
 
 from .errors import AllZeroStream, DimensionMismatch, EmptyStream, NonFiniteInput
 from .instances import RowStream
-from .leverage import leverage_scores
-from .linalg import SymPsd, approx_factor, default_rank_tol
+from .linalg import SymPsd, default_rank_tol
 from .sketch import Sketch
 
 # Numerical slack for the overestimate audit: logged scores may sit exactly
@@ -23,6 +24,53 @@ AUDIT_SLACK = 1e-9
 # online_leverage and mu eigendecompose prefix Grams in stacked batches of
 # about this many matrix entries, so their memory stays flat in n.
 PREFIX_BATCH_ENTRIES = 1 << 20
+
+
+def approx_factor(gram_ref: SymPsd, gram_test: SymPsd) -> float:
+    """Tightest eps with (1-eps) ref <= test <= (1+eps) ref on Im(ref).
+
+    Computed as max |lambda - 1| over the eigenvalues of
+    ref^{+/2} test ref^{+/2} restricted to the reference image. Returns
+    math.inf when the test matrix has mass on Ker(ref) (no finite eps
+    exists).
+    """
+    if gram_ref.dim != gram_test.dim:
+        raise DimensionMismatch(f"dims {gram_ref.dim} vs {gram_test.dim}")
+    mask = gram_ref.support()
+    t = gram_test.entries
+    lam_t = gram_test.eigenvalues[0]
+    if gram_ref.rank < gram_ref.dim:
+        kern = gram_ref.eigenvectors[:, ~mask]
+        # Largest eigenvalue of the test restricted to Ker(ref); PSD cross
+        # terms are bounded by the diagonal blocks, so this check suffices.
+        kern_mass = float(np.max(np.linalg.eigvalsh(kern.T @ t @ kern)))
+        if kern_mass > gram_test.rank_tol * lam_t:
+            return math.inf
+    if gram_ref.rank == 0:
+        return 0.0
+    vs = gram_ref.eigenvectors[:, mask]
+    half = vs / np.sqrt(gram_ref.eigenvalues[mask])
+    w = half.T @ t @ half
+    mu = np.linalg.eigvalsh(w)
+    return float(np.max(np.abs(mu - 1.0)))
+
+
+def leverage_scores(rows_in) -> np.ndarray:
+    """Exact leverage scores tau_i = a_i' (A'A)+ a_i of a materialized matrix.
+
+    Accepts an (n, d) array or anything with materialize() returning one.
+    tau_i = ||c_i||^2 for whitened coordinates c = A V_r / sqrt(lambda_r) on
+    the Gram's support, with no pseudo-inverse formed. The scores, clipped
+    to [0, 1], sum to rank(A).
+    """
+    a = rows_in.materialize() if hasattr(rows_in, "materialize") else np.asarray(rows_in, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d row matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise EmptyStream("no rows to score")
+    s = SymPsd(a.T @ a)
+    c = a @ (s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank]))
+    return np.clip(np.einsum("ij,ij->i", c, c), 0.0, 1.0)
 
 
 def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool | None]:
@@ -46,7 +94,7 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
     # a sampler accumulated while sampling is sampler state, and the referee
     # judges only what the sketch holds.
     weighted = sketch.weighted_matrix()
-    eps_actual = approx_factor(stream.gram(), SymPsd(weighted.T @ weighted))
+    eps_actual = approx_factor(SymPsd(stream.gram_matrix()), SymPsd(weighted.T @ weighted))
 
     if scores is None:
         return eps_actual, None

@@ -10,6 +10,7 @@ from specstream import (
     NonFiniteInput,
     RowStream,
     SpecstreamError,
+    SymPsd,
     gen_gaussian,
     gen_kd_multigraph,
     gen_mu_controlled,
@@ -26,6 +27,17 @@ class TestRowStream:
             RowStream(3, np.zeros((4, 2)), {"kind": "test"})
         with pytest.raises(DimensionMismatch):
             RowStream(0, np.zeros((4, 0)), {"kind": "test"})
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_non_integer_dimension_refused(self, sparse):
+        # sparse rows in d = 2.5 were taken as d = 2, and block() then raised
+        # numpy's IndexError; d = 3.0 was taken as 3
+        payload = [([0, 2], [1.0, 1.0])] if sparse else np.ones((3, 3))
+        for d in (2.5, 3.0, np.float64(3.9)):
+            with pytest.raises(DimensionMismatch, match="not an integer"):
+                RowStream(d, payload, {"kind": "test"}, sparse=sparse)
+        stream = RowStream(np.int64(3), payload, {"kind": "test"}, sparse=sparse)
+        assert stream.d == 3 and type(stream.d) is int
 
     def test_dense_nan_row_rejected(self):
         # Unchecked, this row made run_online raise numpy's LinAlgError and
@@ -159,7 +171,7 @@ class TestGaussian:
 
     def test_square_is_full_rank(self):
         for s in range(5):
-            g = gen_gaussian(6, 6, seed=s).gram()
+            g = SymPsd(gen_gaussian(6, 6, seed=s).gram_matrix())
             assert g.rank == 6
 
     def test_leverage_mass_is_dimension(self):

@@ -156,7 +156,7 @@ class TestRelativeLeverage:
         # the ~1.5e-8 relative floor of an expanded-square residual, which
         # sits above ortho_tol and turned on-image rows into new directions.
         stream = permute(gen_kd_multigraph(8, 64), seed=3)
-        p = pinv(stream.gram())
+        p = pinv(SymPsd(stream.gram_matrix()))
         rows = [oracles.dense_row(stream.row(i), stream.d) for i in range(stream.n)]
         worst = max(rowops.kernel_residual(p.projector, r) / np.linalg.norm(r) for r in rows)
         assert worst < 1e-12

@@ -26,8 +26,7 @@ from specstream import (
 )
 from specstream import online
 from specstream.errors import NonFiniteInput, NotPsd
-from specstream.leverage import relative_of
-from specstream.linalg import SymPsd, on_image_rows, pinv as linalg_pinv
+from specstream.linalg import SymPsd, on_image_rows, pinv as linalg_pinv, relative_of
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
 from specstream.randomness import CHUNK
@@ -360,6 +359,42 @@ class TestOnlineSampler:
         assert sketch.n_rows > online.PINV_VERIFY_EVERY and diag.drift_events == 0
         assert len(formed) == diag.pinv_recomputes
 
+    def test_walk_rescores_after_a_drift_replacement(self):
+        # Y is 1% off the sketch Gram's pseudo-inverse between two runs, and
+        # the second run's first kept row steps into the drift check, which
+        # replaces Y: the rows after it must be scored again against the new
+        # Y, as a twin rebuilt at that row scores them
+        rows = np.random.default_rng(91).standard_normal((2 * ONLINE_RUN, 6))
+        twins = [OnlineState(6, 0.5, seed=92) for _ in range(2)]
+        for state in twins:
+            state.add_rows(0, rows[:ONLINE_RUN])
+            state.kept.pinv.matrix *= 1.01
+        drifted, rebuilt = twins
+        assert drifted.kept.drift_events == 0
+        drifted.kept._updates_since_verify = online.PINV_VERIFY_EVERY - 1
+        kept = drifted.add_rows(ONLINE_RUN, rows[ONLINE_RUN:])
+        assert drifted.kept.drift_events == 1
+        i = ONLINE_RUN + int(np.argmax(kept))
+        rebuilt.kept._updates_since_verify = 0
+        assert rebuilt.add_rows(ONLINE_RUN, rows[ONLINE_RUN:i + 1]).tolist() == kept[:i + 1 - ONLINE_RUN].tolist()
+        rebuilt.kept.recompute()
+        assert rebuilt.add_rows(i + 1, rows[i + 1:]).tolist() == kept[i + 1 - ONLINE_RUN:].tolist()
+        assert np.allclose(drifted.scores[-1][i + 1 - ONLINE_RUN:], rebuilt.scores[-1], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-5])
+    def test_late_direction_meets_eps_and_the_audit(self, s):
+        # a direction that appears only in the last quarter of the stream, at
+        # scale s: a rank rule that misses mass building up along it over
+        # many rows fails eps or the audit here (ROADMAP item 14)
+        rows = np.random.default_rng(1).standard_normal((4000, 6))
+        rows[:3000, 5] = 0.0
+        rows[3000:, 5] *= s
+        stream = make_stream(rows)
+        for seed in range(1, 6):
+            sketch, diag = run_online(stream, 0.5, seed=seed)
+            eps_actual, audit = verify(stream, sketch, scores=diag.scores)
+            assert eps_actual <= 0.5 and audit, (seed, eps_actual)
+
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
         # the law clamps ln d at d = 2, so a one-column stream still samples
@@ -639,7 +674,7 @@ class TestKeptPinv:
         # (d = 8) matrix, on and off the image; from the same form, the
         # per-row and the block kernel test and formula agree bit for bit
         from specstream import relative_leverage
-        from specstream.leverage import quad_forms
+        from specstream.linalg import quad_forms
 
         gauss = gen_gaussian(40, 8, seed=31)
         kd = permute(gen_kd_multigraph(8, 64), seed=32)

@@ -58,7 +58,7 @@ class TestScaledSampler:
         sketch, diag = scaled_sampling(stream, 0.3, seed=4)
         assert sketch.n_rows == 20
         assert sketch.weights == [1.0] * 20
-        assert approx_factor(stream.gram(), sketch.gram) < 1e-12
+        assert approx_factor(SymPsd(stream.gram_matrix()), sketch.gram) < 1e-12
         assert diag.pinv_recomputes == 0
 
     def test_doubled_identity_copied_exactly(self):
@@ -66,7 +66,7 @@ class TestScaledSampler:
         stream = permute(make_stream(rows), seed=5)
         sketch, _ = scaled_sampling(stream, 0.5, seed=6)
         assert sketch.n_rows == 20
-        assert approx_factor(stream.gram(), sketch.gram) < 1e-12
+        assert approx_factor(SymPsd(stream.gram_matrix()), sketch.gram) < 1e-12
 
     def test_recomputes_equal_block_count(self):
         stream = permute(gen_gaussian(4000, 10, seed=7), seed=8)
@@ -80,7 +80,7 @@ class TestScaledSampler:
         # every block is frozen after K >= d Gaussian rows, so each frozen
         # matrix has full rank and its image is the whole space: the image
         # test reads no projector, so an all-NaN one moves no decision
-        from specstream import jl, leverage
+        from specstream import jl, linalg
         from specstream.linalg import PInv, on_image_rows
 
         stream = permute(gen_gaussian(1500, 6, seed=17), seed=18)
@@ -91,7 +91,7 @@ class TestScaledSampler:
             ranks.append(p.source_rank)
             return on_image_rows(PInv(p.source_rank, p.matrix, np.full_like(p.projector, np.nan)), block)
 
-        monkeypatch.setattr(leverage, "on_image_rows", nan_projector)
+        monkeypatch.setattr(linalg, "on_image_rows", nan_projector)
         monkeypatch.setattr(jl, "on_image_rows", nan_projector)
         sketch, diag = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
         assert diag.pinv_recomputes >= 5 and sketch.n_rows < stream.n

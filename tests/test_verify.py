@@ -1,5 +1,7 @@
 """Ground-truth referee: approximation factor, score audits, stream condition number."""
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,25 @@ class TestVerify:
         for idx, w, row in sk:
             copy.append(idx, w, row)
         assert verify(stream, sk)[0] == verify(stream, copy)[0]
+
+
+    def test_referee_imports_no_sampler_code(self):
+        # of the package, the referee takes the errors, the stream, the sketch
+        # and SymPsd with its rank cutoff; nothing a sampler decides with
+        allowed = {"errors": None, "instances": None, "sketch": None,
+                   "linalg": {"SymPsd", "default_rank_tol"}}
+        source = Path(importlib.import_module("specstream.verify").__file__).read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "specstream" for a in node.names), ast.unparse(node)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "specstream"):
+                module = (node.module or "").removeprefix("specstream").lstrip(".")
+                names = {a.name for a in node.names}
+                if not module:  # from . import errors
+                    assert names <= {m for m, only in allowed.items() if only is None}, ast.unparse(node)
+                else:
+                    assert module in allowed, ast.unparse(node)
+                    assert allowed[module] is None or names <= allowed[module], ast.unparse(node)
 
 
 class TestOnlineLeverage:
