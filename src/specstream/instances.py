@@ -101,8 +101,12 @@ def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
     prefix sigma_min^2 is then 1 (attained inside level 0) and the final
     spectral norm is gamma^(2(levels-1)), so the ratio has a closed form.
     """
-    if d < 1 or levels < 1 or gamma <= 1.0:
-        raise DimensionMismatch("need d >= 1, levels >= 1, gamma > 1")
+    if d < 1 or levels < 1 or not 1.0 < gamma < math.inf:
+        raise DimensionMismatch("need d >= 1, levels >= 1 and a finite gamma > 1")
+    try:  # meta["mu"], and every coordinate's Gram mass
+        top = float(gamma) ** (2 * (levels - 1))
+    except OverflowError:
+        raise DimensionMismatch(f"gamma={gamma}, levels={levels}: gamma^(2(levels-1)) overflows") from None
     scales = [1.0] + [math.sqrt(gamma ** (2 * lv) - gamma ** (2 * (lv - 1))) for lv in range(1, levels)]
     payload = rowops.SparseRows(np.arange(levels * d + 1), np.tile(np.arange(d), levels),
                                 np.repeat(scales, d))
@@ -111,7 +115,7 @@ def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
         "d": d,
         "levels": levels,
         "gamma": float(gamma),
-        "mu": float(gamma) ** (2 * (levels - 1)),
+        "mu": top,
     }
     return RowStream(d, payload, meta, sparse=True)
 

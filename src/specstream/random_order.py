@@ -229,7 +229,6 @@ class BlockSampler:
             schedule=BlockSchedule.for_stream(self.count, self.dim),
             frozen_pinvs=self.frozen_pinvs,
             resparsify_passes=getattr(self.approx, "passes", None),
-            resparsify_retries=getattr(self.approx, "retries", None),
         )
 
 
@@ -260,11 +259,10 @@ class ResparsifyApprox:
     Holds at most 2C weighted rows with C = ceil(capacity_mult * beta^-2 *
     d * ln d). Reaching 2C triggers a resparsify pass: every held row is
     scored by the buffer Gram's pseudo-inverse, kept with p = min(c_beta *
-    tau, 1), and surviving weights compound by 1/sqrt(p). A pass that fails
-    to shrink the buffer is retried once with doubled c_beta, then fails.
+    tau, 1), and surviving weights compound by 1/sqrt(p). A pass expects
+    at most C survivors, so one that keeps 2C raises CapacityCollapse.
     The buffer is a Sketch, so a pass scores it with one product and keeps
-    its survivors in place with another. passes and retries count the
-    passes made and the retries among them.
+    its survivors in place with another. passes counts the passes made.
     """
 
     def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int):
@@ -273,14 +271,11 @@ class ResparsifyApprox:
         if not 4.0 <= capacity_mult < math.inf:
             raise ValueError(f"capacity_mult must be finite and >= 4, got {capacity_mult}")
         self.dim = dim = rowops.dimension(dim, least=2)  # the resparsify plug needs d >= 2
-        self.capacity_mult = float(capacity_mult)
-        self.beta = float(beta)
         self.seed = int(seed)
         self.c_beta = sampling_constant(beta, dim, capacity_mult)
         self.capacity_rows = math.ceil(self.c_beta * dim)
         self.buffer = Sketch(dim)
         self.passes = 0
-        self.retries = 0
         self.peak_rows = 0
         self.last_index = -1
 
@@ -306,23 +301,19 @@ class ResparsifyApprox:
 
     def _resparsify(self):
         _, w, held = self.buffer.columns()
-        n = len(held)
         tau = np.minimum(w * w * quad_forms(pinv(self.buffer.gram), held), 1.0)
-        for attempt in range(2):
-            if attempt:
-                self.retries += 1
-            c_eff = self.c_beta * (2.0 ** attempt)
-            probs = np.minimum(c_eff * tau, 1.0)
-            key = np.array([self.seed & MASK64, 2 * self.passes + attempt], dtype=np.uint64)
-            draws = np.random.Generator(np.random.Philox(key=key)).random(n)
-            pos = np.flatnonzero(draws < probs)
-            if pos.size < 2 * self.capacity_rows:
-                self.buffer.keep(pos, w[pos] / np.sqrt(probs[pos]))
-                self.passes += 1
-                return
-        raise CapacityCollapse(
-            f"buffer stuck at {n} rows with capacity {self.capacity_rows}"
-        )
+        probs = np.minimum(self.c_beta * tau, 1.0)
+        # Pass k keys its draws (seed, 2k), the key seeded runs have always
+        # drawn it on, so they keep their draws; the odd keys stay unused.
+        key = np.array([self.seed & MASK64, 2 * self.passes], dtype=np.uint64)
+        draws = np.random.Generator(np.random.Philox(key=key)).random(len(held))
+        pos = np.flatnonzero(draws < probs)
+        if pos.size >= 2 * self.capacity_rows:
+            raise CapacityCollapse(
+                f"buffer stuck at {len(held)} rows with capacity {self.capacity_rows}"
+            )
+        self.buffer.keep(pos, w[pos] / np.sqrt(probs[pos]))
+        self.passes += 1
 
     def query(self) -> Sketch:
         """The held rows folded afresh with one product, for a block sampler to freeze."""

@@ -158,4 +158,3 @@ class RunStats:
     schedule: object = None
     frozen_pinvs: list | None = None
     resparsify_passes: int | None = None
-    resparsify_retries: int | None = None

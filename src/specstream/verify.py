@@ -1,10 +1,11 @@
 """The referee: approximation factor, exact and online leverage, the
 score-log audit and the stream condition number.
 
-Everything here recomputes from exact Grams and eigenvalues: approx_factor
-and leverage_scores are the two measures verify applies to a sketch and its
-score log, online_leverage and mu read a stream's prefixes. It shares no
-code path with the samplers beyond SymPsd and its rank cutoff.
+Everything here recomputes from exact Grams and eigenvalues. verify reads a
+stream once (RowStream.block) and factors its Gram once, one SymPsd that
+approx_factor and the audit's leverage both whiten by; online_leverage and mu
+read a stream's prefixes batch by batch. It shares no code path with the
+samplers beyond SymPsd and its rank cutoff.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .sketch import Sketch
 # on the true value up to clamp rounding.
 AUDIT_SLACK = 1e-9
 
-# online_leverage and mu eigendecompose prefix Grams in stacked batches of
-# about this many matrix entries, so their memory stays flat in n.
+# online_leverage and mu read the stream (RowStream.block) and eigendecompose its
+# prefix Grams in stacked batches of about this many entries: memory flat in n.
 PREFIX_BATCH_ENTRIES = 1 << 20
 
 
@@ -36,11 +37,10 @@ def approx_factor(gram_ref: SymPsd, gram_test: SymPsd) -> float:
     """
     if gram_ref.dim != gram_test.dim:
         raise DimensionMismatch(f"dims {gram_ref.dim} vs {gram_test.dim}")
-    mask = gram_ref.support()
     t = gram_test.entries
     lam_t = gram_test.eigenvalues[0]
     if gram_ref.rank < gram_ref.dim:
-        kern = gram_ref.eigenvectors[:, ~mask]
+        kern = gram_ref.eigenvectors[:, gram_ref.rank:]
         # Largest eigenvalue of the test restricted to Ker(ref); PSD cross
         # terms are bounded by the diagonal blocks, so this check suffices.
         kern_mass = float(np.max(np.linalg.eigvalsh(kern.T @ t @ kern)))
@@ -48,11 +48,21 @@ def approx_factor(gram_ref: SymPsd, gram_test: SymPsd) -> float:
             return math.inf
     if gram_ref.rank == 0:
         return 0.0
-    vs = gram_ref.eigenvectors[:, mask]
-    half = vs / np.sqrt(gram_ref.eigenvalues[mask])
+    half = _whitener(gram_ref)
     w = half.T @ t @ half
     mu = np.linalg.eigvalsh(w)
     return float(np.max(np.abs(mu - 1.0)))
+
+
+def _whitener(s: SymPsd) -> np.ndarray:
+    """V_r / sqrt(lambda_r) on the support of s; a row's whitened coordinates are row @ it."""
+    return s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank])
+
+
+def _leverage(a: np.ndarray, gram: SymPsd) -> np.ndarray:
+    """Leverage of the rows a against gram, the SymPsd of their Gram, clipped to [0, 1]."""
+    c = a @ _whitener(gram)
+    return np.clip(np.einsum("ij,ij->i", c, c), 0.0, 1.0)
 
 
 def leverage_scores(rows_in) -> np.ndarray:
@@ -68,9 +78,7 @@ def leverage_scores(rows_in) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d row matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise EmptyStream("no rows to score")
-    s = SymPsd(a.T @ a)
-    c = a @ (s.eigenvectors[:, :s.rank] / np.sqrt(s.eigenvalues[:s.rank]))
-    return np.clip(np.einsum("ij,ij->i", c, c), 0.0, 1.0)
+    return _leverage(a, SymPsd(a.T @ a))
 
 
 def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool | None]:
@@ -82,46 +90,43 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
     outside the row space as inf. overestimate_ok reports whether every
     logged score dominates the true leverage score of its row (None when
     no log was supplied); a log with a non-finite score raises
-    NonFiniteInput.
+    NonFiniteInput. Both answers come from one read and one factor of the stream.
     """
     if stream.d != sketch.dim:
-        raise DimensionMismatch(
-            f"stream dimension {stream.d} != sketch dimension {sketch.dim}"
-        )
+        raise DimensionMismatch(f"stream dimension {stream.d} != sketch dimension {sketch.dim}")
     if stream.n == 0:
         raise EmptyStream("empty stream")
+    rows = stream.block(0, stream.n)
+    ref = SymPsd(rows.T @ rows)
     # The sketch's Gram is formed afresh from its weights and rows: the Gram
     # a sampler accumulated while sampling is sampler state, and the referee
     # judges only what the sketch holds.
     weighted = sketch.weighted_matrix()
-    eps_actual = approx_factor(SymPsd(stream.gram_matrix()), SymPsd(weighted.T @ weighted))
+    eps_actual = approx_factor(ref, SymPsd(weighted.T @ weighted))
 
     if scores is None:
         return eps_actual, None
 
     logged = np.asarray(scores, dtype=float)
     if logged.shape != (stream.n,):
-        raise DimensionMismatch(
-            f"score log length {logged.shape} does not match stream length {stream.n}"
-        )
+        raise DimensionMismatch(f"score log length {logged.shape} does not match stream length {stream.n}")
     if not np.isfinite(logged).all():
         raise NonFiniteInput("score log holds a non-finite score")
-    tau = leverage_scores(stream)
+    tau = _leverage(rows, ref)
     overestimate_ok = bool(np.all(logged + AUDIT_SLACK >= tau))
     return eps_actual, overestimate_ok
 
 
 def _prefix_grams(stream: RowStream):
-    """Yield (start, rows, prefix Grams) batch by batch: grams[k] is the Gram
-    of rows 0..start + k, summed in row order."""
+    """Yield (start, rows, prefix Grams), one RowStream.block read a batch:
+    grams[k] is the Gram of rows 0..start + k, summed in row order."""
     if stream.n == 0:
         raise EmptyStream("empty stream")
-    a = stream.materialize()
     d = stream.d
     batch = max(1, PREFIX_BATCH_ENTRIES // (d * d))
     gram = np.zeros((d, d))
     for start in range(0, stream.n, batch):
-        block = a[start:start + batch]
+        block = stream.block(start, min(start + batch, stream.n))
         grams = gram + np.cumsum(block[:, :, None] * block[:, None, :], axis=0)
         yield start, block, grams
         gram = grams[-1]

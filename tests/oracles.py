@@ -6,6 +6,7 @@ a second code path. The unit tests and the acceptance suite both pull
 from this module.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,6 +82,40 @@ def exact_online_leverage(rows):
         g_pinv = np.linalg.pinv(prefix.T @ prefix, rcond=d * RANK_TOL_BITS, hermitian=True)
         tau[i] = a @ g_pinv @ a
     return tau
+
+
+def rational_online_leverage(rows):
+    """exact_online_leverage in exact rational arithmetic, for small streams.
+
+    Floats convert to Fractions exactly, and the prefix Gram G_i is summed
+    exactly. Row a_i lies on the image of G_i, so any x with G_i x = a_i
+    gives a_i' x = a_i' G_i+ a_i; x comes from Gauss-Jordan elimination,
+    with free variables at 0. Only the final score is rounded to a float.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(rows, dtype=float).tolist()]
+    d = len(rows[0]) if rows else 0
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    tau = []
+    for a in rows:
+        for j in range(d):
+            for k in range(d):
+                gram[j][k] += a[j] * a[k]
+        aug = [gram[j] + [a[j]] for j in range(d)]  # fresh rows of [G_i | a_i]
+        pivots = []
+        for col in range(d):
+            at = next((i for i in range(len(pivots), d) if aug[i][col]), None)
+            if at is None:
+                continue
+            r = len(pivots)
+            aug[r], aug[at] = aug[at], aug[r]
+            aug[r] = [v / aug[r][col] for v in aug[r]]
+            for i in range(d):
+                if i != r and aug[i][col]:
+                    f = aug[i][col]
+                    aug[i] = [u - f * v for u, v in zip(aug[i], aug[r])]
+            pivots.append(col)
+        tau.append(float(sum(a[col] * aug[r][d] for r, col in enumerate(pivots))))
+    return np.array(tau)
 
 
 def online_size_bracket(tau, c, eps):
@@ -275,11 +310,11 @@ def resparsify_reference(rows, capacity_mult, beta, seed):
 
     Rows enter a buffer at weight 1. When it holds 2C rows, C =
     ceil(capacity_mult beta^-2 d ln d), row j of it is kept with
-    p = min(2^t c tau_j, 1), c = capacity_mult beta^-2 ln d and
+    p = min(c tau_j, 1), c = capacity_mult beta^-2 ln d and
     tau_j = min(w_j^2 a_j' G+ a_j, 1) against the buffer's weighted Gram G,
-    on Philox draws keyed (seed, 2 passes + t) for attempt t = 0, 1; the
-    first attempt that keeps fewer than 2C rows divides their weights by
-    sqrt(p). Returns (held indices, weights, passes, peak held rows).
+    on Philox draws keyed (seed, 2 passes); a pass must keep fewer than 2C
+    rows, and divides their weights by sqrt(p). Returns (held indices,
+    weights, passes, peak held rows).
     """
     rows = np.asarray(rows, dtype=float)
     d = rows.shape[1]
@@ -297,17 +332,14 @@ def resparsify_reference(rows, capacity_mult, beta, seed):
         g_pinv = np.linalg.pinv(m.T @ m, rcond=d * RANK_TOL_BITS, hermitian=True)
         tau = np.array([min(w * w * max(float(rows[j] @ g_pinv @ rows[j]), 0.0), 1.0)
                         for j, w in zip(held, weights)])
-        for attempt in range(2):
-            probs = np.minimum(c * 2.0 ** attempt * tau, 1.0)
-            key = np.array([seed & ((1 << 64) - 1), 2 * passes + attempt], dtype=np.uint64)
-            keep = np.random.Generator(np.random.Philox(key=key)).random(full) < probs
-            if np.count_nonzero(keep) < full:
-                weights = [w / math.sqrt(p) for w, p, k in zip(weights, probs, keep) if k]
-                held = [j for j, k in zip(held, keep) if k]
-                passes += 1
-                break
-        else:
-            raise RuntimeError("buffer did not shrink after one retry")
+        probs = np.minimum(c * tau, 1.0)
+        key = np.array([seed & ((1 << 64) - 1), 2 * passes], dtype=np.uint64)
+        keep = np.random.Generator(np.random.Philox(key=key)).random(full) < probs
+        if np.count_nonzero(keep) >= full:
+            raise RuntimeError("resparsify pass did not shrink the buffer")
+        weights = [w / math.sqrt(p) for w, p, k in zip(weights, probs, keep) if k]
+        held = [j for j, k in zip(held, keep) if k]
+        passes += 1
     return held, np.array(weights), passes, peak
 
 

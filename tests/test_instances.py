@@ -1,4 +1,5 @@
 """Seeded stream generators and the permutation model."""
+import math
 from collections import Counter
 
 import numpy as np
@@ -211,6 +212,16 @@ class TestMuControlled:
             gen_mu_controlled(4, 1, 1.0)
         with pytest.raises(DimensionMismatch):
             gen_mu_controlled(4, 0, 2.0)
+
+    def test_overflowing_or_non_finite_gamma_refused(self):
+        # gamma^(2(levels-1)) is meta["mu"] and every coordinate's Gram mass:
+        # a setting that overflows it, or a gamma that is not finite, is a
+        # typed error, not Python's OverflowError
+        for levels, gamma in ((160, 10.0), (200, 10.0), (1, math.inf), (3, math.inf), (3, math.nan)):
+            with pytest.raises(DimensionMismatch):
+                gen_mu_controlled(3, levels, gamma)
+        # the largest finite setting still builds
+        assert gen_mu_controlled(3, 155, 10.0).meta["mu"] == 10.0 ** 308
 
 
 class TestPermute:

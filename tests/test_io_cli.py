@@ -250,6 +250,15 @@ class TestCliGen:
             assert "error" in err and named in err, argv
             assert not os.path.exists(out)
 
+    def test_overflowing_mu_stream_exits_one(self, tmp_path, capsys):
+        # gamma^(2(levels-1)) = 1e398 is past the float range
+        out = str(tmp_path / "mu.stream")
+        argv = ["gen", "--kind", "mu", "--d", "3", "--levels", "200", "--gamma", "10", "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -360,7 +369,7 @@ class TestReadmeRunStats:
 
     def test_a_retired_field_fails(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        stale = readme.replace("`frozen_pinvs`,", "`frozen_pinvs`, `jl_scores`,", 1)
+        stale = readme.replace("`frozen_pinvs` and", "`frozen_pinvs`, `jl_scores` and", 1)
         assert stale != readme
         assert _readme_runstats_fields(stale) != self.FIELDS
 

@@ -288,7 +288,7 @@ class TestResparsifyApprox:
         assert ok >= 45
 
     def test_collapse_after_one_retry(self):
-        # an absurd keep rate makes both passes keep all 2C rows
+        # an absurd keep rate makes the pass keep all 2C rows
         plug = ResparsifyApprox(4.0, 0.45, seed=4, dim=3)
         plug.c_beta = 1e12
         n = 2 * plug.capacity_rows
@@ -540,7 +540,6 @@ class TestResparsifyCounters:
             twin.add(i, stream.row(i))
             shrinks += twin.n_rows <= before
         assert diag.resparsify_passes == plug.passes == shrinks == 43
-        assert diag.resparsify_retries == plug.retries == 0
 
     @pytest.mark.parametrize("stream_name", ["gaussian", "kd", "d2"])
     def test_matches_fresh_pinv_reference(self, stream_name):
@@ -555,10 +554,10 @@ class TestResparsifyCounters:
         assert np.allclose([w for _, w, _ in plug.buffer], weights, rtol=1e-9, atol=0.0)
 
     def test_collapse_counts_its_retry(self):
-        # an absurd keep rate fails the pass and its one retry
+        # an absurd keep rate fails the first pass
         plug = ResparsifyApprox(4.0, 0.45, seed=4, dim=3)
         plug.c_beta = 1e12
         with pytest.raises(CapacityCollapse):
             rows = np.eye(3)[np.arange(2 * plug.capacity_rows) % 3]
             plug.add_rows(0, rows)
-        assert (plug.passes, plug.retries) == (0, 1)
+        assert plug.passes == 0

@@ -1,6 +1,7 @@
 """Ground-truth referee: approximation factor, score audits, stream condition number."""
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from specstream import (
     NonFiniteInput,
     RowStream,
     Sketch,
+    SymPsd,
     gen_gaussian,
     gen_kd_multigraph,
     gen_mu_controlled,
@@ -134,6 +136,63 @@ class TestVerify:
             copy.append(idx, w, row)
         assert verify(stream, sk)[0] == verify(stream, copy)[0]
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_reads_and_factors_the_stream_once(self, sparse, monkeypatch):
+        # one verdict reads the stream with one block and factors two Grams,
+        # the stream's and the sketch's; the eps and the audit share the
+        # stream's factor, and the prefix pass reads the stream batch by batch
+        stream = permute(gen_kd_multigraph(6, 8), seed=17) if sparse else gen_gaussian(400, 5, seed=17)
+        sketch, stats = run_online(stream, 0.5, seed=18)
+        want = verify(stream, sketch, scores=stats.scores), online_leverage(stream), mu(stream)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("block", "materialize", "gram_matrix"):
+            monkeypatch.setattr(RowStream, name, counted(name, getattr(RowStream, name)))
+        verify_module = importlib.import_module("specstream.verify")
+        monkeypatch.setattr(verify_module, "SymPsd", counted("SymPsd", SymPsd))
+        assert verify(stream, sketch, scores=stats.scores) == want[0]
+        assert calls == {"block": 1, "SymPsd": 2}
+        calls.clear()
+        assert np.array_equal(online_leverage(stream), want[1]) and mu(stream) == want[2]
+        assert calls == {"block": 2}
+        calls.clear()
+        monkeypatch.setattr(verify_module, "PREFIX_BATCH_ENTRIES", stream.d ** 2 * 64)
+        online_leverage(stream)
+        assert calls == {"block": -(-stream.n // 64)}
+
+    @pytest.mark.parametrize("s", [
+        1e-3,
+        pytest.param(1e-5, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: verify reads 0.0100357, 1.2e-6 off"))),
+        pytest.param(1e-6, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: verify reads 1.8e-15 for a 1% sketch"))),
+        pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: verify reads 2.1e-15 for a 1% sketch"))),
+        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: verify reads 1.1e-15 for a 1% sketch"))),
+    ])
+    def test_reads_a_one_percent_sketch_at_every_column_scale(self, s):
+        # every row at weight 1 with the last column 0.5% long, against the
+        # stream with that column scaled by s; the true eps (0.01003) comes
+        # from the sketch rows whitened by the R of a QR of the stream, which
+        # does not square the condition number as a Gram does
+        a = np.random.default_rng(1).standard_normal((2000, 6))
+        a[:, -1] *= s
+        b = a.copy()
+        b[:, -1] *= 1.005
+        sk = Sketch(6)
+        sk.append_rows(np.arange(2000), np.ones(2000), b)
+        r = np.linalg.qr(a, mode="r")
+        sigma = np.linalg.svd(np.linalg.solve(r.T, b.T), compute_uv=False)
+        want = float(np.max(np.abs(sigma ** 2 - 1.0)))
+        assert want == pytest.approx(0.010035, abs=1e-6)
+        assert abs(verify(make_stream(a), sk)[0] - want) <= 1e-6
 
     def test_referee_imports_no_sampler_code(self):
         # of the package, the referee takes the errors, the stream, the sketch
@@ -172,6 +231,24 @@ class TestOnlineLeverage:
             rank = np.linalg.matrix_rank(s.materialize())
             assert got.sum() >= rank - 1e-9
             assert np.all((got >= 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("length", [
+        1e3,
+        1e4,
+        pytest.param(1e5, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: off by 1.0e-9 on the Gram of the prefix"))),
+        pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: off by 6.6e-8 on the Gram of the prefix"))),
+        pytest.param(1e7, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 16: off by 6.0e-2 on the Gram of the prefix"))),
+    ])
+    def test_matches_rational_twin_on_lengthened_rows(self, length):
+        # five rows lengthened by the same factor make the prefix Grams
+        # ill-conditioned; exact rational arithmetic gives the true scores
+        a = np.random.default_rng(0).standard_normal((256, 3))
+        a[[130, 140, 150, 170, 200]] *= length
+        want = oracles.rational_online_leverage(a)
+        assert np.max(np.abs(online_leverage(make_stream(a)) - want)) <= 1e-10
 
     def test_batches_join_seamlessly(self, monkeypatch):
         stream = gen_gaussian(50, 3, seed=15)
