@@ -74,8 +74,7 @@ def gen_kd_multigraph(d: int, copies: int) -> RowStream:
     edges in lexicographic order with copies consecutive. The Gram equals
     copies * (d I - J), the Laplacian of copies * K_d.
     """
-    if d < 2 or copies < 1:
-        raise DimensionMismatch("need d >= 2 and copies >= 1")
+    d, copies = rowops.dimension(d, 2, "d"), rowops.dimension(copies, 1, "copies")
     u, v = np.triu_indices(d, 1)  # lexicographic
     n = len(u) * copies
     cols = np.repeat(np.stack((u, v), axis=1), copies, axis=0).astype(np.int64)
@@ -85,12 +84,12 @@ def gen_kd_multigraph(d: int, copies: int) -> RowStream:
 
 
 def gen_gaussian(n: int, d: int, seed: int) -> RowStream:
-    """n i.i.d. standard normal rows from a seeded generator."""
+    """n i.i.d. standard normal rows from a generator seeded at an integer >= 0."""
+    n, d, seed = rowops.source_index(n, "n"), rowops.source_index(d, "d"), rowops.dimension(seed, 0, "seed")
     if n < 1 or d < 1:
         raise EmptyStream("need n >= 1 and d >= 1")
-    rng = np.random.default_rng(seed)
-    meta = {"kind": "gaussian", "n": n, "d": d, "seed": int(seed)}
-    return RowStream(d, rng.standard_normal((n, d)), meta)
+    meta = {"kind": "gaussian", "n": n, "d": d, "seed": seed}
+    return RowStream(d, np.random.default_rng(seed).standard_normal((n, d)), meta)
 
 
 def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
@@ -101,8 +100,9 @@ def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
     prefix sigma_min^2 is then 1 (attained inside level 0) and the final
     spectral norm is gamma^(2(levels-1)), so the ratio has a closed form.
     """
-    if d < 1 or levels < 1 or not 1.0 < gamma < math.inf:
-        raise DimensionMismatch("need d >= 1, levels >= 1 and a finite gamma > 1")
+    d, levels = rowops.dimension(d, 1, "d"), rowops.dimension(levels, 1, "levels")
+    if not 1.0 < gamma < math.inf:
+        raise DimensionMismatch(f"need a finite gamma > 1, got {gamma}")
     try:  # meta["mu"], and every coordinate's Gram mass
         top = float(gamma) ** (2 * (levels - 1))
     except OverflowError:
@@ -121,8 +121,9 @@ def gen_mu_controlled(d: int, levels: int, gamma: float) -> RowStream:
 
 
 def permute(stream: RowStream, seed: int) -> RowStream:
-    """Uniformly random row order (Fisher-Yates) from a seeded generator."""
+    """Uniformly random row order (Fisher-Yates) from a generator seeded at an integer >= 0."""
+    seed = rowops.dimension(seed, 0, "seed")
     order = np.random.default_rng(seed).permutation(stream.n)
-    meta = {"kind": "permuted", "perm_seed": int(seed), "base": stream.meta}
+    meta = {"kind": "permuted", "perm_seed": seed, "base": stream.meta}
     # one index gather, dense or sparse; the new stream checks it as any other
     return RowStream(stream.d, stream._rows[order], meta, stream.is_sparse)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import EmptySketch
 from .linalg import PInv, on_image_rows, pinv, relative_of
-from .randomness import MASK64
+from .randomness import philox
+from .rows import dimension
 from .sketch import Sketch
 
 # Projection rows: k = max(MIN_PROJECTION_ROWS, ceil(JL_C * ln n_hint)).
@@ -45,14 +46,14 @@ class JlScorer:
 
 
 def projection_rows(n_hint: int) -> int:
-    return max(MIN_PROJECTION_ROWS, math.ceil(JL_C * math.log(max(int(n_hint), 2))))
+    return max(MIN_PROJECTION_ROWS, math.ceil(JL_C * math.log(max(dimension(n_hint, name="n_hint"), 2))))
 
 
 def signs(seed: int, k: int, m: int) -> np.ndarray:
-    """(k, m) +/-1/sqrt(k) entries equal to (2x - 1)/sqrt(k) for x = Generator(Philox(
-    key=[seed, 0])).integers(0, 2, (k, m)): x_t is the top bit of 32-bit output t, the
+    """(k, m) +/-1/sqrt(k) entries equal to (2x - 1)/sqrt(k) for x = Generator(philox(
+    seed, 0)).integers(0, 2, (k, m)): x_t is the top bit of 32-bit output t, the
     low, then high half of raw word t // 2, read by shifts to stay byte-order free."""
-    words = np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)).random_raw(-(-k * m // 2))
+    words = philox(seed, 0).random_raw(-(-k * m // 2))
     bits = np.repeat(words, 2)
     bits[0::2] <<= np.uint64(32)
     bits &= np.uint64(1 << 63)

@@ -2,10 +2,10 @@
 updates, the image test and relative leverage scores.
 
 Two rules decide whether a direction belongs to a matrix, and they are not
-the same rule (ROADMAP item 14). A pseudo-inverse keeps the eigenvalues of
-SymPsd's cached eigendecomposition above default_rank_tol(d) * lambda_max.
-The image test, on_image_rows, calls a row on the image when its residual
-off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
+the same rule (ROADMAP item 14). SymPsd.rank counts the eigenvalues above
+default_rank_tol(d) * lambda_max, and a pseudo-inverse keeps that many
+eigenpairs. The image test, on_image_rows, calls a row on the image when its
+residual off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
 
 The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
 the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateUpdate,
     DimensionMismatch,
+    NonFiniteInput,
     NotPsd,
     NotSymmetric,
     PreconditionViolation,
@@ -45,17 +46,19 @@ class SymPsd:
     """Symmetric PSD matrix with a cached eigendecomposition.
 
     Eigenvalues are stored in descending order with orthonormal eigenvectors
-    in matching columns. Negative eigenvalues within -rank_tol * lambda_max
-    are clamped to zero; anything lower raises NotPsd. Instances are treated
-    as immutable: updates happen by constructing a new value.
+    in matching columns; rank counts those above default_rank_tol(dim) *
+    lambda_max, and negative ones within minus that are clamped to zero.
+    Lower ones raise NotPsd, a NaN or inf entry NonFiniteInput. Immutable.
     """
 
-    __slots__ = ("dim", "entries", "rank_tol", "eigenvalues", "eigenvectors", "rank")
+    __slots__ = ("dim", "entries", "eigenvalues", "eigenvectors", "rank")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise NonFiniteInput("matrix holds a NaN or infinite value")
         # scaled by the largest entry, so entries near the float range do
         # not overflow the norms to inf
         s = a / (float(np.max(np.abs(a))) or 1.0)
@@ -63,23 +66,18 @@ class SymPsd:
             raise NotSymmetric("matrix is not symmetric within relative tolerance")
         a = 0.5 * (a + a.T)
         self.dim = a.shape[0]
-        self.rank_tol = default_rank_tol(self.dim)
+        tol = default_rank_tol(self.dim)
         w, v = np.linalg.eigh(a)
         w = w[::-1].copy()
         v = v[:, ::-1].copy()
         lam_max = w[0] if w[0] > 0.0 else 0.0
-        if w[-1] < -self.rank_tol * lam_max:
+        if w[-1] < -tol * lam_max:
             raise NotPsd(f"eigenvalue {w[-1]:.3e} below PSD floor for lambda_max {lam_max:.3e}")
         w[w < 0.0] = 0.0
         self.entries = a
         self.eigenvalues = w
         self.eigenvectors = v
-        self.rank = int(np.count_nonzero(w > self.rank_tol * lam_max))
-
-    def support(self):
-        """Boolean mask of eigenvalues counted as nonzero."""
-        lam_max = self.eigenvalues[0]
-        return self.eigenvalues > self.rank_tol * lam_max
+        self.rank = int(np.count_nonzero(w > tol * lam_max))
 
     def __repr__(self):
         return f"SymPsd(dim={self.dim}, rank={self.rank})"
@@ -110,9 +108,9 @@ def pinv(s: SymPsd) -> PInv:
     Kernel eigenvalues map to zero; the zero matrix maps to the zero
     pseudo-inverse with a zero projector.
     """
-    mask = s.support()
-    vs = s.eigenvectors[:, mask]
-    inv = (vs / s.eigenvalues[mask]) @ vs.T
+    kept = np.arange(s.rank)  # an F-ordered copy: a slice view rounds the products differently
+    vs = s.eigenvectors[:, kept]
+    inv = (vs / s.eigenvalues[kept]) @ vs.T
     proj = vs @ vs.T
     return PInv(s.rank, inv, proj)
 
@@ -177,8 +175,6 @@ def pinv_quad_form(s: SymPsd, a) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != (s.dim,):
         raise DimensionMismatch(f"vector shape {a.shape} vs dim {s.dim}")
-    mask = s.support()
-    if not np.any(mask):
-        return 0.0
-    y = s.eigenvectors[:, mask].T @ a
-    return float(np.sum(y * y / s.eigenvalues[mask]))
+    kept = np.arange(s.rank)  # as in pinv; rank 0 sums to 0.0
+    y = s.eigenvectors[:, kept].T @ a
+    return float(np.sum(y * y / s.eigenvalues[kept]))

@@ -78,7 +78,7 @@ class KeptPinv:
     collapsing denominator (the rank drops) rebuilds X+ as pinv(SymPsd(G)),
     G = `source()` the current X as a (d, d) array; every PINV_VERIFY_EVERY
     steps Y = X+ is certified against G, or else a rebuild replaces it if it
-    has drifted.
+    has drifted. recomputes counts every pseudo-inverse formed (_formed).
     """
 
     def __init__(self, dim: int, source, matrix=None):
@@ -100,8 +100,8 @@ class KeptPinv:
         return None
 
     def stepped(self) -> bool:
-        """Count a step taken; every PINV_VERIFY_EVERY steps certify it, or else
-        check it against a rebuild. False when that replaced a drifted one."""
+        """Count a step taken; every PINV_VERIFY_EVERY steps certify it, or else form
+        a pseudo-inverse and replace it if it has drifted, returning False then."""
         self._updates_since_verify += 1
         if self._updates_since_verify < PINV_VERIFY_EVERY:
             return True
@@ -109,7 +109,7 @@ class KeptPinv:
         self._updates_since_verify = 0
         if self.certified(g):
             return True
-        fresh = pinv(SymPsd(g))
+        fresh = self._formed(g)
         drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
         if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
             self.drift_events += 1
@@ -142,12 +142,16 @@ class KeptPinv:
         return (math.sqrt(float(np.vdot(r, r))) + rounding <= 0.5 * PINV_DRIFT_TOL
                 and sandwich_holds(g, 0.5 * floor))
 
+    def _formed(self, g) -> PInv:
+        """pinv(SymPsd(g)), an O(d^3) eigendecomposition, counted in recomputes."""
+        self.recomputes += 1
+        return pinv(SymPsd(g))
+
     def recompute(self, fresh: PInv | None = None) -> None:
-        """Rebuild into the owned matrix, from fresh = pinv(SymPsd(source())) if given."""
-        fresh = pinv(SymPsd(self.source())) if fresh is None else fresh
+        """Rebuild into the owned matrix from fresh, or else from _formed(source())."""
+        fresh = self._formed(self.source()) if fresh is None else fresh
         self.pinv.matrix[...] = fresh.matrix
         self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
-        self.recomputes += 1
         self._updates_since_verify = 0
 
 
@@ -192,7 +196,7 @@ class OnlineState:
         Returns the kept mask.
         """
         block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
-        lo, b = int(lo), len(block)
+        lo, b = rowops.source_index(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
         coins = self.rng.take_range(lo, lo + b)
@@ -346,7 +350,7 @@ class BarrierState:
         its gap indefinite beyond the SymPsd floor. Returns the kept mask.
         """
         block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
-        lo, b = int(lo), len(block)
+        lo, b = rowops.source_index(lo), len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
         coins = self.rng.take_range(lo, lo + b)

@@ -34,7 +34,7 @@ from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
 from .linalg import PInv, SymPsd, pinv, quad_forms, relative_scores
 from .online import sampling_constant
-from .randomness import CHUNK, MASK64, IndexedUniforms, derive_seed
+from .randomness import CHUNK, IndexedUniforms, derive_seed, philox
 from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d for the block samplers.
@@ -46,9 +46,8 @@ PLUG_MULTIPLIER = 2.0
 
 
 def seed_block_size(d: int) -> int:
-    """K = max(d, ceil(d ln d)): rows passed through before scoring starts."""
-    if d < 2:
-        raise DimensionMismatch("block samplers need d >= 2")
+    """K = max(d, ceil(d ln d)), d >= 2: rows passed through before scoring starts."""
+    d = rowops.dimension(d, least=2)
     return max(d, math.ceil(d * math.log(d)))
 
 
@@ -100,17 +99,16 @@ class BlockSampler:
         self.c = sampling_constant(eps, dim, c_mult)
         if use_jl and n_hint is None:
             raise ValueError("JL scoring needs n_hint to size the projection")
+        self.n_hint = None if n_hint is None else rowops.dimension(n_hint, name="n_hint")
+        self.rng = IndexedUniforms(seed)
         if approx is not None and (plug_dim := approx.query().dim) != dim:
             raise DimensionMismatch(f"plug of dimension {plug_dim} for dim {dim}")
         self.eps = float(eps)
         self.k = seed_block_size(dim)
         self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
-        self.seed = int(seed)
         self.approx = approx
         self.use_jl = bool(use_jl)
-        self.n_hint = n_hint
         self.sketch = Sketch(dim)
-        self.rng = IndexedUniforms(seed)
         self.count = 0
         self.next_boundary = self.k
         self.frozen: PInv | None = None
@@ -212,7 +210,7 @@ class BlockSampler:
         snapshot = self._snapshot()
         if self.use_jl:
             # the scorer holds the pseudo-inverse of the same Gram
-            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.seed, len(self.frozen_pinvs) + 1))
+            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.rng.seed, len(self.frozen_pinvs) + 1))
             self.frozen = self.jl.pinv
         else:
             self.frozen = pinv(snapshot.gram)
@@ -224,7 +222,7 @@ class BlockSampler:
             scores=scores,
             score_total=float(np.sum(scores)),
             pinv_recomputes=len(self.frozen_pinvs),
-            max_working_rows=self.peak_rows if self.approx is None else int(self.approx.peak_rows),
+            max_working_rows=self.peak_rows if self.approx is None else self.approx.peak_rows,
             saturated=self.saturated,
             schedule=BlockSchedule.for_stream(self.count, self.dim),
             frozen_pinvs=self.frozen_pinvs,
@@ -271,7 +269,7 @@ class ResparsifyApprox:
         if not 4.0 <= capacity_mult < math.inf:
             raise ValueError(f"capacity_mult must be finite and >= 4, got {capacity_mult}")
         self.dim = dim = rowops.dimension(dim, least=2)  # the resparsify plug needs d >= 2
-        self.seed = int(seed)
+        self.seed = rowops.source_index(seed, "seed")
         self.c_beta = sampling_constant(beta, dim, capacity_mult)
         self.capacity_rows = math.ceil(self.c_beta * dim)
         self.buffer = Sketch(dim)
@@ -305,8 +303,7 @@ class ResparsifyApprox:
         probs = np.minimum(self.c_beta * tau, 1.0)
         # Pass k keys its draws (seed, 2k), the key seeded runs have always
         # drawn it on, so they keep their draws; the odd keys stay unused.
-        key = np.array([self.seed & MASK64, 2 * self.passes], dtype=np.uint64)
-        draws = np.random.Generator(np.random.Philox(key=key)).random(len(held))
+        draws = np.random.Generator(philox(self.seed, 2 * self.passes)).random(len(held))
         pos = np.flatnonzero(draws < probs)
         if pos.size >= 2 * self.capacity_rows:
             raise CapacityCollapse(

@@ -1,9 +1,10 @@
 """Counter-based reproducible randomness.
 
 Each sampling decision consumes one uniform addressed by (seed, row index),
-generated from a keyed Philox stream in fixed-size chunks. The draw for a
-given index never depends on how many other draws were made, so decisions
-are reproducible and independent of scoring internals.
+generated in fixed-size chunks from philox(seed, chunk), the one Philox key
+every seeded draw uses. The draw for a given index never depends on how many
+other draws were made, so decisions are reproducible and independent of
+scoring internals. Seeds are integers (rows.source_index), taken mod 2^64.
 """
 from __future__ import annotations
 
@@ -18,14 +19,14 @@ MASK64 = (1 << 64) - 1
 
 
 def derive_seed(*parts) -> int:
-    """Stable 64-bit sub-seed from integer parts (e.g. base seed, block id)."""
-    ss = np.random.SeedSequence([int(p) & MASK64 for p in parts])
+    """Stable 64-bit sub-seed from integer parts (e.g. base seed, block id), each mod 2^64."""
+    ss = np.random.SeedSequence([source_index(p, "seed part") & MASK64 for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _chunk_uniforms(seed: int, chunk: int):
-    key = np.array([seed & MASK64, chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(CHUNK)
+def philox(seed: int, counter: int) -> np.random.Philox:
+    """The Philox bit generator keyed [seed mod 2^64, counter], for an integer seed."""
+    return np.random.Philox(key=np.array([seed & MASK64, counter], dtype=np.uint64))
 
 
 class IndexedUniforms:
@@ -37,13 +38,13 @@ class IndexedUniforms:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = source_index(seed, "seed")
         self._chunk_no: int | None = None
         self._values: np.ndarray | None = None
 
     def _chunk(self, c: int):
         if c != self._chunk_no:
-            self._values, self._chunk_no = _chunk_uniforms(self.seed, c), c
+            self._values, self._chunk_no = np.random.Generator(philox(self.seed, c)).random(CHUNK), c
         return self._values
 
     def take(self, index: int) -> float:

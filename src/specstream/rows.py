@@ -107,10 +107,10 @@ def source_index(i, name: str = "source index") -> int:
         raise DimensionMismatch(f"{name} {i!r} is not an integer") from None
 
 
-def dimension(dim, least: int = 1) -> int:
-    """dim as an int >= least; DimensionMismatch otherwise (source_index's check)."""
-    if (d := source_index(dim, "dimension")) < least:
-        raise DimensionMismatch(f"dimension {d} is below {least}")
+def dimension(dim, least: int = 1, name: str = "dimension") -> int:
+    """dim as an int >= least; DimensionMismatch naming it otherwise (source_index's check)."""
+    if (d := source_index(dim, name)) < least:
+        raise DimensionMismatch(f"{name} {d} is below {least}")
     return d
 
 

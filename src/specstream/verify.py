@@ -44,7 +44,7 @@ def approx_factor(gram_ref: SymPsd, gram_test: SymPsd) -> float:
         # Largest eigenvalue of the test restricted to Ker(ref); PSD cross
         # terms are bounded by the diagonal blocks, so this check suffices.
         kern_mass = float(np.max(np.linalg.eigvalsh(kern.T @ t @ kern)))
-        if kern_mass > gram_test.rank_tol * lam_t:
+        if kern_mass > default_rank_tol(gram_test.dim) * lam_t:
             return math.inf
     if gram_ref.rank == 0:
         return 0.0

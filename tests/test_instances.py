@@ -146,6 +146,13 @@ class TestKdMultigraph:
         with pytest.raises(DimensionMismatch):
             gen_kd_multigraph(3, 0)
 
+    @pytest.mark.parametrize("args", [(4, 2.5), (4.0, 2), (np.float64(4.0), 2)])
+    def test_non_integer_argument_refused(self, args):
+        # gen_kd_multigraph(4, 2.5) raised numpy's TypeError
+        with pytest.raises(DimensionMismatch):
+            gen_kd_multigraph(*args)
+        assert gen_kd_multigraph(np.int64(4), np.int32(2)).meta == {"kind": "kd", "d": 4, "copies": 2}
+
     def test_random_prefix_edge_counts_concentrate(self):
         # half-length prefixes of a permuted multigraph hold every edge
         # count within (1 +/- 1/2) of the mean on >= 95% of seeds
@@ -182,6 +189,17 @@ class TestGaussian:
     def test_validation(self):
         with pytest.raises(EmptyStream):
             gen_gaussian(0, 4, seed=1)
+        with pytest.raises(EmptyStream):
+            gen_gaussian(3, 0, seed=1)
+
+    @pytest.mark.parametrize("args", [(2.5, 3, 0), (4, 3.0, 0), (4, 3, 1.5), (4, 3, np.float64(2.0)), (4, 3, -1)])
+    def test_non_integer_argument_or_negative_seed_refused(self, args):
+        # numpy raised its own TypeError (non-integers) or ValueError (seed -1)
+        with pytest.raises(DimensionMismatch):
+            gen_gaussian(*args)
+        same = gen_gaussian(np.int64(4), np.int32(3), np.uint8(2))
+        assert np.array_equal(same.materialize(), gen_gaussian(4, 3, 2).materialize())
+        assert same.meta["seed"] == 2 and type(same.meta["seed"]) is int
 
 
 class TestMuControlled:
@@ -213,6 +231,12 @@ class TestMuControlled:
         with pytest.raises(DimensionMismatch):
             gen_mu_controlled(4, 0, 2.0)
 
+    @pytest.mark.parametrize("args", [(3, 2.5, 2.0), (2.5, 3, 2.0), (3, np.float64(2.0), 2.0)])
+    def test_non_integer_argument_refused(self, args):
+        # a non-integer levels raised numpy's TypeError
+        with pytest.raises(DimensionMismatch):
+            gen_mu_controlled(*args)
+
     def test_overflowing_or_non_finite_gamma_refused(self):
         # gamma^(2(levels-1)) is meta["mu"] and every coordinate's Gram mass:
         # a setting that overflows it, or a gamma that is not finite, is a
@@ -229,6 +253,12 @@ class TestPermute:
         s = RowStream(2, np.array([[1.0, 2.0]]), {"kind": "test"})
         p = permute(s, seed=1)
         assert np.array_equal(p.materialize(), s.materialize())
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), -1])
+    def test_non_integer_or_negative_seed_refused(self, seed):
+        # numpy raised SeedSequence's TypeError, or a ValueError for -1
+        with pytest.raises(DimensionMismatch):
+            permute(gen_gaussian(30, 3, seed=12), seed)
 
     def test_deterministic_and_meta(self):
         s = gen_gaussian(30, 3, seed=12)

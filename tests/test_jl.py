@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specstream import (
+    DimensionMismatch,
     EmptySketch,
     ScaledSampler,
     Sketch,
@@ -35,6 +36,18 @@ class TestProjectionRows:
             assert projection_rows(n) == max(4, math.ceil(8.0 * math.log(n)))
         assert projection_rows(2) == 6
         assert projection_rows(1) == projection_rows(2)  # hint floor
+
+    @pytest.mark.parametrize("n_hint", [2.5, np.float64(2000.0), 0, -5])
+    def test_non_integer_or_non_positive_hint_refused(self, n_hint):
+        # int() truncated 2.5 and the floor took -5 as 2: both runs went ahead
+        with pytest.raises(DimensionMismatch):
+            projection_rows(n_hint)
+        for use_jl in (True, False):  # refused at construction, before any row
+            with pytest.raises(DimensionMismatch):
+                ScaledSampler(8, 0.4, seed=1, use_jl=use_jl, n_hint=n_hint)
+        with pytest.raises(DimensionMismatch):
+            scaled_sampling(permute(gen_gaussian(400, 8, seed=1), seed=2), 0.4, 1, use_jl=True, n_hint=n_hint)
+        assert projection_rows(np.int64(2000)) == projection_rows(2000)
 
 
 class TestSigns:

@@ -7,6 +7,7 @@ import pytest
 from specstream import (
     DegenerateUpdate,
     DimensionMismatch,
+    NonFiniteInput,
     NotPsd,
     NotSymmetric,
     PInv,
@@ -55,6 +56,14 @@ class TestSymPsd:
         with pytest.raises(NotPsd):
             SymPsd(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN entry gave rank 1 and pinv [[0, 0], [0, 1]]; inf raised only
+        # numpy's RuntimeWarning and a zero leverage
+        for entries in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(NonFiniteInput):
+                SymPsd(entries)
+
     def test_clamps_roundoff_negatives(self):
         # eigenvalue -1e-18 vs lambda_max 1 sits inside the PSD floor
         g = np.array([[1.0, 1.0], [1.0, 1.0]]) + np.diag([0.0, -1e-18])
@@ -66,7 +75,8 @@ class TestSymPsd:
         for m, d, r in random_cases(60, seed=42):
             s = SymPsd(m)
             assert s.rank == min(r, d)
-            assert int(np.count_nonzero(s.support())) == s.rank
+            # pinv keeps exactly rank eigenpairs: its projector's trace is rank
+            assert np.trace(pinv(s).projector) == pytest.approx(s.rank, abs=1e-9)
             # descending order with matching eigenvectors
             assert np.all(np.diff(s.eigenvalues) <= 0)
             recon = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.T

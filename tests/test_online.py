@@ -36,6 +36,15 @@ from conftest import identity_stream, make_stream
 import oracles
 
 
+def last_column_scaled(s, from_row=0):
+    """default_rng(1) 4000 x 6 Gaussian rows, the last column 0 before
+    from_row and scaled by s from it on (ROADMAP item 14's family)."""
+    rows = np.random.default_rng(1).standard_normal((4000, 6))
+    rows[:from_row, 5] = 0.0
+    rows[from_row:, 5] *= s
+    return make_stream(rows)
+
+
 def duplicate_and_zero_rows():
     """Gaussian rows with zero rows, back-to-back repeats and later repeats."""
     base = np.random.default_rng(81).standard_normal((60, 4))
@@ -341,18 +350,25 @@ class TestOnlineSampler:
             recomputes.add(diag.pinv_recomputes)
         assert len(recomputes) == 1, recomputes
 
-    # clean runs whose kept pseudo-inverses step far past PINV_VERIFY_EVERY
+    # clean runs whose kept pseudo-inverses step far past PINV_VERIFY_EVERY;
+    # on item 14's stream (last column x 1e-5) and the late-direction stream
+    # (s = 1e-4) some certificates fail, and their drift checks form a
+    # pseudo-inverse that they compare and discard
     EIGH_COUNT_RUNS = {
         "online-gaussian": lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1),
         "online-kd-permuted": lambda: run_online(permute(gen_kd_multigraph(8, 256), seed=2), 0.5, seed=2),
         "barrier-gaussian": lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3),
+        "online-small-column": lambda: run_online(last_column_scaled(1e-5), 0.5, seed=1),
+        "barrier-small-column": lambda: run_barrier(last_column_scaled(1e-5), 0.5, seed=1),
+        "online-late-direction": lambda: run_online(last_column_scaled(1e-4, 3000), 0.5, seed=1),
+        "barrier-late-direction": lambda: run_barrier(last_column_scaled(1e-4, 3000), 0.5, seed=1),
     }
 
     @pytest.mark.parametrize("case", sorted(EIGH_COUNT_RUNS))
     def test_drift_checks_form_no_pseudo_inverse(self, case, monkeypatch):
         # a drift check certifies the kept pseudo-inverse with a product and
-        # a Cholesky; on a clean run each one passes, so the only
-        # eigendecompositions are the rebuilds the run counts
+        # a Cholesky, and forms a pseudo-inverse only when that fails; every
+        # one formed, kept or discarded, is an eigendecomposition the run counts
         formed = []
         monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
         sketch, diag = self.EIGH_COUNT_RUNS[case]()
@@ -386,20 +402,46 @@ class TestOnlineSampler:
         # a direction that appears only in the last quarter of the stream, at
         # scale s: a rank rule that misses mass building up along it over
         # many rows fails eps or the audit here (ROADMAP item 14)
-        rows = np.random.default_rng(1).standard_normal((4000, 6))
-        rows[:3000, 5] = 0.0
-        rows[3000:, 5] *= s
-        stream = make_stream(rows)
+        stream = last_column_scaled(s, 3000)
         for seed in range(1, 6):
             sketch, diag = run_online(stream, 0.5, seed=seed)
             eps_actual, audit = verify(stream, sketch, scores=diag.scores)
             assert eps_actual <= 0.5 and audit, (seed, eps_actual)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.99, np.float64(1.0)])
+    @pytest.mark.parametrize("runner", [run_online, run_barrier, scaled_sampling],
+                             ids=["online", "barrier", "scaled"])
+    def test_non_integer_seed_refused(self, runner, seed):
+        # int() truncated these: run_online kept the same rows at seeds 1, 1.5 and 1.99
+        with pytest.raises(DimensionMismatch):
+            runner(gen_gaussian(500, 6, 1), 0.5, seed)
 
     def test_sampling_constant_formula(self):
         assert sampling_constant(0.5, 10, 3.0) == pytest.approx(3.0 * 4.0 * math.log(10))
         # the law clamps ln d at d = 2, so a one-column stream still samples
         assert sampling_constant(0.4, 1, 0.7) == sampling_constant(0.4, 2, 0.7) > 0.0
         assert OnlineState(1, 0.4, seed=1, c_mult=0.7).c == sampling_constant(0.4, 2, 0.7)
+
+
+# every seeded runner, from an integer seed of any type to its sketch
+SEED_DOMAIN_RUNS = {
+    "online": lambda seed: run_online(gen_gaussian(600, 5, 3), 0.5, seed)[0],
+    "barrier": lambda seed: run_barrier(gen_gaussian(400, 5, 3), 0.5, seed)[0],
+    "scaled": lambda seed: scaled_sampling(permute(gen_gaussian(2000, 5, 4), 1), 0.4, seed)[0],
+    "resparsify-plug": lambda seed: scaled_sampling(permute(gen_gaussian(2000, 5, 4), 1), 0.4, seed,
+                                                    ResparsifyApprox(4.0, 0.45, seed, dim=5))[0],
+}
+
+
+@pytest.mark.parametrize("runner", sorted(SEED_DOMAIN_RUNS))
+def test_seed_is_any_integer_taken_mod_2_to_the_64(runner):
+    # every Philox key is randomness.philox's [seed mod 2^64, counter]: a
+    # numpy integer draws as the int it equals, and -3 as 2^64 - 3
+    def kept(seed):
+        sketch = SEED_DOMAIN_RUNS[runner](seed)
+        return sketch.indices, sketch.weights
+    assert kept(np.int64(2)) == kept(2)
+    assert kept(-3) == kept(2 ** 64 - 3) != kept(2)
 
 
 # runner, and the sampling probabilities its RunStats implies

@@ -38,6 +38,13 @@ class TestBlockSchedule:
         with pytest.raises(DimensionMismatch):
             seed_block_size(1)
 
+    @pytest.mark.parametrize("d", [2.5, np.float64(10.0)])
+    def test_non_integer_dimension_refused(self, d):
+        # seed_block_size(2.5) returned 3
+        with pytest.raises(DimensionMismatch):
+            seed_block_size(d)
+        assert seed_block_size(np.int64(10)) == seed_block_size(10)
+
     def test_boundaries_double(self):
         sched = BlockSchedule.for_stream(4000, 10)
         k = seed_block_size(10)

@@ -314,3 +314,14 @@ class TestRandomness:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2) != derive_seed(2, 1)
         assert 0 <= derive_seed(9, 9) < 2 ** 64
+        assert derive_seed(np.int64(7), np.uint8(1)) == derive_seed(7, 1)
+        assert derive_seed(-1) == derive_seed(2 ** 64 - 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.99, np.float64(1.0)])
+    @pytest.mark.parametrize("make", [IndexedUniforms, lambda s: ResparsifyApprox(4.0, 0.45, s, dim=6),
+                                      derive_seed, lambda s: derive_seed(7, s)],
+                             ids=["uniforms", "resparsify", "derive-seed", "derive-seed-part"])
+    def test_non_integer_seed_refused(self, make, seed):
+        # int() truncated these: seeds 1, 1.5 and 1.99 drew alike
+        with pytest.raises(DimensionMismatch):
+            make(seed)

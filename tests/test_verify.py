@@ -115,6 +115,12 @@ class TestVerify:
         with pytest.raises(NonFiniteInput):
             verify(stream, sketch, scores=logged)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_leverage_scores_refuses_a_non_finite_row(self, bad):
+        # leverage_scores([[nan, 1], [1, 0]]) read [0, 0]
+        with pytest.raises(NonFiniteInput):
+            leverage_scores(np.array([[bad, 1.0], [1.0, 0.0]]))
+
     def test_sampler_agnostic(self):
         # identical (stream, sketch) pairs verify identically no matter how
         # the sketch was produced
