@@ -3,9 +3,10 @@ updates, the image test and relative leverage scores.
 
 Two rules decide whether a direction belongs to a matrix, and they are not
 the same rule (ROADMAP item 14). SymPsd.rank counts the eigenvalues above
-default_rank_tol(d) * lambda_max, and a pseudo-inverse keeps that many
-eigenpairs. The image test, on_image_rows, calls a row on the image when its
-residual off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
+default_rank_tol(d) * lambda_max (SymPsd.above_cutoff, which the referee's
+prefix ranks read too), and a pseudo-inverse keeps that many eigenpairs.
+The image test, on_image_rows, calls a row on the image when its residual
+off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
 
 The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
 the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
@@ -77,7 +78,13 @@ class SymPsd:
         self.entries = a
         self.eigenvalues = w
         self.eigenvectors = v
-        self.rank = int(np.count_nonzero(w > tol * lam_max))
+        self.rank = int(np.count_nonzero(SymPsd.above_cutoff(w)))
+
+    @staticmethod
+    def above_cutoff(w) -> np.ndarray:
+        """The rank rule, over the last axis of a stack of eigenvalues: True for
+        those above default_rank_tol(d) * max(lambda_max, 0), the ones rank counts."""
+        return w > default_rank_tol(w.shape[-1]) * np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
 
     def __repr__(self):
         return f"SymPsd(dim={self.dim}, rank={self.rank})"

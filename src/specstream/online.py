@@ -4,9 +4,9 @@ Both consume dense rows in stream order through add_rows (online_step and
 barrier_step take one row) and keep a weighted sketch whose Gram stays a
 (1 +/- eps) spectral approximation of the prefix seen so far. Sampling
 decisions come from counter-based uniforms keyed by (seed, row index), one
-take_range per add_rows. run_barrier feeds runs of ONLINE_RUN rows;
-run_online feeds CHUNK rows per call, which OnlineState.add_rows walks in
-runs of ONLINE_RUN rows from the block's first row.
+take_range per add_rows. Every runner hands its stream to feed, CHUNK rows
+per add_rows, and both states walk a block in runs of ONLINE_RUN rows from
+its first row.
 
 The relative-leverage sampler scores a run against the current
 pseudo-inverse with one product. Only rows whose coin beats that score can
@@ -45,7 +45,7 @@ from .sketch import RunStats, Sketch
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
 DEFAULT_ONLINE_C_MULT = 3.0
 
-# Rows run_online and run_barrier take as one run. A kept online row costs
+# Rows both states walk as one run. A kept online row costs
 # O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
 ONLINE_RUN = 128
 
@@ -195,8 +195,8 @@ class OnlineState:
         over the rest of its run; q is clamped once per block (module docstring says why).
         Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
-        lo, b = rowops.source_index(lo), len(block)
+        lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
+        b = len(block)
         if b == 0:
             return np.zeros(0, dtype=bool)
         coins = self.rng.take_range(lo, lo + b)
@@ -280,17 +280,22 @@ def online_step(state: OnlineState, row, index: int) -> bool:
     return bool(state.add_rows(index, rowops.densify(row, state.dim)[None])[0])
 
 
+def feed(state, stream: RowStream):
+    """Hand a whole stream to state.add_rows in CHUNK-row blocks, each densified
+    on its own (RowStream.block) so memory stays O(CHUNK * d); returns state."""
+    for lo in range(0, stream.n, CHUNK):
+        state.add_rows(lo, stream.block(lo, min(lo + CHUNK, stream.n)))
+    return state
+
+
 def run_online(
     stream: RowStream,
     eps: float,
     seed: int,
     c_mult: float = DEFAULT_ONLINE_C_MULT,
 ) -> tuple[Sketch, RunStats]:
-    """Run the online sampler over a whole stream, one add_rows (ONLINE_RUN-row
-    runs inside) per CHUNK rows, each densified on its own (RowStream.block)."""
-    state = OnlineState(stream.d, eps, seed, c_mult=c_mult)
-    for lo in range(0, stream.n, CHUNK):
-        state.add_rows(lo, stream.block(lo, min(lo + CHUNK, stream.n)))
+    """Run the online sampler over a whole stream (feed)."""
+    state = feed(OnlineState(stream.d, eps, seed, c_mult=c_mult), stream)
     scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
         scores=scores,
@@ -334,10 +339,11 @@ class BarrierState:
         self._summed = (0, 0)  # (rows, kept rows among them) that grams has summed
 
     def add_rows(self, lo: int, block) -> np.ndarray:
-        """Take a run of rows with source indices lo, lo + 1, ...
+        """Take a block of rows with source indices lo, lo + 1, ...
 
-        block is as for OnlineState.add_rows, and the run is checked before
-        any state changes. Row a is kept on its coin with p =
+        block is as for OnlineState.add_rows, checked before any state changes
+        and walked in runs of ONLINE_RUN rows from lo (memory O(ONLINE_RUN d^2)
+        per call). Row a is kept on its coin with p =
         min(c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, 1) for the gaps X_u =
         (1 + eps) seen - gram and X_l = gram - (1 - eps) seen before it, at
         weight 1/sqrt(p); each term is q / (q + 1) with q = a' X+ a from the
@@ -349,32 +355,33 @@ class BarrierState:
         -BARRIER_TOL * (1 + eps) trace(seen), and also when a rebuild finds
         its gap indefinite beyond the SymPsd floor. Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
-        lo, b = rowops.source_index(lo), len(block)
-        if b == 0:
-            return np.zeros(0, dtype=bool)
-        coins = self.rng.take_range(lo, lo + b)
-        # seen after every row, summed in row order as one row at a time would
-        seen = np.cumsum(np.concatenate((self.seen[None], block[:, :, None] * block[:, None, :])),
-                         axis=0)[1:]
-        probs, kept = np.empty(b), np.zeros(b, dtype=bool)
-        grams = np.empty((b + 1, self.dim, self.dim))
-        grams[0] = self.sketch.gram_matrix()
-        self._run, self._summed = (lo, block, seen, probs, kept, grams), (0, 0)
-        try:
+        lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
+        coins = self.rng.take_range(lo, lo + len(block)).tolist()
+        kept = np.zeros(len(block), dtype=bool)
+        for start in range(0, len(block), ONLINE_RUN):
+            run, run_kept = block[start:start + ONLINE_RUN], kept[start:start + ONLINE_RUN]
+            b = len(run)
+            # seen after every row, summed in row order as one row at a time would
+            seen = np.cumsum(np.concatenate((self.seen[None], run[:, :, None] * run[:, None, :])),
+                             axis=0)[1:]
+            probs = np.empty(b)
+            grams = np.empty((b + 1, self.dim, self.dim))
+            grams[0] = self.sketch.gram_matrix()
+            self._run, self._summed = (lo + start, run, seen, probs, run_kept, grams), (0, 0)
             try:
-                self._walk(block, coins.tolist(), probs, kept)
-            except NotPsd as exc:  # a rebuild's gap is indefinite beyond the SymPsd floor
-                raise BarrierViolation(f"gap matrix indefinite at row {lo + self._at}") from exc
-        except BarrierViolation:
-            self._checked_gaps(self._at + 1)  # an earlier row fails first
-            raise
-        self._checked_gaps(b)
-        pos = np.flatnonzero(kept)
-        if pos.size:  # checked at entry, and each p beat its coin, so p > 0
-            self.sketch._fold(lo + pos, 1.0 / np.sqrt(probs[pos]), block[pos])
-        self.seen = seen[-1].copy()
-        self.probs.append(probs)
+                try:
+                    self._walk(run, coins[start:start + b], probs, run_kept)
+                except NotPsd as exc:  # a rebuild's gap is indefinite beyond the SymPsd floor
+                    raise BarrierViolation(f"gap matrix indefinite at row {lo + start + self._at}") from exc
+            except BarrierViolation:
+                self._checked_gaps(self._at + 1)  # an earlier row fails first
+                raise
+            self._checked_gaps(b)
+            pos = np.flatnonzero(run_kept)
+            if pos.size:  # checked at entry, and each p beat its coin, so p > 0
+                self.sketch._fold(lo + start + pos, 1.0 / np.sqrt(probs[pos]), run[pos])
+            self.seen = seen[-1].copy()
+            self.probs.append(probs)
         self._run = None
         return kept
 
@@ -469,10 +476,8 @@ def run_barrier(
     eps: float,
     seed: int,
 ) -> tuple[Sketch, RunStats]:
-    """Run the barrier sampler over a whole stream, ONLINE_RUN rows at a time."""
-    state = BarrierState(stream.d, eps, seed)
-    for lo in range(0, stream.n, ONLINE_RUN):
-        state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
+    """Run the barrier sampler over a whole stream (feed)."""
+    state = feed(BarrierState(stream.d, eps, seed), stream)
     kept = (state.upper_pinv, state.lower_pinv)
     probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(

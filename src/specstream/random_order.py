@@ -33,8 +33,8 @@ from .errors import (
 from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
 from .linalg import PInv, SymPsd, pinv, quad_forms, relative_scores
-from .online import sampling_constant
-from .randomness import CHUNK, IndexedUniforms, derive_seed, philox
+from .online import feed, sampling_constant
+from .randomness import IndexedUniforms, derive_seed, philox
 from .sketch import RunStats, Sketch
 
 # Leading constant of c = C * eps^-2 * ln d for the block samplers.
@@ -53,20 +53,10 @@ def seed_block_size(d: int) -> int:
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Seed block size and scored-block boundaries (2^i - 1)K."""
+    """Seed block size K and the rows a block run froze at, (2^i - 1)K."""
 
     k: int
     boundaries: tuple[int, ...]
-
-    @classmethod
-    def for_stream(cls, n: int, d: int):
-        k = seed_block_size(d)
-        bounds = []
-        b = k
-        while b < n:
-            bounds.append(b)
-            b = 2 * b + k
-        return cls(k, tuple(bounds))
 
 
 class BlockSampler:
@@ -81,8 +71,9 @@ class BlockSampler:
 
     A plug implements add_rows(lo, block), query() and peak_rows (the most
     rows it has held), the run's working set; a plug whose query() has
-    another dim is refused at construction. The run's schedule and pinv
-    count follow from the rows taken: a block freezes on its first row.
+    another dim is refused at construction. A block freezes on its first
+    row, boundary b is followed by 2b + K, and boundaries records each
+    freeze's row, so a run's schedule and pinv count report what it did.
     """
 
     def __init__(
@@ -111,6 +102,7 @@ class BlockSampler:
         self.sketch = Sketch(dim)
         self.count = 0
         self.next_boundary = self.k
+        self.boundaries: list[int] = []
         self.frozen: PInv | None = None
         self.jl: JlScorer | None = None
         # one array per segment
@@ -147,14 +139,15 @@ class BlockSampler:
         block is the dense (b, d) array of the rows; the run is checked
         (rows.checked_run) before any state changes. Returns the kept mask.
         """
-        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
+        lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         kept = np.empty(len(block), dtype=bool)
         start = 0
         while start < len(block):
             j = self.count
             if j == self.next_boundary:
                 self._freeze()
-                self.next_boundary = 2 * self.next_boundary + self.k
+                self.boundaries.append(j)
+                self.next_boundary = 2 * j + self.k
             # the seed block ends where the first boundary is
             stop = start + min(len(block) - start, self.next_boundary - j)
             kept[start:stop] = self._segment(lo + start, block[start:stop])
@@ -224,7 +217,7 @@ class BlockSampler:
             pinv_recomputes=len(self.frozen_pinvs),
             max_working_rows=self.peak_rows if self.approx is None else self.approx.peak_rows,
             saturated=self.saturated,
-            schedule=BlockSchedule.for_stream(self.count, self.dim),
+            schedule=BlockSchedule(self.k, tuple(self.boundaries)),
             frozen_pinvs=self.frozen_pinvs,
             resparsify_passes=getattr(self.approx, "passes", None),
         )
@@ -237,18 +230,11 @@ ScaledSampler = ImprovedSampler = BlockSampler
 
 def scaled_sampling(stream: RowStream, eps: float, seed: int, approx=None,
                     **config) -> tuple[Sketch, RunStats]:
-    """Run the block sampler over a whole stream, with an optional plug.
-
-    The stream is fed in runs of CHUNK rows, each densified on its own
-    (RowStream.block), so working memory stays O(CHUNK * d).
-    """
+    """Run the block sampler over a whole stream (online.feed), with an optional plug."""
     if stream.n == 0:
         raise EmptyStream("empty stream")
     config.setdefault("n_hint", stream.n)
-    sampler = BlockSampler(stream.d, eps, seed, approx, **config)
-    for lo in range(0, stream.n, CHUNK):
-        sampler.add_rows(lo, stream.block(lo, min(lo + CHUNK, stream.n)))
-    return sampler.finalize()
+    return feed(BlockSampler(stream.d, eps, seed, approx, **config), stream).finalize()
 
 
 class ResparsifyApprox:
@@ -286,7 +272,7 @@ class ResparsifyApprox:
 
     def add_rows(self, lo: int, block) -> None:
         """Append a checked run of rows at weight 1, split where the buffer reaches 2C."""
-        block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
+        lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         full = 2 * self.capacity_rows
         start = 0
         while start < len(block):

@@ -115,11 +115,12 @@ def dimension(dim, least: int = 1, name: str = "dimension") -> int:
 
 
 def checked_run(block, dim: int, lo: int, last_index: int):
-    """(dense float block, last index taken) for a run that an add_rows entry
-    takes at source index lo after last_index; an empty run takes no index.
+    """(lo as an int, dense float block, last index taken) for a run that an
+    add_rows entry takes at source index lo after last_index; an empty run
+    takes no index.
 
-    Every entry checks its run here before any state changes, and a per-row
-    entry's row is a one-row run, densify(row)[None].
+    Every entry checks its run here before any state changes and indexes it
+    from the lo returned; a per-row entry's row is a one-row run, densify(row)[None].
     """
     lo, block = source_index(lo), np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[1] != dim:
@@ -128,7 +129,7 @@ def checked_run(block, dim: int, lo: int, last_index: int):
         raise DimensionMismatch(f"row index {lo} not increasing")
     if not np.isfinite(block).all():
         raise NonFiniteInput("row holds a NaN or infinite value")
-    return block, lo + len(block) - 1 if len(block) else last_index
+    return lo, block, lo + len(block) - 1 if len(block) else last_index
 
 
 # Only the benchmark's tracer reaches quad_form, kernel_residual and add_outer: it patches them.

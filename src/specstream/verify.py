@@ -132,11 +132,6 @@ def _prefix_grams(stream: RowStream):
         gram = grams[-1]
 
 
-def _support(w: np.ndarray, d: int) -> np.ndarray:
-    """Mask of ascending eigenvalue rows above the SymPsd rank cutoff."""
-    return w > default_rank_tol(d) * np.maximum(w[:, -1:], 0.0)
-
-
 def online_leverage(stream: RowStream) -> np.ndarray:
     """Exact online leverage tau_i = a_i' (A_i' A_i)+ a_i of every row.
 
@@ -149,7 +144,7 @@ def online_leverage(stream: RowStream) -> np.ndarray:
     tau = np.empty(stream.n)
     for start, block, grams in _prefix_grams(stream):
         w, v = np.linalg.eigh(grams)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=_support(w, stream.d))
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=SymPsd.above_cutoff(w))
         coords = np.einsum("bij,bi->bj", v, block)
         tau[start:start + len(block)] = np.einsum("bj,bj->b", coords ** 2, inv_w)
     return np.clip(tau, 0.0, 1.0)
@@ -165,7 +160,7 @@ def mu(stream: RowStream) -> float:
     floor = math.inf
     for _, _, grams in _prefix_grams(stream):
         w = np.linalg.eigvalsh(grams)
-        floor = min(floor, float(np.min(np.where(_support(w, stream.d), w, math.inf))))
+        floor = min(floor, float(np.min(np.where(SymPsd.above_cutoff(w), w, math.inf))))
     if floor == math.inf:
         raise AllZeroStream("every row is zero")
     return float(w[-1, -1]) / floor

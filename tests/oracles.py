@@ -225,6 +225,17 @@ def dense_row(row, d):
     return np.array(row, dtype=float)
 
 
+def block_schedule(n, d):
+    """(K, boundaries) of a block run over n rows: K = max(d, ceil(d ln d)),
+    and the boundaries below n start at K, each b followed by 2b + K."""
+    k = max(d, math.ceil(d * math.log(d)))
+    bounds, b = [], k
+    while b < n:
+        bounds.append(b)
+        b = 2 * b + k
+    return k, tuple(bounds)
+
+
 def block_reference(stream, eps, seed, plug=None, n_hint=None):
     """The block sampler row by row, with a fresh pseudo-inverse per block.
 

@@ -1,6 +1,7 @@
 """Fully-online samplers: leverage-driven and barrier-driven."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,8 +62,8 @@ def duplicate_and_zero_rows():
 
 
 # (stream factory, eps, online-module settings); the kd gaps never leave a
-# 7-dimensional image in d = 8. run_barrier takes ONLINE_RUN = 128 rows a
-# run: the n-row Gaussians end a run one row short of, on and past a
+# 7-dimensional image in d = 8. BarrierState.add_rows walks ONLINE_RUN = 128
+# rows a run: the n-row Gaussians end a run one row short of, on and past a
 # boundary, the K_5 stream completes its rank inside the first run, and a
 # drift tolerance of 0 replaces each gap's pseudo-inverse at every check.
 BARRIER_PARITY_CASES = {
@@ -603,6 +604,13 @@ def test_run_entry_takes_numpy_integer_indices(entry):
     twin.add_rows(2, good)
     assert_unchanged(sampler_state(twin), sampler_state(state))
     assert state.last_index == 3 and type(state.last_index) is int
+    # uint8 arithmetic from lo wraps past 255; the run crosses the d = 3
+    # block sampler's freezes at its rows 4 and 12
+    run = np.random.default_rng(3).standard_normal((20, 3))
+    state.add_rows(np.uint8(250), run)
+    twin.add_rows(250, run)
+    assert_unchanged(sampler_state(twin), sampler_state(state))
+    assert state.last_index == 269 and type(state.last_index) is int
 
 
 @pytest.mark.parametrize("entry", sorted(run_entries()))
@@ -792,6 +800,37 @@ class TestBarrierSampler:
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.probs - probs)) <= 1e-9
         assert (diag.drift_events > 0) == (case in ("drift-in-runs", "uneven-drift-checks"))
+
+    @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
+    def test_feed_size_moves_no_bit(self, case, monkeypatch):
+        # add_rows cuts any block into ONLINE_RUN-row runs from its first row,
+        # so blocks of any multiple of ONLINE_RUN decide alike, gap by gap
+        stream, eps = barrier_parity_case(case, monkeypatch)
+        whole, diag = run_barrier(stream, eps, seed=74)
+        counts = []
+        for feed in (ONLINE_RUN, 3 * ONLINE_RUN, CHUNK, stream.n):
+            state = BarrierState(stream.d, eps, seed=74)
+            for lo in range(0, stream.n, feed):
+                state.add_rows(lo, stream.block(lo, min(lo + feed, stream.n)))
+            assert (state.sketch.indices, state.sketch.weights) == (whole.indices, whole.weights), feed
+            assert np.array_equal(np.concatenate(state.probs), diag.probs), feed
+            counts.append([(k.recomputes, k.drift_events) for k in (state.upper_pinv, state.lower_pinv)])
+        assert all(c == counts[0] for c in counts)
+        assert [sum(c) for c in zip(*counts[0])] == [diag.pinv_recomputes, diag.drift_events]
+
+    def test_a_large_block_is_walked_in_bounded_memory(self):
+        # one add_rows of 4096 rows at d = 32 holds the (b, d, d) stacks of one
+        # ONLINE_RUN-row run at a time; as a single run they took 288 MiB
+        block = gen_gaussian(4096, 32, seed=5).block(0, 4096)
+        state = BarrierState(32, 0.5, seed=1)
+        tracemalloc.start()
+        try:
+            state.add_rows(0, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+        assert state.sketch.n_rows > 0 and np.concatenate(state.probs).shape == (4096,)
 
     @pytest.mark.parametrize("case", sorted(BARRIER_GAP_COUNTS))
     def test_one_gap_steps_while_the_other_rebuilds(self, case, monkeypatch):

@@ -46,7 +46,9 @@ class TestBlockSchedule:
         assert seed_block_size(np.int64(10)) == seed_block_size(10)
 
     def test_boundaries_double(self):
-        sched = BlockSchedule.for_stream(4000, 10)
+        # the rows a run froze at, as it recorded them
+        _, diag = scaled_sampling(permute(gen_gaussian(4000, 10, seed=7), seed=8), 0.3, seed=9)
+        sched = diag.schedule
         k = seed_block_size(10)
         assert sched.k == k
         assert sched.boundaries == tuple((2 ** (i + 1) - 1) * k for i in range(len(sched.boundaries)))
@@ -54,8 +56,8 @@ class TestBlockSchedule:
         assert 2 * sched.boundaries[-1] + k >= 4000
 
     def test_short_stream_has_no_boundaries(self):
-        sched = BlockSchedule.for_stream(5, 10)
-        assert sched.boundaries == ()
+        _, diag = scaled_sampling(gen_gaussian(5, 10, seed=3), 0.3, seed=4)
+        assert diag.schedule.boundaries == ()
 
 
 class TestScaledSampler:
@@ -78,9 +80,9 @@ class TestScaledSampler:
     def test_recomputes_equal_block_count(self):
         stream = permute(gen_gaussian(4000, 10, seed=7), seed=8)
         sketch, diag = scaled_sampling(stream, 0.3, seed=9)
-        sched = BlockSchedule.for_stream(4000, 10)
-        assert diag.pinv_recomputes == len(sched.boundaries) == 7
-        assert diag.schedule.boundaries == sched.boundaries
+        _, boundaries = oracles.block_schedule(4000, 10)
+        assert diag.pinv_recomputes == len(boundaries) == 7
+        assert diag.schedule.boundaries == boundaries
 
     @pytest.mark.parametrize("use_jl", [False, True])
     def test_full_rank_block_forms_no_kernel_residual(self, monkeypatch, use_jl):
@@ -206,7 +208,7 @@ class TestPassThroughApprox:
         assert diag.max_working_rows == 800
         eps_actual, _ = verify(stream, sketch)
         assert eps_actual <= 0.4
-        assert diag.pinv_recomputes == len(BlockSchedule.for_stream(800, 6).boundaries)
+        assert diag.pinv_recomputes == len(oracles.block_schedule(800, 6)[1])
 
 
 class TestResparsifyApprox:
@@ -279,7 +281,7 @@ class TestResparsifyApprox:
         # plug splits it where its buffer reaches 2C, so the same passes fire
         d, beta = 8, 1.0 / 3.0
         base = gen_gaussian(8000, d, seed=21)
-        boundaries = BlockSchedule.for_stream(8000, d).boundaries
+        _, boundaries = oracles.block_schedule(8000, d)
         ok = 0
         for s in range(50):
             stream = permute(base, seed=s)
@@ -337,7 +339,7 @@ class TestImprovedSampler:
             sketch, diag = improved_scaled_sampling(stream, 0.4, 1000 + s, plug)
             eps_actual, _ = verify(stream, sketch)
             fails += eps_actual > 0.4
-            assert diag.pinv_recomputes == len(BlockSchedule.for_stream(1500, 8).boundaries)
+            assert diag.pinv_recomputes == len(oracles.block_schedule(1500, 8)[1])
         assert fails == 0
 
     def test_resparsify_plug_bounds_working_set(self):
@@ -353,7 +355,7 @@ class TestImprovedSampler:
         # froze at, and those are the doubling boundaries
         assert ScaledSampler is ImprovedSampler is BlockSampler
         stream = permute(gen_gaussian(900, 5, seed=34), seed=35)
-        want = BlockSchedule.for_stream(900, 5)
+        want = BlockSchedule(*oracles.block_schedule(900, 5))
         for plug in (None, PassThroughPlug(5)):
             _, diag = scaled_sampling(stream, 0.4, 36, plug)
             assert diag.schedule == want
@@ -412,7 +414,7 @@ class TestImprovedSampler:
             sketch, diag = improved_scaled_sampling(stream, 0.4, 33, plug)
             eps_actual, _ = verify(stream, sketch)
             assert eps_actual <= 0.4
-            assert diag.pinv_recomputes == len(BlockSchedule.for_stream(1200, 6).boundaries)
+            assert diag.pinv_recomputes == len(oracles.block_schedule(1200, 6)[1])
 
 
 def _zero_and_duplicate_rows():
@@ -468,7 +470,7 @@ class TestDerivedFigures:
         for i in range(n):
             sampler.step(i, stream.row(i))
         sketch, diag = sampler.finalize()
-        want = BlockSchedule.for_stream(n, d)
+        want = BlockSchedule(*oracles.block_schedule(n, d))
         assert diag.schedule == want
         assert diag.pinv_recomputes == len(sampler.frozen_pinvs) == len(want.boundaries)
         assert diag.max_working_rows == (sketch.n_rows if plug is None else plug.peak_rows)

@@ -1,5 +1,6 @@
 """Ground-truth referee: approximation factor, score audits, stream condition number."""
 import ast
+import functools
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -21,6 +22,7 @@ from specstream import (
     leverage_scores,
     mu,
     permute,
+    pinv,
     run_online,
     scaled_sampling,
     verify,
@@ -153,6 +155,7 @@ class TestVerify:
         calls = Counter()
 
         def counted(name, fn):
+            @functools.wraps(fn)  # keeps a class's attributes, SymPsd.above_cutoff among them
             def wrapped(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
@@ -263,6 +266,15 @@ class TestOnlineLeverage:
         verify_module = importlib.import_module("specstream.verify")
         monkeypatch.setattr(verify_module, "PREFIX_BATCH_ENTRIES", 7 * 9)
         assert online_leverage(stream) == pytest.approx(whole, rel=1e-12)
+
+    def test_prefix_ranks_read_the_sympsd_rule(self, monkeypatch):
+        # a cutoff of 0.05 drops the short last column from some prefixes: each
+        # prefix's pseudo-inverse keeps the eigenpairs that SymPsd keeps
+        monkeypatch.setattr(importlib.import_module("specstream.linalg"), "default_rank_tol", lambda d: 0.05)
+        a = np.random.default_rng(1).standard_normal((300, 4))
+        a[:, -1] *= 0.1
+        want = [row @ pinv(SymPsd(a[:i + 1].T @ a[:i + 1])).matrix @ row for i, row in enumerate(a)]
+        assert np.max(np.abs(online_leverage(make_stream(a)) - want)) <= 1e-12
 
     def test_empty_stream(self):
         with pytest.raises(EmptyStream):
