@@ -19,7 +19,7 @@ def main():
     sketch, stats = scaled_sampling(stream, eps=EPS, seed=5)
     k = seed_block_size(D)
     print(f"n={N}, d={D}: seed block of {k} rows, then blocks ending at "
-          f"{list(stats.schedule.boundaries)}")
+          f"{list(stats.schedule)}")
 
     eps_actual, ok = verify(stream, sketch, scores=stats.scores)
     print(f"kept {sketch.n_rows} of {N} rows, eps_actual {eps_actual:.4f} "
@@ -28,7 +28,7 @@ def main():
           f"(= number of block boundaries, not number of rows)")
 
     # per-block score mass: each block contributes O(d) in expectation
-    mass = np.add.reduceat(stats.scores, [0, *stats.schedule.boundaries])
+    mass = np.add.reduceat(stats.scores, [0, *stats.schedule])
     sums = [f"{s:.1f}" for s in mass]
     print(f"score mass per block: {sums}")
     assert eps_actual <= EPS

@@ -45,7 +45,6 @@ from .online import (
 )
 from .random_order import (
     BlockSampler,
-    BlockSchedule,
     ImprovedSampler,
     ResparsifyApprox,
     ScaledSampler,
@@ -70,8 +69,8 @@ __all__ = [
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",
     "BarrierState", "OnlineState", "barrier_step", "online_step",
     "run_barrier", "run_online", "sampling_constant",
-    "BlockSampler", "BlockSchedule", "ImprovedSampler", "ResparsifyApprox",
-    "ScaledSampler", "improved_scaled_sampling", "scaled_sampling", "seed_block_size",
+    "BlockSampler", "ImprovedSampler", "ResparsifyApprox", "ScaledSampler",
+    "improved_scaled_sampling", "scaled_sampling", "seed_block_size",
     "JlScorer", "jl_build", "projection_rows",
     "approx_factor", "leverage_scores", "mu", "verify",
     "TrialRecord", "bench_suite", "read_csv", "run_sampler", "run_trial", "write_csv",

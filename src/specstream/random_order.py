@@ -19,7 +19,6 @@ one-row runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +48,6 @@ def seed_block_size(d: int) -> int:
     """K = max(d, ceil(d ln d)), d >= 2: rows passed through before scoring starts."""
     d = rowops.dimension(d, least=2)
     return max(d, math.ceil(d * math.log(d)))
-
-
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Seed block size K and the rows a block run froze at, (2^i - 1)K."""
-
-    k: int
-    boundaries: tuple[int, ...]
 
 
 class BlockSampler:
@@ -94,7 +85,6 @@ class BlockSampler:
         self.rng = IndexedUniforms(seed)
         if approx is not None and (plug_dim := approx.query().dim) != dim:
             raise DimensionMismatch(f"plug of dimension {plug_dim} for dim {dim}")
-        self.eps = float(eps)
         self.k = seed_block_size(dim)
         self.multiplier = (1.0 + eps) if approx is None else PLUG_MULTIPLIER
         self.approx = approx
@@ -171,7 +161,8 @@ class BlockSampler:
             self.sketch._fold(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
         self.count += len(seg)
         if self.approx is not None:
-            self._feed(lo, seg)
+            self.approx.add_rows(lo, seg)
+            self._fed_gram += seg.T @ seg
         return keep
 
     def _levels(self, seg) -> np.ndarray:
@@ -181,10 +172,6 @@ class BlockSampler:
         else:
             raw = self.jl.scores(seg) / (1.0 - JL_DISTORTION)
         return np.minimum(self.multiplier * raw, 1.0)
-
-    def _feed(self, lo: int, seg) -> None:
-        self.approx.add_rows(lo, seg)
-        self._fed_gram += seg.T @ seg
 
     def _snapshot(self) -> Sketch:
         """Sketch to freeze: the plug's, checked against the rank fed to it."""
@@ -217,7 +204,7 @@ class BlockSampler:
             pinv_recomputes=len(self.frozen_pinvs),
             max_working_rows=self.peak_rows if self.approx is None else self.approx.peak_rows,
             saturated=self.saturated,
-            schedule=BlockSchedule(self.k, tuple(self.boundaries)),
+            schedule=tuple(self.boundaries),
             frozen_pinvs=self.frozen_pinvs,
             resparsify_passes=getattr(self.approx, "passes", None),
         )
@@ -295,13 +282,13 @@ class ResparsifyApprox:
             raise CapacityCollapse(
                 f"buffer stuck at {len(held)} rows with capacity {self.capacity_rows}"
             )
-        self.buffer.keep(pos, w[pos] / np.sqrt(probs[pos]))
+        self.buffer._keep(pos, w[pos] / np.sqrt(probs[pos]))
         self.passes += 1
 
     def query(self) -> Sketch:
         """The held rows folded afresh with one product, for a block sampler to freeze."""
         sk = Sketch(self.dim)
-        sk.append_rows(*self.buffer.columns())
+        sk._fold(*self.buffer.columns())
         return sk
 
 

@@ -18,9 +18,9 @@ class Sketch:
     source indices and finite weights > 0; a sampled row enters with weight
     1/sqrt(p). Indices, weights and rows are numpy columns in a store that
     doubles when full; the Gram of the weighted rows takes one product per
-    append_rows or keep; append_rows checks its rows, and samplers _fold the
-    rows they checked at entry. A sketch file takes a sparse row's entries
-    from the stream the sketch was drawn from (io.write_sketch).
+    append_rows, _fold or _keep; append_rows checks its rows, and samplers
+    _fold the rows they checked at entry. A sketch file takes a sparse
+    row's entries from the stream the sketch was drawn from (io.write_sketch).
     """
 
     def __init__(self, dim: int):
@@ -78,7 +78,7 @@ class Sketch:
         self._fold(indices, weights, block)
 
     def _fold(self, indices, weights, block) -> None:
-        """append_rows' store write and Gram product, for m >= 1 rows that pass its checks."""
+        """append_rows' store write and Gram product, for m >= 0 rows that pass its checks."""
         n, m = self.n_rows, len(indices)
         if n + m > len(self._dense):
             size = max(n + m, 2 * len(self._dense))
@@ -93,17 +93,10 @@ class Sketch:
         self._gram += scaled.T @ scaled
         self._gram_sym = None
 
-    def keep(self, pos, weights) -> None:
-        """Keep only the entries at increasing positions pos, in order, at new
-        finite weights > 0; the Gram is formed again with one product. Raises
-        before any state changes unless pos is 1-d, integer and strictly
-        increasing in [0, n_rows), with one weight each."""
-        pos, weights = np.asarray(pos), np.asarray(weights, dtype=float)
-        if pos.ndim != 1 or weights.shape != pos.shape or pos.size and (pos.dtype.kind not in "iu"
-                or pos[0] < 0 or pos[-1] >= self.n_rows or (pos[1:] <= pos[:-1]).any()):
-            raise DimensionMismatch("positions must increase within the held rows, one weight each")
-        if not ((weights > 0.0) & (weights < np.inf)).all():
-            raise InvalidWeight("sketch weights must be finite and > 0")
+    def _keep(self, pos, weights) -> None:
+        """Keep only the entries at pos, an increasing integer array of held
+        positions, in order, at new finite weights > 0, one each; the Gram
+        is formed again with one product."""
         m = self.n_rows = len(pos)
         self._indices[:m] = self._indices[pos]
         self._weights[:m] = weights
@@ -128,9 +121,6 @@ class Sketch:
         _, weights, dense = self.columns()
         return dense * weights[:, None]
 
-    def __iter__(self):
-        return iter(zip(self.indices, self.weights, self.rows))
-
     def __repr__(self):
         return f"Sketch(dim={self.dim}, n_rows={self.n_rows})"
 
@@ -144,8 +134,8 @@ class RunStats:
     row count, or the plug's peak, and saturated counts the rows whose
     sampling probability was capped at 1 (for the block samplers, the seed
     block too). probs comes from the barrier sampler, the rest from the
-    block samplers. A block run's per-block score mass is
-    np.add.reduceat(scores, [0, *schedule.boundaries]).
+    block samplers. A block run's schedule is the tuple of rows it froze
+    at, and its per-block score mass np.add.reduceat(scores, [0, *schedule]).
     """
 
     scores: np.ndarray | None
@@ -155,6 +145,6 @@ class RunStats:
     drift_events: int = 0
     saturated: int = 0
     probs: np.ndarray | None = None
-    schedule: object = None
+    schedule: tuple[int, ...] | None = None
     frozen_pinvs: list | None = None
     resparsify_passes: int | None = None

@@ -303,6 +303,29 @@ class TestReadmeCommandLine:
             assert args.command != "run" or _unread_run_flag(args) is None, argv
 
 
+class TestReadmeQuickstart:
+    def test_every_print_matches_its_comment(self):
+        # the README's "Quickstart" block runs, and each print shows what its
+        # trailing comment says: integers and booleans exactly, and a float
+        # written as 0.0729... rounds to the digits shown
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        comments = [ln.split("#", 1)[1].split() for ln in block.splitlines() if ln.startswith("print(")]
+        printed = []
+        exec(block, {"print": lambda *args: printed.append(args)})
+        assert len(printed) == len(comments) == 2
+        for args, shown in zip(printed, comments):
+            assert len(args) == len(shown), (args, shown)
+            for got, want in zip(args, shown):
+                if want in ("True", "False"):
+                    assert got is (want == "True"), (got, want)
+                elif want.endswith("..."):
+                    places = len(want[:-3].split(".")[1])
+                    assert round(got, places) == float(want[:-3]), (got, want)
+                else:
+                    assert type(got) is int and got == int(want), (got, want)
+
+
 def _defined_tests(path):
     """The functions and methods a test file defines, as 'name' and
     'Class::name', read with ast: nothing is imported or run."""

@@ -627,6 +627,81 @@ def test_run_entry_takes_an_empty_run_untouched(entry):
     state.add_rows(0, good)
 
 
+# ROADMAP item 14's family: last_column_scaled(s) at eps 0.5, seed 1
+SMALL_COLUMN_SCALES = [10.0 ** -k for k in range(3, 11)]
+SMALL_COLUMN_RUNNERS = {"online": run_online, "barrier": run_barrier}
+
+
+@pytest.fixture(scope="module")
+def small_column_run():
+    """(sketch, stats) of one (sampler, s) run on item 14's family, each run once."""
+    runs = {}
+
+    def run(sampler, s):
+        if (sampler, s) not in runs:
+            runs[sampler, s] = SMALL_COLUMN_RUNNERS[sampler](last_column_scaled(s), 0.5, 1)
+        return runs[sampler, s]
+    return run
+
+
+def _discarded(formed, installed, rank):
+    return (f"{formed} pseudo-inverses formed = {installed} installed + {formed - installed} "
+            f"discarded, rank {rank}: the drift certificate fails on its rounding term "
+            "alone, and each failed check forms one and throws it away (ROADMAP item 12)")
+
+
+def _rebuilt(formed, rank):
+    return (f"{formed} pseudo-inverses formed, rank {rank}: the rank cutoff drops the "
+            "direction the kernel test calls off the image, so rows along it rebuild "
+            "again and again (ROADMAP item 14)")
+
+
+# (sampler, s) -> why the count clause fails there today, from the counts
+# measured at eps 0.5, seed 1
+SMALL_COLUMN_COUNT_FAULTS = {
+    ("online", 1e-4): _discarded(18, 7, 6),
+    ("online", 1e-5): _discarded(20, 9, 6),
+    ("online", 1e-6): _rebuilt(3927, 5),
+    ("online", 1e-7): _rebuilt(3340, 5),
+    ("online", 1e-8): _rebuilt(335, 5),
+    ("barrier", 1e-4): _discarded(138, 14, 6),
+    ("barrier", 1e-5): _discarded(142, 18, 6),
+    ("barrier", 1e-6): _rebuilt(7849, 5),
+    ("barrier", 1e-7): _rebuilt(6688, 5),
+    ("barrier", 1e-8): _rebuilt(713, 5),
+}
+
+
+def _small_column_cases(faults=None):
+    """Every (sampler, s) of the family, each in faults a strict xfail with its reason."""
+    faults = faults or {}
+    return [pytest.param(sampler, s, id=f"{sampler}-s={s:.0e}", marks=[
+        pytest.mark.xfail(strict=True, reason=faults[sampler, s])] if (sampler, s) in faults else [])
+        for sampler in SMALL_COLUMN_RUNNERS for s in SMALL_COLUMN_SCALES]
+
+
+class TestSmallColumnFamily:
+    @pytest.mark.parametrize("sampler, s", _small_column_cases())
+    def test_meets_eps_and_the_audit(self, small_column_run, sampler, s):
+        # at s <= 1e-6 the scaled direction's Gram eigenvalue, 4000 s^2, is
+        # below the referee's rank cutoff d * 2^-40 of the largest: this
+        # clause then reads a referee blind to that direction (ROADMAP item 16)
+        sketch, diag = small_column_run(sampler, s)
+        eps_actual, audit = verify(last_column_scaled(s), sketch, scores=diag.scores)
+        assert eps_actual <= 0.5, eps_actual
+        assert audit is (True if sampler == "online" else None)
+
+    @pytest.mark.parametrize("sampler, s", _small_column_cases(SMALL_COLUMN_COUNT_FAULTS))
+    def test_rebuilds_stay_within_the_rank(self, small_column_run, sampler, s):
+        # ROADMAP item 12's count clause: one pseudo-inverse per direction of
+        # the kept Gram for each one a sampler keeps (the barrier keeps two),
+        # plus one per drift event
+        sketch, diag = small_column_run(sampler, s)
+        rank = SymPsd(sketch.gram_matrix()).rank
+        kept_pinvs = 1 if sampler == "online" else 2
+        assert diag.pinv_recomputes <= kept_pinvs * rank + diag.drift_events, diag.pinv_recomputes
+
+
 def kept_step(kept, a, k):
     """Follow X += k aa' (a on the image) as the samplers do: take pa and
     q = a' pa, ask for coef, step in place and report the step. (pa, coef)

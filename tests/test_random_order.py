@@ -6,7 +6,6 @@ import pytest
 
 from specstream import (
     BlockSampler,
-    BlockSchedule,
     CapacityCollapse,
     ConstApproxFailure,
     DimensionMismatch,
@@ -50,14 +49,13 @@ class TestBlockSchedule:
         _, diag = scaled_sampling(permute(gen_gaussian(4000, 10, seed=7), seed=8), 0.3, seed=9)
         sched = diag.schedule
         k = seed_block_size(10)
-        assert sched.k == k
-        assert sched.boundaries == tuple((2 ** (i + 1) - 1) * k for i in range(len(sched.boundaries)))
-        assert sched.boundaries[-1] < 4000
-        assert 2 * sched.boundaries[-1] + k >= 4000
+        assert sched == tuple((2 ** (i + 1) - 1) * k for i in range(len(sched)))
+        assert sched[-1] < 4000
+        assert 2 * sched[-1] + k >= 4000
 
     def test_short_stream_has_no_boundaries(self):
         _, diag = scaled_sampling(gen_gaussian(5, 10, seed=3), 0.3, seed=4)
-        assert diag.schedule.boundaries == ()
+        assert diag.schedule == ()
 
 
 class TestScaledSampler:
@@ -82,7 +80,7 @@ class TestScaledSampler:
         sketch, diag = scaled_sampling(stream, 0.3, seed=9)
         _, boundaries = oracles.block_schedule(4000, 10)
         assert diag.pinv_recomputes == len(boundaries) == 7
-        assert diag.schedule.boundaries == boundaries
+        assert diag.schedule == boundaries
 
     @pytest.mark.parametrize("use_jl", [False, True])
     def test_full_rank_block_forms_no_kernel_residual(self, monkeypatch, use_jl):
@@ -130,7 +128,7 @@ class TestScaledSampler:
         assert diag.scores[b2] != diag.scores[b1_first]
         mult = 1.0 + 0.4
         for pos in (b1_first, b1_second, b2):
-            block = int(np.searchsorted(np.asarray(diag.schedule.boundaries), pos, side="right")) - 1
+            block = int(np.searchsorted(np.asarray(diag.schedule), pos, side="right")) - 1
             q = float(marker @ diag.frozen_pinvs[block] @ marker)
             want = min(mult * q / (q + 1.0), 1.0)
             assert diag.scores[pos] == pytest.approx(want, rel=1e-12)
@@ -143,7 +141,7 @@ class TestScaledSampler:
         for s in range(20):
             stream = permute(gen_gaussian(2000, d, seed=100 + s), seed=200 + s)
             _, diag = scaled_sampling(stream, 0.3, seed=300 + s)
-            sums.append(np.add.reduceat(diag.scores, [0, *diag.schedule.boundaries])[1:])
+            sums.append(np.add.reduceat(diag.scores, [0, *diag.schedule])[1:])
         med = np.median(np.array(sums), axis=0)
         assert np.all(med <= 24 * d)
 
@@ -355,11 +353,11 @@ class TestImprovedSampler:
         # froze at, and those are the doubling boundaries
         assert ScaledSampler is ImprovedSampler is BlockSampler
         stream = permute(gen_gaussian(900, 5, seed=34), seed=35)
-        want = BlockSchedule(*oracles.block_schedule(900, 5))
+        want = oracles.block_schedule(900, 5)[1]
         for plug in (None, PassThroughPlug(5)):
             _, diag = scaled_sampling(stream, 0.4, 36, plug)
             assert diag.schedule == want
-            assert diag.pinv_recomputes == len(want.boundaries)
+            assert diag.pinv_recomputes == len(want)
 
     @pytest.mark.parametrize("plug", ["resparsify", "block", "pass-through"])
     def test_plug_of_another_width_refused_at_construction(self, plug):
@@ -470,9 +468,9 @@ class TestDerivedFigures:
         for i in range(n):
             sampler.step(i, stream.row(i))
         sketch, diag = sampler.finalize()
-        want = BlockSchedule(*oracles.block_schedule(n, d))
+        want = oracles.block_schedule(n, d)[1]
         assert diag.schedule == want
-        assert diag.pinv_recomputes == len(sampler.frozen_pinvs) == len(want.boundaries)
+        assert diag.pinv_recomputes == len(sampler.frozen_pinvs) == len(want)
         assert diag.max_working_rows == (sketch.n_rows if plug is None else plug.peak_rows)
 
 
@@ -559,8 +557,8 @@ class TestResparsifyCounters:
         held, weights, passes, peak = oracles.resparsify_reference(
             stream.materialize(), 4.0, 0.45, seed=101)
         assert (plug.passes, plug.peak_rows) == (passes, peak)
-        assert [i for i, _, _ in plug.buffer] == held
-        assert np.allclose([w for _, w, _ in plug.buffer], weights, rtol=1e-9, atol=0.0)
+        assert plug.buffer.indices == held
+        assert np.allclose(plug.buffer.weights, weights, rtol=1e-9, atol=0.0)
 
     def test_collapse_counts_its_retry(self):
         # an absurd keep rate fails the first pass

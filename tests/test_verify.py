@@ -140,7 +140,7 @@ class TestVerify:
         stream = permute(gen_gaussian(3000, 6, seed=8), seed=9)
         sk, _ = scaled_sampling(stream, 0.4, seed=10)
         copy = Sketch(stream.d)
-        for idx, w, row in sk:
+        for idx, w, row in zip(sk.indices, sk.weights, sk.rows):
             copy.append(idx, w, row)
         assert verify(stream, sk)[0] == verify(stream, copy)[0]
 
