@@ -23,9 +23,8 @@ run, taken again for the rest of it after a rebuild or a drift replacement.
 Per run, one cumsum gives the Gram of the rows seen after every row, and
 one of the kept rows' outers, extended in place, the sketch Grams that
 rebuilds, drift checks and the sandwich check (one stacked Cholesky) read.
-Both make the decisions of the row-at-a-time rule. A drift check of a kept
-Y of G skips its O(d^3) rebuild when ||G Y - P||_F + 4 d u ||G||_F ||Y||_F
-<= PINV_DRIFT_TOL / 2 and G + floor/2 I has a Cholesky (KeptPinv.certified).
+Both make the decisions of the row-at-a-time rule. A drift check keeps a
+certified pseudo-inverse (KeptPinv.certified) and otherwise installs a rebuild.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ DEFAULT_ONLINE_C_MULT = 3.0
 # O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
 ONLINE_RUN = 128
 
-# Maintained pseudo-inverse is certified, or checked against a rebuild, this often.
+# Maintained pseudo-inverse is certified, or else rebuilt, this often.
 PINV_VERIFY_EVERY = 64
 PINV_DRIFT_TOL = 1e-6
 
@@ -76,9 +75,11 @@ class KeptPinv:
     from step_coef, steps X+ -= coef pa pa' in place, O(d^2), and reports
     the step by stepped(). A row off the image (the image grows) or a
     collapsing denominator (the rank drops) rebuilds X+ as pinv(SymPsd(G)),
-    G = `source()` the current X as a (d, d) array; every PINV_VERIFY_EVERY
-    steps Y = X+ is certified against G, or else a rebuild replaces it if it
-    has drifted. recomputes counts every pseudo-inverse formed (_formed).
+    G = `source()` the current X as a (d, d) array. Every PINV_VERIFY_EVERY
+    steps a drift check keeps Y = X+ if certified (within PINV_DRIFT_TOL / 2
+    of G+, relative, with the residual's rounding taken componentwise, and
+    at G+'s rank), or else installs a rebuild, a drift event. recomputes
+    counts every pseudo-inverse formed (_formed), and each is installed.
     """
 
     def __init__(self, dim: int, source, matrix=None):
@@ -100,8 +101,8 @@ class KeptPinv:
         return None
 
     def stepped(self) -> bool:
-        """Count a step taken; every PINV_VERIFY_EVERY steps certify it, or else form
-        a pseudo-inverse and replace it if it has drifted, returning False then."""
+        """Count a step taken; every PINV_VERIFY_EVERY steps certify Y, or else
+        replace it by a rebuild, a drift event, and return False."""
         self._updates_since_verify += 1
         if self._updates_since_verify < PINV_VERIFY_EVERY:
             return True
@@ -109,47 +110,46 @@ class KeptPinv:
         self._updates_since_verify = 0
         if self.certified(g):
             return True
-        fresh = self._formed(g)
-        drift = np.linalg.norm(self.pinv.matrix - fresh.matrix)
-        if drift > PINV_DRIFT_TOL * np.linalg.norm(fresh.matrix):
-            self.drift_events += 1
-            self.recompute(fresh)
-            return False
-        return True
+        self.drift_events += 1
+        self.recompute(g)
+        return False
 
     def certified(self, g) -> bool:
-        """True when the drift check may skip its rebuild: Y is within
-        PINV_DRIFT_TOL of pinv(SymPsd(g)), and SymPsd(g) raises no NotPsd.
+        """True when a rebuild, pinv(SymPsd(g)), would raise no NotPsd, keep
+        Y's rank and move Y by at most PINV_DRIFT_TOL / 2, relative.
 
         With R = g Y - P (P the kept projector), Y - g+ = g+ R while steps
-        pa pa' (pa = Y a) keep range Y in Im g, so the relative drift is at
-        most ||R||_F, plus rounding 4 d u ||g||_F ||Y||_F (u = 2^-53): 1 for
-        the product, sqrt(2) (Wedin) for eigh's backward error d u ||g||, 1
-        for forming the rebuild. Half the tolerance covers the rebuild's norm
-        in the check's denominator. That term caps g's condition on Im P far
-        below 1 / default_rank_tol(d), and a kernel mass tr g - <P, g> <=
-        floor / 10 (floor = default_rank_tol(d) tr g / d <= the rank cutoff)
-        keeps P's rank in the rebuild. A Cholesky of g + floor / 2 I puts g's
-        least eigenvalue above SymPsd's -floor. Never True at PINV_DRIFT_TOL <= 0."""
+        pa pa' (pa = Y a) keep range Y in Im P: the relative drift is at most
+        ||R||_F, computed within 2 d u || |g| |Y| ||_F (u = 2^-53; Higham 3.5's
+        componentwise product bound, and the subtraction), tried first at its
+        bound 2 d u ||g||_F ||Y||_F. With tau = default_rank_tol(d), a kernel
+        mass tr g - <P, g> <= floor / 10 (floor = tau tr g / d <= the cutoff
+        tau lambda_max) keeps g's eigenvalues past rank P under the cutoff;
+        P g P Y = P + P R on Im P puts the rank-P-th (Courant-Fischer) at >=
+        1 / (2 ||Y||_2) >= 2 tau lambda_max when tau ||g||_F ||Y||_F < 1/4,
+        else SymPsd.above_cutoff counts them. A Cholesky of g + floor / 2 I
+        puts g's least eigenvalue above SymPsd's -floor. Never True at PINV_DRIFT_TOL <= 0."""
         y, p, d = self.pinv.matrix, self.pinv.projector, len(g)
-        trace = float(g.trace())
-        floor = default_rank_tol(d) * trace / d
-        if not (trace > 0.0 and trace - float(np.vdot(p, g)) <= 0.1 * floor):
+        trace, tau = float(g.trace()), default_rank_tol(d)
+        if not (trace > 0.0 and trace - float(np.vdot(p, g)) <= 0.1 * tau * trace / d):
             return False
         r = g @ y
         r -= p
-        rounding = 4.0 * d * 2.0 ** -53 * math.sqrt(float(np.vdot(g, g) * np.vdot(y, y)))
-        return (math.sqrt(float(np.vdot(r, r))) + rounding <= 0.5 * PINV_DRIFT_TOL
-                and sandwich_holds(g, 0.5 * floor))
+        budget, u2d = 0.5 * PINV_DRIFT_TOL - math.sqrt(float(np.vdot(r, r))), 2.0 * d * 2.0 ** -53
+        scale = math.sqrt(float(np.vdot(g, g) * np.vdot(y, y)))  # ||g||_F ||Y||_F
+        return ((u2d * scale <= budget or u2d * np.linalg.norm(np.abs(g) @ np.abs(y)) <= budget)
+                and (scale * tau < 0.25 or self.pinv.source_rank
+                     == np.count_nonzero(SymPsd.above_cutoff(np.linalg.eigvalsh(g))))
+                and sandwich_holds(g, 0.5 * tau * trace / d))
 
     def _formed(self, g) -> PInv:
         """pinv(SymPsd(g)), an O(d^3) eigendecomposition, counted in recomputes."""
         self.recomputes += 1
         return pinv(SymPsd(g))
 
-    def recompute(self, fresh: PInv | None = None) -> None:
-        """Rebuild into the owned matrix from fresh, or else from _formed(source())."""
-        fresh = self._formed(self.source()) if fresh is None else fresh
+    def recompute(self, g=None) -> None:
+        """Rebuild into the owned matrix from _formed(g), g = source() by default."""
+        fresh = self._formed(self.source() if g is None else g)
         self.pinv.matrix[...] = fresh.matrix
         self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
         self._updates_since_verify = 0

@@ -351,30 +351,53 @@ class TestOnlineSampler:
             recomputes.add(diag.pinv_recomputes)
         assert len(recomputes) == 1, recomputes
 
-    # clean runs whose kept pseudo-inverses step far past PINV_VERIFY_EVERY;
-    # on item 14's stream (last column x 1e-5) and the late-direction stream
-    # (s = 1e-4) some certificates fail, and their drift checks form a
-    # pseudo-inverse that they compare and discard
+    # (run, pseudo-inverses it forms, or None) of clean runs whose kept
+    # pseudo-inverses step far past PINV_VERIFY_EVERY; on item 14's stream
+    # (last column x 1e-5) and the late-direction stream (s = 1e-4), G is
+    # ill-conditioned (kappa near 1e10 at 1e-5), and the certificate resolves
+    # every drift check there at componentwise rounding: the counts are the
+    # rank's rebuilds and item 14's flat image rebuilds alone
     EIGH_COUNT_RUNS = {
-        "online-gaussian": lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1),
-        "online-kd-permuted": lambda: run_online(permute(gen_kd_multigraph(8, 256), seed=2), 0.5, seed=2),
-        "barrier-gaussian": lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3),
-        "online-small-column": lambda: run_online(last_column_scaled(1e-5), 0.5, seed=1),
-        "barrier-small-column": lambda: run_barrier(last_column_scaled(1e-5), 0.5, seed=1),
-        "online-late-direction": lambda: run_online(last_column_scaled(1e-4, 3000), 0.5, seed=1),
-        "barrier-late-direction": lambda: run_barrier(last_column_scaled(1e-4, 3000), 0.5, seed=1),
+        "online-gaussian": (lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1), None),
+        "online-kd-permuted": (lambda: run_online(permute(gen_kd_multigraph(8, 256), seed=2), 0.5, seed=2),
+                               None),
+        "barrier-gaussian": (lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3), None),
+        "online-small-column": (lambda: run_online(last_column_scaled(1e-5), 0.5, seed=1), 9),
+        "barrier-small-column": (lambda: run_barrier(last_column_scaled(1e-5), 0.5, seed=1), 18),
+        "online-late-direction": (lambda: run_online(last_column_scaled(1e-4, 3000), 0.5, seed=1), 11),
+        "barrier-late-direction": (lambda: run_barrier(last_column_scaled(1e-4, 3000), 0.5, seed=1), 23),
     }
 
     @pytest.mark.parametrize("case", sorted(EIGH_COUNT_RUNS))
     def test_drift_checks_form_no_pseudo_inverse(self, case, monkeypatch):
         # a drift check certifies the kept pseudo-inverse with a product and
-        # a Cholesky, and forms a pseudo-inverse only when that fails; every
-        # one formed, kept or discarded, is an eigendecomposition the run counts
+        # a Cholesky, and forms a pseudo-inverse only to install it, as a
+        # drift event; every one formed is an eigendecomposition the run counts
         formed = []
         monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
-        sketch, diag = self.EIGH_COUNT_RUNS[case]()
+        run, want = self.EIGH_COUNT_RUNS[case]
+        sketch, diag = run()
         assert sketch.n_rows > online.PINV_VERIFY_EVERY and diag.drift_events == 0
         assert len(formed) == diag.pinv_recomputes
+        assert want is None or diag.pinv_recomputes == want, diag.pinv_recomputes
+
+    def test_late_direction_barrier_replaces_at_the_rank_drop(self, monkeypatch):
+        # at s = 1e-5 from row 3000 one gap's least image eigenvalue falls to
+        # 4.98e-12 lambda_max, under the cutoff 6 * 2^-40 = 5.46e-12, while its
+        # kept Y of rank 6 still fits it (||G Y - P||_F ~ 1e-9): the drift
+        # check's rank clause fails, and the rebuild it installs has rank 5
+        replaced, stepped = [], KeptPinv.stepped
+
+        def watched(kept):
+            before, events = kept.pinv.source_rank, kept.drift_events
+            result = stepped(kept)
+            if kept.drift_events != events:
+                replaced.append((before, kept.pinv.source_rank))
+            return result
+        monkeypatch.setattr(KeptPinv, "stepped", watched)
+        sketch, diag = run_barrier(last_column_scaled(1e-5, 3000), 0.5, seed=1)
+        assert (sketch.n_rows, diag.drift_events) == (741, 1)
+        assert replaced == [(6, 5)]
 
     def test_walk_rescores_after_a_drift_replacement(self):
         # Y is 1% off the sketch Gram's pseudo-inverse between two runs, and
@@ -644,10 +667,10 @@ def small_column_run():
     return run
 
 
-def _discarded(formed, installed, rank):
-    return (f"{formed} pseudo-inverses formed = {installed} installed + {formed - installed} "
-            f"discarded, rank {rank}: the drift certificate fails on its rounding term "
-            "alone, and each failed check forms one and throws it away (ROADMAP item 12)")
+def _flat(formed, rank, kept_pinvs):
+    return (f"{formed} pseudo-inverses formed, rank {rank}: {formed - kept_pinvs * rank} image "
+            "rebuilds leave the rank flat, as the rank cutoff drops what the kernel test "
+            "calls off the image (ROADMAP item 14)")
 
 
 def _rebuilt(formed, rank):
@@ -659,13 +682,13 @@ def _rebuilt(formed, rank):
 # (sampler, s) -> why the count clause fails there today, from the counts
 # measured at eps 0.5, seed 1
 SMALL_COLUMN_COUNT_FAULTS = {
-    ("online", 1e-4): _discarded(18, 7, 6),
-    ("online", 1e-5): _discarded(20, 9, 6),
+    ("online", 1e-4): _flat(7, 6, 1),
+    ("online", 1e-5): _flat(9, 6, 1),
     ("online", 1e-6): _rebuilt(3927, 5),
     ("online", 1e-7): _rebuilt(3340, 5),
     ("online", 1e-8): _rebuilt(335, 5),
-    ("barrier", 1e-4): _discarded(138, 14, 6),
-    ("barrier", 1e-5): _discarded(142, 18, 6),
+    ("barrier", 1e-4): _flat(14, 6, 2),
+    ("barrier", 1e-5): _flat(18, 6, 2),
     ("barrier", 1e-6): _rebuilt(7849, 5),
     ("barrier", 1e-7): _rebuilt(6688, 5),
     ("barrier", 1e-8): _rebuilt(713, 5),
@@ -762,11 +785,12 @@ class TestKeptPinv:
         assert (kept.recomputes, kept.drift_events) == (2, 1)
         assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
 
-    @pytest.mark.parametrize("off", [2.0, 0.1])
+    @pytest.mark.parametrize("off", [2.0, 0.5, 0.1])
     def test_drift_check_errs_toward_a_rebuild(self, off, monkeypatch):
-        # Y off by `off` times PINV_DRIFT_TOL, relative: twice the tolerance
-        # fails the certificate, and the full check replaces Y; a tenth of
-        # it passes, and no pseudo-inverse is formed
+        # Y off by `off` times PINV_DRIFT_TOL, relative, so ||G Y - P||_F =
+        # off * PINV_DRIFT_TOL * sqrt(3): at twice and at half the tolerance
+        # the certificate (PINV_DRIFT_TOL / 2) fails, and the rebuild it forms
+        # replaces Y; a tenth of it passes, and no pseudo-inverse is formed
         monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
         formed = []
         monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
@@ -776,7 +800,7 @@ class TestKeptPinv:
         fresh = kept.pinv.matrix.copy()
         kept.pinv.matrix *= 1.0 + off * online.PINV_DRIFT_TOL
         drifted = kept.pinv.matrix.copy()
-        replaced = off > 1.0
+        replaced = off >= 0.5
         assert kept.stepped() is not replaced
         assert (kept.recomputes, kept.drift_events, len(formed)) == ((2, 1, 2) if replaced else (1, 0, 1))
         assert np.array_equal(kept.pinv.matrix, fresh if replaced else drifted)
@@ -793,6 +817,23 @@ class TestKeptPinv:
         assert not kept.stepped()
         assert (kept.pinv.source_rank, kept.recomputes, kept.drift_events) == (3, 2, 1)
         assert np.allclose(kept.pinv.matrix, np.diag([1.0, 0.5, 1e9]), rtol=1e-12, atol=0.0)
+
+    def test_image_eigenvalue_under_the_cutoff_rebuilds_at_rank_minus_one(self, monkeypatch):
+        # X's least eigenvalue falls to 2e-12 of the largest, under the rank
+        # cutoff 3 * 2^-40 = 2.7e-12, and Y follows it (G Y - P at rounding
+        # level): the residual certifies Y, but the rebuild drops that
+        # direction, so the drift check's rank clause rebuilds
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+        x = np.diag([1.0, 2.0, 1e-11])
+        kept = KeptPinv(3, lambda: x)
+        kept.recompute()
+        assert kept.pinv.source_rank == 3
+        x[2, 2] = 4e-12
+        kept.pinv.matrix[2, 2] = 2.5e11
+        assert np.linalg.norm(x @ kept.pinv.matrix - kept.pinv.projector) < 1e-15
+        assert not kept.stepped()
+        assert (kept.pinv.source_rank, kept.recomputes, kept.drift_events) == (2, 2, 1)
+        assert np.allclose(kept.pinv.matrix, np.diag([1.0, 0.5, 0.0]), rtol=1e-12, atol=1e-15)
 
     def test_score_is_the_shared_relative_leverage(self):
         # dense and densified sparse rows against a full-rank and a rank-7
