@@ -28,7 +28,7 @@ from .instances import (
 from .online import DEFAULT_ONLINE_C_MULT, run_barrier, run_online
 from .random_order import ResparsifyApprox, ScaledSampler, scaled_sampling
 from .randomness import derive_seed
-from .sketch import RunStats, Sketch
+from .sketch import RunCounters, RunStats, Sketch
 from .verify import mu as measure_mu
 from .verify import online_leverage, verify
 
@@ -73,8 +73,8 @@ PROBE_FIRST_CHECKPOINT = 2048
 
 
 @dataclass
-class TrialRecord:
-    """One benchmark run; serializes to one CSV row."""
+class TrialRecord(RunCounters):
+    """One benchmark run; serializes to one CSV row, the run's counters first."""
 
     algo: str
     n: int
@@ -85,11 +85,7 @@ class TrialRecord:
     seed_sample: int
     sketch_rows: int
     eps_actual: float
-    score_total: float
     mu: float | None
-    max_working_rows: int
-    pinv_recomputes: int
-    drift_events: int
     wall_ms: float
 
     def __post_init__(self):
@@ -101,7 +97,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 # Cell parsers by field annotation; an empty cell is a missing optional value.
 _PARSE = {"str": str, "int": int, "float": float,
-          "float | None": lambda cell: None if cell == "" else float(cell)}
+          "float | None": lambda cell: None if cell == "" else float(cell),
+          "int | None": lambda cell: None if cell == "" else int(cell)}
 
 
 def _cell(value) -> str:
@@ -200,12 +197,8 @@ def run_trial(
     rec = TrialRecord(
         algo=algo, n=stream.n, d=stream.d, eps=eps,
         seed_stream=seed_stream, seed_perm=seed_perm, seed_sample=seed_sample,
-        sketch_rows=sketch.n_rows, eps_actual=eps_actual,
-        score_total=float(stats.score_total), mu=None,
-        max_working_rows=stats.max_working_rows,
-        pinv_recomputes=stats.pinv_recomputes,
-        drift_events=stats.drift_events,
-        wall_ms=wall_ms,
+        sketch_rows=sketch.n_rows, eps_actual=eps_actual, mu=None, wall_ms=wall_ms,
+        **stats.counters(),
     )
     return rec, sketch
 

@@ -48,51 +48,34 @@ def _unread_run_flag(args) -> str | None:
 
 def _cmd_run(args) -> int:
     stream = sio.read_stream(args.input)
-    seed_perm = args.perm_seed if args.perm_seed is not None else 0
     if args.perm_seed is not None:
         stream = permute(stream, args.perm_seed)
     sketch, stats = run_sampler(args.algo, stream, args.eps, args.seed,
                                 c_mult=args.c_mult, use_jl=args.jl, plug_beta=args.plug_beta)
-    meta = {
+    run = {
         "algo": args.algo,
         "eps": args.eps,
         "seed_sample": args.seed,
-        "seed_perm": seed_perm,
-        "source": stream.meta,
+        "seed_perm": args.perm_seed if args.perm_seed is not None else 0,
     }
-    sio.write_sketch(args.out, sketch, stream, meta)
-    diag_path = args.diag if args.diag else args.out + ".diag"
-    _write_diag(diag_path, args, stream, sketch, stats)
+    sio.write_sketch(args.out, sketch, stream, {**run, "source": stream.meta})
+    _write_diag(args.diag or args.out + ".diag",
+                {"kind": "run", **run, "n": stream.n, "d": stream.d}, sketch, stats)
     print(f"wrote {args.out}: {sketch.n_rows} of {stream.n} rows "
           f"(score_total={stats.score_total:.6g})")
     return 0
 
 
-def _write_diag(path, args, stream, sketch, stats) -> None:
-    lines = [
-        json.dumps({
-            "kind": "run", "algo": args.algo, "eps": args.eps,
-            "seed_sample": args.seed,
-            "seed_perm": args.perm_seed if args.perm_seed is not None else 0,
-            "n": stream.n, "d": stream.d,
-        }, sort_keys=True),
-    ]
+def _write_diag(path, run: dict, sketch, stats) -> None:
+    """The sidecar: the run line, the score log if the run keeps one, and a
+    summary of sketch_rows and every counter that is not None."""
+    summary = {name: value for name, value in stats.counters().items() if value is not None}
+    lines = [run]
     if stats.scores is not None:
-        lines.append(json.dumps({
-            "kind": "scores",
-            "values": [float(s) for s in stats.scores],
-        }, sort_keys=True))
-    lines.append(json.dumps({
-        "kind": "summary",
-        "sketch_rows": sketch.n_rows,
-        "score_total": float(stats.score_total),
-        "pinv_recomputes": stats.pinv_recomputes,
-        "drift_events": stats.drift_events,
-        "max_working_rows": stats.max_working_rows,
-        "saturated": stats.saturated,
-    }, sort_keys=True))
+        lines.append({"kind": "scores", "values": [float(s) for s in stats.scores]})
+    lines.append({"kind": "summary", "sketch_rows": sketch.n_rows, **summary})
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
 
 
 def _read_diag_scores(path) -> list[float] | None:

@@ -127,8 +127,9 @@ class KeptPinv:
         tau lambda_max) keeps g's eigenvalues past rank P under the cutoff;
         P g P Y = P + P R on Im P puts the rank-P-th (Courant-Fischer) at >=
         1 / (2 ||Y||_2) >= 2 tau lambda_max when tau ||g||_F ||Y||_F < 1/4,
-        else SymPsd.above_cutoff counts them. A Cholesky of g + floor / 2 I
-        puts g's least eigenvalue above SymPsd's -floor. Never True at PINV_DRIFT_TOL <= 0."""
+        else the rebuild's SymPsd(g).rank counts them. A Cholesky of g +
+        floor / 2 I puts g's least eigenvalue above SymPsd's -floor. Never
+        True at PINV_DRIFT_TOL <= 0."""
         y, p, d = self.pinv.matrix, self.pinv.projector, len(g)
         trace, tau = float(g.trace()), default_rank_tol(d)
         if not (trace > 0.0 and trace - float(np.vdot(p, g)) <= 0.1 * tau * trace / d):
@@ -138,8 +139,7 @@ class KeptPinv:
         budget, u2d = 0.5 * PINV_DRIFT_TOL - math.sqrt(float(np.vdot(r, r))), 2.0 * d * 2.0 ** -53
         scale = math.sqrt(float(np.vdot(g, g) * np.vdot(y, y)))  # ||g||_F ||Y||_F
         return ((u2d * scale <= budget or u2d * np.linalg.norm(np.abs(g) @ np.abs(y)) <= budget)
-                and (scale * tau < 0.25 or self.pinv.source_rank
-                     == np.count_nonzero(SymPsd.above_cutoff(np.linalg.eigvalsh(g))))
+                and (scale * tau < 0.25 or self.pinv.source_rank == SymPsd(g).rank)
                 and sandwich_holds(g, 0.5 * tau * trace / d))
 
     def _formed(self, g) -> PInv:
@@ -299,7 +299,6 @@ def run_online(
     scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
         scores=scores,
-        score_total=float(np.sum(scores)),
         pinv_recomputes=state.kept.recomputes,
         max_working_rows=state.sketch.n_rows,
         drift_events=state.kept.drift_events,
@@ -481,8 +480,6 @@ def run_barrier(
     kept = (state.upper_pinv, state.lower_pinv)
     probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(
-        scores=None,
-        score_total=float(np.sum(probs)),
         pinv_recomputes=sum(k.recomputes for k in kept),
         max_working_rows=state.sketch.n_rows,
         drift_events=sum(k.drift_events for k in kept),

@@ -200,7 +200,6 @@ class BlockSampler:
         scores = np.concatenate(self.scores) if self.scores else np.empty(0)
         return self.sketch, RunStats(
             scores=scores,
-            score_total=float(np.sum(scores)),
             pinv_recomputes=len(self.frozen_pinvs),
             max_working_rows=self.peak_rows if self.approx is None else self.approx.peak_rows,
             saturated=self.saturated,

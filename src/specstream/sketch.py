@@ -2,7 +2,7 @@
 record a sampler run reports beside its sketch."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,26 +125,43 @@ class Sketch:
         return f"Sketch(dim={self.dim}, n_rows={self.n_rows})"
 
 
-@dataclass
-class RunStats:
-    """What one sampler run reports beside its sketch.
+@dataclass(kw_only=True)
+class RunCounters:
+    """A run's counters, declared once: RunStats reports them, each bench
+    CSV row carries them as columns and the CLI sidecar's summary line
+    carries those that are not None."""
 
-    Every runner fills the first six fields: scores is the score log that
-    verify checks (None for the barrier), max_working_rows the sketch's
-    row count, or the plug's peak, and saturated counts the rows whose
-    sampling probability was capped at 1 (for the block samplers, the seed
-    block too). probs comes from the barrier sampler, the rest from the
-    block samplers. A block run's schedule is the tuple of rows it froze
-    at, and its per-block score mass np.add.reduceat(scores, [0, *schedule]).
-    """
-
-    scores: np.ndarray | None
     score_total: float
     pinv_recomputes: int
     max_working_rows: int
     drift_events: int = 0
     saturated: int = 0
+    resparsify_passes: int | None = None
+
+    def counters(self) -> dict:
+        """The counters by name, in declared order."""
+        return {f.name: getattr(self, f.name) for f in fields(RunCounters)}
+
+
+@dataclass(kw_only=True)
+class RunStats(RunCounters):
+    """What one sampler run reports beside its sketch.
+
+    scores is the score log that verify checks (None for the barrier),
+    probs the barrier's probability log, and score_total the sum of the log
+    held. max_working_rows is the sketch's row count, or the plug's peak,
+    and saturated counts the rows whose sampling probability was capped at
+    1 (for the block samplers, the seed block too). resparsify_passes is
+    None without a resparsify plug. schedule and frozen_pinvs come from the
+    block samplers: a block run's schedule is the tuple of rows it froze
+    at, and its per-block score mass np.add.reduceat(scores, [0, *schedule]).
+    """
+
+    score_total: float = field(init=False)
+    scores: np.ndarray | None = None
     probs: np.ndarray | None = None
     schedule: tuple[int, ...] | None = None
     frozen_pinvs: list | None = None
-    resparsify_passes: int | None = None
+
+    def __post_init__(self):
+        self.score_total = float(np.sum(self.probs if self.scores is None else self.scores))

@@ -1,7 +1,9 @@
 """Benchmark harness: records, CSV, dispatch, and suite summaries."""
+import csv
 import hashlib
+import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from specstream import (
 )
 from specstream.online import DEFAULT_ONLINE_C_MULT
 from specstream.randomness import derive_seed
+from specstream.sketch import RunCounters
 from specstream.verify import online_leverage
 from specstream.bench import (
     ALGO_NAMES,
@@ -75,8 +78,22 @@ class TestTrialRecord:
             assert row_to_record(record_to_row(rec)) == rec
 
     def test_missing_mu_serializes_empty(self):
-        assert record_to_row(make_record(mu=None))[10] == ""
-        assert record_to_row(make_record(mu=2.0))[10] == "2"
+        col = CSV_COLUMNS.index("mu")
+        assert record_to_row(make_record(mu=None))[col] == ""
+        assert record_to_row(make_record(mu=2.0))[col] == "2"
+
+    def test_optional_int_counter_round_trips(self):
+        col = CSV_COLUMNS.index("resparsify_passes")
+        for algo, passes, cell in (("online", None, ""), ("improved-resparsify", 5, "5")):
+            rec = make_record(algo=algo, resparsify_passes=passes)
+            assert record_to_row(rec)[col] == cell
+            back = row_to_record(record_to_row(rec))
+            assert back == rec and back.resparsify_passes == passes
+
+    def test_every_run_counter_is_a_column(self):
+        counters = [f.name for f in fields(RunCounters)]
+        assert counters == list(CSV_COLUMNS[:len(counters)])
+        assert set(counters) <= {f.name for f in fields(RunStats)}
 
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
@@ -178,10 +195,23 @@ class TestDispatch:
         assert rec.eps_actual >= 0.0 and rec.sketch_rows <= rec.n
         assert rec.sketch_rows == sketch.n_rows
 
+    def test_run_trial_carries_every_counter(self):
+        stream = permute(gen_gaussian(1500, 5, seed=24), seed=25)
+        for algo in ALGO_NAMES:
+            _, stats = run_sampler(algo, stream, 0.4, 26)
+            rec, _ = run_trial(algo, stream, 0.4, 24, 25, 26)
+            assert {name: getattr(rec, name) for name in stats.counters()} == stats.counters(), algo
+            assert (rec.resparsify_passes is None) == (algo != "improved-resparsify"), algo
+
 
 class TestSuites:
-    # sha256 prefixes of each suite's CSV with wall_ms set to 0.0, taken before
-    # the suites moved onto run_grid (the same at 1 and 2 BLAS threads)
+    # sha256 prefixes of each suite's CSV with wall_ms set to 0.0, over the
+    # 15 columns it had before saturated and resparsify_passes joined, in
+    # their order then; taken before the suites moved onto run_grid (the
+    # same at 1 and 2 BLAS threads)
+    PINNED_COLUMNS = ("algo", "n", "d", "eps", "seed_stream", "seed_perm", "seed_sample",
+                      "sketch_rows", "eps_actual", "score_total", "mu", "max_working_rows",
+                      "pinv_recomputes", "drift_events", "wall_ms")
     PINNED_CSV = {
         "eps-scaling": ({"seeds": 3}, "45eea91728b91958"),
         "n-scaling": ({"seeds": 1}, "c54ac4a6d34b8a52"),
@@ -189,13 +219,34 @@ class TestSuites:
         "algo-compare": ({"seeds": 3}, "4fc07b5c5e0ed2cb"),
         "lower-bound-probe": ({"seeds": 3}, "2d1d2f242e9ace42"),
     }
+    # each suite's saturated column, and the resparsify_passes of its
+    # improved-resparsify runs (the only cells not empty), in CSV order
+    PINNED_NEW_COLUMNS = {
+        "eps-scaling": ([406, 409, 411, 1405, 1371, 1371], []),
+        "n-scaling": ([912, 973, 1187, 1581, 1284, 1696, 1267, 1776, 1262, 1871, 1249, 1783],
+                      [2, 5, 11, 23, 48, 98]),
+        "mu-scaling": ([12, 18, 24], []),
+        "algo-compare": ([531, 234, 553, 226, 550, 232], []),
+        "lower-bound-probe": ([60, 61, 58], []),
+    }
 
     def test_pinned_records_and_guarantee_counts(self, tmp_path):
         for name, (kwargs, digest) in self.PINNED_CSV.items():
             records, summary = bench_suite(name, **kwargs)
             path = tmp_path / f"{name}.csv"
             write_csv(path, [replace(r, wall_ms=0.0) for r in records])
-            assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest, name
+            with open(path, newline="") as fh:
+                table = list(csv.DictReader(fh))
+            pinned = io.StringIO()
+            w = csv.writer(pinned)
+            w.writerow(self.PINNED_COLUMNS)
+            w.writerows([row[col] for col in self.PINNED_COLUMNS] for row in table)
+            assert hashlib.sha256(pinned.getvalue().encode()).hexdigest()[:16] == digest, name
+            saturated, passes = self.PINNED_NEW_COLUMNS[name]
+            assert [int(row["saturated"]) for row in table] == saturated, name
+            resparsify = [row["algo"] == "improved-resparsify" for row in table]
+            assert [int(row["resparsify_passes"]) for row, r in zip(table, resparsify) if r] == passes, name
+            assert all(row["resparsify_passes"] == "" for row, r in zip(table, resparsify) if not r), name
             # every run at these seeds meets its eps
             assert summary["guarantee"] == {"met": len(records), "runs": len(records)}, name
 

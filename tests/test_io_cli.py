@@ -28,7 +28,7 @@ from specstream import (
     write_sketch,
     write_stream,
 )
-from specstream.bench import SUITE_NAMES, read_csv
+from specstream.bench import ALGO_NAMES, SUITE_NAMES, read_csv, run_sampler
 from specstream.cli import _unread_run_flag, build_parser, main
 
 from conftest import make_stream
@@ -417,6 +417,22 @@ class TestCliRunVerify:
         # every row arrives off the image, so its probability is capped at 1
         assert summary["saturated"] == 6
 
+    def test_summary_carries_every_counter_not_none(self, tmp_path):
+        # sketch_rows and the run's counters that are not None: only an
+        # improved-resparsify run has resparsify_passes
+        src = str(tmp_path / "g.stream")
+        write_stream(src, permute(gen_gaussian(1500, 5, seed=24), 25))
+        for algo in ALGO_NAMES:
+            out = str(tmp_path / f"{algo}.sketch")
+            assert main(["run", "--algo", algo, "--eps", "0.4", "--seed", "26", "-i", src, "-o", out]) == 0
+            sketch, _ = read_sketch(out)
+            _, stats = run_sampler(algo, read_stream(src), 0.4, 26)
+            with open(out + ".diag") as fh:
+                summary = [obj for obj in map(json.loads, fh) if obj["kind"] == "summary"][0]
+            counters = {name: value for name, value in stats.counters().items() if value is not None}
+            assert summary == {"kind": "summary", "sketch_rows": sketch.n_rows, **counters}, algo
+            assert ("resparsify_passes" in summary) == (algo == "improved-resparsify"), algo
+
     def test_rerun_is_byte_identical(self, tmp_path):
         src = self.identity_file(tmp_path, copies=30)
         argv = ["run", "--algo", "online", "--eps", "0.4", "--seed", "5", "-i", src]
@@ -612,8 +628,10 @@ class TestPinnedBytes:
     RUNS = {  # run flags: (sketch, diag)
         ("--algo", "online", "--eps", "0.5", "--seed", "3"): ("7c8a15128affa468", "d9959c1a182acd79"),
         ("--algo", "scaled", "--eps", "0.5", "--seed", "3"): ("e1b03da7f6b83930", "7b63adbaf10e4a96"),
+        # the diag hashed to 8c1c32225894c5d2 before its summary carried
+        # resparsify_passes, and still does with that key taken out
         ("--algo", "improved-resparsify", "--eps", "0.4", "--seed", "4"):
-            ("afb1394f971fdcf5", "8c1c32225894c5d2"),
+            ("afb1394f971fdcf5", "44eff76756a75ad9"),
         # the barrier's probabilities amplify last-bit differences in its gaps
         ("--algo", "optimal", "--eps", "0.5", "--seed", "3"): ("536abcadb19a4764", "b5fb024d3002065d"),
     }
