@@ -12,7 +12,7 @@ import sys
 
 from . import io as sio
 from .bench import ALGO_NAMES, SUITE_NAMES, bench_suite, run_sampler, unread_settings, write_csv
-from .errors import SpecstreamError
+from .errors import FormatError, SpecstreamError
 from .instances import gen_gaussian, gen_kd_multigraph, gen_mu_controlled, permute
 from .verify import mu as measure_mu
 from .verify import verify
@@ -79,11 +79,16 @@ def _write_diag(path, run: dict, sketch, stats) -> None:
 
 
 def _read_diag_scores(path) -> list[float] | None:
+    """The sidecar's score log, or None; FormatError for a line of the wrong shape."""
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
+        for obj in map(json.loads, fh):
+            if not isinstance(obj, dict):
+                raise FormatError(f"{path}: a sidecar line is not a JSON object")
             if obj.get("kind") == "scores":
-                return obj["values"]
+                values = obj.get("values")
+                if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+                    raise FormatError(f"{path}: the score log is not a list of numbers")
+                return values
     return None
 
 

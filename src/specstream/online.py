@@ -172,7 +172,7 @@ class OnlineState:
         self.kept = KeptPinv(dim, self._gram)
         self.rng = IndexedUniforms(seed)
         self.scores: list[np.ndarray] = []  # one array per add_rows
-        self.saturated = 0
+        self.probs: list[np.ndarray] = []  # likewise
         self.last_index = -1
         # the block being walked, and its kept rows not yet in the sketch
         self._run = None
@@ -211,7 +211,7 @@ class OnlineState:
         self._run = None
         lev, p = self._levels(on, np.maximum(q, 0.0, out=q))
         self.scores.append(lev)
-        self.saturated += int(np.count_nonzero(p == 1.0))
+        self.probs.append(p)
         return kept
 
     def _walk(self, block, coins, start: int, stop: int, on, q, kept) -> int:
@@ -296,13 +296,12 @@ def run_online(
 ) -> tuple[Sketch, RunStats]:
     """Run the online sampler over a whole stream (feed)."""
     state = feed(OnlineState(stream.d, eps, seed, c_mult=c_mult), stream)
-    scores = np.concatenate(state.scores) if state.scores else np.empty(0)
     return state.sketch, RunStats(
-        scores=scores,
+        scores=state.scores,
+        probs=state.probs,
         pinv_recomputes=state.kept.recomputes,
         max_working_rows=state.sketch.n_rows,
         drift_events=state.kept.drift_events,
-        saturated=state.saturated,
     )
 
 
@@ -478,11 +477,9 @@ def run_barrier(
     """Run the barrier sampler over a whole stream (feed)."""
     state = feed(BarrierState(stream.d, eps, seed), stream)
     kept = (state.upper_pinv, state.lower_pinv)
-    probs = np.concatenate(state.probs) if state.probs else np.empty(0)
     return state.sketch, RunStats(
+        probs=state.probs,
         pinv_recomputes=sum(k.recomputes for k in kept),
         max_working_rows=state.sketch.n_rows,
         drift_events=sum(k.drift_events for k in kept),
-        saturated=int(np.count_nonzero(probs == 1.0)),
-        probs=probs,
     )

@@ -63,8 +63,9 @@ class BlockSampler:
     A plug implements add_rows(lo, block), query() and peak_rows (the most
     rows it has held), the run's working set; a plug whose query() has
     another dim is refused at construction. A block freezes on its first
-    row, boundary b is followed by 2b + K, and boundaries records each
-    freeze's row, so a run's schedule and pinv count report what it did.
+    row and boundary b is followed by 2b + K. boundaries records each
+    freeze's row, and scores and probs each segment's capped scores and
+    coin probabilities (1 in the seed block), which finalize hands to RunStats.
     """
 
     def __init__(
@@ -95,10 +96,9 @@ class BlockSampler:
         self.boundaries: list[int] = []
         self.frozen: PInv | None = None
         self.jl: JlScorer | None = None
-        # one array per segment
-        self.scores: list[np.ndarray] = []
+        self.scores: list[np.ndarray] = []  # one array per segment
+        self.probs: list[np.ndarray] = []  # likewise
         self.frozen_pinvs: list[np.ndarray] = []
-        self.saturated = 0
         self.last_index = -1
         # Gram of every row fed to the plug; only its rank is read, to catch
         # a plug that loses a direction.
@@ -155,7 +155,7 @@ class BlockSampler:
             p = np.minimum(self.c * lev, 1.0)
             keep = self.rng.take_range(j, j + len(seg)) < p
         self.scores.append(lev)
-        self.saturated += int(np.count_nonzero(p == 1.0))
+        self.probs.append(p)
         pos = np.flatnonzero(keep)
         if pos.size:  # checked at entry, and each p beat its coin, so p > 0
             self.sketch._fold(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
@@ -197,12 +197,11 @@ class BlockSampler:
         self.frozen_pinvs.append(self.frozen.matrix)
 
     def finalize(self) -> tuple[Sketch, RunStats]:
-        scores = np.concatenate(self.scores) if self.scores else np.empty(0)
         return self.sketch, RunStats(
-            scores=scores,
+            scores=self.scores,
+            probs=self.probs,
             pinv_recomputes=len(self.frozen_pinvs),
             max_working_rows=self.peak_rows if self.approx is None else self.approx.peak_rows,
-            saturated=self.saturated,
             schedule=tuple(self.boundaries),
             frozen_pinvs=self.frozen_pinvs,
             resparsify_passes=getattr(self.approx, "passes", None),

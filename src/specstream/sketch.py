@@ -147,21 +147,25 @@ class RunCounters:
 class RunStats(RunCounters):
     """What one sampler run reports beside its sketch.
 
-    scores is the score log that verify checks (None for the barrier),
-    probs the barrier's probability log, and score_total the sum of the log
-    held. max_working_rows is the sketch's row count, or the plug's peak,
-    and saturated counts the rows whose sampling probability was capped at
-    1 (for the block samplers, the seed block too). resparsify_passes is
-    None without a resparsify plug. schedule and frozen_pinvs come from the
-    block samplers: a block run's schedule is the tuple of rows it froze
-    at, and its per-block score mass np.add.reduceat(scores, [0, *schedule]).
+    Runners hand in their logs as lists of per-run arrays, joined here into
+    one entry per row: probs, the p each row's coin was flipped against (a
+    kept row weighs 1/sqrt(p)), and scores, the log verify audits (None for
+    the barrier). score_total sums the scores (the barrier's probs), and
+    saturated counts the rows at p = 1. max_working_rows is the sketch's
+    row count, or the plug's peak; resparsify_passes is None without a
+    resparsify plug. A block run adds frozen_pinvs and its schedule, the
+    rows it froze at: its per-block score mass is np.add.reduceat(scores, [0, *schedule]).
     """
 
     score_total: float = field(init=False)
+    saturated: int = field(init=False)
     scores: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    probs: np.ndarray
     schedule: tuple[int, ...] | None = None
     frozen_pinvs: list | None = None
 
     def __post_init__(self):
+        self.scores, self.probs = (None if log is None else np.concatenate([np.empty(0), *log])
+                                   for log in (self.scores, self.probs))
         self.score_total = float(np.sum(self.probs if self.scores is None else self.scores))
+        self.saturated = int(np.count_nonzero(self.probs == 1.0))

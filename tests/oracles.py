@@ -72,6 +72,21 @@ def exact_leverage(rows):
     return np.einsum("ij,jk,ik->i", rows, g_pinv, rows)
 
 
+def qr_eps(rows, weighted):
+    """Tightest eps with (1-eps) A'A <= W'W <= (1+eps) A'A, for full-column-rank
+    rows A and weighted sketch rows W: the singular values of W whitened by the
+    R of a QR of A, which does not square A's condition number as a Gram does."""
+    r = np.linalg.qr(np.asarray(rows, dtype=float), mode="r")
+    sigma = np.linalg.svd(np.linalg.solve(r.T, np.asarray(weighted, dtype=float).T), compute_uv=False)
+    return float(np.max(np.abs(sigma ** 2 - 1.0)))
+
+
+def qr_leverage(rows):
+    """tau_i = ||q_i||^2 from the thin Q of full-column-rank rows, with no Gram formed."""
+    q = np.linalg.qr(np.asarray(rows, dtype=float))[0]
+    return np.einsum("ij,ij->i", q, q)
+
+
 def exact_online_leverage(rows):
     """tau_i = a_i' (A_i'A_i)+ a_i with A_i = rows[:i+1], one fresh pinv per prefix."""
     rows = np.asarray(rows, dtype=float)

@@ -538,6 +538,25 @@ class TestCliRunVerify:
         assert main(["verify", "--stream", src, "--sketch", bar, "--diag", bar + ".diag"]) == 0
         assert "overestimate audit: skipped (no score log)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", [
+        {"kind": "scores"},
+        {"kind": "scores", "values": 0.5},
+        {"kind": "scores", "values": [{}]},
+        ["kind", "scores"],
+        "scores",
+    ], ids=["no-values", "values-not-a-list", "values-not-numbers", "array-line", "string-line"])
+    def test_verify_refuses_a_malformed_sidecar(self, tmp_path, capsys, line):
+        # a sidecar is outside input: a line of the wrong shape is an error
+        # line and exit 1, not an exception out of main
+        src, out, diag = (str(tmp_path / name) for name in ("g.stream", "g.sketch", "bad.diag"))
+        main(["gen", "--kind", "gaussian", "--n", "60", "--d", "4", "--seed", "3", "--out", src])
+        main(["run", "--algo", "online", "--eps", "0.5", "-i", src, "-o", out])
+        Path(diag).write_text(json.dumps({"kind": "run"}) + "\n" + json.dumps(line) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--stream", src, "--sketch", out, "--diag", diag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
     def test_verify_dimension_mismatch_fails(self, tmp_path, capsys):
         src = str(tmp_path / "g.stream")
         other = str(tmp_path / "h.stream")

@@ -189,17 +189,14 @@ class TestVerify:
     def test_reads_a_one_percent_sketch_at_every_column_scale(self, s):
         # every row at weight 1 with the last column 0.5% long, against the
         # stream with that column scaled by s; the true eps (0.01003) comes
-        # from the sketch rows whitened by the R of a QR of the stream, which
-        # does not square the condition number as a Gram does
+        # from the QR oracle, which does not square the condition number
         a = np.random.default_rng(1).standard_normal((2000, 6))
         a[:, -1] *= s
         b = a.copy()
         b[:, -1] *= 1.005
         sk = Sketch(6)
         sk.append_rows(np.arange(2000), np.ones(2000), b)
-        r = np.linalg.qr(a, mode="r")
-        sigma = np.linalg.svd(np.linalg.solve(r.T, b.T), compute_uv=False)
-        want = float(np.max(np.abs(sigma ** 2 - 1.0)))
+        want = oracles.qr_eps(a, b)
         assert want == pytest.approx(0.010035, abs=1e-6)
         assert abs(verify(make_stream(a), sk)[0] - want) <= 1e-6
 
