@@ -90,7 +90,7 @@ class Sketch:
         self._dense[n:n + m] = block
         self.n_rows = n + m
         scaled = block * weights[:, None]
-        self._gram += scaled.T @ scaled
+        self._gram += scaled.T.dot(scaled)
         self._gram_sym = None
 
     def _keep(self, pos, weights) -> None:

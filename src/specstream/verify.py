@@ -89,8 +89,8 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
     Gram on the stream's row space; rank loss shows up as 1.0 and mass
     outside the row space as inf. overestimate_ok reports whether every
     logged score dominates the true leverage score of its row (None when
-    no log was supplied); a log with a non-finite score raises
-    NonFiniteInput. Both answers come from one read and one factor of the stream.
+    no log was supplied); a non-number in the log raises DimensionMismatch, a non-finite
+    score NonFiniteInput. Both answers come from one read and one factor of the stream.
     """
     if stream.d != sketch.dim:
         raise DimensionMismatch(f"stream dimension {stream.d} != sketch dimension {sketch.dim}")
@@ -107,7 +107,10 @@ def verify(stream: RowStream, sketch: Sketch, scores=None) -> tuple[float, bool 
     if scores is None:
         return eps_actual, None
 
-    logged = np.asarray(scores, dtype=float)
+    try:
+        logged = np.asarray(scores, dtype=float)
+    except (TypeError, ValueError) as exc:  # an entry that is not one number
+        raise DimensionMismatch("score log must hold one number per stream row") from exc
     if logged.shape != (stream.n,):
         raise DimensionMismatch(f"score log length {logged.shape} does not match stream length {stream.n}")
     if not np.isfinite(logged).all():

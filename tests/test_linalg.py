@@ -19,6 +19,7 @@ from specstream import (
     pinv_rank1_update,
 )
 from specstream.linalg import DEFAULT_ORTHO_TOL, on_image_rows, pinv_quad_form
+from specstream.online import ONLINE_RUN
 
 from conftest import make_psd
 import oracles
@@ -328,3 +329,34 @@ class TestApproxFactor:
             if got > eps:
                 fails += 1
         assert fails == 0
+
+
+def test_dot_matches_matmul_on_walk_shapes():
+    # The sequential walks (OnlineState._walk, BarrierState._walk) and their
+    # folds take each product as ndarray.dot, which reaches the same BLAS
+    # routine as @ and np.matmul. A numpy or BLAS build that routes them
+    # differently moves the sketches' bits; this names the product that did.
+    rng = np.random.default_rng(61)
+    rest = np.empty(ONLINE_RUN)
+    for _ in range(300):
+        d, n = int(rng.integers(2, 41)), int(rng.integers(1, ONLINE_RUN + 1))
+        scale = 10.0 ** rng.integers(-6, 7)
+        y = make_psd(d, int(rng.integers(1, d + 1)), rng.integers(1 << 30), scale=scale)
+        ys = np.stack([y, make_psd(d, d, rng.integers(1 << 30), scale=1.0 / scale)])
+        rows = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        a = rows[0]
+        pa = y.dot(a, out=np.empty(d))
+        assert np.array_equal(pa, y @ a)
+        assert a.dot(pa) == a @ pa
+        assert np.array_equal(rows.dot(pa, out=rest[:n]), rows @ pa)
+        assert np.array_equal(pa[:, None].dot(pa[None], out=np.empty((d, d))), np.multiply(pa[:, None], pa))
+        pu, steps = np.empty((2, d)), np.empty((2, d, d))
+        for k in range(2):
+            ys[k].dot(a, out=pu[k])
+            pu[k, :, None].dot(pu[k, None], out=steps[k])
+        assert np.array_equal(pu, np.matmul(ys, a))
+        assert np.array_equal(steps, np.multiply(pu[:, :, None], pu[:, None, :]))
+        s = rows / np.sqrt(rng.uniform(0.01, 1.0, size=n))[:, None]
+        assert np.array_equal(s.T.dot(s), s.T @ s)
+        g = s.T @ s
+        assert np.array_equal(g.dot(y), g @ y)

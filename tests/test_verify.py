@@ -107,6 +107,13 @@ class TestVerify:
         with pytest.raises(DimensionMismatch):
             verify(stream, sk, scores=np.ones(9))
 
+    @pytest.mark.parametrize("entry", [{}, "x"], ids=["object", "string"])
+    def test_non_number_score_refused(self, entry):
+        # np.asarray(scores, dtype=float) raised a bare TypeError or ValueError
+        stream = gen_gaussian(10, 3, seed=5)
+        with pytest.raises(DimensionMismatch):
+            verify(stream, sketch_of(stream), scores=[entry] * stream.n)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_score_refused(self, bad):
         # an inf score once passed the audit, and nan or -inf read as a violation
