@@ -22,6 +22,7 @@ from .errors import (
     NotPsd,
     NotSymmetric,
     PreconditionViolation,
+    RowNormOutOfRange,
     SpecstreamError,
     UnknownSuite,
 )
@@ -63,7 +64,7 @@ __all__ = [
     "AllZeroStream", "BarrierViolation", "CapacityCollapse", "ConstApproxFailure",
     "DegenerateUpdate", "DimensionMismatch", "EmptySketch", "EmptyStream",
     "FormatError", "InvalidWeight", "NonFiniteInput", "NotPsd",
-    "NotSymmetric", "PreconditionViolation", "SpecstreamError", "UnknownSuite",
+    "NotSymmetric", "PreconditionViolation", "RowNormOutOfRange", "SpecstreamError", "UnknownSuite",
     "PInv", "SymPsd", "default_rank_tol", "pinv", "pinv_rank1_update", "relative_leverage",
     "RunStats", "Sketch",
     "RowStream", "gen_gaussian", "gen_kd_multigraph", "gen_mu_controlled", "permute",

@@ -61,5 +61,9 @@ class NonFiniteInput(SpecstreamError):
     """A stream, sketch or score log holds a NaN or infinite value."""
 
 
+class RowNormOutOfRange(SpecstreamError):
+    """A nonzero row's squared norm is not a normal float: subnormal, zero or infinite."""
+
+
 class InvalidWeight(SpecstreamError):
     """Sketch weight is not finite and > 0."""

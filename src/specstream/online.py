@@ -9,23 +9,29 @@ per add_rows, and both states walk a block in runs of ONLINE_RUN rows from
 its first row.
 
 The relative-leverage sampler scores a run against the current
-pseudo-inverse with one product. Only rows whose coin beats that score can
-be kept, since a kept row only lowers later rows' forms. A kept row takes
+pseudo-inverse with one product. Its kernel verdicts hold while that
+pseudo-inverse does, so they are taken once for the rest of the block, and
+after a rebuild for the rest of the run. Only rows whose coin beats their
+score can be kept, since a kept row only lowers later rows' forms: one
+comparison against coin thresholds taken once per block picks a superset of
+them, and each candidate's p is recomputed exactly. A kept row takes
 one gemv (X+ a), one dot, a Sherman-Morrison step in place and one gemv
 that lowers the rest of the run's forms, each (the step's outer too) one
 ndarray.dot into a preallocated buffer: @'s BLAS routine, dispatched more
 cheaply. Run scoring keeps @ (quad_forms, on_image_rows), faster on the
-block samplers' 4096-row blocks. A rebuild rescores the rest. The forms
-are clamped at 0 once per block and where a candidate's is read: each
-correction subtracts a term >= 0, so a form that goes negative stays so and
-clamps to the 0 that a clamp after every step gives. The barrier walks every
+block samplers' 4096-row blocks. A rebuild rescores the rest of the run.
+The forms are clamped at 0 once per block and where a candidate's is read:
+each correction subtracts a term >= 0, so a form that goes negative stays so
+and clamps to the 0 that a clamp after every step gives. The barrier walks every
 row, since each moves both gaps: one .dot per gap pseudo-inverse and one
 vecdot give both gaps' forms, the score and the step both take in place.
 Each gap's kernel verdicts come from one on_image_rows per run, taken again
 for the rest of it after a rebuild or a drift replacement.
-Per run, one cumsum gives the Gram of the rows seen after every row, and
-one of the kept rows' outers, extended in place, the sketch Grams that
-rebuilds, drift checks and the sandwich check (one stacked Cholesky) read.
+Per run, one cumsum into a preallocated buffer gives the Gram of the rows
+seen after every row, and one of the kept rows' outers, extended in place,
+the sketch Grams. A rebuild or drift check forms the one gap it reads; the
+sandwich check forms both gaps after every row as one stack and factors it,
+shifted in place, with one batched Cholesky.
 Both make the decisions of the row-at-a-time rule. A drift check keeps a
 certified pseudo-inverse (KeptPinv.certified) and otherwise installs a rebuild.
 """
@@ -140,7 +146,9 @@ class KeptPinv:
         r = g.dot(y)
         r -= p
         budget, u2d = 0.5 * PINV_DRIFT_TOL - math.sqrt(float(np.vdot(r, r))), 2.0 * d * 2.0 ** -53
-        scale = math.sqrt(float(np.vdot(g, g) * np.vdot(y, y)))  # ||g||_F ||Y||_F
+        scale = math.sqrt(float(np.vdot(g, g)) * float(np.vdot(y, y)))  # ||g||_F ||Y||_F
+        if not 0.0 < scale < math.inf:  # a square over- or underflowed: scale each first
+            scale = _frobenius(g) * _frobenius(y)
         return ((u2d * scale <= budget or u2d * np.linalg.norm(np.abs(g) @ np.abs(y)) <= budget)
                 and (scale * tau < 0.25 or self.pinv.source_rank == SymPsd(g).rank)
                 and sandwich_holds(g, 0.5 * tau * trace / d))
@@ -156,6 +164,12 @@ class KeptPinv:
         self.pinv.matrix[...] = fresh.matrix
         self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
         self._updates_since_verify = 0
+
+
+def _frobenius(a) -> float:
+    """||a||_F, taken of a scaled by its largest entry so that no square over- or underflows."""
+    top = float(np.max(np.abs(a)))
+    return top * float(np.linalg.norm(a / top)) if top else 0.0
 
 
 class OnlineState:
@@ -177,8 +191,9 @@ class OnlineState:
         self.scores: list[np.ndarray] = []  # one array per add_rows
         self.probs: list[np.ndarray] = []  # likewise
         self.last_index = -1
-        # the block being walked, and its kept rows not yet in the sketch
-        self._run = None
+        # the block being walked (lo, rows, coin thresholds), its kept rows not yet
+        # in the sketch, and the pseudo-inverse its kernel verdicts hold for, up to which row
+        self._run, self._verdicts = None, (None, 0)
         self._pending: list[int] = []
         self._pending_p: list[float] = []
         # a kept row's X+ a, its step and the rest of its run's a' X+ rows
@@ -206,7 +221,7 @@ class OnlineState:
         coins = self.rng.take_range(lo, lo + b)
         on, q = np.empty(b, dtype=bool), np.empty(b)
         kept = np.zeros(b, dtype=bool)
-        self._run = (lo, block)
+        self._run, self._verdicts = (lo, block, self._thresholds(coins)), (None, 0)
         for run in range(0, b, ONLINE_RUN):
             start, stop = run, min(run + ONLINE_RUN, b)
             while start < stop:
@@ -221,14 +236,20 @@ class OnlineState:
     def _walk(self, block, coins, start: int, stop: int, on, q, kept) -> int:
         """Score rows start..stop - 1 of the block against the current
         pseudo-inverse into on and q, and decide them in order; returns where
-        to rescore from after a rebuild, or stop; q is left unclamped."""
+        to rescore from after a rebuild, or stop; q is left unclamped. Kernel
+        verdicts hold while the pseudo-inverse does (a step keeps its
+        projector): taken at a run's start for the rest of the block, and
+        after a rebuild for the rest of the run."""
         pinv_now, pa, outer, rest = self.kept.pinv, self._pa, self._outer, self._rest
         y, pa_col, pa_row = pinv_now.matrix, pa[:, None], pa[None]
-        seg = block[start:stop]
-        on[start:stop] = on_image_rows(pinv_now, seg)
-        q[start:stop] = quad_forms(pinv_now, seg)
+        if self._verdicts[0] is not pinv_now or self._verdicts[1] < stop:
+            end = len(block) if start % ONLINE_RUN == 0 else stop
+            on[start:end] = on_image_rows(pinv_now, block[start:end])
+            self._verdicts = (pinv_now, end)
+        q[start:stop] = quad_forms(pinv_now, block[start:stop])
         # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
-        candidates = np.flatnonzero(coins[start:stop] < self._levels(on[start:stop], q[start:stop])[1])
+        t = self._run[2]
+        candidates = np.flatnonzero(~on[start:stop] | (q[start:stop] > t[start:stop]))
         verdicts, c, lift = on[start:stop].tolist(), self.c, 1.0 + self.eps
         for i in (start + candidates).tolist():
             qi, on_i = max(q.item(i), 0.0), verdicts[i - start]  # p as _levels gives it, in floats
@@ -254,6 +275,22 @@ class OnlineState:
             q[i + 1:stop] -= g
         return stop
 
+    def _thresholds(self, coins) -> np.ndarray:
+        """Per coin, a t such that a row on the image beats its coin only if q > t.
+
+        coin < c (1 + eps) q / (q + 1), which bounds p from above, is q > coin
+        / (c (1 + eps) - coin); t is that less 1e-9 relative, more than p's
+        rounding. t = inf where c (1 + eps) <= coin, as p's rounding is
+        monotone, and t = 0 (p = 0 at q <= 0) where c (1 + eps) is within
+        1e-6 relative of coin, as there the difference's rounding can pass 1e-9.
+        """
+        cl = self.c * (1.0 + self.eps)
+        room = cl - coins
+        t = np.where(room > 0.0, 0.0, np.inf)
+        np.divide(coins, room, out=t, where=room > 1e-6 * cl)
+        t *= 1.0 - 1e-9
+        return t
+
     def _levels(self, on, q):
         """Capped scores and sampling probabilities of rows with kernel
         verdicts on and quadratic forms q."""
@@ -264,7 +301,7 @@ class OnlineState:
         """Fold the pending kept rows (checked at entry; each p > 0) into the sketch with one product."""
         if not self._pending:
             return
-        lo, block = self._run
+        lo, block, _ = self._run
         pos = np.array(self._pending)
         weights = 1.0 / np.sqrt(np.array(self._pending_p))
         self.sketch._fold(lo + pos, weights, block[pos])
@@ -313,12 +350,14 @@ class BarrierState:
     """State of the barrier sampler: sketch Gram fenced between two barriers.
 
     The barriers are (1 + eps) and (1 - eps) times seen, the Gram of the
-    rows seen, which a run advances with one cumsum. Each gap, (1 + eps)
-    seen - gram and gram - (1 - eps) seen, keeps its pseudo-inverse in a
-    KeptPinv that owns one half of a (2, d, d) stack, so one product scores
-    a row against both and one in-place update steps both. _gaps forms the
-    gaps both for a rebuild, at the row being walked, and for the sandwich
-    check. A BarrierViolation leaves the state mid-run: do not reuse it.
+    rows seen, which a run advances with one cumsum into a buffer of
+    ONLINE_RUN + 1 Grams. Each gap, (1 + eps) seen - gram and gram - (1 -
+    eps) seen, keeps its pseudo-inverse in a KeptPinv that owns one half of
+    a (2, d, d) stack, so one product scores a row against both and one
+    in-place update steps both. A gap's source, _gap, forms that gap alone
+    at the row being walked; _gap_stack forms both after every row of the
+    run for the sandwich check. A BarrierViolation leaves the state mid-run:
+    do not reuse it.
     """
 
     def __init__(self, dim: int, eps: float, seed: int):
@@ -329,16 +368,19 @@ class BarrierState:
         self.c_upper, self.c_lower = 2.0 / eps + 1.0, 3.0 / eps - 1.0
         self.sketch = Sketch(dim)
         self.seen = np.zeros((dim, dim))
+        # a run's prefix sums: seen before it and after each row, and the sketch Grams (_summed_grams)
+        self._seens, self._grams = np.empty((2, ONLINE_RUN + 1, dim, dim))
+        self._stack = np.empty(2 * ONLINE_RUN * dim * dim)  # the sandwich check's gaps
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
         self._pu, self._coefs, self._steps = np.empty((2, dim)), np.empty(2), np.empty((2, dim, dim))
-        self.upper_pinv = KeptPinv(dim, lambda: self._gaps(self._at + 1, self._at)[0, 0], self._pinvs[0])
-        self.lower_pinv = KeptPinv(dim, lambda: self._gaps(self._at + 1, self._at)[0, 1], self._pinvs[1])
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap(0, self._at), self._pinvs[0])
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap(1, self._at), self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.probs: list[np.ndarray] = []  # one array per run
         self.last_index = -1
-        self._run = None  # (lo, block, seen after each row, probs, kept, grams) of the run walked
+        self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
         self._at = 0  # the row of it being walked
-        self._summed = (0, 0)  # (rows, kept rows among them) that grams has summed
+        self._summed = (0, 0)  # (rows, kept rows among them) that _grams has summed
 
     def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a block of rows with source indices lo, lo + 1, ...
@@ -364,12 +406,13 @@ class BarrierState:
             run, run_kept = block[start:start + ONLINE_RUN], kept[start:start + ONLINE_RUN]
             b = len(run)
             # seen after every row, summed in row order as one row at a time would
-            seen = np.cumsum(np.concatenate((self.seen[None], run[:, :, None] * run[:, None, :])),
-                             axis=0)[1:]
+            seen = self._seens[:b + 1]
+            seen[0] = self.seen
+            np.multiply(run[:, :, None], run[:, None, :], out=seen[1:])
+            np.cumsum(seen, axis=0, out=seen)
             probs = np.empty(b)
-            grams = np.empty((b + 1, self.dim, self.dim))
-            grams[0] = self.sketch.gram_matrix()
-            self._run, self._summed = (lo + start, run, seen, probs, run_kept, grams), (0, 0)
+            self._grams[0] = self.sketch.gram_matrix()
+            self._run, self._summed = (lo + start, run, seen[1:], probs, run_kept), (0, 0)
             try:
                 try:
                     self._walk(run, coins[start:start + b], probs, run_kept)
@@ -421,36 +464,55 @@ class BarrierState:
             if coef_lower is None or not lower.stepped():
                 on_lower[j + 1:] = on_image_rows(lower.pinv, block[j + 1:]).tolist()
 
-    def _gaps(self, stop: int, start: int = 0) -> np.ndarray:
-        """The (stop - start, 2, d, d) gaps (1 + eps) seen - gram and gram - (1 - eps) seen after
-        the run's rows start..stop - 1. grams[k] (the sketch Gram plus the run's first k kept rows'
-        weighted outers) is one cumsum, extended in place in row order as a cumsum of them all adds."""
-        _, block, seen, probs, kept, grams = self._run
+    def _summed_grams(self, stop: int) -> np.ndarray:
+        """The buffer whose k-th entry is the sketch Gram plus the run's first k kept rows'
+        weighted outers, summed through its first stop rows: one cumsum, extended in place
+        in row order as a cumsum of them all adds."""
+        _, block, _, probs, kept = self._run
         rows, m = self._summed
         if stop > rows:
             pos = rows + np.flatnonzero(kept[rows:stop])
-            wa = block[pos] / np.sqrt(probs[pos])[:, None]
-            new = grams[m:m + 1 + len(pos)]
-            np.multiply(wa[:, :, None], wa[:, None, :], out=new[1:])
-            np.cumsum(new, axis=0, out=new)
+            if len(pos):
+                wa = block[pos] / np.sqrt(probs[pos])[:, None]
+                new = self._grams[m:m + 1 + len(pos)]
+                np.multiply(wa[:, :, None], wa[:, None, :], out=new[1:])
+                np.cumsum(new, axis=0, out=new)
             self._summed = (stop, m + len(pos))
-        grams, seen = grams[np.cumsum(kept[:stop])[start:]], seen[start:stop]
-        gaps = np.empty((stop - start, 2, self.dim, self.dim))
-        np.subtract((1.0 + self.eps) * seen, grams, out=gaps[:, 0])
-        np.subtract(grams, (1.0 - self.eps) * seen, out=gaps[:, 1])
+        return self._grams
+
+    def _gap(self, k: int, at: int) -> np.ndarray:
+        """Gap k after the run's row at, formed alone: (1 + eps) seen - gram for k = 0,
+        gram - (1 - eps) seen for k = 1; the source of a rebuild or drift check."""
+        _, _, seen, _, kept = self._run
+        gram = self._summed_grams(at + 1)[np.count_nonzero(kept[:at + 1])]
+        return (1.0 + self.eps) * seen[at] - gram if k == 0 else gram - (1.0 - self.eps) * seen[at]
+
+    def _gap_stack(self, n: int) -> np.ndarray:
+        """Both gaps after each of the run's first n rows, as one contiguous
+        (2, n, d, d) stack in a buffer the state reuses: [0] the upper, [1] the lower."""
+        _, _, seen, _, kept = self._run
+        seen, d = seen[:n], self.dim
+        grams = self._summed_grams(n)[np.cumsum(kept[:n])]
+        gaps = self._stack[:2 * n * d * d].reshape(2, n, d, d)
+        np.multiply(seen, 1.0 + self.eps, out=gaps[0])
+        gaps[0] -= grams
+        np.multiply(seen, 1.0 - self.eps, out=gaps[1])
+        np.subtract(grams, gaps[1], out=gaps[1])
         return gaps
 
     def _checked_gaps(self, n: int) -> None:
         """Raise BarrierViolation for the first of the run's first n rows
-        after which the sandwich fails."""
-        lo, seen, gaps = self._run[0], self._run[2][:n], self._gaps(n)
+        after which the sandwich fails: the gap stack, shifted by each row's
+        slack on its diagonal in place, fails one batched Cholesky
+        (sandwich_holds' test), and then that row's pair does."""
+        lo, seen, d = self._run[0], self._run[2][:n], self.dim
         slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2), 1e-300)
-        if not sandwich_holds(gaps, slack[:, None]):
-            for j in range(n):
-                if not sandwich_holds(gaps[j], slack[j]):
-                    upper_gap, lower_gap = np.linalg.eigvalsh(gaps[j])[:, 0]
-                    raise BarrierViolation(f"sandwich failed at row {lo + j}: "
-                                           f"gaps {upper_gap:.3e}, {lower_gap:.3e}")
+        gaps = self._gap_stack(n)
+        gaps.reshape(2, n, d * d)[:, :, ::d + 1] += slack[:, None]
+        if not _factors(gaps):
+            j = next(j for j in range(n) if not _factors(gaps[:, j]))
+            upper_gap, lower_gap = (np.linalg.eigvalsh(self._gap(k, j))[0] for k in (0, 1))
+            raise BarrierViolation(f"sandwich failed at row {lo + j}: gaps {upper_gap:.3e}, {lower_gap:.3e}")
 
 
 def sandwich_holds(gaps, slack) -> bool:
@@ -461,8 +523,13 @@ def sandwich_holds(gaps, slack) -> bool:
     factorisation, O(d^3 / 3) per gap, stands in for an eigendecomposition.
     """
     shift = np.asarray(slack, dtype=float)[..., None, None] * np.eye(gaps.shape[-1])
+    return _factors(gaps + shift)
+
+
+def _factors(stack) -> bool:
+    """True when one batched Cholesky factors every matrix of the stack."""
     try:
-        np.linalg.cholesky(gaps + shift)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -10,7 +10,9 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput, RowNormOutOfRange
+
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 class SparseRows:
@@ -121,14 +123,24 @@ def checked_run(block, dim: int, lo: int, last_index: int):
 
     Every entry checks its run here before any state changes and indexes it
     from the lo returned; a per-row entry's row is a one-row run, densify(row)[None].
+    A row holding a NaN or inf raises NonFiniteInput, and a nonzero row whose
+    squared norm is not a normal float (below np.finfo(float).tiny, where
+    its products lose their bits, or past the largest) RowNormOutOfRange,
+    each naming the first such row; zero rows pass.
     """
     lo, block = source_index(lo), np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[1] != dim:
         raise DimensionMismatch(f"block {block.shape} does not fit dim {dim}")
     if len(block) and lo <= last_index:
         raise DimensionMismatch(f"row index {lo} not increasing")
-    if not np.isfinite(block).all():
-        raise NonFiniteInput("row holds a NaN or infinite value")
+    sq = np.einsum("ij,ij->i", block, block)  # one pass; NaN or inf for a row holding one
+    if len(block) and not (_TINY <= sq.min() and sq.max() < np.inf):
+        off = np.flatnonzero(~((sq >= _TINY) & (sq < np.inf)) & np.any(block != 0.0, axis=1))
+        if off.size:
+            i = int(off[0])
+            if not np.isfinite(block[i]).all():
+                raise NonFiniteInput(f"row {lo + i} holds a NaN or infinite value")
+            raise RowNormOutOfRange(f"row {lo + i} has squared norm {sq[i]:.3e}, not a normal float")
     return lo, block, lo + len(block) - 1 if len(block) else last_index
 
 

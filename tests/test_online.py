@@ -2,6 +2,8 @@
 import math
 import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from specstream import (
 )
 from specstream import online
 from specstream.bench import ALGO_NAMES, run_sampler
-from specstream.errors import NonFiniteInput, NotPsd
+from specstream.errors import NonFiniteInput, NotPsd, RowNormOutOfRange
 from specstream.linalg import SymPsd, on_image_rows, pinv as linalg_pinv, relative_of
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
@@ -523,6 +525,9 @@ BAD_ROWS = {
     "sparse-column-5": ((np.array([0, 5]), np.array([1.0, 1.0])), DimensionMismatch),
     "sparse-unsorted": ((np.array([2, 0]), np.array([1.0, 1.0])), DimensionMismatch),
     "nan": (np.array([np.nan, 1.0, 1.0]), NonFiniteInput),
+    # squared norms 2^-1080, which underflows to 0, and 2e400, past the float range
+    "norm-underflows": (np.array([2.0 ** -540, 0.0, 0.0]), RowNormOutOfRange),
+    "norm-overflows": (np.array([1e200, 1e200, 0.0]), RowNormOutOfRange),
 }
 
 
@@ -607,6 +612,8 @@ def run_entries():
 BAD_RUNS = {
     "nan": (2, [[np.nan, 1.0, 1.0]], NonFiniteInput),
     "inf-second-row": (2, [[1.0, 1.0, 1.0], [0.0, np.inf, 1.0]], NonFiniteInput),
+    # a squared norm of 3 * 2^-1030, subnormal
+    "subnormal-norm-second-row": (2, [[1.0, 1.0, 1.0], [2.0 ** -515] * 3], RowNormOutOfRange),
     "width-4": (2, np.ones((1, 4)), DimensionMismatch),
     "flat-block": (2, np.ones(3), DimensionMismatch),
     "lo-not-above-last": (1, np.ones((1, 3)), DimensionMismatch),
@@ -666,6 +673,52 @@ def test_run_entry_takes_an_empty_run_untouched(entry):
     # the empty run took no index, so row 0 may still arrive
     good = np.array([[1.0, 2.0, 0.0]])
     state.add_rows(0, good)
+
+
+SCALE_RUNNERS = {"online": run_online, "barrier": run_barrier, "scaled": scaled_sampling}
+
+
+@pytest.mark.parametrize("runner", ["online", "barrier"])
+def test_power_of_two_scales_decide_alike(runner, monkeypatch):
+    # rows scaled by 2^k keep every ratio the samplers decide on, and so
+    # every decision, while their Grams' squared entries over- or underflow
+    # (2^+-300) and the pseudo-inverses' too (2^+-450): no drift check may
+    # then fall back to an eigendecomposition, or warn. LAPACK's eigh
+    # rescales a matrix outside its safe range by a factor that is no power
+    # of 2, so p, and the weights, move in their last bits
+    rows = np.random.default_rng(3).standard_normal((3000, 5))
+    formed, init = [0], SymPsd.__init__
+
+    def counting(self, entries):
+        formed[0] += 1
+        init(self, entries)
+    monkeypatch.setattr(SymPsd, "__init__", counting)
+
+    def run(k):
+        formed[0] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sketch, diag = SCALE_RUNNERS[runner](make_stream(rows * 2.0 ** k), 0.5, 1)
+        counts = {name: value for name, value in diag.counters().items() if name != "score_total"}
+        return sketch.indices, counts, formed[0], np.array(sketch.weights), diag.probs
+    indices, counts, formed_at_one, weights, probs = run(0)
+    for k in (300, -300, 450, -450):
+        scaled = run(k)
+        assert scaled[:3] == (indices, counts, formed_at_one), k
+        assert np.allclose(scaled[3], weights, rtol=1e-9, atol=0.0), k
+        assert np.allclose(scaled[4], probs, rtol=1e-9, atol=0.0), k
+
+
+@pytest.mark.parametrize("k", [-515, -520, -540])
+@pytest.mark.parametrize("runner", sorted(SCALE_RUNNERS))
+def test_row_norm_below_the_normal_range_refused(runner, k):
+    # at 2^-515 and 2^-520 a row's squared norm is subnormal, at 2^-540 it
+    # underflows to 0: its scores and its Gram lose their bits, so the run
+    # is refused at the first such row; the zero row before it is legal
+    rows = np.random.default_rng(3).standard_normal((3000, 5)) * 2.0 ** k
+    rows[0] = 0.0
+    with pytest.raises(RowNormOutOfRange, match=r"^row 1 has squared norm"):
+        SCALE_RUNNERS[runner](make_stream(rows), 0.5, 1)
 
 
 # ROADMAP item 14's family: last_column_scaled(s) at eps 0.5, seed 1
@@ -1172,3 +1225,124 @@ class TestBarrierSampler:
         a, _ = run_barrier(stream, 0.5, seed=9)
         b, _ = run_barrier(stream, 0.5, seed=9)
         assert a.indices == b.indices and a.weights == b.weights
+
+
+class TestFormedOnce:
+    """The walks form each kernel verdict, coin threshold and gap once where
+    they served again and again: each shortcut decides as what it replaced."""
+
+    @pytest.mark.parametrize("eps, c_mult, d", [(0.5, 3.0, 8), (0.3, 0.2, 6), (0.5, 0.2, 2),
+                                                (0.5, 0.05, 2), (0.1, 1e-3, 3)])
+    def test_coin_thresholds_pass_every_row_its_coin_keeps(self, eps, c_mult, d):
+        # the walk decides only the rows off the image or with q > t: every
+        # row whose coin beats its p must be one of them. Coins at 0, at and
+        # past c (1 + eps) and within 1e-3 of it; forms at or below 0 and
+        # within 4 ulps and within 1e-12 to 1e-2 relative of each coin's
+        # boundary coin / (c (1 + eps) - coin), taken in rationals, as
+        # rounding c (1 + eps) - coin moves it
+        state = OnlineState(d, eps, seed=1, c_mult=c_mult)
+        cl, rng = state.c * (1.0 + eps), np.random.default_rng(101)
+        near = cl * (1.0 + np.concatenate((-np.logspace(-16, -3, 80), [0.0], np.logspace(-16, -3, 80))))
+        coins = np.concatenate(([0.0], rng.random(4000), near[near < 1.0]))
+        t = state._thresholds(coins)
+        assert t[0] == 0.0 and np.all(np.isinf(t[coins >= cl])) and not np.isinf(t[coins < cl]).any()
+        n = len(coins)
+        q = 10.0 ** rng.uniform(-12.0, 12.0, n) * rng.choice([-1.0, 0.0, 1.0, 1.0], n)
+        inside = coins < cl
+        exact_cl = Fraction(state.c) * Fraction(1.0 + eps)
+        bound = np.array([float(Fraction(c) / (exact_cl - Fraction(c))) for c in coins[inside].tolist()])
+        forms, up, down = [bound], bound, bound
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            forms += [up, down]
+        forms += [bound * (1.0 + g) for g in np.logspace(-12, -2, 21) for g in (g, -g)]
+        k = len(forms)
+        cases = {"random": (coins, q, rng.random(n) < 0.9, t),
+                 "boundary": (np.tile(coins[inside], k), np.concatenate(forms), np.ones(k * len(bound), bool),
+                              np.tile(t[inside], k))}
+        for name, (coin, q, on, t) in cases.items():
+            keeps = coin < state._levels(on, np.maximum(q, 0.0))[1]
+            assert not np.any(keeps & ~(~on | (q > t))), name
+            assert keeps.any() and not keeps.all(), name
+
+    @pytest.mark.parametrize("build", [lambda: permute(gen_kd_multigraph(8, 128), seed=5),
+                                       *(lambda s=s: last_column_scaled(s) for s in (1e-6, 1e-7, 1e-8))],
+                             ids=["kd8-128", "s=1e-06", "s=1e-07", "s=1e-08"])
+    def test_block_verdicts_equal_per_run_verdicts(self, build, monkeypatch):
+        # the online walk takes a pseudo-inverse's kernel verdicts once for
+        # the rest of the block: taken per ONLINE_RUN-row run, as they were,
+        # every row's verdict is the same
+        calls, image_test = [], online.on_image_rows
+
+        def per_run_too(p, block):
+            whole = image_test(p, block)
+            runs = [image_test(p, block[k:k + ONLINE_RUN]) for k in range(0, len(block), ONLINE_RUN)]
+            calls.append((len(block), np.array_equal(whole, np.concatenate([whole[:0], *runs]))))
+            return whole
+        monkeypatch.setattr(online, "on_image_rows", per_run_too)
+        run_online(build(), 0.5, 1)
+        assert all(same for _, same in calls)
+        assert max(rows for rows, _ in calls) > ONLINE_RUN
+
+    @pytest.mark.parametrize("case", ["gaussian", "kd-permuted", "one-gap-rebuilds"])
+    def test_one_gap_source_is_the_stacks_slice(self, case, monkeypatch):
+        # a rebuild or drift check forms the one gap it reads, at the row
+        # walked; the sandwich check forms both after every row as one
+        # stack: each gap is the same bits in both
+        stream, eps = barrier_parity_case(case, monkeypatch)
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 3)
+        read, gap, check = [], BarrierState._gap, BarrierState._checked_gaps
+
+        def recorded(self, k, at):
+            g = gap(self, k, at)
+            read.append((k, at, g.copy()))
+            return g
+
+        def compared(self, n):
+            stack = self._gap_stack(n).copy()
+            assert all(np.array_equal(g, stack[k, at]) for k, at, g in read)
+            assert all(np.array_equal(gap(self, k, j), stack[k, j]) for k in (0, 1) for j in range(n))
+            sources.append(len(read))
+            read.clear()
+            check(self, n)
+        sources = []
+        monkeypatch.setattr(BarrierState, "_gap", recorded)
+        monkeypatch.setattr(BarrierState, "_checked_gaps", compared)
+        run_barrier(stream, eps, seed=74)
+        assert len(sources) == -(-stream.n // ONLINE_RUN) and sum(sources) > 0
+
+    @pytest.mark.parametrize("broken", ["lower-160", "lower-172", "upper-160"])
+    def test_shifted_stack_fails_where_sandwich_holds_fails(self, broken, monkeypatch):
+        # the check shifts the gap stack by the slack in place and factors it
+        # once: on runs that break the sandwich, one barrier lowered to touch
+        # the Gram after row lo - 1, it fails where sandwich_holds(gaps +
+        # slack I) does, and names the first row at which that fails
+        barrier, lo = broken.split("-")
+        lo, block = int(lo), gen_gaussian(300, 4, seed=75).block(0, 300)
+        verdicts, check = [], BarrierState._checked_gaps
+
+        def with_reference(self, n):
+            gaps = np.moveaxis(self._gap_stack(n), 0, 1).copy()  # (n, 2, d, d)
+            slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(self._run[2][:n], axis1=1, axis2=2),
+                                             1e-300)
+            first = next((j for j in range(n) if not sandwich_holds(gaps[j], slack[j])), None)
+            named = None
+            try:
+                check(self, n)
+            except BarrierViolation as exc:
+                named = int(re.search(r"row (\d+):", str(exc)).group(1)) - self._run[0]
+                raise
+            finally:
+                verdicts.append((sandwich_holds(gaps, slack[:, None]), first, named))
+        monkeypatch.setattr(BarrierState, "_checked_gaps", with_reference)
+        state = BarrierState(4, 0.5, seed=76)
+        state.add_rows(0, block[:lo])
+        gram = state.sketch.gram_matrix()
+        if barrier == "lower":
+            state.seen += np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0] / (1 - 0.5) * np.eye(4)
+        else:
+            state.seen -= np.linalg.eigvalsh((1 + 0.5) * state.seen - gram)[0] / (1 + 0.5) * np.eye(4)
+        with pytest.raises(BarrierViolation):
+            state.add_rows(lo, block[lo:lo + ONLINE_RUN])
+        assert all(holds == (first is None) and named == first for holds, first, named in verdicts)
+        assert verdicts[0][0] and verdicts[-1][1] is not None
