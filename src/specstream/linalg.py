@@ -1,12 +1,14 @@
 """Dense symmetric PSD kernel for the samplers: pseudo-inverses, rank-one
 updates, the image test and relative leverage scores.
 
-Two rules decide whether a direction belongs to a matrix, and they are not
-the same rule (ROADMAP item 14). SymPsd.rank counts the eigenvalues above
-default_rank_tol(d) * lambda_max (SymPsd.above_cutoff, which the referee's
-prefix ranks read too), and a pseudo-inverse keeps that many eigenpairs.
-The image test, on_image_rows, calls a row on the image when its residual
-off the kept projector is at most DEFAULT_ORTHO_TOL of its norm.
+Two rules here decide whether a direction belongs to a matrix, and they are
+not the same rule; only the block samplers and the referee still read them
+(ROADMAP item 20), as the sequential samplers decide by online.ImageBasis.
+SymPsd.rank counts the eigenvalues above default_rank_tol(d) * lambda_max
+(SymPsd.above_cutoff, which the referee's prefix ranks read too), and a
+pseudo-inverse keeps that many eigenpairs. The image test, on_image_rows,
+calls a row on the image when its residual off the kept projector is at
+most DEFAULT_ORTHO_TOL of its norm.
 
 The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
 the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
@@ -94,7 +96,7 @@ class PInv:
     """Moore-Penrose pseudo-inverse of a SymPsd, with its image projector.
 
     source_rank is the rank of the inverted matrix, projector the orthogonal
-    projector onto its image. Only a KeptPinv changes one: its own, in place.
+    projector onto its image. Immutable by convention.
     """
 
     __slots__ = ("source_rank", "matrix", "projector", "dim")
@@ -135,8 +137,8 @@ def on_image_rows(p: PInv, block) -> np.ndarray:
             <= DEFAULT_ORTHO_TOL ** 2 * np.einsum("ij,ij->i", block, block))
 
 
-def quad_forms(p: PInv, block) -> np.ndarray:
-    """row' X+ row, clamped at 0, for every row of a dense (b, d) block."""
+def quad_forms(p, block) -> np.ndarray:
+    """row' X+ row, clamped at 0, for each row of a dense (b, d) block; X+ is p.matrix."""
     return np.maximum(np.einsum("ij,ij->i", block @ p.matrix, block), 0.0)
 
 

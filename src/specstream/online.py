@@ -6,34 +6,35 @@ barrier_step take one row) and keep a weighted sketch whose Gram stays a
 decisions come from counter-based uniforms keyed by (seed, row index), one
 take_range per add_rows. Every runner hands its stream to feed, CHUNK rows
 per add_rows, and both states walk a block in runs of ONLINE_RUN rows from
-its first row.
+its first row, making the decisions of the row-at-a-time rule.
 
-The relative-leverage sampler scores a run against the current
-pseudo-inverse with one product. Its kernel verdicts hold while that
-pseudo-inverse does, so they are taken once for the rest of the block, and
-after a rebuild for the rest of the run. Only rows whose coin beats their
-score can be kept, since a kept row only lowers later rows' forms: one
-comparison against coin thresholds taken once per block picks a superset of
-them, and each candidate's p is recomputed exactly. A kept row takes
-one gemv (X+ a), one dot, a Sherman-Morrison step in place and one gemv
-that lowers the rest of the run's forms, each (the step's outer too) one
-ndarray.dot into a preallocated buffer: @'s BLAS routine, dispatched more
-cheaply. Run scoring keeps @ (quad_forms, on_image_rows), faster on the
-block samplers' 4096-row blocks. A rebuild rescores the rest of the run.
-The forms are clamped at 0 once per block and where a candidate's is read:
-each correction subtracts a term >= 0, so a form that goes negative stays so
-and clamps to the 0 that a clamp after every step gives. The barrier walks every
-row, since each moves both gaps: one .dot per gap pseudo-inverse and one
-vecdot give both gaps' forms, the score and the step both take in place.
-Each gap's kernel verdicts come from one on_image_rows per run, taken again
-for the rest of it after a rebuild or a drift replacement.
-Per run, one cumsum into a preallocated buffer gives the Gram of the rows
-seen after every row, and one of the kept rows' outers, extended in place,
-the sketch Grams. A rebuild or drift check forms the one gap it reads; the
+One rank rule serves both: an ImageBasis U that only grows decides the
+image, and a KeptPinv on U steps by Sherman-Morrison and is rebuilt by
+Cholesky when U grows, when a step's denominator collapses and on a fixed
+schedule. Both walk in U coordinates, b = U'a, projected once per run (and
+again after a rebuild or after U grows): the pseudo-inverse and the Grams
+it is rebuilt from are kept there, summed from projected rows and extended
+by 0 when U grows. A direction small next to the others keeps a coordinate
+of its own, however it lies against the axes, so the Grams and the
+pseudo-inverse stay graded. The sketch stays in stream coordinates.
+
+The relative-leverage sampler scores a run with one product. Its kernel
+verdicts hold while U does: taken once for the rest of the block, and after
+U grows for the rest of the run. A kept row only lowers later rows' forms,
+so one comparison against coin thresholds taken once per block picks a
+superset of the rows that can be kept, and each candidate's p is recomputed
+exactly. A kept row takes one gemv (Y b), one dot, a step in place and one
+gemv that lowers the rest of the run's forms, each one ndarray.dot into a
+preallocated buffer; a rebuild rescores the rest of the run. The forms are
+clamped at 0 once per block and where a candidate's is read: each
+correction subtracts a term >= 0, so a form that goes negative stays so.
+The barrier walks every row, since each moves both gaps: one .dot per gap
+and one vecdot give both gaps' forms. Both gaps live on seen's image, so one
+kernel verdict per row serves both. Per run, one cumsum gives the Gram of
+the rows seen after every row, and one of the kept rows' outers, extended
+in place, the sketch Grams. A rebuild forms the one gap it reads; the
 sandwich check forms both gaps after every row as one stack and factors it,
 shifted in place, with one batched Cholesky.
-Both make the decisions of the row-at-a-time rule. A drift check keeps a
-certified pseudo-inverse (KeptPinv.certified) and otherwise installs a rebuild.
 """
 from __future__ import annotations
 
@@ -44,9 +45,7 @@ import numpy as np
 from . import rows as rowops
 from .errors import BarrierViolation, NotPsd
 from .instances import RowStream
-from .linalg import (
-    UPDATE_DENOM_FLOOR, PInv, SymPsd, default_rank_tol, on_image_rows, pinv, quad_forms, relative_of,
-)
+from .linalg import UPDATE_DENOM_FLOOR, quad_forms, relative_of
 from .randomness import CHUNK, IndexedUniforms
 from .sketch import RunStats, Sketch
 
@@ -57,9 +56,8 @@ DEFAULT_ONLINE_C_MULT = 3.0
 # O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
 ONLINE_RUN = 128
 
-# Maintained pseudo-inverse is certified, or else rebuilt, this often.
+# Every PINV_VERIFY_EVERY-th step of a kept pseudo-inverse is a rebuild.
 PINV_VERIFY_EVERY = 64
-PINV_DRIFT_TOL = 1e-6
 
 # Barrier sandwich violations are tolerated up to this relative slack.
 BARRIER_TOL = 1e-7
@@ -76,127 +74,110 @@ def sampling_constant(eps: float, d: int, c_mult: float) -> float:
     return c_mult * eps ** -2 * math.log(max(d, 2))
 
 
-class KeptPinv:
-    """Pseudo-inverse of a PSD matrix X that changes by rank-one terms k a a'.
+class ImageBasis:
+    """Orthonormal basis U of a PSD matrix's image, which only grows, and the
+    coordinates b = U'a the sequential walks work in.
 
-    It owns pinv.matrix (its own array or the view passed as matrix). To
-    follow X += k a a', the caller takes pa = X+ a and q = a' pa, gets coef
-    from step_coef, steps X+ -= coef pa pa' in place, O(d^2), and reports
-    the step by stepped(). A row off the image (the image grows) or a
-    collapsing denominator (the rank drops) rebuilds X+ as pinv(SymPsd(G)),
-    G = `source()` the current X as a (d, d) array. Every PINV_VERIFY_EVERY
-    steps a drift check keeps Y = X+ if certified (within PINV_DRIFT_TOL / 2
-    of G+, relative, with the residual's rounding taken componentwise, and
-    at G+'s rank), or else installs a rebuild, a drift event. recomputes
-    counts every pseudo-inverse formed (_formed), and each is installed.
+    coords is (d, d): U in its first rank columns, 0 past them, so a @ coords
+    is a row's b. The kernel test, on_image, calls row a on the image when
+    its residual off U, r = a - a P with P = U U', has ||r|| <= tol ||a||,
+    tol = 10 d u, u = 2^-53. P is U U' to within about d u, and a P errs by
+    at most d u |a||P| entrywise (Higham, Accuracy and Stability, 3.5), so
+    tol clears a row on span U at worst for d <= 81, and by 10x in practice
+    (rows of random subspaces, d = 4 to 128, left under d u ||a||). grow
+    appends a row's residual off U, orthogonalised twice ("twice is enough":
+    Giraud, Langou & Rozloznik 2005; Parlett, The Symmetric Eigenvalue
+    Problem, 6-9) and normalised, orthogonal to U to within about d u. No
+    direction is dropped; there is no rank cutoff.
     """
 
-    def __init__(self, dim: int, source, matrix=None):
-        matrix = np.zeros((dim, dim)) if matrix is None else matrix
-        self.pinv = PInv(0, matrix, np.zeros((dim, dim)))
-        self.source = source
-        self.recomputes = 0
-        self.drift_events = 0
-        self._updates_since_verify = 0
+    def __init__(self, dim: int):
+        self.coords, self.projector = np.zeros((dim, dim)), np.zeros((dim, dim))
+        self.rank = 0
+        self._tol2 = (10.0 * dim * 2.0 ** -53) ** 2
+
+    def on_image(self, block) -> np.ndarray:
+        """The kernel test for each row of a dense (b, d) block. The zero row
+        lies on every image; a full U has the whole space as its span and forms none."""
+        if self.rank == len(self.coords):
+            return np.ones(len(block), dtype=bool)
+        r = block @ self.projector - block
+        return np.einsum("ij,ij->i", r, r) <= self._tol2 * np.einsum("ij,ij->i", block, block)
+
+    def grow(self, a) -> None:
+        """Append row a's residual off U, orthogonalised twice and normalised; a is off the image."""
+        u = self.coords
+        r = a - u @ (u.T @ a)
+        r -= u @ (u.T @ r)
+        u[:, self.rank] = r / np.linalg.norm(r)
+        self.rank += 1
+        self.projector = u @ u.T
+
+
+class KeptPinv:
+    """Y = (U'XU)^-1, in U coordinates, of a PSD matrix X that changes by
+    rank-one terms k a a', on the basis U of X's image that image holds. Y is
+    matrix's leading rank x rank block (its own (d, d) array or the view
+    passed in), 0 past it, so a' X+ a = b' Y b. To follow X += k a a', the
+    caller grows U when a is off it, takes pa = Y b and q = b' pa, gets coef
+    from step_coef and steps Y -= coef pa pa' in place, O(d^2). A rebuild
+    from a Cholesky factor of U'GU (source(), the current X in U
+    coordinates), O(d^3) with no rank cutoff, takes the place of the step
+    for a off U, for |1 + k q| < UPDATE_DENOM_FLOOR and on every
+    PINV_VERIFY_EVERY-th step, wiping the steps' rounding. X is positive
+    definite on U in exact arithmetic, so a U'GU that fails to factor lost
+    rank there: NotPsd. recomputes counts rebuilds.
+    """
+
+    def __init__(self, dim: int, source, image: ImageBasis, matrix=None):
+        self.matrix = np.zeros((dim, dim)) if matrix is None else matrix
+        self.source, self.image = source, image
+        self.recomputes = self._steps = 0
 
     def step_coef(self, k: float, q: float, on_image: bool):
-        """coef of the step X+ -= coef pa pa' that follows X += k a a' (q = a'
-        X+ a), which the caller takes and then reports by stepped(); None
-        after a rebuild, for a off the image or |1 + k q| < UPDATE_DENOM_FLOOR."""
+        """coef of the step Y -= coef pa pa' that follows X += k a a' (q = b' Y b);
+        None after a rebuild in its place (see the class docstring)."""
+        self._steps += 1
         denom = 1.0 + k * q
-        if on_image and abs(denom) >= UPDATE_DENOM_FLOOR:
+        if on_image and abs(denom) >= UPDATE_DENOM_FLOOR and self._steps < PINV_VERIFY_EVERY:
             return k / denom
-        self.recompute()
+        self.rebuild()
         return None
 
-    def stepped(self) -> bool:
-        """Count a step taken; every PINV_VERIFY_EVERY steps certify Y, or else
-        replace it by a rebuild, a drift event, and return False."""
-        self._updates_since_verify += 1
-        if self._updates_since_verify < PINV_VERIFY_EVERY:
-            return True
-        g = self.source()
-        self._updates_since_verify = 0
-        if self.certified(g):
-            return True
-        self.drift_events += 1
-        self.recompute(g)
-        return False
-
-    def certified(self, g) -> bool:
-        """True when a rebuild, pinv(SymPsd(g)), would raise no NotPsd, keep
-        Y's rank and move Y by at most PINV_DRIFT_TOL / 2, relative.
-
-        With R = g Y - P (P the kept projector), Y - g+ = g+ R while steps
-        pa pa' (pa = Y a) keep range Y in Im P: the relative drift is at most
-        ||R||_F, computed within 2 d u || |g| |Y| ||_F (u = 2^-53; Higham 3.5's
-        componentwise product bound, and the subtraction), tried first at its
-        bound 2 d u ||g||_F ||Y||_F. With tau = default_rank_tol(d), a kernel
-        mass tr g - <P, g> <= floor / 10 (floor = tau tr g / d <= the cutoff
-        tau lambda_max) keeps g's eigenvalues past rank P under the cutoff;
-        P g P Y = P + P R on Im P puts the rank-P-th (Courant-Fischer) at >=
-        1 / (2 ||Y||_2) >= 2 tau lambda_max when tau ||g||_F ||Y||_F < 1/4,
-        else the rebuild's SymPsd(g).rank counts them. A Cholesky of g +
-        floor / 2 I puts g's least eigenvalue above SymPsd's -floor. Never
-        True at PINV_DRIFT_TOL <= 0."""
-        y, p, d = self.pinv.matrix, self.pinv.projector, len(g)
-        trace, tau = float(g.trace()), default_rank_tol(d)
-        if not (trace > 0.0 and trace - float(np.vdot(p, g)) <= 0.1 * tau * trace / d):
-            return False
-        r = g.dot(y)
-        r -= p
-        budget, u2d = 0.5 * PINV_DRIFT_TOL - math.sqrt(float(np.vdot(r, r))), 2.0 * d * 2.0 ** -53
-        scale = math.sqrt(float(np.vdot(g, g)) * float(np.vdot(y, y)))  # ||g||_F ||Y||_F
-        if not 0.0 < scale < math.inf:  # a square over- or underflowed: scale each first
-            scale = _frobenius(g) * _frobenius(y)
-        return ((u2d * scale <= budget or u2d * np.linalg.norm(np.abs(g) @ np.abs(y)) <= budget)
-                and (scale * tau < 0.25 or self.pinv.source_rank == SymPsd(g).rank)
-                and sandwich_holds(g, 0.5 * tau * trace / d))
-
-    def _formed(self, g) -> PInv:
-        """pinv(SymPsd(g)), an O(d^3) eigendecomposition, counted in recomputes."""
-        self.recomputes += 1
-        return pinv(SymPsd(g))
-
-    def recompute(self, g=None) -> None:
-        """Rebuild into the owned matrix from _formed(g), g = source() by default."""
-        fresh = self._formed(self.source() if g is None else g)
-        self.pinv.matrix[...] = fresh.matrix
-        self.pinv = PInv(fresh.source_rank, self.pinv.matrix, fresh.projector)
-        self._updates_since_verify = 0
-
-
-def _frobenius(a) -> float:
-    """||a||_F, taken of a scaled by its largest entry so that no square over- or underflows."""
-    top = float(np.max(np.abs(a)))
-    return top * float(np.linalg.norm(a / top)) if top else 0.0
+    def rebuild(self) -> None:
+        """Y = (U'GU)^-1 into the owned matrix's leading rank x rank block, G = source()."""
+        r = self.image.rank
+        try:
+            factor = np.linalg.cholesky(self.source()[:r, :r])
+        except np.linalg.LinAlgError as exc:
+            raise NotPsd(f"U'GU of rank {r} fails to factor: G lost rank on U") from exc
+        w = np.linalg.solve(factor, np.eye(r))  # the factor's inverse
+        self.matrix[:r, :r] = w.T @ w
+        self.recomputes, self._steps = self.recomputes + 1, 0
 
 
 class OnlineState:
     """Mutable state of the online sampler; single-owner, mutated in place."""
 
-    def __init__(
-        self,
-        dim: int,
-        eps: float,
-        seed: int,
-        c_mult: float = DEFAULT_ONLINE_C_MULT,
-    ):
+    def __init__(self, dim: int, eps: float, seed: int, c_mult: float = DEFAULT_ONLINE_C_MULT):
         self.dim = dim = rowops.dimension(dim)
         self.c = sampling_constant(eps, dim, c_mult)
         self.eps = float(eps)
         self.sketch = Sketch(dim)
-        self.kept = KeptPinv(dim, self._gram)
+        self.image = ImageBasis(dim)  # of the kept rows' span
+        # the sketch Gram in U coordinates, over the sketch's first _in_gram rows
+        self.gram, self._in_gram = np.zeros((dim, dim)), 0
+        self.kept = KeptPinv(dim, self._gram, self.image)
         self.rng = IndexedUniforms(seed)
         self.scores: list[np.ndarray] = []  # one array per add_rows
         self.probs: list[np.ndarray] = []  # likewise
         self.last_index = -1
         # the block being walked (lo, rows, coin thresholds), its kept rows not yet
-        # in the sketch, and the pseudo-inverse its kernel verdicts hold for, up to which row
+        # in the sketch, and the rank of U its kernel verdicts hold for, up to which row
         self._run, self._verdicts = None, (None, 0)
-        self._pending: list[int] = []
-        self._pending_p: list[float] = []
-        # a kept row's X+ a, its step and the rest of its run's a' X+ rows
+        self._pending, self._pending_p = [], []
+        # the walk's rows in U coordinates, a kept row's Y b, its step and the rest of its run's b' Y rows
+        self._coords = np.empty((ONLINE_RUN, dim))
         self._pa, self._outer, self._rest = np.empty(dim), np.empty((dim, dim)), np.empty(ONLINE_RUN)
 
     def add_rows(self, lo: int, block) -> np.ndarray:
@@ -237,16 +218,17 @@ class OnlineState:
         """Score rows start..stop - 1 of the block against the current
         pseudo-inverse into on and q, and decide them in order; returns where
         to rescore from after a rebuild, or stop; q is left unclamped. Kernel
-        verdicts hold while the pseudo-inverse does (a step keeps its
-        projector): taken at a run's start for the rest of the block, and
-        after a rebuild for the rest of the run."""
-        pinv_now, pa, outer, rest = self.kept.pinv, self._pa, self._outer, self._rest
-        y, pa_col, pa_row = pinv_now.matrix, pa[:, None], pa[None]
-        if self._verdicts[0] is not pinv_now or self._verdicts[1] < stop:
+        verdicts hold while U does: taken at a run's start for the rest of
+        the block, and after U grows for the rest of the run. The rows are
+        scored and stepped in U coordinates, projected once per walk."""
+        pa, outer, rest, image = self._pa, self._outer, self._rest, self.image
+        y, pa_col, pa_row = self.kept.matrix, pa[:, None], pa[None]
+        if self._verdicts[0] != image.rank or self._verdicts[1] < stop:
             end = len(block) if start % ONLINE_RUN == 0 else stop
-            on[start:end] = on_image_rows(pinv_now, block[start:end])
-            self._verdicts = (pinv_now, end)
-        q[start:stop] = quad_forms(pinv_now, block[start:stop])
+            on[start:end] = image.on_image(block[start:end])
+            self._verdicts = (image.rank, end)
+        coords = block[start:stop].dot(image.coords, out=self._coords[:stop - start])
+        q[start:stop] = quad_forms(self.kept, coords)
         # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
         t = self._run[2]
         candidates = np.flatnonzero(~on[start:stop] | (q[start:stop] > t[start:stop]))
@@ -257,19 +239,20 @@ class OnlineState:
             if not coins.item(i) < p:
                 continue
             kept[i] = True
+            if not on_i:  # the rows kept before it enter the Gram with 0 on the new direction
+                self._gram()
+                image.grow(block[i])
             self._pending.append(i)
             self._pending_p.append(p)
-            a = block[i]
-            y.dot(a, out=pa)
-            coef = self.kept.step_coef(1.0 / p, float(a.dot(pa)), on_i)
+            b = coords[i - start]
+            y.dot(b, out=pa)
+            coef = self.kept.step_coef(1.0 / p, float(b.dot(pa)), on_i)
             if coef is None:
                 return i + 1
             pa_col.dot(pa_row, out=outer)
             outer *= coef
             y -= outer
-            if not self.kept.stepped():
-                return i + 1
-            g = block[i + 1:stop].dot(pa, out=rest[:stop - i - 1])
+            g = coords[i + 1 - start:].dot(pa, out=rest[:stop - i - 1])
             np.square(g, out=g)
             g *= coef
             q[i + 1:stop] -= g
@@ -308,16 +291,19 @@ class OnlineState:
         self._pending, self._pending_p = [], []
 
     def _gram(self) -> np.ndarray:
-        """The kept pseudo-inverse's source: the sketch Gram with every kept row in."""
+        """The kept pseudo-inverse's source: gram with every kept row in. The
+        rows kept since the last call enter it projected on the current U, with
+        one product: a rebuild or a growth of U reads it, not every run."""
         self._flush()
-        return self.sketch.gram_matrix()
+        _, weights, dense = self.sketch.columns()
+        scaled = dense[self._in_gram:].dot(self.image.coords) * weights[self._in_gram:, None]
+        self.gram += scaled.T.dot(scaled)
+        self._in_gram = len(weights)
+        return self.gram
 
 
 def online_step(state: OnlineState, row, index: int) -> bool:
-    """Take one row (dense or sparse) as a one-row run; True when it was kept.
-
-    The row is checked before any state changes.
-    """
+    """Take one row (dense or sparse), checked before any state changes, as a one-row run; True if kept."""
     return bool(state.add_rows(index, rowops.densify(row, state.dim)[None])[0])
 
 
@@ -329,21 +315,12 @@ def feed(state, stream: RowStream):
     return state
 
 
-def run_online(
-    stream: RowStream,
-    eps: float,
-    seed: int,
-    c_mult: float = DEFAULT_ONLINE_C_MULT,
-) -> tuple[Sketch, RunStats]:
+def run_online(stream: RowStream, eps: float, seed: int,
+               c_mult: float = DEFAULT_ONLINE_C_MULT) -> tuple[Sketch, RunStats]:
     """Run the online sampler over a whole stream (feed)."""
     state = feed(OnlineState(stream.d, eps, seed, c_mult=c_mult), stream)
-    return state.sketch, RunStats(
-        scores=state.scores,
-        probs=state.probs,
-        pinv_recomputes=state.kept.recomputes,
-        max_working_rows=state.sketch.n_rows,
-        drift_events=state.kept.drift_events,
-    )
+    return state.sketch, RunStats(scores=state.scores, probs=state.probs,
+                                  pinv_recomputes=state.kept.recomputes, max_working_rows=state.sketch.n_rows)
 
 
 class BarrierState:
@@ -351,13 +328,14 @@ class BarrierState:
 
     The barriers are (1 + eps) and (1 - eps) times seen, the Gram of the
     rows seen, which a run advances with one cumsum into a buffer of
-    ONLINE_RUN + 1 Grams. Each gap, (1 + eps) seen - gram and gram - (1 -
-    eps) seen, keeps its pseudo-inverse in a KeptPinv that owns one half of
-    a (2, d, d) stack, so one product scores a row against both and one
-    in-place update steps both. A gap's source, _gap, forms that gap alone
-    at the row being walked; _gap_stack forms both after every row of the
-    run for the sandwich check. A BarrierViolation leaves the state mid-run:
-    do not reuse it.
+    ONLINE_RUN + 1 Grams. seen and gram, the sketch Gram, are kept in the U
+    coordinates of the one ImageBasis of seen's image, where both gaps live.
+    Each gap, (1 + eps) seen - gram and gram - (1 - eps) seen, keeps its
+    pseudo-inverse in a KeptPinv that owns one half of a (2, d, d) stack, so
+    one product scores a row against both and one in-place update steps
+    both. A gap's source, _gap, forms that gap alone at the row being walked;
+    _gap_stack forms both after every row of the run for the sandwich check.
+    A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
     def __init__(self, dim: int, eps: float, seed: int):
@@ -367,18 +345,22 @@ class BarrierState:
         self.eps = float(eps)
         self.c_upper, self.c_lower = 2.0 / eps + 1.0, 3.0 / eps - 1.0
         self.sketch = Sketch(dim)
-        self.seen = np.zeros((dim, dim))
-        # a run's prefix sums: seen before it and after each row, and the sketch Grams (_summed_grams)
+        self.image = ImageBasis(dim)  # of seen's image
+        # the Grams of the rows seen and of the sketch, in U coordinates
+        self.seen, self.gram = np.zeros((dim, dim)), np.zeros((dim, dim))
+        # a run's rows in U coordinates, and its prefix sums: seen before it and
+        # after each row, and the sketch Grams (_summed_grams)
+        self._coords = np.empty((ONLINE_RUN, dim))
         self._seens, self._grams = np.empty((2, ONLINE_RUN + 1, dim, dim))
         self._stack = np.empty(2 * ONLINE_RUN * dim * dim)  # the sandwich check's gaps
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
         self._pu, self._coefs, self._steps = np.empty((2, dim)), np.empty(2), np.empty((2, dim, dim))
-        self.upper_pinv = KeptPinv(dim, lambda: self._gap(0, self._at), self._pinvs[0])
-        self.lower_pinv = KeptPinv(dim, lambda: self._gap(1, self._at), self._pinvs[1])
+        self.upper_pinv = KeptPinv(dim, lambda: self._gap(0, self._at), self.image, self._pinvs[0])
+        self.lower_pinv = KeptPinv(dim, lambda: self._gap(1, self._at), self.image, self._pinvs[1])
         self.rng = IndexedUniforms(seed)
         self.probs: list[np.ndarray] = []  # one array per run
         self.last_index = -1
-        self._run = None  # (lo, block, seen after each row, probs, kept) of the run walked
+        self._run = None  # (lo, coordinates, seen after each row, probs, kept) of the run walked
         self._at = 0  # the row of it being walked
         self._summed = (0, 0)  # (rows, kept rows among them) that _grams has summed
 
@@ -391,13 +373,14 @@ class BarrierState:
         min(c_u a'(X_u + aa')+ a + c_l a'(X_l + aa')+ a, 1) for the gaps X_u =
         (1 + eps) seen - gram and X_l = gram - (1 - eps) seen before it, at
         weight 1/sqrt(p); each term is q / (q + 1) with q = a' X+ a from the
-        gap's kept pseudo-inverse, or 1 off its image. seen advances by aa',
+        gap's kept pseudo-inverse, or 1 off seen's image. seen advances by aa',
         kept or not, so the gaps change by k aa' with k_u = (1 + eps) - s/p
         and k_l = s/p - (1 - eps) (s = 1 if kept), and the kept
         pseudo-inverses follow by Sherman-Morrison. Raises BarrierViolation
-        for the first row after which either gap has an eigenvalue below
+        for the first row after which either gap, read on U (off it both
+        gaps hold only rounding), has an eigenvalue below
         -BARRIER_TOL * (1 + eps) trace(seen), and also when a rebuild finds
-        its gap indefinite beyond the SymPsd floor. Returns the kept mask.
+        its gap lost rank on seen's image (fails to factor). Returns the kept mask.
         """
         lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         coins = self.rng.take_range(lo, lo + len(block)).tolist()
@@ -405,18 +388,17 @@ class BarrierState:
         for start in range(0, len(block), ONLINE_RUN):
             run, run_kept = block[start:start + ONLINE_RUN], kept[start:start + ONLINE_RUN]
             b = len(run)
-            # seen after every row, summed in row order as one row at a time would
+            coords = run.dot(self.image.coords, out=self._coords[:b])
             seen = self._seens[:b + 1]
             seen[0] = self.seen
-            np.multiply(run[:, :, None], run[:, None, :], out=seen[1:])
-            np.cumsum(seen, axis=0, out=seen)
+            self._summed_seen(coords, seen)
             probs = np.empty(b)
-            self._grams[0] = self.sketch.gram_matrix()
-            self._run, self._summed = (lo + start, run, seen[1:], probs, run_kept), (0, 0)
+            self._grams[0] = self.gram
+            self._run, self._summed = (lo + start, coords, seen[1:], probs, run_kept), (0, 0)
             try:
                 try:
                     self._walk(run, coins[start:start + b], probs, run_kept)
-                except NotPsd as exc:  # a rebuild's gap is indefinite beyond the SymPsd floor
+                except NotPsd as exc:  # a rebuild's gap lost rank on seen's image
                     raise BarrierViolation(f"gap matrix indefinite at row {lo + start + self._at}") from exc
             except BarrierViolation:
                 self._checked_gaps(self._at + 1)  # an earlier row fails first
@@ -425,7 +407,7 @@ class BarrierState:
             pos = np.flatnonzero(run_kept)
             if pos.size:  # checked at entry, and each p beat its coin, so p > 0
                 self.sketch._fold(lo + start + pos, 1.0 / np.sqrt(probs[pos]), run[pos])
-            self.seen = seen[-1].copy()
+            self.seen, self.gram = seen[-1].copy(), self._summed_grams(b)[pos.size].copy()
             self.probs.append(probs)
         self._run = None
         return kept
@@ -433,47 +415,57 @@ class BarrierState:
     def _walk(self, block, coins, probs, kept) -> None:
         """Decide the run's rows in order into probs and kept, with both gap
         pseudo-inverses following each row. One product gives both gaps' forms
-        q = a' X+ a, which serve as score and as Sherman-Morrison denominator;
+        q = b' Y b, which serve as score and as Sherman-Morrison denominator;
         one stacked step follows in place, by 0 for a gap that just rebuilt.
-        A gap's kernel verdicts come from on_image_rows, again for the rest of
-        the run after a rebuild or drift replacement: a step keeps the projector."""
+        One kernel verdict per row, off seen's basis, serves both gaps: taken
+        for the run, and for the rest of it again after a row off it (so p = 1,
+        as c_lower > 1) grows it, when the rest of the run is projected on the
+        grown U and summed into seen again."""
         ys, pu, coefs, steps = self._pinvs, self._pu, self._coefs, self._steps
         (y_u, y_l), (pu_u, pu_l), (step_u, step_l), scale = ys, pu, steps, coefs[:, None, None]
         (col_u, col_l), (row_u, row_l) = pu[:, :, None], pu[:, None, :]
         upper, lower = self.upper_pinv, self.lower_pinv
-        on_upper, on_lower = (on_image_rows(gap.pinv, block).tolist() for gap in (upper, lower))
-        for j, a in enumerate(block):
+        coords, seen = self._run[1], self._seens[:len(block) + 1]
+        on = self.image.on_image(block).tolist()
+        for j, b in enumerate(coords):
             self._at = j
-            y_u.dot(a, out=pu_u)
-            y_l.dot(a, out=pu_l)
-            q_upper, q_lower = np.vecdot(pu, a).tolist()  # a BLAS dot each, as a 1-D a @ pu
+            y_u.dot(b, out=pu_u)
+            y_l.dot(b, out=pu_l)
+            q_upper, q_lower = np.vecdot(pu, b).tolist()  # a BLAS dot each, as a 1-D b @ pu
             qu, ql = max(q_upper, 0.0), max(q_lower, 0.0)  # scores q / (q + 1), or 1 off the image
-            p = probs[j] = min(self.c_upper * (qu / (qu + 1.0) if on_upper[j] else 1.0)
-                               + self.c_lower * (ql / (ql + 1.0) if on_lower[j] else 1.0), 1.0)
+            p = probs[j] = min(self.c_upper * (qu / (qu + 1.0)) + self.c_lower * (ql / (ql + 1.0)),
+                               1.0) if on[j] else 1.0
             kept[j] = keep = coins[j] < p
             taken = 1.0 / p if keep else 0.0
-            coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on_upper[j])
-            coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on_lower[j])
+            if not on[j]:  # kept at p = 1: U grows, and the rest of the run is judged again
+                self.image.grow(block[j])
+                on[j + 1:] = self.image.on_image(block[j + 1:]).tolist()
+                self._summed_seen(block[j:].dot(self.image.coords, out=coords[j:]), seen[j:])
+            coef_upper = upper.step_coef((1.0 + self.eps) - taken, q_upper, on[j])
+            coef_lower = lower.step_coef(taken - (1.0 - self.eps), q_lower, on[j])
             coefs[0], coefs[1] = coef_upper or 0.0, coef_lower or 0.0  # 0 for a gap just rebuilt
             col_u.dot(row_u, out=step_u)
             col_l.dot(row_l, out=step_l)
             steps *= scale
             ys -= steps
-            if coef_upper is None or not upper.stepped():
-                on_upper[j + 1:] = on_image_rows(upper.pinv, block[j + 1:]).tolist()
-            if coef_lower is None or not lower.stepped():
-                on_lower[j + 1:] = on_image_rows(lower.pinv, block[j + 1:]).tolist()
+
+    @staticmethod
+    def _summed_seen(coords, seen) -> None:
+        """seen[k] += the outers of coords' first k rows, for every k, from
+        seen[0]: one cumsum in place, in row order as one row at a time sums."""
+        np.multiply(coords[:, :, None], coords[:, None, :], out=seen[1:])
+        np.cumsum(seen, axis=0, out=seen)
 
     def _summed_grams(self, stop: int) -> np.ndarray:
         """The buffer whose k-th entry is the sketch Gram plus the run's first k kept rows'
         weighted outers, summed through its first stop rows: one cumsum, extended in place
         in row order as a cumsum of them all adds."""
-        _, block, _, probs, kept = self._run
+        _, coords, _, probs, kept = self._run
         rows, m = self._summed
         if stop > rows:
             pos = rows + np.flatnonzero(kept[rows:stop])
             if len(pos):
-                wa = block[pos] / np.sqrt(probs[pos])[:, None]
+                wa = coords[pos] / np.sqrt(probs[pos])[:, None]
                 new = self._grams[m:m + 1 + len(pos)]
                 np.multiply(wa[:, :, None], wa[:, None, :], out=new[1:])
                 np.cumsum(new, axis=0, out=new)
@@ -482,7 +474,7 @@ class BarrierState:
 
     def _gap(self, k: int, at: int) -> np.ndarray:
         """Gap k after the run's row at, formed alone: (1 + eps) seen - gram for k = 0,
-        gram - (1 - eps) seen for k = 1; the source of a rebuild or drift check."""
+        gram - (1 - eps) seen for k = 1; the source of a rebuild."""
         _, _, seen, _, kept = self._run
         gram = self._summed_grams(at + 1)[np.count_nonzero(kept[:at + 1])]
         return (1.0 + self.eps) * seen[at] - gram if k == 0 else gram - (1.0 - self.eps) * seen[at]
@@ -536,24 +528,12 @@ def _factors(stack) -> bool:
 
 
 def barrier_step(state: BarrierState, row, index: int) -> bool:
-    """Take one row (dense or sparse) as a one-row run; True when it was kept.
-
-    The row is checked before any state changes.
-    """
+    """Take one row (dense or sparse), checked before any state changes, as a one-row run; True if kept."""
     return bool(state.add_rows(index, rowops.densify(row, state.dim)[None])[0])
 
 
-def run_barrier(
-    stream: RowStream,
-    eps: float,
-    seed: int,
-) -> tuple[Sketch, RunStats]:
+def run_barrier(stream: RowStream, eps: float, seed: int) -> tuple[Sketch, RunStats]:
     """Run the barrier sampler over a whole stream (feed)."""
     state = feed(BarrierState(stream.d, eps, seed), stream)
-    kept = (state.upper_pinv, state.lower_pinv)
-    return state.sketch, RunStats(
-        probs=state.probs,
-        pinv_recomputes=sum(k.recomputes for k in kept),
-        max_working_rows=state.sketch.n_rows,
-        drift_events=sum(k.drift_events for k in kept),
-    )
+    return state.sketch, RunStats(probs=state.probs, max_working_rows=state.sketch.n_rows,
+                                  pinv_recomputes=state.upper_pinv.recomputes + state.lower_pinv.recomputes)

@@ -134,7 +134,7 @@ class RunCounters:
     score_total: float
     pinv_recomputes: int
     max_working_rows: int
-    drift_events: int = 0
+    drift_events: int = 0  # always 0 since rebuilds replaced the drift check; perfbench/run.py reads it
     saturated: int = 0
     resparsify_passes: int | None = None
 

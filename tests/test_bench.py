@@ -8,7 +8,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-import specstream.online as online_module
 from specstream import (
     ResparsifyApprox,
     RunStats,
@@ -132,8 +131,7 @@ class TestDispatch:
             else:
                 assert stats.max_working_rows == sketch.n_rows
             assert (stats.scores is None) == (algo == "optimal")
-            if algo not in ("online", "optimal"):
-                assert stats.drift_events == 0
+            assert stats.drift_events == 0
         for algo in ("greedy", "improved-passthrough"):
             with pytest.raises(ValueError):
                 run_sampler(algo, stream, 0.5, seed=21)
@@ -179,14 +177,6 @@ class TestDispatch:
         with pytest.raises(TypeError):
             run_trial("online", stream, 0.5, 0, 0, 2, c_mul=100.0)
 
-    def test_optimal_reports_barrier_drift(self, monkeypatch):
-        # a negative tolerance makes every periodic pinv check count as drift
-        monkeypatch.setattr(online_module, "PINV_DRIFT_TOL", -1.0)
-        stream = gen_gaussian(300, 5, seed=20)
-        _, stats = run_sampler("optimal", stream, 0.5, seed=21)
-        assert stats.drift_events > 0
-        assert stats.pinv_recomputes == 2 * 5 + stats.drift_events
-
     def test_run_trial_assembles_record(self):
         stream = gen_gaussian(200, 4, seed=22)
         rec, sketch = run_trial("online", stream, 0.4, 22, 0, 23)
@@ -208,16 +198,19 @@ class TestSuites:
     # sha256 prefixes of each suite's CSV with wall_ms set to 0.0, over the
     # 15 columns it had before saturated and resparsify_passes joined, in
     # their order then; taken before the suites moved onto run_grid (the
-    # same at 1 and 2 BLAS threads)
+    # same at 1 and 2 BLAS threads); those with online or barrier runs were
+    # taken again when the walks moved into U coordinates with Cholesky
+    # rebuilds in place of the drift certificate, which moved pinv_recomputes
+    # and the last bits of eps_actual and score_total, and no kept row
     PINNED_COLUMNS = ("algo", "n", "d", "eps", "seed_stream", "seed_perm", "seed_sample",
                       "sketch_rows", "eps_actual", "score_total", "mu", "max_working_rows",
                       "pinv_recomputes", "drift_events", "wall_ms")
     PINNED_CSV = {
-        "eps-scaling": ({"seeds": 3}, "45eea91728b91958"),
+        "eps-scaling": ({"seeds": 3}, "e632c6716361a91e"),
         "n-scaling": ({"seeds": 1}, "c54ac4a6d34b8a52"),
         "mu-scaling": ({}, "4d855c6a0b1ca9c2"),
-        "algo-compare": ({"seeds": 3}, "4fc07b5c5e0ed2cb"),
-        "lower-bound-probe": ({"seeds": 3}, "2d1d2f242e9ace42"),
+        "algo-compare": ({"seeds": 3}, "083294381bd0a81a"),
+        "lower-bound-probe": ({"seeds": 3}, "7280a6dc32fa55c6"),
     }
     # each suite's saturated column, and the resparsify_passes of its
     # improved-resparsify runs (the only cells not empty), in CSV order

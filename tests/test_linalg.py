@@ -358,5 +358,3 @@ def test_dot_matches_matmul_on_walk_shapes():
         assert np.array_equal(steps, np.multiply(pu[:, :, None], pu[:, None, :]))
         s = rows / np.sqrt(rng.uniform(0.01, 1.0, size=n))[:, None]
         assert np.array_equal(s.T.dot(s), s.T @ s)
-        g = s.T @ s
-        assert np.array_equal(g.dot(y), g @ y)

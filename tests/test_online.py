@@ -68,8 +68,9 @@ def duplicate_and_zero_rows():
 # (stream factory, eps, online-module settings); the kd gaps never leave a
 # 7-dimensional image in d = 8. BarrierState.add_rows walks ONLINE_RUN = 128
 # rows a run: the n-row Gaussians end a run one row short of, on and past a
-# boundary, the K_5 stream completes its rank inside the first run, and a
-# drift tolerance of 0 replaces each gap's pseudo-inverse at every check.
+# boundary, the K_5 stream completes its rank inside the first run, and
+# drift-in-runs rebuilds each gap's pseudo-inverse on every third step,
+# mid-run.
 BARRIER_PARITY_CASES = {
     "gaussian": (lambda: gen_gaussian(500, 8, seed=71), 0.5, {}),
     "kd-permuted": (lambda: permute(gen_kd_multigraph(8, 64), seed=72), 0.5, {}),
@@ -78,22 +79,21 @@ BARRIER_PARITY_CASES = {
     **{f"gaussian-{n}": (lambda n=n: gen_gaussian(n, 6, seed=n), 0.5, {})
        for n in (127, 128, 129, 257)},
     "kd5-rank-in-run": (lambda: permute(gen_kd_multigraph(5, 40), seed=79), 0.5, {}),
-    "drift-in-runs": (lambda: gen_gaussian(400, 5, seed=80), 0.5, {"PINV_DRIFT_TOL": 0.0}),
+    "drift-in-runs": (lambda: gen_gaussian(400, 5, seed=80), 0.5, {"PINV_VERIFY_EVERY": 3}),
     # a denominator floor of 1 rebuilds the lower gap on every dropped row
     # (1 - (1 - eps) q < 1) while the upper gap steps, and the upper gap on
-    # a kept row with k_u < 0; drift checks every 37 steps then fall at
+    # a kept row with k_u < 0; the rebuilds on every 37th step then fall at
     # offsets that differ between the gaps
     "one-gap-rebuilds": (lambda: gen_gaussian(300, 6, seed=71), 0.5,
                          {"UPDATE_DENOM_FLOOR": 1.0}),
     "uneven-drift-checks": (lambda: gen_gaussian(300, 6, seed=71), 0.5,
-                            {"UPDATE_DENOM_FLOOR": 1.0, "PINV_VERIFY_EVERY": 37,
-                             "PINV_DRIFT_TOL": 0.0}),
+                            {"UPDATE_DENOM_FLOOR": 1.0, "PINV_VERIFY_EVERY": 37}),
 }
 
-# per-gap (recomputes, drift events) of the upper and lower gap at seed 74
+# rebuilds of the upper and of the lower gap at seed 74
 BARRIER_GAP_COUNTS = {
-    "one-gap-rebuilds": ((41, 0), (98, 0)),
-    "uneven-drift-checks": ((43, 2), (99, 1)),
+    "one-gap-rebuilds": (41, 98),
+    "uneven-drift-checks": (43, 99),
 }
 
 
@@ -161,9 +161,9 @@ ONLINE_PARITY_CASES = {
     "shorter-than-a-run": (lambda: gen_gaussian(ONLINE_RUN // 2, 4, seed=97), 0.5, 0.3),
     "kept-last-row-of-run": (spiked_rows, 0.5, 0.5),
     "image-grows-mid-run": (image_grows_mid_run, 0.5, 0.5),
-    # at a zero tolerance every second kept row replaces the maintained pinv
+    # every second kept row's step is a rebuild
     "drift-replaced-mid-run": (lambda: gen_gaussian(3 * ONLINE_RUN, 5, seed=98), 0.5, 0.5,
-                               {"PINV_VERIFY_EVERY": 2, "PINV_DRIFT_TOL": 0.0}),
+                               {"PINV_VERIFY_EVERY": 2}),
     "d1": (lambda: gen_gaussian(300, 1, seed=99), 0.5, 0.5),
 }
 
@@ -239,7 +239,7 @@ class TestOnlineSampler:
         sketch, diag = run_online(stream, 0.4, seed=22)
         assert diag.scores.shape == (200,)
         assert diag.score_total == pytest.approx(float(np.sum(diag.scores)), rel=1e-12)
-        assert 0 <= diag.drift_events <= diag.pinv_recomputes
+        assert diag.drift_events == 0 < diag.pinv_recomputes
 
     def test_eps_bounds_enforced(self):
         for eps in (0.0, 0.51, math.nan):
@@ -284,7 +284,7 @@ class TestOnlineSampler:
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.scores - levels)) <= 1e-9
         if patched:
-            assert diag.drift_events >= 10
+            assert diag.pinv_recomputes >= stream.d + 10
 
     @pytest.mark.parametrize("case", ["kd-permuted", "kept-last-row-of-run", "image-grows-mid-run",
                                       "n-not-a-run-multiple", "drift-replaced-mid-run"])
@@ -299,16 +299,17 @@ class TestOnlineSampler:
                 state.add_rows(lo, stream.block(lo, min(lo + feed, stream.n)))
             assert np.array_equal(np.concatenate(state.scores), diag.scores), feed
             assert (state.sketch.indices, state.sketch.weights) == (whole.indices, whole.weights)
-            assert (state.kept.recomputes, state.kept.drift_events) == (
-                diag.pinv_recomputes, diag.drift_events)
+            assert state.kept.recomputes == diag.pinv_recomputes
 
     def test_boundary_cases_reach_their_boundaries(self):
         kept = oracles.online_reference(spiked_rows(), 0.5, seed=94, c_mult=0.5)[0]
         assert {ONLINE_RUN - 1, 2 * ONLINE_RUN - 1} <= set(kept)
         stream = image_grows_mid_run()
-        _, diag = run_online(stream, 0.5, seed=94, c_mult=0.5)
-        # four directions at the start, then one at each growth row
-        assert diag.pinv_recomputes == 6
+        state = online.feed(OnlineState(6, 0.5, seed=94, c_mult=0.5), stream)
+        # U grows by four directions at the start, then by one at each growth
+        # row, and each growth rebuilds; one scheduled rebuild falls among
+        # the 114 kept rows
+        assert (state.image.rank, state.kept.recomputes, state.sketch.n_rows) == (6, 7, 114)
         kept = oracles.online_reference(stream, 0.5, seed=94, c_mult=0.5)[0]
         assert set(GROWTH_ROWS) <= set(kept) and len(kept) > 40
 
@@ -343,87 +344,72 @@ class TestOnlineSampler:
     @pytest.mark.parametrize("family", sorted(COUNT_SWEEPS))
     def test_pinv_rebuilds_do_not_grow_with_n(self, family):
         # Cohen et al.'s ridge inverse never rebuilds; the pseudo-inverse
-        # rebuilds once per new direction and once per drift event, whatever n
+        # rebuilds once per direction of U, which finds the rank exactly, and
+        # on every PINV_VERIFY_EVERY-th step: formations <= rank + ceil(kept /
+        # PINV_VERIFY_EVERY), the same clause at every n
         build, sizes = self.COUNT_SWEEPS[family]
-        recomputes = set()
         for n in sizes:
             stream = build(n)
-            sketch, diag = run_online(stream, 0.5, seed=1)
+            state = online.feed(OnlineState(8, 0.5, seed=1), stream)
             rank = np.linalg.matrix_rank(stream.block(0, stream.n))
-            assert diag.pinv_recomputes <= rank + diag.drift_events, n
-            assert diag.drift_events <= sketch.n_rows / online.PINV_VERIFY_EVERY, n
-            recomputes.add(diag.pinv_recomputes)
-        assert len(recomputes) == 1, recomputes
+            assert state.image.rank == rank, n
+            kept = state.sketch.n_rows
+            assert rank < state.kept.recomputes <= rank + math.ceil(kept / online.PINV_VERIFY_EVERY), n
 
-    # (run, pseudo-inverses it forms, or None) of clean runs whose kept
-    # pseudo-inverses step far past PINV_VERIFY_EVERY; on item 14's stream
-    # (last column x 1e-5) and the late-direction stream (s = 1e-4), G is
-    # ill-conditioned (kappa near 1e10 at 1e-5), and the certificate resolves
-    # every drift check there at componentwise rounding: the counts are the
-    # rank's rebuilds and item 14's flat image rebuilds alone
-    EIGH_COUNT_RUNS = {
-        "online-gaussian": (lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1), None),
+    # (run, pseudo-inverses it forms) of runs whose kept pseudo-inverses step
+    # far past PINV_VERIFY_EVERY; on item 14's stream (last column x 1e-5)
+    # and the late-direction stream (s = 1e-4) G is ill-conditioned (kappa
+    # near 1e10 at 1e-5), and the counts are still the rank's rebuilds and
+    # the schedule's alone
+    FORMATION_COUNT_RUNS = {
+        "online-gaussian": (lambda: run_online(gen_gaussian(4000, 8, seed=1), 0.5, seed=1), 23),
         "online-kd-permuted": (lambda: run_online(permute(gen_kd_multigraph(8, 256), seed=2), 0.5, seed=2),
-                               None),
-        "barrier-gaussian": (lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3), None),
-        "online-small-column": (lambda: run_online(last_column_scaled(1e-5), 0.5, seed=1), 9),
-        "barrier-small-column": (lambda: run_barrier(last_column_scaled(1e-5), 0.5, seed=1), 18),
-        "online-late-direction": (lambda: run_online(last_column_scaled(1e-4, 3000), 0.5, seed=1), 11),
-        "barrier-late-direction": (lambda: run_barrier(last_column_scaled(1e-4, 3000), 0.5, seed=1), 23),
+                               24),
+        "barrier-gaussian": (lambda: run_barrier(gen_gaussian(2000, 12, seed=3), 0.5, seed=3), 86),
+        "online-small-column": (lambda: run_online(last_column_scaled(1e-5), 0.5, seed=1), 17),
+        "barrier-small-column": (lambda: run_barrier(last_column_scaled(1e-5), 0.5, seed=1), 136),
+        "online-late-direction": (lambda: run_online(last_column_scaled(1e-4, 3000), 0.5, seed=1), 17),
+        "barrier-late-direction": (lambda: run_barrier(last_column_scaled(1e-4, 3000), 0.5, seed=1), 134),
     }
 
-    @pytest.mark.parametrize("case", sorted(EIGH_COUNT_RUNS))
-    def test_drift_checks_form_no_pseudo_inverse(self, case, monkeypatch):
-        # a drift check certifies the kept pseudo-inverse with a product and
-        # a Cholesky, and forms a pseudo-inverse only to install it, as a
-        # drift event; every one formed is an eigendecomposition the run counts
-        formed = []
-        monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
-        run, want = self.EIGH_COUNT_RUNS[case]
+    @pytest.mark.parametrize("case", sorted(FORMATION_COUNT_RUNS))
+    def test_formations_are_the_rank_and_the_schedule(self, case, monkeypatch):
+        # every pseudo-inverse formed is a Cholesky rebuild the run counts: one
+        # per direction of U for each kept pseudo-inverse, plus one on every
+        # PINV_VERIFY_EVERY-th step; the online sampler steps on its kept
+        # rows, the barrier's two gaps on every row
+        formed, rebuild = [], KeptPinv.rebuild
+        monkeypatch.setattr(KeptPinv, "rebuild", lambda kept: formed.append(1) or rebuild(kept))
+        run, want = self.FORMATION_COUNT_RUNS[case]
         sketch, diag = run()
         assert sketch.n_rows > online.PINV_VERIFY_EVERY and diag.drift_events == 0
-        assert len(formed) == diag.pinv_recomputes
-        assert want is None or diag.pinv_recomputes == want, diag.pinv_recomputes
+        assert len(formed) == diag.pinv_recomputes == want
+        rank = np.linalg.matrix_rank(sketch.weighted_matrix())
+        steps = sketch.n_rows if case.startswith("online") else 2 * len(diag.probs)
+        kept_pinvs = 1 if case.startswith("online") else 2
+        assert diag.pinv_recomputes <= kept_pinvs * rank + math.ceil(steps / online.PINV_VERIFY_EVERY)
 
-    def test_late_direction_barrier_replaces_at_the_rank_drop(self, monkeypatch):
-        # at s = 1e-5 from row 3000 one gap's least image eigenvalue falls to
-        # 4.98e-12 lambda_max, under the cutoff 6 * 2^-40 = 5.46e-12, while its
-        # kept Y of rank 6 still fits it (||G Y - P||_F ~ 1e-9): the drift
-        # check's rank clause fails, and the rebuild it installs has rank 5
-        replaced, stepped = [], KeptPinv.stepped
-
-        def watched(kept):
-            before, events = kept.pinv.source_rank, kept.drift_events
-            result = stepped(kept)
-            if kept.drift_events != events:
-                replaced.append((before, kept.pinv.source_rank))
-            return result
-        monkeypatch.setattr(KeptPinv, "stepped", watched)
-        sketch, diag = run_barrier(last_column_scaled(1e-5, 3000), 0.5, seed=1)
-        assert (sketch.n_rows, diag.drift_events) == (741, 1)
-        assert replaced == [(6, 5)]
-
-    def test_walk_rescores_after_a_drift_replacement(self):
+    def test_walk_rescores_after_a_scheduled_rebuild(self):
         # Y is 1% off the sketch Gram's pseudo-inverse between two runs, and
-        # the second run's first kept row steps into the drift check, which
-        # replaces Y: the rows after it must be scored again against the new
-        # Y, as a twin rebuilt at that row scores them
+        # the second run's first kept row's step is the scheduled rebuild,
+        # which replaces Y: the rows after it must be scored again against
+        # the new Y, as a twin rebuilt at that row scores them
         rows = np.random.default_rng(91).standard_normal((2 * ONLINE_RUN, 6))
         twins = [OnlineState(6, 0.5, seed=92) for _ in range(2)]
         for state in twins:
             state.add_rows(0, rows[:ONLINE_RUN])
-            state.kept.pinv.matrix *= 1.01
-        drifted, rebuilt = twins
-        assert drifted.kept.drift_events == 0
-        drifted.kept._updates_since_verify = online.PINV_VERIFY_EVERY - 1
-        kept = drifted.add_rows(ONLINE_RUN, rows[ONLINE_RUN:])
-        assert drifted.kept.drift_events == 1
+            state.kept.matrix *= 1.01
+        scheduled, rebuilt = twins
+        scheduled.kept._steps = online.PINV_VERIFY_EVERY - 1
+        kept = scheduled.add_rows(ONLINE_RUN, rows[ONLINE_RUN:])
         i = ONLINE_RUN + int(np.argmax(kept))
-        rebuilt.kept._updates_since_verify = 0
+        rebuilt.kept._steps = 0
         assert rebuilt.add_rows(ONLINE_RUN, rows[ONLINE_RUN:i + 1]).tolist() == kept[:i + 1 - ONLINE_RUN].tolist()
-        rebuilt.kept.recompute()
+        rebuilt.kept.rebuild()
         assert rebuilt.add_rows(i + 1, rows[i + 1:]).tolist() == kept[i + 1 - ONLINE_RUN:].tolist()
-        assert np.allclose(drifted.scores[-1][i + 1 - ONLINE_RUN:], rebuilt.scores[-1], rtol=0.0, atol=1e-9)
+        assert np.allclose(scheduled.scores[-1][i + 1 - ONLINE_RUN:], rebuilt.scores[-1], rtol=0.0, atol=1e-9)
+        # both rebuilt at row i, and then on the same schedule
+        assert scheduled.kept.recomputes == rebuilt.kept.recomputes
 
     @pytest.mark.parametrize("s", [1e-4, 1e-5])
     def test_late_direction_meets_eps_and_the_audit(self, s):
@@ -679,34 +665,22 @@ SCALE_RUNNERS = {"online": run_online, "barrier": run_barrier, "scaled": scaled_
 
 
 @pytest.mark.parametrize("runner", ["online", "barrier"])
-def test_power_of_two_scales_decide_alike(runner, monkeypatch):
+def test_power_of_two_scales_decide_alike(runner):
     # rows scaled by 2^k keep every ratio the samplers decide on, and so
     # every decision, while their Grams' squared entries over- or underflow
-    # (2^+-300) and the pseudo-inverses' too (2^+-450): no drift check may
-    # then fall back to an eigendecomposition, or warn. LAPACK's eigh
-    # rescales a matrix outside its safe range by a factor that is no power
-    # of 2, so p, and the weights, move in their last bits
+    # (2^+-300) and the pseudo-inverses' too (2^+-450). The kernel test reads
+    # ratios, U is normalised, and a Cholesky rebuild scales by exact powers
+    # of 2, so p, the weights and the counts keep every bit, with no warning
     rows = np.random.default_rng(3).standard_normal((3000, 5))
-    formed, init = [0], SymPsd.__init__
-
-    def counting(self, entries):
-        formed[0] += 1
-        init(self, entries)
-    monkeypatch.setattr(SymPsd, "__init__", counting)
 
     def run(k):
-        formed[0] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sketch, diag = SCALE_RUNNERS[runner](make_stream(rows * 2.0 ** k), 0.5, 1)
-        counts = {name: value for name, value in diag.counters().items() if name != "score_total"}
-        return sketch.indices, counts, formed[0], np.array(sketch.weights), diag.probs
-    indices, counts, formed_at_one, weights, probs = run(0)
+        return sketch.indices, sketch.weights, diag.counters(), diag.probs.tolist()
+    at_one = run(0)
     for k in (300, -300, 450, -450):
-        scaled = run(k)
-        assert scaled[:3] == (indices, counts, formed_at_one), k
-        assert np.allclose(scaled[3], weights, rtol=1e-9, atol=0.0), k
-        assert np.allclose(scaled[4], probs, rtol=1e-9, atol=0.0), k
+        assert run(k) == at_one, k
 
 
 @pytest.mark.parametrize("k", [-515, -520, -540])
@@ -728,66 +702,30 @@ SMALL_COLUMN_RUNNERS = {"online": run_online, "barrier": run_barrier}
 
 @pytest.fixture(scope="module")
 def small_column_run():
-    """(sketch, stats) of one (sampler, s) run on item 14's family, each run once."""
+    """(sketch, stats) of one (sampler, s, from_row) run on item 14's family, each run once."""
     runs = {}
 
-    def run(sampler, s):
-        if (sampler, s) not in runs:
-            runs[sampler, s] = SMALL_COLUMN_RUNNERS[sampler](last_column_scaled(s), 0.5, 1)
-        return runs[sampler, s]
+    def run(sampler, s, from_row=0):
+        if (sampler, s, from_row) not in runs:
+            stream = last_column_scaled(s, from_row)
+            runs[sampler, s, from_row] = SMALL_COLUMN_RUNNERS[sampler](stream, 0.5, 1)
+        return runs[sampler, s, from_row]
     return run
 
 
-def _flat(formed, rank, kept_pinvs):
-    return (f"{formed} pseudo-inverses formed, rank {rank}: {formed - kept_pinvs * rank} image "
-            "rebuilds leave the rank flat, as the rank cutoff drops what the kernel test "
-            "calls off the image (ROADMAP item 14)")
+def rank_deficient_with_rounding():
+    """default_rng(83) 3000 rows Z B of a rank-4 B (4 x 8, rows scaled by
+    10^U(-3, 3)): forming Z B leaves a fifth direction at about 2e-16 of the
+    largest singular value, and U takes it."""
+    rng = np.random.default_rng(83)
+    basis = rng.standard_normal((4, 8)) * 10 ** rng.uniform(-3, 3, size=(4, 1))
+    return rng.standard_normal((3000, 4)) @ basis
 
 
-def _rebuilt(formed, rank):
-    return (f"{formed} pseudo-inverses formed, rank {rank}: the rank cutoff drops the "
-            "direction the kernel test calls off the image, so rows along it rebuild "
-            "again and again (ROADMAP item 14)")
-
-
-# (sampler, s) -> why the count clause fails there today, from the counts
-# measured at eps 0.5, seed 1
-SMALL_COLUMN_COUNT_FAULTS = {
-    ("online", 1e-4): _flat(7, 6, 1),
-    ("online", 1e-5): _flat(9, 6, 1),
-    ("online", 1e-6): _rebuilt(3927, 5),
-    ("online", 1e-7): _rebuilt(3340, 5),
-    ("online", 1e-8): _rebuilt(335, 5),
-    ("barrier", 1e-4): _flat(14, 6, 2),
-    ("barrier", 1e-5): _flat(18, 6, 2),
-    ("barrier", 1e-6): _rebuilt(7849, 5),
-    ("barrier", 1e-7): _rebuilt(6688, 5),
-    ("barrier", 1e-8): _rebuilt(713, 5),
-}
-
-
-def _short(rows, by, verify_eps, qr_eps):
-    return (f"{rows} online scores fall short of their QR leverage, by up to {by}, while verify "
-            f"passes the audit and reads eps {verify_eps} where QR reads {qr_eps}: the scores "
-            "miss the direction the rank cutoff drops (ROADMAP item 14), and verify's Gram "
-            "cutoff drops it too (ROADMAP item 16)")
-
-
-# s -> why the online scores miss the QR oracle's leverage there, as
-# measured at eps 0.5, seed 1
-SMALL_COLUMN_AUDIT_FAULTS = {
-    ("online", 1e-8): _short(29, 4.7e-4, 0.1643, 0.2069),
-    ("online", 1e-9): _short(166, 2.5e-3, 0.1824, 0.2975),
-    ("online", 1e-10): _short(166, 2.5e-3, 0.1824, 0.2975),
-}
-
-
-def _small_column_cases(faults=None, samplers=SMALL_COLUMN_RUNNERS):
-    """Every (sampler, s) of the family, each in faults a strict xfail with its reason."""
-    faults = faults or {}
-    return [pytest.param(sampler, s, id=f"{sampler}-s={s:.0e}", marks=[
-        pytest.mark.xfail(strict=True, reason=faults[sampler, s])] if (sampler, s) in faults else [])
-        for sampler in samplers for s in SMALL_COLUMN_SCALES]
+def _small_column_cases(samplers=SMALL_COLUMN_RUNNERS):
+    """Every (sampler, s) of the family."""
+    return [pytest.param(sampler, s, id=f"{sampler}-s={s:.0e}")
+            for sampler in samplers for s in SMALL_COLUMN_SCALES]
 
 
 class TestSmallColumnFamily:
@@ -801,15 +739,39 @@ class TestSmallColumnFamily:
         assert eps_actual <= 0.5, eps_actual
         assert audit is (True if sampler == "online" else None)
 
-    @pytest.mark.parametrize("sampler, s", _small_column_cases(SMALL_COLUMN_COUNT_FAULTS))
+    @pytest.mark.parametrize("sampler, s", _small_column_cases())
+    def test_kept_indices_do_not_move_with_the_scale(self, small_column_run, sampler, s):
+        # a column scale maps every row by one invertible diagonal, which
+        # moves no relative leverage: U keeps the scaled direction however
+        # small, so each sampler keeps the rows it keeps at s = 1, bit-equal
+        # indices on the same coins
+        assert small_column_run(sampler, s)[0].indices == small_column_run(sampler, 1.0)[0].indices
+
+    @pytest.mark.parametrize("s", [10.0 ** -k for k in range(4, 13)])
+    @pytest.mark.parametrize("from_row", [0, 3000], ids=["family", "late-direction"])
+    @pytest.mark.parametrize("sampler", sorted(SMALL_COLUMN_RUNNERS))
+    def test_rotated_family_keeps_the_unrotated_rows(self, small_column_run, sampler, from_row, s):
+        # the family under one fixed rotation moves no relative leverage, so
+        # each sampler keeps the unrotated s = 1 rows. The walks, the Grams
+        # and the rebuilds work in U coordinates, where the rotated direction
+        # has a coordinate of its own and its mass stays above the Grams'
+        # rounding however small s is
+        rotation = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+        rotated = make_stream(last_column_scaled(s, from_row).materialize() @ rotation)
+        sketch, _ = SMALL_COLUMN_RUNNERS[sampler](rotated, 0.5, 1)
+        assert sketch.indices == small_column_run(sampler, 1.0, from_row)[0].indices
+
+    @pytest.mark.parametrize("sampler, s", _small_column_cases())
     def test_rebuilds_stay_within_the_rank(self, small_column_run, sampler, s):
         # ROADMAP item 12's count clause: one pseudo-inverse per direction of
-        # the kept Gram for each one a sampler keeps (the barrier keeps two),
-        # plus one per drift event
+        # the kept rows for each one a sampler keeps (the barrier keeps two),
+        # plus one on every PINV_VERIFY_EVERY-th step; the online sampler
+        # steps on its kept rows, each barrier gap on every row
         sketch, diag = small_column_run(sampler, s)
-        rank = SymPsd(sketch.gram_matrix()).rank
-        kept_pinvs = 1 if sampler == "online" else 2
-        assert diag.pinv_recomputes <= kept_pinvs * rank + diag.drift_events, diag.pinv_recomputes
+        rank = np.linalg.matrix_rank(sketch.weighted_matrix())
+        kept_pinvs, steps = (1, sketch.n_rows) if sampler == "online" else (2, 2 * len(diag.probs))
+        assert rank == 6
+        assert diag.pinv_recomputes <= kept_pinvs * rank + math.ceil(steps / online.PINV_VERIFY_EVERY)
 
     # The QR oracle reads the family apart from verify, whose Gram
     # eigendecomposition squares the condition number (ROADMAP item 16).
@@ -819,142 +781,198 @@ class TestSmallColumnFamily:
         eps_qr = oracles.qr_eps(last_column_scaled(s).materialize(), sketch.weighted_matrix())
         assert eps_qr <= 0.5, eps_qr
 
-    @pytest.mark.parametrize("sampler, s", _small_column_cases(SMALL_COLUMN_AUDIT_FAULTS, ["online"]))
+    @pytest.mark.parametrize("sampler, s", _small_column_cases(["online"]))
     def test_scores_dominate_the_qr_leverage(self, small_column_run, sampler, s):
         _, diag = small_column_run(sampler, s)
         lev = oracles.qr_leverage(last_column_scaled(s).materialize())
         short = lev - (diag.scores + AUDIT_SLACK)
         assert np.all(short <= 0.0), (np.count_nonzero(short > 0.0), short.max())
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-9])
+    @pytest.mark.parametrize("sampler", sorted(SMALL_COLUMN_RUNNERS))
+    def test_late_direction_meets_eps_on_the_qr_oracle(self, sampler, s):
+        # the direction appears at row 3000, at scale s: U takes it from its
+        # first row, so the sketch covers it (ROADMAP item 14 read 0.524 and
+        # 0.509 at s = 1e-9, and 365 online scores short of the QR leverage)
+        stream = last_column_scaled(s, 3000)
+        sketch, diag = SMALL_COLUMN_RUNNERS[sampler](stream, 0.5, 1)
+        rows = stream.materialize()
+        assert oracles.qr_eps(rows, sketch.weighted_matrix()) <= 0.5
+        if sampler == "online":
+            assert np.all(oracles.qr_leverage(rows) <= diag.scores + AUDIT_SLACK)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("sampler", sorted(SMALL_COLUMN_RUNNERS))
+    def test_rank_deficient_stream_meets_eps_on_its_row_space(self, sampler, seed):
+        # U takes the rounding-level fifth direction; summed from rows
+        # projected on U, the Gram keeps it apart from the four real ones,
+        # so the sketch meets eps on the row space, by verify and by the QR
+        # oracle there, and the barrier's gaps factor
+        rows = rank_deficient_with_rounding()
+        stream = make_stream(rows)
+        sketch, diag = SMALL_COLUMN_RUNNERS[sampler](stream, 0.5, seed)
+        eps_actual, audit = verify(stream, sketch, scores=diag.scores if sampler == "online" else None)
+        assert eps_actual <= 0.5 and audit is (True if sampler == "online" else None), eps_actual
+        row_space = np.linalg.svd(rows, full_matrices=False)[2][:4].T
+        assert oracles.qr_eps(rows @ row_space, sketch.weighted_matrix() @ row_space) <= 0.5
+
 
 def kept_step(kept, a, k):
-    """Follow X += k aa' (a on the image) as the samplers do: take pa and
-    q = a' pa, ask for coef, step in place and report the step. (pa, coef)
-    when the step stands, None after a rebuild."""
-    y = kept.pinv.matrix
-    pa = y @ a
-    coef = kept.step_coef(k, float(a @ pa), True)
+    """Follow X += k aa' (a on the image) as the samplers do: take a's U
+    coordinates b, pa = Y b and q = b' pa, ask for coef and step in place.
+    (pa, coef) when the step stands, None after a rebuild in its place."""
+    y, b = kept.matrix, a @ kept.image.coords
+    pa = y @ b
+    coef = kept.step_coef(k, float(b @ pa), True)
     if coef is None:
         return None
     y -= (pa[:, None] * pa) * coef
-    return (pa, coef) if kept.stepped() else None
+    return pa, coef
 
 
 def kept_relative(kept, a, q):
     """(dense a on the image of kept's matrix, its relative score from the
     form q = a' X+ a), from the package's image test and score formula."""
-    on = on_image_rows(kept.pinv, a[None])
+    on = kept.image.on_image(a[None])
     return bool(on[0]), float(relative_of(on, np.array([max(q, 0.0)]))[0])
+
+
+def on_u(image, x):
+    """A KeptPinv source: the matrix x, read when called, in image's U coordinates."""
+    return lambda: image.coords.T @ x @ image.coords
+
+
+def grown(dim, rows):
+    """An ImageBasis grown by each of the rows off it, as the samplers grow theirs."""
+    image = online.ImageBasis(dim)
+    for a in rows:
+        if not image.on_image(a[None])[0]:
+            image.grow(a)
+    return image
+
+
+@pytest.mark.parametrize("stream", [lambda: gen_gaussian(700, 6, seed=85),
+                                    lambda: permute(gen_kd_multigraph(6, 40), seed=85)],
+                         ids=["gaussian", "kd"])
+@pytest.mark.parametrize("sampler", ["online", "barrier"])
+def test_grams_in_u_coordinates_are_the_stream_grams_on_u(sampler, stream):
+    # the walks keep their Grams in U coordinates, summed from projected
+    # rows and extended by 0 when U grows (the online one when a rebuild
+    # reads it, as _gram does here): on U they are the sketch Gram
+    # (and the barrier's seen, the stream Gram) in stream coordinates, and 0
+    # past U's rank
+    stream = stream()
+    state_type = OnlineState if sampler == "online" else BarrierState
+    state = online.feed(state_type(stream.d, 0.5, seed=86), stream)
+    r = state.image.rank
+    u = state.image.coords[:, :r]
+    pairs = [(state._gram() if sampler == "online" else state.gram, state.sketch.gram_matrix())]
+    if sampler == "barrier":
+        pairs.append((state.seen, stream.gram_matrix()))
+    for in_u, full in pairs:
+        assert np.allclose(in_u[:r, :r], u.T @ full @ u, rtol=0.0, atol=1e-12 * np.trace(full))
+        assert not in_u[r:].any() and not in_u[:, r:].any()
+    assert r == np.linalg.matrix_rank(stream.block(0, stream.n))
 
 
 class TestKeptPinv:
     def test_image_growth_and_rank_drop_rebuild(self):
         x = np.zeros((3, 3))
-        kept = KeptPinv(3, lambda: x)
+        image = online.ImageBasis(3)
+        kept = KeptPinv(3, on_u(image, x), image)
         a = np.array([1.0, 2.0, 0.0])
         assert kept_relative(kept, a, 0.0) == (False, 1.0)
         x += 2.0 * np.outer(a, a)
+        image.grow(a)
         assert kept.step_coef(2.0, 0.0, False) is None
-        assert kept.recomputes == 1
-        q = float(a @ kept.pinv.matrix @ a)
+        assert kept.recomputes == 1 and image.rank == 1
+        b = a @ image.coords
+        q = float(b @ kept.matrix @ b)
         on_image, rel = kept_relative(kept, a, q)
         want = a @ np.linalg.pinv(x) @ a
         assert on_image and rel == pytest.approx(want / (want + 1.0), rel=1e-12)
-        # subtracting the same term empties X: the denominator 1 - 2q is 0
+        # subtracting the same term empties X, which then lost rank on U: the
+        # denominator 1 - 2q is 0, and the rebuild in place of the step raises
         x -= 2.0 * np.outer(a, a)
-        assert kept_step(kept, a, -2.0) is None
-        assert kept.recomputes == 2 and kept.pinv.source_rank == 0
-        assert np.array_equal(kept.pinv.matrix, np.zeros((3, 3)))
+        with pytest.raises(NotPsd):
+            kept_step(kept, a, -2.0)
+        assert kept.recomputes == 1 and image.rank == 1
 
-    def test_drift_check_replaces_a_drifted_pinv(self, monkeypatch):
-        monkeypatch.setattr("specstream.online.PINV_VERIFY_EVERY", 2)
+    def test_scheduled_rebuild_replaces_a_drifted_pinv(self, monkeypatch):
+        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 2)
         x = np.diag([1.0, 2.0, 4.0])
-        kept = KeptPinv(3, lambda: x)
-        kept.recompute()
-        a = np.array([1.0, 1.0, 1.0])
+        kept = KeptPinv(3, lambda: x, grown(3, np.eye(3)))
+        kept.rebuild()
+        a = np.ones(3)
         x += np.outer(a, a)
-        before = kept.pinv.matrix.copy()
+        before = kept.matrix.copy()
         pa, coef = kept_step(kept, a, 1.0)
-        # the step taken is the Sherman-Morrison one, and stepped() kept it
+        # the first step taken is the Sherman-Morrison one
         assert coef == 1.0 / (1.0 + float(a @ pa))
-        assert np.array_equal(kept.pinv.matrix, before - (pa[:, None] * pa) * coef)
-        assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
-        assert kept.drift_events == 0
-        kept.pinv.matrix[0, 0] *= 1.0 + 1e-3
+        assert np.array_equal(kept.matrix, before - (pa[:, None] * pa) * coef)
+        assert np.allclose(kept.matrix, np.linalg.inv(x), rtol=1e-12)
+        kept.matrix[0, 0] *= 1.0 + 1e-3
         x += np.outer(a, a)
-        # a replaced pinv reports no step: scores taken before it are stale
+        # the second is a rebuild in its place, which wipes the drift; the
+        # rebuild reports no step: scores taken before it are stale
         assert kept_step(kept, a, 1.0) is None
-        assert (kept.recomputes, kept.drift_events) == (2, 1)
-        assert np.allclose(kept.pinv.matrix, np.linalg.inv(x), rtol=1e-12)
+        assert kept.recomputes == 2
+        assert np.allclose(kept.matrix, np.linalg.inv(x), rtol=1e-12)
 
-    @pytest.mark.parametrize("off", [2.0, 0.5, 0.1])
-    def test_drift_check_errs_toward_a_rebuild(self, off, monkeypatch):
-        # Y off by `off` times PINV_DRIFT_TOL, relative, so ||G Y - P||_F =
-        # off * PINV_DRIFT_TOL * sqrt(3): at twice and at half the tolerance
-        # the certificate (PINV_DRIFT_TOL / 2) fails, and the rebuild it forms
-        # replaces Y; a tenth of it passes, and no pseudo-inverse is formed
-        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
-        formed = []
-        monkeypatch.setattr(online, "pinv", lambda s: formed.append(s.rank) or linalg_pinv(s))
-        x = np.diag([1.0, 2.0, 4.0])
-        kept = KeptPinv(3, lambda: x)
-        kept.recompute()
-        fresh = kept.pinv.matrix.copy()
-        kept.pinv.matrix *= 1.0 + off * online.PINV_DRIFT_TOL
-        drifted = kept.pinv.matrix.copy()
-        replaced = off >= 0.5
-        assert kept.stepped() is not replaced
-        assert (kept.recomputes, kept.drift_events, len(formed)) == ((2, 1, 2) if replaced else (1, 0, 1))
-        assert np.array_equal(kept.pinv.matrix, fresh if replaced else drifted)
+    def test_rebuild_keeps_every_direction_of_u(self):
+        # X's least eigenvalue is 1e-20 of its largest, far under the rank
+        # cutoff d * 2^-40 of an eigendecomposition's pseudo-inverse: a
+        # rebuild on U inverts it all the same, and on a U of rank 2 it
+        # inverts X on U's span alone
+        x = np.diag([1.0, 2.0, 1e-20])
+        for rows, want in ((np.eye(3), [1.0, 0.5, 1e20]), (np.eye(3)[:2], [1.0, 0.5, 0.0])):
+            kept = KeptPinv(3, lambda: x, grown(3, rows))
+            kept.rebuild()
+            assert np.allclose(kept.matrix, np.diag(want), rtol=1e-12, atol=0.0)
 
-    def test_mass_off_the_projector_rebuilds_at_rank_plus_one(self, monkeypatch):
-        # the kept Y still inverts X on its old image (G Y - P = 0), but X
-        # gained mass off it above the rank cutoff: the drift check rebuilds
-        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
-        x = np.diag([1.0, 2.0, 0.0])
-        kept = KeptPinv(3, lambda: x)
-        kept.recompute()
-        assert kept.pinv.source_rank == 2
-        x[2, 2] = 1e-9
-        assert not kept.stepped()
-        assert (kept.pinv.source_rank, kept.recomputes, kept.drift_events) == (3, 2, 1)
-        assert np.allclose(kept.pinv.matrix, np.diag([1.0, 0.5, 1e9]), rtol=1e-12, atol=0.0)
-
-    def test_image_eigenvalue_under_the_cutoff_rebuilds_at_rank_minus_one(self, monkeypatch):
-        # X's least eigenvalue falls to 2e-12 of the largest, under the rank
-        # cutoff 3 * 2^-40 = 2.7e-12, and Y follows it (G Y - P at rounding
-        # level): the residual certifies Y, but the rebuild drops that
-        # direction, so the drift check's rank clause rebuilds
-        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
-        x = np.diag([1.0, 2.0, 1e-11])
-        kept = KeptPinv(3, lambda: x)
-        kept.recompute()
-        assert kept.pinv.source_rank == 3
-        x[2, 2] = 4e-12
-        kept.pinv.matrix[2, 2] = 2.5e11
-        assert np.linalg.norm(x @ kept.pinv.matrix - kept.pinv.projector) < 1e-15
-        assert not kept.stepped()
-        assert (kept.pinv.source_rank, kept.recomputes, kept.drift_events) == (2, 2, 1)
-        assert np.allclose(kept.pinv.matrix, np.diag([1.0, 0.5, 0.0]), rtol=1e-12, atol=1e-15)
+    def test_kernel_test_tells_rounding_from_a_direction(self):
+        # rows of a rank-4 subspace of d = 16, each a rounded combination of
+        # its basis, lie within rounding of U, which finds the rank exactly;
+        # 1e-12 of a row's norm off the subspace is a direction, and U keeps it
+        rng = np.random.default_rng(5)
+        basis = rng.standard_normal((4, 16))
+        rows = rng.standard_normal((200, 4)) @ basis
+        image = grown(16, rows)
+        assert image.rank == 4 and image.on_image(rows).all()
+        u = image.coords[:, :image.rank]
+        assert np.allclose(u.T @ u, np.eye(4), rtol=0.0, atol=1e-15) and not image.coords[:, 4:].any()
+        z = rng.standard_normal(16)
+        z -= basis.T @ np.linalg.lstsq(basis.T, z, rcond=None)[0]
+        z /= np.linalg.norm(z)
+        norms = np.linalg.norm(rows[:20], axis=1)[:, None]
+        assert image.on_image(rows[:20] + 1e-16 * norms * z).all()
+        assert not image.on_image(rows[:20] + 1e-12 * norms * z).any()
+        image.grow(rows[0] + 1e-12 * norms[0] * z)
+        u = image.coords[:, :image.rank]
+        assert np.allclose(u.T @ u, np.eye(5), rtol=0.0, atol=1e-14)
 
     def test_score_is_the_shared_relative_leverage(self):
         # dense and densified sparse rows against a full-rank and a rank-7
-        # (d = 8) matrix, on and off the image; from the same form, the
-        # per-row and the block kernel test and formula agree bit for bit
+        # (d = 8) matrix, on and off the image: the kept pseudo-inverse's
+        # kernel test and score agree with the block samplers' (linalg's
+        # relative_leverage on pinv(SymPsd(G))) on these well-conditioned Grams
         from specstream import relative_leverage
         from specstream.linalg import quad_forms
 
         gauss = gen_gaussian(40, 8, seed=31)
         kd = permute(gen_kd_multigraph(8, 64), seed=32)
         for stream in (gauss, kd):
-            kept = KeptPinv(8, stream.gram_matrix)
-            kept.recompute()
-            assert kept.pinv.source_rank == (8 if stream is gauss else 7)
+            image = grown(8, stream.block(0, stream.n))
+            kept = KeptPinv(8, on_u(image, stream.gram_matrix()), image)
+            kept.rebuild()
+            assert kept.image.rank == (8 if stream is gauss else 7)
+            ref = linalg_pinv(SymPsd(stream.gram_matrix()))
             rows = np.array([oracles.dense_row(stream.row(i), 8) for i in range(0, stream.n, 7)]
                             + [np.eye(8)[0]])
             for r in rows:
-                q = float(quad_forms(kept.pinv, r[None])[0])
-                assert kept_relative(kept, r, q)[1] == relative_leverage(kept.pinv, r)
+                on_image, rel = kept_relative(kept, r, float(quad_forms(kept, (r @ image.coords)[None])[0]))
+                assert on_image == bool(on_image_rows(ref, r[None])[0])
+                assert rel == pytest.approx(relative_leverage(ref, r), rel=1e-9, abs=0.0)
             on_image, rel = kept_relative(kept, rows[-1], 0.0)  # e_0, off the Laplacian's image
             assert on_image == (stream is gauss) and (on_image or rel == 1.0)
 
@@ -1004,9 +1022,9 @@ class TestBarrierSampler:
         assert np.all(diag.probs > 0.0) and np.all(diag.probs <= 1.0)
         assert diag.score_total == pytest.approx(float(np.sum(diag.probs)), rel=1e-12)
         # each gap rebuilds its pseudo-inverse once per new direction (d of
-        # them on a Gaussian stream) and once per drift event, none here
-        assert diag.pinv_recomputes == 2 * stream.d + diag.drift_events
-        assert diag.drift_events == 0
+        # them on a Gaussian stream, its first d rows) and on every
+        # PINV_VERIFY_EVERY-th step after them
+        assert diag.pinv_recomputes == 2 * (stream.d + (stream.n - stream.d) // online.PINV_VERIFY_EVERY)
 
     @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
     def test_matches_fresh_pinv_reference(self, case, monkeypatch):
@@ -1017,7 +1035,6 @@ class TestBarrierSampler:
         assert not flipped, f"{len(flipped)} flipped decisions"
         assert np.allclose(sketch.weights, weights, rtol=1e-9, atol=0.0)
         assert np.max(np.abs(diag.probs - probs)) <= 1e-9
-        assert (diag.drift_events > 0) == (case in ("drift-in-runs", "uneven-drift-checks"))
 
     @pytest.mark.parametrize("case", sorted(BARRIER_PARITY_CASES))
     def test_feed_size_moves_no_bit(self, case, monkeypatch):
@@ -1032,9 +1049,9 @@ class TestBarrierSampler:
                 state.add_rows(lo, stream.block(lo, min(lo + feed, stream.n)))
             assert (state.sketch.indices, state.sketch.weights) == (whole.indices, whole.weights), feed
             assert np.array_equal(np.concatenate(state.probs), diag.probs), feed
-            counts.append([(k.recomputes, k.drift_events) for k in (state.upper_pinv, state.lower_pinv)])
+            counts.append([k.recomputes for k in (state.upper_pinv, state.lower_pinv)])
         assert all(c == counts[0] for c in counts)
-        assert [sum(c) for c in zip(*counts[0])] == [diag.pinv_recomputes, diag.drift_events]
+        assert sum(counts[0]) == diag.pinv_recomputes
 
     def test_a_large_block_is_walked_in_bounded_memory(self):
         # one add_rows of 4096 rows at d = 32 holds the (b, d, d) stacks of one
@@ -1057,7 +1074,7 @@ class TestBarrierSampler:
         for lo in range(0, stream.n, ONLINE_RUN):
             state.add_rows(lo, stream.block(lo, min(lo + ONLINE_RUN, stream.n)))
         kept = (state.upper_pinv, state.lower_pinv)
-        assert tuple((k.recomputes, k.drift_events) for k in kept) == BARRIER_GAP_COUNTS[case]
+        assert tuple(k.recomputes for k in kept) == BARRIER_GAP_COUNTS[case]
         sketch, _ = run_barrier(stream, eps, seed=74)
         assert state.sketch.indices == sketch.indices
 
@@ -1073,7 +1090,6 @@ class TestBarrierSampler:
         assert np.allclose(diag.probs, np.concatenate(state.probs), rtol=0.0, atol=1e-12)
         kept = (state.upper_pinv, state.lower_pinv)
         assert diag.pinv_recomputes == sum(k.recomputes for k in kept)
-        assert diag.drift_events == sum(k.drift_events for k in kept)
 
     @pytest.mark.parametrize("barrier", ["upper", "lower"])
     def test_broken_sandwich_raises(self, barrier):
@@ -1096,16 +1112,16 @@ class TestBarrierSampler:
         # seen is raised so the lower gap, gram - (1 - eps) seen, drops by its
         # smallest eigenvalue after row lo - 1: kept rows lift the gap, and
         # the first dropped row that pulls it below the slack fails, later in
-        # the run. From lo = 172 a drift check rebuilds the lower gap's
-        # pseudo-inverse from an indefinite gap further on, and the run still
-        # names the first failing row.
+        # the run. From lo = 172 a scheduled rebuild of the lower gap's
+        # pseudo-inverse fails to factor an indefinite gap further on, and the
+        # run still names the first failing row.
         stream = gen_gaussian(300, 4, seed=75)
         unbroken, _ = run_barrier(stream, 0.5, seed=76)
         block = stream.block(0, stream.n)
         twins = [BarrierState(4, 0.5, seed=76) for _ in range(2)]
         for state in twins:
             state.add_rows(0, block[:lo])
-            least = np.linalg.eigvalsh(state.sketch.gram_matrix() - (1 - 0.5) * state.seen)[0]
+            least = np.linalg.eigvalsh(state.gram - (1 - 0.5) * state.seen)[0]
             state.seen += least / (1 - 0.5) * np.eye(4)
         with pytest.raises(BarrierViolation) as as_run:
             twins[0].add_rows(lo, block[lo:lo + ONLINE_RUN])
@@ -1124,13 +1140,14 @@ class TestBarrierSampler:
     def test_rebuild_from_an_indefinite_gap_raises(self, lo, monkeypatch):
         # seen is raised so the lower gap's smallest eigenvalue is -1e-9
         # trace(upper) after row lo - 1: the sandwich holds within
-        # BARRIER_TOL, but the gap is indefinite beyond the SymPsd floor, so
-        # a drift check at every step rebuilds from it at row lo and raises
+        # BARRIER_TOL, but the gap lost rank on seen's image (and is
+        # indefinite beyond the SymPsd floor), so a rebuild in place of
+        # every step fails to factor it at row lo and raises
         stream = gen_gaussian(600, 4, seed=75)
         block = stream.block(0, stream.n)
         state = BarrierState(4, 0.5, seed=76)
         state.add_rows(0, block[:lo])
-        gram, eye = state.sketch.gram_matrix(), np.eye(4)
+        gram, eye = state.gram, np.eye(4)
         least = np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0]
         state.seen += (least + 1e-9 * float(np.trace((1 + 0.5) * state.seen))) / (1 - 0.5) * eye
         lower_gap = gram - (1 - 0.5) * state.seen
@@ -1143,56 +1160,22 @@ class TestBarrierSampler:
         assert str(raised.value) == f"gap matrix indefinite at row {lo}"
         assert isinstance(raised.value.__cause__, NotPsd)
 
-    def test_gap_indefinite_off_its_image_raises_at_the_drift_check(self, monkeypatch):
-        # rows in the first three of d = 4 coordinates, and seen raised along
-        # the fourth: the lower gap goes 1e-9 trace(upper) negative off its
-        # image, where its kept pseudo-inverse still fits it (G Y - P stays
-        # small), within BARRIER_TOL but beyond the SymPsd floor. Only the
-        # certificate's Cholesky sees it, and the drift check at row lo raises
-        rows = np.random.default_rng(85).standard_normal((300, 4))
-        rows[:, 3] = 0.0
-        lo, e4 = 175, np.outer(np.eye(4)[3], np.eye(4)[3])
-        state = BarrierState(4, 0.5, seed=86)
-        state.add_rows(0, rows[:lo])
-        state.seen += 1e-9 * float(np.trace((1 + 0.5) * state.seen)) / (1 - 0.5) * e4
-        lower_gap = state.sketch.gram_matrix() - (1 - 0.5) * state.seen
-        assert sandwich_holds(lower_gap, BARRIER_TOL * float(np.trace((1 + 0.5) * state.seen)))
-        with pytest.raises(NotPsd):
-            SymPsd(lower_gap)
-        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
-        with pytest.raises(BarrierViolation) as raised:
-            state.add_rows(lo, rows[lo:lo + ONLINE_RUN])
-        assert str(raised.value) == f"gap matrix indefinite at row {lo}"
-        assert isinstance(raised.value.__cause__, NotPsd)
-
-    def test_drift_replacement_that_grows_a_gap_retakes_its_verdicts(self, monkeypatch):
-        # a row the gaps' kept pseudo-inverses never saw enters seen and the
-        # sketch as if kept at p = 1, along the fourth of d = 4 coordinates
-        # that the rows before it left out: both gaps gain eps times its
-        # squared length there, off their images. Row lo, still in three coordinates, steps, and its
-        # drift check replaces both at rank 4; the rows after it are on the
-        # new images, so a run must take their verdicts again to score them
-        # as one row at a time does
-        monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 1)
+    def test_growth_mid_run_retakes_the_verdicts(self):
+        # rows in the first three of d = 4 coordinates up to row lo, inside
+        # a run: row lo is off seen's image, kept at p = 1, and grows U, so
+        # the rows after it are on the new image; a run must take their
+        # verdicts again to score them as one row at a time does
         rows = np.random.default_rng(87).standard_normal((300, 4))
         lo = 170
-        rows[:lo + 1, 3] = 0.0
-        twins = [BarrierState(4, 0.5, seed=88) for _ in range(2)]
-        for state in twins:
-            state.add_rows(0, rows[:lo - 1])
-            unseen = np.sqrt(np.trace(state.seen) / 4) * np.eye(4)[3]
-            state.sketch.append_rows([lo - 1], [1.0], unseen[None])
-            state.seen += np.outer(unseen, unseen)
-        as_run, by_rows = twins
-        as_run.add_rows(lo, rows[lo:lo + ONLINE_RUN])
-        for i in range(lo, lo + ONLINE_RUN):
-            barrier_step(by_rows, rows[i], i)
-        for gap in (as_run.upper_pinv, as_run.lower_pinv):
-            assert gap.pinv.source_rank == 4 and gap.drift_events == 1
+        rows[:lo, 3] = 0.0
+        as_run, by_rows = BarrierState(4, 0.5, seed=88), BarrierState(4, 0.5, seed=88)
+        as_run.add_rows(0, rows)
+        for i, a in enumerate(rows):
+            barrier_step(by_rows, a, i)
+        assert lo in as_run.sketch.indices and as_run.image.rank == 4
         assert as_run.sketch.indices == by_rows.sketch.indices
-        probs = np.concatenate(by_rows.probs[-ONLINE_RUN:])
-        assert np.allclose(as_run.probs[-1], probs, rtol=0.0, atol=1e-12)
-        counts = [[(k.recomputes, k.drift_events) for k in (s.upper_pinv, s.lower_pinv)] for s in twins]
+        assert np.allclose(np.concatenate(as_run.probs), np.concatenate(by_rows.probs), rtol=0.0, atol=1e-12)
+        counts = [[k.recomputes for k in (s.upper_pinv, s.lower_pinv)] for s in (as_run, by_rows)]
         assert counts[0] == counts[1]
 
     def test_cholesky_check_agrees_with_audited_gaps(self):
@@ -1201,7 +1184,7 @@ class TestBarrierSampler:
         eye = np.eye(6)
         for i in range(stream.n):
             barrier_step(state, stream.row(i), i)
-            gram = state.sketch.gram_matrix()
+            gram = state.gram
             upper, lower = (1 + 0.5) * state.seen, (1 - 0.5) * state.seen
             slack = BARRIER_TOL * float(np.trace(upper))
             gaps = np.stack((upper - gram, gram - lower))
@@ -1269,24 +1252,23 @@ class TestFormedOnce:
                                        *(lambda s=s: last_column_scaled(s) for s in (1e-6, 1e-7, 1e-8))],
                              ids=["kd8-128", "s=1e-06", "s=1e-07", "s=1e-08"])
     def test_block_verdicts_equal_per_run_verdicts(self, build, monkeypatch):
-        # the online walk takes a pseudo-inverse's kernel verdicts once for
-        # the rest of the block: taken per ONLINE_RUN-row run, as they were,
-        # every row's verdict is the same
-        calls, image_test = [], online.on_image_rows
+        # the online walk takes U's kernel verdicts once for the rest of the
+        # block: taken per ONLINE_RUN-row run, every row's verdict is the same
+        calls, image_test = [], online.ImageBasis.on_image
 
-        def per_run_too(p, block):
-            whole = image_test(p, block)
-            runs = [image_test(p, block[k:k + ONLINE_RUN]) for k in range(0, len(block), ONLINE_RUN)]
+        def per_run_too(image, block):
+            whole = image_test(image, block)
+            runs = [image_test(image, block[k:k + ONLINE_RUN]) for k in range(0, len(block), ONLINE_RUN)]
             calls.append((len(block), np.array_equal(whole, np.concatenate([whole[:0], *runs]))))
             return whole
-        monkeypatch.setattr(online, "on_image_rows", per_run_too)
+        monkeypatch.setattr(online.ImageBasis, "on_image", per_run_too)
         run_online(build(), 0.5, 1)
         assert all(same for _, same in calls)
         assert max(rows for rows, _ in calls) > ONLINE_RUN
 
     @pytest.mark.parametrize("case", ["gaussian", "kd-permuted", "one-gap-rebuilds"])
     def test_one_gap_source_is_the_stacks_slice(self, case, monkeypatch):
-        # a rebuild or drift check forms the one gap it reads, at the row
+        # a rebuild forms the one gap it reads, at the row
         # walked; the sandwich check forms both after every row as one
         # stack: each gap is the same bits in both
         stream, eps = barrier_parity_case(case, monkeypatch)
@@ -1337,7 +1319,7 @@ class TestFormedOnce:
         monkeypatch.setattr(BarrierState, "_checked_gaps", with_reference)
         state = BarrierState(4, 0.5, seed=76)
         state.add_rows(0, block[:lo])
-        gram = state.sketch.gram_matrix()
+        gram = state.gram
         if barrier == "lower":
             state.seen += np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0] / (1 - 0.5) * np.eye(4)
         else:
