@@ -1,6 +1,6 @@
 """Scoring rows through a random sign projection.
 
-Exact relative scores need a d x d pseudo-inverse applied per row. The
+Exact relative scores need a d x r whitener applied per row. The
 projected scorer sketches the whitening map down to O(log n) rows once
 per block and answers each query from the small matrix, trading a
 bounded score distortion (absorbed by the sampling rate) for speed.
@@ -8,15 +8,15 @@ bounded score distortion (absorbed by the sampling rate) for speed.
 import numpy as np
 
 from specstream import (
+    JlScorer,
     gen_gaussian,
     jl_build,
     permute,
-    pinv,
     projection_rows,
-    relative_leverage,
     scaled_sampling,
     verify,
 )
+from specstream.online import ImageBasis, whitener
 
 N, D, EPS = 5000, 10, 0.3
 
@@ -36,11 +36,14 @@ def main():
     print(f"exact scoring:     {exact.n_rows:4d} rows kept, eps_actual {eps_e:.4f}")
     print(f"projected scoring: {proj.n_rows:4d} rows kept, eps_actual {eps_p:.4f}")
 
-    # every row scored both ways against one frozen sketch: the exact run's
+    # every row scored both ways against one frozen sketch, the exact run's,
+    # whitened on the image basis U of its rows: W' scores exactly
     rows = stream.materialize()
-    projected = jl_build(exact, N, seed=9).scores(rows)
-    frozen = pinv(exact.gram)
-    direct = np.array([relative_leverage(frozen, a) for a in rows])
+    image = ImageBasis(D)
+    image.extend(exact.rows)
+    w = whitener(exact, image)
+    projected = jl_build(exact, w @ w.T, image, N, seed=9).scores(rows)
+    direct = JlScorer(w.T, image).scores(rows)
     within = np.abs(projected - direct) <= 0.5 * direct
     print(f"{int(within.sum())}/{within.size} projected scores within the "
           f"design distortion (50%) of their exact values")

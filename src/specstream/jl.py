@@ -1,11 +1,10 @@
-"""Sign-projection acceleration for relative-leverage scoring.
+"""Frozen score operators for the block samplers, and the sign projection.
 
-A frozen sketch M with Gram G gets a k x d score matrix N = Pi M G+ built
-once per block; then a' G+ a is approximated by ||N a||^2, and a block of
-b rows costs one b x d by d x k product in place of a b x d by d x d one.
-Kernel membership cannot be read from ||N a||^2, so every score takes its
-kernel verdict from the exact test on pinv(G), which forms no residual when
-G has full rank.
+A block scores row a by q = ||N a||^2 for N frozen with U, the image basis of
+the rows taken: N = W', the frozen sketch M's whitener (online.whitener,
+G+ = W W'), gives a' G+ a, and N = Pi M G+, Pi a k x m sign matrix, an
+estimate at one b x d by d x k product per block. The kernel verdicts come
+from U as it stood (ImageBasis.on_image; none formed when U is full).
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptySketch
-from .linalg import PInv, on_image_rows, pinv, relative_of
+from .linalg import relative_of
 from .randomness import philox
 from .rows import dimension
 from .sketch import Sketch
@@ -29,16 +28,17 @@ JL_DISTORTION = 0.5
 
 
 class JlScorer:
-    """Frozen score operator: relative scores q/(q+1) from projected forms."""
+    """Frozen score operator: relative scores q/(q+1) from forms q = ||N a||^2,
+    with kernel verdicts from image, an online.ImageBasis frozen with N."""
 
-    def __init__(self, n_matrix, p: PInv):
-        self.n_matrix, self.pinv = n_matrix, p
+    def __init__(self, n_matrix, image):
+        self.n_matrix, self.image = n_matrix, image
 
     def scores(self, block) -> np.ndarray:
-        """Relative scores of a dense (b, d) block: the exact kernel test,
-        then q_hat / (q_hat + 1) with q_hat = ||N a||^2."""
+        """Relative scores of a dense (b, d) block: the kernel test on the
+        frozen image, then q / (q + 1) with q = ||N a||^2."""
         y = block @ self.n_matrix.T
-        return relative_of(on_image_rows(self.pinv, block), np.einsum("ij,ij->i", y, y))
+        return relative_of(self.image.on_image(block), np.einsum("ij,ij->i", y, y))
 
     def score(self, row) -> float:
         """scores() of one dense row."""
@@ -61,11 +61,10 @@ def signs(seed: int, k: int, m: int) -> np.ndarray:
     return bits[:k * m].view(np.float64).reshape(k, m)
 
 
-def jl_build(sketch: Sketch, n_hint: int, seed: int) -> JlScorer:
-    """Build the score operator for a frozen sketch; Pi is signs(seed, k, m)."""
+def jl_build(sketch: Sketch, g_pinv, image, n_hint: int, seed: int) -> JlScorer:
+    """The score operator N = Pi M G+ of a frozen sketch M, for its G+ = g_pinv
+    and the image its verdicts read; Pi is signs(seed, k, m)."""
     if sketch.n_rows == 0:
         raise EmptySketch("cannot build a score operator from an empty sketch")
-    p = pinv(sketch.gram)
     m = sketch.weighted_matrix()
-    return JlScorer(signs(seed, projection_rows(n_hint), sketch.n_rows) @ m @ p.matrix, p)
-
+    return JlScorer(signs(seed, projection_rows(n_hint), sketch.n_rows) @ m @ g_pinv, image)

@@ -1,21 +1,16 @@
-"""Dense symmetric PSD kernel for the samplers: pseudo-inverses, rank-one
-updates, the image test and relative leverage scores.
+"""Dense symmetric PSD kernel for verify and the per-row API: pseudo-inverses,
+rank-one updates, the image test and relative leverage scores.
 
-Two rules here decide whether a direction belongs to a matrix, and they are
-not the same rule; only the block samplers and the referee still read them
-(ROADMAP item 20), as the sequential samplers decide by online.ImageBasis.
-SymPsd.rank counts the eigenvalues above default_rank_tol(d) * lambda_max
-(SymPsd.above_cutoff, which the referee's prefix ranks read too), and a
-pseudo-inverse keeps that many eigenpairs. The image test, on_image_rows,
-calls a row on the image when its residual off the kept projector is at
-most DEFAULT_ORTHO_TOL of its norm.
+No sampler reads the two rank rules here, as every sampler decides by
+online.ImageBasis. SymPsd.rank counts the eigenvalues above
+default_rank_tol(d) * lambda_max (SymPsd.above_cutoff, which verify's
+prefix ranks read too), and pinv keeps that many eigenpairs. The image
+test, on_image_rows, calls a row on the image when its residual off the
+kept projector is at most DEFAULT_ORTHO_TOL of its norm.
 
-The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, has
-the closed form q / (q + 1) with q = a' X+ a when a lies on the image of
-X, and is exactly 1 otherwise. relative_of applies it to kernel verdicts
-and forms a caller took; relative_scores takes both for a block of rows
-with one product. The definitional stacked-matrix form appears only as a
-test oracle. Matrices and rows here are small and dense.
+The relative score of a row a against a PSD matrix X, a' (X + aa')+ a, is
+q / (q + 1) with q = a' X+ a when a lies on the image of X, and exactly 1
+otherwise (relative_of). Matrices and rows here are small and dense.
 """
 from __future__ import annotations
 
@@ -147,15 +142,10 @@ def relative_of(on, q) -> np.ndarray:
     return np.where(on, q / (q + 1.0), 1.0)
 
 
-def relative_scores(p: PInv, block) -> np.ndarray:
-    """Relative score of every row of a dense (b, d) block against the
-    matrix X behind p = pinv(X), with one product."""
-    return relative_of(on_image_rows(p, block), quad_forms(p, block))
-
-
 def relative_leverage(b_pinv: PInv, row) -> float:
-    """relative_scores of one dense row."""
-    return float(relative_scores(b_pinv, np.asarray(row, dtype=float)[None])[0])
+    """Relative score of one dense row against the matrix X behind b_pinv = pinv(X)."""
+    row = np.asarray(row, dtype=float)[None]
+    return float(relative_of(on_image_rows(b_pinv, row), quad_forms(b_pinv, row))[0])
 
 
 def pinv_rank1_update(p: PInv, u, k: float) -> PInv:

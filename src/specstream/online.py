@@ -8,15 +8,13 @@ take_range per add_rows. Every runner hands its stream to feed, CHUNK rows
 per add_rows, and both states walk a block in runs of ONLINE_RUN rows from
 its first row, making the decisions of the row-at-a-time rule.
 
-One rank rule serves both: an ImageBasis U that only grows decides the
-image, and a KeptPinv on U steps by Sherman-Morrison and is rebuilt by
-Cholesky when U grows, when a step's denominator collapses and on a fixed
-schedule. Both walk in U coordinates, b = U'a, projected once per run (and
-again after a rebuild or after U grows): the pseudo-inverse and the Grams
-it is rebuilt from are kept there, summed from projected rows and extended
-by 0 when U grows. A direction small next to the others keeps a coordinate
-of its own, however it lies against the axes, so the Grams and the
-pseudo-inverse stay graded. The sketch stays in stream coordinates.
+An ImageBasis U that only grows decides the image, as in every sampler,
+and a KeptPinv on U steps by Sherman-Morrison and is rebuilt by Cholesky
+when U grows, when a step's denominator collapses and on a fixed schedule.
+Both walk in U coordinates, b = U'a, projected once per run (and again
+after a rebuild or a growth), and the pseudo-inverse and the Grams it is
+rebuilt from are summed there: a direction small next to the others keeps
+a coordinate of its own, however it lies against the axes, so they stay graded.
 
 The relative-leverage sampler scores a run with one product. Its kernel
 verdicts hold while U does: taken once for the rest of the block, and after
@@ -38,6 +36,7 @@ shifted in place, with one batched Cholesky.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -76,7 +75,7 @@ def sampling_constant(eps: float, d: int, c_mult: float) -> float:
 
 class ImageBasis:
     """Orthonormal basis U of a PSD matrix's image, which only grows, and the
-    coordinates b = U'a the sequential walks work in.
+    coordinates b = U'a every sampler works in: the one rank rule.
 
     coords is (d, d): U in its first rank columns, 0 past them, so a @ coords
     is a row's b. The kernel test, on_image, calls row a on the image when
@@ -88,7 +87,8 @@ class ImageBasis:
     appends a row's residual off U, orthogonalised twice ("twice is enough":
     Giraud, Langou & Rozloznik 2005; Parlett, The Symmetric Eigenvalue
     Problem, 6-9) and normalised, orthogonal to U to within about d u. No
-    direction is dropped; there is no rank cutoff.
+    direction is dropped; there is no rank cutoff. grow replaces coords and
+    projector rather than writing them, so frozen() is U as it stood.
     """
 
     def __init__(self, dim: int):
@@ -106,12 +106,48 @@ class ImageBasis:
 
     def grow(self, a) -> None:
         """Append row a's residual off U, orthogonalised twice and normalised; a is off the image."""
-        u = self.coords
+        u = self.coords.copy()
         r = a - u @ (u.T @ a)
         r -= u @ (u.T @ r)
         u[:, self.rank] = r / np.linalg.norm(r)
         self.rank += 1
-        self.projector = u @ u.T
+        self.coords, self.projector = u, u @ u.T
+
+    def extend(self, block) -> None:
+        """grow by each row of a dense (b, d) block off U, in order, retesting the rows after each."""
+        while self.rank < len(self.coords) and len(block):
+            off = np.flatnonzero(~self.on_image(block))
+            if not off.size:
+                return
+            self.grow(block[off[0]])
+            block = block[off[0] + 1:]
+
+    def frozen(self) -> ImageBasis:
+        """U as it stands, for kernel verdicts while this basis grows on."""
+        return copy.copy(self)
+
+
+def inverse_factor(gram) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of an (r, r) U'GU, O(r^3) with no rank cutoff; NotPsd when it fails to factor."""
+    try:
+        return np.linalg.solve(np.linalg.cholesky(gram), np.eye(len(gram)))
+    except np.linalg.LinAlgError as exc:
+        raise NotPsd(f"U'GU of rank {len(gram)} fails to factor: G lost rank on U") from exc
+
+
+def whitener(sketch: Sketch, image: ImageBasis) -> np.ndarray:
+    """W = U L^-T, (d, rank), for the Cholesky factor L of the sketch's Gram
+    G on U (Sketch.gram_on): a'G+a = ||aW||^2 for a on U, G+ = W W'. NotPsd
+    unless the m rows span U: G fails to factor, or S = D^-1/2 G D^-1/2, D =
+    diag(G), the Gram of their coordinates in unit columns, has its least
+    eigenvalue at rounding, under r m u: trace(S^-1) >= 1 / (10 r m u)."""
+    r = image.rank
+    gram = sketch.gram_on(image)[:r, :r]
+    inverse = inverse_factor(gram)
+    scaled = inverse * np.sqrt(gram.diagonal())
+    if np.vdot(scaled, scaled) * (10.0 * r * sketch.n_rows * 2.0 ** -53) >= 1.0:
+        raise NotPsd(f"a sketch's Gram on U of rank {r} lost a direction to rounding")
+    return image.coords[:, :r] @ inverse.T
 
 
 class KeptPinv:
@@ -126,7 +162,7 @@ class KeptPinv:
     for a off U, for |1 + k q| < UPDATE_DENOM_FLOOR and on every
     PINV_VERIFY_EVERY-th step, wiping the steps' rounding. X is positive
     definite on U in exact arithmetic, so a U'GU that fails to factor lost
-    rank there: NotPsd. recomputes counts rebuilds.
+    rank there (inverse_factor). recomputes counts rebuilds.
     """
 
     def __init__(self, dim: int, source, image: ImageBasis, matrix=None):
@@ -147,11 +183,7 @@ class KeptPinv:
     def rebuild(self) -> None:
         """Y = (U'GU)^-1 into the owned matrix's leading rank x rank block, G = source()."""
         r = self.image.rank
-        try:
-            factor = np.linalg.cholesky(self.source()[:r, :r])
-        except np.linalg.LinAlgError as exc:
-            raise NotPsd(f"U'GU of rank {r} fails to factor: G lost rank on U") from exc
-        w = np.linalg.solve(factor, np.eye(r))  # the factor's inverse
+        w = inverse_factor(self.source()[:r, :r])
         self.matrix[:r, :r] = w.T @ w
         self.recomputes, self._steps = self.recomputes + 1, 0
 
@@ -165,8 +197,6 @@ class OnlineState:
         self.eps = float(eps)
         self.sketch = Sketch(dim)
         self.image = ImageBasis(dim)  # of the kept rows' span
-        # the sketch Gram in U coordinates, over the sketch's first _in_gram rows
-        self.gram, self._in_gram = np.zeros((dim, dim)), 0
         self.kept = KeptPinv(dim, self._gram, self.image)
         self.rng = IndexedUniforms(seed)
         self.scores: list[np.ndarray] = []  # one array per add_rows
@@ -291,15 +321,9 @@ class OnlineState:
         self._pending, self._pending_p = [], []
 
     def _gram(self) -> np.ndarray:
-        """The kept pseudo-inverse's source: gram with every kept row in. The
-        rows kept since the last call enter it projected on the current U, with
-        one product: a rebuild or a growth of U reads it, not every run."""
+        """The kept pseudo-inverse's source: the sketch Gram on U (Sketch.gram_on), every kept row in."""
         self._flush()
-        _, weights, dense = self.sketch.columns()
-        scaled = dense[self._in_gram:].dot(self.image.coords) * weights[self._in_gram:, None]
-        self.gram += scaled.T.dot(scaled)
-        self._in_gram = len(weights)
-        return self.gram
+        return self.sketch.gram_on(self.image)
 
 
 def online_step(state: OnlineState, row, index: int) -> bool:

@@ -2,18 +2,20 @@
 
 The seed block (first K rows) passes through verbatim; afterwards the stream
 is cut into doubling blocks and every row in a block is scored against one
-matrix frozen at the block boundary, so the pseudo-inverse is recomputed
-only O(log n) times. One BlockSampler covers both variants: the scaled one
-freezes its own sketch, the improved one freezes a pluggable constant-factor
-approximation fed with every arriving row.
+sketch frozen at the block boundary, so its Gram is factored only O(log n)
+times. One BlockSampler covers both variants: the scaled one freezes its own
+sketch, the improved one freezes a pluggable constant-factor approximation
+fed with every arriving row. Each sampler here keeps one online.ImageBasis
+U of the rows it took, a freeze whitens the snapshot on U (online.whitener),
+and the block's kernel verdicts read U as it stood.
 
 Rows arrive in runs (add_rows), each a dense (b, d) array. A run is split
 at the end of the seed block and at every freeze boundary, and each segment
-costs one product against the frozen pseudo-inverse (or the JL score
-matrix), one IndexedUniforms.take_range for its coins, one Gram product to
-fold its kept rows into the sketch, and one add_rows into the plug. The
-resparsify plug splits its runs again where its buffer reaches 2C, so every
-pass fires on the row it would fire on one row at a time. step and add are
+costs one product against the frozen whitener (or the JL score matrix), a
+kernel test while U is not full, one IndexedUniforms.take_range for its
+coins, one store write for its kept rows, and one add_rows into the plug,
+which splits its runs again where its buffer reaches 2C, so every pass
+fires on the row it would fire on one row at a time. step and add are
 one-row runs.
 """
 from __future__ import annotations
@@ -23,16 +25,10 @@ import math
 import numpy as np
 
 from . import rows as rowops
-from .errors import (
-    CapacityCollapse,
-    ConstApproxFailure,
-    DimensionMismatch,
-    EmptyStream,
-)
+from .errors import CapacityCollapse, ConstApproxFailure, DimensionMismatch, EmptyStream, NotPsd
 from .instances import RowStream
 from .jl import JL_DISTORTION, JlScorer, jl_build
-from .linalg import PInv, SymPsd, pinv, quad_forms, relative_scores
-from .online import feed, sampling_constant
+from .online import ImageBasis, feed, sampling_constant, whitener
 from .randomness import IndexedUniforms, derive_seed, philox
 from .sketch import RunStats, Sketch
 
@@ -54,7 +50,8 @@ class BlockSampler:
     """Random-order block sampler, with or without a constant-factor plug.
 
     Without a plug, each block is scored against the sampler's own sketch
-    frozen at the block boundary, with multiplier 1 + eps. With a plug
+    frozen at the block boundary, with multiplier 1 + eps; it spans U, as
+    every row off U scores 1 and is kept at p = 1. With a plug
     (approx), every row is fed to it and each block is scored against the
     plug's query() frozen at the boundary, with multiplier PLUG_MULTIPLIER.
     The sampler is itself a plug: add_rows() consumes a run of rows, query()
@@ -64,8 +61,9 @@ class BlockSampler:
     rows it has held), the run's working set; a plug whose query() has
     another dim is refused at construction. A block freezes on its first
     row and boundary b is followed by 2b + K. boundaries records each
-    freeze's row, and scores and probs each segment's capped scores and
-    coin probabilities (1 in the seed block), which finalize hands to RunStats.
+    freeze's row, frozen_pinvs its G+ = W W', and scores and probs each
+    segment's capped scores and coin probabilities (1 in the seed block),
+    which finalize hands to RunStats.
     """
 
     def __init__(
@@ -94,15 +92,12 @@ class BlockSampler:
         self.count = 0
         self.next_boundary = self.k
         self.boundaries: list[int] = []
-        self.frozen: PInv | None = None
-        self.jl: JlScorer | None = None
+        self.image = ImageBasis(dim)
+        self.scorer: JlScorer | None = None  # the block's, frozen at its start
         self.scores: list[np.ndarray] = []  # one array per segment
         self.probs: list[np.ndarray] = []  # likewise
         self.frozen_pinvs: list[np.ndarray] = []
         self.last_index = -1
-        # Gram of every row fed to the plug; only its rank is read, to catch
-        # a plug that loses a direction.
-        self._fed_gram = None if approx is None else np.zeros((dim, dim))
 
     # -- ConstApprox contract -------------------------------------------------
     @property
@@ -145,13 +140,14 @@ class BlockSampler:
         return kept
 
     def _segment(self, lo: int, seg) -> np.ndarray:
-        """Score, flip and fold rows that share one frozen matrix, then feed them."""
+        """Score, flip and fold rows that share one frozen sketch, then take them into U and feed them."""
         j = self.count
         if j < self.k:
             lev = p = np.ones(len(seg))
             keep = np.ones(len(seg), dtype=bool)
-        else:
-            lev = self._levels(seg)
+        else:  # a JL score is inflated by 1 / (1 - JL_DISTORTION)
+            raw = self.scorer.scores(seg)
+            lev = np.minimum(self.multiplier * (raw / (1.0 - JL_DISTORTION) if self.use_jl else raw), 1.0)
             p = np.minimum(self.c * lev, 1.0)
             keep = self.rng.take_range(j, j + len(seg)) < p
         self.scores.append(lev)
@@ -159,42 +155,28 @@ class BlockSampler:
         pos = np.flatnonzero(keep)
         if pos.size:  # checked at entry, and each p beat its coin, so p > 0
             self.sketch._fold(lo + pos, 1.0 / np.sqrt(p[pos]), seg[pos])
+        self.image.extend(seg)
         self.count += len(seg)
         if self.approx is not None:
             self.approx.add_rows(lo, seg)
-            self._fed_gram += seg.T @ seg
         return keep
 
-    def _levels(self, seg) -> np.ndarray:
-        """Capped sampling scores of in-block rows."""
-        if self.jl is None:
-            raw = relative_scores(self.frozen, seg)
-        else:
-            raw = self.jl.scores(seg) / (1.0 - JL_DISTORTION)
-        return np.minimum(self.multiplier * raw, 1.0)
-
-    def _snapshot(self) -> Sketch:
-        """Sketch to freeze: the plug's, checked against the rank fed to it."""
-        if self.approx is None:
-            return self.sketch
-        snapshot = self.approx.query()
-        fed_rank = SymPsd(self._fed_gram).rank
-        got = snapshot.gram.rank
-        if got < fed_rank:
-            raise ConstApproxFailure(
-                f"plug rank {got} below fed rank {fed_rank} at row {self.count}"
-            )
-        return snapshot
-
     def _freeze(self):
-        snapshot = self._snapshot()
+        """The block's scorer, W' or the JL matrix of the snapshot (own sketch, or plug's
+        query()) on U as it stands; ConstApproxFailure if a plug's does not span U."""
+        snapshot = self.sketch if self.approx is None else self.approx.query()
+        try:
+            w = whitener(snapshot, self.image)
+        except NotPsd as exc:
+            if self.approx is None:
+                raise
+            raise ConstApproxFailure(f"plug lost a direction of the {self.image.rank} fed by row {self.count}") from exc
+        self.frozen_pinvs.append(w @ w.T)
         if self.use_jl:
-            # the scorer holds the pseudo-inverse of the same Gram
-            self.jl = jl_build(snapshot, self.n_hint, derive_seed(self.rng.seed, len(self.frozen_pinvs) + 1))
-            self.frozen = self.jl.pinv
+            seed = derive_seed(self.rng.seed, len(self.frozen_pinvs))
+            self.scorer = jl_build(snapshot, self.frozen_pinvs[-1], self.image.frozen(), self.n_hint, seed)
         else:
-            self.frozen = pinv(snapshot.gram)
-        self.frozen_pinvs.append(self.frozen.matrix)
+            self.scorer = JlScorer(w.T, self.image.frozen())
 
     def finalize(self) -> tuple[Sketch, RunStats]:
         return self.sketch, RunStats(
@@ -227,11 +209,10 @@ class ResparsifyApprox:
 
     Holds at most 2C weighted rows with C = ceil(capacity_mult * beta^-2 *
     d * ln d). Reaching 2C triggers a resparsify pass: every held row is
-    scored by the buffer Gram's pseudo-inverse, kept with p = min(c_beta *
-    tau, 1), and surviving weights compound by 1/sqrt(p). A pass expects
-    at most C survivors, so one that keeps 2C raises CapacityCollapse.
-    The buffer is a Sketch, so a pass scores it with one product and keeps
-    its survivors in place with another. passes counts the passes made.
+    scored by tau = w^2 ||aW||^2, W the buffer's whitener on the image of
+    the rows fed, kept with p = min(c_beta * tau, 1), and surviving weights
+    compound by 1/sqrt(p). A pass expects at most C survivors, so one that
+    keeps 2C raises CapacityCollapse. passes counts the passes made.
     """
 
     def __init__(self, capacity_mult: float, beta: float, seed: int, dim: int):
@@ -244,6 +225,7 @@ class ResparsifyApprox:
         self.c_beta = sampling_constant(beta, dim, capacity_mult)
         self.capacity_rows = math.ceil(self.c_beta * dim)
         self.buffer = Sketch(dim)
+        self.image = ImageBasis(dim)
         self.passes = 0
         self.peak_rows = 0
         self.last_index = -1
@@ -263,6 +245,7 @@ class ResparsifyApprox:
         while start < len(block):
             stop = start + min(len(block) - start, full - self.n_rows)
             self.buffer._fold(np.arange(lo + start, lo + stop), np.ones(stop - start), block[start:stop])
+            self.image.extend(block[start:stop])
             self.peak_rows = max(self.peak_rows, self.n_rows)
             if self.n_rows >= full:
                 self._resparsify()
@@ -270,24 +253,21 @@ class ResparsifyApprox:
 
     def _resparsify(self):
         _, w, held = self.buffer.columns()
-        tau = np.minimum(w * w * quad_forms(pinv(self.buffer.gram), held), 1.0)
+        y = held @ whitener(self.buffer, self.image)
+        tau = np.minimum(w * w * np.einsum("ij,ij->i", y, y), 1.0)
         probs = np.minimum(self.c_beta * tau, 1.0)
         # Pass k keys its draws (seed, 2k), the key seeded runs have always
         # drawn it on, so they keep their draws; the odd keys stay unused.
         draws = np.random.Generator(philox(self.seed, 2 * self.passes)).random(len(held))
         pos = np.flatnonzero(draws < probs)
         if pos.size >= 2 * self.capacity_rows:
-            raise CapacityCollapse(
-                f"buffer stuck at {len(held)} rows with capacity {self.capacity_rows}"
-            )
+            raise CapacityCollapse(f"buffer stuck at {len(held)} rows with capacity {self.capacity_rows}")
         self.buffer._keep(pos, w[pos] / np.sqrt(probs[pos]))
         self.passes += 1
 
     def query(self) -> Sketch:
-        """The held rows folded afresh with one product, for a block sampler to freeze."""
-        sk = Sketch(self.dim)
-        sk._fold(*self.buffer.columns())
-        return sk
+        """The buffer, for a block sampler to freeze; valid until the next add."""
+        return self.buffer
 
 
 def improved_scaled_sampling(stream: RowStream, eps: float, seed: int, approx,

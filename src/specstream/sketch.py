@@ -1,5 +1,5 @@
-"""Weighted row sketches with provenance and an accumulated Gram, and the
-record a sampler run reports beside its sketch."""
+"""Weighted row sketches with provenance and a Gram formed when read, and
+the record a sampler run reports beside its sketch."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
@@ -17,17 +17,17 @@ class Sketch:
     Entries are (source_index, weight, dense row) with strictly increasing
     source indices and finite weights > 0; a sampled row enters with weight
     1/sqrt(p). Indices, weights and rows are numpy columns in a store that
-    doubles when full; the Gram of the weighted rows takes one product per
-    append_rows, _fold or _keep; append_rows checks its rows, and samplers
-    _fold the rows they checked at entry. A sketch file takes a sparse
-    row's entries from the stream the sketch was drawn from (io.write_sketch).
+    doubles when full; append_rows checks its rows, and samplers _fold the
+    rows they checked at entry. No write sums a Gram: samplers read it on
+    an image basis (gram_on), and gram and gram_matrix() form it in stream
+    coordinates. A sketch file takes a sparse row's entries from the stream
+    the sketch was drawn from (io.write_sketch).
     """
 
     def __init__(self, dim: int):
         self.dim = dim = rowops.dimension(dim)
         self.n_rows = 0  # entries 0..n_rows-1 of the columns are in use
-        self._gram = np.zeros((dim, dim))
-        self._gram_sym: SymPsd | None = None
+        self._on = {}  # per ImageBasis read on: (the Gram on its U, rows in it)
         self._indices = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0)
         self._dense = np.empty((0, dim))
@@ -55,10 +55,10 @@ class Sketch:
         self.append_rows([index], [weight], rowops.densify(row, self.dim)[None])
 
     def append_rows(self, indices, weights, block) -> None:
-        """Append rows at once, held in block as a dense (m, d) array; the
-        Gram takes one product. Raises before any state changes unless the
-        indices are a 1-d integer array, >= 0 and increasing past the held
-        ones, every row is finite and every weight is finite and > 0."""
+        """Append rows at once, held in block as a dense (m, d) array. Raises
+        before any state changes unless the indices are a 1-d integer array,
+        >= 0 and increasing past the held ones, every row is finite and every
+        weight is finite and > 0."""
         indices = np.asarray(indices)
         n, m = self.n_rows, indices.size
         if indices.ndim != 1 or m and indices.dtype.kind not in "iu":
@@ -78,7 +78,7 @@ class Sketch:
         self._fold(indices, weights, block)
 
     def _fold(self, indices, weights, block) -> None:
-        """append_rows' store write and Gram product, for m >= 0 rows that pass its checks."""
+        """append_rows' store write, for m >= 0 rows that pass its checks."""
         n, m = self.n_rows, len(indices)
         if n + m > len(self._dense):
             size = max(n + m, 2 * len(self._dense))
@@ -89,32 +89,38 @@ class Sketch:
         self._weights[n:n + m] = weights
         self._dense[n:n + m] = block
         self.n_rows = n + m
-        scaled = block * weights[:, None]
-        self._gram += scaled.T.dot(scaled)
-        self._gram_sym = None
 
     def _keep(self, pos, weights) -> None:
         """Keep only the entries at pos, an increasing integer array of held
-        positions, in order, at new finite weights > 0, one each; the Gram
-        is formed again with one product."""
+        positions, in order, at new finite weights > 0, one each; every
+        gram_on starts over."""
         m = self.n_rows = len(pos)
         self._indices[:m] = self._indices[pos]
         self._weights[:m] = weights
         self._dense[:m] = self._dense[pos]
-        scaled = self._dense[:m] * self._weights[:m, None]
-        self._gram = scaled.T @ scaled
-        self._gram_sym = None
+        self._on = {}
+
+    def gram_on(self, image) -> np.ndarray:
+        """U'GU on an online.ImageBasis whose span holds the rows, leading in a (d, d)
+        array, 0 past rank. Each image keeps its own, brought up to date when
+        read: rows folded since its last read enter projected on U with one
+        product, and rows read before U grew hold 0 on its new directions."""
+        gram, done = self._on.get(image) or (np.zeros((self.dim, self.dim)), 0)
+        _, weights, dense = self.columns()
+        scaled = dense[done:].dot(image.coords) * weights[done:, None]
+        gram += scaled.T.dot(scaled)
+        self._on[image] = (gram, self.n_rows)
+        return gram
 
     @property
     def gram(self) -> SymPsd:
-        """Gram of the weighted rows, rebuilt lazily after a change."""
-        if self._gram_sym is None:
-            self._gram_sym = SymPsd(self._gram)
-        return self._gram_sym
+        """SymPsd of gram_matrix(), formed when read."""
+        return SymPsd(self.gram_matrix())
 
     def gram_matrix(self) -> np.ndarray:
-        """Raw accumulated Gram array (read-only by convention)."""
-        return self._gram
+        """The Gram of the weighted rows in stream coordinates, formed when read."""
+        m = self.weighted_matrix()
+        return m.T @ m
 
     def weighted_matrix(self) -> np.ndarray:
         """Dense m x d matrix of rows scaled by their weights."""

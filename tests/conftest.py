@@ -15,6 +15,15 @@ def make_stream(arr, meta=None):
     return RowStream(arr.shape[1], arr, meta if meta is not None else {"kind": "test"})
 
 
+def last_column_scaled(s, from_row=0):
+    """default_rng(1) 4000 x 6 Gaussian rows, the last column 0 before
+    from_row and scaled by s from it on (ROADMAP item 14's family)."""
+    rows = np.random.default_rng(1).standard_normal((4000, 6))
+    rows[:from_row, 5] = 0.0
+    rows[from_row:, 5] *= s
+    return make_stream(rows)
+
+
 def identity_stream(d, copies=1):
     return make_stream(np.tile(np.eye(d), (copies, 1)))
 

@@ -18,6 +18,7 @@ from specstream import (
 )
 from specstream.jl import MIN_PROJECTION_ROWS, JlScorer, jl_build, projection_rows, signs
 from specstream.linalg import pinv
+from specstream.online import ImageBasis, whitener
 
 from conftest import identity_stream
 import oracles
@@ -64,10 +65,18 @@ class TestSigns:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def frozen(sk):
+    """(G+ = W W', U) of a sketch as a block freezes it, U grown by its rows."""
+    image = ImageBasis(sk.dim)
+    image.extend(sk.rows)
+    w = whitener(sk, image)
+    return w @ w.T, image
+
+
 def identity_scorer(sk):
     """Score operator with Pi = I: N = M G+, whose Gram collapses to G+."""
-    p = pinv(sk.gram)
-    return JlScorer(sk.weighted_matrix() @ p.matrix, p)
+    g_pinv, image = frozen(sk)
+    return JlScorer(sk.weighted_matrix() @ g_pinv, image)
 
 
 def projected_quad(scorer, a):
@@ -104,16 +113,16 @@ class TestProjectedEstimates:
     def test_identity_sketch_band(self):
         # exact value 1; the sign projection keeps it in [0.5, 1.5]
         sk = build_sketch(np.eye(6))
-        e1 = np.eye(6)[0]
-        hits = sum(0.5 <= projected_quad(jl_build(sk, 1000, seed=s), e1) <= 1.5 for s in range(1000))
+        e1, parts = np.eye(6)[0], frozen(sk)
+        hits = sum(0.5 <= projected_quad(jl_build(sk, *parts, 1000, seed=s), e1) <= 1.5 for s in range(1000))
         assert hits >= 990
 
     def test_median_ratio_near_one(self):
         rng = np.random.default_rng(7)
         sk = build_sketch(rng.standard_normal((30, 6)))
         a = rng.standard_normal(6)
-        q = float(a @ pinv(sk.gram).matrix @ a)
-        ratios = [projected_quad(jl_build(sk, 1000, seed=s), a) / q for s in range(1000)]
+        q, parts = float(a @ pinv(sk.gram).matrix @ a), frozen(sk)
+        ratios = [projected_quad(jl_build(sk, *parts, 1000, seed=s), a) / q for s in range(1000)]
         assert 0.9 <= float(np.median(ratios)) <= 1.1
 
     def test_kernel_branch_exact(self):
@@ -121,14 +130,15 @@ class TestProjectedEstimates:
         # still force a full score of 1
         rows = np.zeros((3, 4))
         rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
-        scorer = jl_build(build_sketch(rows), 100, seed=3)
+        sk = build_sketch(rows)
+        scorer = jl_build(sk, *frozen(sk), 100, seed=3)
         assert scorer.score(np.eye(4)[3]) == 1.0
         on_image = scorer.score(np.eye(4)[0])
         assert on_image < 1.0
 
     def test_empty_sketch_rejected(self):
         with pytest.raises(EmptySketch):
-            jl_build(Sketch(4), 10, seed=1)
+            jl_build(Sketch(4), *frozen(Sketch(4)), 10, seed=1)
 
 
 class TestSamplerIntegration:

@@ -37,17 +37,8 @@ from specstream.randomness import CHUNK
 from specstream.rows import SparseRows
 from specstream.verify import AUDIT_SLACK
 
-from conftest import identity_stream, make_stream
+from conftest import identity_stream, last_column_scaled, make_stream
 import oracles
-
-
-def last_column_scaled(s, from_row=0):
-    """default_rng(1) 4000 x 6 Gaussian rows, the last column 0 before
-    from_row and scaled by s from it on (ROADMAP item 14's family)."""
-    rows = np.random.default_rng(1).standard_normal((4000, 6))
-    rows[:from_row, 5] = 0.0
-    rows[from_row:, 5] *= s
-    return make_stream(rows)
 
 
 def duplicate_and_zero_rows():

@@ -1,4 +1,5 @@
 """Block samplers for random-order streams and their ConstApprox plugs."""
+import copy
 import math
 
 import numpy as np
@@ -25,8 +26,12 @@ from specstream import (
     seed_block_size,
     verify,
 )
+from specstream import online
+from specstream.bench import run_sampler
+from specstream.online import ImageBasis
+from specstream.verify import AUDIT_SLACK
 
-from conftest import PassThroughPlug, make_stream
+from conftest import PassThroughPlug, last_column_scaled, make_stream
 import oracles
 
 
@@ -85,21 +90,19 @@ class TestScaledSampler:
     @pytest.mark.parametrize("use_jl", [False, True])
     def test_full_rank_block_forms_no_kernel_residual(self, monkeypatch, use_jl):
         # every block is frozen after K >= d Gaussian rows, so each frozen
-        # matrix has full rank and its image is the whole space: the image
-        # test reads no projector, so an all-NaN one moves no decision
-        from specstream import jl, linalg
-        from specstream.linalg import PInv, on_image_rows
-
+        # U is full and its span the whole space: the block's kernel test
+        # reads no projector, so an all-NaN one moves no decision
         stream = permute(gen_gaussian(1500, 6, seed=17), seed=18)
         want, _ = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
         ranks = []
 
-        def nan_projector(p, block):
-            ranks.append(p.source_rank)
-            return on_image_rows(PInv(p.source_rank, p.matrix, np.full_like(p.projector, np.nan)), block)
+        def nan_projector(image):
+            frozen = copy.copy(image)
+            frozen.projector = np.full_like(image.projector, np.nan)
+            ranks.append(frozen.rank)
+            return frozen
 
-        monkeypatch.setattr(linalg, "on_image_rows", nan_projector)
-        monkeypatch.setattr(jl, "on_image_rows", nan_projector)
+        monkeypatch.setattr(ImageBasis, "frozen", nan_projector)
         sketch, diag = scaled_sampling(stream, 0.4, seed=19, use_jl=use_jl)
         assert diag.pinv_recomputes >= 5 and sketch.n_rows < stream.n
         assert ranks and set(ranks) == {6}
@@ -373,13 +376,18 @@ class TestImprovedSampler:
         sampler = ImprovedSampler(5, 0.4, 1, PassThroughPlug(5))
         assert sampler.multiplier == 2.0
 
-    def test_broken_plug_detected(self):
-        # a plug that silently drops a direction must raise at the boundary
+    @pytest.mark.parametrize("lost", ["axis-0", *range(20)])
+    def test_broken_plug_detected(self, lost):
+        # a plug that silently drops a direction v must raise at the
+        # boundary: axis 0, or a unit v drawn by default_rng(lost). Its
+        # snapshot's Gram on U then fails to factor for most v; for the
+        # others the Gram of its coordinates scaled to unit columns has its
+        # least eigenvalue at rounding level (online.whitener)
         class LossyPlug:
             beta = 0.25
 
-            def __init__(self, dim):
-                self.dim = dim
+            def __init__(self, dim, v):
+                self.dim, self.v = dim, v
                 self.rows = []
 
             @property
@@ -388,9 +396,9 @@ class TestImprovedSampler:
 
             def add_rows(self, lo, block):
                 for i, row in enumerate(block):
-                    squashed = np.array(row, dtype=float)
-                    squashed[0] = 0.0  # loses every component along axis 0
-                    self.rows.append((lo + i, squashed))
+                    r = np.array(row, dtype=float)
+                    r -= (r @ self.v) * self.v  # loses every component along v
+                    self.rows.append((lo + i, r))
 
             def query(self):
                 sk = Sketch(self.dim)
@@ -398,9 +406,10 @@ class TestImprovedSampler:
                     sk.append(idx, 1.0, row)
                 return sk
 
+        v = np.eye(4)[0] if lost == "axis-0" else np.random.default_rng(lost).standard_normal(4)
         stream = gen_gaussian(60, 4, seed=27)
         with pytest.raises(ConstApproxFailure):
-            improved_scaled_sampling(stream, 0.4, 28, LossyPlug(4))
+            improved_scaled_sampling(stream, 0.4, 28, LossyPlug(4, v / np.linalg.norm(v)))
 
     def test_plugs_are_interchangeable(self):
         stream = permute(gen_gaussian(1200, 6, seed=29), seed=30)
@@ -499,9 +508,15 @@ class TestBlockReference:
         if plug_name.endswith("self"):
             assert plug.query().indices == twin.query().indices
 
+    # late-direction: a direction first seen at row 3000, inside the block
+    # frozen at 2805. A step loop grows U there row by row, and the block's
+    # later rows must still take their kernel verdicts from U as it stood at
+    # the freeze, as the whole run's one segment does
+    @pytest.mark.parametrize("stream_name", ["gaussian", "late-direction"])
     @pytest.mark.parametrize("plug_name", ["none", "resparsify", "jl-self"])
-    def test_step_loop_matches_whole_stream_run(self, plug_name):
-        stream = permute(gen_gaussian(3000, 6, seed=91), seed=92)
+    def test_step_loop_matches_whole_stream_run(self, plug_name, stream_name):
+        stream = (permute(gen_gaussian(3000, 6, seed=91), seed=92) if stream_name == "gaussian"
+                  else last_column_scaled(1.0, 3000))
         # jl-self: JL scoring with a self plug, the configuration of criterion 8
         use_jl = plug_name == "jl-self"
         make_plug = BLOCK_PARITY_PLUGS["self" if use_jl else plug_name]
@@ -515,21 +530,22 @@ class TestBlockReference:
         assert np.allclose(stepped.weights, whole.weights, rtol=1e-12, atol=0.0)
         assert np.allclose(step_diag.scores, whole_diag.scores, rtol=1e-12, atol=1e-15)
 
-    def test_jl_freeze_computes_one_pinv(self, monkeypatch):
-        from specstream import jl, linalg, random_order
+    @pytest.mark.parametrize("plug_name", ["none", "self"])
+    def test_jl_freeze_factors_the_gram_once(self, monkeypatch, plug_name):
+        # the JL matrix is built from the G+ = W W' the freeze logs, so a
+        # freeze factors one Gram (a self plug factors its own as well)
+        calls, factor = [], online.inverse_factor
 
-        calls = []
-
-        def counted(s):
+        def counted(gram):
             calls.append(1)
-            return linalg.pinv(s)
+            return factor(gram)
 
-        monkeypatch.setattr(random_order, "pinv", counted)
-        monkeypatch.setattr(jl, "pinv", counted)
+        monkeypatch.setattr(online, "inverse_factor", counted)
         stream = permute(gen_gaussian(3000, 6, seed=94), seed=95)
-        _, diag = scaled_sampling(stream, 0.4, 96, use_jl=True)
+        plug = BLOCK_PARITY_PLUGS[plug_name](6)
+        _, diag = scaled_sampling(stream, 0.4, 96, plug, use_jl=True)
         assert diag.pinv_recomputes >= 5
-        assert len(calls) == diag.pinv_recomputes
+        assert len(calls) == diag.pinv_recomputes * (1 if plug is None else 2)
 
 
 class TestResparsifyCounters:
@@ -568,3 +584,65 @@ class TestResparsifyCounters:
             rows = np.eye(3)[np.arange(2 * plug.capacity_rows) % 3]
             plug.add_rows(0, rows)
         assert plug.passes == 0
+
+
+BLOCK_ALGOS = ["scaled", "improved-self", "improved-resparsify"]
+
+
+class TestBlockSamplersOnTheQrOracle:
+    # ROADMAP item 14's family and its late-direction stream, read by the QR
+    # oracle apart from verify. Each block sampler keeps a U of the rows it
+    # took and whitens its frozen sketch on U, so the scaled direction keeps
+    # a coordinate of its own and every score stays an overestimate (the
+    # eigenvalue cutoff left 38-294 rows short of the QR leverage at 1e-9)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1e-6, 1e-9])
+    @pytest.mark.parametrize("from_row", [0, 3000], ids=["family", "late-direction"])
+    @pytest.mark.parametrize("algo", BLOCK_ALGOS)
+    def test_meets_eps_and_the_qr_audit(self, algo, from_row, s, seed):
+        rows = last_column_scaled(s, from_row).materialize()
+        sketch, diag = run_sampler(algo, make_stream(rows), 0.5, seed)
+        assert oracles.qr_eps(rows, sketch.weighted_matrix()) <= 0.5
+        short = oracles.qr_leverage(rows) - (diag.scores + AUDIT_SLACK)
+        assert np.all(short <= 0.0), (np.count_nonzero(short > 0.0), short.max())
+
+
+# ROADMAP item 20's law: every score is a relative leverage, which one
+# invertible map M of every row (A -> A M) does not move, so each sampler
+# keeps the same rows of A M as of A on the same coins
+LAW_STREAMS = {
+    "gaussian": lambda: np.random.default_rng(1).standard_normal((4000, 6)),
+    "kd": lambda: permute(gen_kd_multigraph(8, 128), seed=1).materialize(),
+}
+LAW_MAPS = {
+    "identity": lambda rows: rows,
+    "scale-k=6": lambda rows: rows * 10.0 ** np.random.default_rng(7).uniform(-6, 6, rows.shape[1]),
+    "scale-k=9": lambda rows: rows * 10.0 ** np.random.default_rng(7).uniform(-9, 9, rows.shape[1]),
+    "rotation": lambda rows: rows @ np.linalg.qr(
+        np.random.default_rng(5).standard_normal((rows.shape[1],) * 2))[0],
+}
+
+
+@pytest.fixture(scope="module")
+def law_run():
+    """Kept indices of one (algo, stream, map) run at eps 0.5, seed 1, each run once."""
+    runs = {}
+
+    def run(algo, stream, mapping):
+        if (algo, stream, mapping) not in runs:
+            rows = LAW_MAPS[mapping](LAW_STREAMS[stream]())
+            runs[algo, stream, mapping] = run_sampler(algo, make_stream(rows), 0.5, 1)[0].indices
+        return runs[algo, stream, mapping]
+    return run
+
+
+class TestInvarianceLaw:
+    # column scales of 10^+-6 and 10^+-9 and a rotation: U gives every
+    # direction a coordinate of its own however it lies against the axes,
+    # and the Grams are read there, so no decision moves (with SymPsd's
+    # cutoff the block samplers kept 1511 -> 3804 rows at k = 6)
+    @pytest.mark.parametrize("mapping", ["scale-k=6", "scale-k=9", "rotation"])
+    @pytest.mark.parametrize("stream", sorted(LAW_STREAMS))
+    @pytest.mark.parametrize("algo", ["online", "optimal", *BLOCK_ALGOS])
+    def test_kept_indices_do_not_move(self, law_run, algo, stream, mapping):
+        assert law_run(algo, stream, mapping) == law_run(algo, stream, "identity")

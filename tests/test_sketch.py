@@ -5,6 +5,7 @@ import pytest
 from specstream import BarrierState, DimensionMismatch, InvalidWeight, NonFiniteInput, OnlineState, Sketch
 from specstream import rows as rowops
 from specstream.linalg import PInv, on_image_rows
+from specstream.online import ImageBasis
 from specstream.random_order import BlockSampler, ResparsifyApprox
 from specstream.randomness import CHUNK, IndexedUniforms, derive_seed
 
@@ -61,6 +62,26 @@ class TestRowOps:
 
 
 class TestSketch:
+    def test_gram_on_keeps_one_catch_up_per_image(self):
+        # a sketch read on two image bases between folds (as a self plug's
+        # is, by itself and by the outer sampler) keeps each one's Gram up to
+        # date from the rows folded since its last read; _keep starts both over
+        rows = np.random.default_rng(9).standard_normal((60, 5))
+        images = [ImageBasis(5), ImageBasis(5)]
+        images[0].extend(rows)
+        images[1].extend(rows[::-1])
+        sk = Sketch(5)
+
+        def read_all():
+            for image in images:
+                want = image.coords.T @ sk.gram_matrix() @ image.coords
+                assert np.allclose(sk.gram_on(image), want, rtol=0.0, atol=1e-13 * np.trace(want))
+        for lo in range(0, 60, 20):
+            sk._fold(np.arange(lo, lo + 20), np.full(20, 2.0), rows[lo:lo + 20])
+            read_all()
+        sk._keep(np.arange(0, 60, 3), np.full(20, 0.5))
+        read_all()
+
     def test_gram_matches_weighted_rows(self):
         rng = np.random.default_rng(5)
         sk = Sketch(4)
