@@ -130,7 +130,7 @@ class ImageBasis:
 def inverse_factor(gram) -> np.ndarray:
     """L^-1 for the Cholesky factor L of an (r, r) U'GU, O(r^3) with no rank cutoff; NotPsd when it fails to factor."""
     try:
-        return np.linalg.solve(np.linalg.cholesky(gram), np.eye(len(gram)))
+        return np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError as exc:
         raise NotPsd(f"U'GU of rank {len(gram)} fails to factor: G lost rank on U") from exc
 
