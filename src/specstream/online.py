@@ -20,12 +20,12 @@ The relative-leverage sampler scores a run with one product. Its kernel
 verdicts hold while U does: taken once for the rest of the block, and after
 U grows for the rest of the run. A kept row only lowers later rows' forms,
 so one comparison against coin thresholds taken once per block picks a
-superset of the rows that can be kept, and each candidate's p is recomputed
-exactly. A kept row takes one gemv (Y b), one dot, a step in place and one
-gemv that lowers the rest of the run's forms, each one ndarray.dot into a
-preallocated buffer; a rebuild rescores the rest of the run. The forms are
-clamped at 0 once per block and where a candidate's is read: each
-correction subtracts a term >= 0, so a form that goes negative stays so.
+superset of the rows that can be kept. After a walk's first step each
+candidate is scored fresh, one gemv (Y b) and one dot; a kept row steps Y
+in place, each product one ndarray.dot into a preallocated buffer, and one
+product where the walk ends corrects the other rows. A rebuild rescores the
+rest of the run. The forms are clamped at 0 once per block and where a
+candidate's is read: a corrected form that goes negative stays so.
 The barrier walks every row, since each moves both gaps: one .dot per gap
 and one vecdot give both gaps' forms. Both gaps live on seen's image, so one
 kernel verdict per row serves both. Per run, one cumsum gives the Gram of
@@ -51,8 +51,8 @@ from .sketch import RunStats, Sketch
 # Leading constant of c = C * eps^-2 * ln d, per the source analysis.
 DEFAULT_ONLINE_C_MULT = 3.0
 
-# Rows both states walk as one run. A kept online row costs
-# O(d * run) to correct the rest of its run, and a rebuild rescores that rest.
+# Rows both states walk as one run. An online walk corrects its rows with one
+# O(run * steps * d) product where it ends, and a rebuild rescores the rest.
 ONLINE_RUN = 128
 
 # Every PINV_VERIFY_EVERY-th step of a kept pseudo-inverse is a rebuild.
@@ -206,9 +206,9 @@ class OnlineState:
         # in the sketch, and the rank of U its kernel verdicts hold for, up to which row
         self._run, self._verdicts = None, (None, 0)
         self._pending, self._pending_p = [], []
-        # the walk's rows in U coordinates, a kept row's Y b, its step and the rest of its run's b' Y rows
+        # the walk's rows in U coordinates, and each of its steps' Y b, coef and outer
         self._coords = np.empty((ONLINE_RUN, dim))
-        self._pa, self._outer, self._rest = np.empty(dim), np.empty((dim, dim)), np.empty(ONLINE_RUN)
+        self._pas, self._coefs, self._outer = np.empty((ONLINE_RUN, dim)), np.empty(ONLINE_RUN), np.empty((dim, dim))
 
     def add_rows(self, lo: int, block) -> np.ndarray:
         """Take a block of rows with source indices lo, lo + 1, ...
@@ -221,8 +221,8 @@ class OnlineState:
         min((1 + eps) q / (q + 1), 1) against the sketch Gram before it (1
         off its image) and is kept on its coin with p = min(c * score, 1), at
         weight 1/sqrt(p); exactly-zero rows score zero and are never kept.
-        A kept row costs one gemv, one dot, an in-place step and one gemv
-        over the rest of its run; q is clamped once per block (module docstring says why).
+        A candidate costs one gemv and one dot, a kept row an in-place step, and
+        a walk one product; q is clamped once per block (module docstring says why).
         Returns the kept mask.
         """
         lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
@@ -250,9 +250,14 @@ class OnlineState:
         to rescore from after a rebuild, or stop; q is left unclamped. Kernel
         verdicts hold while U does: taken at a run's start for the rest of
         the block, and after U grows for the rest of the run. The rows are
-        scored and stepped in U coordinates, projected once per walk."""
-        pa, outer, rest, image = self._pa, self._outer, self._rest, self.image
-        y, pa_col, pa_row = self.kept.matrix, pa[:, None], pa[None]
+        scored and stepped in U coordinates, projected once per walk. Where
+        the walk ends, one product lowers each row j that is no candidate by
+        coef_h (b_j . Y_h b_h)^2 for each step h before it; its q <= t <=
+        coin / (c (1 + eps) - coin), so this, at most q, rounds at about u t
+        (u = 2^-53). A large q is a candidate's, scored fresh after a step,
+        save at t = inf (c (1 + eps) <= coin, so c < 1): a row never kept."""
+        pas, coefs, outer, image = self._pas, self._coefs, self._outer, self.image
+        y, steps, upto = self.kept.matrix, 0, stop
         if self._verdicts[0] != image.rank or self._verdicts[1] < stop:
             end = len(block) if start % ONLINE_RUN == 0 else stop
             on[start:end] = image.on_image(block[start:end])
@@ -261,10 +266,13 @@ class OnlineState:
         q[start:stop] = quad_forms(self.kept, coords)
         # a Sherman-Morrison step lowers q, so a row whose coin failed stays dropped
         t = self._run[2]
-        candidates = np.flatnonzero(~on[start:stop] | (q[start:stop] > t[start:stop]))
+        candidate = ~on[start:stop] | (q[start:stop] > t[start:stop])
         verdicts, c, lift = on[start:stop].tolist(), self.c, 1.0 + self.eps
-        for i in (start + candidates).tolist():
-            qi, on_i = max(q.item(i), 0.0), verdicts[i - start]  # p as _levels gives it, in floats
+        for i in (start + np.flatnonzero(candidate)).tolist():
+            b, pa, on_i = coords[i - start], pas[steps], verdicts[i - start]
+            if steps:  # scored fresh against the stepped Y
+                q[i] = b.dot(y.dot(b, out=pa))
+            qi = max(q.item(i), 0.0)  # p as _levels gives it, in floats
             p = min(c * min(lift * (qi / (qi + 1.0) if on_i else 1.0), 1.0), 1.0)
             if not coins.item(i) < p:
                 continue
@@ -274,19 +282,20 @@ class OnlineState:
                 image.grow(block[i])
             self._pending.append(i)
             self._pending_p.append(p)
-            b = coords[i - start]
-            y.dot(b, out=pa)
-            coef = self.kept.step_coef(1.0 / p, float(b.dot(pa)), on_i)
+            coef = self.kept.step_coef(1.0 / p, q.item(i) if steps else float(b.dot(y.dot(b, out=pa))), on_i)
             if coef is None:
-                return i + 1
-            pa_col.dot(pa_row, out=outer)
+                upto = i
+                break
+            pa[:, None].dot(pa[None], out=outer)
             outer *= coef
             y -= outer
-            g = coords[i + 1 - start:].dot(pa, out=rest[:stop - i - 1])
+            coefs[steps], steps = coef, steps + 1
+        if steps:  # one product, masked by position, corrects the rows not candidates
+            g = coords[:upto - start].dot(pas[:steps].T)
             np.square(g, out=g)
-            g *= coef
-            q[i + 1:stop] -= g
-        return stop
+            g *= np.flatnonzero(kept[start:upto]) < np.arange(upto - start)[:, None]
+            np.subtract(q[start:upto], g.dot(coefs[:steps]), out=q[start:upto], where=~candidate[:upto - start])
+        return stop if upto == stop else upto + 1
 
     def _thresholds(self, coins) -> np.ndarray:
         """Per coin, a t such that a row on the image beats its coin only if q > t.

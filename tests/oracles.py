@@ -87,6 +87,27 @@ def qr_leverage(rows):
     return np.einsum("ij,ij->i", q, q)
 
 
+def sequential_r_scores(rows, indices, weights, eps):
+    """Each row's capped score min((1 + eps) q / (q + 1), 1) against the
+    weighted rows kept before it, with no Gram formed: q = ||x||^2 for the
+    least-squares x of R'x = a, R the R of a QR of those rows, taken
+    sequentially (each kept row w a is appended below R and R taken again).
+    NaN for a row off R's row space (least-squares residual above 1e-8 ||a||)."""
+    rows = np.asarray(rows, dtype=float)
+    weight = dict(zip(np.asarray(indices).tolist(), np.asarray(weights, dtype=float).tolist()))
+    r = np.zeros((0, rows.shape[1]))
+    levels = np.full(len(rows), np.nan)
+    for i, a in enumerate(rows):
+        if len(r):
+            x = np.linalg.lstsq(r.T, a, rcond=None)[0]
+            if np.linalg.norm(r.T @ x - a) <= 1e-8 * np.linalg.norm(a):
+                q = float(x @ x)
+                levels[i] = min((1.0 + eps) * q / (q + 1.0), 1.0)
+        if i in weight:
+            r = np.linalg.qr(np.vstack([r, weight[i] * a]), mode="r")
+    return levels
+
+
 def exact_online_leverage(rows):
     """tau_i = a_i' (A_i'A_i)+ a_i with A_i = rows[:i+1], one fresh pinv per prefix."""
     rows = np.asarray(rows, dtype=float)

@@ -337,7 +337,6 @@ def test_dot_matches_matmul_on_walk_shapes():
     # routine as @ and np.matmul. A numpy or BLAS build that routes them
     # differently moves the sketches' bits; this names the product that did.
     rng = np.random.default_rng(61)
-    rest = np.empty(ONLINE_RUN)
     for _ in range(300):
         d, n = int(rng.integers(2, 41)), int(rng.integers(1, ONLINE_RUN + 1))
         scale = 10.0 ** rng.integers(-6, 7)
@@ -348,7 +347,11 @@ def test_dot_matches_matmul_on_walk_shapes():
         pa = y.dot(a, out=np.empty(d))
         assert np.array_equal(pa, y @ a)
         assert a.dot(pa) == a @ pa
-        assert np.array_equal(rows.dot(pa, out=rest[:n]), rows @ pa)
+        # the online walk's correction: its rows' coordinates against its steps' Y b
+        coords, pas = np.empty((ONLINE_RUN, d)), np.empty((ONLINE_RUN, d))
+        coords[:n], m = rows, int(rng.integers(1, n + 1))
+        pas[:m] = rows[:m] @ y
+        assert np.array_equal(coords[:n].dot(pas[:m].T), coords[:n] @ pas[:m].T)
         assert np.array_equal(pa[:, None].dot(pa[None], out=np.empty((d, d))), np.multiply(pa[:, None], pa))
         pu, steps = np.empty((2, d)), np.empty((2, d, d))
         for k in range(2):

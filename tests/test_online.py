@@ -33,7 +33,7 @@ from specstream.errors import NonFiniteInput, NotPsd, RowNormOutOfRange
 from specstream.linalg import SymPsd, on_image_rows, pinv as linalg_pinv, relative_of
 from specstream.online import BARRIER_TOL, ONLINE_RUN, KeptPinv, sandwich_holds
 from specstream.random_order import BlockSampler, ResparsifyApprox
-from specstream.randomness import CHUNK
+from specstream.randomness import CHUNK, IndexedUniforms
 from specstream.rows import SparseRows
 from specstream.verify import AUDIT_SLACK
 
@@ -316,14 +316,41 @@ class TestOnlineSampler:
         assert state.kept.recomputes == diag.pinv_recomputes
 
     def test_forms_corrected_below_zero_log_zero(self):
-        # rows 1e9 times longer than the rest: a kept long row's correction of
-        # a later row in its run cancels two forms near 1e16 and can round
-        # below 0; the block's one clamp logs such a form as 0, as a clamp
-        # after every step would
+        # rows 1e9 times longer than the rest: a fresh form of a row at
+        # rounding, or a walk's correction of a row that is not a candidate,
+        # can round below 0; the block's one clamp logs such a form as 0, as
+        # a clamp after every step would
         rows = np.random.default_rng(1).standard_normal((600, 3))
         rows[[130, 140, 150, 170, 200, 300, 310, 520]] *= 1e9
         _, diag = run_online(make_stream(rows), 0.5, seed=1, c_mult=0.5)
         assert 0.0 <= diag.scores.min() and diag.scores.max() <= 1.0
+
+    @pytest.mark.parametrize("n, d, stream_seed", [(2000, 12, 5), (4000, 10, 1)])
+    def test_logged_scores_match_a_sequential_r(self, n, d, stream_seed):
+        # each logged score, on the rows on the kept rows' image, against the
+        # weighted rows kept before it read from a sequential QR, with no
+        # Gram: a large form lowered step by step cancels (1.06e-9 off at row
+        # 53 of the first stream), where one scored fresh does not
+        stream = gen_gaussian(n, d, stream_seed)
+        sketch, diag = run_online(stream, 0.5, seed=1)
+        levels = oracles.sequential_r_scores(stream.materialize(), sketch.indices, sketch.weights, 0.5)
+        on = np.isfinite(levels)
+        assert on.sum() >= n - 2 * d
+        assert np.max(np.abs(diag.scores[on] - levels[on])) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("build", [lambda: permute(gen_kd_multigraph(8, 512), seed=7),
+                                       lambda: gen_gaussian(2000, 12, 5)], ids=["kd8-512", "gaussian"])
+    def test_no_coin_sits_at_its_probability(self, build, seed):
+        # a walk that orders its corrections otherwise moves p in its last
+        # bits; that moves no decision while every coin clears its p by far
+        # more than p's rounding
+        stream = build()
+        _, diag = run_online(stream, 0.5, seed=seed)
+        coins = IndexedUniforms(seed).take_range(0, stream.n)
+        inside = (diag.probs > 0.0) & (diag.probs < 1.0)
+        assert inside.sum() > stream.n // 4
+        assert np.all(np.abs(coins - diag.probs)[inside] > 1e-9 * diag.probs[inside])
 
     # (stream at n rows, the sweep of n): ROADMAP item 12's 16x sweeps of
     # n at d = 8; a kd(8, copies) stream has 28 edges per copy and rank 7
