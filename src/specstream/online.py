@@ -31,8 +31,8 @@ and one vecdot give both gaps' forms. Both gaps live on seen's image, so one
 kernel verdict per row serves both. Per run, one cumsum gives the Gram of
 the rows seen after every row, and one of the kept rows' outers, extended
 in place, the sketch Grams. A rebuild forms the one gap it reads; the
-sandwich check forms both gaps after every row as one stack and factors it,
-shifted in place, with one batched Cholesky.
+sandwich check forms a gap only where a stretch of rows that shrank it ends,
+and one batched Cholesky factors them all, each shifted in place.
 """
 from __future__ import annotations
 
@@ -367,7 +367,7 @@ class BarrierState:
     pseudo-inverse in a KeptPinv that owns one half of a (2, d, d) stack, so
     one product scores a row against both and one in-place update steps
     both. A gap's source, _gap, forms that gap alone at the row being walked;
-    _gap_stack forms both after every row of the run for the sandwich check.
+    the sandwich check forms each at the ends of the stretches that shrank it.
     A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
@@ -410,10 +410,10 @@ class BarrierState:
         kept or not, so the gaps change by k aa' with k_u = (1 + eps) - s/p
         and k_l = s/p - (1 - eps) (s = 1 if kept), and the kept
         pseudo-inverses follow by Sherman-Morrison. Raises BarrierViolation
-        for the first row after which either gap, read on U (off it both
-        gaps hold only rounding), has an eigenvalue below
-        -BARRIER_TOL * (1 + eps) trace(seen), and also when a rebuild finds
-        its gap lost rank on seen's image (fails to factor). Returns the kept mask.
+        for the first row after which either gap, read on U (off it both gaps
+        hold only rounding), has an eigenvalue below -BARRIER_TOL (1 + eps)
+        trace(seen), as a check after every row would, and when a rebuild
+        finds its gap lost rank on seen's image (fails to factor). Returns the kept mask.
         """
         lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         coins = self.rng.take_range(lo, lo + len(block)).tolist()
@@ -515,23 +515,48 @@ class BarrierState:
     def _gap_stack(self, n: int) -> np.ndarray:
         """Both gaps after each of the run's first n rows, as one contiguous
         (2, n, d, d) stack in a buffer the state reuses: [0] the upper, [1] the lower."""
+        rows = np.arange(n)
+        return self._gaps_at(n, rows, rows).reshape(2, n, self.dim, self.dim)
+
+    def _gaps_at(self, n: int, upper, lower) -> np.ndarray:
+        """The upper gap after each of the run's rows upper, then the lower after each of lower (all < n), stacked."""
         _, _, seen, _, kept = self._run
-        seen, d = seen[:n], self.dim
-        grams = self._summed_grams(n)[np.cumsum(kept[:n])]
-        gaps = self._stack[:2 * n * d * d].reshape(2, n, d, d)
-        np.multiply(seen, 1.0 + self.eps, out=gaps[0])
-        gaps[0] -= grams
-        np.multiply(seen, 1.0 - self.eps, out=gaps[1])
-        np.subtract(grams, gaps[1], out=gaps[1])
+        grams, at, m, d = self._summed_grams(n), np.cumsum(kept[:n]), len(upper), self.dim
+        gaps = self._stack[:(m + len(lower)) * d * d].reshape(-1, d, d)
+        np.multiply(seen[upper], 1.0 + self.eps, out=gaps[:m])
+        gaps[:m] -= grams[at[upper]]
+        np.multiply(seen[lower], 1.0 - self.eps, out=gaps[m:])
+        np.subtract(grams[at[lower]], gaps[m:], out=gaps[m:])
         return gaps
 
     def _checked_gaps(self, n: int) -> None:
-        """Raise BarrierViolation for the first of the run's first n rows
-        after which the sandwich fails: the gap stack, shifted by each row's
-        slack on its diagonal in place, fails one batched Cholesky
-        (sandwich_holds' test), and then that row's pair does."""
-        lo, seen, d = self._run[0], self._run[2][:n], self.dim
+        """Raise BarrierViolation for the first of the run's first n rows after
+        which the sandwich fails: gap + slack I, slack = BARRIER_TOL (1 + eps)
+        trace(seen), fails to factor (sandwich_holds' test). A row moves a gap
+        by k aa' (k read from probs and kept as the walk computes it) and the
+        slack never shrinks, so a gap that held holds after rows with k >= 0.
+        Over a stretch f..e of rows with k < 0 (the run's first row counted
+        in, as the state may enter a run unchecked), gap_e <= gap_j for each j
+        in it, so one batched Cholesky factors gap_e + (slack_f - delta) I for
+        each stretch of both gaps. delta = 4 d (ONLINE_RUN + d) u T, u = 2^-53, T = (1 + eps)
+        trace(seen) + trace(gram) at row n - 1, about 1e-5 of the slack, bounds
+        the rounding between two gaps of one run, (ONLINE_RUN + 8) u T, and
+        both verdicts' Cholesky backward error, O(d^2 u T). Where that fails,
+        every row's pair is factored as one stack, then in turn to name a row."""
+        lo, _, seen, probs, kept = self._run
+        seen, probs, kept, d = seen[:n], probs[:n], kept[:n], self.dim
         slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2), 1e-300)
+        taken = np.divide(1.0, probs, out=np.zeros(n), where=kept)
+        looked = np.zeros((2, n + 2), dtype=np.int8)  # per gap, the rows with k < 0 and the run's first
+        looked[:, 1:-1] = ((1.0 + self.eps) - taken < 0.0, taken - (1.0 - self.eps) < 0.0)
+        looked[:, 1] = 1
+        edges = np.diff(looked, axis=1)  # 1 at a stretch's first row, -1 one past its last
+        (_, first), (gap, end) = np.nonzero(edges == 1), np.nonzero(edges == -1)
+        gaps = self._gaps_at(n, end[gap == 0] - 1, end[gap == 1] - 1)
+        delta = 4 * d * (ONLINE_RUN + d) * 2.0 ** -53 * (slack[-1] / BARRIER_TOL + np.trace(self._grams[kept.sum()]))
+        gaps.reshape(-1, d * d)[:, ::d + 1] += (slack[first] - delta)[:, None]
+        if _factors(gaps):
+            return
         gaps = self._gap_stack(n)
         gaps.reshape(2, n, d * d)[:, :, ::d + 1] += slack[:, None]
         if not _factors(gaps):

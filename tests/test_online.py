@@ -1311,15 +1311,27 @@ class TestFormedOnce:
         run_barrier(stream, eps, seed=74)
         assert len(sources) == -(-stream.n // ONLINE_RUN) and sum(sources) > 0
 
-    @pytest.mark.parametrize("broken", ["lower-160", "lower-172", "upper-160"])
+    @pytest.mark.parametrize("broken", ["lower-160", "lower-172", "upper-160",
+                                        "lower-170-carried", "upper-160-creeping", "lower-160-zeros"])
     def test_shifted_stack_fails_where_sandwich_holds_fails(self, broken, monkeypatch):
         # the check shifts the gap stack by the slack in place and factors it
         # once: on runs that break the sandwich, one barrier lowered to touch
         # the Gram after row lo - 1, it fails where sandwich_holds(gaps +
-        # slack I) does, and names the first row at which that fails
-        barrier, lo = broken.split("-")
+        # slack I) does, and names the first row at which that fails.
+        # carried: the lower gap is lowered along G w, w orthogonal to row lo
+        # and in its plane with row lo + 1, to -10 slack after row lo - 1, so
+        # row lo, kept, leaves the break as it was and row lo + 1, kept,
+        # repairs it: no row that shrinks the gap sees it, and only the run's
+        # first row, looked at as such, does. creeping: a stand-in walk keeps
+        # every row of the run at 1/p just above 1 + eps, so each shrinks the
+        # upper gap by about 1e-9 aa' while the slack grows by 1.5e-7 |a|^2;
+        # the gap, broken by 1.4 slacks of row lo - 1, fails at row lo but
+        # holds against the slack of the stretch's last row. zeros: exact-zero
+        # rows inside the run have p = 0, and the check reads no 1/p of them
+        # (a RuntimeWarning fails)
+        barrier, lo, *how = broken.split("-")
         lo, block = int(lo), gen_gaussian(300, 4, seed=75).block(0, 300)
-        verdicts, check = [], BarrierState._checked_gaps
+        verdicts, check, entered = [], BarrierState._checked_gaps, []
 
         def with_reference(self, n):
             gaps = np.moveaxis(self._gap_stack(n), 0, 1).copy()  # (n, 2, d, d)
@@ -1334,15 +1346,57 @@ class TestFormedOnce:
                 raise
             finally:
                 verdicts.append((sandwich_holds(gaps, slack[:, None]), first, named))
+                entered.append(self._run[4][:2].copy())
         monkeypatch.setattr(BarrierState, "_checked_gaps", with_reference)
         state = BarrierState(4, 0.5, seed=76)
         state.add_rows(0, block[:lo])
         gram = state.gram
-        if barrier == "lower":
+        if how == ["carried"]:
+            g, (b0, b1) = gram - (1 - 0.5) * state.seen, block[lo:lo + 2] @ state.image.coords
+            w = b1 - (b1 @ b0) / (b0 @ b0) * b0
+            gw, wgw = g @ w, w @ g @ w
+            below = 10 * BARRIER_TOL * (1 + 0.5) * np.trace(state.seen) * (w @ w) / wgw
+            state.seen += (1 + below) * np.outer(gw, gw) / wgw / (1 - 0.5)
+        elif how == ["creeping"]:
+            least = np.linalg.eigvalsh((1 + 0.5) * state.seen - gram)[0]
+            below = 1.4 * BARRIER_TOL * (1 + 0.5) * (np.trace(state.seen) - 4 * least / (1 + 0.5))
+            state.seen -= (least + below) / (1 + 0.5) * np.eye(4)
+
+            def kept_just_past_one_plus_eps(self, rows, coins, probs, kept):
+                probs[:], kept[:], self._at = 1.0 / ((1 + 0.5) * (1 + 1e-9)), True, len(rows) - 1
+            monkeypatch.setattr(BarrierState, "_walk", kept_just_past_one_plus_eps)
+        elif barrier == "lower":
             state.seen += np.linalg.eigvalsh(gram - (1 - 0.5) * state.seen)[0] / (1 - 0.5) * np.eye(4)
         else:
             state.seen -= np.linalg.eigvalsh((1 + 0.5) * state.seen - gram)[0] / (1 + 0.5) * np.eye(4)
+        if how == ["zeros"]:
+            block[lo:lo + 60:3] = 0.0
         with pytest.raises(BarrierViolation):
             state.add_rows(lo, block[lo:lo + ONLINE_RUN])
         assert all(holds == (first is None) and named == first for holds, first, named in verdicts)
         assert verdicts[0][0] and verdicts[-1][1] is not None
+        if how in (["carried"], ["creeping"]):  # the run's first row breaks it, and it and the next are kept
+            assert verdicts[-1][1] == 0 and entered[-1].all()
+
+    def test_check_factors_one_gap_per_stretch(self, monkeypatch):
+        # a row shrinks a gap only where the walk's k for it is < 0: the upper
+        # for a kept row with 1/p > 1 + eps, the lower for a dropped row. The
+        # check factors each gap once per stretch of such rows, the run's
+        # first row counted in, where a check after every row factors 2n
+        stream = gen_gaussian(2000, 12, seed=3)
+        factored, factors = [], online._factors
+
+        def counted(stack):
+            factored.append(stack.size // stack.shape[-1] ** 2)
+            return factors(stack)
+        monkeypatch.setattr(online, "_factors", counted)
+        sketch, diag = run_barrier(stream, 0.5, seed=3)
+        kept = np.isin(np.arange(stream.n), sketch.indices)
+        taken = np.divide(1.0, diag.probs, out=np.zeros(stream.n), where=kept)
+        stretches = 0
+        for k in ((1.0 + 0.5) - taken, taken - (1.0 - 0.5)):
+            for lo in range(0, stream.n, ONLINE_RUN):
+                looked = np.append(k[lo:lo + ONLINE_RUN] < 0.0, False)
+                looked[0] = True
+                stretches += np.count_nonzero(looked[:-1] & ~looked[1:])
+        assert sum(factored) == stretches < stream.n // 2
