@@ -5,7 +5,9 @@ usage: python3 perfbench/run.py --seconds 1 --seed SEED | python3 .github/check_
 Exits 0 when the run's last line, a JSON object, reads correct and no failed
 operation, and the run printed the three kept-index digests pinned for SEED
 below, in workload order (online-kd, adversarial-dense, random-order);
-exits 1 otherwise. ROADMAP.md records the same digests.
+exits 1 otherwise, after naming on stderr the parts that failed (correct,
+failed or digests) with the expected and found digests. ROADMAP.md records
+the same digests.
 """
 import json
 import re
@@ -19,5 +21,10 @@ PINNED = {
 
 out = sys.stdin.read()
 r = json.loads(out.splitlines()[-1])
-digests = re.findall(r"kept-index digest (\w+)", out)
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 and digests == PINNED[sys.argv[1]] else 1)
+digests, pinned = re.findall(r"kept-index digest (\w+)", out), PINNED[sys.argv[1]]
+failed = [part for part, ok in (("correct", r["correct"] is True), ("failed", r["failed"] == 0),
+                                ("digests", digests == pinned)) if not ok]
+if failed:
+    print(f"check_digests: {', '.join(failed)} failed at seed {sys.argv[1]}: correct {r['correct']}, "
+          f"failed {r['failed']}; digests expected {pinned}, found {digests}", file=sys.stderr)
+sys.exit(1 if failed else 0)

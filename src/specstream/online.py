@@ -30,9 +30,9 @@ The barrier walks every row, since each moves both gaps: one .dot per gap
 and one vecdot give both gaps' forms. Both gaps live on seen's image, so one
 kernel verdict per row serves both. Per run, one cumsum gives the Gram of
 the rows seen after every row, and one of the kept rows' outers, extended
-in place, the sketch Grams. A rebuild forms the one gap it reads; the
-sandwich check forms a gap only where a stretch of rows that shrank it ends,
-and one batched Cholesky factors them all, each shifted in place.
+in place, the sketch Grams. One former makes every gap: the one a rebuild
+reads, the sandwich check's where a stretch of rows that shrank it ends, all
+factored by one batched Cholesky, and the pair a violation names.
 """
 from __future__ import annotations
 
@@ -366,8 +366,8 @@ class BarrierState:
     Each gap, (1 + eps) seen - gram and gram - (1 - eps) seen, keeps its
     pseudo-inverse in a KeptPinv that owns one half of a (2, d, d) stack, so
     one product scores a row against both and one in-place update steps
-    both. A gap's source, _gap, forms that gap alone at the row being walked;
-    the sandwich check forms each at the ends of the stretches that shrank it.
+    both. One former, _gap, forms every gap: a rebuild's source at the row
+    walked, the check's at the ends of the stretches that shrank it.
     A BarrierViolation leaves the state mid-run: do not reuse it.
     """
 
@@ -385,7 +385,6 @@ class BarrierState:
         # after each row, and the sketch Grams (_summed_grams)
         self._coords = np.empty((ONLINE_RUN, dim))
         self._seens, self._grams = np.empty((2, ONLINE_RUN + 1, dim, dim))
-        self._stack = np.empty(2 * ONLINE_RUN * dim * dim)  # the sandwich check's gaps
         self._pinvs = np.zeros((2, dim, dim))  # the gaps' kept pseudo-inverses
         self._pu, self._coefs, self._steps = np.empty((2, dim)), np.empty(2), np.empty((2, dim, dim))
         self.upper_pinv = KeptPinv(dim, lambda: self._gap(0, self._at), self.image, self._pinvs[0])
@@ -412,8 +411,8 @@ class BarrierState:
         pseudo-inverses follow by Sherman-Morrison. Raises BarrierViolation
         for the first row after which either gap, read on U (off it both gaps
         hold only rounding), has an eigenvalue below -BARRIER_TOL (1 + eps)
-        trace(seen), as a check after every row would, and when a rebuild
-        finds its gap lost rank on seen's image (fails to factor). Returns the kept mask.
+        trace(seen), as a check after every row would (_checked_gaps), and
+        when a rebuild finds its gap lost rank on seen's image (fails to factor). Returns the kept mask.
         """
         lo, block, self.last_index = rowops.checked_run(block, self.dim, lo, self.last_index)
         coins = self.rng.take_range(lo, lo + len(block)).tolist()
@@ -505,29 +504,15 @@ class BarrierState:
             self._summed = (stop, m + len(pos))
         return self._grams
 
-    def _gap(self, k: int, at: int) -> np.ndarray:
-        """Gap k after the run's row at, formed alone: (1 + eps) seen - gram for k = 0,
-        gram - (1 - eps) seen for k = 1; the source of a rebuild."""
+    def _gap(self, k: int, at) -> np.ndarray:
+        """Gap k after the run's row at, or the stack of it after each of an
+        array of rows at, at or before the row being walked: (1 + eps) seen -
+        gram for k = 0, gram - (1 - eps) seen for k = 1. The one source of
+        every gap: a rebuild's, the sandwich check's and a violation's."""
         _, _, seen, _, kept = self._run
-        gram = self._summed_grams(at + 1)[np.count_nonzero(kept[:at + 1])]
+        stop = self._at + 1
+        gram = self._summed_grams(stop)[kept[:stop].cumsum()[at]]
         return (1.0 + self.eps) * seen[at] - gram if k == 0 else gram - (1.0 - self.eps) * seen[at]
-
-    def _gap_stack(self, n: int) -> np.ndarray:
-        """Both gaps after each of the run's first n rows, as one contiguous
-        (2, n, d, d) stack in a buffer the state reuses: [0] the upper, [1] the lower."""
-        rows = np.arange(n)
-        return self._gaps_at(n, rows, rows).reshape(2, n, self.dim, self.dim)
-
-    def _gaps_at(self, n: int, upper, lower) -> np.ndarray:
-        """The upper gap after each of the run's rows upper, then the lower after each of lower (all < n), stacked."""
-        _, _, seen, _, kept = self._run
-        grams, at, m, d = self._summed_grams(n), np.cumsum(kept[:n]), len(upper), self.dim
-        gaps = self._stack[:(m + len(lower)) * d * d].reshape(-1, d, d)
-        np.multiply(seen[upper], 1.0 + self.eps, out=gaps[:m])
-        gaps[:m] -= grams[at[upper]]
-        np.multiply(seen[lower], 1.0 - self.eps, out=gaps[m:])
-        np.subtract(grams[at[lower]], gaps[m:], out=gaps[m:])
-        return gaps
 
     def _checked_gaps(self, n: int) -> None:
         """Raise BarrierViolation for the first of the run's first n rows after
@@ -537,32 +522,34 @@ class BarrierState:
         slack never shrinks, so a gap that held holds after rows with k >= 0.
         Over a stretch f..e of rows with k < 0 (the run's first row counted
         in, as the state may enter a run unchecked), gap_e <= gap_j for each j
-        in it, so one batched Cholesky factors gap_e + (slack_f - delta) I for
-        each stretch of both gaps. delta = 4 d (ONLINE_RUN + d) u T, u = 2^-53, T = (1 + eps)
-        trace(seen) + trace(gram) at row n - 1, about 1e-5 of the slack, bounds
-        the rounding between two gaps of one run, (ONLINE_RUN + 8) u T, and
-        both verdicts' Cholesky backward error, O(d^2 u T). Where that fails,
-        every row's pair is factored as one stack, then in turn to name a row."""
+        in it, so one batched Cholesky factors gap_e + (slack_f - delta_e) I
+        for each stretch of both gaps. delta_e = 4 d (ONLINE_RUN + d) u T_e,
+        u = 2^-53 and T_e = (1 + eps) trace(seen) + trace(gram) after row e,
+        bounds the rounding between gap_j and gap_e, (ONLINE_RUN + 8) u T_e,
+        and gap_e's Cholesky backward error, O(d^2 u T_e): both read Grams up
+        to row e only, which T_e bounds, as seen and gram only grow. Where
+        that fails, the first row whose pair fails sandwich_holds is named."""
         lo, _, seen, probs, kept = self._run
         seen, probs, kept, d = seen[:n], probs[:n], kept[:n], self.dim
-        slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2), 1e-300)
+        upper = (1.0 + self.eps) * np.trace(seen, axis1=1, axis2=2)
+        slack = BARRIER_TOL * np.maximum(upper, 1e-300)
         taken = np.divide(1.0, probs, out=np.zeros(n), where=kept)
         looked = np.zeros((2, n + 2), dtype=np.int8)  # per gap, the rows with k < 0 and the run's first
         looked[:, 1:-1] = ((1.0 + self.eps) - taken < 0.0, taken - (1.0 - self.eps) < 0.0)
         looked[:, 1] = 1
-        edges = np.diff(looked, axis=1)  # 1 at a stretch's first row, -1 one past its last
-        (_, first), (gap, end) = np.nonzero(edges == 1), np.nonzero(edges == -1)
-        gaps = self._gaps_at(n, end[gap == 0] - 1, end[gap == 1] - 1)
-        delta = 4 * d * (ONLINE_RUN + d) * 2.0 ** -53 * (slack[-1] / BARRIER_TOL + np.trace(self._grams[kept.sum()]))
+        edges = np.diff(looked, axis=1)  # 1 at a stretch's first row, -1 one past its last row
+        (_, first), (gap, end) = np.nonzero(edges == 1), np.nonzero(edges[:, 1:] == -1)
+        grams = np.trace(self._summed_grams(n)[kept.cumsum()[end]], axis1=1, axis2=2)
+        delta = 4 * d * (ONLINE_RUN + d) * 2.0 ** -53 * (upper[end] + grams)
+        gaps = np.concatenate((self._gap(0, end[gap == 0]), self._gap(1, end[gap == 1])))
         gaps.reshape(-1, d * d)[:, ::d + 1] += (slack[first] - delta)[:, None]
         if _factors(gaps):
             return
-        gaps = self._gap_stack(n)
-        gaps.reshape(2, n, d * d)[:, :, ::d + 1] += slack[:, None]
-        if not _factors(gaps):
-            j = next(j for j in range(n) if not _factors(gaps[:, j]))
-            upper_gap, lower_gap = (np.linalg.eigvalsh(self._gap(k, j))[0] for k in (0, 1))
-            raise BarrierViolation(f"sandwich failed at row {lo + j}: gaps {upper_gap:.3e}, {lower_gap:.3e}")
+        for j in range(n):
+            pair = np.stack([self._gap(k, j) for k in (0, 1)])
+            if not sandwich_holds(pair, slack[j]):
+                upper_gap, lower_gap = (np.linalg.eigvalsh(g)[0] for g in pair)
+                raise BarrierViolation(f"sandwich failed at row {lo + j}: gaps {upper_gap:.3e}, {lower_gap:.3e}")
 
 
 def sandwich_holds(gaps, slack) -> bool:

@@ -105,6 +105,19 @@ def barrier_parity_case(case, monkeypatch):
     return build(), eps
 
 
+def reference_gaps(state, n):
+    """Both gaps after each of a barrier state's run's first n rows, (2, n,
+    d, d), formed apart from the state: the run's entry Gram plus its kept
+    rows' weighted outers, from its coordinates, probabilities and kept
+    flags, summed by one cumsum in row order."""
+    _, coords, seen, probs, kept = state._run
+    pos = np.flatnonzero(kept[:n])
+    wa = coords[pos] / np.sqrt(probs[pos])[:, None]
+    grams = np.cumsum(np.concatenate((state._grams[:1], wa[:, :, None] * wa[:, None, :])), axis=0)
+    grams = grams[np.cumsum(kept[:n])]
+    return np.stack(((1.0 + state.eps) * seen[:n] - grams, grams - (1.0 - state.eps) * seen[:n]))
+
+
 def sparse_rows_with_explicit_zeros():
     """Sparse rows over d = 6, some of whose stored values are exactly 0."""
     rng = np.random.default_rng(82)
@@ -1286,9 +1299,9 @@ class TestFormedOnce:
 
     @pytest.mark.parametrize("case", ["gaussian", "kd-permuted", "one-gap-rebuilds"])
     def test_one_gap_source_is_the_stacks_slice(self, case, monkeypatch):
-        # a rebuild forms the one gap it reads, at the row
-        # walked; the sandwich check forms both after every row as one
-        # stack: each gap is the same bits in both
+        # one former makes every gap: a rebuild's source at the row walked,
+        # the check's stretch ends and a violation's pair. Each is the same
+        # bits as its slice of the stack the test forms apart (reference_gaps)
         stream, eps = barrier_parity_case(case, monkeypatch)
         monkeypatch.setattr(online, "PINV_VERIFY_EVERY", 3)
         read, gap, check = [], BarrierState._gap, BarrierState._checked_gaps
@@ -1299,12 +1312,12 @@ class TestFormedOnce:
             return g
 
         def compared(self, n):
-            stack = self._gap_stack(n).copy()
-            assert all(np.array_equal(g, stack[k, at]) for k, at, g in read)
-            assert all(np.array_equal(gap(self, k, j), stack[k, j]) for k in (0, 1) for j in range(n))
             sources.append(len(read))
-            read.clear()
             check(self, n)
+            reference = reference_gaps(self, n)
+            assert all(np.array_equal(g, reference[k, at]) for k, at, g in read)
+            assert all(np.array_equal(gap(self, k, j), reference[k, j]) for k in (0, 1) for j in range(n))
+            read.clear()
         sources = []
         monkeypatch.setattr(BarrierState, "_gap", recorded)
         monkeypatch.setattr(BarrierState, "_checked_gaps", compared)
@@ -1334,7 +1347,7 @@ class TestFormedOnce:
         verdicts, check, entered = [], BarrierState._checked_gaps, []
 
         def with_reference(self, n):
-            gaps = np.moveaxis(self._gap_stack(n), 0, 1).copy()  # (n, 2, d, d)
+            gaps = np.moveaxis(reference_gaps(self, n), 0, 1)  # (n, 2, d, d)
             slack = BARRIER_TOL * np.maximum((1.0 + self.eps) * np.trace(self._run[2][:n], axis1=1, axis2=2),
                                              1e-300)
             first = next((j for j in range(n) if not sandwich_holds(gaps[j], slack[j])), None)
@@ -1377,6 +1390,57 @@ class TestFormedOnce:
         assert verdicts[0][0] and verdicts[-1][1] is not None
         if how in (["carried"], ["creeping"]):  # the run's first row breaks it, and it and the next are kept
             assert verdicts[-1][1] == 0 and entered[-1].all()
+
+    @pytest.mark.parametrize("case", [*(case for case, (_, _, settings) in BARRIER_PARITY_CASES.items()
+                                        if not settings), "kd-scale-k=6", "kd-scale-k=9"])
+    def test_passing_check_factors_once(self, case, monkeypatch):
+        # delta is read at each stretch's last row, so the stretch ends' one
+        # batched factor decides every check that passes, and no passing
+        # check walks its rows. kd-scale: the barrier's column-scale runs of
+        # test_random_order's TestInvarianceLaw, kd(8, 128) scaled by 10^+-k
+        if case.startswith("kd-scale"):
+            k = int(case[-1])
+            rows = permute(gen_kd_multigraph(8, 128), seed=1).materialize()
+            stream, eps, seed = make_stream(rows * 10.0 ** np.random.default_rng(7).uniform(-k, k, 8)), 0.5, 1
+        else:
+            (stream, eps), seed = barrier_parity_case(case, monkeypatch), 74
+        factored, factors, check = [], online._factors, BarrierState._checked_gaps
+
+        def counted(stack):
+            factored[-1] += 1
+            return factors(stack)
+
+        def each_check(self, n):
+            factored.append(0)
+            check(self, n)
+        monkeypatch.setattr(online, "_factors", counted)
+        monkeypatch.setattr(BarrierState, "_checked_gaps", each_check)
+        run_barrier(stream, eps, seed)
+        assert factored and set(factored) == {1}
+
+    def test_inconclusive_stretch_factor_passes_where_no_row_fails(self, monkeypatch):
+        # the upper barrier is lowered to touch the Gram after row 159, and a
+        # stand-in walk keeps every row of the next run at 1/p just above
+        # 1 + eps, so each shrinks the upper gap by about 1e-9 aa', as the
+        # rows grow 1e4-fold: each row's own slack covers its gap, but the
+        # stretch's last gap falls below its first row's slack. The stretch
+        # factor fails, every row's pair holds, and the run passes
+        block = gen_gaussian(300, 4, seed=75).block(0, 300)
+        state = BarrierState(4, 0.5, seed=76)
+        state.add_rows(0, block[:160])
+        state.seen -= np.linalg.eigvalsh((1 + 0.5) * state.seen - state.gram)[0] / (1 + 0.5) * np.eye(4)
+
+        def kept_just_past_one_plus_eps(self, rows, coins, probs, kept):
+            probs[:], kept[:], self._at = 1.0 / ((1 + 0.5) * (1 + 1e-9)), True, len(rows) - 1
+        factored, factors = [], online._factors
+
+        def counted(stack):
+            factored.append(factors(stack))
+            return factored[-1]
+        monkeypatch.setattr(BarrierState, "_walk", kept_just_past_one_plus_eps)
+        monkeypatch.setattr(online, "_factors", counted)
+        state.add_rows(160, block[160:160 + ONLINE_RUN] * np.logspace(0, 4, ONLINE_RUN)[:, None])
+        assert factored[0] is False and len(factored) > 1 and all(factored[1:])
 
     def test_check_factors_one_gap_per_stretch(self, monkeypatch):
         # a row shrinks a gap only where the walk's k for it is < 0: the upper
